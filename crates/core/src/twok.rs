@@ -21,32 +21,59 @@
 //! have no IS neighbour. In the normal case this completes the paper's
 //! 2↔k swap exactly (see the Figure 7 regression test); in the rare
 //! interleaving where a nominee got blocked the round could shrink the
-//! set, which is caught by a snapshot/rollback guard. DESIGN.md §5
-//! documents this deviation.
+//! set, which is caught by a snapshot/rollback guard.
+//!
+//! This is a deliberate deviation from Algorithm 4, which protects all
+//! three skeleton vertices in the pre-swap scan. Here only the third
+//! vertex, whose record is in memory, turns `P` there; the stored pair
+//! joins one scan later. The returned set is always independent and
+//! never smaller than the round's input, but a round with a blocked
+//! nominee can end differently from a literal reading of the pseudo-code.
+//!
+//! ## Swap-candidate storage
+//!
+//! A *singleton* is an `A` vertex with one IS neighbour `w`; the
+//! pre-swap pass files it as a *half* under `w`. A *full* has two IS
+//! neighbours and is filed under the *key* `(w1, w2)`, `w1 < w2`, which
+//! also stores up to `PAIR_CAP` verified non-adjacent candidate pairs.
+//! All of it lives in flat storage that is allocated once per run and
+//! emptied per round, so filing a record allocates nothing:
+//!
+//! * halves per IS vertex, fulls per key, keys per IS vertex and pairs
+//!   per key are circular singly linked lists that keep only their tail,
+//!   threaded through `u32` link arrays;
+//! * during one pre-swap pass the IS side (`I`, `R`) and the candidate
+//!   side (`A`, `C`, `P`) never overlap, so one vertex-indexed array
+//!   holds both an IS vertex's halves tail and a candidate's next link,
+//!   and a second one holds each IS vertex's keys tail;
+//! * the one map left sends `(w1, w2)` to a key id; key records and
+//!   pairs live in reusable arenas;
+//! * the neighbour test reads a bitmap over vertex ids, loaded from the
+//!   record before its SC work and cleared after it.
+//!
+//! The paper's Lemma 6 bounds the vertices ever held in SC sets by
+//! `|V| − e^α`, so per-vertex arrays stay within the semi-external
+//! `O(|V|)` memory model.
+//!
+//! **List insertion order is part of the output contract.** `PAIR_CAP`
+//! truncation and "the first stored pair that fires wins" both depend on
+//! it, so every list is walked oldest first. `tests/twok_golden.rs` pins
+//! the resulting sets and statistics.
 
-use mis_graph::hash::{FxHashMap, FxHashSet};
+use mis_graph::hash::FxHashMap;
 use mis_graph::{GraphScan, NeighborAccess, VertexId};
 
 use crate::engine;
 use crate::onek::{finalize_maximal, select_paged_candidates, InitCandidates, NONE, S};
 use crate::result::{MemoryModel, MisResult, RoundStats, SwapConfig, SwapOutcome, SwapStats};
 
-/// Cap on stored candidate pairs per `(w1, w2)` entry. One valid pair is
-/// enough to fire a skeleton; keeping a few tolerates pairs whose members
-/// are adjacent to (or conflicted away from) a later third vertex, while
+/// Cap on stored candidate pairs per key. One valid pair is enough to
+/// fire a skeleton; keeping a few tolerates pairs whose members are
+/// adjacent to (or conflicted away from) a later third vertex, while
 /// bounding SC memory. Figure 10's `|SC|` counts the distinct vertices
-/// held in SC entries — registered fulls plus pair members — per round
-/// (the paper's Lemma 6 metric), tracked via [`Run::mark_sc`].
-const PAIR_CAP: usize = 16;
-
-/// Per-IS-pair swap-candidate entry.
-#[derive(Debug, Default)]
-struct ScEntry {
-    /// Verified-non-adjacent candidate pairs `(full, other)`.
-    pairs: Vec<(u32, u32)>,
-    /// Scanned `A` vertices with `ISN = {w1, w2}` (pair-element "fulls").
-    fulls: Vec<u32>,
-}
+/// held in SC sets — filed fulls plus pair members — per round (the
+/// paper's Lemma 6 metric), tracked by [`ScSets::hold`].
+const PAIR_CAP: u32 = 16;
 
 /// The two-k-swap algorithm (Algorithms 3 and 4).
 #[derive(Debug, Clone, Copy, Default)]
@@ -64,29 +91,293 @@ struct Run {
     isn2: Vec<u32>,
     /// Nominated-to-join flags for the current round.
     nominated: Vec<bool>,
-    /// Round epoch in which each vertex last entered a stored SC pair
-    /// (Figure 10 counts *distinct vertices held in SC sets*, the paper's
-    /// Lemma 6 metric).
-    sc_epoch: Vec<u32>,
-    /// Current round epoch.
-    epoch: u32,
-    /// Distinct vertices in SC pairs this round.
-    sc_distinct: u64,
-}
-
-impl Run {
-    /// Records `v` as a member of a stored SC pair this round.
-    fn mark_sc(&mut self, v: u32) {
-        if self.sc_epoch[v as usize] != self.epoch {
-            self.sc_epoch[v as usize] = self.epoch;
-            self.sc_distinct += 1;
-        }
-    }
 }
 
 impl Run {
     fn is_singleton_a(&self, v: u32) -> bool {
         self.state[v as usize] == S::A && self.isn2[v as usize] == NONE
+    }
+}
+
+/// Appends `x` to the circular list whose tail is `tail` (`NONE` when
+/// empty), threaded through `next`, and returns the new tail. Keeping
+/// only the tail still gives O(1) appends and oldest-first walks, which
+/// start at `next[tail]`.
+fn ring_push(next: &mut [u32], tail: u32, x: u32) -> u32 {
+    if tail == NONE {
+        next[x as usize] = x;
+    } else {
+        next[x as usize] = next[tail as usize];
+        next[tail as usize] = x;
+    }
+    x
+}
+
+/// Oldest-first cursor over a list built by [`ring_push`]. It holds no
+/// borrow between steps, so the walker may update other SC state; the
+/// list itself must not grow during the walk.
+struct RingCursor {
+    tail: u32,
+    next: u32,
+}
+
+impl RingCursor {
+    fn new(links: &[u32], tail: u32) -> Self {
+        let next = if tail == NONE {
+            NONE
+        } else {
+            links[tail as usize]
+        };
+        Self { tail, next }
+    }
+
+    fn step(&mut self, links: &[u32]) -> Option<u32> {
+        let x = self.next;
+        if x == NONE {
+            return None;
+        }
+        self.next = if x == self.tail {
+            NONE
+        } else {
+            links[x as usize]
+        };
+        Some(x)
+    }
+}
+
+/// One SC set: the IS pair `w` (smaller id first), the fulls filed under
+/// it and its stored candidate pairs.
+struct Key {
+    w: [u32; 2],
+    /// Tail of the fulls filed under the key; links in [`ScSets::link`].
+    fulls: u32,
+    /// Tail of the stored pairs; links in [`ScSets::pair_next`].
+    pairs: u32,
+    /// Stored pairs, at most [`PAIR_CAP`].
+    num_pairs: u32,
+}
+
+/// One round's swap-candidate sets in flat storage (see the module docs).
+struct ScSets {
+    /// IS vertex: tail of the halves filed under it. Candidate: next
+    /// vertex in the halves or fulls list it was filed in.
+    link: Vec<u32>,
+    /// IS vertex: tail of the keys containing it. Key `k` is node `2k`
+    /// in the list of `w[0]` and node `2k + 1` in the list of `w[1]`.
+    key_tail: Vec<u32>,
+    /// Links of the key nodes.
+    key_next: Vec<u32>,
+    key_ids: FxHashMap<(u32, u32), u32>,
+    keys: Vec<Key>,
+    /// Stored candidate pairs of every key, and their links.
+    pairs: Vec<(u32, u32)>,
+    pair_next: Vec<u32>,
+    /// Neighbours of the record being filed, as a bitmap over vertex
+    /// ids; all zero between records.
+    nbrs: Vec<u64>,
+    /// Vertices held in SC sets this round (bitmap), and their count.
+    held: Vec<u64>,
+    num_held: u64,
+    /// Halves and fulls filed this round.
+    num_filed: u64,
+}
+
+impl ScSets {
+    fn new(n: usize) -> Self {
+        Self {
+            link: vec![NONE; n],
+            key_tail: vec![NONE; n],
+            key_next: Vec::new(),
+            key_ids: FxHashMap::default(),
+            keys: Vec::new(),
+            pairs: Vec::new(),
+            pair_next: Vec::new(),
+            nbrs: vec![0; n.div_ceil(64)],
+            held: vec![0; n.div_ceil(64)],
+            num_held: 0,
+            num_filed: 0,
+        }
+    }
+
+    /// Empties every set for the next round, keeping the allocations.
+    fn clear(&mut self) {
+        self.link.fill(NONE);
+        self.key_tail.fill(NONE);
+        self.key_next.clear();
+        self.key_ids.clear();
+        self.keys.clear();
+        self.pairs.clear();
+        self.pair_next.clear();
+        self.held.fill(0);
+        self.num_held = 0;
+        self.num_filed = 0;
+    }
+
+    /// The modelled SC bytes: 4 per filed vertex, 8 per stored pair.
+    fn model_bytes(&self) -> u64 {
+        4 * self.num_filed + 8 * self.pairs.len() as u64
+    }
+
+    /// Runs `f` with `ns` loaded into the neighbour bitmap.
+    fn with_neighbors(&mut self, ns: &[VertexId], f: impl FnOnce(&mut Self)) {
+        for &v in ns {
+            self.nbrs[v as usize / 64] |= 1 << (v % 64);
+        }
+        f(self);
+        for &v in ns {
+            self.nbrs[v as usize / 64] = 0;
+        }
+    }
+
+    fn is_neighbor(&self, v: u32) -> bool {
+        self.nbrs[v as usize / 64] & (1 << (v % 64)) != 0
+    }
+
+    /// Counts `v` as held in an SC set this round.
+    fn hold(&mut self, v: u32) {
+        let (word, bit) = (v as usize / 64, 1u64 << (v % 64));
+        if self.held[word] & bit == 0 {
+            self.held[word] |= bit;
+            self.num_held += 1;
+        }
+    }
+
+    /// Whether both IS vertices of key `k` are still in the set.
+    fn is_live(&self, run: &Run, k: u32) -> bool {
+        self.keys[k as usize]
+            .w
+            .iter()
+            .all(|&w| run.state[w as usize] == S::I)
+    }
+
+    fn push_pair(&mut self, k: u32, a: u32, b: u32) {
+        let p = self.pairs.len() as u32;
+        self.pairs.push((a, b));
+        self.pair_next.push(NONE);
+        let key = &mut self.keys[k as usize];
+        key.pairs = ring_push(&mut self.pair_next, key.pairs, p);
+        key.num_pairs += 1;
+        self.hold(a);
+        self.hold(b);
+    }
+
+    fn add_key(&mut self, w: [u32; 2]) -> u32 {
+        let k = self.keys.len() as u32;
+        self.key_ids.insert((w[0], w[1]), k);
+        self.keys.push(Key {
+            w,
+            fulls: NONE,
+            pairs: NONE,
+            num_pairs: 0,
+        });
+        for (node, wi) in [2 * k, 2 * k + 1].into_iter().zip(w) {
+            self.key_next.push(NONE);
+            let tail = self.key_tail[wi as usize];
+            self.key_tail[wi as usize] = ring_push(&mut self.key_next, tail, node);
+        }
+        k
+    }
+
+    /// Tries to complete a 2-3 swap skeleton of key `k` with `u` as the
+    /// third vertex. On success: `u → P`, the pair is nominated, both IS
+    /// vertices of the key `→ R`.
+    fn fire(&self, run: &mut Run, k: u32, u: u32) -> bool {
+        let key = &self.keys[k as usize];
+        let mut pairs = RingCursor::new(&self.pair_next, key.pairs);
+        while let Some(p) = pairs.step(&self.pair_next) {
+            let (a, b) = self.pairs[p as usize];
+            if a == u || b == u {
+                continue;
+            }
+            if run.state[a as usize] == S::A
+                && run.state[b as usize] == S::A
+                && !self.is_neighbor(a)
+                && !self.is_neighbor(b)
+            {
+                run.state[u as usize] = S::P;
+                // Nominate the earlier-scanned pair: conflicted out of this
+                // round's candidacy, joining at post-swap if still safe.
+                for m in [a, b] {
+                    to_conflicted(run, m);
+                    run.nominated[m as usize] = true;
+                }
+                for w in key.w {
+                    run.state[w as usize] = S::R;
+                }
+                return true;
+            }
+        }
+        false
+    }
+
+    /// Pairs `u` with the fulls filed under key `k`, oldest first
+    /// (mutual non-adjacency checked against `u`'s neighbour bitmap).
+    fn pair_with_fulls(&mut self, run: &Run, k: u32, u: u32) {
+        let mut fulls = RingCursor::new(&self.link, self.keys[k as usize].fulls);
+        while let Some(a) = fulls.step(&self.link) {
+            if self.keys[k as usize].num_pairs >= PAIR_CAP {
+                break;
+            }
+            if a != u && run.state[a as usize] == S::A && !self.is_neighbor(a) {
+                self.push_pair(k, a, u);
+            }
+        }
+    }
+
+    /// Singleton `u` with IS neighbour `w`: the third vertex of a 2-3
+    /// skeleton of any live key containing `w`, or else paired with those
+    /// keys' fulls and filed as a half of `w`.
+    fn file_half(&mut self, run: &mut Run, u: u32, w: u32) {
+        let mut keys = RingCursor::new(&self.key_next, self.key_tail[w as usize]);
+        while let Some(node) = keys.step(&self.key_next) {
+            if self.is_live(run, node / 2) && self.fire(run, node / 2, u) {
+                return;
+            }
+        }
+        let mut keys = RingCursor::new(&self.key_next, self.key_tail[w as usize]);
+        while let Some(node) = keys.step(&self.key_next) {
+            if self.is_live(run, node / 2) {
+                self.pair_with_fulls(run, node / 2, u);
+            }
+        }
+        let tail = self.link[w as usize];
+        self.link[w as usize] = ring_push(&mut self.link, tail, u);
+        self.num_filed += 1;
+    }
+
+    /// Full `u` with IS neighbours `w1, w2`: the third vertex of a 2-3
+    /// skeleton of their key, or else paired with the key's compatible
+    /// halves and fulls and filed under it.
+    fn file_full(&mut self, run: &mut Run, u: u32, w1: u32, w2: u32) {
+        let w = [w1.min(w2), w1.max(w2)];
+        let found = self.key_ids.get(&(w[0], w[1])).copied();
+        let k = match found {
+            Some(k) => {
+                if self.fire(run, k, u) {
+                    return;
+                }
+                k
+            }
+            None => self.add_key(w),
+        };
+        // Halves of w1 and w2 …
+        for wi in w {
+            let mut halves = RingCursor::new(&self.link, self.link[wi as usize]);
+            while let Some(h) = halves.step(&self.link) {
+                if self.keys[k as usize].num_pairs >= PAIR_CAP {
+                    break;
+                }
+                if run.is_singleton_a(h) && !self.is_neighbor(h) {
+                    self.push_pair(k, u, h);
+                }
+            }
+        }
+        // … and other fulls of the same key.
+        self.pair_with_fulls(run, k, u);
+        let key = &mut self.keys[k as usize];
+        key.fulls = ring_push(&mut self.link, key.fulls, u);
+        self.hold(u);
+        self.num_filed += 1;
     }
 }
 
@@ -129,9 +420,6 @@ impl TwoKSwap {
             isn1: vec![NONE; n],
             isn2: vec![NONE; n],
             nominated: vec![false; n],
-            sc_epoch: vec![0; n],
-            epoch: 0,
-            sc_distinct: 0,
         };
         for &v in initial {
             run.state[v as usize] = S::I;
@@ -168,13 +456,12 @@ impl TwoKSwap {
         let mut stagnant_rounds = 0u32;
         let mut sc_peak_bytes: u64 = 0;
         let mut current_size = initial.len() as u64;
+        let mut sc = ScSets::new(n);
 
         let mut can_swap = true;
         while can_swap && stats.rounds.len() < round_cap {
             can_swap = false;
             let mut round = RoundStats::default();
-            run.epoch = run.epoch.wrapping_add(1);
-            run.sc_distinct = 0;
 
             // Snapshot for the shrink guard (O(|V|) memory, allowed).
             let snapshot: Option<(Vec<S>, Vec<u32>, Vec<u32>)> =
@@ -184,13 +471,7 @@ impl TwoKSwap {
             // scan, or paged candidate verification when few candidates
             // are live. ----
             let cands = select_paged_candidates(access, self.config.paged_threshold, &run.state);
-            let mut sc: FxHashMap<(u32, u32), ScEntry> = FxHashMap::default();
-            let mut half_index: FxHashMap<u32, Vec<u32>> = FxHashMap::default();
-            let mut keys_by_w: FxHashMap<u32, Vec<(u32, u32)>> = FxHashMap::default();
-            let mut sc_vertices: u64 = 0;
-            let mut sc_pairs: u64 = 0;
-            let mut nbr_set: FxHashSet<u32> = FxHashSet::default();
-
+            sc.clear();
             let rs = &mut run;
             let mut pre_body = |u: VertexId, ns: &[VertexId]| {
                 if rs.state[u as usize] != S::A {
@@ -203,8 +484,6 @@ impl TwoKSwap {
                 }
                 let w1 = rs.isn1[u as usize];
                 let w2 = rs.isn2[u as usize];
-                nbr_set.clear();
-                nbr_set.extend(ns.iter().copied());
 
                 if w2 == NONE {
                     // Singleton A vertex (one IS neighbour w1).
@@ -218,45 +497,14 @@ impl TwoKSwap {
                             let y = rs.isn1[w1 as usize];
                             let x = ns
                                 .iter()
-                                .filter(|&&nb| rs.is_singleton_a(nb) && rs.isn1[nb as usize] == w1)
+                                .filter(|&&nb| rs.isn1[nb as usize] == w1 && rs.is_singleton_a(nb))
                                 .count() as u32;
                             if y >= x + 2 {
                                 rs.state[u as usize] = S::P;
                                 rs.state[w1 as usize] = S::R;
                                 return;
                             }
-                            // 2-3 skeleton as the third vertex of any
-                            // key containing w1.
-                            if let Some(keys) = keys_by_w.get(&w1) {
-                                for &key in keys {
-                                    if rs.state[key.0 as usize] != S::I
-                                        || rs.state[key.1 as usize] != S::I
-                                    {
-                                        continue;
-                                    }
-                                    if let Some(entry) = sc.get(&key) {
-                                        if fire_if_pair_found(rs, entry, u, &nbr_set, key) {
-                                            return;
-                                        }
-                                    }
-                                }
-                            }
-                            // Pair up with scanned fulls of keys
-                            // containing w1, then register as a half.
-                            if let Some(keys) = keys_by_w.get(&w1) {
-                                for key in keys.clone() {
-                                    if rs.state[key.0 as usize] != S::I
-                                        || rs.state[key.1 as usize] != S::I
-                                    {
-                                        continue;
-                                    }
-                                    if let Some(entry) = sc.get_mut(&key) {
-                                        add_pairs_with_fulls(rs, entry, u, &nbr_set, &mut sc_pairs);
-                                    }
-                                }
-                            }
-                            half_index.entry(w1).or_default().push(u);
-                            sc_vertices += 1;
+                            sc.with_neighbors(ns, |sc| sc.file_half(rs, u, w1));
                         }
                         _ => {}
                     }
@@ -271,41 +519,7 @@ impl TwoKSwap {
                     if s1 != S::I || s2 != S::I {
                         return; // one neighbour stays: u cannot move yet
                     }
-                    let key = (w1.min(w2), w1.max(w2));
-                    if let Some(entry) = sc.get(&key) {
-                        if fire_if_pair_found(rs, entry, u, &nbr_set, key) {
-                            return;
-                        }
-                    }
-                    // Register u as a full and pair it with previously
-                    // scanned compatible candidates.
-                    let fresh = !sc.contains_key(&key);
-                    let entry = sc.entry(key).or_default();
-                    if fresh {
-                        keys_by_w.entry(key.0).or_default().push(key);
-                        keys_by_w.entry(key.1).or_default().push(key);
-                    }
-                    // Halves of w1 and w2 …
-                    for w in [key.0, key.1] {
-                        if let Some(halves) = half_index.get(&w) {
-                            for &h in halves {
-                                if entry.pairs.len() >= PAIR_CAP {
-                                    break;
-                                }
-                                if rs.is_singleton_a(h) && !nbr_set.contains(&h) {
-                                    entry.pairs.push((u, h));
-                                    sc_pairs += 1;
-                                    rs.mark_sc(u);
-                                    rs.mark_sc(h);
-                                }
-                            }
-                        }
-                    }
-                    // … and other fulls of the same key.
-                    add_pairs_with_fulls(rs, entry, u, &nbr_set, &mut sc_pairs);
-                    entry.fulls.push(u);
-                    rs.mark_sc(u);
-                    sc_vertices += 1;
+                    sc.with_neighbors(ns, |sc| sc.file_full(rs, u, w1, w2));
                 }
             };
             if engine::candidate_pass(&executor, graph, access, cands, &mut pre_body) {
@@ -314,12 +528,9 @@ impl TwoKSwap {
                 file_scans += 1;
             }
 
-            round.sc_peak_vertices = run.sc_distinct;
-            stats.sc_peak_vertices = stats.sc_peak_vertices.max(run.sc_distinct);
-            sc_peak_bytes = sc_peak_bytes.max(4 * sc_vertices + 8 * sc_pairs);
-            drop(sc);
-            drop(half_index);
-            drop(keys_by_w);
+            round.sc_peak_vertices = sc.num_held;
+            stats.sc_peak_vertices = stats.sc_peak_vertices.max(sc.num_held);
+            sc_peak_bytes = sc_peak_bytes.max(sc.model_bytes());
 
             // ---- Swap phase (in memory). ----
             for v in 0..n {
@@ -512,62 +723,6 @@ fn to_conflicted(run: &mut Run, u: u32) {
         }
     }
     run.state[u as usize] = S::C;
-}
-
-/// Tries to complete a 2-3 swap skeleton with `u` as the third vertex.
-/// On success: `u → P`, the pair is nominated, `w1, w2 → R`.
-fn fire_if_pair_found(
-    run: &mut Run,
-    entry: &ScEntry,
-    u: u32,
-    nbr_set: &FxHashSet<u32>,
-    key: (u32, u32),
-) -> bool {
-    for &(a, b) in &entry.pairs {
-        if a == u || b == u {
-            continue;
-        }
-        if run.state[a as usize] == S::A
-            && run.state[b as usize] == S::A
-            && !nbr_set.contains(&a)
-            && !nbr_set.contains(&b)
-        {
-            run.state[u as usize] = S::P;
-            // Nominate the earlier-scanned pair: conflicted out of this
-            // round's candidacy, joining at post-swap if still safe.
-            for m in [a, b] {
-                to_conflicted(run, m);
-                run.nominated[m as usize] = true;
-            }
-            run.state[key.0 as usize] = S::R;
-            run.state[key.1 as usize] = S::R;
-            return true;
-        }
-    }
-    false
-}
-
-/// Pairs `u` with previously scanned fulls of `entry` (mutual
-/// non-adjacency verified against `u`'s in-memory neighbour set).
-fn add_pairs_with_fulls(
-    run: &mut Run,
-    entry: &mut ScEntry,
-    u: u32,
-    nbr_set: &FxHashSet<u32>,
-    sc_pairs: &mut u64,
-) {
-    for i in 0..entry.fulls.len() {
-        if entry.pairs.len() >= PAIR_CAP {
-            break;
-        }
-        let a = entry.fulls[i];
-        if a != u && run.state[a as usize] == S::A && !nbr_set.contains(&a) {
-            entry.pairs.push((a, u));
-            *sc_pairs += 1;
-            run.mark_sc(a);
-            run.mark_sc(u);
-        }
-    }
 }
 
 #[cfg(test)]

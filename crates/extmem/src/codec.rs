@@ -30,26 +30,6 @@ pub fn read_u64<R: Read>(r: &mut R) -> io::Result<u64> {
     Ok(u64::from_le_bytes(buf))
 }
 
-/// Appends `n` little-endian `u32`s from `r` to `dst`.
-///
-/// Reads through an intermediate byte buffer so the underlying reader sees a
-/// single bulk request instead of `n` four-byte requests.
-pub fn read_u32_into<R: Read>(
-    r: &mut R,
-    dst: &mut Vec<u32>,
-    n: usize,
-    scratch: &mut Vec<u8>,
-) -> io::Result<()> {
-    scratch.clear();
-    scratch.resize(n * 4, 0);
-    r.read_exact(scratch)?;
-    dst.reserve(n);
-    for chunk in scratch.chunks_exact(4) {
-        dst.push(u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]));
-    }
-    Ok(())
-}
-
 /// Writes a slice of `u32`s in little-endian order through `scratch`.
 pub fn write_u32_slice<W: Write>(
     w: &mut W,
@@ -87,17 +67,6 @@ mod tests {
         write_u64(&mut buf, u64::MAX - 1).unwrap();
         let mut cur = Cursor::new(buf);
         assert_eq!(read_u64(&mut cur).unwrap(), u64::MAX - 1);
-    }
-
-    #[test]
-    fn bulk_u32_round_trip() {
-        let values: Vec<u32> = (0..1000).map(|i| i * 7 + 3).collect();
-        let mut buf = Vec::new();
-        let mut scratch = Vec::new();
-        write_u32_slice(&mut buf, &values, &mut scratch).unwrap();
-        let mut out = Vec::new();
-        read_u32_into(&mut Cursor::new(buf), &mut out, values.len(), &mut scratch).unwrap();
-        assert_eq!(out, values);
     }
 
     #[test]

@@ -258,6 +258,7 @@ impl AdjFile {
         block_size: usize,
     ) -> io::Result<Self> {
         let file = File::open(path)?;
+        let file_bytes = file.metadata()?.len();
         let mut reader = BlockReader::with_block_size(file, Arc::clone(&stats), block_size);
         let mut magic = [0u8; 8];
         reader.read_exact(&mut magic)?;
@@ -269,6 +270,17 @@ impl AdjFile {
         }
         let num_vertices = codec::read_u64(&mut reader)?;
         let num_edges = codec::read_u64(&mut reader)?;
+        // Every record takes at least its 8-byte header, so a larger |V|
+        // is a corrupt header; callers size per-vertex arrays by it.
+        if num_vertices > file_bytes.saturating_sub(HEADER_BYTES as u64) / RECORD_HDR as u64 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "corrupt adjacency header: {num_vertices} records cannot fit in \
+                     {file_bytes} bytes"
+                ),
+            ));
+        }
         Ok(Self {
             path: path.to_path_buf(),
             num_vertices,
@@ -307,6 +319,19 @@ impl AdjFile {
     pub fn disk_bytes(&self) -> io::Result<u64> {
         Ok(std::fs::metadata(&self.path)?.len())
     }
+
+    /// A chunked reader positioned at the first record: the one framing
+    /// source of both [`GraphScan::scan`] and [`RawScan::scan_raw`].
+    fn records(&self) -> io::Result<ChunkBuf<BlockReader<File>>> {
+        let file = File::open(&self.path)?;
+        let reader = BlockReader::with_block_size(file, Arc::clone(&self.stats), self.block_size);
+        let mut chunk = ChunkBuf::new(reader, self.block_size);
+        if !chunk.fill_at_least(HEADER_BYTES)? {
+            return Err(truncated("adjacency file header"));
+        }
+        chunk.consume(HEADER_BYTES);
+        Ok(chunk)
+    }
 }
 
 impl GraphScan for AdjFile {
@@ -318,20 +343,22 @@ impl GraphScan for AdjFile {
         self.num_edges
     }
 
+    /// Chunked sequential decode: each record is framed in the buffered
+    /// window by the same header parser as [`RawScan::scan_raw`], and its
+    /// neighbour ids are decoded straight off the slice.
     fn scan(&self, f: &mut dyn FnMut(VertexId, &[VertexId])) -> io::Result<()> {
         self.stats.record_scan();
-        let file = File::open(&self.path)?;
-        let mut reader =
-            BlockReader::with_block_size(file, Arc::clone(&self.stats), self.block_size);
-        let mut skip = [0u8; HEADER_BYTES];
-        reader.read_exact(&mut skip)?;
+        let mut chunk = self.records()?;
         let mut neighbors: Vec<VertexId> = Vec::new();
-        let mut scratch: Vec<u8> = Vec::new();
         for _ in 0..self.num_vertices {
-            let vertex = codec::read_u32(&mut reader)?;
-            let degree = codec::read_u32(&mut reader)? as usize;
+            let (vertex, degree) = next_header(&mut chunk, self.degree_cap)?;
+            let total = RECORD_HDR + 4 * degree;
+            if !chunk.fill_at_least(total)? {
+                return Err(truncated("adjacency record"));
+            }
             neighbors.clear();
-            codec::read_u32_into(&mut reader, &mut neighbors, degree, &mut scratch)?;
+            decode_ids(&chunk.available()[RECORD_HDR..total], &mut neighbors);
+            chunk.consume(total);
             f(vertex, &neighbors);
         }
         Ok(())
@@ -362,6 +389,24 @@ fn parse_plain_header(buf: &[u8], num_vertices: u64) -> io::Result<(VertexId, us
     Ok((vertex, degree as usize))
 }
 
+/// Buffers and parses the next record header at the front of `chunk`;
+/// nothing is consumed.
+fn next_header<R: Read>(chunk: &mut ChunkBuf<R>, degree_cap: u64) -> io::Result<(VertexId, usize)> {
+    if !chunk.fill_at_least(RECORD_HDR)? {
+        return Err(truncated("adjacency record"));
+    }
+    parse_plain_header(chunk.available(), degree_cap)
+}
+
+/// Appends the little-endian `u32` ids in `bytes` to `dst`.
+fn decode_ids(bytes: &[u8], dst: &mut Vec<VertexId>) {
+    dst.extend(
+        bytes
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]])),
+    );
+}
+
 fn truncated(what: &str) -> io::Error {
     io::Error::new(
         io::ErrorKind::UnexpectedEof,
@@ -381,23 +426,14 @@ impl RawScan for AdjFile {
         f: &mut dyn FnMut(RawUnit) -> bool,
     ) -> io::Result<()> {
         self.stats.record_scan();
-        let file = File::open(&self.path)?;
-        let reader = BlockReader::with_block_size(file, Arc::clone(&self.stats), self.block_size);
-        let mut chunk = ChunkBuf::new(reader, self.block_size);
-        if !chunk.fill_at_least(HEADER_BYTES)? {
-            return Err(truncated("adjacency file header"));
-        }
-        chunk.consume(HEADER_BYTES);
+        let mut chunk = self.records()?;
         let target = limits.target_records.max(1);
         let budget = limits.unit_bytes.max(RECORD_HDR + 4);
         let mut seq = 0u64;
         let mut unit: Vec<u8> = Vec::new();
         let mut records = 0usize;
         for _ in 0..self.num_vertices {
-            if !chunk.fill_at_least(RECORD_HDR)? {
-                return Err(truncated("adjacency record"));
-            }
-            let (vertex, degree) = parse_plain_header(chunk.available(), self.degree_cap)?;
+            let (vertex, degree) = next_header(&mut chunk, self.degree_cap)?;
             let total = RECORD_HDR + 4 * degree;
             if total <= budget {
                 if records > 0 && (records >= target || unit.len() + total > budget) {
@@ -487,14 +523,6 @@ impl RawScan for AdjFile {
     }
 
     fn decode_unit(&self, unit: RawUnit) -> io::Result<DecodedUnit> {
-        let decode_values = |buf: &[u8], dst: &mut Vec<VertexId>, count: usize| {
-            dst.reserve(count);
-            for i in 0..count {
-                dst.push(u32::from_le_bytes(
-                    buf[4 * i..4 * i + 4].try_into().expect("4-byte field"),
-                ));
-            }
-        };
         match unit.kind() {
             RawUnitKind::Records { records } => {
                 let buf = unit.bytes();
@@ -510,7 +538,7 @@ impl RawScan for AdjFile {
                         return Err(truncated("raw unit"));
                     }
                     block.push_with(vertex, |dst| {
-                        decode_values(&buf[pos..], dst, degree);
+                        decode_ids(&buf[pos..pos + 4 * degree], dst);
                         Ok(())
                     })?;
                     pos += 4 * degree;
@@ -545,13 +573,13 @@ impl RawScan for AdjFile {
                     if buf.len() != RECORD_HDR + 4 * count {
                         return Err(truncated("raw piece"));
                     }
-                    decode_values(&buf[RECORD_HDR..], &mut values, count);
+                    decode_ids(&buf[RECORD_HDR..], &mut values);
                     degree
                 } else {
                     if buf.len() != 4 * count {
                         return Err(truncated("raw piece"));
                     }
-                    decode_values(buf, &mut values, count);
+                    decode_ids(buf, &mut values);
                     0
                 };
                 Ok(DecodedUnit::Piece(DecodedPiece {

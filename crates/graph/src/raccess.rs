@@ -50,13 +50,26 @@ impl RecordIndex {
     /// Builds the index with one accounted sequential scan of `file`.
     pub fn build(file: &AdjFile) -> io::Result<Self> {
         let _span = mis_obs::span("graph", "index.build");
-        let mut offsets = vec![0u64; file.num_vertices()];
+        let n = file.num_vertices();
+        let mut offsets = vec![0u64; n];
         let mut pos = HEADER_BYTES as u64;
+        let mut out_of_range = None;
         file.scan(&mut |v, ns| {
-            offsets[v as usize] = pos;
+            match offsets.get_mut(v as usize) {
+                Some(slot) => *slot = pos,
+                None => {
+                    out_of_range.get_or_insert(v);
+                }
+            }
             // Record layout: vertex u32, degree u32, then the list.
             pos += 8 + 4 * ns.len() as u64;
         })?;
+        if let Some(v) = out_of_range {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("record for vertex {v} out of range ({n} vertices)"),
+            ));
+        }
         Ok(Self { offsets })
     }
 

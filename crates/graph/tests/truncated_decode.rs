@@ -226,3 +226,95 @@ fn corrupt_compressed_bytes_error_cleanly_everywhere() {
         }
     }
 }
+
+#[test]
+fn corrupt_plain_bytes_error_cleanly_everywhere() {
+    let dir = ScratchDir::new("corrupt-plain").unwrap();
+    let (plain, _) = scratch_pair(&dir);
+    let clean = std::fs::read(dir.file("g.adj")).unwrap();
+    drop(plain);
+    let limits = RawScanLimits {
+        target_records: 2,
+        unit_bytes: 48,
+    };
+
+    // A degree far above |V| is corruption and must be rejected before
+    // any buffer is sized by it: a top byte of 0xFF asks for a 16 GiB
+    // record. Byte 7 of the first record is its degree's top byte.
+    let mut huge = clean.clone();
+    huge[mis_graph::adjfile::HEADER_BYTES + 7] = 0xFF;
+    let path = dir.file("huge.adj");
+    std::fs::write(&path, &huge).unwrap();
+    let file = AdjFile::open_with_block_size(&path, IoStats::shared(), 128).unwrap();
+    let kind = |r: std::io::Result<()>| r.expect_err("corrupt degree must error").kind();
+    assert_eq!(kind(file.scan(&mut |_, _| {})), ErrorKind::InvalidData);
+    let raw = file.raw_scan().expect("plain backend is raw-capable");
+    assert_eq!(
+        kind(raw.scan_raw(limits, &mut |_| true)),
+        ErrorKind::InvalidData
+    );
+    assert_eq!(
+        RecordIndex::build(&file).expect_err("index build").kind(),
+        ErrorKind::InvalidData
+    );
+
+    // Flip every header and record byte to 0xFF: |V| counts the file
+    // cannot hold, out-of-range vertex ids, degrees above |V| and stray
+    // neighbour ids at every alignment. Each mutant must fail cleanly
+    // from every path, or decode.
+    for at in 8..clean.len() {
+        let mut mutant = clean.clone();
+        mutant[at] = 0xFF;
+        let path = dir.file("mut.adj");
+        std::fs::write(&path, &mutant).unwrap();
+        let file = match AdjFile::open_with_block_size(&path, IoStats::shared(), 128) {
+            Ok(f) => f,
+            Err(e) => {
+                assert_clean(e, "plain mutant open");
+                continue;
+            }
+        };
+        if let Err(e) = file.scan(&mut |_, _| {}) {
+            assert_clean(e, "plain mutant scan");
+        }
+        if let Err(e) = file.scan_blocks(4, &mut |_| {}) {
+            assert_clean(e, "plain mutant scan_blocks");
+        }
+        let raw = file.raw_scan().expect("plain backend is raw-capable");
+        let mut decode_err = None;
+        let framed = raw.scan_raw(limits, &mut |u| {
+            if let Err(e) = raw.decode_unit(u) {
+                decode_err = Some(e);
+                return false;
+            }
+            true
+        });
+        if let Err(e) = framed {
+            assert_clean(e, "plain mutant scan_raw");
+        }
+        if let Some(e) = decode_err {
+            assert_clean(e, "plain mutant decode_unit");
+        }
+        match RecordIndex::build(&file) {
+            Ok(index) => {
+                // A survivable mutant: paged reads must still behave.
+                let ra = RandomAccessGraph::with_index(
+                    &file,
+                    index,
+                    PagerConfig {
+                        page_size: 64,
+                        frames: 4,
+                        policy: PolicyKind::Clock,
+                    },
+                )
+                .unwrap();
+                for v in 0..file.num_vertices() as u32 {
+                    if let Err(e) = ra.with_neighbors(v, &mut |_| {}) {
+                        assert_clean(e, "plain mutant paged read");
+                    }
+                }
+            }
+            Err(e) => assert_clean(e, "plain mutant index build"),
+        }
+    }
+}

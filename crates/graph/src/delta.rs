@@ -3,11 +3,11 @@
 //!
 //! Rewriting a multi-gigabyte adjacency file for every batch of edge
 //! updates defeats the point of the semi-external model. The types here
-//! keep the base representation untouched and overlay an in-memory batch
-//! of **inserted** edges plus a tombstone set of **deleted** edges
-//! (`O(batch)` memory): scans merge the extra neighbours into each record
-//! and filter the tombstoned ones on the fly, so every algorithm in
-//! `mis-core` runs on the edited graph unchanged.
+//! keep the base representation untouched and overlay an in-memory set
+//! of **inserted** edges plus **tombstones** for deleted ones: scans
+//! merge the extra neighbours into each record and filter the
+//! tombstoned ones on the fly, so every algorithm in `mis-core` runs on
+//! the edited graph unchanged.
 //!
 //! Three views share one overlay representation:
 //!
@@ -23,7 +23,40 @@
 //!   append and compact underneath, and the overlay is shared by
 //!   refcount instead of copied per reader.
 //!
-//! When the batch grows past the memory budget, compact it into a new
+//! ## Layout
+//!
+//! The read side of a [`DeltaOverlay`] is two flat arrays:
+//!
+//! * `slot` — one `u32` per vertex: a sentinel for a vertex the overlay
+//!   does not edit, otherwise the offset of the vertex's lists in
+//!   `arena`;
+//! * `arena` — every *touched* vertex's lists: a two-word header
+//!   (tombstone count, extra count), then its tombstones ascending, then
+//!   its extras ascending. Lists of `len` entries own
+//!   `len.next_power_of_two().max(2)` words; a list that outgrows them
+//!   moves to the arena's end and leaves its old words unused, which
+//!   bounds the waste by the live words.
+//!
+//! The write side is one map from each edited pair to its state (see
+//! [`DeltaOverlay::insert_edge`]). Scans never touch it.
+//!
+//! ## Canonical order
+//!
+//! A merged record is the base record minus its tombstones, in base
+//! order, followed by its extras in ascending id order; extras that
+//! duplicate a base neighbour are skipped. The record therefore depends
+//! only on the edge set the overlay encodes, never on the order of the
+//! edits that produced it.
+//!
+//! ## Per-record cost
+//!
+//! An untouched record costs one `slot` load and is handed to the scan
+//! callback without a copy. A touched record of base degree `d` with `t`
+//! tombstones and `e` extras is copied once into a scratch buffer:
+//! `O(d log t)` to filter, `O(d e)` to skip duplicate extras. There is
+//! no hash probe and no per-vertex allocation anywhere on the scan path.
+//!
+//! When the edits grow past the memory budget, compact them into a new
 //! base file and start a fresh overlay (see `mis_update`'s log
 //! compaction).
 
@@ -34,31 +67,56 @@ use crate::hash::FxHashMap;
 use crate::scan::GraphScan;
 use crate::VertexId;
 
-/// Owned overlay state: an in-memory batch of inserted and deleted
-/// edges, independent of the base graph it will be laid over.
+/// `slot` value of a vertex the overlay does not edit.
+const UNTOUCHED: u32 = u32::MAX;
+
+/// Arena words in front of each touched vertex's lists: the tombstone
+/// count, then the extra count.
+const HEADER: usize = 2;
+
+/// Arena words a touched vertex's lists own while they hold `len`
+/// entries. A vertex's lists never shrink (an edited pair only changes
+/// sides), so this is always the room at its offset.
+fn capacity(len: usize) -> usize {
+    len.next_power_of_two().max(2)
+}
+
+/// Where an edited pair sits, and whether it moves the running count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum PairState {
+    /// Merged into both endpoints' records. `counted`: a fresh insert,
+    /// one of `added_edges`; otherwise a deleted base edge brought back.
+    Extra { counted: bool },
+    /// Filtered out of both endpoints' records. `counted`: a deleted
+    /// base edge, one of `deleted_edges`; otherwise a retracted overlay
+    /// insert, kept so a base copy shadowed by a duplicate insert stays
+    /// deleted too.
+    Tombstone { counted: bool },
+}
+
+/// Owned overlay state: inserted and deleted edges, independent of the
+/// base graph they will be laid over.
 ///
-/// Each edited pair lives on exactly one side of the overlay — `extra`
-/// (merged into records at scan time) or `removed` (filtered out of
-/// records at scan time) — and the last operation on a pair wins, so
+/// Each edited pair is either an *extra* neighbour of both endpoints
+/// (merged into records at scan time) or a *tombstone* (filtered out of
+/// records at scan time), and the last operation on a pair wins, so
 /// scans always reflect a per-pair replay of the edit stream, even for
 /// streams that insert edges the base already has or delete edges that
 /// never existed. The running edge *count* is exact for valid streams
 /// (inserts name absent edges, deletes name present ones) and merely
 /// drifts for invalid ones; see [`DeltaGraph::count_edges_exact`].
+///
+/// See the [module docs](self) for the flat layout and the canonical
+/// order of merged records.
 #[derive(Debug, Default, Clone)]
 pub struct DeltaOverlay {
-    /// Extra neighbours per vertex (both directions of each insertion).
-    extra: FxHashMap<VertexId, Vec<VertexId>>,
-    /// Tombstoned base neighbours per vertex (both directions of each
-    /// deletion), filtered out of records at scan time.
-    removed: FxHashMap<VertexId, Vec<VertexId>>,
-    /// Whether the pair currently in `extra`/`removed` is *counted* in
-    /// `added_edges`/`deleted_edges` (keyed by the normalised pair). An
-    /// uncounted `extra` pair is a base edge resurrected after deletion;
-    /// an uncounted `removed` pair is the retraction of an overlay
-    /// insert. Tracking the flag is what keeps counts exact across
-    /// delete→insert→delete chains without knowing base membership.
-    counted: FxHashMap<(VertexId, VertexId), bool>,
+    /// Per vertex: `UNTOUCHED`, or the offset of its header in `arena`.
+    /// Empty until the first edit sizes it to the base's vertex count.
+    slot: Vec<u32>,
+    /// Each touched vertex's header, tombstones and extras.
+    arena: Vec<VertexId>,
+    /// Last-wins state of every edited pair, keyed by `(min, max)`.
+    pairs: FxHashMap<(VertexId, VertexId), PairState>,
     added_edges: u64,
     deleted_edges: u64,
 }
@@ -67,26 +125,11 @@ fn pair_key(u: VertexId, v: VertexId) -> (VertexId, VertexId) {
     (u.min(v), u.max(v))
 }
 
-fn pair_contains(map: &FxHashMap<VertexId, Vec<VertexId>>, u: VertexId, v: VertexId) -> bool {
-    map.get(&u).is_some_and(|list| list.contains(&v))
-}
-
-/// Inserts the pair into `map` in both directions.
-fn pair_insert(map: &mut FxHashMap<VertexId, Vec<VertexId>>, u: VertexId, v: VertexId) {
-    map.entry(u).or_default().push(v);
-    map.entry(v).or_default().push(u);
-}
-
-/// Removes one direction of a pair from `map[u]`, if present.
-fn pair_remove(map: &mut FxHashMap<VertexId, Vec<VertexId>>, u: VertexId, v: VertexId) {
-    if let Some(list) = map.get_mut(&u) {
-        if let Some(i) = list.iter().position(|&x| x == v) {
-            list.swap_remove(i);
-            if list.is_empty() {
-                map.remove(&u);
-            }
-        }
-    }
+fn check_endpoints(n: usize, u: VertexId, v: VertexId) {
+    assert!(
+        (u as usize) < n && (v as usize) < n,
+        "edge ({u}, {v}) out of range for {n} vertices"
+    );
 }
 
 impl DeltaOverlay {
@@ -103,74 +146,125 @@ impl DeltaOverlay {
     /// though a duplicate of a *base* edge inflates the running count by
     /// one, since base membership cannot be checked without a scan.
     pub fn insert_edge(&mut self, n: usize, u: VertexId, v: VertexId) {
-        let n = n as VertexId;
-        assert!(
-            u < n && v < n,
-            "edge ({u}, {v}) out of range for {n} vertices"
-        );
-        if u == v || pair_contains(&self.extra, u, v) {
+        check_endpoints(n, u, v);
+        if u == v {
             return;
         }
         let key = pair_key(u, v);
-        if pair_contains(&self.removed, u, v) {
-            // Resurrect: move the pair from the tombstone side to the
-            // insert side. Undoing a counted (base-edge) deletion
-            // restores the base count; re-inserting a retracted overlay
-            // insert counts as a fresh insertion.
-            pair_remove(&mut self.removed, u, v);
-            pair_remove(&mut self.removed, v, u);
-            pair_insert(&mut self.extra, u, v);
-            let counted = self.counted.get_mut(&key).expect("flag tracks pair");
-            if *counted {
+        let state = match self.pairs.get(&key) {
+            Some(PairState::Extra { .. }) => return,
+            // Undoing a counted (base-edge) deletion restores the base
+            // count.
+            Some(PairState::Tombstone { counted: true }) => {
                 self.deleted_edges -= 1;
-                *counted = false;
-            } else {
-                self.added_edges += 1;
-                *counted = true;
+                PairState::Extra { counted: false }
             }
-            return;
-        }
-        pair_insert(&mut self.extra, u, v);
-        self.counted.insert(key, true);
-        self.added_edges += 1;
+            // A fresh insert, or the re-insert of a retracted one.
+            Some(PairState::Tombstone { counted: false }) | None => {
+                self.added_edges += 1;
+                PairState::Extra { counted: true }
+            }
+        };
+        self.pairs.insert(key, state);
+        self.file(n, u, v, true);
+        self.file(n, v, u, true);
     }
 
-    /// Deletes an undirected edge: the pair moves to the tombstone side
-    /// of the overlay, retracting any overlay insertion *and* filtering
-    /// any base copy out of subsequent scans. Deleting the same edge
-    /// twice is a no-op; deleting an edge that never existed leaves
-    /// scans unchanged but deflates the running count by one.
+    /// Deletes an undirected edge: the pair becomes a tombstone,
+    /// retracting any overlay insertion *and* filtering any base copy
+    /// out of subsequent scans. Deleting the same edge twice is a no-op;
+    /// deleting an edge that never existed leaves scans unchanged but
+    /// deflates the running count by one.
     pub fn delete_edge(&mut self, n: usize, u: VertexId, v: VertexId) {
-        let n = n as VertexId;
-        assert!(
-            u < n && v < n,
-            "edge ({u}, {v}) out of range for {n} vertices"
-        );
-        if u == v || pair_contains(&self.removed, u, v) {
+        check_endpoints(n, u, v);
+        if u == v {
             return;
         }
         let key = pair_key(u, v);
-        if pair_contains(&self.extra, u, v) {
-            // Retract the overlay side, but keep a tombstone so a base
-            // copy shadowed by a duplicate insert is deleted too.
-            pair_remove(&mut self.extra, u, v);
-            pair_remove(&mut self.extra, v, u);
-            pair_insert(&mut self.removed, u, v);
-            let counted = self.counted.get_mut(&key).expect("flag tracks pair");
-            if *counted {
+        let state = match self.pairs.get(&key) {
+            Some(PairState::Tombstone { .. }) => return,
+            // Retracting a fresh insert.
+            Some(PairState::Extra { counted: true }) => {
                 self.added_edges -= 1;
-                *counted = false;
-            } else {
-                // The extra pair was itself a resurrected base edge:
-                // this deletion removes a base edge and counts.
-                self.deleted_edges += 1;
-                *counted = true;
+                PairState::Tombstone { counted: false }
             }
-            return;
+            // Deleting a base edge, possibly one brought back earlier.
+            Some(PairState::Extra { counted: false }) | None => {
+                self.deleted_edges += 1;
+                PairState::Tombstone { counted: true }
+            }
+        };
+        self.pairs.insert(key, state);
+        self.file(n, u, v, false);
+        self.file(n, v, u, false);
+    }
+
+    /// Files `x` in `v`'s extras (`extra`) or tombstones, taking it off
+    /// the other list first when the pair changes sides. Both lists stay
+    /// ascending.
+    fn file(&mut self, n: usize, v: VertexId, x: VertexId, extra: bool) {
+        if self.slot.len() < n {
+            self.slot.resize(n, UNTOUCHED);
         }
-        pair_insert(&mut self.removed, u, v);
-        self.counted.insert(key, true);
-        self.deleted_edges += 1;
+        let v = v as usize;
+        if self.slot[v] == UNTOUCHED {
+            self.slot[v] = arena_offset(self.arena.len());
+            self.arena
+                .resize(self.arena.len() + HEADER + capacity(0), 0);
+        }
+        let mut at = self.slot[v] as usize;
+        let mut tombs = self.arena[at] as usize;
+        let mut len = tombs + self.arena[at + 1] as usize;
+
+        let other = if extra { 0..tombs } else { tombs..len };
+        let list = &mut self.arena[at + HEADER..at + HEADER + len];
+        match list[other.clone()].binary_search(&x) {
+            // The pair changes sides: take `x` off the other list.
+            Ok(i) => {
+                list.copy_within(other.start + i + 1..len, other.start + i);
+                len -= 1;
+                if extra {
+                    tombs -= 1;
+                }
+            }
+            // A new pair for `v`: move the lists if their words are full.
+            Err(_) if len == capacity(len) => at = self.relocate(v, at, len),
+            Err(_) => {}
+        }
+
+        let list = &mut self.arena[at + HEADER..at + HEADER + len + 1];
+        let own = if extra { tombs..len } else { 0..tombs };
+        let j = own.start + list[own].partition_point(|&y| y < x);
+        list.copy_within(j..len, j + 1);
+        list[j] = x;
+        if !extra {
+            tombs += 1;
+        }
+        self.arena[at] = tombs as VertexId;
+        self.arena[at + 1] = (len + 1 - tombs) as VertexId;
+    }
+
+    /// Moves `v`'s full lists (`len` entries at `at`) to the arena's end
+    /// with room for one more entry; returns the new offset.
+    fn relocate(&mut self, v: usize, at: usize, len: usize) -> usize {
+        let to = self.arena.len();
+        self.arena.extend_from_within(at..at + HEADER + len);
+        self.arena.resize(to + HEADER + capacity(len + 1), 0);
+        self.slot[v] = arena_offset(to);
+        to
+    }
+
+    /// `v`'s tombstones and extras, both ascending, or `None` when the
+    /// overlay does not edit `v`.
+    fn lists(&self, v: VertexId) -> Option<(&[VertexId], &[VertexId])> {
+        let at = *self.slot.get(v as usize)?;
+        if at == UNTOUCHED {
+            return None;
+        }
+        let at = at as usize;
+        let tombs = self.arena[at] as usize;
+        let len = tombs + self.arena[at + 1] as usize;
+        Some(self.arena[at + HEADER..at + HEADER + len].split_at(tombs))
     }
 
     /// Number of live overlay insertions (undirected).
@@ -185,50 +279,44 @@ impl DeltaOverlay {
 
     /// Whether the overlay holds no edits at all.
     pub fn is_empty(&self) -> bool {
-        self.extra.is_empty() && self.removed.is_empty()
+        self.pairs.is_empty()
     }
 
     /// Approximate overlay memory in bytes (the semi-external budget the
-    /// overlay consumes), covering insertions, tombstones and the
-    /// per-pair count flags.
+    /// overlay consumes): the slot and arena words plus the per-pair
+    /// states.
     pub fn overlay_bytes(&self) -> u64 {
-        self.extra
-            .values()
-            .chain(self.removed.values())
-            .map(|v| 4 * v.len() as u64 + 16)
-            .sum::<u64>()
-            + 9 * self.counted.len() as u64
+        let pair = std::mem::size_of::<((VertexId, VertexId), PairState)>();
+        (4 * (self.slot.len() + self.arena.len()) + pair * self.pairs.len()) as u64
     }
 
     /// Whether the overlay edits `v`'s record at all (extra neighbours
     /// or tombstones).
     pub fn touches(&self, v: VertexId) -> bool {
-        self.extra.contains_key(&v) || self.removed.contains_key(&v)
+        self.lists(v).is_some()
     }
 
     /// Merges the overlay into one base record: `merged` receives `ns`
-    /// minus tombstones plus extra neighbours. Returns `false` (leaving
-    /// `merged` untouched) when the overlay does not edit `v`, so
-    /// callers can hand the base slice through without a copy.
+    /// minus tombstones, then the extra neighbours ascending (the
+    /// canonical order). Returns `false` (leaving `merged` untouched)
+    /// when the overlay does not edit `v`, so callers can hand the base
+    /// slice through without a copy.
     pub fn merge_record(&self, v: VertexId, ns: &[VertexId], merged: &mut Vec<VertexId>) -> bool {
-        let extra = self.extra.get(&v);
-        let removed = self.removed.get(&v);
-        if extra.is_none() && removed.is_none() {
+        let Some((dead, extra)) = self.lists(v) else {
             return false;
-        }
+        };
         merged.clear();
-        match removed {
-            None => merged.extend_from_slice(ns),
-            Some(dead) => merged.extend(ns.iter().copied().filter(|u| !dead.contains(u))),
+        if dead.is_empty() {
+            merged.extend_from_slice(ns);
+        } else {
+            merged.extend(
+                ns.iter()
+                    .copied()
+                    .filter(|u| dead.binary_search(u).is_err()),
+            );
         }
-        if let Some(extra) = extra {
-            for &u in extra {
-                // Tolerate inserts that duplicate base edges.
-                if !ns.contains(&u) {
-                    merged.push(u);
-                }
-            }
-        }
+        // Tolerate inserts that duplicate base edges.
+        merged.extend(extra.iter().copied().filter(|u| !ns.contains(u)));
         true
     }
 
@@ -250,6 +338,14 @@ impl DeltaOverlay {
     }
 }
 
+/// `at` as a `slot` entry.
+fn arena_offset(at: usize) -> u32 {
+    u32::try_from(at)
+        .ok()
+        .filter(|&at| at != UNTOUCHED)
+        .expect("overlay arena exceeds u32 offsets")
+}
+
 /// A base graph plus an in-memory batch of inserted and deleted edges.
 ///
 /// The borrowing overlay view: see [`DeltaOverlay`] for the replay
@@ -263,13 +359,10 @@ pub struct DeltaGraph<'a, G: GraphScan + ?Sized> {
 impl<'a, G: GraphScan + ?Sized> DeltaGraph<'a, G> {
     /// Wraps `base` with an empty overlay.
     pub fn new(base: &'a G) -> Self {
-        Self::with_overlay(base, DeltaOverlay::new())
-    }
-
-    /// Wraps `base` with an existing overlay (e.g. one replayed from a
-    /// log by `mis_update`).
-    pub fn with_overlay(base: &'a G, overlay: DeltaOverlay) -> Self {
-        Self { base, overlay }
+        Self {
+            base,
+            overlay: DeltaOverlay::new(),
+        }
     }
 
     /// The overlay state itself.
@@ -577,6 +670,78 @@ mod tests {
         assert_eq!(delta.num_edges(), 2);
         assert_eq!(delta.count_edges_exact().unwrap(), 2);
         assert_eq!(records(&delta)[3], (3, vec![4]));
+    }
+
+    /// Every record in scan order, neighbours in the order the view
+    /// hands them out.
+    fn raw_records<G: GraphScan + ?Sized>(g: &G) -> Vec<(VertexId, Vec<VertexId>)> {
+        let mut records = Vec::new();
+        g.scan(&mut |v, ns| records.push((v, ns.to_vec()))).unwrap();
+        records
+    }
+
+    #[test]
+    fn edit_histories_with_one_final_edge_set_scan_identically() {
+        // Both histories end at {(0,1), (0,3), (0,4), (2,3)} over the
+        // base path 0-1-2.
+        let g = base();
+        let mut a = DeltaGraph::new(&g);
+        a.insert_edge(0, 4);
+        a.insert_edge(3, 0);
+        a.delete_edge(1, 2);
+        a.insert_edge(2, 3);
+        let mut b = DeltaGraph::new(&g);
+        b.insert_edge(2, 3);
+        b.delete_edge(0, 1); // a base edge deleted, then brought back
+        b.insert_edge(4, 2); // an insert retracted again
+        b.insert_edge(0, 3);
+        b.delete_edge(2, 1);
+        b.delete_edge(2, 4);
+        b.insert_edge(1, 0);
+        b.insert_edge(4, 0);
+        assert_eq!(raw_records(&a), raw_records(&b));
+        assert_eq!(a.num_edges(), 4);
+        assert_eq!(b.num_edges(), 4);
+        // Base order minus tombstones, then the extras ascending.
+        assert_eq!(
+            raw_records(&a),
+            vec![
+                (0, vec![1, 3, 4]),
+                (1, vec![0]),
+                (2, vec![3]),
+                (3, vec![0, 2]),
+                (4, vec![0]),
+            ]
+        );
+    }
+
+    #[test]
+    fn long_edit_lists_stay_sorted_as_they_grow() {
+        // Vertex 0 gains and loses neighbours in scrambled order, so its
+        // lists move through the arena several times.
+        let n = 64;
+        let g = CsrGraph::from_edges(n, &[(0, 1), (0, 2), (0, 3), (0, 4)]);
+        let mut delta = DeltaGraph::new(&g);
+        let mut live = vec![false; n];
+        live[1..=4].iter_mut().for_each(|l| *l = true);
+        for step in 0..200u32 {
+            let x = 1 + (step * 37 + step / 3) % (n as u32 - 1);
+            if live[x as usize] {
+                delta.delete_edge(x, 0);
+            } else {
+                delta.insert_edge(0, x);
+            }
+            live[x as usize] = !live[x as usize];
+        }
+        let expected: Vec<VertexId> = (1..n as VertexId).filter(|&x| live[x as usize]).collect();
+        let mut got = raw_records(&delta)[0].1.clone();
+        let extras = got.split_off(got.iter().take_while(|&&x| x <= 4).count());
+        assert!(extras.windows(2).all(|w| w[0] < w[1]), "extras ascending");
+        got.extend(extras);
+        got.sort_unstable();
+        assert_eq!(got, expected);
+        assert_eq!(delta.num_edges(), expected.len() as u64);
+        assert_eq!(delta.count_edges_exact().unwrap(), expected.len() as u64);
     }
 
     #[test]

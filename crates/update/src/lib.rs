@@ -30,14 +30,16 @@
 //!   maintenance resumes from the last repaired state instead of a
 //!   from-scratch rebuild;
 //! * [`store::UpdateStore`] — the maintenance engine gluing base file,
-//!   tiered log and checkpoint together: `append_ops` → (policy-driven)
-//!   `roll_segment`/`compact_segments` → `apply` (replay into a
-//!   [`mis_graph::DeltaGraph`], deletion-aware repair via
-//!   [`mis_core::repair_updated_set`], re-checkpoint) → `compact` (merge
-//!   into a fresh indexed adjacency file, truncate the log);
+//!   tiered log, checkpoint and one maintained
+//!   [`mis_graph::DeltaOverlay`] together: `append_ops` (applies each
+//!   committed batch to the overlay) → (policy-driven)
+//!   `roll_segment`/`compact_segments` → `apply` (deletion-aware repair
+//!   via [`mis_core::repair_updated_set`] on the overlaid base,
+//!   re-checkpoint) → `compact` (merge into a fresh indexed adjacency
+//!   file, truncate the log);
 //! * [`serve::ServeEngine`] — the long-running front end behind `mis
 //!   serve`: batches updates into epochs, repairs the maintained set on
-//!   pinned snapshots (readers never block on ingest), and answers
+//!   epoch-pinned views (readers never block on ingest), and answers
 //!   membership/neighborhood/stats queries.
 //!
 //! All log and checkpoint I/O is accounted in the shared

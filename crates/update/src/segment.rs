@@ -322,11 +322,16 @@ impl Segment {
 }
 
 /// Merges `runs` of sealed segments into one new segment `id`, dropping
-/// superseded operations: within the merged epoch range, only the **last
-/// operation per edge pair** affects any replay at or after the merged
-/// range's end, so earlier ops on the same pair are elided. Snapshots
-/// pinned *inside* the merged range keep their original `Arc<Segment>`s,
-/// so intermediate states stay reachable until those snapshots drop.
+/// superseded operations. Per edge pair, the merged run keeps its
+/// **last** operation, plus its **first** one when the two differ in
+/// kind, in stream order: a repeated same-kind op is a no-op, and after
+/// a pair's first op every insert/delete round trip returns the pair to
+/// the same state with the same edge counts, so those one or two ops
+/// replay exactly like the whole run from any prior state. (The last op
+/// alone would not: an insert then delete of a fresh edge would replay
+/// as the deletion of a base edge.) Snapshots pinned *inside* the
+/// merged range keep their original `Arc<Segment>`s, so intermediate
+/// states stay reachable until those snapshots drop.
 pub fn merge_segments(
     dir: &Path,
     id: u64,
@@ -338,19 +343,22 @@ pub fn merge_segments(
     for seg in inputs {
         all.extend_from_slice(seg.ops());
     }
-    // Keep only each pair's last op, preserving stream order.
-    let mut last_index: mis_graph::hash::FxHashMap<(VertexId, VertexId), usize> =
+    // Each pair's (first, last) op index.
+    let mut ends: mis_graph::hash::FxHashMap<(VertexId, VertexId), (usize, usize)> =
         Default::default();
     for (i, (_, op)) in all.iter().enumerate() {
         let (u, v) = op.endpoints();
-        last_index.insert((u.min(v), u.max(v)), i);
+        ends.entry((u.min(v), u.max(v)))
+            .and_modify(|(_, last)| *last = i)
+            .or_insert((i, i));
     }
     let merged: Vec<(u64, EdgeOp)> = all
         .iter()
         .enumerate()
         .filter(|(i, (_, op))| {
             let (u, v) = op.endpoints();
-            last_index[&(u.min(v), u.max(v))] == *i
+            let (first, last) = ends[&(u.min(v), u.max(v))];
+            *i == last || (*i == first && op.is_insert() != all[last].1.is_insert())
         })
         .map(|(_, rec)| *rec)
         .collect();
@@ -468,38 +476,29 @@ mod tests {
     fn merge_keeps_only_the_last_op_per_pair() {
         let dir = ScratchDir::new("seg-merge").unwrap();
         let stats = IoStats::shared();
-        let a = Arc::new(
-            Segment::seal(
-                dir.path(),
-                1,
-                &[(1, EdgeOp::Insert(0, 1)), (1, EdgeOp::Insert(2, 3))],
-                &stats,
-            )
-            .unwrap(),
-        );
-        let b = Arc::new(
-            Segment::seal(
-                dir.path(),
-                2,
-                &[(2, EdgeOp::Delete(1, 0)), (2, EdgeOp::Insert(4, 5))],
-                &stats,
-            )
-            .unwrap(),
-        );
-        let (merged, dropped) = merge_segments(dir.path(), 3, &[a, b], &stats).unwrap();
-        // (0,1): insert superseded by delete — one op dropped. Note the
-        // delete names the pair in the opposite orientation.
-        assert_eq!(dropped, 1);
+        let seal = |id, ops: &[(u64, EdgeOp)]| {
+            Arc::new(Segment::seal(dir.path(), id, ops, &stats).unwrap())
+        };
+        let a = seal(1, &[(1, EdgeOp::Insert(0, 1)), (1, EdgeOp::Insert(2, 3))]);
+        let b = seal(2, &[(2, EdgeOp::Delete(1, 0)), (2, EdgeOp::Insert(4, 5))]);
+        let c = seal(3, &[(3, EdgeOp::Insert(0, 1)), (3, EdgeOp::Delete(3, 2))]);
+        let (merged, dropped) = merge_segments(dir.path(), 4, &[a, b, c], &stats).unwrap();
+        // (0,1): insert → delete → insert ends in the kind it started
+        // with, so only the last op survives (note the delete names the
+        // pair in the opposite orientation). (2,3): insert → delete
+        // differ in kind, so the first op stays beside the last one.
+        assert_eq!(dropped, 2);
         assert_eq!(
             merged.ops(),
             &[
                 (1, EdgeOp::Insert(2, 3)),
-                (2, EdgeOp::Delete(1, 0)),
                 (2, EdgeOp::Insert(4, 5)),
+                (3, EdgeOp::Insert(0, 1)),
+                (3, EdgeOp::Delete(3, 2)),
             ]
         );
         assert_eq!(merged.meta().epoch_lo, 1);
-        assert_eq!(merged.meta().epoch_hi, 2);
+        assert_eq!(merged.meta().epoch_hi, 3);
         assert_eq!(merged.meta().tombstones, 1);
     }
 

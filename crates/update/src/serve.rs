@@ -14,20 +14,25 @@
 //! * `pending` — the submit queue. [`ServeEngine::submit`] validates and
 //!   enqueues; nothing else happens on the submit path.
 //! * `store` — the durable tier. [`ServeEngine::flush`] holds it only to
-//!   append + roll + snapshot (cheap, bounded work) and again, briefly,
-//!   to write the checkpoint. The **repair runs on the snapshot with no
-//!   store lock held** — this is the no-stop-the-world property the
-//!   `repro serve` experiment measures: readers keep answering and
-//!   submitters keep queueing while the set is repaired.
+//!   append + roll + compact + pin the epoch's [`PinnedDelta`] (cheap,
+//!   bounded work) and again, briefly, to write the checkpoint. The
+//!   **repair runs on the pinned view with no store lock held** — this
+//!   is the no-stop-the-world property the `repro serve` experiment
+//!   measures: readers keep answering and submitters keep queueing while
+//!   the set is repaired.
 //! * `view` — an `RwLock<Arc<ServeView>>`. Readers clone the `Arc` (two
 //!   pointer bumps) and then work lock-free on an immutable view; a
 //!   flush swaps in the next view when its epoch is durable. A caller
 //!   holding an old `Arc<ServeView>` keeps a consistent picture of its
-//!   epoch for as long as it likes — the snapshot machinery pins the
-//!   segment files underneath ([`crate::snapshot::Snapshot`]).
+//!   epoch for as long as it likes — the view owns its base handle and
+//!   its version of the store's overlay, which the store copies before
+//!   editing (see [`crate::store`]).
 //!
 //! Flushes themselves are serialized by a dedicated mutex so epochs
-//! commit and publish in order.
+//! commit and publish in order. Each flush stage has its own trace span
+//! inside `serve.flush`: `serve.append`, `serve.roll`, `serve.compact`,
+//! `serve.snapshot`, `serve.repair`, `serve.checkpoint` and
+//! `serve.publish`.
 //!
 //! Neighborhood queries go through one shared [`NeighborAccess`] point
 //! path (plain, compressed or sharded — whatever backs the store), so
@@ -195,9 +200,8 @@ impl ServeEngine {
         let report = store.apply(config.repair)?;
         let ckpt =
             crate::checkpoint::Checkpoint::load(&store_checkpoint_path(&store), store.stats())?;
-        let snap = store.snapshot();
         let view = build_view(
-            snap.pinned(),
+            store.overlay(),
             ckpt.set,
             report.maximality_proved || report.up_to_date,
         );
@@ -264,8 +268,8 @@ impl ServeEngine {
 
     /// Commits everything pending as one epoch: append to the WAL, roll
     /// and compact segments per policy, repair the maintained set on the
-    /// epoch's pinned snapshot (store unlocked), checkpoint, and publish
-    /// the new view. Returns `None` when nothing was pending.
+    /// epoch's pinned view (store unlocked), checkpoint, and publish the
+    /// new view. Returns `None` when nothing was pending.
     pub fn flush(&self) -> io::Result<Option<FlushReport>> {
         let _serial = self.flush_lock.lock().expect("flush lock poisoned");
         let batch: Vec<EdgeOp> = {
@@ -279,23 +283,29 @@ impl ServeEngine {
         let _span = mis_obs::span("serve", "serve.flush");
         mis_obs::counter("serve", "serve.pending", 0.0);
 
-        // Durable part: append + roll + snapshot, store locked.
-        let (snap, rolled, compacted) = {
+        // Durable part: append + roll + compact + pin, store locked.
+        let (pinned, rolled, compacted) = {
             let mut store = self.store.lock().expect("store lock poisoned");
-            store.append_ops(&batch)?;
+            {
+                let _span = mis_obs::span("serve", "serve.append");
+                store.append_ops(&batch)?;
+            }
             let mut rolled = false;
             if wal_epochs(&store) >= self.config.roll_epochs
                 || store.wal().disk_bytes() >= self.config.roll_bytes
             {
+                let _span = mis_obs::span("serve", "serve.roll");
                 rolled = store.roll_segment()?.is_some();
             }
             let mut compacted = 0;
             if store.segments().len() >= self.config.compact_threshold {
+                let _span = mis_obs::span("serve", "serve.compact");
                 if let Some(c) = store.compact_segments()? {
                     compacted = c.merged;
                 }
             }
-            (store.snapshot(), rolled, compacted)
+            let _span = mis_obs::span("serve", "serve.snapshot");
+            (store.overlay(), rolled, compacted)
         };
         if rolled {
             self.rolls.fetch_add(1, Ordering::Relaxed);
@@ -306,7 +316,7 @@ impl ServeEngine {
 
         // Repair part: store unlocked — readers and submitters proceed.
         let prev = self.view();
-        debug_assert_eq!(prev.epoch() + 1, snap.epoch(), "flushes are serialized");
+        debug_assert_eq!(prev.epoch() + 1, pinned.epoch(), "flushes are serialized");
         // Eviction must only see the batch's *net* insertions: a pair
         // inserted and then deleted later in the same batch is absent
         // from the committed graph, so feeding it to the repair would
@@ -322,13 +332,12 @@ impl ServeEngine {
             .filter(|&(_, is_insert)| is_insert)
             .map(|(pair, _)| pair)
             .collect();
-        let pinned = snap.pinned();
         let out = {
             let _span = mis_obs::span("serve", "serve.repair");
             repair_updated_set_from_ops(&pinned, prev.set(), &inserted, self.config.repair)
         };
         let report = FlushReport {
-            epoch: snap.epoch(),
+            epoch: pinned.epoch(),
             ops: batch.len(),
             evicted: out.evicted,
             set_size: out.swap.result.set.len(),
@@ -340,12 +349,16 @@ impl ServeEngine {
         // Commit part: checkpoint the repaired set, reclaim unpinned
         // segment files, publish the view.
         {
+            let _span = mis_obs::span("serve", "serve.checkpoint");
             let mut store = self.store.lock().expect("store lock poisoned");
             store.write_checkpoint(report.epoch, &out.swap.result.set)?;
             store.gc();
         }
-        let view = build_view(pinned, out.swap.result.set, out.maximality_proved);
-        *self.view.write().expect("view lock poisoned") = Arc::new(view);
+        {
+            let _span = mis_obs::span("serve", "serve.publish");
+            let view = build_view(pinned, out.swap.result.set, out.maximality_proved);
+            *self.view.write().expect("view lock poisoned") = Arc::new(view);
+        }
         self.flushes.fetch_add(1, Ordering::Relaxed);
         self.requests
             .record("flush", started.elapsed().as_nanos() as u64);

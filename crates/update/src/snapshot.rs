@@ -2,22 +2,24 @@
 //!
 //! [`Snapshot`] is what [`crate::store::UpdateStore::snapshot`] hands
 //! out: the store's base handle (cheaply cloned), `Arc`s of every sealed
-//! segment, and a copy of the WAL tail, all pinned at the epoch that was
-//! current when the snapshot was taken. The snapshot owns everything it
-//! needs — later appends, rolls, segment compactions and even base
-//! compactions proceed underneath without invalidating it, and the
-//! store's garbage collector deletes a replaced segment file only once
-//! no snapshot holds its `Arc` (see
-//! [`crate::store::UpdateStore::gc`]).
+//! segment, a copy of the WAL tail, and an `Arc` of the overlay the
+//! store maintains, all pinned at the epoch that was current when the
+//! snapshot was taken. The snapshot owns everything it needs — later
+//! appends, rolls, segment compactions and even base compactions
+//! proceed underneath without invalidating it: the store copies its
+//! overlay before editing a version a snapshot still shares, and its
+//! garbage collector deletes a replaced segment file only once no
+//! snapshot holds its `Arc` (see [`crate::store::UpdateStore::gc`]).
 //!
-//! Reads happen through [`Snapshot::pinned`], which replays the pinned
-//! operations once into a shared [`DeltaOverlay`] and returns the
-//! epoch-stamped [`PinnedDelta`] view every `mis-core` algorithm can
-//! scan.
+//! Reads happen through [`Snapshot::pinned`], which wraps the pinned
+//! overlay in the epoch-stamped [`PinnedDelta`] view every `mis-core`
+//! algorithm can scan. It replays nothing: the overlay already reflects
+//! every pinned operation. The operations themselves stay available
+//! ([`Snapshot::ops`]) for range queries, recovery checks and replays.
 
 use std::sync::Arc;
 
-use mis_graph::{AnyAdjFile, DeltaOverlay, GraphScan, PinnedDelta, VertexId};
+use mis_graph::{AnyAdjFile, DeltaOverlay, PinnedDelta, VertexId};
 
 use crate::segment::{Segment, SegmentMeta};
 use crate::wal::EdgeOp;
@@ -29,6 +31,7 @@ pub struct Snapshot {
     base: AnyAdjFile,
     segments: Vec<Arc<Segment>>,
     tail: Arc<Vec<(u64, EdgeOp)>>,
+    overlay: Arc<DeltaOverlay>,
 }
 
 impl Snapshot {
@@ -37,12 +40,14 @@ impl Snapshot {
         base: AnyAdjFile,
         segments: Vec<Arc<Segment>>,
         tail: Arc<Vec<(u64, EdgeOp)>>,
+        overlay: Arc<DeltaOverlay>,
     ) -> Self {
         Self {
             epoch,
             base,
             segments,
             tail,
+            overlay,
         }
     }
 
@@ -95,19 +100,11 @@ impl Snapshot {
         out
     }
 
-    /// Replays the pinned history into a shared overlay and returns the
-    /// epoch-pinned scan view. The replay happens once per call; clone
-    /// the returned [`PinnedDelta`] to share it between readers.
+    /// The epoch-pinned scan view: the base plus the pinned overlay,
+    /// shared by refcount. Clone the returned [`PinnedDelta`] to share it
+    /// between readers.
     pub fn pinned(&self) -> PinnedDelta<AnyAdjFile> {
-        let n = self.base.num_vertices();
-        let mut overlay = DeltaOverlay::new();
-        for (_, op) in self.ops() {
-            match op {
-                EdgeOp::Insert(u, v) => overlay.insert_edge(n, u, v),
-                EdgeOp::Delete(u, v) => overlay.delete_edge(n, u, v),
-            }
-        }
-        PinnedDelta::new(self.base.clone(), Arc::new(overlay), self.epoch)
+        PinnedDelta::new(self.base.clone(), Arc::clone(&self.overlay), self.epoch)
     }
 
     /// Replays the pinned history into `io::Result`-free raw bytes the

@@ -15,10 +15,10 @@
 //!   compact underneath, and replaced segment files are deleted only
 //!   when no snapshot pins them ([`UpdateStore::gc`]);
 //! * [`UpdateStore::apply`] — bring the maintained independent set up to
-//!   the last committed epoch: replay segments + WAL tail into a
-//!   [`DeltaGraph`] overlay, resume from the checkpointed set (or
-//!   bootstrap one with Greedy), run the deletion-aware incremental
-//!   repair, and write a fresh checkpoint;
+//!   the last committed epoch: scan the base through the maintained
+//!   overlay, resume from the checkpointed set (or bootstrap one with
+//!   Greedy), run the deletion-aware incremental repair, and write a
+//!   fresh checkpoint;
 //! * [`UpdateStore::compact_segments`] — the leveled/partial compactor:
 //!   merge a run of overlapping sealed segments into one (superseded
 //!   per-pair operations elided) without touching the WAL or the base,
@@ -32,6 +32,25 @@
 //!   via [`mis_graph::split_adj_file`]);
 //! * [`UpdateStore::status`] — inspect epochs, pending ops, per-segment
 //!   footers and sizes.
+//!
+//! ## The maintained overlay
+//!
+//! The store keeps one [`DeltaOverlay`] of every committed operation
+//! over the current base, so no read path replays the log:
+//!
+//! * [`UpdateStore::open`] builds it once, from the sealed segments and
+//!   the WAL tail;
+//! * [`UpdateStore::append_ops`] applies a batch to it only after the
+//!   batch's epoch marker is durable, so a failed append leaves it at
+//!   the last committed epoch;
+//! * rolls and segment merges leave it alone: they move operations
+//!   between files without changing the edge set they replay to;
+//! * full compaction folds it into the new base and starts it empty.
+//!
+//! Snapshots, [`UpdateStore::overlay`] and the serve engine's published
+//! view share it by `Arc`. When one of them still holds the current
+//! version, the next append edits a copy (copy-on-write): a copy of the
+//! overlay's flat arrays, not a replay.
 //!
 //! The base file may be any [`AnyAdjFile`] backend (plain, compressed or
 //! sharded — the magic is sniffed at open), so a store can compact into
@@ -55,8 +74,8 @@ use mis_core::{repair_updated_set, Greedy, RepairConfig};
 use mis_graph::adjfile::AdjFileWriter;
 use mis_graph::compressed::CompressedAdjWriter;
 use mis_graph::{
-    split_adj_file, AnyAdjFile, CompressedRecordIndex, DeltaGraph, DeltaOverlay, GraphScan,
-    RecordIndex, SplitOptions,
+    split_adj_file, AnyAdjFile, CompressedRecordIndex, DeltaOverlay, GraphScan, PinnedDelta,
+    RecordIndex, SplitOptions, VertexId,
 };
 
 use mis_extmem::IoStats;
@@ -123,6 +142,9 @@ pub struct UpdateStore {
     /// unpinned.
     dead: Vec<Arc<Segment>>,
     roll: RollPolicy,
+    /// Every committed operation over `base`, shared copy-on-write with
+    /// snapshots (see the module docs).
+    overlay: Arc<DeltaOverlay>,
 }
 
 /// On-disk layout of a compacted base file.
@@ -242,7 +264,8 @@ pub struct CompactReport {
 pub struct SegmentCompaction {
     /// Segments merged away.
     pub merged: usize,
-    /// Superseded operations elided by the per-pair last-wins merge.
+    /// Superseded operations elided by the per-pair merge (see
+    /// [`merge_segments`]).
     pub dropped_ops: u64,
     /// The merged segment's footer.
     pub output: SegmentMeta,
@@ -340,7 +363,7 @@ impl UpdateStore {
             }
         }
 
-        let store = Self {
+        let mut store = Self {
             base,
             wal,
             ckpt_path: ckpt_path.to_path_buf(),
@@ -351,7 +374,14 @@ impl UpdateStore {
             segments,
             dead: Vec::new(),
             roll: RollPolicy::default(),
+            overlay: Arc::default(),
         };
+        let n = store.base.num_vertices();
+        let mut overlay = DeltaOverlay::new();
+        for (_, op) in store.committed_ops() {
+            apply_op(&mut overlay, n, op);
+        }
+        store.overlay = Arc::new(overlay);
         Ok((store, recovery))
     }
 
@@ -396,6 +426,8 @@ impl UpdateStore {
     /// the WAL into a sealed segment (and possibly merging segments)
     /// when the [`RollPolicy`] says so. Endpoint ranges are validated
     /// against the base file up front so a bad op never reaches the log.
+    /// The maintained overlay takes the epoch's operations once its
+    /// marker is durable.
     pub fn append_ops(&mut self, ops: &[EdgeOp]) -> io::Result<u64> {
         let n = self.base.num_vertices() as u64;
         for op in ops {
@@ -407,10 +439,16 @@ impl UpdateStore {
                 ));
             }
         }
+        let first = self.wal.committed().len();
         for &op in ops {
             self.wal.append(op)?;
         }
         let epoch = self.wal.commit_epoch()?;
+        let n = self.base.num_vertices();
+        let overlay = Arc::make_mut(&mut self.overlay);
+        for &(_, op) in &self.wal.committed()[first..] {
+            apply_op(overlay, n, op);
+        }
         self.maybe_roll()?;
         Ok(epoch)
     }
@@ -584,14 +622,16 @@ impl UpdateStore {
     }
 
     /// An epoch-pinned, refcounted view of the committed history as of
-    /// now: the base handle, every sealed segment, and a copy of the WAL
-    /// tail. Later appends, rolls and compactions never affect it.
+    /// now: the base handle, every sealed segment, a copy of the WAL
+    /// tail and the maintained overlay. Later appends, rolls and
+    /// compactions never affect it.
     pub fn snapshot(&self) -> Snapshot {
         Snapshot::new(
             self.wal.last_epoch(),
             self.base.clone(),
             self.segments.clone(),
             Arc::new(self.wal.committed().to_vec()),
+            Arc::clone(&self.overlay),
         )
     }
 
@@ -609,19 +649,15 @@ impl UpdateStore {
         self.segments.iter().map(|s| s.ops().len()).sum::<usize>() + self.wal.committed().len()
     }
 
-    /// Replays every committed operation into an overlay over the base
-    /// file. Later operations win, exactly as [`DeltaGraph`]'s
-    /// insert/delete semantics prescribe.
-    pub fn overlay(&self) -> DeltaGraph<'_, AnyAdjFile> {
-        let n = self.base.num_vertices();
-        let mut overlay = DeltaOverlay::new();
-        for (_, op) in self.committed_ops() {
-            match op {
-                EdgeOp::Insert(u, v) => overlay.insert_edge(n, u, v),
-                EdgeOp::Delete(u, v) => overlay.delete_edge(n, u, v),
-            }
-        }
-        DeltaGraph::with_overlay(&self.base, overlay)
+    /// The base file with every committed operation overlaid, pinned at
+    /// the last committed epoch — [`Snapshot::pinned`] without the
+    /// history. Shares the maintained overlay; nothing is replayed.
+    pub fn overlay(&self) -> PinnedDelta<AnyAdjFile> {
+        PinnedDelta::new(
+            self.base.clone(),
+            Arc::clone(&self.overlay),
+            self.wal.last_epoch(),
+        )
     }
 
     /// Brings the maintained independent set up to the last committed
@@ -715,7 +751,7 @@ impl UpdateStore {
     /// commit step after repairing on a snapshot (the repair itself runs
     /// without any reference to the store, so this is the only part that
     /// needs exclusive access).
-    pub fn write_checkpoint(&self, epoch: u64, set: &[mis_graph::VertexId]) -> io::Result<()> {
+    pub fn write_checkpoint(&self, epoch: u64, set: &[VertexId]) -> io::Result<()> {
         if epoch > self.wal.last_epoch() {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -849,6 +885,7 @@ impl UpdateStore {
 
         self.base =
             AnyAdjFile::open_with_block_size(out_path, Arc::clone(&self.stats), self.block_size)?;
+        self.overlay = Arc::default();
         // Every sealed segment is folded into the new base: drop them
         // from the manifest, keep the Arcs on the dead list until no
         // snapshot pins them, then truncate the WAL.
@@ -873,7 +910,6 @@ impl UpdateStore {
 
     /// Reads the store's durable state without modifying anything.
     pub fn status(&self) -> io::Result<StoreStatus> {
-        let delta = self.overlay();
         let checkpoint = Checkpoint::load_if_exists(&self.ckpt_path, &self.stats)?
             .map(|c| (c.epoch, c.set.len()));
         let segments: Vec<SegmentMeta> = self.segments.iter().map(|s| *s.meta()).collect();
@@ -881,7 +917,7 @@ impl UpdateStore {
         Ok(StoreStatus {
             vertices: self.base.num_vertices(),
             base_edges: self.base.num_edges(),
-            live_edges: delta.num_edges(),
+            live_edges: self.overlay().num_edges(),
             last_epoch: self.wal.last_epoch(),
             committed_ops: self.num_committed_ops(),
             wal_bytes: self.wal.disk_bytes(),
@@ -943,12 +979,20 @@ fn parse_segment_id(name: &str) -> Option<u64> {
         .ok()
 }
 
+/// Applies one committed operation to `overlay` over `n` base vertices.
+fn apply_op(overlay: &mut DeltaOverlay, n: usize, op: EdgeOp) {
+    match op {
+        EdgeOp::Insert(u, v) => overlay.insert_edge(n, u, v),
+        EdgeOp::Delete(u, v) => overlay.delete_edge(n, u, v),
+    }
+}
+
 /// Streams every overlay record into `write`, stopping at (and
 /// surfacing) the first write error — the shared scan shape of the
 /// [`CompactFormat`] arms.
 fn write_overlay(
-    delta: &DeltaGraph<'_, AnyAdjFile>,
-    write: &mut dyn FnMut(mis_graph::VertexId, &[mis_graph::VertexId]) -> io::Result<()>,
+    delta: &PinnedDelta<AnyAdjFile>,
+    write: &mut dyn FnMut(VertexId, &[VertexId]) -> io::Result<()>,
 ) -> io::Result<()> {
     let mut write_err = None;
     delta.scan(&mut |v, ns| {
@@ -969,7 +1013,7 @@ impl ApplyReport {
         self,
         path: &Path,
         epoch: u64,
-        set: &[mis_graph::VertexId],
+        set: &[VertexId],
         stats: &Arc<IoStats>,
     ) -> io::Result<Self> {
         Checkpoint::write(path, epoch, set, stats)?;
@@ -1354,6 +1398,53 @@ mod tests {
         let (reopened, _) = reopen(&dir);
         assert_eq!(reopened.segments().len(), 1);
         assert_eq!(reopened.num_committed_ops(), 2);
+    }
+
+    #[test]
+    fn partial_compaction_keeps_live_edge_counts_exact() {
+        // A valid churn stream (deletes name live edges, inserts absent
+        // pairs, and later deletes also hit earlier inserts), one epoch
+        // per segment and a merge after every roll: insert → delete
+        // chains of one pair end up inside one merged run.
+        let dir = ScratchDir::new("store-segcount").unwrap();
+        let graph = mis_gen::plrg::Plrg::with_vertices(2_000, 2.0)
+            .seed(43)
+            .generate();
+        build_adj_file(&graph, &dir.file("base.adj"), IoStats::shared(), 4096).unwrap();
+        let (mut store, _) = reopen(&dir);
+        store.set_roll_policy(RollPolicy {
+            max_wal_bytes: u64::MAX,
+            max_wal_epochs: 1,
+            compact_threshold: 2,
+        });
+        for batch in mis_gen::churn_stream(&graph, 2_000, 0.5, 7).chunks(100) {
+            let ops: Vec<EdgeOp> = batch
+                .iter()
+                .map(|op| match op.kind {
+                    mis_gen::ChurnKind::Insert => EdgeOp::Insert(op.u, op.v),
+                    mis_gen::ChurnKind::Delete => EdgeOp::Delete(op.u, op.v),
+                })
+                .collect();
+            store.append_ops(&ops).unwrap();
+        }
+        assert_eq!(store.segments().len(), 1, "every roll merged");
+        let scanned = |store: &UpdateStore| {
+            let mut directed = 0u64;
+            store
+                .overlay()
+                .scan(&mut |_, ns| directed += ns.len() as u64)
+                .unwrap();
+            directed / 2
+        };
+        let live = scanned(&store);
+        assert_eq!(store.status().unwrap().live_edges, live);
+
+        // A reopen replays the merged segments to the same counts.
+        drop(store);
+        let (reopened, _) = reopen(&dir);
+        assert_eq!(scanned(&reopened), live);
+        assert_eq!(reopened.status().unwrap().live_edges, live);
+        assert_eq!(reopened.overlay().num_edges(), live);
     }
 
     #[test]

@@ -9,21 +9,24 @@
 //! * [`Executor::Sequential`] — one thread folds the records in storage
 //!   order, exactly the paper's access model and byte-for-byte the
 //!   pre-engine behaviour;
-//! * [`Executor::Parallel`] — a reader thread streams hand-out units
-//!   over a bounded queue to `N` `std::thread` workers; each worker
-//!   folds its units into private shards, and the shards are merged
-//!   **in unit order**, so the output is identical at every thread
-//!   count. When the backend implements [`mis_graph::RawScan`] (the
-//!   on-disk formats do), the reader only *frames* raw byte ranges and
-//!   each worker decodes its own units locally (the `raw` submodule),
-//!   so compressed-file decompression scales with the worker count
-//!   instead of serialising on the reader. When the backend is a
-//!   **sharded store** ([`mis_graph::ShardedScan`]), the reader thread
-//!   and the queue disappear entirely: each worker owns and streams
-//!   whole shards (the `sharded` submodule). And when only one fold
-//!   thread is effectively available — `threads <= 1`, or a sharded
-//!   store with a single shard — `Parallel` runs the sequential path
-//!   directly, so `par(1)` never costs more than `seq`.
+//! * [`Executor::Parallel`] — the block pipeline: one thread reads the
+//!   storage's own sequential scan ([`GraphScan::scan_blocks`]) and
+//!   hands decoded [`RecordBlock`]s over a bounded queue to `N`
+//!   `std::thread` fold workers; each worker folds its blocks into
+//!   private shards, and the shards are merged **in block order**, so
+//!   the output is identical at every thread count. With
+//!   `threads <= 1` it runs the sequential path directly, so `par(1)`
+//!   never costs more than `seq`.
+//!
+//! The block pipeline is the only parallel path, for every storage —
+//! in-memory graphs, both on-disk codecs and sharded stores alike. It
+//! needs no per-format code and reads every block exactly once, so the
+//! paper's `scans × ⌈bytes/B⌉` ledger stays exact. Its one cost is that
+//! records decode on the reader thread: a mergeable pass over a
+//! compressed file decodes on one core. Two earlier backends — raw byte
+//! ranges decoded on the workers, and workers that each owned whole
+//! shards — measured no faster end to end on a two-thread machine, so
+//! they were removed rather than tuned.
 //!
 //! Two execution shapes cover all of the paper's passes:
 //!
@@ -37,10 +40,10 @@
 //! 2. [`Executor::fold_ordered`] — for order-dependent passes (Greedy's
 //!    lazy exclusion, the swap algorithms' earlier-record-wins conflict
 //!    resolution, Algorithm 5's star partition). The fold itself must
-//!    stay sequential, so the parallel backend pipelines instead: the
-//!    reader thread decodes blocks ahead while the calling thread folds
-//!    them in exact storage order — I/O and decode overlap the fold
-//!    without changing a single transition.
+//!    stay sequential, so the parallel backend pipelines instead: one
+//!    reader thread reads and decodes blocks ahead while the calling
+//!    thread folds them in exact storage order — I/O and decode overlap
+//!    the fold without changing a single transition.
 //!
 //! The queue is bounded ([`ParallelConfig::queue_blocks`]), so a slow
 //! fold back-pressures the reader instead of buffering the whole graph;
@@ -58,12 +61,8 @@ use mis_obs as obs;
 
 pub mod passes;
 mod queue;
-mod raw;
-mod sharded;
 
 use queue::{BoundedQueue, CloseOnDrop};
-use raw::{fold_ordered_raw, run_pass_raw};
-use sharded::{fold_ordered_sharded, run_pass_sharded};
 
 /// Default number of records per hand-out block.
 ///
@@ -71,14 +70,6 @@ use sharded::{fold_ordered_sharded, run_pass_sharded};
 /// that a 100k-vertex graph still splits into dozens of blocks for load
 /// balancing.
 pub const DEFAULT_BLOCK_RECORDS: usize = 4096;
-
-/// Default byte budget per raw hand-out unit (see
-/// [`ParallelConfig::unit_bytes`]).
-///
-/// A quarter-megabyte unit amortises queue traffic while keeping dozens
-/// of units in flight even for modest graphs, and forces power-law hub
-/// records larger than this to split across workers.
-pub const DEFAULT_UNIT_BYTES: usize = 256 * 1024;
 
 /// One fold over the adjacency records, split into mergeable shards.
 ///
@@ -127,11 +118,6 @@ pub struct ParallelConfig {
     /// Bounded-queue depth in blocks: how far the reader may run ahead
     /// of the slowest fold.
     pub queue_blocks: usize,
-    /// Byte budget per raw hand-out unit when the backend supports raw
-    /// scans ([`mis_graph::RawScan`]): records larger than this are
-    /// split across units so one power-law hub cannot serialise the
-    /// decode (minimum 1; see [`DEFAULT_UNIT_BYTES`]).
-    pub unit_bytes: usize,
 }
 
 impl Default for ParallelConfig {
@@ -140,7 +126,6 @@ impl Default for ParallelConfig {
             threads: available_threads(),
             block_records: DEFAULT_BLOCK_RECORDS,
             queue_blocks: 8,
-            unit_bytes: DEFAULT_UNIT_BYTES,
         }
     }
 }
@@ -214,23 +199,12 @@ impl Executor {
                 graph.scan(&mut |v, ns| pass.visit(&mut shard, v, ns))?;
                 Ok(pass.finish(shard))
             }
-            Executor::Parallel(cfg) => {
-                if effective_threads(graph, cfg) <= 1 {
-                    // One fold thread gains nothing from a reader thread
-                    // plus a queue (or from shard ownership): run the
-                    // sequential path and skip the machinery entirely.
-                    let mut shard = pass.new_shard();
-                    graph.scan(&mut |v, ns| pass.visit(&mut shard, v, ns))?;
-                    return Ok(pass.finish(shard));
-                }
-                if let Some(sh) = graph.sharded() {
-                    return run_pass_sharded(sh, pass, cfg);
-                }
-                match graph.raw_scan() {
-                    Some(r) => run_pass_raw(r, pass, cfg),
-                    None => run_pass_parallel(graph, pass, cfg),
-                }
+            Executor::Parallel(cfg) if cfg.threads <= 1 => {
+                // One fold thread gains nothing from a reader thread plus
+                // a queue: run the sequential path and skip the machinery.
+                Executor::Sequential.run_pass(graph, pass)
             }
+            Executor::Parallel(cfg) => run_pass_parallel(graph, pass, cfg),
         }
     }
 
@@ -249,16 +223,8 @@ impl Executor {
     {
         match self {
             Executor::Sequential => graph.scan(f),
+            Executor::Parallel(cfg) if cfg.threads <= 1 => graph.scan(f),
             Executor::Parallel(cfg) => {
-                if effective_threads(graph, cfg) <= 1 {
-                    return graph.scan(f);
-                }
-                if let Some(sh) = graph.sharded() {
-                    return fold_ordered_sharded(sh, cfg, f);
-                }
-                if let Some(r) = graph.raw_scan() {
-                    return fold_ordered_raw(r, cfg, f);
-                }
                 let _pass = obs::span("engine", "pass.fold_ordered");
                 let queue: BoundedQueue<RecordBlock> = BoundedQueue::new(cfg.queue_blocks.max(1));
                 std::thread::scope(|s| {
@@ -267,7 +233,7 @@ impl Executor {
                         let io = {
                             let _guard = CloseOnDrop(&queue);
                             graph.scan_blocks(cfg.block_records.max(1), &mut |block| {
-                                handout(&queue, block);
+                                handout(&queue, block)
                             })
                         };
                         // Joining the scope does not wait for TLS
@@ -296,28 +262,16 @@ impl Executor {
     }
 }
 
-/// The parallelism actually available for `graph` under `cfg`: a sharded
-/// store cannot use more workers than it has shards (each worker owns
-/// whole shards), and a single thread never benefits from the threaded
-/// machinery at all.
-fn effective_threads<G: GraphScan + ?Sized>(graph: &G, cfg: &ParallelConfig) -> usize {
-    let threads = cfg.threads.max(1);
-    match graph.sharded() {
-        Some(sh) => threads.min(sh.shard_count().max(1)),
-        None => threads,
-    }
-}
-
-/// Hands one item to the queue, tracing the queue depth and the time
-/// the producer spends blocked on a full queue (back-pressure). Returns
-/// what [`BoundedQueue::push`] returns.
-fn handout<T>(queue: &BoundedQueue<T>, item: T) -> bool {
+/// Hands one block to the queue, tracing the queue depth and the time
+/// the reader spends blocked on a full queue (back-pressure). A closed
+/// queue drops the block: its consumers have stopped.
+fn handout(queue: &BoundedQueue<RecordBlock>, block: RecordBlock) {
     if obs::enabled() {
         obs::counter("engine", "queue.depth", queue.len() as f64);
         let _h = obs::span("engine", "reader.handout");
-        queue.push(item)
+        queue.push(block);
     } else {
-        queue.push(item)
+        queue.push(block);
     }
 }
 
@@ -331,7 +285,7 @@ where
     let queue: BoundedQueue<RecordBlock> = BoundedQueue::new(cfg.queue_blocks.max(1));
     let shards: Mutex<Vec<(u64, P::Shard)>> = Mutex::new(Vec::new());
     let io = std::thread::scope(|s| {
-        for _ in 0..cfg.threads.max(1) {
+        for _ in 0..cfg.threads {
             s.spawn(|| {
                 obs::name_thread("worker");
                 let _guard = CloseOnDrop(&queue);
@@ -359,7 +313,7 @@ where
         // The calling thread is the block reader.
         let _guard = CloseOnDrop(&queue);
         graph.scan_blocks(cfg.block_records.max(1), &mut |block| {
-            handout(&queue, block);
+            handout(&queue, block)
         })
     });
     io?;
@@ -466,7 +420,6 @@ mod tests {
                     threads,
                     block_records,
                     queue_blocks: 2,
-                    ..ParallelConfig::default()
                 });
                 let par = exec.run_pass(&ordered, &CountPass).unwrap();
                 assert_eq!(par, seq, "threads {threads}, block {block_records}");
@@ -487,7 +440,6 @@ mod tests {
                 threads,
                 block_records: 13,
                 queue_blocks: 3,
-                ..ParallelConfig::default()
             });
             let par = exec.run_pass(&ordered, &SequencePass).unwrap();
             assert_eq!(par, seq, "threads {threads}");

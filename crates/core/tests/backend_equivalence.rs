@@ -145,11 +145,11 @@ proptest! {
     }
 }
 
-/// Adversarial raw hand-out geometry: one-record blocks and byte
-/// budgets far below a hub record's encoded size force the worker-side
-/// decode to split nearly every record into pieces and reassemble them
-/// in the merge. Results must stay byte-identical to the sequential
-/// plain-file reference at every thread count, on both formats.
+/// Adversarial hand-out geometry: one-record blocks put every record,
+/// hub records included, in its own block, so the merge and the ordered
+/// fold re-sequence the most blocks a scan can produce. Results must
+/// stay byte-identical to the sequential plain-file reference at every
+/// thread count, on both formats.
 #[test]
 fn tiny_units_split_records_identically() {
     let g = mis_gen::Plrg::with_vertices(2_000, 2.0).seed(11).generate();
@@ -173,44 +173,41 @@ fn tiny_units_split_records_identically() {
     let comp_order = ref_order(&comp);
 
     for threads in [1, 2, 4] {
-        for unit_bytes in [1, 16, 64] {
-            let exec = Executor::Parallel(ParallelConfig {
-                threads,
-                block_records: 1,
-                queue_blocks: 2,
-                unit_bytes,
-            });
-            let what = format!("par({threads}), unit_bytes {unit_bytes}");
-            let cfg = SwapConfig::default().with_executor(exec);
-            assert_eq!(
-                Greedy::with_executor(exec).run(&plain),
-                ref_greedy,
-                "{what} plain greedy"
-            );
-            assert_eq!(
-                Greedy::with_executor(exec).run(&comp),
-                ref_greedy,
-                "{what} comp greedy"
-            );
-            assert_eq!(
-                TwoKSwap::with_config(cfg).run(&plain, &seed),
-                ref_two_k,
-                "{what} plain two-k"
-            );
-            assert_outcomes_match(
-                &TwoKSwap::with_config(cfg).run(&comp, &seed),
-                &ref_two_k,
-                &format!("{what} comp two-k"),
-            );
-            for (name, file, reference) in [
-                ("plain", &plain as &dyn mis_graph::GraphScan, &plain_order),
-                ("comp", &comp, &comp_order),
-            ] {
-                let mut order = Vec::new();
-                exec.fold_ordered(file, &mut |v, ns| order.push((v, ns.to_vec())))
-                    .unwrap();
-                assert_eq!(&order, reference, "{what} {name} fold order");
-            }
+        let exec = Executor::Parallel(ParallelConfig {
+            threads,
+            block_records: 1,
+            queue_blocks: 2,
+        });
+        let what = format!("par({threads}), one-record blocks");
+        let cfg = SwapConfig::default().with_executor(exec);
+        assert_eq!(
+            Greedy::with_executor(exec).run(&plain),
+            ref_greedy,
+            "{what} plain greedy"
+        );
+        assert_eq!(
+            Greedy::with_executor(exec).run(&comp),
+            ref_greedy,
+            "{what} comp greedy"
+        );
+        assert_eq!(
+            TwoKSwap::with_config(cfg).run(&plain, &seed),
+            ref_two_k,
+            "{what} plain two-k"
+        );
+        assert_outcomes_match(
+            &TwoKSwap::with_config(cfg).run(&comp, &seed),
+            &ref_two_k,
+            &format!("{what} comp two-k"),
+        );
+        for (name, file, reference) in [
+            ("plain", &plain as &dyn mis_graph::GraphScan, &plain_order),
+            ("comp", &comp, &comp_order),
+        ] {
+            let mut order = Vec::new();
+            exec.fold_ordered(file, &mut |v, ns| order.push((v, ns.to_vec())))
+                .unwrap();
+            assert_eq!(&order, reference, "{what} {name} fold order");
         }
     }
 }

@@ -37,7 +37,6 @@ fn executors() -> Vec<Executor> {
                 threads,
                 block_records,
                 queue_blocks: 2,
-                ..ParallelConfig::default()
             }));
         }
     }

@@ -4,12 +4,13 @@
 //!
 //! The sharded-layout invariant is that concatenating the shard scans in
 //! manifest order replays the unpartitioned record sequence, so every
-//! pass — ordered folds through the per-shard queues, mergeable passes
-//! through the shard-owning workers, and paged candidate verification
-//! through the per-shard pagers — must produce the exact result the
-//! single-file store produces, including the full `MisResult` and
-//! `SwapOutcome` round trajectories. Degenerate layouts (single-vertex
-//! shards, trailing empty shards) are part of the contract.
+//! pass — ordered folds and mergeable passes through the parallel block
+//! pipeline, and paged candidate verification through the per-shard
+//! pagers — must produce the exact result the single-file store
+//! produces, including the full `MisResult` and `SwapOutcome` round
+//! trajectories. Degenerate layouts (single-vertex shards, trailing
+//! empty shards) are part of the contract, and so is the I/O ledger: a
+//! parallel pass over a sharded store is one logical scan.
 
 #![recursion_limit = "256"]
 
@@ -17,11 +18,11 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use mis_core::{Executor, Greedy, ParallelConfig, SwapConfig, TwoKSwap};
+use mis_core::{Executor, Greedy, ParallelConfig, ScanPass, SwapConfig, TwoKSwap};
 use mis_extmem::{IoStats, PagerConfig, PolicyKind, ScratchDir};
 use mis_graph::{
     build_adj_file, compress_adj, split_adj_file, AnyAdjFile, CsrGraph, GraphScan, NeighborAccess,
-    RandomAccessGraph, SplitOptions,
+    RandomAccessGraph, ShardedGraph, SplitOptions, VertexId,
 };
 
 /// Arbitrary small graph: vertex count and an edge list over it.
@@ -41,7 +42,6 @@ fn executors() -> Vec<Executor> {
             threads,
             block_records: 3,
             queue_blocks: 2,
-            ..ParallelConfig::default()
         }));
     }
     list
@@ -230,5 +230,89 @@ fn sharded_scan_order_matches_source() {
             rn.sort_unstable();
             assert_eq!(gn, rn, "{label}: neighbours of {}", g_rec.0);
         }
+    }
+}
+
+/// A 300-vertex power-law graph split into `shards` plain shards, opened
+/// as a [`ShardedGraph`] with 512-byte blocks.
+fn sharded_fixture(shards: usize) -> (ScratchDir, ShardedGraph) {
+    let g = mis_gen::Plrg::with_vertices(300, 2.0).seed(7).generate();
+    let dir = ScratchDir::new("engine-sharded").unwrap();
+    let stats = IoStats::shared();
+    let f = build_adj_file(&g, &dir.file("g.adj"), Arc::clone(&stats), 512).unwrap();
+    split_adj_file(
+        &AnyAdjFile::Plain(f),
+        &dir.file("g.shrd"),
+        &SplitOptions {
+            shards,
+            block_size: 512,
+        },
+    )
+    .unwrap();
+    let sharded = ShardedGraph::open_with_block_size(&dir.file("g.shrd"), stats, 512).unwrap();
+    (dir, sharded)
+}
+
+/// Ordered folds over a sharded store see the storage order through the
+/// block pipeline, at shard counts that do and do not divide the thread
+/// counts.
+#[test]
+fn sharded_fold_ordered_replays_storage_order() {
+    for shards in [2usize, 3, 7] {
+        let (_dir, sharded) = sharded_fixture(shards);
+        let mut seq = Vec::new();
+        Executor::Sequential
+            .fold_ordered(&sharded, &mut |v, _| seq.push(v))
+            .unwrap();
+        for threads in [2usize, 4] {
+            let exec = Executor::Parallel(ParallelConfig {
+                threads,
+                block_records: 16,
+                queue_blocks: 2,
+            });
+            let mut par = Vec::new();
+            exec.fold_ordered(&sharded, &mut |v, _| par.push(v))
+                .unwrap();
+            assert_eq!(par, seq, "shards {shards}, threads {threads}");
+        }
+    }
+}
+
+/// A mergeable pass over a sharded store merges in storage order and is
+/// charged as exactly one logical scan, whatever the thread count: the
+/// store's own scan bookkeeping runs once under the block pipeline.
+#[test]
+fn sharded_run_pass_matches_sequential_and_charges_one_scan() {
+    /// Collects the record sequence.
+    struct SeqPass;
+    impl ScanPass for SeqPass {
+        type Shard = Vec<VertexId>;
+        type Output = Vec<VertexId>;
+        fn new_shard(&self) -> Self::Shard {
+            Vec::new()
+        }
+        fn visit(&self, shard: &mut Self::Shard, v: VertexId, _ns: &[VertexId]) {
+            shard.push(v);
+        }
+        fn merge(&self, into: &mut Self::Shard, later: Self::Shard) {
+            into.extend(later);
+        }
+        fn finish(&self, shard: Self::Shard) -> Self::Output {
+            shard
+        }
+    }
+    let (_dir, sharded) = sharded_fixture(4);
+    let seq = Executor::Sequential.run_pass(&sharded, &SeqPass).unwrap();
+    assert_eq!(seq.len(), sharded.num_vertices());
+    let stats = Arc::clone(sharded.stats());
+    for threads in [2usize, 3, 8] {
+        let before = stats.snapshot();
+        let par = Executor::parallel(threads)
+            .run_pass(&sharded, &SeqPass)
+            .unwrap();
+        assert_eq!(par, seq, "threads {threads}");
+        let delta = stats.snapshot().since(&before);
+        assert_eq!(delta.scans_started, 1, "one logical scan at {threads}");
+        assert!(delta.blocks_read > 0);
     }
 }

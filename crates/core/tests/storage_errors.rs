@@ -1,0 +1,128 @@
+//! Storage errors through every executor: a file or shard truncated after
+//! open must come back from `run_pass` and `fold_ordered` as an
+//! `io::Error` — on the sequential path and through the parallel block
+//! pipeline alike — with no panic, no hang and no silent short read.
+
+use std::io::ErrorKind;
+use std::path::Path;
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
+
+use mis_core::engine::passes::DegreeStatsPass;
+use mis_core::Executor;
+use mis_extmem::{IoStats, ScratchDir};
+use mis_graph::{
+    build_adj_file, compress_adj, split_adj_file, AnyAdjFile, GraphScan, SplitOptions,
+};
+
+const BLOCK_SIZE: usize = 1024;
+
+/// Cuts the file at `path` to two thirds of its length.
+fn truncate_to_two_thirds(path: &Path) {
+    let len = std::fs::metadata(path).unwrap().len();
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(path)
+        .unwrap()
+        .set_len(len * 2 / 3)
+        .unwrap();
+}
+
+/// Runs `f` on its own thread and fails the test if it panics or does
+/// not finish within a minute, so a hung pipeline fails instead of
+/// stalling the suite.
+fn within_deadline<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    let runner = std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    match rx.recv_timeout(Duration::from_secs(60)) {
+        Ok(value) => {
+            runner.join().expect("the runner exits right after sending");
+            value
+        }
+        Err(mpsc::RecvTimeoutError::Disconnected) => {
+            // The runner dropped its sender without sending: `f` panicked,
+            // and the panic hook has already printed why.
+            let _ = runner.join();
+            panic!("{what}: panicked");
+        }
+        // A hung runner cannot be joined; it is left behind.
+        Err(mpsc::RecvTimeoutError::Timeout) => panic!("{what}: did not finish"),
+    }
+}
+
+/// A plain file, its compressed twin and a 3-shard split of the plain
+/// file, each opened and then truncated underneath: the files to two
+/// thirds of their length, the store through its last shard.
+fn truncated_stores(dir: &ScratchDir) -> Vec<(&'static str, AnyAdjFile)> {
+    let g = mis_gen::Plrg::with_vertices(20_000, 2.0).seed(5).generate();
+    let stats = IoStats::shared();
+    let plain = build_adj_file(&g, &dir.file("g.adj"), Arc::clone(&stats), BLOCK_SIZE).unwrap();
+    compress_adj(&g, &dir.file("g.cadj"), Arc::clone(&stats), BLOCK_SIZE).unwrap();
+    let manifest = split_adj_file(
+        &AnyAdjFile::Plain(plain),
+        &dir.file("g.shrd"),
+        &SplitOptions {
+            shards: 3,
+            block_size: BLOCK_SIZE,
+        },
+    )
+    .unwrap();
+    let open = |name: &str| {
+        AnyAdjFile::open_with_block_size(&dir.file(name), IoStats::shared(), BLOCK_SIZE).unwrap()
+    };
+    let stores = vec![
+        ("plain", open("g.adj")),
+        ("compressed", open("g.cadj")),
+        ("3-shard", open("g.shrd")),
+    ];
+    truncate_to_two_thirds(&dir.file("g.adj"));
+    truncate_to_two_thirds(&dir.file("g.cadj"));
+    truncate_to_two_thirds(&dir.file(&manifest.shards[2].name));
+    stores
+}
+
+fn assert_storage_error(err: std::io::Error, what: &str) {
+    assert!(
+        matches!(
+            err.kind(),
+            ErrorKind::UnexpectedEof | ErrorKind::InvalidData
+        ),
+        "{what}: unexpected error kind {:?} ({err})",
+        err.kind()
+    );
+}
+
+#[test]
+fn truncated_storage_errors_through_every_executor() {
+    let dir = ScratchDir::new("engine-errors").unwrap();
+    for (label, file) in truncated_stores(&dir) {
+        let n = file.num_vertices();
+        for exec in [
+            Executor::Sequential,
+            Executor::parallel(2),
+            Executor::parallel(4),
+        ] {
+            let what = format!("{label} {}", exec.describe());
+
+            let f = file.clone();
+            let stats = within_deadline(&what, move || exec.run_pass(&f, &DegreeStatsPass));
+            let err = stats.expect_err(&format!("{what}: run_pass over a truncated store"));
+            assert_storage_error(err, &format!("{what} run_pass"));
+
+            let f = file.clone();
+            let (folded, visited) = within_deadline(&what, move || {
+                let mut visited = 0usize;
+                let folded = exec.fold_ordered(&f, &mut |_, _| visited += 1);
+                (folded, visited)
+            });
+            let err = folded.expect_err(&format!("{what}: fold_ordered over a truncated store"));
+            assert_storage_error(err, &format!("{what} fold_ordered"));
+            assert!(
+                visited < n,
+                "{what}: fold_ordered visited {visited} of {n} records"
+            );
+        }
+    }
+}

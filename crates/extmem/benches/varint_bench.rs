@@ -4,8 +4,9 @@
 //! distributions that matter — dense power-law lists (almost all 1-byte
 //! gaps, the 4-at-a-time fast path) and uniform sparse lists (mixed
 //! multi-byte gaps, the scalar table-dispatched path). The framing
-//! primitive `varint_run_len` is measured separately: it is the per-record
-//! cost the raw-scan reader thread pays instead of a full decode.
+//! primitive `varint_run_len` is measured separately: it is the
+//! per-record cost the compressed scan pays to find a record's end
+//! before decoding it.
 
 use std::io::Cursor;
 

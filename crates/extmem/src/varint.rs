@@ -169,9 +169,9 @@ pub fn decode_varint_slice(buf: &[u8]) -> Result<(u64, usize), SliceError> {
 /// Byte length of the next `count` varints in `buf` **without decoding
 /// them**: terminator bytes (continuation bit clear) are counted eight
 /// at a time via one `u64` population count per word. This is the
-/// framing primitive of the raw-block scan — the reader thread uses it
-/// to find record boundaries at memory bandwidth and leave the actual
-/// decode to the workers.
+/// framing primitive of the compressed scan and record index: it finds
+/// record boundaries at close to memory bandwidth, so a record is only
+/// decoded once it is known to be fully buffered.
 ///
 /// Returns `Err(NeedMore)` when `buf` ends before `count` varints do.
 /// The caller is responsible for validating the varints it frames; a
@@ -197,42 +197,6 @@ pub fn varint_run_len(buf: &[u8], count: usize) -> Result<usize, SliceError> {
     Ok(pos)
 }
 
-/// Splits a varint run for degree-balanced hand-out: the largest prefix
-/// of whole varints in `buf` that fits `max_bytes`, returned as
-/// `(bytes, varints)`. Returns `(0, 0)` when even the first varint does
-/// not fit (the caller must grow its window). Never splits mid-varint.
-#[inline]
-pub fn varint_prefix_within(buf: &[u8], max_bytes: usize) -> (usize, usize) {
-    let window = buf.len().min(max_bytes);
-    let mut pos = 0usize;
-    let mut count = 0usize;
-    // Whole words first: a word wholly inside the window whose
-    // terminators all land in the window advances eight bytes at once.
-    while window - pos >= 8 {
-        let w = u64::from_le_bytes(buf[pos..pos + 8].try_into().expect("8-byte window"));
-        let terminators = (!w & CONT_WORD).count_ones() as usize;
-        // Accepting the word is only safe when it ends on a varint
-        // boundary (its last byte is a terminator); otherwise fall back
-        // to the byte-wise tail to find the last boundary in range.
-        if CONT[buf[pos + 7] as usize] == 0 {
-            count += terminators;
-            pos += 8;
-        } else {
-            break;
-        }
-    }
-    let mut last_boundary = (pos, count);
-    while pos < window {
-        let done = CONT[buf[pos] as usize] == 0;
-        pos += 1;
-        if done {
-            count += 1;
-            last_boundary = (pos, count);
-        }
-    }
-    last_boundary
-}
-
 /// Decodes `count` values written by [`write_ascending_gaps`] from the
 /// front of `buf` into `dst`, returning the bytes consumed.
 ///
@@ -252,54 +216,25 @@ pub fn decode_ascending_gaps_slice(
     count: usize,
 ) -> Result<usize, SliceError> {
     let rollback = dst.len();
-    decode_gap_run(buf, dst, count, None).inspect_err(|_| dst.truncate(rollback))
-}
-
-/// Decodes `count` gap varints **relative to `base`** into `dst`: each
-/// decoded gap `g` advances the running value by `g + 1`. With
-/// `base = None` the first varint is the absolute first value (the
-/// [`write_ascending_gaps`] layout); with `base = Some(p)` every varint
-/// is a gap continuing from `p` — the decode primitive for non-initial
-/// pieces of a split record. Returns bytes consumed; on failure `dst`
-/// is rolled back.
-pub fn decode_gaps_from(
-    buf: &[u8],
-    dst: &mut Vec<u32>,
-    count: usize,
-    base: u32,
-) -> Result<usize, SliceError> {
-    let rollback = dst.len();
-    decode_gap_run(buf, dst, count, Some(base)).inspect_err(|_| dst.truncate(rollback))
+    decode_gap_run(buf, dst, count).inspect_err(|_| dst.truncate(rollback))
 }
 
 #[inline]
-fn decode_gap_run(
-    buf: &[u8],
-    dst: &mut Vec<u32>,
-    count: usize,
-    base: Option<u32>,
-) -> Result<usize, SliceError> {
+fn decode_gap_run(buf: &[u8], dst: &mut Vec<u32>, count: usize) -> Result<usize, SliceError> {
     if count == 0 {
         return Ok(0);
     }
     dst.reserve(count);
-    let mut pos = 0usize;
-    let mut i = 0usize;
-    // Running value as u64: every push checks the u32 bound, so `prev`
-    // never exceeds u32::MAX once stored.
-    let mut prev: u64 = match base {
-        Some(p) => u64::from(p),
-        None => {
-            let (first, n) = decode_varint_slice(buf)?;
-            if first > u64::from(u32::MAX) {
-                return Err(SliceError::Invalid("id overflows u32"));
-            }
-            dst.push(first as u32);
-            pos = n;
-            i = 1;
-            first
-        }
-    };
+    // The first varint is the absolute first value. The running value is
+    // a u64: every push checks the u32 bound, so `prev` never exceeds
+    // u32::MAX once stored.
+    let (first, mut pos) = decode_varint_slice(buf)?;
+    if first > u64::from(u32::MAX) {
+        return Err(SliceError::Invalid("id overflows u32"));
+    }
+    dst.push(first as u32);
+    let mut prev = first;
+    let mut i = 1usize;
     while i < count {
         let &b0 = buf.get(pos).ok_or(SliceError::NeedMore)?;
         let gap = if CONT[b0 as usize] == 0 {
@@ -563,26 +498,6 @@ mod tests {
     }
 
     #[test]
-    fn relative_gap_decode_continues_a_run() {
-        let values: Vec<u32> = vec![5, 9, 10, 400, 100_000];
-        let mut buf = Vec::new();
-        write_ascending_gaps(&mut buf, &values).unwrap();
-        // Decode the first two absolutely, the rest relative to values[1].
-        let mut head = Vec::new();
-        let consumed = decode_ascending_gaps_slice(&buf, &mut head, 2).unwrap();
-        let mut tail = Vec::new();
-        decode_gaps_from(&buf[consumed..], &mut tail, 3, head[1]).unwrap();
-        head.extend(tail);
-        assert_eq!(head, values);
-        // The worker-side form: relative to 0, reassembled by adding the
-        // predecessor's last value + per-value offset.
-        let mut rel = Vec::new();
-        decode_gaps_from(&buf[consumed..], &mut rel, 3, 0).unwrap();
-        let abs: Vec<u32> = rel.iter().map(|&r| 9 + r).collect();
-        assert_eq!(abs, &values[2..]);
-    }
-
-    #[test]
     fn run_len_frames_without_decoding() {
         let values: Vec<u32> = (0..500).map(|i| i * 37 + (i % 5) * 100_000).collect();
         let mut sorted = values.clone();
@@ -601,28 +516,6 @@ mod tests {
             SliceError::NeedMore
         );
         assert_eq!(varint_run_len(&buf, 0).unwrap(), 0);
-    }
-
-    #[test]
-    fn prefix_within_respects_boundaries_and_budget() {
-        let values: Vec<u32> = (0..200).map(|i| i * 90_000).collect();
-        let mut buf = Vec::new();
-        write_ascending_gaps(&mut buf, &values).unwrap();
-        for max in [0, 1, 2, 3, 7, 8, 9, 64, buf.len(), buf.len() + 50] {
-            let (bytes, count) = varint_prefix_within(&buf, max);
-            assert!(bytes <= max.min(buf.len()), "max {max}");
-            // The prefix must end exactly on a varint boundary.
-            assert_eq!(
-                varint_run_len(&buf, count).unwrap(),
-                bytes,
-                "max {max}: boundary"
-            );
-            if bytes < buf.len() {
-                // Maximality: one more varint would overshoot the budget.
-                let next = varint_run_len(&buf, count + 1).unwrap();
-                assert!(next > max.min(buf.len()), "max {max}: maximal prefix");
-            }
-        }
     }
 
     #[test]

@@ -2,22 +2,20 @@
 //! per-byte reader decoders.
 //!
 //! The chunked decoder (`decode_varint_slice`, `varint_run_len`,
-//! `varint_prefix_within`, `decode_ascending_gaps_slice`,
-//! `decode_gaps_from`) replaced the `Read`-based loops on the scan hot
-//! path, but the old loops (`read_varint`, `read_ascending_gaps`) remain
-//! the executable specification: every property here pits the two
-//! against each other on adversarial inputs — max-width varints, empty
-//! records, single-vertex lists, truncated streams, and arbitrary split
-//! points.
+//! `decode_ascending_gaps_slice`) replaced the `Read`-based loops on the
+//! scan hot path, but the old loops (`read_varint`,
+//! `read_ascending_gaps`) remain the executable specification: every
+//! property here pits the two against each other on adversarial inputs
+//! — max-width varints, empty records, single-vertex lists and
+//! truncated streams.
 
 use std::io::Cursor;
 
 use proptest::prelude::*;
 
 use mis_extmem::varint::{
-    decode_ascending_gaps_slice, decode_gaps_from, decode_varint_slice, encode_varint_padded,
-    read_ascending_gaps, read_varint, varint_prefix_within, varint_run_len, write_ascending_gaps,
-    write_varint, SliceError, MAX_VARINT_BYTES,
+    decode_ascending_gaps_slice, decode_varint_slice, encode_varint_padded, read_ascending_gaps,
+    read_varint, varint_run_len, write_ascending_gaps, write_varint, SliceError, MAX_VARINT_BYTES,
 };
 
 /// Values with the distribution that matters for varints: byte-width
@@ -130,56 +128,6 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    // `varint_prefix_within` never splits mid-varint and always returns
-    // the *largest* whole-varint prefix that fits the byte budget — the
-    // property the degree-balanced record splitter relies on.
-    #[test]
-    fn prefix_split_is_maximal_and_aligned(values in arb_values(), max_bytes in 0usize..48) {
-        let buf = encode_values(&values);
-        let (bytes, count) = varint_prefix_within(&buf, max_bytes);
-        let window = buf.len().min(max_bytes);
-        prop_assert!(bytes <= window);
-        // Alignment: exactly `count` varints decode from the prefix,
-        // ending on its last byte.
-        let mut pos = 0usize;
-        for expect in &values[..count] {
-            let (got, width) = decode_varint_slice(&buf[pos..]).unwrap();
-            prop_assert_eq!(got, *expect);
-            pos += width;
-        }
-        prop_assert_eq!(pos, bytes);
-        // Maximality: the next varint (if any) would overflow the window.
-        if count < values.len() {
-            let (_, next_width) = decode_varint_slice(&buf[bytes..]).unwrap();
-            prop_assert!(bytes + next_width > window);
-        }
-    }
-
-    // Splitting a gap run at any point and decoding the tail relative
-    // to the head's last value — exactly what a continuation piece of a
-    // split record does — reproduces the whole list.
-    #[test]
-    fn split_gap_decode_equals_whole(ids in arb_ascending(), cut_sel in any::<u32>()) {
-        if ids.is_empty() {
-            return;
-        }
-        let cut = 1 + (cut_sel as usize) % ids.len();
-        let buf = encode_gaps(&ids);
-        let mut head = Vec::new();
-        let head_bytes = decode_ascending_gaps_slice(&buf, &mut head, cut).unwrap();
-        prop_assert_eq!(&head[..], &ids[..cut]);
-        let mut tail = Vec::new();
-        let tail_bytes =
-            decode_gaps_from(&buf[head_bytes..], &mut tail, ids.len() - cut, ids[cut - 1]).unwrap();
-        prop_assert_eq!(&tail[..], &ids[cut..]);
-        prop_assert_eq!(head_bytes + tail_bytes, buf.len());
-    }
-
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
     // Every strict prefix of a gap run fails with `NeedMore` (never a
     // panic, never a silent short read) and rolls the destination back.
     #[test]
@@ -202,10 +150,8 @@ proptest! {
 fn empty_record_decodes_to_nothing() {
     let mut dst = Vec::new();
     assert_eq!(decode_ascending_gaps_slice(&[], &mut dst, 0), Ok(0));
-    assert_eq!(decode_gaps_from(&[], &mut dst, 0, 7), Ok(0));
     assert!(dst.is_empty());
     assert_eq!(varint_run_len(&[], 0), Ok(0));
-    assert_eq!(varint_prefix_within(&[], 16), (0, 0));
 }
 
 #[test]

@@ -27,9 +27,7 @@ use std::sync::Arc;
 use mis_extmem::{codec, BlockReader, BlockWriter, ChunkBuf, IoStats, DEFAULT_BLOCK_SIZE};
 
 use crate::raccess::RecordIndex;
-use crate::scan::{
-    DecodedPiece, DecodedUnit, GraphScan, RawScan, RawScanLimits, RawUnit, RawUnitKind, RecordBlock,
-};
+use crate::scan::GraphScan;
 use crate::VertexId;
 
 const MAGIC: &[u8; 8] = b"MISADJ01";
@@ -320,8 +318,7 @@ impl AdjFile {
         Ok(std::fs::metadata(&self.path)?.len())
     }
 
-    /// A chunked reader positioned at the first record: the one framing
-    /// source of both [`GraphScan::scan`] and [`RawScan::scan_raw`].
+    /// A chunked reader positioned at the first record.
     fn records(&self) -> io::Result<ChunkBuf<BlockReader<File>>> {
         let file = File::open(&self.path)?;
         let reader = BlockReader::with_block_size(file, Arc::clone(&self.stats), self.block_size);
@@ -343,9 +340,9 @@ impl GraphScan for AdjFile {
         self.num_edges
     }
 
-    /// Chunked sequential decode: each record is framed in the buffered
-    /// window by the same header parser as [`RawScan::scan_raw`], and its
-    /// neighbour ids are decoded straight off the slice.
+    /// Chunked sequential decode: each record's header is parsed in the
+    /// buffered window, and its neighbour ids are decoded straight off
+    /// the slice.
     fn scan(&self, f: &mut dyn FnMut(VertexId, &[VertexId])) -> io::Result<()> {
         self.stats.record_scan();
         let mut chunk = self.records()?;
@@ -367,35 +364,28 @@ impl GraphScan for AdjFile {
     fn storage(&self) -> &'static str {
         "adj-file"
     }
-
-    fn raw_scan(&self) -> Option<&dyn RawScan> {
-        Some(self)
-    }
 }
 
 /// Record header size: `u32` vertex + `u32` degree.
 const RECORD_HDR: usize = 8;
 
-/// Parses the fixed-width record header at the front of `buf`.
-fn parse_plain_header(buf: &[u8], num_vertices: u64) -> io::Result<(VertexId, usize)> {
+/// Buffers and parses the fixed-width record header at the front of
+/// `chunk`; nothing is consumed. A degree above `degree_cap` is
+/// corruption, rejected before anything is sized by it.
+fn next_header<R: Read>(chunk: &mut ChunkBuf<R>, degree_cap: u64) -> io::Result<(VertexId, usize)> {
+    if !chunk.fill_at_least(RECORD_HDR)? {
+        return Err(truncated("adjacency record"));
+    }
+    let buf = chunk.available();
     let vertex = u32::from_le_bytes(buf[0..4].try_into().expect("4-byte field"));
     let degree = u32::from_le_bytes(buf[4..8].try_into().expect("4-byte field"));
-    if u64::from(degree) > num_vertices {
+    if u64::from(degree) > degree_cap {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             "corrupt adjacency record: degree exceeds vertex count",
         ));
     }
     Ok((vertex, degree as usize))
-}
-
-/// Buffers and parses the next record header at the front of `chunk`;
-/// nothing is consumed.
-fn next_header<R: Read>(chunk: &mut ChunkBuf<R>, degree_cap: u64) -> io::Result<(VertexId, usize)> {
-    if !chunk.fill_at_least(RECORD_HDR)? {
-        return Err(truncated("adjacency record"));
-    }
-    parse_plain_header(chunk.available(), degree_cap)
 }
 
 /// Appends the little-endian `u32` ids in `bytes` to `dst`.
@@ -412,187 +402,6 @@ fn truncated(what: &str) -> io::Error {
         io::ErrorKind::UnexpectedEof,
         format!("truncated {what}: input ends mid-record"),
     )
-}
-
-impl RawScan for AdjFile {
-    /// Fixed-width framing: a record is `8 + 4·degree` bytes, so the
-    /// reader thread only inspects headers and copies byte ranges —
-    /// neighbour ids are materialised by whichever worker decodes the
-    /// unit. Records larger than `limits.unit_bytes` are split into
-    /// pieces on 4-byte value boundaries.
-    fn scan_raw(
-        &self,
-        limits: RawScanLimits,
-        f: &mut dyn FnMut(RawUnit) -> bool,
-    ) -> io::Result<()> {
-        self.stats.record_scan();
-        let mut chunk = self.records()?;
-        let target = limits.target_records.max(1);
-        let budget = limits.unit_bytes.max(RECORD_HDR + 4);
-        let mut seq = 0u64;
-        let mut unit: Vec<u8> = Vec::new();
-        let mut records = 0usize;
-        for _ in 0..self.num_vertices {
-            let (vertex, degree) = next_header(&mut chunk, self.degree_cap)?;
-            let total = RECORD_HDR + 4 * degree;
-            if total <= budget {
-                if records > 0 && (records >= target || unit.len() + total > budget) {
-                    let u = RawUnit::new(
-                        seq,
-                        RawUnitKind::Records { records },
-                        std::mem::take(&mut unit),
-                    );
-                    seq += 1;
-                    records = 0;
-                    if !f(u) {
-                        return Ok(());
-                    }
-                }
-                if !chunk.fill_at_least(total)? {
-                    return Err(truncated("adjacency record"));
-                }
-                unit.extend_from_slice(&chunk.available()[..total]);
-                records += 1;
-                chunk.consume(total);
-                continue;
-            }
-            // Oversized record: flush pending whole records, then split.
-            // Unlike the compressed format the pieces are fixed-width, so
-            // they stream without buffering the whole record.
-            if records > 0 {
-                let u = RawUnit::new(
-                    seq,
-                    RawUnitKind::Records { records },
-                    std::mem::take(&mut unit),
-                );
-                seq += 1;
-                records = 0;
-                if !f(u) {
-                    return Ok(());
-                }
-            }
-            let head_count = ((budget - RECORD_HDR) / 4).max(1).min(degree);
-            let head_bytes = RECORD_HDR + 4 * head_count;
-            if !chunk.fill_at_least(head_bytes)? {
-                return Err(truncated("adjacency record"));
-            }
-            let u = RawUnit::new(
-                seq,
-                RawUnitKind::Piece {
-                    vertex,
-                    count: head_count,
-                    first: true,
-                    last: head_count == degree,
-                },
-                chunk.available()[..head_bytes].to_vec(),
-            );
-            seq += 1;
-            chunk.consume(head_bytes);
-            if !f(u) {
-                return Ok(());
-            }
-            let mut remaining = degree - head_count;
-            while remaining > 0 {
-                let count = (budget / 4).max(1).min(remaining);
-                let bytes = 4 * count;
-                if !chunk.fill_at_least(bytes)? {
-                    return Err(truncated("adjacency record"));
-                }
-                let u = RawUnit::new(
-                    seq,
-                    RawUnitKind::Piece {
-                        vertex,
-                        count,
-                        first: false,
-                        last: count == remaining,
-                    },
-                    chunk.available()[..bytes].to_vec(),
-                );
-                seq += 1;
-                chunk.consume(bytes);
-                remaining -= count;
-                if !f(u) {
-                    return Ok(());
-                }
-            }
-        }
-        if records > 0 {
-            f(RawUnit::new(seq, RawUnitKind::Records { records }, unit));
-        }
-        Ok(())
-    }
-
-    fn decode_unit(&self, unit: RawUnit) -> io::Result<DecodedUnit> {
-        match unit.kind() {
-            RawUnitKind::Records { records } => {
-                let buf = unit.bytes();
-                let mut block = RecordBlock::with_seq(unit.seq());
-                let mut pos = 0usize;
-                for _ in 0..records {
-                    if buf.len() - pos < RECORD_HDR {
-                        return Err(truncated("raw unit"));
-                    }
-                    let (vertex, degree) = parse_plain_header(&buf[pos..], self.degree_cap)?;
-                    pos += RECORD_HDR;
-                    if buf.len() - pos < 4 * degree {
-                        return Err(truncated("raw unit"));
-                    }
-                    block.push_with(vertex, |dst| {
-                        decode_ids(&buf[pos..pos + 4 * degree], dst);
-                        Ok(())
-                    })?;
-                    pos += 4 * degree;
-                }
-                if pos != buf.len() {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "raw unit framing mismatch: trailing bytes after last record",
-                    ));
-                }
-                Ok(DecodedUnit::Block(block))
-            }
-            RawUnitKind::Piece {
-                vertex,
-                count,
-                first,
-                last,
-            } => {
-                let buf = unit.bytes();
-                let mut values: Vec<VertexId> = Vec::new();
-                let degree = if first {
-                    if buf.len() < RECORD_HDR {
-                        return Err(truncated("raw piece"));
-                    }
-                    let (v, degree) = parse_plain_header(buf, self.degree_cap)?;
-                    if v != vertex {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            "raw piece framing mismatch: vertex header disagrees",
-                        ));
-                    }
-                    if buf.len() != RECORD_HDR + 4 * count {
-                        return Err(truncated("raw piece"));
-                    }
-                    decode_ids(&buf[RECORD_HDR..], &mut values);
-                    degree
-                } else {
-                    if buf.len() != 4 * count {
-                        return Err(truncated("raw piece"));
-                    }
-                    decode_ids(buf, &mut values);
-                    0
-                };
-                Ok(DecodedUnit::Piece(DecodedPiece {
-                    vertex,
-                    degree,
-                    values,
-                    relative: false,
-                    first,
-                    last,
-                }))
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -695,55 +504,6 @@ mod tests {
         let mut count = 0;
         file.scan(&mut |_, _| count += 1).unwrap();
         assert_eq!(count, 0);
-    }
-
-    #[test]
-    fn raw_scan_replays_scan_with_piece_splitting() {
-        use crate::scan::assert_raw_replays_scan;
-        let dir = ScratchDir::new("adj-raw").unwrap();
-        let stats = IoStats::shared();
-        let path = dir.file("g.adj");
-        // A skewed graph: one hub with a fat record plus many leaves, so
-        // small unit budgets force piece splitting.
-        let n = 300u32;
-        let mut w = AdjFileWriter::create(&path, u64::from(n), 0, Arc::clone(&stats), 256).unwrap();
-        let leaves: Vec<VertexId> = (1..n).collect();
-        w.write_record(0, &leaves).unwrap();
-        for v in 1..n {
-            w.write_record(v, &[0]).unwrap();
-        }
-        w.finish().unwrap();
-        let file = AdjFile::open(&path, stats).unwrap();
-        assert_raw_replays_scan(&file);
-    }
-
-    #[test]
-    fn raw_scan_counts_one_scan_and_same_blocks_as_scan() {
-        use crate::scan::RawScanLimits;
-        let dir = ScratchDir::new("adj-raw-io").unwrap();
-        let stats = IoStats::shared();
-        let path = write_sample(&dir, &stats);
-        let file = AdjFile::open(&path, Arc::clone(&stats)).unwrap();
-        let before = stats.snapshot();
-        file.scan(&mut |_, _| {}).unwrap();
-        let scan_delta = stats.snapshot().since(&before);
-        let before = stats.snapshot();
-        file.raw_scan()
-            .unwrap()
-            .scan_raw(
-                RawScanLimits {
-                    target_records: 64,
-                    unit_bytes: 4096,
-                },
-                &mut |_| true,
-            )
-            .unwrap();
-        let raw_delta = stats.snapshot().since(&before);
-        assert_eq!(raw_delta.scans_started, 1);
-        assert_eq!(
-            raw_delta.blocks_read, scan_delta.blocks_read,
-            "raw framing must move the same blocks as a decoded scan"
-        );
     }
 
     #[test]

@@ -17,7 +17,7 @@ use mis_extmem::{IoStats, DEFAULT_BLOCK_SIZE};
 
 use crate::adjfile::AdjFile;
 use crate::compressed::CompressedAdjFile;
-use crate::scan::{GraphScan, RawScan, RecordBlock, ShardedScan};
+use crate::scan::{GraphScan, RecordBlock};
 use crate::sharded::ShardedGraph;
 use crate::VertexId;
 
@@ -122,14 +122,6 @@ impl GraphScan for AnyAdjFile {
 
     fn storage(&self) -> &'static str {
         self.as_scan().storage()
-    }
-
-    fn raw_scan(&self) -> Option<&dyn RawScan> {
-        self.as_scan().raw_scan()
-    }
-
-    fn sharded(&self) -> Option<&dyn ShardedScan> {
-        self.as_scan().sharded()
     }
 }
 

@@ -50,15 +50,12 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use mis_extmem::varint::{
-    decode_ascending_gaps_slice, decode_gaps_from, decode_varint_slice, encode_varint_padded,
-    read_varint, varint_prefix_within, varint_run_len, write_ascending_gaps, write_varint,
-    write_varint_padded, SliceError, MAX_VARINT_BYTES,
+    decode_ascending_gaps_slice, decode_varint_slice, encode_varint_padded, read_varint,
+    varint_run_len, write_ascending_gaps, write_varint, write_varint_padded, SliceError,
 };
 use mis_extmem::{BlockReader, BlockWriter, ChunkBuf, IoStats, DEFAULT_BLOCK_SIZE};
 
-use crate::scan::{
-    DecodedPiece, DecodedUnit, GraphScan, RawScan, RawScanLimits, RawUnit, RawUnitKind, RecordBlock,
-};
+use crate::scan::{GraphScan, RecordBlock};
 use crate::VertexId;
 
 const MAGIC: &[u8; 8] = b"MISADJC1";
@@ -649,184 +646,6 @@ impl GraphScan for CompressedAdjFile {
     fn storage(&self) -> &'static str {
         "adj-file-compressed"
     }
-
-    fn raw_scan(&self) -> Option<&dyn RawScan> {
-        Some(self)
-    }
-}
-
-impl RawScan for CompressedAdjFile {
-    /// Frames units without decoding gap values: record boundaries come
-    /// from [`varint_run_len`]'s word-at-a-time terminator count, so the
-    /// reader thread runs at close to memory bandwidth and the actual
-    /// decode lands on the workers. Records larger than
-    /// `limits.unit_bytes` are split into [`RawUnitKind::Piece`] units on
-    /// whole-varint boundaries for degree-balanced hand-out.
-    fn scan_raw(
-        &self,
-        limits: RawScanLimits,
-        f: &mut dyn FnMut(RawUnit) -> bool,
-    ) -> io::Result<()> {
-        self.stats.record_scan();
-        let mut chunk = self.validated_reader()?;
-        let target = limits.target_records.max(1);
-        // Enough room for a record header plus one max-width varint, so
-        // splitting always makes progress.
-        let budget = limits.unit_bytes.max(3 * MAX_VARINT_BYTES);
-        let mut seq = 0u64;
-        let mut unit: Vec<u8> = Vec::new();
-        let mut records = 0usize;
-        for _ in 0..self.num_vertices {
-            let framed = frame_record(&mut chunk, self.degree_cap)?;
-            if framed.total <= budget {
-                if records > 0 && (records >= target || unit.len() + framed.total > budget) {
-                    let u = RawUnit::new(
-                        seq,
-                        RawUnitKind::Records { records },
-                        std::mem::take(&mut unit),
-                    );
-                    seq += 1;
-                    records = 0;
-                    if !f(u) {
-                        return Ok(());
-                    }
-                }
-                unit.extend_from_slice(&chunk.available()[..framed.total]);
-                records += 1;
-                chunk.consume(framed.total);
-                continue;
-            }
-            // Oversized record: flush pending whole records, then split.
-            if records > 0 {
-                let u = RawUnit::new(
-                    seq,
-                    RawUnitKind::Records { records },
-                    std::mem::take(&mut unit),
-                );
-                seq += 1;
-                records = 0;
-                if !f(u) {
-                    return Ok(());
-                }
-            }
-            let avail = chunk.available();
-            let mut pos = framed.hdr;
-            let mut remaining = framed.degree;
-            let mut first = true;
-            let mut stop = false;
-            loop {
-                let room = if first { budget - framed.hdr } else { budget };
-                let (pb, pc) = varint_prefix_within(&avail[pos..framed.total], room);
-                debug_assert!(pc > 0 || remaining == 0, "split must make progress");
-                let last = pc == remaining;
-                let bytes = if first {
-                    avail[..framed.hdr + pb].to_vec()
-                } else {
-                    avail[pos..pos + pb].to_vec()
-                };
-                let u = RawUnit::new(
-                    seq,
-                    RawUnitKind::Piece {
-                        vertex: framed.vertex,
-                        count: pc,
-                        first,
-                        last,
-                    },
-                    bytes,
-                );
-                seq += 1;
-                pos += pb;
-                remaining -= pc;
-                first = false;
-                if !f(u) {
-                    stop = true;
-                    break;
-                }
-                if last {
-                    break;
-                }
-            }
-            if stop {
-                return Ok(());
-            }
-            chunk.consume(framed.total);
-        }
-        if records > 0 {
-            f(RawUnit::new(seq, RawUnitKind::Records { records }, unit));
-        }
-        Ok(())
-    }
-
-    fn decode_unit(&self, unit: RawUnit) -> io::Result<DecodedUnit> {
-        let bad = |e: SliceError| e.into_io_error("raw unit");
-        match unit.kind() {
-            RawUnitKind::Records { records } => {
-                let buf = unit.bytes();
-                let mut block = RecordBlock::with_seq(unit.seq());
-                let mut pos = 0usize;
-                for _ in 0..records {
-                    let (vertex, degree, hdr) =
-                        parse_record_header(&buf[pos..], self.degree_cap).map_err(bad)?;
-                    pos += hdr;
-                    block.push_with(vertex, |dst| {
-                        let n =
-                            decode_ascending_gaps_slice(&buf[pos..], dst, degree).map_err(bad)?;
-                        pos += n;
-                        Ok(())
-                    })?;
-                }
-                if pos != buf.len() {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "raw unit framing mismatch: trailing bytes after last record",
-                    ));
-                }
-                Ok(DecodedUnit::Block(block))
-            }
-            RawUnitKind::Piece {
-                vertex,
-                count,
-                first,
-                last,
-            } => {
-                let buf = unit.bytes();
-                let mut values: Vec<VertexId> = Vec::new();
-                let (degree, consumed, relative) = if first {
-                    let (v, degree, hdr) =
-                        parse_record_header(buf, self.degree_cap).map_err(bad)?;
-                    if v != vertex {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            "raw piece framing mismatch: vertex header disagrees",
-                        ));
-                    }
-                    let n = decode_ascending_gaps_slice(&buf[hdr..], &mut values, count)
-                        .map_err(bad)?;
-                    (degree, hdr + n, false)
-                } else {
-                    // Continuation pieces decode relative to base 0; the
-                    // assembler re-anchors them on the predecessor's last
-                    // absolute value.
-                    let n = decode_gaps_from(buf, &mut values, count, 0).map_err(bad)?;
-                    (0, n, true)
-                };
-                if consumed != buf.len() {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "raw piece framing mismatch: trailing bytes",
-                    ));
-                }
-                Ok(DecodedUnit::Piece(DecodedPiece {
-                    vertex,
-                    degree,
-                    values,
-                    relative,
-                    first,
-                    last,
-                }))
-            }
-        }
-    }
 }
 
 /// Writes `graph` (any scannable source) as a compressed adjacency file,
@@ -1079,13 +898,16 @@ mod tests {
         let g = mis_gen_free_plrg(500);
         let dir = ScratchDir::new("cadj-blocks").unwrap();
         let stats = IoStats::shared();
-        let file = compress_adj(&g, &dir.file("g.cadj"), stats, 512).unwrap();
+        let file = compress_adj(&g, &dir.file("g.cadj"), Arc::clone(&stats), 512).unwrap();
         let mut direct = Vec::new();
+        let before = stats.snapshot();
         file.scan(&mut |v, ns| direct.push((v, ns.to_vec())))
             .unwrap();
+        let scan_delta = stats.snapshot().since(&before);
         for target in [1, 7, 100_000] {
             let mut replayed = Vec::new();
             let mut seqs = Vec::new();
+            let before = stats.snapshot();
             file.scan_blocks(target, &mut |block| {
                 seqs.push(block.seq());
                 assert!(!block.is_empty());
@@ -1097,66 +919,12 @@ mod tests {
             assert_eq!(replayed, direct, "target {target}");
             let expect: Vec<u64> = (0..seqs.len() as u64).collect();
             assert_eq!(seqs, expect, "target {target}: seq numbers in order");
+            // The parallel engine's hand-out must cost exactly what the
+            // sequential scan costs: one scan, the same blocks.
+            let delta = stats.snapshot().since(&before);
+            assert_eq!(delta.scans_started, 1, "target {target}");
+            assert_eq!(delta.blocks_read, scan_delta.blocks_read, "target {target}");
         }
-    }
-
-    #[test]
-    fn raw_scan_replays_scan_with_piece_splitting() {
-        use crate::scan::assert_raw_replays_scan;
-        let g = mis_gen_free_plrg(800);
-        let dir = ScratchDir::new("cadj-raw").unwrap();
-        let stats = IoStats::shared();
-        let file = compress_adj(&g, &dir.file("g.cadj"), stats, 512).unwrap();
-        assert_raw_replays_scan(&file);
-    }
-
-    #[test]
-    fn raw_scan_counts_one_scan_and_same_blocks_as_scan() {
-        let g = mis_gen_free_plrg(600);
-        let dir = ScratchDir::new("cadj-raw-io").unwrap();
-        let stats = IoStats::shared();
-        let file = compress_adj(&g, &dir.file("g.cadj"), Arc::clone(&stats), 512).unwrap();
-        let before = stats.snapshot();
-        file.scan(&mut |_, _| {}).unwrap();
-        let scan_delta = stats.snapshot().since(&before);
-        let before = stats.snapshot();
-        let raw = file.raw_scan().unwrap();
-        raw.scan_raw(
-            crate::scan::RawScanLimits {
-                target_records: 64,
-                unit_bytes: 4096,
-            },
-            &mut |_| true,
-        )
-        .unwrap();
-        let raw_delta = stats.snapshot().since(&before);
-        assert_eq!(raw_delta.scans_started, 1);
-        assert_eq!(
-            raw_delta.blocks_read, scan_delta.blocks_read,
-            "raw framing must move the same blocks as a decoded scan"
-        );
-    }
-
-    #[test]
-    fn raw_scan_stops_early_without_error() {
-        let g = mis_gen_free_plrg(600);
-        let dir = ScratchDir::new("cadj-raw-stop").unwrap();
-        let stats = IoStats::shared();
-        let file = compress_adj(&g, &dir.file("g.cadj"), stats, 512).unwrap();
-        let raw = file.raw_scan().unwrap();
-        let mut seen = 0usize;
-        raw.scan_raw(
-            crate::scan::RawScanLimits {
-                target_records: 4,
-                unit_bytes: 4096,
-            },
-            &mut |_| {
-                seen += 1;
-                seen < 3
-            },
-        )
-        .unwrap();
-        assert_eq!(seen, 3, "framing stops as soon as the sink declines");
     }
 
     #[test]

@@ -27,9 +27,9 @@
 //!   `mis_extmem`'s buffer-pool page cache for the swap algorithms' paged
 //!   candidate-verification path;
 //! * [`sharded`] — the `MISSHRD1` manifest-backed sharded layout: one
-//!   adjacency file split into degree-balanced vertex-range shards, each
-//!   an independent sequential stream for the engine's shard-owning
-//!   parallel executor;
+//!   adjacency file split into degree-balanced vertex-range shards,
+//!   scanned in manifest order as one logical pass, with per-shard
+//!   pagers on the random-access side;
 //! * [`edgelist`] — text edge-list parsing (SNAP-style `u v` lines);
 //! * [`hash`] — a small Fx-style hasher for hot `u32`-keyed maps.
 
@@ -60,10 +60,7 @@ pub use compressed::{
 pub use csr::CsrGraph;
 pub use delta::{DeltaGraph, DeltaOverlay, PinnedDelta};
 pub use raccess::{NeighborAccess, RandomAccessGraph, RecordIndex};
-pub use scan::{
-    DecodedPiece, DecodedUnit, GraphScan, OrderedCsr, PieceAssembler, RawScan, RawScanLimits,
-    RawUnit, RawUnitKind, RecordBlock, ShardedScan,
-};
+pub use scan::{GraphScan, OrderedCsr, RecordBlock};
 pub use sharded::{
     split_adj_file, ShardManifest, ShardMeta, ShardedGraph, ShardedRandomAccess, SplitOptions,
 };

@@ -11,7 +11,15 @@
 //!   emulate a degree-sorted file without disk I/O);
 //! * [`crate::AdjFile`] — on disk, storage order = the order records were
 //!   written (vertex-id order from the builder, degree order after the
-//!   Algorithm 1 preprocessing step).
+//!   Algorithm 1 preprocessing step);
+//! * [`crate::CompressedAdjFile`] and [`crate::ShardedGraph`] — the
+//!   gap-compressed file and the sharded store, in the same record order
+//!   as the plain file they were made from.
+//!
+//! [`GraphScan::scan_blocks`] streams the same records grouped into
+//! [`RecordBlock`]s. It is the one hand-out unit of the parallel
+//! execution engine for every storage: the engine needs nothing else
+//! from a format.
 
 use std::io;
 
@@ -28,8 +36,9 @@ use crate::VertexId;
 /// gives earlier records preemption rights).
 ///
 /// Scanning is a shared read (`&self`), so the trait requires [`Sync`]:
-/// the execution engine (`mis_core::engine`) hands the same graph to a
-/// reader thread and block-decoding workers.
+/// the parallel execution engine (`mis_core::engine`) runs
+/// [`GraphScan::scan_blocks`] on a reader thread while the caller's
+/// thread, or its fold workers, hold the same `&self`.
 pub trait GraphScan: Sync {
     /// Number of vertices (`|V|`; always fits in memory in this model).
     fn num_vertices(&self) -> usize;
@@ -73,259 +82,6 @@ pub trait GraphScan: Sync {
     fn storage(&self) -> &'static str {
         "unknown"
     }
-
-    /// The raw (undecoded) hand-out interface of this storage, if it has
-    /// one. On-disk formats return `Some`, letting the execution engine
-    /// move record decoding off the reader thread: the reader only
-    /// *frames* byte ranges and each worker decodes its own unit. Pure
-    /// in-memory representations return `None` (there is nothing to
-    /// decode) and the engine falls back to decoded [`RecordBlock`]s.
-    fn raw_scan(&self) -> Option<&dyn RawScan> {
-        None
-    }
-
-    /// The shard-level view of this storage, if it is partitioned. A
-    /// sharded store returns `Some`, letting the execution engine give
-    /// each worker thread whole shards to scan independently — no shared
-    /// reader thread, no hand-out queue. Monolithic representations
-    /// return `None`.
-    fn sharded(&self) -> Option<&dyn ShardedScan> {
-        None
-    }
-}
-
-/// The shard-level access interface of a partitioned graph store.
-///
-/// Shards partition the record sequence: concatenating the shards' scans
-/// in index order (`0, 1, …, shard_count() - 1`) replays exactly the
-/// record sequence of [`GraphScan::scan`] on the whole store. Each shard
-/// is itself a full [`GraphScan`] (with its own [`RawScan`] where the
-/// underlying format has one), so workers can own and stream shards
-/// independently and concurrently.
-///
-/// I/O accounting: a *logical* scan of the whole store is one scan no
-/// matter how many shards served it. Callers scanning shards directly
-/// must bracket the pass with [`ShardedScan::begin_logical_scan`] /
-/// [`ShardedScan::end_logical_scan`] so the store can charge exactly one
-/// scan and fold the per-shard block counters into the global
-/// [`mis_extmem::IoStats`] without double-counting.
-pub trait ShardedScan: Sync {
-    /// Number of shards (`≥ 1`).
-    fn shard_count(&self) -> usize;
-
-    /// The `i`-th shard as a standalone scannable graph. Records carry
-    /// their **global** vertex ids; `num_vertices()` of the shard is its
-    /// local record count.
-    fn shard_scan(&self, i: usize) -> &dyn GraphScan;
-
-    /// Marks the start of one logical whole-store scan (charges one scan
-    /// to the global stats).
-    fn begin_logical_scan(&self);
-
-    /// Marks the end of one logical whole-store scan: folds each shard's
-    /// I/O counters accumulated since the last fold into the global
-    /// stats (minus the shards' own scan counts).
-    fn end_logical_scan(&self);
-}
-
-/// Framing limits for [`RawScan::scan_raw`].
-#[derive(Debug, Clone, Copy)]
-pub struct RawScanLimits {
-    /// Soft cap on records per unit (mirrors the `target_records` of
-    /// [`GraphScan::scan_blocks`]).
-    pub target_records: usize,
-    /// Byte budget per hand-out unit. A single record larger than this is
-    /// split into [`RawUnitKind::Piece`] units so one power-law hub
-    /// cannot serialise the worker pipeline.
-    pub unit_bytes: usize,
-}
-
-/// What a [`RawUnit`]'s bytes contain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RawUnitKind {
-    /// `records` whole adjacency records, back to back in storage order.
-    Records {
-        /// Number of complete records in the unit.
-        records: usize,
-    },
-    /// Part of one oversized record, split for degree-balanced hand-out.
-    /// The first piece starts with the record header; later pieces are
-    /// raw neighbour payload continuing where the previous piece ended.
-    Piece {
-        /// The record's vertex.
-        vertex: VertexId,
-        /// Number of neighbour values encoded in this piece.
-        count: usize,
-        /// Whether this piece starts the record (and carries its header).
-        first: bool,
-        /// Whether this piece ends the record.
-        last: bool,
-    },
-}
-
-/// An undecoded byte range handed from the reader thread to a decoding
-/// worker. `seq` numbers units `0, 1, 2, …` in storage order — the same
-/// numbering [`RecordBlock::seq`] uses — so results merge
-/// deterministically no matter which worker decoded which unit.
-#[derive(Debug, Clone)]
-pub struct RawUnit {
-    seq: u64,
-    kind: RawUnitKind,
-    bytes: Vec<u8>,
-}
-
-impl RawUnit {
-    pub(crate) fn new(seq: u64, kind: RawUnitKind, bytes: Vec<u8>) -> Self {
-        Self { seq, kind, bytes }
-    }
-
-    /// Position of this unit in storage order.
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
-
-    /// What the bytes contain.
-    pub fn kind(&self) -> RawUnitKind {
-        self.kind
-    }
-
-    /// The raw encoded bytes.
-    pub fn bytes(&self) -> &[u8] {
-        &self.bytes
-    }
-}
-
-/// The result of decoding one [`RawUnit`].
-#[derive(Debug, Clone)]
-pub enum DecodedUnit {
-    /// A [`RawUnitKind::Records`] unit: a block of whole records.
-    Block(RecordBlock),
-    /// A [`RawUnitKind::Piece`] unit: part of one split record, to be
-    /// reassembled in `seq` order by a [`PieceAssembler`].
-    Piece(DecodedPiece),
-}
-
-/// A decoded fragment of one oversized record.
-#[derive(Debug, Clone)]
-pub struct DecodedPiece {
-    /// The record's vertex.
-    pub vertex: VertexId,
-    /// Total neighbour count of the full record (from the record header;
-    /// only meaningful when `first` is set).
-    pub degree: usize,
-    /// Decoded neighbour values. Absolute ids when `relative` is false;
-    /// otherwise the gap-coded continuation decoded against base 0 —
-    /// [`PieceAssembler::push`] makes each value absolute by adding the
-    /// predecessor's last absolute value.
-    pub values: Vec<VertexId>,
-    /// Whether `values` are relative to the previous piece's last value.
-    pub relative: bool,
-    /// Whether this piece starts the record.
-    pub first: bool,
-    /// Whether this piece ends the record.
-    pub last: bool,
-}
-
-/// Deterministic reassembly of split-record pieces.
-///
-/// Feed [`DecodedPiece`]s **in `seq` order**; when the final piece of a
-/// record arrives, [`PieceAssembler::push`] yields the complete
-/// `(vertex, neighbours)` record, bit-identical to what a sequential
-/// scan would have produced.
-#[derive(Debug, Default)]
-pub struct PieceAssembler {
-    vertex: VertexId,
-    degree: usize,
-    values: Vec<VertexId>,
-    started: bool,
-}
-
-impl PieceAssembler {
-    /// An empty assembler.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Whether a record is partially assembled (pieces still expected).
-    pub fn in_progress(&self) -> bool {
-        self.started
-    }
-
-    /// Adds the next piece in `seq` order. Returns the finished record
-    /// when `piece.last` completes it.
-    pub fn push(&mut self, piece: DecodedPiece) -> io::Result<Option<(VertexId, Vec<VertexId>)>> {
-        let bad = |msg: &str| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("piece reassembly: {msg}"),
-            )
-        };
-        if piece.first {
-            if self.started {
-                return Err(bad("new record started before the previous one finished"));
-            }
-            if piece.relative {
-                return Err(bad("first piece cannot be relative"));
-            }
-            self.vertex = piece.vertex;
-            self.degree = piece.degree;
-            self.values = piece.values;
-            self.started = true;
-        } else {
-            if !self.started {
-                return Err(bad("continuation piece without a first piece"));
-            }
-            if piece.vertex != self.vertex {
-                return Err(bad("continuation piece for a different vertex"));
-            }
-            if piece.relative {
-                // Relative values are prefix sums of (gap + 1) starting
-                // from 0; the true base is the last absolute value so far.
-                let base = u64::from(
-                    *self
-                        .values
-                        .last()
-                        .ok_or_else(|| bad("relative continuation of an empty prefix"))?,
-                );
-                self.values.reserve(piece.values.len());
-                for &r in &piece.values {
-                    let v = base + u64::from(r);
-                    if v > u64::from(u32::MAX) {
-                        return Err(bad("reassembled id overflows u32"));
-                    }
-                    self.values.push(v as u32);
-                }
-            } else {
-                self.values.extend_from_slice(&piece.values);
-            }
-        }
-        if piece.last {
-            if self.values.len() != self.degree {
-                return Err(bad("reassembled record has the wrong degree"));
-            }
-            self.started = false;
-            return Ok(Some((self.vertex, std::mem::take(&mut self.values))));
-        }
-        Ok(None)
-    }
-}
-
-/// Raw byte-range hand-out for worker-side decoding.
-///
-/// `scan_raw` performs one sequential pass, framing the storage into
-/// [`RawUnit`]s without decoding records; `decode_unit` turns one unit
-/// into decoded records and is safe to call concurrently from many
-/// worker threads (`&self`, [`Sync`]). Concatenating the decoded units
-/// in `seq` order — reassembling pieces with a [`PieceAssembler`] —
-/// replays exactly the record sequence of [`GraphScan::scan`].
-pub trait RawScan: Sync {
-    /// One sequential framing pass. `f` returns `false` to stop early
-    /// (e.g. the consuming queue closed); stopping early is not an error.
-    fn scan_raw(&self, limits: RawScanLimits, f: &mut dyn FnMut(RawUnit) -> bool)
-        -> io::Result<()>;
-
-    /// Decodes one unit produced by [`RawScan::scan_raw`].
-    fn decode_unit(&self, unit: RawUnit) -> io::Result<DecodedUnit>;
 }
 
 /// A batch of decoded adjacency records, contiguous in storage order.
@@ -542,52 +298,6 @@ impl GraphScan for OrderedCsr<'_> {
 
     fn storage(&self) -> &'static str {
         "csr-ordered"
-    }
-}
-
-/// Test utility: replays a raw scan through decode + piece reassembly
-/// and checks it reproduces `scan` exactly — across unit budgets small
-/// enough to split most records into pieces. Shared by the plain and
-/// compressed adjacency-file test suites.
-#[cfg(test)]
-pub(crate) fn assert_raw_replays_scan(file: &dyn GraphScan) {
-    let mut direct = Vec::new();
-    file.scan(&mut |v, ns| direct.push((v, ns.to_vec())))
-        .unwrap();
-    let raw = file.raw_scan().expect("on-disk formats expose raw scans");
-    for (target, unit_bytes) in [(4, 1 << 20), (1, 1 << 20), (4, 64), (4, 1), (100, 7)] {
-        let limits = RawScanLimits {
-            target_records: target,
-            unit_bytes,
-        };
-        let mut units = Vec::new();
-        raw.scan_raw(limits, &mut |u| {
-            units.push(u);
-            true
-        })
-        .unwrap();
-        let expect_seqs: Vec<u64> = (0..units.len() as u64).collect();
-        let seqs: Vec<u64> = units.iter().map(|u| u.seq()).collect();
-        assert_eq!(seqs, expect_seqs, "unit seq numbers in order");
-        let mut replayed = Vec::new();
-        let mut assembler = PieceAssembler::new();
-        for unit in units {
-            match raw.decode_unit(unit).unwrap() {
-                DecodedUnit::Block(block) => {
-                    assert!(!assembler.in_progress(), "block inside a split record");
-                    for (v, ns) in block.iter() {
-                        replayed.push((v, ns.to_vec()));
-                    }
-                }
-                DecodedUnit::Piece(piece) => {
-                    if let Some((v, ns)) = assembler.push(piece).unwrap() {
-                        replayed.push((v, ns));
-                    }
-                }
-            }
-        }
-        assert!(!assembler.in_progress(), "last record left unfinished");
-        assert_eq!(replayed, direct, "target {target}, unit_bytes {unit_bytes}");
     }
 }
 

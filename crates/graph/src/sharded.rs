@@ -7,12 +7,14 @@
 //! degree-balanced byte boundaries, so a power-law hub record cannot put
 //! most of the bytes in one shard and serialize a parallel scan.
 //!
-//! The point of the layout is I/O parallelism: each shard is an
-//! independent sequential stream, so the execution engine can give every
-//! worker whole shards to open and scan directly — no shared reader
-//! thread, no hand-out queue — while concatenating the shards in manifest
-//! order still replays exactly the record sequence of the unpartitioned
-//! file (the equivalence the deterministic merge relies on).
+//! Concatenating the shards in manifest order replays exactly the record
+//! sequence of the unpartitioned file, so a sharded store scans like the
+//! file it was split from: [`ShardedGraph`]'s scan streams the shards in
+//! order as one logical pass, and the execution engine's parallel block
+//! pipeline runs on top of that scan like on any other storage. What the
+//! layout adds is on the random-access side — one pager per shard
+//! ([`ShardedRandomAccess`]) — and a cost model that sums per-shard block
+//! ceilings.
 //!
 //! # Manifest format (`MISSHRD1`)
 //!
@@ -58,7 +60,7 @@ use crate::adjfile::{AdjFile, AdjFileWriter, HEADER_BYTES};
 use crate::anyfile::AnyAdjFile;
 use crate::compressed::{CompressedAdjFile, CompressedAdjWriter};
 use crate::raccess::{NeighborAccess, RandomAccessGraph, RecordIndex};
-use crate::scan::{GraphScan, RecordBlock, ShardedScan};
+use crate::scan::GraphScan;
 use crate::VertexId;
 
 /// Magic bytes of the manifest file.
@@ -448,19 +450,21 @@ pub fn split_adj_file(
 
 /// A sharded adjacency store: the manifest plus its opened shard files.
 ///
-/// Implements the whole [`GraphScan`] surface — a sequential `scan`
-/// streams the shards in manifest order, indistinguishable from scanning
-/// the unpartitioned file — and exposes the shard level through
-/// [`ShardedScan`] for the engine's shard-owning parallel executor.
+/// Implements the whole [`GraphScan`] surface: `scan` streams the shards
+/// in manifest order, indistinguishable from scanning the unpartitioned
+/// file, and the default [`GraphScan::scan_blocks`] groups that same
+/// stream into blocks for the parallel engine, with `seq` numbers that
+/// run on across shard boundaries.
 ///
 /// # I/O accounting
 ///
-/// Each shard file reports into its own private [`IoStats`]; the store
-/// folds those counters into the shared global stats at logical-scan
-/// boundaries ([`ShardedScan::end_logical_scan`]), charging exactly one
-/// scan per logical pass no matter how many shards (or worker threads)
-/// served it. This is what keeps the paper's `scans × ⌈bytes/B⌉` ledger
-/// comparable between sharded and unpartitioned runs.
+/// Each shard file reports into its own private [`IoStats`]. Every
+/// `scan` is one logical pass: it charges exactly one scan to the shared
+/// global stats when it starts, and when it ends it folds the shards'
+/// block counters into the global stats (minus the shards' own scan
+/// counts), however many shards served it. This keeps the paper's
+/// `scans × ⌈bytes/B⌉` ledger comparable between sharded and
+/// unpartitioned runs.
 pub struct ShardedGraph {
     manifest: ShardManifest,
     manifest_path: PathBuf,
@@ -588,6 +592,28 @@ impl ShardedGraph {
     pub fn open_random_access(&self, config: PagerConfig) -> io::Result<ShardedRandomAccess> {
         ShardedRandomAccess::open(self, config)
     }
+
+    /// Marks the start of one logical whole-store scan: charges one scan
+    /// to the global stats.
+    fn begin_logical_scan(&self) {
+        self.stats.record_scan();
+    }
+
+    /// Marks the end of one logical whole-store scan: folds each shard's
+    /// I/O counters accumulated since the last fold into the global
+    /// stats, minus the shards' own scan counts.
+    fn end_logical_scan(&self) {
+        for (i, sstats) in self.shard_stats.iter().enumerate() {
+            let snap = sstats.snapshot();
+            let mut folded = self.folded[i].lock().expect("fold lock poisoned");
+            let mut delta = snap.since(&folded);
+            // The shards' own scan counts are bookkeeping, not logical
+            // scans — the store charged exactly one in `begin`.
+            delta.scans_started = 0;
+            self.stats.merge(&delta);
+            *folded = snap;
+        }
+    }
 }
 
 impl GraphScan for ShardedGraph {
@@ -612,67 +638,11 @@ impl GraphScan for ShardedGraph {
         result
     }
 
-    fn scan_blocks(&self, target_records: usize, f: &mut dyn FnMut(RecordBlock)) -> io::Result<()> {
-        // The default record-driven blocker runs on top of `scan`, which
-        // already brackets the logical pass; block `seq` numbering is
-        // continuous across shard boundaries by construction.
-        let target = target_records.max(1);
-        let nbr_cap = target.saturating_mul(16);
-        let mut block = RecordBlock::with_seq(0);
-        self.scan(&mut |v, ns| {
-            block
-                .push_with(v, |nbrs| {
-                    nbrs.extend_from_slice(ns);
-                    Ok(())
-                })
-                .expect("infallible fill");
-            if block.len() >= target || block.edge_entries() >= nbr_cap {
-                let seq = block.seq() + 1;
-                f(std::mem::replace(&mut block, RecordBlock::with_seq(seq)));
-            }
-        })?;
-        if !block.is_empty() {
-            f(block);
-        }
-        Ok(())
-    }
-
     fn storage(&self) -> &'static str {
         if self.manifest.compressed {
             "sharded-cadj"
         } else {
             "sharded-adj"
-        }
-    }
-
-    fn sharded(&self) -> Option<&dyn ShardedScan> {
-        Some(self)
-    }
-}
-
-impl ShardedScan for ShardedGraph {
-    fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn shard_scan(&self, i: usize) -> &dyn GraphScan {
-        self.shards[i].as_scan()
-    }
-
-    fn begin_logical_scan(&self) {
-        self.stats.record_scan();
-    }
-
-    fn end_logical_scan(&self) {
-        for (i, sstats) in self.shard_stats.iter().enumerate() {
-            let snap = sstats.snapshot();
-            let mut folded = self.folded[i].lock().expect("fold lock poisoned");
-            let mut delta = snap.since(&folded);
-            // The shards' own scan counts are bookkeeping, not logical
-            // scans — the store charged exactly one in `begin`.
-            delta.scans_started = 0;
-            self.stats.merge(&delta);
-            *folded = snap;
         }
     }
 }

@@ -3,10 +3,10 @@
 //! A file cut mid-varint, mid-record, or mid-header must surface a clean
 //! `io::Error` (`UnexpectedEof` for truncation, `InvalidData` for
 //! corrupt bytes) from **every** access path — whole-file scan, block
-//! scan, the raw hand-out scan with worker-side decode, the record
-//! index, and the paged random-access reads. Never a panic, and never a
-//! silent short read: a scan over a truncated file that reports `Ok`
-//! would quietly drop edges and corrupt every algorithm above it.
+//! scan, the record index, and the paged random-access reads. Never a
+//! panic, and never a silent short read: a scan over a truncated file
+//! that reports `Ok` would quietly drop edges and corrupt every
+//! algorithm above it.
 
 use std::io::ErrorKind;
 use std::sync::Arc;
@@ -15,7 +15,7 @@ use mis_extmem::pager::PolicyKind;
 use mis_extmem::{IoStats, PagerConfig, ScratchDir};
 use mis_graph::{
     build_adj_file, compress_adj, AdjFile, CompressedAdjFile, CompressedRecordIndex, CsrGraph,
-    GraphScan, NeighborAccess, RandomAccessGraph, RawScanLimits, RecordIndex,
+    GraphScan, NeighborAccess, RandomAccessGraph, RecordIndex,
 };
 
 /// A small power-law-ish graph built by hand (`mis-gen` depends on this
@@ -78,27 +78,6 @@ fn probe_compressed(path: &std::path::Path) {
         blocks.expect_err("scan_blocks of truncated file must error"),
         "scan_blocks",
     );
-    // Raw hand-out path: framing must error, and the units framed from
-    // the intact part of the file must decode cleanly or cleanly fail.
-    let raw = file.raw_scan().expect("compressed backend is raw-capable");
-    let limits = RawScanLimits {
-        target_records: 4,
-        unit_bytes: 64,
-    };
-    let mut units = Vec::new();
-    let framed = raw.scan_raw(limits, &mut |u| {
-        units.push(u);
-        true
-    });
-    assert_clean(
-        framed.expect_err("scan_raw of truncated file must error"),
-        "scan_raw",
-    );
-    for u in units {
-        if let Err(e) = raw.decode_unit(u) {
-            assert_clean(e, "decode_unit of framed prefix");
-        }
-    }
     // Index + paged access: building the index walks every record.
     match CompressedRecordIndex::build(&file) {
         Ok(_) => panic!("index build must not succeed on a truncated file"),
@@ -184,25 +163,6 @@ fn corrupt_compressed_bytes_error_cleanly_everywhere() {
         if let Err(e) = file.scan_blocks(4, &mut |_| {}) {
             assert_clean(e, "mutant scan_blocks");
         }
-        let raw = file.raw_scan().expect("compressed backend is raw-capable");
-        let limits = RawScanLimits {
-            target_records: 2,
-            unit_bytes: 48,
-        };
-        let mut decode_err = None;
-        let framed = raw.scan_raw(limits, &mut |u| {
-            if let Err(e) = raw.decode_unit(u) {
-                decode_err = Some(e);
-                return false;
-            }
-            true
-        });
-        if let Err(e) = framed {
-            assert_clean(e, "mutant scan_raw");
-        }
-        if let Some(e) = decode_err {
-            assert_clean(e, "mutant decode_unit");
-        }
         match CompressedRecordIndex::build(&file) {
             Ok(_) => {
                 // A survivable mutant: paged reads must still behave.
@@ -233,10 +193,6 @@ fn corrupt_plain_bytes_error_cleanly_everywhere() {
     let (plain, _) = scratch_pair(&dir);
     let clean = std::fs::read(dir.file("g.adj")).unwrap();
     drop(plain);
-    let limits = RawScanLimits {
-        target_records: 2,
-        unit_bytes: 48,
-    };
 
     // A degree far above |V| is corruption and must be rejected before
     // any buffer is sized by it: a top byte of 0xFF asks for a 16 GiB
@@ -248,9 +204,8 @@ fn corrupt_plain_bytes_error_cleanly_everywhere() {
     let file = AdjFile::open_with_block_size(&path, IoStats::shared(), 128).unwrap();
     let kind = |r: std::io::Result<()>| r.expect_err("corrupt degree must error").kind();
     assert_eq!(kind(file.scan(&mut |_, _| {})), ErrorKind::InvalidData);
-    let raw = file.raw_scan().expect("plain backend is raw-capable");
     assert_eq!(
-        kind(raw.scan_raw(limits, &mut |_| true)),
+        kind(file.scan_blocks(4, &mut |_| {})),
         ErrorKind::InvalidData
     );
     assert_eq!(
@@ -279,21 +234,6 @@ fn corrupt_plain_bytes_error_cleanly_everywhere() {
         }
         if let Err(e) = file.scan_blocks(4, &mut |_| {}) {
             assert_clean(e, "plain mutant scan_blocks");
-        }
-        let raw = file.raw_scan().expect("plain backend is raw-capable");
-        let mut decode_err = None;
-        let framed = raw.scan_raw(limits, &mut |u| {
-            if let Err(e) = raw.decode_unit(u) {
-                decode_err = Some(e);
-                return false;
-            }
-            true
-        });
-        if let Err(e) = framed {
-            assert_clean(e, "plain mutant scan_raw");
-        }
-        if let Some(e) = decode_err {
-            assert_clean(e, "plain mutant decode_unit");
         }
         match RecordIndex::build(&file) {
             Ok(index) => {

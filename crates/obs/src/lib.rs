@@ -2,10 +2,9 @@
 //!
 //! The paper's cost model counts scans and block transfers
 //! (`mis_extmem::IoStats` reproduces it), but counters cannot explain
-//! *time*: whether parallel workers starve on the hand-out queue, the
-//! reader thread is the bottleneck, or an ordered merge serialises
-//! behind its reorder window. This crate is the measurement substrate
-//! the rest of the workspace instruments itself with:
+//! *time*: whether parallel workers starve on the hand-out queue or the
+//! reader thread is the bottleneck. This crate is the measurement
+//! substrate the rest of the workspace instruments itself with:
 //!
 //! * [`trace`] — a span/counter/gauge event layer with **thread-local
 //!   event buffers**, monotonic timestamps and a process-global on/off
@@ -70,15 +69,14 @@
 //!   `warmup`, `solve`, `verify`, …). The report's per-phase breakdown
 //!   and its coverage figure (`phase time / wall time`) come from
 //!   these.
-//! * names `worker.wait` / `worker.decode` / `worker.fold` /
-//!   `worker.publish_wait` — per-worker timeline spans; the report
-//!   derives busy/wait/idle and utilization per thread from them.
-//! * `pass.parallel` / `pass.fold_ordered` — one span per engine pass
-//!   on the calling thread; worker utilization is measured against
-//!   these.
-//! * `reader.handout` (reader blocked pushing into the bounded queue),
-//!   `reorder.stall` (ordered-merge consumer blocked on the reorder
-//!   window) and the `queue.depth` gauge explain *why* workers idle.
+//! * names `worker.wait` / `worker.fold` — per-worker timeline spans;
+//!   the report derives busy/wait/idle and utilization per thread from
+//!   them.
+//! * `pass.parallel` / `pass.fold_ordered` / `pass.merge` — one span per
+//!   engine pass (and per in-order merge) on the calling thread; worker
+//!   utilization is measured against these.
+//! * `reader.handout` (reader blocked pushing into the bounded queue)
+//!   and the `queue.depth` gauge explain *why* workers idle.
 //! * cat `"serve"` — the serving front end's spans: `serve.flush` (one
 //!   epoch commit: append + roll + snapshot + repair + checkpoint),
 //!   `serve.repair` (the snapshot-side repair alone) and the

@@ -11,9 +11,8 @@
 //! The aggregation understands the naming conventions documented at the
 //! crate root: cat `"phase"` spans form the phase breakdown and the
 //! coverage figure; `worker.*` spans form per-thread timelines split
-//! into busy (`worker.decode` plus `worker.fold`) and wait
-//! (`worker.wait` plus `worker.publish_wait`); `reader.handout` and
-//! `reorder.stall` attribute the remaining idle time.
+//! into busy (`worker.fold`) and wait (`worker.wait`); `reader.handout`
+//! attributes the remaining idle time.
 
 use std::fmt::Write as _;
 use std::io;
@@ -392,9 +391,9 @@ pub struct WorkerAgg {
     pub tid: u64,
     /// The thread's declared role (`worker` unless renamed).
     pub role: String,
-    /// Microseconds in `worker.decode` + `worker.fold`.
+    /// Microseconds in `worker.fold`.
     pub busy_us: f64,
-    /// Microseconds in `worker.wait` + `worker.publish_wait`.
+    /// Microseconds in `worker.wait`.
     pub wait_us: f64,
     /// Extent of the thread's timeline: last span end − first span
     /// start, microseconds. Busy + wait ≤ span; the rest is idle.
@@ -465,8 +464,6 @@ pub struct TraceReport {
     pub queue_wait_us: f64,
     /// Summed `reader.handout` time (reader blocked on the queue).
     pub handout_us: f64,
-    /// Summed `reorder.stall` time (ordered merge blocked).
-    pub reorder_stall_us: f64,
     /// Latency histogram summaries.
     pub hists: Vec<HistSummary>,
     /// Counter series summaries.
@@ -631,11 +628,10 @@ impl TraceReport {
         if self.pass_us > 0.0 || self.queue_wait_us > 0.0 || self.handout_us > 0.0 {
             let _ = writeln!(
                 out,
-                "\nengine: pass {}  queue.wait {}  reader.handout {}  reorder.stall {}",
+                "\nengine: pass {}  queue.wait {}  reader.handout {}",
                 fmt_us(self.pass_us),
                 fmt_us(self.queue_wait_us),
-                fmt_us(self.handout_us),
-                fmt_us(self.reorder_stall_us)
+                fmt_us(self.handout_us)
             );
         }
         if !self.hists.is_empty() {
@@ -727,12 +723,11 @@ impl TraceReport {
         let _ = write!(
             out,
             "],\"worker_utilization\":{},\"pass_us\":{},\"queue_wait_us\":{},\
-             \"handout_us\":{},\"reorder_stall_us\":{}",
+             \"handout_us\":{}",
             num(self.worker_utilization()),
             num(self.pass_us),
             num(self.queue_wait_us),
-            num(self.handout_us),
-            num(self.reorder_stall_us)
+            num(self.handout_us)
         );
         out.push_str(",\"hists\":[");
         for (i, h) in self.hists.iter().enumerate() {
@@ -842,7 +837,6 @@ fn build(events: Vec<PEvent>) -> TraceReport {
                     "pass.parallel" | "pass.fold_ordered" => report.pass_us += dur_us,
                     "worker.wait" => report.queue_wait_us += dur_us,
                     "reader.handout" => report.handout_us += dur_us,
-                    "reorder.stall" => report.reorder_stall_us += dur_us,
                     _ => {}
                 }
             }
@@ -909,8 +903,8 @@ fn build(events: Vec<PEvent>) -> TraceReport {
                 first = first.min(e.ts_us);
                 last = last.max(e.ts_us + dur_us);
                 match e.name.as_str() {
-                    "worker.decode" | "worker.fold" => agg.busy_us += dur_us,
-                    "worker.wait" | "worker.publish_wait" => agg.wait_us += dur_us,
+                    "worker.fold" => agg.busy_us += dur_us,
+                    "worker.wait" => agg.wait_us += dur_us,
                     _ => {}
                 }
             }

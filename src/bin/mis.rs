@@ -83,8 +83,9 @@
 //! builds the matching record index per format (per-shard pagers
 //! sharing the one cache budget for sharded stores). `gen`, `convert`
 //! and `sort` take `--shards N` to emit a sharded store directly; with
-//! a sharded graph and `--threads N`, the engine runs its shard-owning
-//! backend (each worker streams its own shards; no reader thread).
+//! `--threads N`, a sharded graph runs through the same parallel block
+//! pipeline as a single file (one reader thread streams the shards in
+//! order, `N` workers fold).
 //! `<base>` of `mis update` takes plain and compressed files (the
 //! durable-update log rewrites its base, which sharded stores do not
 //! support). Every run prints IS

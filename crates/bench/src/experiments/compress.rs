@@ -20,7 +20,6 @@ use mis_extmem::pager::PolicyKind;
 use mis_extmem::{IoSnapshot, IoStats, PagerConfig, ScratchDir, SortConfig};
 use mis_graph::{
     build_adj_file, compress_adj, degree_sort_adj_file, AnyAdjFile, GraphScan, NeighborAccess,
-    RandomAccessGraph,
 };
 use mis_obs::{CostModel, LedgerEntry, ModelVerdict, Workload};
 
@@ -56,19 +55,12 @@ fn measure(path: &Path, block_size: usize, algo: &str, mode: &str) -> Side {
         "par4" => Executor::parallel(4),
         _ => Executor::Sequential,
     };
-    // The paged mode gives the swap rounds a 4 MiB buffer pool with the
-    // index flavour matching the record codec; greedy has no paged path
-    // and simply ignores the provider.
+    // The paged mode gives the swap rounds a 4 MiB buffer pool over the
+    // record index both codecs share; greedy has no paged path and simply
+    // ignores the provider.
     let raccess: Option<Box<dyn NeighborAccess>> = if mode == "paged" {
         let pc = PagerConfig::with_capacity_bytes(4 << 20, block_size, PolicyKind::Clock);
-        let ra: Box<dyn NeighborAccess> = match &file {
-            AnyAdjFile::Plain(f) => Box::new(RandomAccessGraph::open(f, pc).expect("ra open")),
-            AnyAdjFile::Compressed(f) => {
-                Box::new(RandomAccessGraph::open_compressed(f, pc).expect("ra open"))
-            }
-            AnyAdjFile::Sharded(g) => Box::new(g.open_random_access(pc).expect("ra open")),
-        };
-        Some(ra)
+        Some(file.open_random_access(pc).expect("ra open"))
     } else {
         None
     };

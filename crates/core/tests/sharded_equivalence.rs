@@ -22,7 +22,7 @@ use mis_core::{Executor, Greedy, ParallelConfig, ScanPass, SwapConfig, TwoKSwap}
 use mis_extmem::{IoStats, PagerConfig, PolicyKind, ScratchDir};
 use mis_graph::{
     build_adj_file, compress_adj, split_adj_file, AnyAdjFile, CsrGraph, GraphScan, NeighborAccess,
-    RandomAccessGraph, ShardedGraph, SplitOptions, VertexId,
+    ShardedGraph, SplitOptions, VertexId,
 };
 
 /// Arbitrary small graph: vertex count and an edge list over it.
@@ -152,13 +152,7 @@ fn paged_verification_identical_through_per_shard_pagers() {
     ] {
         // Paged reference: the unpartitioned store with its own pager.
         let paged_reference = {
-            let ra: Box<dyn NeighborAccess> = match &source {
-                AnyAdjFile::Plain(f) => Box::new(RandomAccessGraph::open(f, pc()).unwrap()),
-                AnyAdjFile::Compressed(f) => {
-                    Box::new(RandomAccessGraph::open_compressed(f, pc()).unwrap())
-                }
-                AnyAdjFile::Sharded(_) => unreachable!(),
-            };
+            let ra = source.open_random_access(pc()).unwrap();
             TwoKSwap::with_config(config()).run_paged(&source, Some(&*ra), &seed)
         };
         assert_eq!(

@@ -1,65 +1,225 @@
-//! The on-disk adjacency-list file of the semi-external model.
+//! The on-disk adjacency-list file of the semi-external model, in either
+//! record codec.
 //!
-//! Layout (all integers little-endian):
+//! A file is a header followed by `|V|` adjacency records, one per
+//! vertex, in whatever order the writer emitted them; the Algorithm 1
+//! preprocessing ([`crate::builder::degree_sort_adj_file`]) rewrites a
+//! file into ascending-degree record order. Two codecs share this one
+//! implementation and differ only in how a header and a record are
+//! encoded ([`RecordCodec`]):
 //!
-//! ```text
-//! magic   "MISADJ01"          8 bytes
-//! |V|     u64
-//! |E|     u64                 undirected edge count
-//! record* |V| times:
-//!     vertex   u32
-//!     degree   u32
-//!     nbr[deg] u32 * degree
-//! ```
+//! * [`PlainCodec`] (`MISADJ01`, [`AdjFile`]) — fixed-width records, all
+//!   integers little-endian:
 //!
-//! Records appear in whatever order the writer emitted them; the
-//! Algorithm 1 preprocessing ([`crate::builder::degree_sort_adj_file`])
-//! rewrites a file into ascending-degree record order. Scans go through a
+//!   ```text
+//!   magic   "MISADJ01"          8 bytes
+//!   |V|     u64
+//!   |E|     u64                 undirected edge count
+//!   record* |V| times:
+//!       vertex   u32
+//!       degree   u32
+//!       nbr[deg] u32 * degree
+//!   ```
+//!
+//! * [`crate::compressed::GapCodec`] (`MISADJC1`,
+//!   [`crate::CompressedAdjFile`]) — varint records with gap-coded
+//!   neighbour lists; see [`crate::compressed`].
+//!
+//! Everything else exists once, generic over the codec: the writer
+//! ([`RecordWriter`]), `open` and the header check every scan repeats
+//! ([`RecordFile`]), and one record loop that [`GraphScan::scan`],
+//! [`GraphScan::scan_blocks`] and the record index build
+//! ([`crate::RecordIndex`]) all run. Scans go through a
 //! [`mis_extmem::BlockReader`], so every pass is accounted in the shared
 //! [`IoStats`] at block granularity — this is what the paper's
 //! `scan(|V|+|E|)` I/O costs are measured against.
 
+use std::fmt::Debug;
 use std::fs::File;
 use std::io::{self, Read, Write};
+use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use mis_extmem::{codec, BlockReader, BlockWriter, ChunkBuf, IoStats, DEFAULT_BLOCK_SIZE};
+use mis_extmem::varint::SliceError;
+use mis_extmem::{BlockReader, BlockWriter, ChunkBuf, IoStats, DEFAULT_BLOCK_SIZE};
 
 use crate::raccess::RecordIndex;
-use crate::scan::GraphScan;
+use crate::scan::{GraphScan, RecordBlock};
 use crate::VertexId;
 
-const MAGIC: &[u8; 8] = b"MISADJ01";
-
-/// Size of the fixed file header in bytes.
+/// Size of the fixed plain-file (`MISADJ01`) header in bytes.
 pub const HEADER_BYTES: usize = 8 + 8 + 8;
 
-/// Streaming writer for adjacency files.
+/// One record framed, not decoded, at the front of a byte slice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Frame {
+    /// The record's vertex.
+    pub vertex: VertexId,
+    /// Its neighbour count.
+    pub degree: usize,
+    /// Bytes of the vertex and degree fields; the encoded neighbour list
+    /// follows them.
+    pub header: usize,
+    /// Bytes of the whole record.
+    pub len: usize,
+}
+
+/// How one on-disk format encodes its header and records — the only
+/// format-specific code there is. Codecs are zero-sized types and every
+/// use is generic, so the record loops dispatch statically.
+pub trait RecordCodec: Debug + Clone + Copy + Default + Send + Sync + 'static {
+    /// The 8 magic bytes a file of this codec starts with.
+    const MAGIC: &'static [u8; 8];
+    /// The smallest encoded record: a file of `b` record bytes cannot
+    /// hold more than `b / MIN_RECORD_BYTES` records.
+    const MIN_RECORD_BYTES: u64;
+    /// [`GraphScan::storage`] label of a file.
+    const STORAGE: &'static str;
+    /// [`crate::NeighborAccess::access_storage`] label of its paged path.
+    const PAGED_STORAGE: &'static str;
+
+    /// Appends the header fields that follow the magic. `|E|` is encoded
+    /// at a fixed width, so a writer can patch a drifted edge count by
+    /// re-encoding the header in place.
+    fn encode_header(num_vertices: u64, num_edges: u64, out: &mut Vec<u8>) -> io::Result<()>;
+
+    /// Parses `(|V|, |E|)` from the header fields after the magic;
+    /// `NeedMore` until `fields` holds all of them.
+    fn parse_header(fields: &[u8]) -> Result<(u64, u64), SliceError>;
+
+    /// Appends one record and returns the neighbour entries it holds
+    /// (a codec may normalise the list, e.g. sort and deduplicate it).
+    fn encode_record(
+        vertex: VertexId,
+        neighbors: &[VertexId],
+        scratch: &mut Vec<VertexId>,
+        out: &mut Vec<u8>,
+    ) -> io::Result<usize>;
+
+    /// Frames the record at the front of `bytes` without decoding its
+    /// neighbours: `NeedMore` until the whole record is there. A degree
+    /// above `degree_cap` is corruption, rejected before anything is
+    /// sized by it.
+    fn frame(bytes: &[u8], degree_cap: u64) -> Result<Frame, SliceError>;
+
+    /// Appends the `degree` neighbours encoded in `body` (a framed
+    /// record's bytes after its header) to `dst`.
+    fn decode(body: &[u8], degree: usize, dst: &mut Vec<VertexId>) -> Result<(), SliceError>;
+}
+
+/// The fixed-width `MISADJ01` codec.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PlainCodec;
+
+/// Record header size: `u32` vertex + `u32` degree.
+const RECORD_HDR: usize = 8;
+
+fn le_u32(b: &[u8]) -> u32 {
+    u32::from_le_bytes([b[0], b[1], b[2], b[3]])
+}
+
+impl RecordCodec for PlainCodec {
+    const MAGIC: &'static [u8; 8] = b"MISADJ01";
+    const MIN_RECORD_BYTES: u64 = RECORD_HDR as u64;
+    const STORAGE: &'static str = "adj-file";
+    const PAGED_STORAGE: &'static str = "adj-file+pager";
+
+    fn encode_header(num_vertices: u64, num_edges: u64, out: &mut Vec<u8>) -> io::Result<()> {
+        out.extend_from_slice(&num_vertices.to_le_bytes());
+        out.extend_from_slice(&num_edges.to_le_bytes());
+        Ok(())
+    }
+
+    fn parse_header(fields: &[u8]) -> Result<(u64, u64), SliceError> {
+        let f = fields.get(..16).ok_or(SliceError::NeedMore)?;
+        let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8-byte field"));
+        Ok((word(&f[..8]), word(&f[8..])))
+    }
+
+    fn encode_record(
+        vertex: VertexId,
+        neighbors: &[VertexId],
+        _scratch: &mut Vec<VertexId>,
+        out: &mut Vec<u8>,
+    ) -> io::Result<usize> {
+        out.extend_from_slice(&vertex.to_le_bytes());
+        out.extend_from_slice(&(neighbors.len() as u32).to_le_bytes());
+        for u in neighbors {
+            out.extend_from_slice(&u.to_le_bytes());
+        }
+        Ok(neighbors.len())
+    }
+
+    #[inline]
+    fn frame(bytes: &[u8], degree_cap: u64) -> Result<Frame, SliceError> {
+        let head = bytes.get(..RECORD_HDR).ok_or(SliceError::NeedMore)?;
+        let degree = le_u32(&head[4..]);
+        if u64::from(degree) > degree_cap {
+            return Err(SliceError::Invalid("degree exceeds vertex count"));
+        }
+        let len = RECORD_HDR + 4 * degree as usize;
+        if bytes.len() < len {
+            return Err(SliceError::NeedMore);
+        }
+        Ok(Frame {
+            vertex: le_u32(head),
+            degree: degree as usize,
+            header: RECORD_HDR,
+            len,
+        })
+    }
+
+    #[inline]
+    fn decode(body: &[u8], degree: usize, dst: &mut Vec<VertexId>) -> Result<(), SliceError> {
+        dst.extend(body[..4 * degree].chunks_exact(4).map(le_u32));
+        Ok(())
+    }
+}
+
+/// The plain fixed-width adjacency file.
+pub type AdjFile = RecordFile<PlainCodec>;
+
+/// Streaming writer for plain adjacency files.
+pub type AdjFileWriter = RecordWriter<PlainCodec>;
+
+/// Magic plus header fields of a `C` file.
+fn header_bytes<C: RecordCodec>(num_vertices: u64, num_edges: u64) -> io::Result<Vec<u8>> {
+    let mut header = C::MAGIC.to_vec();
+    C::encode_header(num_vertices, num_edges, &mut header)?;
+    Ok(header)
+}
+
+/// Streaming writer for adjacency files of codec `C`.
 ///
-/// [`AdjFileWriter::create_indexed`] additionally tracks each record's
+/// [`RecordWriter::create_indexed`] additionally tracks each record's
 /// byte offset as it goes, so the random-access [`RecordIndex`] comes for
-/// free at [`AdjFileWriter::finish_indexed`] instead of costing a rebuild
-/// scan. The plain [`AdjFileWriter::create`] skips the `8|V|`-byte
+/// free at [`RecordWriter::finish_indexed`] instead of costing a rebuild
+/// scan. The plain [`RecordWriter::create`] skips the `8|V|`-byte
 /// offsets array — writers that never want an index stay at the old
 /// memory footprint.
 #[derive(Debug)]
-pub struct AdjFileWriter {
+pub struct RecordWriter<C> {
     writer: BlockWriter<File>,
     path: PathBuf,
     expected_vertices: u64,
     expected_edges: u64,
     written: u64,
-    /// Directed neighbour entries written so far.
+    /// Directed neighbour entries written so far (after the codec's
+    /// normalisation).
     entries: u64,
-    scratch: Vec<u8>,
+    /// One encoded record.
+    buf: Vec<u8>,
+    /// The codec's per-record scratch.
+    scratch: Vec<VertexId>,
     /// `Some` only for indexed writers: offsets[v] = byte offset of v's
     /// record (u64::MAX until written).
     offsets: Option<Vec<u64>>,
     cursor: u64,
+    codec: PhantomData<C>,
 }
 
-impl AdjFileWriter {
+impl<C: RecordCodec> RecordWriter<C> {
     /// Creates `path` and writes the header for a graph with
     /// `num_vertices` vertices and `num_edges` undirected edges.
     pub fn create(
@@ -72,8 +232,8 @@ impl AdjFileWriter {
         Self::create_inner(path, num_vertices, num_edges, stats, block_size, false)
     }
 
-    /// Like [`AdjFileWriter::create`], but also tracks per-vertex record
-    /// offsets (`8|V|` extra bytes) for [`AdjFileWriter::finish_indexed`].
+    /// Like [`RecordWriter::create`], but also tracks per-vertex record
+    /// offsets (`8|V|` extra bytes) for [`RecordWriter::finish_indexed`].
     pub fn create_indexed(
         path: &Path,
         num_vertices: u64,
@@ -94,9 +254,8 @@ impl AdjFileWriter {
     ) -> io::Result<Self> {
         let file = File::create(path)?;
         let mut writer = BlockWriter::with_block_size(file, stats, block_size);
-        writer.write_all(MAGIC)?;
-        codec::write_u64(&mut writer, num_vertices)?;
-        codec::write_u64(&mut writer, num_edges)?;
+        let header = header_bytes::<C>(num_vertices, num_edges)?;
+        writer.write_all(&header)?;
         Ok(Self {
             writer,
             path: path.to_path_buf(),
@@ -104,9 +263,11 @@ impl AdjFileWriter {
             expected_edges: num_edges,
             written: 0,
             entries: 0,
+            buf: Vec::new(),
             scratch: Vec::new(),
             offsets: indexed.then(|| vec![u64::MAX; num_vertices as usize]),
-            cursor: HEADER_BYTES as u64,
+            cursor: header.len() as u64,
+            codec: PhantomData,
         })
     }
 
@@ -119,13 +280,25 @@ impl AdjFileWriter {
         {
             *slot = self.cursor;
         }
-        codec::write_u32(&mut self.writer, vertex)?;
-        codec::write_u32(&mut self.writer, neighbors.len() as u32)?;
-        codec::write_u32_slice(&mut self.writer, neighbors, &mut self.scratch)?;
+        self.buf.clear();
+        let entries = C::encode_record(vertex, neighbors, &mut self.scratch, &mut self.buf)?;
+        self.writer.write_all(&self.buf)?;
         self.written += 1;
-        self.entries += neighbors.len() as u64;
-        self.cursor += 8 + 4 * neighbors.len() as u64;
+        self.entries += entries as u64;
+        self.cursor += self.buf.len() as u64;
         Ok(())
+    }
+
+    /// Appends every record of `graph`, in its scan order.
+    pub fn write_scan<G: GraphScan + ?Sized>(&mut self, graph: &G) -> io::Result<()> {
+        // Scan callbacks cannot fail, so the first write error is stashed.
+        let mut error = None;
+        graph.scan(&mut |v, ns| {
+            if error.is_none() {
+                error = self.write_record(v, ns).err();
+            }
+        })?;
+        error.map_or(Ok(()), Err)
     }
 
     fn check_complete(&self) -> io::Result<()> {
@@ -145,7 +318,8 @@ impl AdjFileWriter {
     /// reconciles the `|E|` header with the directed entries actually
     /// written — a caller whose announced edge count drifted from the
     /// records it emitted (e.g. an update overlay replaying an invalid
-    /// edit stream) gets the header patched in place rather than left
+    /// edit stream, or a multigraph source the compressed codec
+    /// deduplicated) gets the header patched in place rather than left
     /// lying. Returns the true undirected edge count.
     ///
     /// Fails when the directed entry total is odd (an asymmetric source:
@@ -156,9 +330,9 @@ impl AdjFileWriter {
         self.finish_common()
     }
 
-    /// Like [`AdjFileWriter::finish`], but also returns the per-vertex
+    /// Like [`RecordWriter::finish`], but also returns the per-vertex
     /// record offsets accumulated during the write. Requires
-    /// [`AdjFileWriter::create_indexed`].
+    /// [`RecordWriter::create_indexed`].
     ///
     /// Fails if any vertex in `0..|V|` never received a record (possible
     /// even with a correct record *count*, via duplicate or out-of-range
@@ -192,13 +366,7 @@ impl AdjFileWriter {
     pub fn finish_shard(self) -> io::Result<u64> {
         self.check_complete()?;
         let entries = self.entries;
-        self.writer.finish()?;
-        if entries != self.expected_edges {
-            use std::io::{Seek, SeekFrom};
-            let mut f = std::fs::OpenOptions::new().write(true).open(&self.path)?;
-            f.seek(SeekFrom::Start(16))? /* magic (8) + |V| (8) */;
-            f.write_all(&entries.to_le_bytes())?;
-        }
+        self.flush_with_edges(entries)?;
         Ok(entries)
     }
 
@@ -214,22 +382,29 @@ impl AdjFileWriter {
             ));
         }
         let true_edges = self.entries / 2;
-        self.writer.finish()?;
-        if true_edges != self.expected_edges {
-            use std::io::{Seek, SeekFrom};
-            let mut f = std::fs::OpenOptions::new().write(true).open(&self.path)?;
-            f.seek(SeekFrom::Start(16))? /* magic (8) + |V| (8) */;
-            f.write_all(&true_edges.to_le_bytes())?;
-        }
+        self.flush_with_edges(true_edges)?;
         Ok(true_edges)
+    }
+
+    /// Flushes, then rewrites the header in place if `edges` is not the
+    /// `|E|` announced at create (the header keeps its width).
+    fn flush_with_edges(self, edges: u64) -> io::Result<()> {
+        self.writer.finish()?;
+        if edges != self.expected_edges {
+            let mut f = std::fs::OpenOptions::new().write(true).open(&self.path)?;
+            f.write_all(&header_bytes::<C>(self.expected_vertices, edges)?)?;
+        }
+        Ok(())
     }
 }
 
-/// A readable adjacency file. Opening validates the header; every
-/// [`GraphScan::scan`] re-reads the file front to back through a fresh
-/// block reader and bumps the scan counter.
+/// A readable adjacency file of codec `C`. Opening validates the
+/// header; every [`GraphScan::scan`] re-reads the file front to back
+/// through a fresh block reader, bumps the scan counter, and fails with
+/// `InvalidData` if the header no longer matches the one seen at open
+/// (the file was replaced or corrupted behind the handle).
 #[derive(Debug, Clone)]
-pub struct AdjFile {
+pub struct RecordFile<C> {
     path: PathBuf,
     num_vertices: u64,
     num_edges: u64,
@@ -239,11 +414,12 @@ pub struct AdjFile {
     /// Equal to `num_vertices` for a standalone file; a shard member of a
     /// larger graph stores only its own record count in the header while
     /// degrees range over the *global* vertex universe, so
-    /// [`AdjFile::open_shard`] widens the cap to the manifest's `|V|`.
+    /// [`RecordFile::open_shard`] widens the cap to the manifest's `|V|`.
     degree_cap: u64,
+    codec: PhantomData<C>,
 }
 
-impl AdjFile {
+impl<C: RecordCodec> RecordFile<C> {
     /// Opens `path`, validating magic and header.
     pub fn open(path: &Path, stats: Arc<IoStats>) -> io::Result<Self> {
         Self::open_with_block_size(path, stats, DEFAULT_BLOCK_SIZE)
@@ -258,19 +434,10 @@ impl AdjFile {
         let file = File::open(path)?;
         let file_bytes = file.metadata()?.len();
         let mut reader = BlockReader::with_block_size(file, Arc::clone(&stats), block_size);
-        let mut magic = [0u8; 8];
-        reader.read_exact(&mut magic)?;
-        if &magic != MAGIC {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "not an adjacency file",
-            ));
-        }
-        let num_vertices = codec::read_u64(&mut reader)?;
-        let num_edges = codec::read_u64(&mut reader)?;
-        // Every record takes at least its 8-byte header, so a larger |V|
-        // is a corrupt header; callers size per-vertex arrays by it.
-        if num_vertices > file_bytes.saturating_sub(HEADER_BYTES as u64) / RECORD_HDR as u64 {
+        let (num_vertices, num_edges, header_len) = read_header::<C>(&mut reader, path)?;
+        // Callers size per-vertex arrays by |V|, so a count the record
+        // bytes cannot hold is a corrupt header.
+        if num_vertices > file_bytes.saturating_sub(header_len) / C::MIN_RECORD_BYTES {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!(
@@ -286,6 +453,7 @@ impl AdjFile {
             block_size,
             stats,
             degree_cap: num_vertices,
+            codec: PhantomData,
         })
     }
 
@@ -318,20 +486,99 @@ impl AdjFile {
         Ok(std::fs::metadata(&self.path)?.len())
     }
 
-    /// A chunked reader positioned at the first record.
+    /// The cap record degrees are validated against.
+    pub(crate) fn degree_cap(&self) -> u64 {
+        self.degree_cap
+    }
+
+    /// A chunked reader positioned at the first record, after checking
+    /// that the header still matches the one seen at open. Its
+    /// [`ChunkBuf::position`] is the true file offset.
     fn records(&self) -> io::Result<ChunkBuf<BlockReader<File>>> {
         let file = File::open(&self.path)?;
-        let reader = BlockReader::with_block_size(file, Arc::clone(&self.stats), self.block_size);
-        let mut chunk = ChunkBuf::new(reader, self.block_size);
-        if !chunk.fill_at_least(HEADER_BYTES)? {
-            return Err(truncated("adjacency file header"));
+        let mut reader =
+            BlockReader::with_block_size(file, Arc::clone(&self.stats), self.block_size);
+        let (num_vertices, num_edges, header_len) = read_header::<C>(&mut reader, &self.path)?;
+        if (num_vertices, num_edges) != (self.num_vertices, self.num_edges) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "{}: header changed since open (|V| {} -> {num_vertices}, \
+                     |E| {} -> {num_edges})",
+                    self.path.display(),
+                    self.num_vertices,
+                    self.num_edges
+                ),
+            ));
         }
-        chunk.consume(HEADER_BYTES);
-        Ok(chunk)
+        Ok(ChunkBuf::with_consumed(reader, header_len, self.block_size))
+    }
+
+    /// The one record loop: charges one scan, then frames every record
+    /// in storage order and hands `f` its file offset, its frame and its
+    /// bytes. Nothing is decoded here.
+    pub(crate) fn for_each_record(
+        &self,
+        mut f: impl FnMut(u64, Frame, &[u8]) -> io::Result<()>,
+    ) -> io::Result<()> {
+        self.stats.record_scan();
+        let mut chunk = self.records()?;
+        for _ in 0..self.num_vertices {
+            let frame = loop {
+                match C::frame(chunk.available(), self.degree_cap) {
+                    Ok(frame) => break frame,
+                    Err(SliceError::NeedMore) if chunk.refill()? => {}
+                    Err(e) => return Err(e.into_io_error("adjacency record")),
+                }
+            };
+            f(chunk.position(), frame, &chunk.available()[..frame.len])?;
+            chunk.consume(frame.len);
+        }
+        Ok(())
     }
 }
 
-impl GraphScan for AdjFile {
+/// Decodes the neighbours of the framed record `bytes` into `dst`.
+pub(crate) fn decode_record<C: RecordCodec>(
+    frame: Frame,
+    bytes: &[u8],
+    dst: &mut Vec<VertexId>,
+) -> io::Result<()> {
+    C::decode(&bytes[frame.header..frame.len], frame.degree, dst)
+        .map_err(|e| e.into_io_error("adjacency record"))
+}
+
+/// Reads the magic and header fields of a `C` file from the front of
+/// `reader`, consuming exactly the header. Returns `(|V|, |E|, header
+/// bytes)`.
+fn read_header<C: RecordCodec>(reader: &mut impl Read, path: &Path) -> io::Result<(u64, u64, u64)> {
+    // Magic plus the longest header: two 10-byte varints.
+    let mut head = [0u8; 32];
+    reader.read_exact(&mut head[..8])?;
+    if &head[..8] != C::MAGIC {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "{}: not a {} adjacency file",
+                path.display(),
+                String::from_utf8_lossy(C::MAGIC)
+            ),
+        ));
+    }
+    let mut len = 8;
+    loop {
+        match C::parse_header(&head[8..len]) {
+            Ok((num_vertices, num_edges)) => return Ok((num_vertices, num_edges, len as u64)),
+            Err(SliceError::NeedMore) if len < head.len() => {
+                reader.read_exact(&mut head[len..=len])?;
+                len += 1;
+            }
+            Err(e) => return Err(e.into_io_error("adjacency header")),
+        }
+    }
+}
+
+impl<C: RecordCodec> GraphScan for RecordFile<C> {
     fn num_vertices(&self) -> usize {
         self.num_vertices as usize
     }
@@ -340,68 +587,42 @@ impl GraphScan for AdjFile {
         self.num_edges
     }
 
-    /// Chunked sequential decode: each record's header is parsed in the
-    /// buffered window, and its neighbour ids are decoded straight off
-    /// the slice.
+    /// Chunked sequential decode: each record is framed in the buffered
+    /// window and its neighbours decoded straight off the slice.
     fn scan(&self, f: &mut dyn FnMut(VertexId, &[VertexId])) -> io::Result<()> {
-        self.stats.record_scan();
-        let mut chunk = self.records()?;
         let mut neighbors: Vec<VertexId> = Vec::new();
-        for _ in 0..self.num_vertices {
-            let (vertex, degree) = next_header(&mut chunk, self.degree_cap)?;
-            let total = RECORD_HDR + 4 * degree;
-            if !chunk.fill_at_least(total)? {
-                return Err(truncated("adjacency record"));
-            }
+        self.for_each_record(|_, frame, bytes| {
             neighbors.clear();
-            decode_ids(&chunk.available()[RECORD_HDR..total], &mut neighbors);
-            chunk.consume(total);
-            f(vertex, &neighbors);
+            decode_record::<C>(frame, bytes, &mut neighbors)?;
+            f(frame.vertex, &neighbors);
+            Ok(())
+        })
+    }
+
+    /// Native block hand-out: neighbours decode **straight into** each
+    /// [`RecordBlock`]'s shared neighbour buffer, skipping the default
+    /// implementation's per-record re-buffering copy.
+    fn scan_blocks(&self, target_records: usize, f: &mut dyn FnMut(RecordBlock)) -> io::Result<()> {
+        let target = target_records.max(1);
+        let nbr_cap = target.saturating_mul(16);
+        let mut block = RecordBlock::with_seq(0);
+        self.for_each_record(|_, frame, bytes| {
+            block.push_with(frame.vertex, |dst| decode_record::<C>(frame, bytes, dst))?;
+            if block.len() >= target || block.edge_entries() >= nbr_cap {
+                let seq = block.seq() + 1;
+                f(std::mem::replace(&mut block, RecordBlock::with_seq(seq)));
+            }
+            Ok(())
+        })?;
+        if !block.is_empty() {
+            f(block);
         }
         Ok(())
     }
 
     fn storage(&self) -> &'static str {
-        "adj-file"
+        C::STORAGE
     }
-}
-
-/// Record header size: `u32` vertex + `u32` degree.
-const RECORD_HDR: usize = 8;
-
-/// Buffers and parses the fixed-width record header at the front of
-/// `chunk`; nothing is consumed. A degree above `degree_cap` is
-/// corruption, rejected before anything is sized by it.
-fn next_header<R: Read>(chunk: &mut ChunkBuf<R>, degree_cap: u64) -> io::Result<(VertexId, usize)> {
-    if !chunk.fill_at_least(RECORD_HDR)? {
-        return Err(truncated("adjacency record"));
-    }
-    let buf = chunk.available();
-    let vertex = u32::from_le_bytes(buf[0..4].try_into().expect("4-byte field"));
-    let degree = u32::from_le_bytes(buf[4..8].try_into().expect("4-byte field"));
-    if u64::from(degree) > degree_cap {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "corrupt adjacency record: degree exceeds vertex count",
-        ));
-    }
-    Ok((vertex, degree as usize))
-}
-
-/// Appends the little-endian `u32` ids in `bytes` to `dst`.
-fn decode_ids(bytes: &[u8], dst: &mut Vec<VertexId>) {
-    dst.extend(
-        bytes
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]])),
-    );
-}
-
-fn truncated(what: &str) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::UnexpectedEof,
-        format!("truncated {what}: input ends mid-record"),
-    )
 }
 
 #[cfg(test)]

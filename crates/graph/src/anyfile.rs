@@ -1,22 +1,25 @@
 //! Format-sniffing wrapper over the two on-disk adjacency formats.
 //!
 //! Plain (`MISADJ01`, [`AdjFile`]) and gap-compressed (`MISADJC1`,
-//! [`CompressedAdjFile`]) files are full peers everywhere a graph is
-//! scanned: the CLI, the durable-update store and the experiment harness
-//! all accept either. [`AnyAdjFile`] opens a path by magic bytes and
-//! delegates the whole [`GraphScan`] surface — including the native
-//! block hand-out of the compressed format — so callers stay
-//! format-agnostic until they genuinely need the concrete type (e.g. to
-//! build the matching [`crate::RandomAccessGraph`] index flavour).
+//! [`CompressedAdjFile`]) files — the two codecs of one
+//! [`crate::adjfile::RecordFile`] — and `MISSHRD1` sharded stores are
+//! full peers everywhere a graph is scanned: the CLI, the durable-update
+//! store and the experiment harness all accept any of them.
+//! [`AnyAdjFile`] opens a path by magic bytes and delegates the whole
+//! [`GraphScan`] surface, including the native block hand-out, and
+//! [`AnyAdjFile::open_random_access`] opens the matching paged access
+//! path, so callers stay format-agnostic.
 
 use std::io::{self, Read};
 use std::path::Path;
 use std::sync::Arc;
 
+use mis_extmem::pager::PagerConfig;
 use mis_extmem::{IoStats, DEFAULT_BLOCK_SIZE};
 
 use crate::adjfile::AdjFile;
 use crate::compressed::CompressedAdjFile;
+use crate::raccess::{NeighborAccess, RandomAccessGraph};
 use crate::scan::{GraphScan, RecordBlock};
 use crate::sharded::ShardedGraph;
 use crate::VertexId;
@@ -91,6 +94,20 @@ impl AnyAdjFile {
             AnyAdjFile::Compressed(f) => f.disk_bytes(),
             AnyAdjFile::Sharded(g) => g.disk_bytes(),
         }
+    }
+
+    /// Opens the paged access path under `config`: the record index is
+    /// built with one accounted scan (per shard for sharded stores, which
+    /// split the frame budget across per-shard pagers).
+    pub fn open_random_access(
+        &self,
+        config: PagerConfig,
+    ) -> io::Result<Box<dyn NeighborAccess + Send>> {
+        Ok(match self {
+            AnyAdjFile::Plain(f) => Box::new(RandomAccessGraph::open(f, config)?),
+            AnyAdjFile::Compressed(f) => Box::new(RandomAccessGraph::open(f, config)?),
+            AnyAdjFile::Sharded(g) => Box::new(g.open_random_access(config)?),
+        })
     }
 
     /// The file as a scan trait object.

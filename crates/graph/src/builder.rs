@@ -21,7 +21,8 @@ use std::sync::Arc;
 
 use mis_extmem::{external_sort, IoStats, ScratchDir, SortConfig};
 
-use crate::adjfile::{AdjFile, AdjFileWriter};
+use crate::adjfile::{AdjFile, AdjFileWriter, RecordCodec, RecordFile, RecordWriter};
+use crate::compressed::CompressedAdjFile;
 use crate::csr::CsrGraph;
 use crate::scan::GraphScan;
 use crate::VertexId;
@@ -113,19 +114,7 @@ pub fn degree_sort_adj_file(
     sort_cfg: &SortConfig,
     scratch: &ScratchDir,
 ) -> io::Result<AdjFile> {
-    let stats = Arc::clone(input.stats());
-    let mut writer = AdjFileWriter::create(
-        output,
-        input.num_vertices() as u64,
-        input.num_edges(),
-        Arc::clone(&stats),
-        sort_cfg.block_size,
-    )?;
-    degree_sort_records(input, sort_cfg, scratch, &mut |v, ns| {
-        writer.write_record(v, ns)
-    })?;
-    writer.finish()?;
-    AdjFile::open_with_block_size(output, stats, sort_cfg.block_size)
+    degree_sort_into(input, output, sort_cfg, scratch)
 }
 
 /// Like [`degree_sort_adj_file`], but emits a gap-compressed `MISADJC1`
@@ -137,30 +126,18 @@ pub fn degree_sort_compressed_adj_file(
     output: &Path,
     sort_cfg: &SortConfig,
     scratch: &ScratchDir,
-) -> io::Result<crate::CompressedAdjFile> {
-    let stats = Arc::clone(input.stats());
-    let mut writer = crate::compressed::CompressedAdjWriter::create(
-        output,
-        input.num_vertices() as u64,
-        input.num_edges(),
-        Arc::clone(&stats),
-        sort_cfg.block_size,
-    )?;
-    degree_sort_records(input, sort_cfg, scratch, &mut |v, ns| {
-        writer.write_record(v, ns)
-    })?;
-    writer.finish()?;
-    crate::CompressedAdjFile::open_with_block_size(output, stats, sort_cfg.block_size)
+) -> io::Result<CompressedAdjFile> {
+    degree_sort_into(input, output, sort_cfg, scratch)
 }
 
-/// The shared guts of the degree sort: streams the re-ordered records to
-/// `emit` in ascending `(degree, id)` rank order.
-fn degree_sort_records(
+/// The degree sort, writing a file of codec `C`: records are emitted in
+/// ascending `(degree, id)` rank order.
+fn degree_sort_into<C: RecordCodec>(
     input: &AdjFile,
+    output: &Path,
     sort_cfg: &SortConfig,
     scratch: &ScratchDir,
-    emit: &mut dyn FnMut(VertexId, &[VertexId]) -> io::Result<()>,
-) -> io::Result<()> {
+) -> io::Result<RecordFile<C>> {
     let n = input.num_vertices();
     let stats = Arc::clone(input.stats());
 
@@ -194,8 +171,15 @@ fn degree_sort_records(
     })?;
     let mut sorted = external_sort(pairs, sort_cfg, scratch, &stats)?;
 
-    // Streaming emit in rank order; vertices with no edges still get a
+    // Streaming write in rank order; vertices with no edges still get a
     // record.
+    let mut writer = RecordWriter::<C>::create(
+        output,
+        n as u64,
+        input.num_edges(),
+        Arc::clone(&stats),
+        sort_cfg.block_size,
+    )?;
     let mut pending: Option<(u32, u32)> = sorted.next_record()?;
     let mut list: Vec<VertexId> = Vec::new();
     for r in 0..n as u32 {
@@ -207,10 +191,11 @@ fn degree_sort_records(
             list.push(order[rv as usize]);
             pending = sorted.next_record()?;
         }
-        emit(order[r as usize], &list)?;
+        writer.write_record(order[r as usize], &list)?;
     }
     debug_assert!(pending.is_none());
-    Ok(())
+    writer.finish()?;
+    RecordFile::open_with_block_size(output, stats, sort_cfg.block_size)
 }
 
 #[cfg(test)]

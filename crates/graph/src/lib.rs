@@ -13,8 +13,11 @@
 //! * [`CsrGraph`] — an in-memory compressed-sparse-row graph used by the
 //!   in-memory baseline (`DynamicUpdate`), by tests, and as the source from
 //!   which adjacency files are built;
-//! * [`AdjFile`] / [`adjfile::AdjFileWriter`] — the on-disk adjacency-list
-//!   format, scanned through the block-accounted readers of [`mis_extmem`];
+//! * [`adjfile`] — the on-disk adjacency-list file, one implementation
+//!   (writer, reader, record loop) generic over a record codec:
+//!   [`AdjFile`] for the plain `MISADJ01` codec and [`CompressedAdjFile`]
+//!   for the gap-compressed `MISADJC1` codec of [`compressed`], both
+//!   scanned through the block-accounted readers of [`mis_extmem`];
 //! * [`GraphScan`] — the streaming interface all semi-external algorithms
 //!   are written against, implemented by both representations so every
 //!   algorithm can run fully in memory (tests, micro-benchmarks) or against
@@ -22,10 +25,10 @@
 //! * [`builder`] — semi-external construction: external sort of the edge
 //!   set, degree computation, and the degree-sort preprocessing of
 //!   Algorithm 1;
-//! * [`raccess`] — the random-access side: a per-vertex [`RecordIndex`]
-//!   and [`RandomAccessGraph`], adjacency reads served through
-//!   `mis_extmem`'s buffer-pool page cache for the swap algorithms' paged
-//!   candidate-verification path;
+//! * [`raccess`] — the random-access side, shared by both codecs: a
+//!   per-vertex [`RecordIndex`] of byte offsets and [`RandomAccessGraph`],
+//!   adjacency reads served through `mis_extmem`'s buffer-pool page cache
+//!   for the swap algorithms' paged candidate-verification path;
 //! * [`sharded`] — the `MISSHRD1` manifest-backed sharded layout: one
 //!   adjacency file split into degree-balanced vertex-range shards,
 //!   scanned in manifest order as one logical pass, with per-shard
@@ -48,14 +51,13 @@ pub mod raccess;
 pub mod scan;
 pub mod sharded;
 
-pub use adjfile::AdjFile;
+pub use adjfile::{AdjFile, PlainCodec, RecordCodec, RecordFile, RecordWriter};
 pub use anyfile::AnyAdjFile;
 pub use builder::{
     build_adj_file, degree_sort_adj_file, degree_sort_compressed_adj_file, GraphBuilder,
 };
 pub use compressed::{
-    compress_adj, compress_adj_indexed, CompressedAdjFile, CompressedAdjWriter,
-    CompressedRecordIndex,
+    compress_adj, compress_adj_indexed, CompressedAdjFile, CompressedAdjWriter, GapCodec,
 };
 pub use csr::CsrGraph;
 pub use delta::{DeltaGraph, DeltaOverlay, PinnedDelta};

@@ -4,15 +4,14 @@
 //! sequential passes. Late swap rounds, however, only need to verify a
 //! handful of candidates, and a full `scan(|V|+|E|)` pass for a few
 //! records is exactly the waste a database buffer pool exists to remove.
-//! This module adds the random-access side:
+//! This module adds the random-access side, once for both record codecs:
 //!
 //! * [`RecordIndex`] — one `u64` file offset per vertex, built while
-//!   writing the file ([`crate::adjfile::AdjFileWriter::finish_indexed`])
-//!   or by one accounted scan ([`RecordIndex::build`]). `8|V|` bytes,
-//!   within the semi-external `O(|V|)` memory budget. Gap-compressed
-//!   files use [`crate::CompressedRecordIndex`] instead (offset *and*
-//!   byte length per vertex, `12|V|` bytes — variable-width records have
-//!   no computable length).
+//!   writing the file ([`crate::adjfile::RecordWriter::finish_indexed`])
+//!   or by one accounted scan that frames records without decoding them
+//!   ([`RecordIndex::build`]). `8|V|` bytes, within the semi-external
+//!   `O(|V|)` memory budget, for plain and gap-compressed files alike:
+//!   framing finds where a record ends, so no length is stored.
 //! * [`RandomAccessGraph`] — an adjacency file (plain `MISADJ01` or
 //!   gap-compressed `MISADJC1`) behind a [`BufferPool`]:
 //!   [`RandomAccessGraph::neighbors`] resolves a vertex through the
@@ -26,16 +25,19 @@
 
 use std::cell::RefCell;
 use std::io;
+use std::marker::PhantomData;
+use std::sync::Arc;
 
 use mis_extmem::pager::{open_file_source, BufferPool, FilePageSource, PagerConfig};
-use mis_extmem::varint::{decode_ascending_gaps_slice, decode_varint_slice};
+use mis_extmem::varint::SliceError;
 
-use crate::adjfile::{AdjFile, HEADER_BYTES};
-use crate::compressed::{CompressedAdjFile, CompressedRecordIndex};
+use crate::adjfile::{decode_record, Frame, RecordCodec, RecordFile};
+use crate::compressed::{CompressedAdjFile, GapCodec};
 use crate::scan::GraphScan;
 use crate::VertexId;
 
-/// Per-vertex byte offsets of adjacency records within an [`AdjFile`].
+/// Per-vertex byte offsets of adjacency records within a file of either
+/// codec.
 #[derive(Debug, Clone, Default)]
 pub struct RecordIndex {
     offsets: Vec<u64>,
@@ -47,29 +49,46 @@ impl RecordIndex {
         Self { offsets }
     }
 
-    /// Builds the index with one accounted sequential scan of `file`.
-    pub fn build(file: &AdjFile) -> io::Result<Self> {
+    /// Builds the index, keyed by vertex id, with one accounted
+    /// sequential scan of `file` that frames records without decoding
+    /// them. A record whose vertex is out of range or already indexed
+    /// is corruption.
+    pub fn build<C: RecordCodec>(file: &RecordFile<C>) -> io::Result<Self> {
         let _span = mis_obs::span("graph", "index.build");
         let n = file.num_vertices();
-        let mut offsets = vec![0u64; n];
-        let mut pos = HEADER_BYTES as u64;
-        let mut out_of_range = None;
-        file.scan(&mut |v, ns| {
-            match offsets.get_mut(v as usize) {
-                Some(slot) => *slot = pos,
-                None => {
-                    out_of_range.get_or_insert(v);
-                }
+        let mut offsets = vec![u64::MAX; n];
+        file.for_each_record(|offset, frame, _| {
+            let vertex = frame.vertex;
+            let slot = offsets.get_mut(vertex as usize).ok_or_else(|| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("record for vertex {vertex} out of range ({n} vertices)"),
+                )
+            })?;
+            if *slot != u64::MAX {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("duplicate record for vertex {vertex}"),
+                ));
             }
-            // Record layout: vertex u32, degree u32, then the list.
-            pos += 8 + 4 * ns.len() as u64;
+            *slot = offset;
+            Ok(())
         })?;
-        if let Some(v) = out_of_range {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("record for vertex {v} out of range ({n} vertices)"),
-            ));
-        }
+        Ok(Self { offsets })
+    }
+
+    /// Builds the index keyed by **record rank** (storage order) instead
+    /// of vertex id, with one accounted scan. Shard members of a sharded
+    /// store carry global vertex ids in records while the index spans
+    /// only the shard's own records; rank `r` of an id-ordered shard is
+    /// its base vertex plus `r`.
+    pub(crate) fn build_ranked<C: RecordCodec>(file: &RecordFile<C>) -> io::Result<Self> {
+        let _span = mis_obs::span("graph", "index.build");
+        let mut offsets = Vec::with_capacity(file.num_vertices());
+        file.for_each_record(|offset, _, _| {
+            offsets.push(offset);
+            Ok(())
+        })?;
         Ok(Self { offsets })
     }
 
@@ -120,39 +139,27 @@ pub trait NeighborAccess {
 /// Mutable internals of [`RandomAccessGraph`] behind one `RefCell`.
 struct PoolState {
     pool: BufferPool<FilePageSource>,
-    /// Reusable record byte buffer.
+    /// Reusable buffer gathering a record that crosses pages.
     raw: Vec<u8>,
     /// Reusable decoded neighbour list.
     nbrs: Vec<VertexId>,
 }
 
-/// How the records behind the pool are encoded.
-enum Codec {
-    /// Fixed-width `MISADJ01` records: `u32` vertex, `u32` degree,
-    /// `u32` neighbours.
-    Plain,
-    /// Varint/gap-coded `MISADJC1` records; variable width, so the
-    /// per-vertex byte length rides along from the
-    /// [`CompressedRecordIndex`].
-    Compressed { lens: Vec<u32> },
-}
-
-/// An adjacency file — plain or gap-compressed — served through a
-/// buffer-pool page cache.
+/// An adjacency file of codec `C` — plain or gap-compressed — served
+/// through a buffer-pool page cache.
 ///
-/// Create with [`RandomAccessGraph::open`] /
-/// [`RandomAccessGraph::open_compressed`] (index built by one scan) or
-/// [`RandomAccessGraph::with_index`] /
-/// [`RandomAccessGraph::with_compressed_index`] (index carried over from
-/// the writer). All reads go through the pool, so hits, misses,
-/// evictions and the block transfers of misses land in the same
+/// Create with [`RandomAccessGraph::open`] (index built by one scan) or
+/// [`RandomAccessGraph::with_index`] (index carried over from the
+/// writer). All reads go through the pool, so hits, misses, evictions
+/// and the block transfers of misses land in the same
 /// [`mis_extmem::IoStats`] as the scan machinery's counters.
-pub struct RandomAccessGraph {
+pub struct RandomAccessGraph<C> {
     state: RefCell<PoolState>,
     index: RecordIndex,
-    codec: Codec,
     num_vertices: usize,
     num_edges: u64,
+    /// The file's record-degree cap, checked again on every fetch.
+    degree_cap: u64,
     config: PagerConfig,
     /// First global vertex id served by this graph. Non-zero only for
     /// shard members of a [`crate::sharded::ShardedGraph`], whose records
@@ -163,9 +170,10 @@ pub struct RandomAccessGraph {
     /// ranks stay strictly monotone across a whole sharded store (the
     /// caller passes the sum of the preceding shards' file sizes).
     rank_base: u64,
+    codec: PhantomData<C>,
 }
 
-impl std::fmt::Debug for RandomAccessGraph {
+impl<C> std::fmt::Debug for RandomAccessGraph<C> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RandomAccessGraph")
             .field("num_vertices", &self.num_vertices)
@@ -175,86 +183,36 @@ impl std::fmt::Debug for RandomAccessGraph {
     }
 }
 
-impl RandomAccessGraph {
+impl<C: RecordCodec> RandomAccessGraph<C> {
     /// Opens `file` for random access, building the record index with one
     /// accounted scan.
-    pub fn open(file: &AdjFile, config: PagerConfig) -> io::Result<Self> {
+    pub fn open(file: &RecordFile<C>, config: PagerConfig) -> io::Result<Self> {
         let index = RecordIndex::build(file)?;
         Self::with_index(file, index, config)
     }
 
     /// Opens `file` for random access with a pre-built index (for
-    /// instance from [`crate::adjfile::AdjFileWriter::finish_indexed`]).
-    pub fn with_index(file: &AdjFile, index: RecordIndex, config: PagerConfig) -> io::Result<Self> {
-        if index.len() != file.num_vertices() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!(
-                    "record index covers {} vertices, file has {}",
-                    index.len(),
-                    file.num_vertices()
-                ),
-            ));
-        }
-        Self::build(
-            file.path(),
-            std::sync::Arc::clone(file.stats()),
-            index,
-            Codec::Plain,
-            file.num_vertices(),
-            file.num_edges(),
-            config,
-        )
-    }
-
-    /// Opens a gap-compressed file for random access, building the
-    /// record index with one accounted scan.
-    pub fn open_compressed(file: &CompressedAdjFile, config: PagerConfig) -> io::Result<Self> {
-        let index = CompressedRecordIndex::build(file)?;
-        Self::with_compressed_index(file, index, config)
-    }
-
-    /// Opens a gap-compressed file for random access with a pre-built
-    /// index (for instance from
-    /// [`crate::compressed::CompressedAdjWriter::finish_indexed`]).
-    pub fn with_compressed_index(
-        file: &CompressedAdjFile,
-        index: CompressedRecordIndex,
-        config: PagerConfig,
-    ) -> io::Result<Self> {
-        if index.len() != file.num_vertices() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!(
-                    "record index covers {} vertices, file has {}",
-                    index.len(),
-                    file.num_vertices()
-                ),
-            ));
-        }
-        let (offsets, lens) = index.into_parts();
-        Self::build(
-            file.path(),
-            std::sync::Arc::clone(file.stats()),
-            RecordIndex::from_offsets(offsets),
-            Codec::Compressed { lens },
-            file.num_vertices(),
-            file.num_edges(),
-            config,
-        )
-    }
-
-    fn build(
-        path: &std::path::Path,
-        stats: std::sync::Arc<mis_extmem::IoStats>,
+    /// instance from [`crate::adjfile::RecordWriter::finish_indexed`]).
+    pub fn with_index(
+        file: &RecordFile<C>,
         index: RecordIndex,
-        codec: Codec,
-        num_vertices: usize,
-        num_edges: u64,
         config: PagerConfig,
     ) -> io::Result<Self> {
-        let source = open_file_source(path)?;
-        let pool = BufferPool::new(source, config, stats);
+        if index.len() != file.num_vertices() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "record index covers {} vertices, file has {}",
+                    index.len(),
+                    file.num_vertices()
+                ),
+            ));
+        }
+        let pool = BufferPool::new(
+            open_file_source(file.path())?,
+            config,
+            Arc::clone(file.stats()),
+        );
         Ok(Self {
             state: RefCell::new(PoolState {
                 pool,
@@ -262,12 +220,13 @@ impl RandomAccessGraph {
                 nbrs: Vec::new(),
             }),
             index,
-            codec,
-            num_vertices,
-            num_edges,
+            num_vertices: file.num_vertices(),
+            num_edges: file.num_edges(),
+            degree_cap: file.degree_cap(),
             config,
             vertex_base: 0,
             rank_base: 0,
+            codec: PhantomData,
         })
     }
 
@@ -306,11 +265,92 @@ impl RandomAccessGraph {
     /// Fetches `v`'s neighbour list into a fresh vector.
     pub fn neighbors(&self, v: VertexId) -> io::Result<Vec<VertexId>> {
         let mut out = Vec::new();
-        self.with_neighbors_impl(v, &mut |ns| out.extend_from_slice(ns))?;
+        self.with_neighbors(v, &mut |ns| out.extend_from_slice(ns))?;
         Ok(out)
     }
+}
 
-    fn with_neighbors_impl(&self, v: VertexId, f: &mut dyn FnMut(&[VertexId])) -> io::Result<()> {
+impl RandomAccessGraph<GapCodec> {
+    /// The same as [`RandomAccessGraph::open`], which takes either codec.
+    /// A one-line forward kept because `e2e-bench/src/solve.rs` still
+    /// opens compressed files by this name.
+    pub fn open_compressed(file: &CompressedAdjFile, config: PagerConfig) -> io::Result<Self> {
+        Self::open(file, config)
+    }
+}
+
+/// Fetches the record of `v` at `offset` through the pool and appends its
+/// neighbours to `dst`.
+///
+/// Starting at the record's page, each page covering the record is
+/// pinned exactly once, in ascending order, so the hit and miss counters
+/// measure page locality. A record inside one page is framed and decoded
+/// straight off that page; only a record crossing a page boundary is
+/// gathered into `raw` first.
+fn fetch<C: RecordCodec>(
+    pool: &mut BufferPool<FilePageSource>,
+    raw: &mut Vec<u8>,
+    offset: u64,
+    v: VertexId,
+    degree_cap: u64,
+    dst: &mut Vec<VertexId>,
+) -> io::Result<()> {
+    let page_size = pool.config().page_size as u64;
+    let mut page_no = offset / page_size;
+    let in_page = (offset % page_size) as usize;
+    let truncated = || io::Error::new(io::ErrorKind::UnexpectedEof, "truncated adjacency record");
+    if page_no >= pool.num_pages() {
+        return Err(truncated());
+    }
+    let within_page = pool.with_page(page_no, |page| {
+        let bytes = page.get(in_page..).unwrap_or(&[]);
+        match C::frame(bytes, degree_cap) {
+            Err(SliceError::NeedMore) => {
+                raw.clear();
+                raw.extend_from_slice(bytes);
+                Ok(false)
+            }
+            framed => decode_fetched::<C>(framed, bytes, v, dst).map(|()| true),
+        }
+    })??;
+    if within_page {
+        return Ok(());
+    }
+    loop {
+        page_no += 1;
+        if page_no >= pool.num_pages() {
+            return Err(truncated());
+        }
+        pool.with_page(page_no, |page| raw.extend_from_slice(page))?;
+        match C::frame(raw, degree_cap) {
+            Err(SliceError::NeedMore) => {}
+            framed => return decode_fetched::<C>(framed, raw, v, dst),
+        }
+    }
+}
+
+/// Checks that a fetched record is `v`'s and decodes it into `dst`.
+fn decode_fetched<C: RecordCodec>(
+    framed: Result<Frame, SliceError>,
+    bytes: &[u8],
+    v: VertexId,
+    dst: &mut Vec<VertexId>,
+) -> io::Result<()> {
+    let frame = framed.map_err(|e| e.into_io_error("adjacency record"))?;
+    if frame.vertex != v {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "record index out of sync: found vertex {} at {v}'s offset",
+                frame.vertex
+            ),
+        ));
+    }
+    decode_record::<C>(frame, bytes, dst)
+}
+
+impl<C: RecordCodec> NeighborAccess for RandomAccessGraph<C> {
+    fn with_neighbors(&self, v: VertexId, f: &mut dyn FnMut(&[VertexId])) -> io::Result<()> {
         let local = match v.checked_sub(self.vertex_base) {
             Some(l) if (l as usize) < self.num_vertices => l,
             _ => {
@@ -328,121 +368,15 @@ impl RandomAccessGraph {
         // the callback may recursively read through this graph. Records
         // carry global ids, so fetch validation compares against `v`.
         let nbrs = {
-            let state = &mut *self.state.borrow_mut();
-            match &self.codec {
-                Codec::Plain => fetch_plain(state, offset, v)?,
-                Codec::Compressed { lens } => {
-                    fetch_compressed(state, offset, lens[local as usize] as usize, v)?
-                }
-            }
+            let PoolState { pool, raw, nbrs } = &mut *self.state.borrow_mut();
+            let mut out = std::mem::take(nbrs);
+            out.clear();
+            fetch::<C>(pool, raw, offset, v, self.degree_cap, &mut out)?;
+            out
         };
         f(&nbrs);
         self.state.borrow_mut().nbrs = nbrs;
         Ok(())
-    }
-}
-
-/// Decodes `v`'s fixed-width `MISADJ01` record through the pool.
-fn fetch_plain(state: &mut PoolState, offset: u64, v: VertexId) -> io::Result<Vec<VertexId>> {
-    let PoolState { pool, raw, nbrs } = state;
-    // Walk the pages covering the record, pinning each exactly
-    // once: header and body share the first page's request, so
-    // the hit/miss counters measure real page locality rather
-    // than the two-reads-per-record access pattern.
-    raw.clear();
-    let page_size = pool.config().page_size as u64;
-    let mut page_no = offset / page_size;
-    let mut in_page = (offset % page_size) as usize;
-    let mut header = [0u8; 8];
-    let mut header_got = 0usize;
-    let mut body_len = 0usize;
-    loop {
-        if page_no >= pool.num_pages() {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "truncated adjacency record",
-            ));
-        }
-        let header_was_done = header_got == 8;
-        pool.with_page(page_no, |page| {
-            let mut avail: &[u8] = page.get(in_page..).unwrap_or(&[]);
-            if header_got < 8 {
-                let take = (8 - header_got).min(avail.len());
-                header[header_got..header_got + take].copy_from_slice(&avail[..take]);
-                header_got += take;
-                avail = &avail[take..];
-            }
-            if header_got == 8 {
-                let degree = u32::from_le_bytes(header[4..8].try_into().unwrap()) as usize;
-                let take = (4 * degree - raw.len()).min(avail.len());
-                raw.extend_from_slice(&avail[..take]);
-            }
-        })?;
-        if header_got == 8 && !header_was_done {
-            // Validate the header the moment it completes.
-            let vertex = u32::from_le_bytes(header[0..4].try_into().unwrap());
-            if vertex != v {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("record index out of sync: found vertex {vertex} at {v}'s offset"),
-                ));
-            }
-            body_len = 4 * u32::from_le_bytes(header[4..8].try_into().unwrap()) as usize;
-        }
-        if header_got == 8 && raw.len() == body_len {
-            break;
-        }
-        page_no += 1;
-        in_page = 0;
-    }
-    let mut nbrs = std::mem::take(nbrs);
-    nbrs.clear();
-    nbrs.extend(
-        raw.chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap())),
-    );
-    Ok(nbrs)
-}
-
-/// Decodes `v`'s varint/gap-coded `MISADJC1` record through the pool.
-/// The index supplies the record's byte length, so the record bytes are
-/// gathered with one pin per covered page and decoded in memory.
-fn fetch_compressed(
-    state: &mut PoolState,
-    offset: u64,
-    len: usize,
-    v: VertexId,
-) -> io::Result<Vec<VertexId>> {
-    let PoolState { pool, raw, nbrs } = state;
-    raw.resize(len, 0);
-    let got = pool.read_at(offset, raw)?;
-    if got < len {
-        return Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "truncated compressed adjacency record",
-        ));
-    }
-    // The record is fully in memory: decode it with the chunked slice
-    // fast path. Running off the end of `raw` means the index length
-    // disagreed with the record — a truncation, not a refill condition.
-    let to_io = |e: mis_extmem::varint::SliceError| e.into_io_error("compressed adjacency record");
-    let (vertex, a) = decode_varint_slice(raw).map_err(to_io)?;
-    if vertex != u64::from(v) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("record index out of sync: found vertex {vertex} at {v}'s offset"),
-        ));
-    }
-    let (degree, b) = decode_varint_slice(&raw[a..]).map_err(to_io)?;
-    let mut nbrs = std::mem::take(nbrs);
-    nbrs.clear();
-    decode_ascending_gaps_slice(&raw[a + b..], &mut nbrs, degree as usize).map_err(to_io)?;
-    Ok(nbrs)
-}
-
-impl NeighborAccess for RandomAccessGraph {
-    fn with_neighbors(&self, v: VertexId, f: &mut dyn FnMut(&[VertexId])) -> io::Result<()> {
-        self.with_neighbors_impl(v, f)
     }
 
     fn record_rank(&self, v: VertexId) -> u64 {
@@ -453,27 +387,19 @@ impl NeighborAccess for RandomAccessGraph {
     }
 
     fn resident_bytes(&self) -> u64 {
-        // 8 bytes of offset per vertex, plus the explicit 4-byte record
-        // length the variable-width compressed records need.
-        let per_vertex = match &self.codec {
-            Codec::Plain => 8,
-            Codec::Compressed { .. } => 12,
-        };
-        self.config.capacity_bytes() + per_vertex * self.index.len() as u64
+        // Pool frames plus 8 bytes of offset per vertex.
+        self.config.capacity_bytes() + 8 * self.index.len() as u64
     }
 
     fn access_storage(&self) -> &'static str {
-        match &self.codec {
-            Codec::Plain => "adj-file+pager",
-            Codec::Compressed { .. } => "cadj-file+pager",
-        }
+        C::PAGED_STORAGE
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adjfile::AdjFileWriter;
+    use crate::adjfile::{AdjFile, AdjFileWriter};
     use crate::builder::build_adj_file;
     use crate::csr::CsrGraph;
     use mis_extmem::pager::PolicyKind;
@@ -605,7 +531,7 @@ mod tests {
 
     #[test]
     fn compressed_neighbors_match_scan_for_every_vertex() {
-        use crate::compressed::{compress_adj_indexed, CompressedRecordIndex};
+        use crate::compressed::compress_adj_indexed;
         let g = sample();
         let dir = ScratchDir::new("raccess-comp").unwrap();
         let stats = IoStats::shared();
@@ -615,15 +541,13 @@ mod tests {
         file.scan(&mut |v, ns| expected[v as usize] = ns.to_vec())
             .unwrap();
         // Writer-built and scan-built indexes agree.
-        let sidx = CompressedRecordIndex::build(&file).unwrap();
+        let sidx = RecordIndex::build(&file).unwrap();
         for v in 0..g.num_vertices() as VertexId {
             assert_eq!(widx.offset(v), sidx.offset(v), "v={v}");
-            assert_eq!(widx.record_len(v), sidx.record_len(v), "v={v}");
         }
         for frames in [1, 2, 64] {
             let ra =
-                RandomAccessGraph::with_compressed_index(&file, widx.clone(), tiny_config(frames))
-                    .unwrap();
+                RandomAccessGraph::with_index(&file, widx.clone(), tiny_config(frames)).unwrap();
             for v in 0..g.num_vertices() as VertexId {
                 assert_eq!(ra.neighbors(v).unwrap(), expected[v as usize], "v={v}");
             }
@@ -634,22 +558,22 @@ mod tests {
         assert!(ra.record_rank(0) < ra.record_rank(1));
         assert_eq!(
             ra.resident_bytes(),
-            4 * 16 + 12 * g.num_vertices() as u64,
-            "pool frames + 12 bytes of index per vertex"
+            4 * 16 + 8 * g.num_vertices() as u64,
+            "pool frames + 8 bytes of index per vertex"
         );
         assert!(ra.neighbors(99).is_err());
     }
 
     #[test]
     fn compressed_mismatched_index_is_rejected() {
-        use crate::compressed::{compress_adj, CompressedRecordIndex};
+        use crate::compressed::compress_adj;
         let g = sample();
         let dir = ScratchDir::new("raccess-comp-bad").unwrap();
         let stats = IoStats::shared();
         let file = compress_adj(&g, &dir.file("g.cadj"), stats, 64).unwrap();
-        let err = RandomAccessGraph::with_compressed_index(
+        let err = RandomAccessGraph::with_index(
             &file,
-            CompressedRecordIndex::from_parts(vec![0; 2], vec![0; 2]),
+            RecordIndex::from_offsets(vec![0; 2]),
             tiny_config(2),
         )
         .unwrap_err();

@@ -9,12 +9,12 @@
 //! * [`crate::CsrGraph`] — in-memory, storage order = vertex id order;
 //! * [`OrderedCsr`] — in-memory with an explicit record order (used to
 //!   emulate a degree-sorted file without disk I/O);
-//! * [`crate::AdjFile`] — on disk, storage order = the order records were
-//!   written (vertex-id order from the builder, degree order after the
-//!   Algorithm 1 preprocessing step);
-//! * [`crate::CompressedAdjFile`] and [`crate::ShardedGraph`] — the
-//!   gap-compressed file and the sharded store, in the same record order
-//!   as the plain file they were made from.
+//! * [`crate::AdjFile`] and [`crate::CompressedAdjFile`] — on disk, one
+//!   implementation for both record codecs; storage order = the order
+//!   records were written (vertex-id order from the builder, degree
+//!   order after the Algorithm 1 preprocessing step);
+//! * [`crate::ShardedGraph`] — the sharded store, in the same record
+//!   order as the file it was split from.
 //!
 //! [`GraphScan::scan_blocks`] streams the same records grouped into
 //! [`RecordBlock`]s. It is the one hand-out unit of the parallel
@@ -101,7 +101,8 @@ pub struct RecordBlock {
 impl RecordBlock {
     /// An empty block at position `seq` in storage order. Crate-visible
     /// so storage formats with a native [`GraphScan::scan_blocks`]
-    /// (e.g. [`crate::CompressedAdjFile`]) can produce blocks directly.
+    /// (the adjacency files of [`crate::adjfile`]) can produce blocks
+    /// directly.
     pub(crate) fn with_seq(seq: u64) -> Self {
         Self {
             seq,

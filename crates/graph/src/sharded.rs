@@ -14,7 +14,9 @@
 //! pipeline runs on top of that scan like on any other storage. What the
 //! layout adds is on the random-access side — one pager per shard
 //! ([`ShardedRandomAccess`]) — and a cost model that sums per-shard block
-//! ceilings.
+//! ceilings. Splitting, opening and paging a shard all run the one
+//! codec-generic file implementation of [`crate::adjfile`]; the manifest's
+//! compressed flag picks the codec once per store.
 //!
 //! # Manifest format (`MISSHRD1`)
 //!
@@ -45,9 +47,9 @@
 //! **local record count** and the `|E|` field holds the shard's
 //! **directed entry count** (cross-shard edges make per-shard entry
 //! totals asymmetric, so undirected edge counts do not exist per shard).
-//! [`crate::AdjFile::open_shard`] / [`crate::CompressedAdjFile::open_shard`]
-//! widen the degree sanity cap to the manifest's global `|V|`, since
-//! records keep their global vertex ids.
+//! [`crate::adjfile::RecordFile::open_shard`] widens the degree sanity
+//! cap to the manifest's global `|V|`, since records keep their global
+//! vertex ids.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -56,9 +58,9 @@ use std::sync::{Arc, Mutex};
 use mis_extmem::pager::PagerConfig;
 use mis_extmem::{IoSnapshot, IoStats, DEFAULT_BLOCK_SIZE};
 
-use crate::adjfile::{AdjFile, AdjFileWriter, HEADER_BYTES};
+use crate::adjfile::{AdjFile, PlainCodec, RecordCodec, RecordFile, RecordWriter};
 use crate::anyfile::AnyAdjFile;
-use crate::compressed::{CompressedAdjFile, CompressedAdjWriter};
+use crate::compressed::{CompressedAdjFile, GapCodec};
 use crate::raccess::{NeighborAccess, RandomAccessGraph, RecordIndex};
 use crate::scan::GraphScan;
 use crate::VertexId;
@@ -246,46 +248,6 @@ pub struct SplitOptions {
     pub block_size: usize,
 }
 
-/// Either format's shard writer, behind one record interface.
-enum ShardWriter {
-    Plain(AdjFileWriter),
-    Compressed(CompressedAdjWriter),
-}
-
-impl ShardWriter {
-    fn create(
-        compressed: bool,
-        path: &Path,
-        records: u64,
-        stats: Arc<IoStats>,
-        block_size: usize,
-    ) -> io::Result<Self> {
-        // The `|E|` header field of a shard holds its *directed* entry
-        // count, patched by `finish_shard`; 0 here is a placeholder.
-        Ok(if compressed {
-            ShardWriter::Compressed(CompressedAdjWriter::create(
-                path, records, 0, stats, block_size,
-            )?)
-        } else {
-            ShardWriter::Plain(AdjFileWriter::create(path, records, 0, stats, block_size)?)
-        })
-    }
-
-    fn write_record(&mut self, v: VertexId, ns: &[VertexId]) -> io::Result<()> {
-        match self {
-            ShardWriter::Plain(w) => w.write_record(v, ns),
-            ShardWriter::Compressed(w) => w.write_record(v, ns),
-        }
-    }
-
-    fn finish_shard(self) -> io::Result<u64> {
-        match self {
-            ShardWriter::Plain(w) => w.finish_shard(),
-            ShardWriter::Compressed(w) => w.finish_shard(),
-        }
-    }
-}
-
 /// Splits `source` into degree-balanced shards next to `manifest_path`.
 ///
 /// Shard files are named `<manifest stem>.sNNN.adj` (or `.cadj` when the
@@ -307,8 +269,33 @@ pub fn split_adj_file(
     opts: &SplitOptions,
 ) -> io::Result<ShardManifest> {
     let _span = mis_obs::span("graph", "shard.split");
-    let shard_count = opts.shards.max(1);
     let compressed = matches!(source, AnyAdjFile::Compressed(_));
+    let (id_ordered, shards) = if compressed {
+        write_shards::<GapCodec>(source, manifest_path, opts, "cadj")?
+    } else {
+        write_shards::<PlainCodec>(source, manifest_path, opts, "adj")?
+    };
+    let manifest = ShardManifest {
+        num_vertices: source.num_vertices() as u64,
+        num_edges: source.num_edges(),
+        id_ordered,
+        compressed,
+        shards,
+    };
+    manifest.write(manifest_path)?;
+    Ok(manifest)
+}
+
+/// The two passes of [`split_adj_file`], writing shard files of codec `C`
+/// named `<manifest stem>.sNNN.<ext>`. Returns whether the source is
+/// id-ordered, and the shards.
+fn write_shards<C: RecordCodec>(
+    source: &AnyAdjFile,
+    manifest_path: &Path,
+    opts: &SplitOptions,
+    ext: &str,
+) -> io::Result<(bool, Vec<ShardMeta>)> {
+    let shard_count = opts.shards.max(1);
     let stats = Arc::clone(source.stats());
     let n = source.num_vertices();
 
@@ -342,12 +329,11 @@ pub fn split_adj_file(
         .file_stem()
         .and_then(|s| s.to_str())
         .unwrap_or("shards");
-    let ext = if compressed { "cadj" } else { "adj" };
 
     // Pass 2: stream records into the shard writers in order. Scan
     // callbacks cannot return errors, so failures are stashed.
-    struct SplitState {
-        writer: Option<(usize, ShardWriter)>,
+    struct SplitState<C> {
+        writer: Option<(usize, RecordWriter<C>)>,
         metas: Vec<ShardMeta>,
         current: usize,
         record: usize,
@@ -361,12 +347,14 @@ pub fn split_adj_file(
         err: None,
     };
     let shard_name = |i: usize| format!("{stem}.s{i:03}.{ext}");
-    let open_shard_writer = |i: usize, st: &mut SplitState| -> io::Result<()> {
+    let open_shard_writer = |i: usize, st: &mut SplitState<C>| -> io::Result<()> {
         let records = (cuts[i + 1] - cuts[i]) as u64;
-        let w = ShardWriter::create(
-            compressed,
+        // The `|E|` header field of a shard holds its *directed* entry
+        // count, patched by `finish_shard`; 0 here is a placeholder.
+        let w = RecordWriter::create(
             &dir.join(shard_name(i)),
             records,
+            0,
             Arc::clone(&stats),
             opts.block_size,
         )?;
@@ -382,7 +370,7 @@ pub fn split_adj_file(
         });
         Ok(())
     };
-    let close_shard_writer = |st: &mut SplitState| -> io::Result<()> {
+    let close_shard_writer = |st: &mut SplitState<C>| -> io::Result<()> {
         if let Some((i, w)) = st.writer.take() {
             let entries = w.finish_shard()?;
             let meta = &mut st.metas[i];
@@ -391,7 +379,7 @@ pub fn split_adj_file(
         }
         Ok(())
     };
-    let step = |st: &mut SplitState, v: VertexId, ns: &[VertexId]| -> io::Result<()> {
+    let step = |st: &mut SplitState<C>, v: VertexId, ns: &[VertexId]| -> io::Result<()> {
         while st.record >= cuts[st.current + 1] {
             // Passing a boundary: finish the running shard (creating an
             // empty one if it never received a record) and move on.
@@ -436,16 +424,7 @@ pub fn split_adj_file(
         close_shard_writer(&mut st)?;
         st.current += 1;
     }
-
-    let manifest = ShardManifest {
-        num_vertices: n as u64,
-        num_edges: source.num_edges(),
-        id_ordered,
-        compressed,
-        shards: st.metas,
-    };
-    manifest.write(manifest_path)?;
-    Ok(manifest)
+    Ok((id_ordered, st.metas))
 }
 
 /// A sharded adjacency store: the manifest plus its opened shard files.
@@ -648,9 +627,9 @@ impl GraphScan for ShardedGraph {
 }
 
 /// Random-access neighbour reads over a sharded store: one
-/// [`RandomAccessGraph`] (buffer pool + record index) per shard, sharing
-/// a single frame budget split proportionally to shard size (each shard
-/// keeps at least one frame).
+/// [`RandomAccessGraph`] (buffer pool + a record index keyed by record
+/// rank) per shard, sharing a single frame budget split proportionally to
+/// shard size (each shard keeps at least one frame).
 ///
 /// Only **id-ordered** stores support this path: vertex ids are mapped to
 /// shards by binary search on the manifest's record bases, which is a
@@ -661,7 +640,7 @@ impl GraphScan for ShardedGraph {
 /// preceding shards' sizes), so the swap algorithms' earlier-record-wins
 /// conflict resolution is unchanged.
 pub struct ShardedRandomAccess {
-    shards: Vec<RandomAccessGraph>,
+    shards: Vec<Box<dyn NeighborAccess + Send>>,
     /// `record_bases[i]` = first global vertex id of shard `i`.
     record_bases: Vec<u64>,
     records: Vec<u64>,
@@ -692,35 +671,23 @@ impl ShardedRandomAccess {
         }
         let dir = graph.path().parent().unwrap_or(Path::new("."));
         let total_bytes = manifest.total_bytes().max(1);
+        let open_pager = if manifest.compressed {
+            open_shard_access::<GapCodec>
+        } else {
+            open_shard_access::<PlainCodec>
+        };
         let mut shards = Vec::with_capacity(manifest.shards.len());
         let mut rank_base = 0u64;
         for meta in &manifest.shards {
             let frames = ((config.frames as u64 * meta.bytes / total_bytes) as usize).max(1);
             let cfg = PagerConfig { frames, ..config };
-            let spath = dir.join(&meta.name);
-            // Fresh handles report into the *global* stats: paged reads
-            // happen outside logical scans, so they must not sit in a
-            // per-shard buffer waiting for a fold that never comes.
-            let ra = if manifest.compressed {
-                let file = CompressedAdjFile::open_shard(
-                    &spath,
-                    Arc::clone(graph.stats()),
-                    graph.block_size(),
-                    manifest.num_vertices,
-                )?;
-                let index = file.rank_index()?;
-                RandomAccessGraph::with_compressed_index(&file, index, cfg)?
-            } else {
-                let file = AdjFile::open_shard(
-                    &spath,
-                    Arc::clone(graph.stats()),
-                    graph.block_size(),
-                    manifest.num_vertices,
-                )?;
-                let index = local_plain_index(&file)?;
-                RandomAccessGraph::with_index(&file, index, cfg)?
-            };
-            shards.push(ra.with_shard_base(meta.record_base as VertexId, rank_base));
+            shards.push(open_pager(
+                &dir.join(&meta.name),
+                graph,
+                cfg,
+                meta,
+                rank_base,
+            )?);
             rank_base += meta.bytes;
         }
         Ok(Self {
@@ -748,18 +715,29 @@ impl ShardedRandomAccess {
     }
 }
 
-/// Builds a rank-keyed offset index for a shard's plain records with one
-/// accounted scan. ([`RecordIndex::build`] keys by vertex id, which spans
-/// the whole store; shard indexes must span only the shard's records.)
-fn local_plain_index(file: &AdjFile) -> io::Result<RecordIndex> {
-    let _span = mis_obs::span("graph", "index.build");
-    let mut offsets = Vec::with_capacity(file.num_vertices());
-    let mut pos = HEADER_BYTES as u64;
-    file.scan(&mut |_v, ns| {
-        offsets.push(pos);
-        pos += 8 + 4 * ns.len() as u64;
-    })?;
-    Ok(RecordIndex::from_offsets(offsets))
+/// Opens one shard of `graph` as a paged graph of codec `C`, indexed by
+/// record rank with one accounted scan.
+fn open_shard_access<C: RecordCodec>(
+    path: &Path,
+    graph: &ShardedGraph,
+    config: PagerConfig,
+    meta: &ShardMeta,
+    rank_base: u64,
+) -> io::Result<Box<dyn NeighborAccess + Send>> {
+    // A fresh handle reporting into the *global* stats: paged reads
+    // happen outside logical scans, so they must not sit in a per-shard
+    // buffer waiting for a fold that never comes.
+    let file = RecordFile::<C>::open_shard(
+        path,
+        Arc::clone(graph.stats()),
+        graph.block_size(),
+        graph.manifest().num_vertices,
+    )?;
+    let index = RecordIndex::build_ranked(&file)?;
+    let ra = RandomAccessGraph::with_index(&file, index, config)?;
+    Ok(Box::new(
+        ra.with_shard_base(meta.record_base as VertexId, rank_base),
+    ))
 }
 
 impl NeighborAccess for ShardedRandomAccess {

@@ -6,7 +6,9 @@
 //! scan, the record index, and the paged random-access reads. Never a
 //! panic, and never a silent short read: a scan over a truncated file
 //! that reports `Ok` would quietly drop edges and corrupt every
-//! algorithm above it.
+//! algorithm above it. The same goes, on both codecs, for a header whose
+//! `|V|` the file cannot hold, a file replaced behind an open handle, and
+//! a file that repeats one vertex's record in place of another's.
 
 use std::io::ErrorKind;
 use std::sync::Arc;
@@ -14,8 +16,9 @@ use std::sync::Arc;
 use mis_extmem::pager::PolicyKind;
 use mis_extmem::{IoStats, PagerConfig, ScratchDir};
 use mis_graph::{
-    build_adj_file, compress_adj, AdjFile, CompressedAdjFile, CompressedRecordIndex, CsrGraph,
-    GraphScan, NeighborAccess, RandomAccessGraph, RecordIndex,
+    build_adj_file, compress_adj, AdjFile, CompressedAdjFile, CsrGraph, GapCodec, GraphScan,
+    NeighborAccess, PlainCodec, RandomAccessGraph, RecordCodec, RecordFile, RecordIndex,
+    RecordWriter,
 };
 
 /// A small power-law-ish graph built by hand (`mis-gen` depends on this
@@ -79,7 +82,7 @@ fn probe_compressed(path: &std::path::Path) {
         "scan_blocks",
     );
     // Index + paged access: building the index walks every record.
-    match CompressedRecordIndex::build(&file) {
+    match RecordIndex::build(&file) {
         Ok(_) => panic!("index build must not succeed on a truncated file"),
         Err(e) => assert_clean(e, "index build"),
     }
@@ -163,7 +166,7 @@ fn corrupt_compressed_bytes_error_cleanly_everywhere() {
         if let Err(e) = file.scan_blocks(4, &mut |_| {}) {
             assert_clean(e, "mutant scan_blocks");
         }
-        match CompressedRecordIndex::build(&file) {
+        match RecordIndex::build(&file) {
             Ok(_) => {
                 // A survivable mutant: paged reads must still behave.
                 let ra = RandomAccessGraph::open_compressed(
@@ -257,4 +260,101 @@ fn corrupt_plain_bytes_error_cleanly_everywhere() {
             Err(e) => assert_clean(e, "plain mutant index build"),
         }
     }
+}
+
+fn writer<C: RecordCodec>(path: &std::path::Path, vertices: u64, edges: u64) -> RecordWriter<C> {
+    RecordWriter::create(path, vertices, edges, IoStats::shared(), 128).unwrap()
+}
+
+fn open<C: RecordCodec>(path: &std::path::Path) -> std::io::Result<RecordFile<C>> {
+    RecordFile::open_with_block_size(path, IoStats::shared(), 128)
+}
+
+/// A 47-byte file whose header claims 2^33 vertices: every caller sizes
+/// per-vertex arrays by `|V|`, so `open` must refuse a count the record
+/// bytes cannot hold.
+fn oversized_vertex_count_is_rejected<C: RecordCodec>() {
+    let dir = ScratchDir::new("oversized-v").unwrap();
+    let path = dir.file("g");
+    let mut bytes = C::MAGIC.to_vec();
+    C::encode_header(1 << 33, 0, &mut bytes).unwrap();
+    bytes.resize(47, 0);
+    std::fs::write(&path, &bytes).unwrap();
+    let err = open::<C>(&path).expect_err("a |V| the file cannot hold must be rejected");
+    assert_eq!(err.kind(), ErrorKind::InvalidData, "{}", C::STORAGE);
+}
+
+#[test]
+fn oversized_vertex_count_is_rejected_at_open() {
+    oversized_vertex_count_is_rejected::<PlainCodec>();
+    oversized_vertex_count_is_rejected::<GapCodec>();
+}
+
+/// A handle whose file was replaced by another graph's file must fail
+/// every pass with `InvalidData` instead of reading the new records.
+fn replaced_file_fails_every_pass<C: RecordCodec>() {
+    let dir = ScratchDir::new("replaced").unwrap();
+    let path = dir.file("g");
+    let write = |g: &CsrGraph| {
+        let mut w = writer::<C>(&path, g.num_vertices() as u64, g.num_edges());
+        w.write_scan(g).unwrap();
+        w.finish().unwrap();
+    };
+    let ring = |n: u32| {
+        let edges: Vec<(u32, u32)> = (0..n).map(|v| (v, (v + 1) % n)).collect();
+        CsrGraph::from_edges(n as usize, &edges)
+    };
+    write(&ring(6));
+    let file = open::<C>(&path).unwrap();
+    // Degree 2 everywhere: the new file's first 6 records pass every
+    // per-record check, so only the header comparison catches the swap.
+    write(&ring(20));
+    let kind = |r: std::io::Result<()>| r.expect_err("a replaced file must not scan").kind();
+    assert_eq!(kind(file.scan(&mut |_, _| {})), ErrorKind::InvalidData);
+    assert_eq!(
+        kind(file.scan_blocks(4, &mut |_| {})),
+        ErrorKind::InvalidData
+    );
+    let err = RecordIndex::build(&file).expect_err("index build of a replaced file");
+    assert_eq!(err.kind(), ErrorKind::InvalidData);
+    assert!(err.to_string().contains("header changed"), "{err}");
+}
+
+#[test]
+fn replaced_file_fails_every_pass_on_both_codecs() {
+    replaced_file_fails_every_pass::<PlainCodec>();
+    replaced_file_fails_every_pass::<GapCodec>();
+}
+
+/// Records for vertices 0, 1, 1, 3: the right count, but vertex 1 twice
+/// and vertex 2 never. An index over it would misdirect reads of 1 and
+/// 2, so building one must fail.
+fn duplicate_record_fails_the_index_build<C: RecordCodec>() {
+    let dir = ScratchDir::new("dup-record").unwrap();
+    let path = dir.file("g");
+    let mut w = writer::<C>(&path, 4, 0);
+    for v in [0, 1, 1, 3] {
+        w.write_record(v, &[]).unwrap();
+    }
+    w.finish().unwrap();
+    let file = open::<C>(&path).unwrap();
+    let err = RecordIndex::build(&file).expect_err("a duplicate record must fail the index");
+    assert_eq!(err.kind(), ErrorKind::InvalidData);
+    assert!(
+        err.to_string().contains("duplicate record for vertex 1"),
+        "{err}"
+    );
+    let pager = PagerConfig {
+        page_size: 64,
+        frames: 4,
+        policy: PolicyKind::Clock,
+    };
+    let err = RandomAccessGraph::open(&file, pager).expect_err("the paged path indexes too");
+    assert_eq!(err.kind(), ErrorKind::InvalidData);
+}
+
+#[test]
+fn duplicate_record_fails_the_index_build_on_both_codecs() {
+    duplicate_record_fails_the_index_build::<PlainCodec>();
+    duplicate_record_fails_the_index_build::<GapCodec>();
 }

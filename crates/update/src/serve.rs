@@ -46,7 +46,7 @@ use std::time::Instant;
 
 use mis_core::{repair_updated_set_from_ops, RepairConfig};
 use mis_extmem::PagerConfig;
-use mis_graph::{AnyAdjFile, GraphScan, NeighborAccess, PinnedDelta, RandomAccessGraph, VertexId};
+use mis_graph::{AnyAdjFile, GraphScan, NeighborAccess, PinnedDelta, VertexId};
 use mis_obs::{RequestStats, RequestSummary};
 
 use crate::store::{RollPolicy, StoreStatus, UpdateStore};
@@ -205,7 +205,7 @@ impl ServeEngine {
             ckpt.set,
             report.maximality_proved || report.up_to_date,
         );
-        let access = open_access(store.base(), config.pager)?;
+        let access = store.base().open_random_access(config.pager)?;
         let num_vertices = store.base().num_vertices();
         Ok(Self {
             store: Mutex::new(store),
@@ -445,18 +445,6 @@ fn build_view(
         graph: pinned,
         maximality_proved,
     }
-}
-
-/// Opens the point-access path matching the base file's format.
-fn open_access(
-    base: &AnyAdjFile,
-    pager: PagerConfig,
-) -> io::Result<Box<dyn NeighborAccess + Send>> {
-    Ok(match base {
-        AnyAdjFile::Plain(f) => Box::new(RandomAccessGraph::open(f, pager)?),
-        AnyAdjFile::Compressed(f) => Box::new(RandomAccessGraph::open_compressed(f, pager)?),
-        AnyAdjFile::Sharded(g) => Box::new(g.open_random_access(pager)?),
-    })
 }
 
 /// Distinct committed epochs in the store's active WAL.

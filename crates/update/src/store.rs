@@ -71,11 +71,9 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use mis_core::{repair_updated_set, Greedy, RepairConfig};
-use mis_graph::adjfile::AdjFileWriter;
-use mis_graph::compressed::CompressedAdjWriter;
 use mis_graph::{
-    split_adj_file, AnyAdjFile, CompressedRecordIndex, DeltaOverlay, GraphScan, PinnedDelta,
-    RecordIndex, SplitOptions, VertexId,
+    split_adj_file, AnyAdjFile, DeltaOverlay, GapCodec, GraphScan, PinnedDelta, PlainCodec,
+    RecordCodec, RecordIndex, RecordWriter, SplitOptions, VertexId,
 };
 
 use mis_extmem::IoStats;
@@ -193,8 +191,8 @@ impl std::str::FromStr for CompactFormat {
 pub enum CompactIndex {
     /// Offsets into a plain file.
     Plain(RecordIndex),
-    /// Offsets + lengths into a compressed file.
-    Compressed(CompressedRecordIndex),
+    /// Offsets into a compressed file.
+    Compressed(RecordIndex),
     /// A sharded store indexes per shard; the compaction records the
     /// vertex total and shard count instead.
     Sharded {
@@ -209,8 +207,7 @@ impl CompactIndex {
     /// Number of indexed vertices.
     pub fn len(&self) -> usize {
         match self {
-            CompactIndex::Plain(i) => i.len(),
-            CompactIndex::Compressed(i) => i.len(),
+            CompactIndex::Plain(i) | CompactIndex::Compressed(i) => i.len(),
             CompactIndex::Sharded { vertices, .. } => *vertices as usize,
         }
     }
@@ -810,50 +807,23 @@ impl UpdateStore {
         let delta = self.overlay();
         let n = delta.num_vertices() as u64;
         let tmp_path = compact_temp_path(out_path);
-        // Both writers count the entries they actually write and
-        // reconcile the |E| header at finish, so overlay counts drifted
-        // by invalid streams (duplicate-base inserts, phantom deletes)
-        // need no caller-side patch.
+        // The writer counts the entries it actually writes and reconciles
+        // the |E| header at finish, so overlay counts drifted by invalid
+        // streams (duplicate-base inserts, phantom deletes) need no
+        // caller-side patch.
+        let (stats, block_size) = (&self.stats, self.block_size);
         let index = match format {
-            CompactFormat::Plain => {
-                let mut writer = AdjFileWriter::create_indexed(
-                    &tmp_path,
-                    n,
-                    delta.num_edges(),
-                    Arc::clone(&self.stats),
-                    self.block_size,
-                )?;
-                write_overlay(&delta, &mut |v, ns| writer.write_record(v, ns))?;
-                let index = CompactIndex::Plain(writer.finish_indexed()?);
-                finish_compact_file(&tmp_path, out_path, kill)?;
-                index
-            }
-            CompactFormat::Compressed => {
-                let mut writer = CompressedAdjWriter::create_indexed(
-                    &tmp_path,
-                    n,
-                    delta.num_edges(),
-                    Arc::clone(&self.stats),
-                    self.block_size,
-                )?;
-                write_overlay(&delta, &mut |v, ns| writer.write_record(v, ns))?;
-                let index = CompactIndex::Compressed(writer.finish_indexed()?);
-                finish_compact_file(&tmp_path, out_path, kill)?;
-                index
-            }
+            CompactFormat::Plain => CompactIndex::Plain(write_merged::<PlainCodec>(
+                &delta, &tmp_path, stats, block_size,
+            )?),
+            CompactFormat::Compressed => CompactIndex::Compressed(write_merged::<GapCodec>(
+                &delta, &tmp_path, stats, block_size,
+            )?),
             CompactFormat::Sharded(shards) => {
                 // Two steps through the existing machinery: materialise
                 // the overlay as a plain temp file, then split it into
                 // degree-balanced vertex-range shards.
-                let mut writer = AdjFileWriter::create_indexed(
-                    &tmp_path,
-                    n,
-                    delta.num_edges(),
-                    Arc::clone(&self.stats),
-                    self.block_size,
-                )?;
-                write_overlay(&delta, &mut |v, ns| writer.write_record(v, ns))?;
-                let _ = writer.finish_indexed()?;
+                write_merged::<PlainCodec>(&delta, &tmp_path, stats, block_size)?;
                 if kill == KillPoint::AfterSeal {
                     return Err(simulated_kill());
                 }
@@ -878,8 +848,11 @@ impl UpdateStore {
                 }
             }
         };
+        if !matches!(format, CompactFormat::Sharded(_)) {
+            finish_compact_file(&tmp_path, out_path, kill)?;
+        }
         if kill == KillPoint::AfterSeal {
-            // (single-file formats return inside finish_compact_file)
+            // (the sharded format returned before splitting)
             return Err(simulated_kill());
         }
 
@@ -987,23 +960,23 @@ fn apply_op(overlay: &mut DeltaOverlay, n: usize, op: EdgeOp) {
     }
 }
 
-/// Streams every overlay record into `write`, stopping at (and
-/// surfacing) the first write error — the shared scan shape of the
-/// [`CompactFormat`] arms.
-fn write_overlay(
+/// Writes the merged records of `delta` as one indexed file of codec
+/// `C` at `path`, returning the index the writer built.
+fn write_merged<C: RecordCodec>(
     delta: &PinnedDelta<AnyAdjFile>,
-    write: &mut dyn FnMut(VertexId, &[VertexId]) -> io::Result<()>,
-) -> io::Result<()> {
-    let mut write_err = None;
-    delta.scan(&mut |v, ns| {
-        if write_err.is_none() {
-            write_err = write(v, ns).err();
-        }
-    })?;
-    match write_err {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
+    path: &Path,
+    stats: &Arc<IoStats>,
+    block_size: usize,
+) -> io::Result<RecordIndex> {
+    let mut writer = RecordWriter::<C>::create_indexed(
+        path,
+        delta.num_vertices() as u64,
+        delta.num_edges(),
+        Arc::clone(stats),
+        block_size,
+    )?;
+    writer.write_scan(delta)?;
+    writer.finish_indexed()
 }
 
 impl ApplyReport {

@@ -80,7 +80,7 @@
 //! `<graph>` accepts plain (`MISADJ01`), gap-compressed (`MISADJC1`)
 //! and sharded (`MISSHRD1` manifest) stores everywhere it appears,
 //! detected by magic bytes — including `mis run --cache-mb`, which
-//! builds the matching record index per format (per-shard pagers
+//! builds the one record index both codecs share (per-shard pagers
 //! sharing the one cache budget for sharded stores). `gen`, `convert`
 //! and `sort` take `--shards N` to emit a sharded store directly; with
 //! `--threads N`, a sharded graph runs through the same parallel block
@@ -1034,21 +1034,10 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         config.validate()?;
         let pc = PagerConfig::with_capacity_bytes(cache_mb << 20, block_size, policy);
         pager_config = Some(pc);
-        // The index flavour follows the record codec: fixed-width
-        // offsets for plain files, offset+length for compressed ones;
-        // sharded stores split the frame budget across per-shard pagers.
-        let ra: Box<dyn NeighborAccess> = match &file {
-            AnyAdjFile::Plain(adj) => {
-                Box::new(RandomAccessGraph::open(adj, pc).map_err(|e| e.to_string())?)
-            }
-            AnyAdjFile::Compressed(cadj) => {
-                Box::new(RandomAccessGraph::open_compressed(cadj, pc).map_err(|e| e.to_string())?)
-            }
-            AnyAdjFile::Sharded(g) => {
-                Box::new(g.open_random_access(pc).map_err(|e| e.to_string())?)
-            }
-        };
-        Some(ra)
+        // Both codecs share one record index (a byte offset per vertex)
+        // and one paged fetch; sharded stores split the frame budget
+        // across per-shard pagers.
+        Some(file.open_random_access(pc).map_err(|e| e.to_string())?)
     } else {
         None
     };
@@ -2047,8 +2036,8 @@ mod tests {
         assert!(dispatch(&strs(&["run", &out, "--policy", "clock"])).is_err());
         assert!(dispatch(&strs(&["run", &out, "--paged-threshold", "0.5"])).is_err());
         assert!(dispatch(&strs(&["run", &out, "--policy", "fifo", "--cache-mb", "1"])).is_err());
-        // The paged path works on compressed files too (variable-width
-        // record index built at open).
+        // The paged path works on compressed files too (the record
+        // index is built at open by framing the variable-width records).
         let cout = dir.file("g.cadj").display().to_string();
         dispatch(&strs(&["compress", &out, &cout])).unwrap();
         dispatch(&strs(&[

@@ -5,9 +5,11 @@ use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use mis_core::peeling::peel;
-use mis_core::{matching_bound, upper_bound_scan, Greedy};
+use mis_core::{
+    matching_bound, repair_updated_set_from_ops, upper_bound_scan, Greedy, RepairConfig,
+};
 use mis_extmem::{IoStats, ScratchDir};
-use mis_graph::{build_adj_file, compress_adj, DeltaGraph, GraphScan, OrderedCsr};
+use mis_graph::{build_adj_file, compress_adj, GraphScan, OrderedCsr, PinnedDelta};
 
 fn bench_compressed_scan(c: &mut Criterion) {
     let mut group = c.benchmark_group("compressed_scan");
@@ -71,15 +73,22 @@ fn bench_incremental(c: &mut Criterion) {
     let graph = mis_gen::Plrg::with_vertices(30_000, 2.1).seed(7).generate();
     let sorted = OrderedCsr::degree_sorted(&graph);
     let set = Greedy::new().run(&sorted).set;
-    let mut delta = DeltaGraph::new(&graph);
-    for i in 0..500usize {
-        delta.insert_edge(set[i * 2], set[i * 2 + 1]);
+    let mut delta = PinnedDelta::new(graph, Arc::default(), 0);
+    let inserted: Vec<_> = (0..500usize)
+        .map(|i| (set[i * 2], set[i * 2 + 1]))
+        .collect();
+    for &(u, v) in &inserted {
+        delta.insert_edge(u, v);
     }
+    let config = RepairConfig {
+        recover_rounds: 1,
+        verify: false,
+    };
     group.bench_function("repair_500_conflicts", |b| {
         b.iter_batched(
             || set.clone(),
             |s| {
-                mis_core::incremental::repair_independent_set(&delta, &s, 1)
+                repair_updated_set_from_ops(&delta, &s, &inserted, config)
                     .swap
                     .result
                     .set

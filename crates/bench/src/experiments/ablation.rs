@@ -1,5 +1,6 @@
-//! Ablation of the design choices called out in DESIGN.md §5:
-//! `N`-re-promotion, the maximality finalisation pass, and early stop.
+//! Ablation of the `SwapConfig` choices that depart from the paper's
+//! pseudo-code: `N`-re-promotion, the maximality finalisation pass, and
+//! early stop.
 
 use mis_core::{Greedy, OneKSwap, SwapConfig, TwoKSwap};
 use mis_graph::OrderedCsr;

@@ -12,8 +12,8 @@
 //!   graph (Greedy + one-k swaps to fixpoint + the same proof scan).
 //!
 //! Both sides run over the identical on-disk degree-sorted base file with
-//! a `DeltaGraph` overlay, so scans and block transfers are directly
-//! comparable. The experiment also simulates a torn WAL write after the
+//! a `PinnedDelta` overlay view, so scans and block transfers are
+//! directly comparable. The experiment also simulates a torn WAL write after the
 //! last epoch and reports the recovery. Results go to `BENCH_churn.json`
 //! (override with `BENCH_CHURN_OUT`).
 
@@ -23,7 +23,7 @@ use std::time::Instant;
 use mis_core::{is_maximal_independent_set, Greedy, OneKSwap, RepairConfig, SwapConfig};
 use mis_extmem::{IoSnapshot, IoStats, ScratchDir, SortConfig};
 use mis_gen::churn::{churn_stream, ChurnKind, ChurnOp};
-use mis_graph::{build_adj_file, degree_sort_adj_file, AdjFile, DeltaGraph, GraphScan};
+use mis_graph::{build_adj_file, degree_sort_adj_file, AdjFile, GraphScan, PinnedDelta};
 use mis_obs::{CostModel, LedgerEntry, ModelVerdict};
 use mis_update::{EdgeOp, UpdateStore, Wal};
 
@@ -175,7 +175,7 @@ pub fn run_churn(n: u64, epochs: usize, ops_per_epoch: usize, block_size: usize)
             })
             .expect("apply epoch");
         incremental.scans += report.file_scans;
-        incremental.final_is = report.set_size as u64;
+        incremental.final_is = report.set.len() as u64;
         incremental.all_proved &= report.maximality_proved;
     }
     incremental.wall_ms = start.elapsed().as_secs_f64() * 1e3;
@@ -196,7 +196,7 @@ pub fn run_churn(n: u64, epochs: usize, ops_per_epoch: usize, block_size: usize)
     };
     let before = reb_stats.snapshot();
     let start = Instant::now();
-    let mut delta = DeltaGraph::new(&base);
+    let mut delta = PinnedDelta::new(base, Arc::default(), 0);
     for batch in stream.chunks(ops_per_epoch) {
         for op in batch {
             match op.kind {

@@ -3,7 +3,8 @@
 //!
 //! Paper: ratio ≥ 0.995 across the β range, a ~1.5-point lift over the
 //! greedy ratio of Table 2. Both the per-bin swap-gain estimate (used
-//! here; see DESIGN.md §5) and the verbatim pairwise sum are printed.
+//! here, because it counts each swap bin once) and the verbatim pairwise
+//! sum are printed.
 
 use mis_theory::swap::SwapModel;
 use mis_theory::PlrgParams;

@@ -1,7 +1,7 @@
 //! One module per table/figure of the paper's evaluation.
 //!
-//! See the crate docs for the mapping and DESIGN.md §3 for the full
-//! experiment index.
+//! See the crate docs for the mapping from experiments to tables and
+//! figures.
 
 pub mod ablation;
 pub mod cascade;

@@ -13,8 +13,9 @@
 //!   after every later epoch, roll and compaction has run beneath it;
 //! * **offline equivalence** — at every epoch the served set is
 //!   *identical* to an offline `UpdateStore::apply` replay of the same
-//!   stream (op-driven and scan-driven repair converge), and every
-//!   epoch's proof scan certifies maximality.
+//!   stream (the same repair, fed the batch's inserts on one side and a
+//!   conflict scan on the other), and every epoch's proof scan
+//!   certifies maximality.
 //!
 //! Results — per-kind request latency quantiles, the sustained update
 //! rate, roll/compaction counts — go to `BENCH_serve.json` (override
@@ -199,7 +200,7 @@ pub fn run_serve(n: u64, epochs: usize, ops_per_epoch: usize, block_size: usize)
         && pinned.maximality_proved()
         && is_maximal_independent_set(pinned.graph(), pinned.set());
 
-    // ---- Offline replay: same stream, scan-driven apply path. ----
+    // ---- Offline replay: same stream, apply with a conflict scan. ----
     let offline_stats = IoStats::shared();
     let (mut offline, _) = UpdateStore::open(
         &base_path,

@@ -54,8 +54,7 @@ pub use dynamic::DynamicUpdate;
 pub use engine::{Executor, ParallelConfig, ScanPass};
 pub use greedy::{Baseline, Greedy};
 pub use incremental::{
-    repair_independent_set, repair_updated_set, repair_updated_set_from_ops, RepairConfig,
-    RepairOutcome, UpdateRepairOutcome,
+    conflicting_pairs, repair_updated_set_from_ops, RepairConfig, UpdateRepairOutcome,
 };
 pub use onek::OneKSwap;
 pub use order::degree_order;

@@ -475,7 +475,7 @@ mod tests {
     #[test]
     fn figure5_verbatim_config_stalls() {
         // Without N re-promotion the cascade cannot proceed past round 1 —
-        // this is why `repromote_n` defaults to true (DESIGN.md §5).
+        // this is why `repromote_n` defaults to true.
         let ex = figures::figure5();
         let out = run_figure(&ex, SwapConfig::verbatim());
         let swap_rounds = out

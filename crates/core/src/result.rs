@@ -66,8 +66,7 @@ pub struct SwapConfig {
     /// the paper's own Figure 5 cascade requires `N` vertices to become
     /// swappable in later rounds (and Algorithm 3 does re-evaluate `N`),
     /// so this defaults to `true`; setting it `false` reproduces the
-    /// pseudo-code verbatim (see DESIGN.md §5 and the `repro ablation`
-    /// bench).
+    /// pseudo-code verbatim (the `repro ablation` bench compares both).
     pub repromote_n: bool,
     /// Append one relaxed 0↔1 pass at the end so the returned set is
     /// always maximal (never removes vertices; costs one extra scan).

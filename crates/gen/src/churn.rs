@@ -6,7 +6,7 @@
 //! existing graph, where every delete removes a currently live edge and
 //! every insert adds a currently absent one — so replaying the stream in
 //! order (e.g. through `mis_update`'s write-ahead log into a
-//! `mis_graph::DeltaGraph` overlay) always yields a well-defined edited
+//! `mis_graph::PinnedDelta` overlay) always yields a well-defined edited
 //! graph. Used by the `repro churn` experiment.
 
 use mis_graph::{CsrGraph, VertexId};

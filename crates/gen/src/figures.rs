@@ -9,7 +9,8 @@
 //! adjacency could not be recovered from the text, the graph below is the
 //! *minimal structure consistent with every statement made about the
 //! example* (initial states, skeletons found, conflicts raised, final
-//! independent set). DESIGN.md §3 tracks which test validates which claim.
+//! independent set). The swap tests in `mis-core` (`onek`, `twok`,
+//! `exact`) and `tests/pipeline.rs` check each narrated outcome.
 
 use mis_graph::{CsrGraph, VertexId};
 

@@ -9,19 +9,18 @@
 //! tombstoned ones on the fly, so every algorithm in `mis-core` runs on
 //! the edited graph unchanged.
 //!
-//! Three views share one overlay representation:
+//! Two types split the work:
 //!
 //! * [`DeltaOverlay`] — the owned overlay state itself (insertions,
 //!   tombstones, exact edge-count bookkeeping), independent of any base
 //!   graph;
-//! * [`DeltaGraph`] — a borrowing view: `&base + DeltaOverlay`, the
-//!   classic build-edit-scan workflow of the update subsystem;
-//! * [`PinnedDelta`] — an **owning, epoch-pinned** view: a cheaply
-//!   cloneable base handle plus an `Arc<DeltaOverlay>` stamped with the
-//!   WAL epoch it reflects. This is the snapshot-isolation substrate of
-//!   `mis_update`: readers scan a `PinnedDelta` while later epochs
-//!   append and compact underneath, and the overlay is shared by
-//!   refcount instead of copied per reader.
+//! * [`PinnedDelta`] — the one overlay view: an owned, cheaply cloneable
+//!   base handle plus an `Arc<DeltaOverlay>` stamped with the WAL epoch
+//!   it reflects. `mis_update` shares its maintained overlay with every
+//!   reader this way, so readers scan a `PinnedDelta` while later epochs
+//!   append and compact underneath. Its edit methods are copy-on-write,
+//!   which also makes it the build-edit-scan view of tests, examples and
+//!   the `repro churn` rebuild side.
 //!
 //! ## Layout
 //!
@@ -104,7 +103,7 @@ enum PairState {
 /// streams that insert edges the base already has or delete edges that
 /// never existed. The running edge *count* is exact for valid streams
 /// (inserts name absent edges, deletes name present ones) and merely
-/// drifts for invalid ones; see [`DeltaGraph::count_edges_exact`].
+/// drifts for invalid ones; see [`PinnedDelta::count_edges_exact`].
 ///
 /// See the [module docs](self) for the flat layout and the canonical
 /// order of merged records.
@@ -319,23 +318,6 @@ impl DeltaOverlay {
         merged.extend(extra.iter().copied().filter(|u| !ns.contains(u)));
         true
     }
-
-    /// Scans `base` with the overlay merged in — the shared scan shape
-    /// of every overlay view.
-    fn scan_over<G: GraphScan + ?Sized>(
-        &self,
-        base: &G,
-        f: &mut dyn FnMut(VertexId, &[VertexId]),
-    ) -> io::Result<()> {
-        let mut merged: Vec<VertexId> = Vec::new();
-        base.scan(&mut |v, ns| {
-            if self.merge_record(v, ns, &mut merged) {
-                f(v, &merged);
-            } else {
-                f(v, ns);
-            }
-        })
-    }
 }
 
 /// `at` as a `slot` entry.
@@ -346,118 +328,15 @@ fn arena_offset(at: usize) -> u32 {
         .expect("overlay arena exceeds u32 offsets")
 }
 
-/// A base graph plus an in-memory batch of inserted and deleted edges.
+/// The overlay view: a cheaply cloneable base handle plus a refcounted
+/// [`DeltaOverlay`], stamped with the update epoch the overlay reflects.
 ///
-/// The borrowing overlay view: see [`DeltaOverlay`] for the replay
-/// semantics and [`PinnedDelta`] for the owning, epoch-pinned variant.
-#[derive(Debug)]
-pub struct DeltaGraph<'a, G: GraphScan + ?Sized> {
-    base: &'a G,
-    overlay: DeltaOverlay,
-}
-
-impl<'a, G: GraphScan + ?Sized> DeltaGraph<'a, G> {
-    /// Wraps `base` with an empty overlay.
-    pub fn new(base: &'a G) -> Self {
-        Self {
-            base,
-            overlay: DeltaOverlay::new(),
-        }
-    }
-
-    /// The overlay state itself.
-    pub fn overlay(&self) -> &DeltaOverlay {
-        &self.overlay
-    }
-
-    /// Consumes the view, returning the overlay (to pin it, share it, or
-    /// lay it over another base).
-    pub fn into_overlay(self) -> DeltaOverlay {
-        self.overlay
-    }
-
-    /// Inserts an undirected edge — see [`DeltaOverlay::insert_edge`].
-    pub fn insert_edge(&mut self, u: VertexId, v: VertexId) {
-        self.overlay.insert_edge(self.base.num_vertices(), u, v);
-    }
-
-    /// Deletes an undirected edge — see [`DeltaOverlay::delete_edge`].
-    pub fn delete_edge(&mut self, u: VertexId, v: VertexId) {
-        self.overlay.delete_edge(self.base.num_vertices(), u, v);
-    }
-
-    /// Inserts a batch of edges.
-    pub fn insert_edges(&mut self, edges: impl IntoIterator<Item = (VertexId, VertexId)>) {
-        for (u, v) in edges {
-            self.insert_edge(u, v);
-        }
-    }
-
-    /// Deletes a batch of edges.
-    pub fn delete_edges(&mut self, edges: impl IntoIterator<Item = (VertexId, VertexId)>) {
-        for (u, v) in edges {
-            self.delete_edge(u, v);
-        }
-    }
-
-    /// Number of live overlay insertions (undirected).
-    pub fn added_edges(&self) -> u64 {
-        self.overlay.added_edges()
-    }
-
-    /// Number of live tombstones (undirected).
-    pub fn deleted_edges(&self) -> u64 {
-        self.overlay.deleted_edges()
-    }
-
-    /// Counts the edited graph's edges exactly with one scan, regardless
-    /// of duplicate-base inserts or phantom deletes in the overlay (see
-    /// [`GraphScan::num_edges`]'s caveat on this type).
-    pub fn count_edges_exact(&self) -> io::Result<u64> {
-        let mut directed = 0u64;
-        self.scan(&mut |_, ns| directed += ns.len() as u64)?;
-        Ok(directed / 2)
-    }
-
-    /// Approximate overlay memory in bytes — see
-    /// [`DeltaOverlay::overlay_bytes`].
-    pub fn overlay_bytes(&self) -> u64 {
-        self.overlay.overlay_bytes()
-    }
-}
-
-impl<G: GraphScan + ?Sized> GraphScan for DeltaGraph<'_, G> {
-    fn num_vertices(&self) -> usize {
-        self.base.num_vertices()
-    }
-
-    /// `base + inserted − deleted`. Exact for valid edit streams (inserts
-    /// name absent edges, deletes name present ones); an insert that
-    /// duplicates a base edge or a delete of a non-existent edge drifts
-    /// this count while leaving scans correct — use
-    /// [`DeltaGraph::count_edges_exact`] when the stream is untrusted.
-    fn num_edges(&self) -> u64 {
-        self.base.num_edges() + self.overlay.added_edges() - self.overlay.deleted_edges()
-    }
-
-    fn scan(&self, f: &mut dyn FnMut(VertexId, &[VertexId])) -> io::Result<()> {
-        self.overlay.scan_over(self.base, f)
-    }
-
-    fn storage(&self) -> &'static str {
-        "delta-overlay"
-    }
-}
-
-/// An **owning, epoch-pinned** overlay view: a cheaply cloneable base
-/// handle plus a refcounted [`DeltaOverlay`], stamped with the update
-/// epoch the overlay reflects.
-///
-/// This is the read side of snapshot isolation in `mis_update`: a
-/// snapshot builds the overlay once, wraps it in an `Arc`, and every
-/// reader clones the `PinnedDelta` — the overlay is shared, the view is
-/// immutable, and the pinned epoch never moves while writers commit
-/// later epochs underneath.
+/// This is the read side of snapshot isolation in `mis_update`: the
+/// store shares its maintained overlay with every view by `Arc`, and the
+/// pinned epoch never moves while writers commit later epochs
+/// underneath. Callers that build, edit and scan wrap an owned base
+/// with `PinnedDelta::new(base, Arc::default(), 0)`; the edit methods
+/// are copy-on-write, so a view cloned earlier keeps the overlay it had.
 #[derive(Debug, Clone)]
 pub struct PinnedDelta<G: GraphScan> {
     base: G,
@@ -491,6 +370,29 @@ impl<G: GraphScan> PinnedDelta<G> {
         &self.overlay
     }
 
+    /// Inserts an undirected edge — see [`DeltaOverlay::insert_edge`].
+    /// Copy-on-write: views cloned earlier do not see the edit.
+    pub fn insert_edge(&mut self, u: VertexId, v: VertexId) {
+        let n = self.base.num_vertices();
+        Arc::make_mut(&mut self.overlay).insert_edge(n, u, v);
+    }
+
+    /// Deletes an undirected edge — see [`DeltaOverlay::delete_edge`].
+    /// Copy-on-write, like [`PinnedDelta::insert_edge`].
+    pub fn delete_edge(&mut self, u: VertexId, v: VertexId) {
+        let n = self.base.num_vertices();
+        Arc::make_mut(&mut self.overlay).delete_edge(n, u, v);
+    }
+
+    /// Counts the edited graph's edges exactly with one scan, regardless
+    /// of duplicate-base inserts or phantom deletes in the overlay (see
+    /// [`GraphScan::num_edges`]'s caveat on this type).
+    pub fn count_edges_exact(&self) -> io::Result<u64> {
+        let mut directed = 0u64;
+        self.scan(&mut |_, ns| directed += ns.len() as u64)?;
+        Ok(directed / 2)
+    }
+
     /// Merges the overlay into one base record for point queries:
     /// given `v`'s *base* neighbour list, returns the pinned view's
     /// neighbour list (tombstones filtered, insertions appended).
@@ -508,14 +410,24 @@ impl<G: GraphScan> GraphScan for PinnedDelta<G> {
         self.base.num_vertices()
     }
 
-    /// `base + inserted − deleted` — same caveat as
-    /// [`DeltaGraph::num_edges`].
+    /// `base + inserted − deleted`. Exact for valid edit streams (inserts
+    /// name absent edges, deletes name present ones); an insert that
+    /// duplicates a base edge or a delete of a non-existent edge drifts
+    /// this count while leaving scans correct — use
+    /// [`PinnedDelta::count_edges_exact`] when the stream is untrusted.
     fn num_edges(&self) -> u64 {
         self.base.num_edges() + self.overlay.added_edges() - self.overlay.deleted_edges()
     }
 
     fn scan(&self, f: &mut dyn FnMut(VertexId, &[VertexId])) -> io::Result<()> {
-        self.overlay.scan_over(&self.base, f)
+        let mut merged: Vec<VertexId> = Vec::new();
+        self.base.scan(&mut |v, ns| {
+            if self.overlay.merge_record(v, ns, &mut merged) {
+                f(v, &merged);
+            } else {
+                f(v, ns);
+            }
+        })
     }
 
     fn storage(&self) -> &'static str {
@@ -532,6 +444,11 @@ mod tests {
         CsrGraph::from_edges(5, &[(0, 1), (1, 2)])
     }
 
+    /// An empty overlay over a copy of `g`, ready to edit.
+    fn edit(g: &CsrGraph) -> PinnedDelta<CsrGraph> {
+        PinnedDelta::new(g.clone(), Arc::default(), 0)
+    }
+
     fn records<G: GraphScan + ?Sized>(g: &G) -> Vec<(VertexId, Vec<VertexId>)> {
         let mut records = Vec::new();
         g.scan(&mut |v, ns| {
@@ -546,7 +463,7 @@ mod tests {
     #[test]
     fn overlay_merges_into_records() {
         let g = base();
-        let mut delta = DeltaGraph::new(&g);
+        let mut delta = edit(&g);
         delta.insert_edge(0, 3);
         delta.insert_edge(3, 4);
         assert_eq!(delta.num_edges(), 4);
@@ -559,11 +476,11 @@ mod tests {
     #[test]
     fn duplicate_and_self_loop_inserts_are_ignored() {
         let g = base();
-        let mut delta = DeltaGraph::new(&g);
+        let mut delta = edit(&g);
         delta.insert_edge(2, 2);
         delta.insert_edge(3, 4);
         delta.insert_edge(4, 3);
-        assert_eq!(delta.added_edges(), 1);
+        assert_eq!(delta.overlay().added_edges(), 1);
         // Re-inserting a base edge does not double it in the record.
         delta.insert_edge(0, 1);
         let mut deg0 = 0;
@@ -580,26 +497,26 @@ mod tests {
     #[test]
     fn deleting_a_base_edge_tombstones_both_directions() {
         let g = base();
-        let mut delta = DeltaGraph::new(&g);
+        let mut delta = edit(&g);
         delta.delete_edge(1, 2);
         assert_eq!(delta.num_edges(), 1);
-        assert_eq!(delta.deleted_edges(), 1);
+        assert_eq!(delta.overlay().deleted_edges(), 1);
         let records = records(&delta);
         assert_eq!(records[1], (1, vec![0]));
         assert_eq!(records[2], (2, vec![]));
         // Deleting again is a no-op.
         delta.delete_edge(2, 1);
-        assert_eq!(delta.deleted_edges(), 1);
+        assert_eq!(delta.overlay().deleted_edges(), 1);
     }
 
     #[test]
     fn deleting_an_overlay_insert_retracts_it() {
         let g = base();
-        let mut delta = DeltaGraph::new(&g);
+        let mut delta = edit(&g);
         delta.insert_edge(3, 4);
         delta.delete_edge(4, 3);
-        assert_eq!(delta.added_edges(), 0);
-        assert_eq!(delta.deleted_edges(), 0);
+        assert_eq!(delta.overlay().added_edges(), 0);
+        assert_eq!(delta.overlay().deleted_edges(), 0);
         assert_eq!(delta.num_edges(), g.num_edges());
         let records = records(&delta);
         assert_eq!(records[3], (3, vec![]));
@@ -609,11 +526,11 @@ mod tests {
     #[test]
     fn reinserting_a_deleted_base_edge_resurrects_it() {
         let g = base();
-        let mut delta = DeltaGraph::new(&g);
+        let mut delta = edit(&g);
         delta.delete_edge(0, 1);
         delta.insert_edge(1, 0);
-        assert_eq!(delta.added_edges(), 0);
-        assert_eq!(delta.deleted_edges(), 0);
+        assert_eq!(delta.overlay().added_edges(), 0);
+        assert_eq!(delta.overlay().deleted_edges(), 0);
         let records = records(&delta);
         assert_eq!(records[0], (0, vec![1]));
         assert_eq!(records[1], (1, vec![0, 2]));
@@ -622,7 +539,7 @@ mod tests {
     #[test]
     fn interleaved_edits_match_a_materialised_graph() {
         let g = base();
-        let mut delta = DeltaGraph::new(&g);
+        let mut delta = edit(&g);
         delta.insert_edge(0, 4);
         delta.delete_edge(1, 2);
         delta.insert_edge(2, 3);
@@ -641,7 +558,7 @@ mod tests {
         // delete must retract the overlay copy AND tombstone the base
         // copy (last write wins per pair).
         let g = base();
-        let mut delta = DeltaGraph::new(&g);
+        let mut delta = edit(&g);
         delta.insert_edge(0, 1); // duplicate of a base edge
         delta.delete_edge(0, 1);
         let recs = records(&delta);
@@ -656,7 +573,7 @@ mod tests {
     #[test]
     fn delete_insert_delete_chain_keeps_counts_exact() {
         let g = base();
-        let mut delta = DeltaGraph::new(&g);
+        let mut delta = edit(&g);
         // Valid stream on a base edge: delete, resurrect, delete again.
         delta.delete_edge(0, 1);
         delta.insert_edge(0, 1);
@@ -685,12 +602,12 @@ mod tests {
         // Both histories end at {(0,1), (0,3), (0,4), (2,3)} over the
         // base path 0-1-2.
         let g = base();
-        let mut a = DeltaGraph::new(&g);
+        let mut a = edit(&g);
         a.insert_edge(0, 4);
         a.insert_edge(3, 0);
         a.delete_edge(1, 2);
         a.insert_edge(2, 3);
-        let mut b = DeltaGraph::new(&g);
+        let mut b = edit(&g);
         b.insert_edge(2, 3);
         b.delete_edge(0, 1); // a base edge deleted, then brought back
         b.insert_edge(4, 2); // an insert retracted again
@@ -721,7 +638,7 @@ mod tests {
         // lists move through the arena several times.
         let n = 64;
         let g = CsrGraph::from_edges(n, &[(0, 1), (0, 2), (0, 3), (0, 4)]);
-        let mut delta = DeltaGraph::new(&g);
+        let mut delta = edit(&g);
         let mut live = vec![false; n];
         live[1..=4].iter_mut().for_each(|l| *l = true);
         for step in 0..200u32 {
@@ -747,20 +664,20 @@ mod tests {
     #[test]
     fn overlay_memory_is_reported() {
         let g = base();
-        let mut delta = DeltaGraph::new(&g);
-        assert_eq!(delta.overlay_bytes(), 0);
+        let mut delta = edit(&g);
+        assert_eq!(delta.overlay().overlay_bytes(), 0);
         delta.insert_edge(0, 4);
-        assert!(delta.overlay_bytes() > 0);
-        let insert_only = delta.overlay_bytes();
+        assert!(delta.overlay().overlay_bytes() > 0);
+        let insert_only = delta.overlay().overlay_bytes();
         delta.delete_edge(0, 1);
-        assert!(delta.overlay_bytes() > insert_only);
+        assert!(delta.overlay().overlay_bytes() > insert_only);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn rejects_unknown_vertices() {
         let g = base();
-        let mut delta = DeltaGraph::new(&g);
+        let mut delta = edit(&g);
         delta.insert_edge(0, 99);
     }
 
@@ -768,39 +685,40 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn delete_rejects_unknown_vertices() {
         let g = base();
-        let mut delta = DeltaGraph::new(&g);
+        let mut delta = edit(&g);
         delta.delete_edge(0, 99);
     }
 
     #[test]
     fn pinned_view_scans_identically_and_shares_the_overlay() {
         let g = base();
-        let mut delta = DeltaGraph::new(&g);
+        let mut delta = PinnedDelta::new(g.clone(), Arc::default(), 7);
         delta.insert_edge(0, 3);
         delta.delete_edge(1, 2);
-        let borrowed = records(&delta);
-
-        let overlay = Arc::new(delta.into_overlay());
-        let pinned = PinnedDelta::new(g.clone(), Arc::clone(&overlay), 7);
-        assert_eq!(pinned.epoch(), 7);
-        assert_eq!(records(&pinned), borrowed);
-        assert_eq!(pinned.num_edges(), g.num_edges() + 1 - 1);
-        assert_eq!(pinned.storage(), "pinned-delta");
+        let before = records(&delta);
+        assert_eq!(delta.epoch(), 7);
+        assert_eq!(delta.num_edges(), g.num_edges() + 1 - 1);
+        assert_eq!(delta.storage(), "pinned-delta");
 
         // Clones share the overlay by refcount, not by copy.
-        let clone = pinned.clone();
-        assert_eq!(Arc::strong_count(&overlay), 3);
-        assert_eq!(records(&clone), borrowed);
+        let pinned = delta.clone();
+        assert!(Arc::ptr_eq(pinned.overlay(), delta.overlay()));
+        assert_eq!(records(&pinned), before);
+
+        // An edit after the clone copies the overlay first: the clone
+        // keeps the records it had.
+        delta.insert_edge(2, 4);
+        assert!(!Arc::ptr_eq(pinned.overlay(), delta.overlay()));
+        assert_eq!(records(&pinned), before);
+        assert_eq!(records(&delta)[4], (4, vec![2]));
     }
 
     #[test]
     fn pinned_point_queries_merge_the_overlay() {
         let g = base();
-        let mut delta = DeltaGraph::new(&g);
-        delta.insert_edge(0, 3);
-        delta.delete_edge(0, 1);
-        let overlay = Arc::new(delta.into_overlay());
-        let pinned = PinnedDelta::new(g, overlay, 1);
+        let mut pinned = edit(&g);
+        pinned.insert_edge(0, 3);
+        pinned.delete_edge(0, 1);
         // Vertex 0's base record is [1]; the view deletes 1, adds 3.
         assert_eq!(pinned.merge_neighbors(0, &[1]), vec![3]);
         // An untouched vertex passes its base record through.

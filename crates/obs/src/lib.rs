@@ -78,9 +78,12 @@
 //! * `reader.handout` (reader blocked pushing into the bounded queue)
 //!   and the `queue.depth` gauge explain *why* workers idle.
 //! * cat `"serve"` — the serving front end's spans: `serve.flush` (one
-//!   epoch commit: append + roll + snapshot + repair + checkpoint),
-//!   `serve.repair` (the snapshot-side repair alone) and the
-//!   `serve.pending` gauge (queued ops awaiting the next flush). Request
+//!   epoch commit) and its stages `serve.append` (with the store's
+//!   `store.roll` and `store.compact_segments` nested inside when the
+//!   roll policy fires), `serve.snapshot`, `serve.repair` (the
+//!   snapshot-side repair alone), `serve.checkpoint` and
+//!   `serve.publish`, plus the `serve.pending` gauge (queued ops
+//!   awaiting the next flush). Request
 //!   latency distributions are kept per kind in
 //!   [`requests::RequestStats`] rather than as trace events, so a
 //!   million probes cost two histogram increments, not a million spans.

@@ -10,7 +10,7 @@
 //!
 //! The paper's Eq. (2) prints `|E| = ζ(β−1,Δ)·e^α` — that quantity is the
 //! *degree sum*; we expose both [`PlrgParams::degree_sum`] and the halved
-//! [`PlrgParams::edges`] and note the factor in DESIGN.md.
+//! [`PlrgParams::edges`].
 
 use crate::zeta::partial_zeta;
 

@@ -213,8 +213,8 @@ impl SwapModel {
     /// number of swapped bins is `GR_i · (1 − e^{−λ}(1+λ))`, and each swap
     /// grows the IS by one vertex. This keeps every ingredient of
     /// Proposition 5 (`GR_i`, Eq. 13's `|A_{i,j}|`, Lemma 3's `d_s`) but
-    /// counts every bin once; see DESIGN.md §5 for the comparison against
-    /// the verbatim pairwise sum.
+    /// counts every bin once; `repro fig6` prints it beside the verbatim
+    /// pairwise sum.
     pub fn expected_swap_gain(&self) -> f64 {
         let mut gain = 0.0;
         for i in 2..=self.d_s {

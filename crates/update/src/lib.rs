@@ -16,15 +16,15 @@
 //!   insert/delete records with per-record FNV-1a checksums, epoch
 //!   markers as commit points, and torn-tail recovery on open (see the
 //!   module docs for the byte-level format);
-//! * [`segment::Segment`] — an immutable sealed run of WAL epochs with a
-//!   footer carrying its epoch range, vertex range and tombstone count,
-//!   so readers can skip segments that cannot touch their query;
+//! * [`segment::Segment`] — an immutable sealed run of WAL epochs, kept
+//!   in memory, with a footer carrying its epoch range, vertex range and
+//!   tombstone count, which the compactor uses to plan merges;
 //! * [`manifest::Manifest`] — the atomically-replaced list of live
 //!   segments (ids never reused), the authority recovery trusts over
 //!   directory contents;
-//! * [`snapshot::Snapshot`] — an epoch-pinned, refcounted read view:
-//!   queries scan it while later epochs append and compact underneath,
-//!   and replaced segment files are deleted only once unpinned;
+//! * [`snapshot::Snapshot`] — the epoch-pinned read view: the base
+//!   handle plus the store's maintained overlay, shared by refcount, so
+//!   queries scan it while later epochs append and compact underneath;
 //! * [`checkpoint::Checkpoint`] — the independent-set checkpoint (set +
 //!   WAL epoch, gap-coded, checksummed, atomically replaced), so
 //!   maintenance resumes from the last repaired state instead of a
@@ -32,15 +32,20 @@
 //! * [`store::UpdateStore`] — the maintenance engine gluing base file,
 //!   tiered log, checkpoint and one maintained
 //!   [`mis_graph::DeltaOverlay`] together: `append_ops` (applies each
-//!   committed batch to the overlay) → (policy-driven)
-//!   `roll_segment`/`compact_segments` → `apply` (deletion-aware repair
-//!   via [`mis_core::repair_updated_set`] on the overlaid base,
-//!   re-checkpoint) → `compact` (merge into a fresh indexed adjacency
-//!   file, truncate the log);
+//!   committed batch to the overlay, then rolls and merges segments per
+//!   its one [`store::RollPolicy`]) → `apply` (finds conflicting members
+//!   with one scan, repairs via [`mis_core::repair_updated_set_from_ops`]
+//!   on the overlaid base, re-checkpoints) → `compact` (merge into a
+//!   fresh adjacency file, truncate the log);
 //! * [`serve::ServeEngine`] — the long-running front end behind `mis
-//!   serve`: batches updates into epochs, repairs the maintained set on
-//!   epoch-pinned views (readers never block on ingest), and answers
-//!   membership/neighborhood/stats queries.
+//!   serve`: batches updates into epochs through the same store and the
+//!   same repair, runs the repair on epoch-pinned views (readers never
+//!   block on ingest), and answers membership/neighborhood/stats
+//!   queries.
+//!
+//! So `mis update` and `mis serve` share one path from a committed batch
+//! to a proved set: one read view ([`mis_graph::PinnedDelta`]), one
+//! repair and one roll policy.
 //!
 //! All log and checkpoint I/O is accounted in the shared
 //! [`mis_extmem::IoStats`] (`wal_bytes_written`, `wal_bytes_read`,
@@ -66,7 +71,7 @@ pub use segment::{Segment, SegmentMeta};
 pub use serve::{FlushReport, ServeConfig, ServeEngine, ServeStats, ServeView};
 pub use snapshot::Snapshot;
 pub use store::{
-    ApplyReport, CompactFormat, CompactIndex, CompactReport, RollPolicy, SegmentCompaction,
+    AppendReport, ApplyReport, CompactFormat, CompactReport, RollPolicy, SegmentCompaction,
     StoreStatus, UpdateStore,
 };
 pub use wal::{EdgeOp, Wal, WalRecovery};

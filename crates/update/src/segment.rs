@@ -5,8 +5,11 @@
 //! epochs are sealed into a **segment file** and the WAL restarts empty
 //! (LogBase's tiered layout). Segments are immutable: they are written
 //! once — to a temp file, fsynced, then renamed into place — and never
-//! modified, so readers can pin them by refcount while compaction and
-//! garbage collection proceed underneath.
+//! modified. A [`Segment`] keeps its operations in memory, and reads go
+//! through the store's maintained overlay, so no reader opens a segment
+//! file after the store opens it: a merge or a full compaction removes
+//! the files it replaces as soon as the manifest that drops them is
+//! durable.
 //!
 //! ## File format (`MISSEG01`)
 //!
@@ -26,19 +29,18 @@
 //!     crc      u32 LE    FNV-1a over tag + payload
 //! ```
 //!
-//! The footer is the segment's **filter block**: epoch range, vertex
-//! range and tombstone presence let `apply`-side range queries skip
-//! segments that cannot touch the queried vertices (see
-//! [`SegmentMeta::touches_range`]) and let the compactor pick
-//! overlapping runs. A segment without a valid trailing footer is
-//! rejected as corrupt — segments are renamed into place only after a
-//! full fsync, so a torn segment can only be a bug or bit rot, never a
-//! crash artefact (crashes leave `*.tmp` orphans, cleaned on open).
+//! The footer serves **merge planning**, not scans: its vertex range
+//! lets the compactor pick runs of segments whose operations can
+//! supersede each other ([`SegmentMeta::overlaps`]), and its epoch range
+//! and counts let open validate the body and `mis update status` report
+//! it. A segment without a valid trailing footer is rejected as corrupt
+//! — segments are renamed into place only after a full fsync, so a torn
+//! segment can only be a bug or bit rot, never a crash artefact (crashes
+//! leave `*.tmp` orphans, cleaned on open).
 
 use std::fs::File;
 use std::io::{self, Cursor, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 use mis_extmem::varint::{read_varint, write_varint};
 use mis_extmem::IoStats;
@@ -57,9 +59,8 @@ fn corrupt(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-/// The footer metadata of one sealed segment — everything a reader
-/// needs to decide whether the segment is relevant without touching
-/// its records.
+/// The footer metadata of one sealed segment — everything the merge
+/// planner and `mis update status` need without touching its records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegmentMeta {
     /// Segment id (dense per store, assigned by the manifest).
@@ -87,9 +88,8 @@ impl SegmentMeta {
     }
 
     /// Whether any operation in the segment *could* touch a vertex in
-    /// `[lo, hi]` — the skip filter for range queries. Conservative:
-    /// `true` may still mean no op matches, but `false` guarantees none
-    /// does.
+    /// `[lo, hi]`. Conservative: `true` may still mean no op matches,
+    /// but `false` guarantees none does.
     pub fn touches_range(&self, lo: VertexId, hi: VertexId) -> bool {
         self.ops > 0 && self.min_vertex <= hi && self.max_vertex >= lo
     }
@@ -103,10 +103,6 @@ impl SegmentMeta {
 
 /// One sealed, immutable segment: footer metadata plus the epoch-stamped
 /// operations, held in memory exactly like the WAL's committed list.
-///
-/// Stores hand segments around as `Arc<Segment>`: a snapshot pinning a
-/// segment keeps both the in-memory ops and (via the store's dead list)
-/// the on-disk file alive until the snapshot drops.
 #[derive(Debug)]
 pub struct Segment {
     meta: SegmentMeta,
@@ -329,13 +325,11 @@ impl Segment {
 /// the same state with the same edge counts, so those one or two ops
 /// replay exactly like the whole run from any prior state. (The last op
 /// alone would not: an insert then delete of a fresh edge would replay
-/// as the deletion of a base edge.) Snapshots pinned *inside* the
-/// merged range keep their original `Arc<Segment>`s, so intermediate
-/// states stay reachable until those snapshots drop.
+/// as the deletion of a base edge.)
 pub fn merge_segments(
     dir: &Path,
     id: u64,
-    inputs: &[Arc<Segment>],
+    inputs: &[Segment],
     stats: &IoStats,
 ) -> io::Result<(Segment, u64)> {
     let _span = mis_obs::span("segment", "segment.merge");
@@ -476,9 +470,7 @@ mod tests {
     fn merge_keeps_only_the_last_op_per_pair() {
         let dir = ScratchDir::new("seg-merge").unwrap();
         let stats = IoStats::shared();
-        let seal = |id, ops: &[(u64, EdgeOp)]| {
-            Arc::new(Segment::seal(dir.path(), id, ops, &stats).unwrap())
-        };
+        let seal = |id, ops: &[(u64, EdgeOp)]| Segment::seal(dir.path(), id, ops, &stats).unwrap();
         let a = seal(1, &[(1, EdgeOp::Insert(0, 1)), (1, EdgeOp::Insert(2, 3))]);
         let b = seal(2, &[(2, EdgeOp::Delete(1, 0)), (2, EdgeOp::Insert(4, 5))]);
         let c = seal(3, &[(3, EdgeOp::Insert(0, 1)), (3, EdgeOp::Delete(3, 2))]);

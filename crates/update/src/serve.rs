@@ -14,12 +14,13 @@
 //! * `pending` — the submit queue. [`ServeEngine::submit`] validates and
 //!   enqueues; nothing else happens on the submit path.
 //! * `store` — the durable tier. [`ServeEngine::flush`] holds it only to
-//!   append + roll + compact + pin the epoch's [`PinnedDelta`] (cheap,
-//!   bounded work) and again, briefly, to write the checkpoint. The
-//!   **repair runs on the pinned view with no store lock held** — this
-//!   is the no-stop-the-world property the `repro serve` experiment
-//!   measures: readers keep answering and submitters keep queueing while
-//!   the set is repaired.
+//!   append (which rolls and merges segments per the store's
+//!   [`RollPolicy`], set from the [`ServeConfig`]) and pin the epoch's
+//!   [`PinnedDelta`] (cheap, bounded work), and again, briefly, to write
+//!   the checkpoint. The **repair runs on the pinned view with no store
+//!   lock held** — this is the no-stop-the-world property the `repro
+//!   serve` experiment measures: readers keep answering and submitters
+//!   keep queueing while the set is repaired.
 //! * `view` — an `RwLock<Arc<ServeView>>`. Readers clone the `Arc` (two
 //!   pointer bumps) and then work lock-free on an immutable view; a
 //!   flush swaps in the next view when its epoch is durable. A caller
@@ -30,9 +31,9 @@
 //!
 //! Flushes themselves are serialized by a dedicated mutex so epochs
 //! commit and publish in order. Each flush stage has its own trace span
-//! inside `serve.flush`: `serve.append`, `serve.roll`, `serve.compact`,
-//! `serve.snapshot`, `serve.repair`, `serve.checkpoint` and
-//! `serve.publish`.
+//! inside `serve.flush`: `serve.append` (the store's roll and merge
+//! spans nest inside it when they run), `serve.snapshot`,
+//! `serve.repair`, `serve.checkpoint` and `serve.publish`.
 //!
 //! Neighborhood queries go through one shared [`NeighborAccess`] point
 //! path (plain, compressed or sharded — whatever backs the store), so
@@ -57,11 +58,14 @@ use crate::wal::EdgeOp;
 pub struct ServeConfig {
     /// Auto-flush once this many operations are pending.
     pub batch_ops: usize,
-    /// Roll the WAL into a sealed segment every this many epochs.
+    /// Roll the WAL into a sealed segment every this many epochs (the
+    /// store's [`RollPolicy::max_wal_epochs`]).
     pub roll_epochs: u64,
-    /// ... or once the active WAL reaches this many bytes.
+    /// ... or once the active WAL reaches this many bytes
+    /// ([`RollPolicy::max_wal_bytes`]).
     pub roll_bytes: u64,
-    /// Merge sealed segments once this many are live.
+    /// Merge sealed segments once this many are live
+    /// ([`RollPolicy::compact_threshold`]).
     pub compact_threshold: usize,
     /// Per-epoch repair tuning (recover rounds, proof scan).
     pub repair: RepairConfig,
@@ -182,29 +186,20 @@ impl std::fmt::Debug for ServeEngine {
 }
 
 impl ServeEngine {
-    /// Wraps `store` for serving: brings the checkpoint up to the last
-    /// committed epoch (bootstrapping the set if none exists), publishes
-    /// the initial view, and opens the shared point-access path on the
-    /// base file.
-    ///
-    /// The store's roll policy is disabled — the engine drives rolls and
-    /// segment compactions itself from the [`ServeConfig`] thresholds so
-    /// they happen at flush boundaries, where the report can account
-    /// them.
+    /// Wraps `store` for serving: sets the store's [`RollPolicy`] from
+    /// the [`ServeConfig`] thresholds, brings the checkpoint up to the
+    /// last committed epoch (bootstrapping the set if none exists),
+    /// publishes the initial view, and opens the shared point-access
+    /// path on the base file.
     pub fn new(mut store: UpdateStore, config: ServeConfig) -> io::Result<Self> {
         store.set_roll_policy(RollPolicy {
-            max_wal_bytes: u64::MAX,
-            max_wal_epochs: u64::MAX,
-            compact_threshold: usize::MAX,
+            max_wal_bytes: config.roll_bytes,
+            max_wal_epochs: config.roll_epochs,
+            compact_threshold: config.compact_threshold,
         });
         let report = store.apply(config.repair)?;
-        let ckpt =
-            crate::checkpoint::Checkpoint::load(&store_checkpoint_path(&store), store.stats())?;
-        let view = build_view(
-            store.overlay(),
-            ckpt.set,
-            report.maximality_proved || report.up_to_date,
-        );
+        let proved = report.maximality_proved || report.up_to_date;
+        let view = build_view(store.snapshot().pinned(), report.set, proved);
         let access = store.base().open_random_access(config.pager)?;
         let num_vertices = store.base().num_vertices();
         Ok(Self {
@@ -266,10 +261,11 @@ impl ServeEngine {
         Ok(depth)
     }
 
-    /// Commits everything pending as one epoch: append to the WAL, roll
-    /// and compact segments per policy, repair the maintained set on the
-    /// epoch's pinned view (store unlocked), checkpoint, and publish the
-    /// new view. Returns `None` when nothing was pending.
+    /// Commits everything pending as one epoch: append to the WAL (which
+    /// rolls and merges segments per the store's policy), repair the
+    /// maintained set on the epoch's pinned view (store unlocked),
+    /// checkpoint, and publish the new view. Returns `None` when nothing
+    /// was pending.
     pub fn flush(&self) -> io::Result<Option<FlushReport>> {
         let _serial = self.flush_lock.lock().expect("flush lock poisoned");
         let batch: Vec<EdgeOp> = {
@@ -283,34 +279,20 @@ impl ServeEngine {
         let _span = mis_obs::span("serve", "serve.flush");
         mis_obs::counter("serve", "serve.pending", 0.0);
 
-        // Durable part: append + roll + compact + pin, store locked.
-        let (pinned, rolled, compacted) = {
+        // Durable part: append (+ roll + merge) and pin, store locked.
+        let (pinned, appended) = {
             let mut store = self.store.lock().expect("store lock poisoned");
-            {
+            let appended = {
                 let _span = mis_obs::span("serve", "serve.append");
-                store.append_ops(&batch)?;
-            }
-            let mut rolled = false;
-            if wal_epochs(&store) >= self.config.roll_epochs
-                || store.wal().disk_bytes() >= self.config.roll_bytes
-            {
-                let _span = mis_obs::span("serve", "serve.roll");
-                rolled = store.roll_segment()?.is_some();
-            }
-            let mut compacted = 0;
-            if store.segments().len() >= self.config.compact_threshold {
-                let _span = mis_obs::span("serve", "serve.compact");
-                if let Some(c) = store.compact_segments()? {
-                    compacted = c.merged;
-                }
-            }
+                store.append_ops(&batch)?
+            };
             let _span = mis_obs::span("serve", "serve.snapshot");
-            (store.overlay(), rolled, compacted)
+            (store.snapshot().pinned(), appended)
         };
-        if rolled {
+        if appended.rolled {
             self.rolls.fetch_add(1, Ordering::Relaxed);
         }
-        if compacted > 0 {
+        if appended.merged > 0 {
             self.compactions.fetch_add(1, Ordering::Relaxed);
         }
 
@@ -342,12 +324,12 @@ impl ServeEngine {
             evicted: out.evicted,
             set_size: out.swap.result.set.len(),
             maximality_proved: out.maximality_proved,
-            rolled,
-            compacted,
+            rolled: appended.rolled,
+            compacted: appended.merged,
         };
 
-        // Commit part: checkpoint the repaired set, reclaim unpinned
-        // segment files, publish the view.
+        // Commit part: checkpoint the repaired set, retry segment-file
+        // removals that failed, publish the view.
         {
             let _span = mis_obs::span("serve", "serve.checkpoint");
             let mut store = self.store.lock().expect("store lock poisoned");
@@ -447,35 +429,21 @@ fn build_view(
     }
 }
 
-/// Distinct committed epochs in the store's active WAL.
-fn wal_epochs(store: &UpdateStore) -> u64 {
-    let mut count = 0u64;
-    let mut last = None;
-    for &(e, _) in store.wal().committed() {
-        if last != Some(e) {
-            count += 1;
-            last = Some(e);
-        }
-    }
-    count
-}
-
-fn store_checkpoint_path(store: &UpdateStore) -> std::path::PathBuf {
-    store.checkpoint_path().to_path_buf()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mis_extmem::{IoStats, ScratchDir};
     use mis_graph::build_adj_file;
 
-    fn engine(dir: &ScratchDir, config: ServeConfig) -> ServeEngine {
-        let graph = mis_gen::plrg::Plrg::with_vertices(1_500, 2.0)
-            .seed(77)
-            .generate();
+    /// The store in `dir`, writing its base on first use.
+    fn store(dir: &ScratchDir) -> UpdateStore {
         let stats = IoStats::shared();
-        build_adj_file(&graph, &dir.file("base.adj"), Arc::clone(&stats), 4096).unwrap();
+        if !dir.file("base.adj").exists() {
+            let graph = mis_gen::plrg::Plrg::with_vertices(1_500, 2.0)
+                .seed(77)
+                .generate();
+            build_adj_file(&graph, &dir.file("base.adj"), Arc::clone(&stats), 4096).unwrap();
+        }
         let (store, _) = UpdateStore::open(
             &dir.file("base.adj"),
             &dir.file("edits.wal"),
@@ -484,7 +452,11 @@ mod tests {
             4096,
         )
         .unwrap();
-        ServeEngine::new(store, config).unwrap()
+        store
+    }
+
+    fn engine(dir: &ScratchDir, config: ServeConfig) -> ServeEngine {
+        ServeEngine::new(store(dir), config).unwrap()
     }
 
     #[test]
@@ -619,5 +591,36 @@ mod tests {
         let view = eng.view();
         assert_eq!(view.epoch(), 6);
         assert!(view.maximality_proved());
+    }
+
+    #[test]
+    fn the_first_flush_merges_segments_an_earlier_run_left() {
+        let dir = ScratchDir::new("serve-onerule").unwrap();
+        let mut earlier = store(&dir);
+        earlier.set_roll_policy(RollPolicy {
+            max_wal_bytes: u64::MAX,
+            max_wal_epochs: 1,
+            compact_threshold: usize::MAX,
+        });
+        for i in 0..3u32 {
+            earlier.append_ops(&[EdgeOp::Insert(i, i + 100)]).unwrap();
+        }
+        assert_eq!(earlier.segments().len(), 3);
+        drop(earlier);
+
+        let eng = engine(
+            &dir,
+            ServeConfig {
+                batch_ops: usize::MAX,
+                compact_threshold: 3,
+                ..ServeConfig::default()
+            },
+        );
+        eng.submit(&[EdgeOp::Insert(3, 103)]).unwrap();
+        let report = eng.flush().unwrap().unwrap();
+        assert!(!report.rolled);
+        assert_eq!(report.compacted, 3);
+        assert_eq!(eng.stats().compactions, 1);
+        assert_eq!(eng.store_status().unwrap().segments.len(), 1);
     }
 }

@@ -35,6 +35,11 @@ fn open(dir: &ScratchDir, base: &str) -> UpdateStore {
     store
 }
 
+/// The store's durable history, epoch-stamped, in commit order.
+fn history(store: &UpdateStore) -> Vec<(u64, EdgeOp)> {
+    store.committed_ops().collect()
+}
+
 fn seg_files(dir: &ScratchDir) -> Vec<PathBuf> {
     let seg_dir = dir.file("edits.segs");
     if !seg_dir.is_dir() {
@@ -55,7 +60,7 @@ fn crash_after_segment_seal_leaves_a_cleaned_orphan() {
     let mut store = open(&dir, "base.adj");
     store.append_ops(&[EdgeOp::Insert(1, 7)]).unwrap();
     store.append_ops(&[EdgeOp::Insert(2, 8)]).unwrap();
-    let before = store.snapshot().replay_trace();
+    let before = history(&store);
 
     // Die right after the segment file is written, before the manifest
     // lists it: the file is an orphan.
@@ -70,7 +75,7 @@ fn crash_after_segment_seal_leaves_a_cleaned_orphan() {
     let store = open(&dir, "base.adj");
     assert!(seg_files(&dir).is_empty());
     assert!(store.segments().is_empty());
-    assert_eq!(store.snapshot().replay_trace(), before);
+    assert_eq!(history(&store), before);
 
     // The interrupted roll can simply be retried.
     let mut store = store;
@@ -84,7 +89,7 @@ fn crash_after_manifest_update_heals_the_duplicated_wal() {
     let mut store = open(&dir, "base.adj");
     store.append_ops(&[EdgeOp::Insert(1, 7)]).unwrap();
     store.append_ops(&[EdgeOp::Delete(7, 1)]).unwrap();
-    let before = store.snapshot().replay_trace();
+    let before = history(&store);
 
     // Die between the manifest commit and the WAL reset: the sealed
     // segment AND the WAL now hold the same epochs.
@@ -100,7 +105,7 @@ fn crash_after_manifest_update_heals_the_duplicated_wal() {
     assert_eq!(store.segments().len(), 1);
     assert!(store.wal().committed().is_empty(), "wal healed");
     assert_eq!(store.wal().last_epoch(), 2, "epoch numbering preserved");
-    assert_eq!(store.snapshot().replay_trace(), before);
+    assert_eq!(history(&store), before);
 }
 
 #[test]
@@ -111,7 +116,7 @@ fn crash_points_of_a_segment_merge_lose_nothing() {
         store.append_ops(&[EdgeOp::Insert(10, 20 + i)]).unwrap();
         store.roll_segment().unwrap().unwrap();
     }
-    let before = store.snapshot().replay_trace();
+    let before = history(&store);
     assert_eq!(seg_files(&dir).len(), 3);
 
     // Crash after the merged file is sealed but before the manifest
@@ -125,7 +130,7 @@ fn crash_points_of_a_segment_merge_lose_nothing() {
     let store = open(&dir, "base.adj");
     assert_eq!(seg_files(&dir).len(), 3, "merge orphan cleaned");
     assert_eq!(store.segments().len(), 3);
-    assert_eq!(store.snapshot().replay_trace(), before);
+    assert_eq!(history(&store), before);
 
     // Crash after the manifest swap but before the input files are
     // reclaimed: the inputs are now orphans, the merge is live.
@@ -141,7 +146,7 @@ fn crash_points_of_a_segment_merge_lose_nothing() {
     let store = open(&dir, "base.adj");
     assert_eq!(seg_files(&dir).len(), 1, "input orphans cleaned");
     assert_eq!(store.segments().len(), 1);
-    assert_eq!(store.snapshot().replay_trace(), before);
+    assert_eq!(history(&store), before);
 }
 
 #[test]
@@ -151,7 +156,7 @@ fn crash_points_of_a_full_compaction_keep_one_consistent_base() {
     store.append_ops(&[EdgeOp::Insert(0, 30)]).unwrap();
     store.roll_segment().unwrap().unwrap();
     store.append_ops(&[EdgeOp::Insert(1, 31)]).unwrap();
-    let before = store.snapshot().replay_trace();
+    let before = history(&store);
     let out = dir.file("base2.adj");
 
     // Crash after the temp file is finished, before the rename: the old
@@ -163,7 +168,7 @@ fn crash_points_of_a_full_compaction_keep_one_consistent_base() {
     drop(store);
     assert!(!out.exists(), "rename never happened");
     let store = open(&dir, "base.adj");
-    assert_eq!(store.snapshot().replay_trace(), before, "nothing lost");
+    assert_eq!(history(&store), before, "nothing lost");
 
     // Crash after the rename + manifest clear, before the WAL reset: the
     // new base is live and the leftover log replays idempotently — the
@@ -190,7 +195,8 @@ fn crash_points_of_a_full_compaction_keep_one_consistent_base() {
     use mis_graph::GraphScan;
     let mut replayed = Vec::new();
     survivor
-        .overlay()
+        .snapshot()
+        .pinned()
         .scan(&mut |v, ns| {
             let mut s = ns.to_vec();
             s.sort_unstable();

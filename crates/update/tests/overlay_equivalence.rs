@@ -7,7 +7,7 @@
 //! At every epoch the pinned view of `snapshot()` must scan record for
 //! record, in the same neighbour order, like
 //!
-//! * an overlay replayed from the snapshot's own operations,
+//! * an overlay replayed from the store's committed operations,
 //! * a store reopened from the files on disk, and
 //! * the model edge set (as sorted neighbour lists),
 //!
@@ -17,11 +17,12 @@
 
 use std::collections::HashSet;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use mis_extmem::{IoStats, ScratchDir};
-use mis_graph::{build_adj_file, AnyAdjFile, DeltaGraph, GraphScan, PinnedDelta, VertexId};
+use mis_graph::{build_adj_file, AnyAdjFile, GraphScan, PinnedDelta, VertexId};
 use mis_update::{EdgeOp, RollPolicy, UpdateStore};
 
 /// Vertex universe of the base graph and the op streams.
@@ -133,7 +134,7 @@ proptest! {
 
         for epoch in 1..=epochs as u64 {
             let ops = batch(&mut rng, &mut edges);
-            prop_assert_eq!(store.append_ops(&ops).unwrap(), epoch);
+            prop_assert_eq!(store.append_ops(&ops).unwrap().epoch, epoch);
             match rng.below(8) {
                 0..=2 => {
                     store.roll_segment().unwrap();
@@ -158,9 +159,9 @@ proptest! {
             prop_assert_eq!(view.epoch(), epoch);
             let got = records(&view);
 
-            // A replay of the snapshot's own history.
-            let mut replay = DeltaGraph::new(snap.base());
-            for (_, op) in snap.ops() {
+            // A replay of the store's durable history.
+            let mut replay = PinnedDelta::new(snap.base().clone(), Arc::default(), 0);
+            for (_, op) in store.committed_ops() {
                 match op {
                     EdgeOp::Insert(u, v) => replay.insert_edge(u, v),
                     EdgeOp::Delete(u, v) => replay.delete_edge(u, v),
@@ -174,9 +175,7 @@ proptest! {
             prop_assert_eq!(view.num_edges(), edges.len() as u64);
             prop_assert_eq!(store.status().unwrap().live_edges, edges.len() as u64);
 
-            // A second store opened from the same files. No dead segment
-            // files may linger, or its open would sweep them as orphans.
-            store.gc();
+            // A second store opened from the same files.
             let reopened = files.open();
             let reopened_view = reopened.snapshot().pinned();
             prop_assert_eq!(reopened_view.epoch(), epoch);

@@ -1,6 +1,7 @@
 //! Incremental maintenance under edge insertions — the paper's
-//! future-work scenario, implemented via the `DeltaGraph` overlay and
-//! `repair_independent_set`.
+//! future-work scenario, implemented via the `PinnedDelta` overlay view
+//! and `repair_updated_set_from_ops`, the repair `mis update` and
+//! `mis serve` run.
 //!
 //! ```text
 //! cargo run --release --example streaming_updates
@@ -9,10 +10,12 @@
 //! A social graph receives batches of new friendships; instead of
 //! recomputing the independent set from scratch (a full Greedy + swap
 //! pipeline per batch), each batch is overlaid in memory and the set is
-//! repaired with one eviction scan plus a bounded number of swap rounds.
+//! repaired: the batch's inserted edges name the members to evict, a
+//! bounded number of swap rounds win back the loss, and one more scan
+//! proves the result maximal.
 
-use semi_mis::algo::incremental::repair_independent_set;
-use semi_mis::graph::DeltaGraph;
+use std::sync::Arc;
+
 use semi_mis::prelude::*;
 
 fn main() {
@@ -29,7 +32,7 @@ fn main() {
         initial.len()
     );
 
-    let mut delta = DeltaGraph::new(&base);
+    let mut delta = PinnedDelta::new(base.clone(), Arc::default(), 0);
     let mut current = initial;
     let mut rng_state = 99u64;
     let mut next = move || {
@@ -42,23 +45,25 @@ fn main() {
     for batch in 1..=5 {
         // 1000 random new edges per batch (some will hit the current set).
         let n = base.num_vertices() as u64;
+        let mut inserted = Vec::new();
         for _ in 0..1000 {
             let (a, b) = ((next() >> 16) % n, (next() >> 16) % n);
             if a != b {
                 delta.insert_edge(a as u32, b as u32);
+                inserted.push((a as u32, b as u32));
             }
         }
-        let out = repair_independent_set(&delta, &current, 2);
+        let out = repair_updated_set_from_ops(&delta, &current, &inserted, RepairConfig::default());
         current = out.swap.result.set;
         assert!(is_independent_set(&delta, &current));
-        assert!(is_maximal_independent_set(&delta, &current));
+        assert!(out.maximality_proved);
         println!(
             "batch {batch}: +{} edges (overlay {} KiB), evicted {}, |IS| = {} ({} scans)",
-            delta.added_edges(),
-            delta.overlay_bytes() / 1024,
+            delta.overlay().added_edges(),
+            delta.overlay().overlay_bytes() / 1024,
             out.evicted,
             current.len(),
-            out.swap.result.file_scans + 1
+            out.swap.result.file_scans + out.verify_scans
         );
     }
     println!("final set verified independent and maximal on the updated graph");

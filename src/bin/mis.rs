@@ -1295,7 +1295,7 @@ fn cmd_update(args: &[String]) -> Result<(), String> {
         "append" => {
             let ops = ops.expect("validated above");
             let inserts = ops.iter().filter(|op| op.is_insert()).count();
-            let epoch = store.append_ops(&ops).map_err(|e| e.to_string())?;
+            let epoch = store.append_ops(&ops).map_err(|e| e.to_string())?.epoch;
             println!(
                 "epoch {epoch}: logged {} ops ({} inserts, {} deletes) to {}",
                 ops.len(),
@@ -1316,7 +1316,8 @@ fn cmd_update(args: &[String]) -> Result<(), String> {
             if report.up_to_date {
                 println!(
                     "checkpoint already at epoch {} (|IS| = {}); nothing to do",
-                    report.epoch, report.set_size
+                    report.epoch,
+                    report.set.len()
                 );
             } else {
                 if report.bootstrapped {
@@ -1328,7 +1329,7 @@ fn cmd_update(args: &[String]) -> Result<(), String> {
                     );
                 }
                 println!("evicted = {}", report.evicted);
-                println!("|IS| = {}", report.set_size);
+                println!("|IS| = {}", report.set.len());
                 println!("maintenance scans = {}", report.file_scans);
                 println!("time = {:.2}s", start.elapsed().as_secs_f64());
                 println!(
@@ -1383,7 +1384,7 @@ fn cmd_update(args: &[String]) -> Result<(), String> {
                     status.last_epoch, status.committed_ops
                 );
                 println!(
-                    "segments: {} live ({} B), {} dead awaiting unpin",
+                    "segments: {} live ({} B), {} dead awaiting removal",
                     status.segments.len(),
                     status.segment_bytes,
                     status.dead_segments

@@ -18,7 +18,10 @@
 //!   bound, and an exact solver for small graphs;
 //! * [`update`] — the durable edge-update subsystem: write-ahead edge
 //!   log, independent-set checkpoints, incremental maintenance from the
-//!   last checkpoint, and log compaction;
+//!   last checkpoint, log compaction and the `mis serve` engine. Both
+//!   read the edited graph through one view ([`graph::PinnedDelta`],
+//!   in the prelude) and repair through one function
+//!   ([`algo::repair_updated_set_from_ops`], also in the prelude);
 //! * [`theory`] — the paper's analytic formulas on `P(α,β)`;
 //! * [`obs`] — low-overhead observability: span tracing, log-bucketed
 //!   latency histograms and counters, exported as Chrome-trace JSONL
@@ -66,10 +69,10 @@ pub mod prelude {
         prove_maximal_with, upper_bound_scan, Baseline, DynamicUpdate, Executor, Greedy, OneKSwap,
         ParallelConfig, SwapConfig, TfpMaximalIs, TwoKSwap, DEFAULT_PAGED_THRESHOLD,
     };
-    pub use mis_core::{repair_updated_set, RepairConfig};
+    pub use mis_core::{repair_updated_set_from_ops, RepairConfig};
     pub use mis_extmem::{IoStats, PagerConfig, PolicyKind, ScratchDir};
     pub use mis_graph::{
-        AdjFile, CsrGraph, DeltaGraph, GraphScan, NeighborAccess, OrderedCsr, RandomAccessGraph,
+        AdjFile, CsrGraph, GraphScan, NeighborAccess, OrderedCsr, PinnedDelta, RandomAccessGraph,
         VertexId,
     };
     pub use mis_update::{EdgeOp, UpdateStore};

@@ -5,10 +5,9 @@
 use std::sync::Arc;
 
 use semi_mis::algo::cover::{cover_from_independent_set, is_vertex_cover, min_vertex_cover};
-use semi_mis::algo::incremental::repair_independent_set;
 use semi_mis::algo::peeling::{peel, peel_and_solve};
 use semi_mis::algo::{matching_bound, SwapConfig};
-use semi_mis::graph::{build_adj_file, compress_adj, DeltaGraph};
+use semi_mis::graph::{build_adj_file, compress_adj};
 use semi_mis::prelude::*;
 
 #[test]
@@ -115,11 +114,11 @@ fn incremental_repair_through_compressed_base() {
     let compressed = compress_adj(&graph, &scratch.file("g.cadj"), stats, 4096).unwrap();
     let greedy = Greedy::new().run(&compressed);
 
-    let mut delta = DeltaGraph::new(&compressed);
+    let mut delta = PinnedDelta::new(compressed, Arc::default(), 0);
     let a = greedy.set[0];
     let b = greedy.set[1];
     delta.insert_edge(a, b);
-    let out = repair_independent_set(&delta, &greedy.set, 2);
+    let out = repair_updated_set_from_ops(&delta, &greedy.set, &[(a, b)], RepairConfig::default());
     assert_eq!(out.evicted, 1);
     assert!(is_independent_set(&delta, &out.swap.result.set));
     assert!(is_maximal_independent_set(&delta, &out.swap.result.set));

@@ -190,14 +190,14 @@ proptest! {
     #[test]
     fn incremental_repair_invariants(g in arb_graph(30, 80), extra in proptest::collection::vec((0u32..30, 0u32..30), 0..12)) {
         let baseline = Baseline::new().run(&g);
-        let mut delta = semi_mis::graph::DeltaGraph::new(&g);
+        let mut delta = PinnedDelta::new(g.clone(), std::sync::Arc::default(), 0);
         let n = g.num_vertices() as u32;
-        for (u, v) in extra {
-            if u < n && v < n {
-                delta.insert_edge(u, v);
-            }
+        let extra: Vec<(u32, u32)> = extra.into_iter().filter(|&(u, v)| u < n && v < n).collect();
+        for &(u, v) in &extra {
+            delta.insert_edge(u, v);
         }
-        let out = semi_mis::algo::incremental::repair_independent_set(&delta, &baseline.set, 2);
+        let config = RepairConfig { recover_rounds: 2, verify: false };
+        let out = repair_updated_set_from_ops(&delta, &baseline.set, &extra, config);
         prop_assert!(is_independent_set(&delta, &out.swap.result.set));
         prop_assert!(is_maximal_independent_set(&delta, &out.swap.result.set));
     }
@@ -259,13 +259,13 @@ proptest! {
         g in arb_graph(30, 100),
         edits in proptest::collection::vec((any::<bool>(), 0u32..30, 0u32..30), 0..40),
     ) {
-        // DeltaGraph insert+delete overlays must scan exactly like a
+        // PinnedDelta insert+delete overlays must scan exactly like a
         // graph with the edits materialised, for any *valid* edit stream
         // (inserts name absent edges, deletes name live ones — the
         // contract the overlay documents and the WAL/churn workloads
         // uphold). Resurrections (delete then re-insert) are covered.
         let n = g.num_vertices() as u32;
-        let mut delta = DeltaGraph::new(&g);
+        let mut delta = PinnedDelta::new(g.clone(), std::sync::Arc::default(), 0);
         let mut edges: std::collections::BTreeSet<(u32, u32)> =
             g.edges().map(|(u, v)| (u.min(v), u.max(v))).collect();
         for (insert, u, v) in edits {
@@ -296,7 +296,9 @@ proptest! {
         }
         // And the maintenance pipeline holds on the edited graph.
         let baseline = Baseline::new().run(&g);
-        let out = repair_updated_set(&delta, &baseline.set, RepairConfig::default());
+        let conflicts = semi_mis::algo::conflicting_pairs(&delta, &baseline.set).unwrap();
+        let out =
+            repair_updated_set_from_ops(&delta, &baseline.set, &conflicts, RepairConfig::default());
         prop_assert!(out.maximality_proved);
     }
 

@@ -6,7 +6,8 @@ use std::sync::Arc;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use mis_core::peeling::peel;
 use mis_core::{
-    matching_bound, repair_updated_set_from_ops, upper_bound_scan, Greedy, RepairConfig,
+    conflicting_pairs, matching_bound, repair_updated_set_from_ops, upper_bound_scan, Greedy,
+    RepairConfig,
 };
 use mis_extmem::{IoStats, ScratchDir};
 use mis_graph::{build_adj_file, compress_adj, GraphScan, OrderedCsr, PinnedDelta};
@@ -74,21 +75,21 @@ fn bench_incremental(c: &mut Criterion) {
     let sorted = OrderedCsr::degree_sorted(&graph);
     let set = Greedy::new().run(&sorted).set;
     let mut delta = PinnedDelta::new(graph, Arc::default(), 0);
-    let inserted: Vec<_> = (0..500usize)
-        .map(|i| (set[i * 2], set[i * 2 + 1]))
-        .collect();
-    for &(u, v) in &inserted {
-        delta.insert_edge(u, v);
+    for i in 0..500usize {
+        delta.insert_edge(set[i * 2], set[i * 2 + 1]);
     }
     let config = RepairConfig {
         recover_rounds: 1,
         verify: false,
     };
+    // Scan-fed, as `UpdateStore::apply` runs it: one conflict scan, then
+    // the evict + swap.
     group.bench_function("repair_500_conflicts", |b| {
         b.iter_batched(
             || set.clone(),
             |s| {
-                repair_updated_set_from_ops(&delta, &s, &inserted, config)
+                let conflicts = conflicting_pairs(&delta, &s).unwrap();
+                repair_updated_set_from_ops(&delta, &s, &conflicts, config)
                     .swap
                     .result
                     .set

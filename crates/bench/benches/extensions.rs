@@ -1,10 +1,9 @@
 //! Criterion benchmarks for the extension features: compressed vs plain
-//! scans, peeling throughput, bound computations, and incremental repair.
+//! scans, bound computations, and incremental repair.
 
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use mis_core::peeling::peel;
 use mis_core::{
     conflicting_pairs, matching_bound, repair_updated_set_from_ops, upper_bound_scan, Greedy,
     RepairConfig,
@@ -42,18 +41,6 @@ fn bench_compressed_scan(c: &mut Criterion) {
                 .unwrap();
             acc
         })
-    });
-    group.finish();
-}
-
-fn bench_peel(c: &mut Criterion) {
-    let mut group = c.benchmark_group("peeling");
-    group.sample_size(10);
-    let graph = mis_gen::Plrg::with_vertices(50_000, 2.2).seed(5).generate();
-    let sorted = OrderedCsr::degree_sorted(&graph);
-    group.throughput(Throughput::Elements(graph.num_vertices() as u64));
-    group.bench_function("degree01_fixpoint_50k", |b| {
-        b.iter(|| peel(&sorted, None).included.len())
     });
     group.finish();
 }
@@ -104,7 +91,6 @@ fn bench_incremental(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_compressed_scan,
-    bench_peel,
     bench_bounds,
     bench_incremental
 );

@@ -4,14 +4,15 @@
 //! repro <experiment>
 //!   table2 table4 table5 table6 table7 table8 table9
 //!   fig6 fig8 fig9 fig10
-//!   io pager parallel shard churn serve cascade ablation
+//!   io pager parallel shard churn serve cascade ablation bounds compress
 //!   all        # everything (dataset suite computed once)
 //! ```
 //!
 //! `repro parallel` additionally accepts `--threads N` (top worker count
-//! of the reported speedup, default 4) and `--min-speedup X` (fail when
+//! of the reported speedup, default 4), `--min-speedup X` (fail when
 //! the steady-state speedup falls short; skipped on machines with fewer
-//! than `N` hardware threads). `repro shard` measures the `MISSHRD1`
+//! than `N` hardware threads) and `--trace FILE` (record every side's
+//! spans). `repro shard` measures the `MISSHRD1`
 //! sharded store against the unpartitioned backends and also accepts
 //! `--threads N`.
 //!
@@ -44,7 +45,6 @@ fn main() {
         "cascade" => cascade::run(),
         "ablation" => ablation::run(),
         "bounds" => extensions::bounds(),
-        "peeling" => extensions::peeling(),
         "compress" => compress::run(),
         "all" => {
             table4::run();
@@ -89,13 +89,11 @@ fn main() {
             println!();
             extensions::bounds();
             println!();
-            extensions::peeling();
-            println!();
             compress::run();
         }
         _ => {
             eprintln!(
-                "usage: repro <table2|table4|table5|table6|table7|table8|table9|fig6|fig8|fig9|fig10|io|pager|parallel|shard|churn|serve|cascade|ablation|bounds|peeling|compress|all>"
+                "usage: repro <table2|table4|table5|table6|table7|table8|table9|fig6|fig8|fig9|fig10|io|pager|parallel|shard|churn|serve|cascade|ablation|bounds|compress|all>"
             );
             std::process::exit(2);
         }

@@ -37,10 +37,7 @@ pub fn run() {
         "one-k rounds",
         "two-k size",
         "two-k rounds",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect::<Vec<_>>();
+    ];
     let mut rows = Vec::new();
     for (label, config) in configs {
         let one = OneKSwap::with_config(config).run(&sorted, &greedy.set);

@@ -20,10 +20,7 @@ pub fn run() {
         "initial |IS|",
         "final |IS|",
         "swap rounds",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect::<Vec<_>>();
+    ];
     let mut rows = Vec::new();
     for k in [3usize, 10, 30, 100, 300] {
         let graph = cascade_swap(k);

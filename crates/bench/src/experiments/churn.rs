@@ -21,25 +21,15 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use mis_core::{is_maximal_independent_set, Greedy, OneKSwap, RepairConfig, SwapConfig};
-use mis_extmem::{IoSnapshot, IoStats, ScratchDir, SortConfig};
-use mis_gen::churn::{churn_stream, ChurnKind, ChurnOp};
-use mis_graph::{build_adj_file, degree_sort_adj_file, AdjFile, GraphScan, PinnedDelta};
-use mis_obs::{CostModel, LedgerEntry, ModelVerdict};
+use mis_extmem::{IoSnapshot, IoStats};
+use mis_graph::{AdjFile, PinnedDelta};
+use mis_obs::{LedgerEntry, ModelVerdict};
 use mis_update::{EdgeOp, UpdateStore, Wal};
 
-use crate::harness;
-
-/// Default output path of the machine-readable results.
-pub const DEFAULT_JSON_PATH: &str = "BENCH_churn.json";
-
-/// Blocks-read tolerance of the churn conformance checks. Wider than
-/// the scan-shaped experiments: the incremental side resumes from
-/// checkpoints and replays the WAL between its accounted base-file
-/// scans, I/O the scans-×-⌈bytes/B⌉ relation cannot see.
-const CHURN_MODEL_TOLERANCE: f64 = 0.25;
+use crate::harness::{self, JsonObject, UPDATE_MODEL_TOLERANCE};
 
 /// One measured maintenance strategy.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Side {
     /// Strategy label.
     pub label: &'static str,
@@ -58,17 +48,24 @@ pub struct Side {
     pub model: Option<ModelVerdict>,
 }
 
-/// Checks one side's accounted I/O against the blocks-per-scan
-/// relation of the cost model.
-fn check_side(side: &mut Side, model: &CostModel) {
-    let verdict = model.check(
-        None,
-        side.io.scans_started,
-        side.io.blocks_read,
-        CHURN_MODEL_TOLERANCE,
-    );
-    assert!(verdict.pass, "{}: {verdict}", side.label);
-    side.model = Some(verdict);
+impl Side {
+    /// The side as one JSON object.
+    fn to_json(&self) -> String {
+        let mut json = JsonObject::default();
+        json.field("final_is", self.final_is)
+            .field("scans", self.scans)
+            .field("blocks_read", self.io.blocks_read)
+            .field("bytes_read", self.io.bytes_read)
+            .field("wal_bytes_written", self.io.wal_bytes_written)
+            .field("wal_bytes_read", self.io.wal_bytes_read)
+            .field("checkpoints_written", self.io.checkpoints_written)
+            .field("all_proved", self.all_proved)
+            .fixed("wall_ms", self.wall_ms, 2);
+        if let Some(verdict) = &self.model {
+            json.field("model", verdict.to_json());
+        }
+        json.to_json()
+    }
 }
 
 /// Outcome of the torn-write recovery demonstration.
@@ -99,47 +96,19 @@ pub struct ChurnResult {
     pub base_bytes: u64,
 }
 
-fn to_edge_op(op: &ChurnOp) -> EdgeOp {
-    match op.kind {
-        ChurnKind::Insert => EdgeOp::Insert(op.u, op.v),
-        ChurnKind::Delete => EdgeOp::Delete(op.u, op.v),
-    }
-}
-
 /// Runs the comparison on a `P(α,β)` graph with `n` vertices.
 pub fn run_churn(n: u64, epochs: usize, ops_per_epoch: usize, block_size: usize) -> ChurnResult {
-    let graph = mis_gen::Plrg::with_vertices(n, 2.0).seed(42).generate();
-    let stream = churn_stream(&graph, epochs * ops_per_epoch, 0.3, 7);
-    assert_eq!(stream.len(), epochs * ops_per_epoch, "stream fell short");
-
-    let scratch = ScratchDir::new("repro-churn").expect("scratch dir");
-    let build_stats = IoStats::shared();
-    let unsorted = build_adj_file(
-        &graph,
-        &scratch.file("base.adj"),
-        Arc::clone(&build_stats),
-        block_size,
-    )
-    .expect("build adj file");
-    let sorted = degree_sort_adj_file(
-        &unsorted,
-        &scratch.file("base.sorted.adj"),
-        &SortConfig {
-            block_size,
-            ..SortConfig::default()
-        },
-        &scratch,
-    )
-    .expect("degree sort");
-    let base_path = sorted.path().to_path_buf();
+    let fx = harness::fixture("repro-churn", n, block_size, false);
+    let batches = harness::churn_batches(&fx.graph, epochs, ops_per_epoch);
+    let base_path = fx.plain.path();
 
     // ---- Incremental side: WAL + checkpointed repair. ----
     let inc_stats = IoStats::shared();
-    let wal_path = scratch.file("edits.wal");
+    let wal_path = fx.scratch.file("edits.wal");
     let (mut store, _) = UpdateStore::open(
-        &base_path,
+        base_path,
         &wal_path,
-        &scratch.file("is.ckpt"),
+        &fx.scratch.file("is.ckpt"),
         Arc::clone(&inc_stats),
         block_size,
     )
@@ -156,18 +125,13 @@ pub fn run_churn(n: u64, epochs: usize, ops_per_epoch: usize, block_size: usize)
 
     let mut incremental = Side {
         label: "incremental",
-        final_is: 0,
-        scans: 0,
-        io: IoSnapshot::default(),
-        wall_ms: 0.0,
         all_proved: true,
-        model: None,
+        ..Side::default()
     };
     let before = inc_stats.snapshot();
     let start = Instant::now();
-    for batch in stream.chunks(ops_per_epoch) {
-        let ops: Vec<EdgeOp> = batch.iter().map(to_edge_op).collect();
-        store.append_ops(&ops).expect("append epoch");
+    for batch in &batches {
+        store.append_ops(batch).expect("append epoch");
         let report = store
             .apply(RepairConfig {
                 recover_rounds: 1,
@@ -183,25 +147,21 @@ pub fn run_churn(n: u64, epochs: usize, ops_per_epoch: usize, block_size: usize)
 
     // ---- Rebuild side: Greedy + one-k to fixpoint per epoch. ----
     let reb_stats = IoStats::shared();
-    let base = AdjFile::open_with_block_size(&base_path, Arc::clone(&reb_stats), block_size)
+    let base = AdjFile::open_with_block_size(base_path, Arc::clone(&reb_stats), block_size)
         .expect("open base");
     let mut rebuild = Side {
         label: "rebuild",
-        final_is: 0,
-        scans: 0,
-        io: IoSnapshot::default(),
-        wall_ms: 0.0,
         all_proved: true,
-        model: None,
+        ..Side::default()
     };
     let before = reb_stats.snapshot();
     let start = Instant::now();
     let mut delta = PinnedDelta::new(base, Arc::default(), 0);
-    for batch in stream.chunks(ops_per_epoch) {
-        for op in batch {
-            match op.kind {
-                ChurnKind::Insert => delta.insert_edge(op.u, op.v),
-                ChurnKind::Delete => delta.delete_edge(op.u, op.v),
+    for batch in &batches {
+        for &op in batch {
+            match op {
+                EdgeOp::Insert(u, v) => delta.insert_edge(u, v),
+                EdgeOp::Delete(u, v) => delta.delete_edge(u, v),
             }
         }
         let greedy = Greedy::new().run(&delta);
@@ -230,51 +190,26 @@ pub fn run_churn(n: u64, epochs: usize, ops_per_epoch: usize, block_size: usize)
 
     // Both sides' base-file I/O must conform to the blocks-per-scan
     // relation of the cost model.
-    let base_bytes = sorted.disk_bytes().expect("metadata");
-    let model = CostModel {
-        vertices: graph.num_vertices() as u64,
-        edges: graph.num_edges(),
-        file_bytes: base_bytes,
-        block_size: block_size as u64,
-        storage: sorted.storage().to_string(),
-        shard_bytes: Vec::new(),
-    };
-    check_side(&mut incremental, &model);
-    check_side(&mut rebuild, &model);
+    let model = fx.plain.cost_model(block_size).expect("metadata");
+    for side in [&mut incremental, &mut rebuild] {
+        side.model = Some(harness::check_model(
+            side.label,
+            &model,
+            None,
+            &side.io,
+            UPDATE_MODEL_TOLERANCE,
+        ));
+    }
 
     ChurnResult {
         incremental,
         rebuild,
         torn,
         epochs,
-        total_ops: stream.len(),
-        edges: graph.num_edges(),
-        base_bytes,
+        total_ops: epochs * ops_per_epoch,
+        edges: fx.graph.num_edges(),
+        base_bytes: model.file_bytes,
     }
-}
-
-fn side_json(side: &Side) -> String {
-    let mut json = format!(
-        concat!(
-            "{{\"final_is\": {}, \"scans\": {}, \"blocks_read\": {}, ",
-            "\"bytes_read\": {}, \"wal_bytes_written\": {}, \"wal_bytes_read\": {}, ",
-            "\"checkpoints_written\": {}, \"all_proved\": {}, \"wall_ms\": {:.2}"
-        ),
-        side.final_is,
-        side.scans,
-        side.io.blocks_read,
-        side.io.bytes_read,
-        side.io.wal_bytes_written,
-        side.io.wal_bytes_read,
-        side.io.checkpoints_written,
-        side.all_proved,
-        side.wall_ms,
-    );
-    if let Some(verdict) = &side.model {
-        json.push_str(&format!(", \"model\": {}", verdict.to_json()));
-    }
-    json.push('}');
-    json
 }
 
 /// Runs the experiment, prints the comparison and writes the JSON file.
@@ -316,10 +251,7 @@ pub fn run() {
         "ckpts",
         "proved",
         "time",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect::<Vec<_>>();
+    ];
     harness::print_table(&header, &rows);
 
     let scans_saved = result
@@ -351,41 +283,19 @@ pub fn run() {
     );
     assert!(result.incremental.all_proved && result.rebuild.all_proved);
 
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"experiment\": \"churn\",\n",
-            "  \"graph\": {{\"model\": \"plrg\", \"beta\": 2.0, \"seed\": 42, \"vertices\": {}}},\n",
-            "  \"workload\": {{\"epochs\": {}, \"ops\": {}, \"delete_fraction\": 0.3, \"seed\": 7}},\n",
-            "  \"block_size\": {},\n",
-            "  \"hardware_threads\": {},\n",
-            "  \"available_threads\": {},\n",
-            "  \"incremental\": {},\n",
-            "  \"rebuild\": {},\n",
-            "  \"scans_saved\": {},\n",
-            "  \"blocks_saved\": {},\n",
-            "  \"torn_wal\": {{\"recovered_epoch\": {}, \"dropped_bytes\": {}}}\n",
-            "}}\n"
-        ),
-        n,
-        result.epochs,
-        result.total_ops,
-        block_size,
-        mis_obs::hardware_threads(),
-        mis_core::engine::available_threads(),
-        side_json(&result.incremental),
-        side_json(&result.rebuild),
-        scans_saved,
-        blocks_saved,
-        result.torn.recovered_epoch,
-        result.torn.dropped_bytes,
-    );
-    let out_path =
-        std::env::var("BENCH_CHURN_OUT").unwrap_or_else(|_| DEFAULT_JSON_PATH.to_string());
-    match std::fs::write(&out_path, &json) {
-        Ok(()) => println!("  wrote {out_path}"),
-        Err(e) => eprintln!("  could not write {out_path}: {e}"),
-    }
+    let mut body = harness::churn_snapshot(n, result.epochs as u64, result.total_ops);
+    body.field("incremental", result.incremental.to_json())
+        .field("rebuild", result.rebuild.to_json())
+        .field("scans_saved", scans_saved)
+        .field("blocks_saved", blocks_saved)
+        .field(
+            "torn_wal",
+            format_args!(
+                "{{\"recovered_epoch\": {}, \"dropped_bytes\": {}}}",
+                result.torn.recovered_epoch, result.torn.dropped_bytes
+            ),
+        );
+    harness::write_snapshot("churn", block_size, &body);
 
     let mut ledger = LedgerEntry::new(
         "repro churn",
@@ -458,10 +368,5 @@ mod tests {
         // Torn-write recovery resumed at the last committed epoch.
         assert_eq!(result.torn.recovered_epoch, 2);
         assert!(result.torn.dropped_bytes > 0);
-        // JSON fragment carries the fields downstream tooling keys on.
-        let fragment = side_json(&result.incremental);
-        for key in ["final_is", "scans", "blocks_read", "wal_bytes_written"] {
-            assert!(fragment.contains(key), "missing {key} in {fragment}");
-        }
     }
 }

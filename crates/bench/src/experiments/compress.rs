@@ -17,35 +17,23 @@ use std::time::Instant;
 
 use mis_core::{prove_maximal_with, Executor, Greedy, OneKSwap, SwapConfig, TwoKSwap};
 use mis_extmem::pager::PolicyKind;
-use mis_extmem::{IoSnapshot, IoStats, PagerConfig, ScratchDir, SortConfig};
-use mis_graph::{
-    build_adj_file, compress_adj, degree_sort_adj_file, AnyAdjFile, GraphScan, NeighborAccess,
-};
-use mis_obs::{CostModel, LedgerEntry, ModelVerdict, Workload};
+use mis_extmem::{IoStats, PagerConfig};
+use mis_graph::{AnyAdjFile, GraphScan, NeighborAccess};
+use mis_obs::{LedgerEntry, Workload};
 
-use super::parallel::MODEL_TOLERANCE;
-use crate::harness;
-
-/// Default output path of the machine-readable results.
-pub const DEFAULT_JSON_PATH: &str = "BENCH_compress.json";
+use crate::harness::{self, JsonObject, Row, MODEL_TOLERANCE};
 
 const ALGOS: [&str; 3] = ["greedy", "onek", "twok"];
 const MODES: [&str; 3] = ["scan", "paged", "par4"];
 
-/// One measured (backend, algorithm, mode) cell.
-struct Side {
-    is_size: u64,
-    scans: u64,
-    rounds: u64,
-    io: IoSnapshot,
-    wall_ms: f64,
-    paged_rounds: u64,
-    maximal: bool,
-    /// Cost-model conformance verdict (filled in by [`check_side`]).
-    model: Option<ModelVerdict>,
-}
-
-fn measure(path: &Path, block_size: usize, algo: &str, mode: &str) -> Side {
+/// Measures one (algorithm, mode) cell on the store at `path` and checks
+/// it against the store's cost model. Swap cells state their full
+/// workload (greedy seed → swap → proof, plus the index-build scan in
+/// paged mode), so the scan count is predicted exactly; greedy-only
+/// cells have no swap pass structure to predict, so their scan count is
+/// asserted directly and the verdict checks the blocks-per-scan
+/// relation alone.
+fn measure(path: &Path, block_size: usize, algo: &str, mode: &str) -> Row {
     // Fresh counters per cell, so configurations cannot bleed into each
     // other.
     let stats = IoStats::shared();
@@ -97,74 +85,35 @@ fn measure(path: &Path, block_size: usize, algo: &str, mode: &str) -> Side {
     };
     let proof = prove_maximal_with(scan, &set, &executor);
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    Side {
+    let mut side = Row {
         is_size: set.len() as u64,
-        scans: scans + 1, // + proof scan
         rounds,
+        paged_rounds: Some(paged_rounds),
+        file_scans: scans + 1, // + proof scan
         io: stats.snapshot(),
-        wall_ms,
-        paged_rounds,
-        maximal: proof.is_maximal_independent(),
-        model: None,
-    }
-}
+        maximal: Some(proof.is_maximal_independent()),
+        wall_ms: Some(wall_ms),
+        ..Row::default()
+    };
 
-/// Checks one cell against the cost model. Swap cells state their full
-/// workload (greedy seed → swap → proof, plus the index-build scan in
-/// paged mode), so the scan count is predicted exactly; greedy-only
-/// cells have no swap pass structure to predict, so their scan count is
-/// asserted directly and the verdict checks the blocks-per-scan
-/// relation alone.
-fn check_side(side: &mut Side, model: &CostModel, algo: &str, mode: &str) {
-    let storage = &model.storage;
+    let what = format!("{}/{algo}/{mode}", file.storage());
     let index_scans = u64::from(mode == "paged"); // RecordIndex::build
     let workload = match algo {
         "greedy" => {
-            let expected = side.scans + index_scans; // greedy + proof (+ index)
-            assert_eq!(
-                side.io.scans_started, expected,
-                "{storage}/{algo}/{mode}: accounted scans"
-            );
+            let expected = side.file_scans + index_scans; // greedy + proof (+ index)
+            assert_eq!(side.io.scans_started, expected, "{what}: accounted scans");
             None
         }
         _ => Some(Workload::GreedyThenSwap {
-            rounds: side.rounds,
-            paged_rounds: side.paged_rounds,
+            rounds,
+            paged_rounds,
             finalize: true,
             extra_scans: 1 + index_scans, // maximality proof (+ index build)
         }),
     };
-    let verdict = model.check(
-        workload,
-        side.io.scans_started,
-        side.io.blocks_read,
-        MODEL_TOLERANCE,
-    );
-    assert!(verdict.pass, "{storage}/{algo}/{mode}: {verdict}");
-    side.model = Some(verdict);
-}
-
-fn side_json(side: &Side) -> String {
-    let mut json = format!(
-        concat!(
-            "{{\"is_size\": {}, \"file_scans\": {}, \"rounds\": {}, \"paged_rounds\": {}, ",
-            "\"blocks_read\": {}, \"bytes_read\": {}, \"maximal\": {}, ",
-            "\"wall_ms\": {:.2}"
-        ),
-        side.is_size,
-        side.scans,
-        side.rounds,
-        side.paged_rounds,
-        side.io.blocks_read,
-        side.io.bytes_read,
-        side.maximal,
-        side.wall_ms,
-    );
-    if let Some(verdict) = &side.model {
-        json.push_str(&format!(", \"model\": {}", verdict.to_json()));
-    }
-    json.push('}');
-    json
+    let model = file.cost_model(block_size).expect("metadata");
+    side.check(&what, &model, workload, MODEL_TOLERANCE);
+    side
 }
 
 /// Runs the experiment, prints the comparison and writes the JSON file.
@@ -176,37 +125,10 @@ pub fn run() {
          greedy/one-k/two-k × scan/paged/par4 (P(α,β), β = 2.0, |V| ≈ {n}) =="
     );
 
-    let graph = mis_gen::Plrg::with_vertices(n, 2.0).seed(42).generate();
-    let scratch = ScratchDir::new("repro-compress").expect("scratch dir");
-    let build_stats = IoStats::shared();
-    let unsorted = build_adj_file(
-        &graph,
-        &scratch.file("graph.adj"),
-        Arc::clone(&build_stats),
-        block_size,
-    )
-    .expect("build adj file");
-    let sorted = degree_sort_adj_file(
-        &unsorted,
-        &scratch.file("graph.sorted.adj"),
-        &SortConfig {
-            block_size,
-            ..SortConfig::default()
-        },
-        &scratch,
-    )
-    .expect("degree sort");
-    let compressed = compress_adj(
-        &sorted,
-        &scratch.file("graph.sorted.cadj"),
-        Arc::clone(&build_stats),
-        block_size,
-    )
-    .expect("compress");
-    let plain_bytes = sorted.disk_bytes().expect("metadata");
+    let fx = harness::fixture("repro-compress", n, block_size, true);
+    let compressed = fx.compressed.as_ref().expect("compressed fixture");
+    let plain_bytes = fx.plain.disk_bytes().expect("metadata");
     let comp_bytes = compressed.disk_bytes().expect("metadata");
-    let plain_path = sorted.path().to_path_buf();
-    let comp_path = compressed.path().to_path_buf();
 
     let header = [
         "algo",
@@ -217,50 +139,35 @@ pub fn run() {
         "saved",
         "plain ms",
         "comp ms",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect::<Vec<_>>();
-    let plain_model = CostModel {
-        vertices: graph.num_vertices() as u64,
-        edges: graph.num_edges(),
-        file_bytes: plain_bytes,
-        block_size: block_size as u64,
-        storage: sorted.storage().to_string(),
-        shard_bytes: Vec::new(),
-    };
-    let comp_model = CostModel {
-        file_bytes: comp_bytes,
-        storage: compressed.storage().to_string(),
-        ..plain_model.clone()
-    };
+    ];
     let mut rows = Vec::new();
     let mut cells = Vec::new();
     let mut total_saved = 0u64;
     let mut ledger = LedgerEntry::new(
         "repro compress",
-        &format!("plrg beta=2.0 n={}", graph.num_vertices()),
+        &format!("plrg beta=2.0 n={}", fx.graph.num_vertices()),
         harness::env_fingerprint(block_size, "adj-file+adj-file-compressed"),
     );
     for algo in ALGOS {
         for mode in MODES {
-            let mut plain = measure(&plain_path, block_size, algo, mode);
-            let mut comp = measure(&comp_path, block_size, algo, mode);
-            check_side(&mut plain, &plain_model, algo, mode);
-            check_side(&mut comp, &comp_model, algo, mode);
-            for (side, model) in [(&plain, &plain_model), (&comp, &comp_model)] {
+            let plain = measure(fx.plain.path(), block_size, algo, mode);
+            let comp = measure(compressed.path(), block_size, algo, mode);
+            for (side, file) in [(&plain, &fx.plain), (&comp, compressed)] {
                 ledger.verdict(
-                    &format!("model {}/{algo}/{mode}", model.storage),
-                    side.model.as_ref().is_some_and(|v| v.pass),
+                    &format!("model {}/{algo}/{mode}", file.storage()),
+                    side.conforms(),
                 );
             }
             assert_eq!(
                 plain.is_size, comp.is_size,
                 "{algo}/{mode}: the storage backend must not change |IS|"
             );
-            assert!(plain.maximal && comp.maximal, "{algo}/{mode}: maximality");
+            assert!(
+                plain.maximal == Some(true) && comp.maximal == Some(true),
+                "{algo}/{mode}: maximality"
+            );
             assert_eq!(
-                plain.scans, comp.scans,
+                plain.file_scans, comp.file_scans,
                 "{algo}/{mode}: identical logical scan counts"
             );
             assert!(
@@ -278,13 +185,13 @@ pub fn run() {
                 plain.io.blocks_read.to_string(),
                 comp.io.blocks_read.to_string(),
                 saved.to_string(),
-                format!("{:.1}", plain.wall_ms),
-                format!("{:.1}", comp.wall_ms),
+                format!("{:.1}", plain.wall_ms.unwrap_or_default()),
+                format!("{:.1}", comp.wall_ms.unwrap_or_default()),
             ]);
             cells.push(format!(
                 "{{\"algo\": \"{algo}\", \"mode\": \"{mode}\", \"plain\": {}, \"compressed\": {}}}",
-                side_json(&plain),
-                side_json(&comp)
+                plain.to_json(),
+                comp.to_json()
             ));
         }
     }
@@ -303,46 +210,22 @@ pub fn run() {
         MODEL_TOLERANCE * 100.0
     );
 
-    let cell_list = cells.join(",\n    ");
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"experiment\": \"compress\",\n",
-            "  \"graph\": {{\"model\": \"plrg\", \"beta\": 2.0, \"seed\": 42, ",
-            "\"vertices\": {}, \"edges\": {}}},\n",
-            "  \"block_size\": {},\n",
-            "  \"hardware_threads\": {},\n",
-            "  \"available_threads\": {},\n",
-            "  \"plain_bytes\": {},\n",
-            "  \"compressed_bytes\": {},\n",
-            "  \"compression_ratio\": {:.4},\n",
-            "  \"cells\": [\n    {}\n  ],\n",
-            "  \"blocks_saved_total\": {}\n",
-            "}}\n"
-        ),
-        graph.num_vertices(),
-        graph.num_edges(),
-        block_size,
-        mis_obs::hardware_threads(),
-        mis_core::engine::available_threads(),
-        plain_bytes,
-        comp_bytes,
-        plain_bytes as f64 / comp_bytes as f64,
-        cell_list,
-        total_saved,
-    );
-    let out_path =
-        std::env::var("BENCH_COMPRESS_OUT").unwrap_or_else(|_| DEFAULT_JSON_PATH.to_string());
-    match std::fs::write(&out_path, &json) {
-        Ok(()) => println!("  wrote {out_path}"),
-        Err(e) => eprintln!("  could not write {out_path}: {e}"),
-    }
+    let (vertices, edges) = (fx.graph.num_vertices(), fx.graph.num_edges());
+    let ratio = plain_bytes as f64 / comp_bytes as f64;
+    let mut body = JsonObject::default();
+    body.field("graph", fx.graph_json().to_json())
+        .field("plain_bytes", plain_bytes)
+        .field("compressed_bytes", comp_bytes)
+        .fixed("compression_ratio", ratio, 4)
+        .field("cells", harness::json_list(cells))
+        .field("blocks_saved_total", total_saved);
+    harness::write_snapshot("compress", block_size, &body);
 
-    ledger.metric("vertices", graph.num_vertices() as f64);
-    ledger.metric("edges", graph.num_edges() as f64);
+    ledger.metric("vertices", vertices as f64);
+    ledger.metric("edges", edges as f64);
     ledger.metric("plain_bytes", plain_bytes as f64);
     ledger.metric("compressed_bytes", comp_bytes as f64);
-    ledger.metric("compression_ratio", plain_bytes as f64 / comp_bytes as f64);
+    ledger.metric("compression_ratio", ratio);
     ledger.metric("blocks_saved_total", total_saved as f64);
     harness::ledger_append(&ledger);
 }
@@ -350,45 +233,25 @@ pub fn run() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::TEST_BLOCK_SIZE;
 
     /// End-to-end regression for the acceptance criterion: on a real
     /// on-disk graph the compressed backend returns the same set with
     /// fewer block transfers for every algorithm and executor mode.
     #[test]
     fn compressed_cells_match_plain_with_fewer_blocks() {
-        let graph = mis_gen::Plrg::with_vertices(8_000, 2.0).seed(7).generate();
-        let scratch = ScratchDir::new("compress-exp-test").unwrap();
-        let stats = IoStats::shared();
-        let block_size = 4096;
-        let plain = build_adj_file(
-            &graph,
-            &scratch.file("g.adj"),
-            Arc::clone(&stats),
-            block_size,
-        )
-        .unwrap();
-        let comp = compress_adj(&plain, &scratch.file("g.cadj"), stats, block_size).unwrap();
-        let plain_model = CostModel {
-            vertices: graph.num_vertices() as u64,
-            edges: graph.num_edges(),
-            file_bytes: plain.disk_bytes().unwrap(),
-            block_size: block_size as u64,
-            storage: plain.storage().to_string(),
-            shard_bytes: Vec::new(),
-        };
-        let comp_model = CostModel {
-            file_bytes: comp.disk_bytes().unwrap(),
-            storage: comp.storage().to_string(),
-            ..plain_model.clone()
-        };
+        let fx = harness::test_fixture("compress-exp-test", 8_000);
+        let comp_path = fx.compressed.as_ref().unwrap().path();
         for algo in ALGOS {
             for mode in MODES {
-                let mut p = measure(plain.path(), block_size, algo, mode);
-                let mut c = measure(comp.path(), block_size, algo, mode);
-                check_side(&mut p, &plain_model, algo, mode);
-                check_side(&mut c, &comp_model, algo, mode);
+                let p = measure(fx.plain.path(), TEST_BLOCK_SIZE, algo, mode);
+                let c = measure(comp_path, TEST_BLOCK_SIZE, algo, mode);
+                assert!(p.conforms() && c.conforms(), "{algo}/{mode}");
                 assert_eq!(p.is_size, c.is_size, "{algo}/{mode}");
-                assert!(p.maximal && c.maximal, "{algo}/{mode}");
+                assert!(
+                    p.maximal == Some(true) && c.maximal == Some(true),
+                    "{algo}/{mode}"
+                );
                 assert!(
                     c.io.blocks_read < p.io.blocks_read,
                     "{algo}/{mode}: {} vs {}",
@@ -396,13 +259,9 @@ mod tests {
                     p.io.blocks_read
                 );
                 if mode == "paged" && algo != "greedy" {
-                    assert!(c.paged_rounds > 0, "{algo}/{mode}: rounds went paged");
+                    assert!(c.paged_rounds > Some(0), "{algo}/{mode}: rounds went paged");
                 }
             }
-        }
-        let fragment = side_json(&measure(plain.path(), block_size, "twok", "scan"));
-        for key in ["is_size", "blocks_read", "maximal", "wall_ms"] {
-            assert!(fragment.contains(key), "missing {key} in {fragment}");
         }
     }
 }

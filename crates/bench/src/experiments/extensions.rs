@@ -1,10 +1,7 @@
-//! Extension experiments beyond the paper's evaluation: upper-bound
-//! tightness and reducing-peeling effectiveness. (Compressed-file I/O
-//! graduated into the full `repro compress` experiment,
-//! `crate::experiments::compress`.)
+//! Extension experiment beyond the paper's evaluation: upper-bound
+//! tightness.
 
-use mis_core::peeling::peel;
-use mis_core::{matching_bound, upper_bound_scan, Greedy, SwapConfig, TwoKSwap};
+use mis_core::{matching_bound, upper_bound_scan, Greedy, TwoKSwap};
 use mis_gen::DATASETS;
 use mis_graph::OrderedCsr;
 
@@ -15,10 +12,7 @@ use crate::harness;
 pub fn bounds() {
     let scale = mis_gen::datasets::env_scale();
     println!("== Upper-bound tightness (Algorithm 5 vs matching bound, REPRO_SCALE={scale}) ==");
-    let header = ["Data Set", "Two-k", "Alg.5", "matching", "best", "gap"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect::<Vec<_>>();
+    let header = ["Data Set", "Two-k", "Alg.5", "matching", "best", "gap"];
     let mut rows = Vec::new();
     for d in &DATASETS {
         let g = d.generate(scale);
@@ -42,47 +36,4 @@ pub fn bounds() {
     }
     harness::print_table(&header, &rows);
     println!("  the paper's ratios use Algorithm 5; the matching bound tightens the gap on dense analogues");
-}
-
-/// Shows how much of each dataset the exact degree-0/1 peeling settles
-/// before any heuristic runs, and the quality of peel+solve.
-pub fn peeling() {
-    let scale = mis_gen::datasets::env_scale();
-    println!("== Reducing-peeling (exact degree-0/1 reductions, REPRO_SCALE={scale}) ==");
-    let header = [
-        "Data Set",
-        "|V|",
-        "peeled in",
-        "peeled out",
-        "kernel",
-        "scans",
-        "peel+solve",
-        "plain two-k",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect::<Vec<_>>();
-    let mut rows = Vec::new();
-    for d in &DATASETS {
-        let g = d.generate(scale);
-        let sorted = OrderedCsr::degree_sorted(&g);
-        let outcome = peel(&sorted, None);
-        let (combined, _) = mis_core::peel_and_solve(&sorted, SwapConfig::default());
-        let greedy = Greedy::new().run(&sorted);
-        let plain = TwoKSwap::new().run(&sorted, &greedy.set);
-        rows.push(vec![
-            d.name.to_string(),
-            g.num_vertices().to_string(),
-            outcome.included.len().to_string(),
-            outcome.excluded.to_string(),
-            outcome.kernel_vertices.to_string(),
-            outcome.scans.to_string(),
-            combined.set.len().to_string(),
-            plain.result.set.len().to_string(),
-        ]);
-    }
-    harness::print_table(&header, &rows);
-    println!(
-        "  power-law fringes peel heavily; peel+solve matches plain two-k with a smaller kernel"
-    );
 }

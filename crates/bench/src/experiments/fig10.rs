@@ -14,10 +14,7 @@ use crate::harness;
 /// Runs the experiment and prints the series.
 pub fn run() {
     sweep::banner("Figure 10: peak |SC| / |V| of Two-k-swap");
-    let header = ["β", "|V|", "peak |SC|", "|SC|/|V|", "Lemma 6 bound"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect::<Vec<_>>();
+    let header = ["β", "|V|", "peak |SC|", "|SC|/|V|", "Lemma 6 bound"];
     let mut rows = Vec::new();
     for beta in harness::beta_grid() {
         let graphs = sweep::generate(beta, sweep::graphs_per_beta());

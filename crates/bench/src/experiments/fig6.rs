@@ -15,14 +15,7 @@ use crate::harness;
 /// Runs the experiment and prints the series.
 pub fn run() {
     sweep::banner("Figure 6: one-round one-k-swap ratio (theory)");
-    let header = vec![
-        "β".to_string(),
-        "GR".to_string(),
-        "SG".to_string(),
-        "SG(pairwise)".to_string(),
-        "bound".to_string(),
-        "ratio".to_string(),
-    ];
+    let header = ["β", "GR", "SG", "SG(pairwise)", "bound", "ratio"];
     let mut rows = Vec::new();
     for beta in harness::beta_grid() {
         let graphs = sweep::generate(beta, sweep::graphs_per_beta());
@@ -45,5 +38,5 @@ pub fn run() {
     println!("  paper (|V|=10M): one-k ratio ≈ 0.995–0.999 across all β");
     println!("  note: printed uncapped — values above 1.0 mean the Proposition 5 estimate");
     println!("  exceeds the measured Algorithm 5 bound at this scale (the paper's own SG is");
-    println!("  optimistic against its empirical Figure 8 too; see EXPERIMENTS.md)");
+    println!("  optimistic against its empirical Figure 8 too)");
 }

@@ -14,14 +14,7 @@ use crate::harness;
 /// Runs the experiment and prints the series.
 pub fn run() {
     sweep::banner("Figure 8: measured ratios of Greedy / One-k / Two-k");
-    let header = vec![
-        "β".to_string(),
-        "|E|".to_string(),
-        "bound".to_string(),
-        "Greedy".to_string(),
-        "One-k".to_string(),
-        "Two-k".to_string(),
-    ];
+    let header = ["β", "|E|", "bound", "Greedy", "One-k", "Two-k"];
     let mut rows = Vec::new();
     for beta in harness::beta_grid() {
         let graphs = sweep::generate(beta, sweep::graphs_per_beta());

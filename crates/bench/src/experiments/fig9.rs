@@ -9,10 +9,7 @@ use crate::harness::{self, DatasetRun};
 /// Prints Figure 9's series from precomputed dataset runs.
 pub fn print(runs: &[DatasetRun]) {
     println!("== Figure 9: Two-k-swap vs the optimal bound ==");
-    let header = ["Data Set", "Two-k(G)", "Optimal bound", "ratio"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect::<Vec<_>>();
+    let header = ["Data Set", "Two-k(G)", "Optimal bound", "ratio"];
     let mut rows = Vec::new();
     for run in runs {
         let Some(two) = run.get("Two-k (Greedy)") else {

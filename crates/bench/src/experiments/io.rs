@@ -107,10 +107,7 @@ pub fn run() {
         "blocks written",
         "bytes",
         "|IS|",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect::<Vec<_>>();
+    ];
     harness::print_table(&header, &rows);
     println!(
         "  file = {} ({} blocks of {}); Table 1: Greedy = 1 scan, swaps = O(scan(|V|+|E|)) = {} blocks/scan",

@@ -10,110 +10,67 @@
 //! path with `BENCH_PAGER_OUT`) so the performance trajectory of the
 //! repository has data points.
 
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
 use mis_core::{Greedy, SwapConfig, TwoKSwap};
 use mis_extmem::pager::PolicyKind;
-use mis_extmem::{IoSnapshot, IoStats, PagerConfig, ScratchDir, SortConfig};
-use mis_graph::{build_adj_file, degree_sort_adj_file, AdjFile, GraphScan, RandomAccessGraph};
-use mis_obs::{CostModel, LedgerEntry, ModelVerdict, Workload};
+use mis_extmem::{IoStats, PagerConfig};
+use mis_graph::{AdjFile, RandomAccessGraph};
+use mis_obs::{CostModel, LedgerEntry, Workload};
 
-use super::parallel::MODEL_TOLERANCE;
-use crate::harness;
+use crate::harness::{self, JsonObject, Row, MODEL_TOLERANCE};
 
-/// Default output path of the machine-readable results.
-pub const DEFAULT_JSON_PATH: &str = "BENCH_pager.json";
-
-/// One measured side of the comparison.
-struct Side {
-    label: &'static str,
-    is_size: u64,
-    scans: u64,
-    io: IoSnapshot,
-    wall_ms: f64,
-    paged_rounds: u64,
-    rounds: u32,
-    /// Cost-model conformance verdict (filled in by [`check_side`]).
-    model: Option<ModelVerdict>,
-}
-
-/// Checks one side against the cost model: greedy seed → two-k with a
-/// final maximality pass, no separate proof scan; the paged side adds
-/// the one accounted index-build scan.
-fn check_side(side: &mut Side, model: &CostModel) {
-    let workload = Workload::GreedyThenSwap {
-        rounds: side.rounds as u64,
-        paged_rounds: side.paged_rounds,
-        finalize: true,
-        extra_scans: u64::from(side.label == "paged"), // index-build scan
-    };
-    let verdict = model.check(
-        Some(workload),
-        side.io.scans_started,
-        side.io.blocks_read,
-        MODEL_TOLERANCE,
-    );
-    assert!(verdict.pass, "{}: {verdict}", side.label);
-    side.model = Some(verdict);
-}
-
-fn measure(path: &std::path::Path, block_size: usize, cache: Option<(PagerConfig, f64)>) -> Side {
+/// Measures greedy → two-k on the file at `path`, scan-only or, given a
+/// pager configuration and threshold, with paged rounds, and checks the
+/// side against `model`: two-k ends with a final maximality pass and no
+/// separate proof scan, and the paged side adds the one accounted
+/// index-build scan.
+fn measure(
+    path: &Path,
+    block_size: usize,
+    cache: Option<(PagerConfig, f64)>,
+    model: &CostModel,
+) -> Row {
     // Fresh counters per side, so the two runs cannot bleed into each
     // other.
     let stats = IoStats::shared();
     let file = AdjFile::open_with_block_size(path, Arc::clone(&stats), block_size).expect("open");
     let start = Instant::now();
     let greedy = Greedy::new().run(&file);
-    let (label, outcome) = match cache {
-        None => ("scan-only", TwoKSwap::new().run(&file, &greedy.set)),
+    let outcome = match cache {
+        None => TwoKSwap::new().run(&file, &greedy.set),
         Some((pc, threshold)) => {
             let ra = RandomAccessGraph::open(&file, pc).expect("random-access open");
             let config = SwapConfig::default().with_paged_threshold(threshold);
-            (
-                "paged",
-                TwoKSwap::with_config(config).run_paged(&file, Some(&ra), &greedy.set),
-            )
+            TwoKSwap::with_config(config).run_paged(&file, Some(&ra), &greedy.set)
         }
     };
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    Side {
-        label,
+    let mut side = Row {
         is_size: outcome.result.set.len() as u64,
-        scans: greedy.file_scans + outcome.result.file_scans,
+        rounds: outcome.stats.num_rounds() as u64,
+        paged_rounds: Some(outcome.stats.paged_rounds),
+        file_scans: greedy.file_scans + outcome.result.file_scans,
         io: stats.snapshot(),
-        wall_ms,
+        cache: true,
+        wall_ms: Some(wall_ms),
+        ..Row::default()
+    };
+    let workload = Workload::GreedyThenSwap {
+        rounds: side.rounds,
         paged_rounds: outcome.stats.paged_rounds,
-        rounds: outcome.stats.num_rounds(),
-        model: None,
-    }
-}
-
-fn side_json(side: &Side) -> String {
-    let mut json = format!(
-        concat!(
-            "{{\"is_size\": {}, \"rounds\": {}, \"paged_rounds\": {}, ",
-            "\"file_scans\": {}, \"blocks_read\": {}, \"bytes_read\": {}, ",
-            "\"cache_hits\": {}, \"cache_misses\": {}, \"cache_evictions\": {}, ",
-            "\"cache_hit_rate\": {:.4}, \"wall_ms\": {:.2}"
-        ),
-        side.is_size,
-        side.rounds,
-        side.paged_rounds,
-        side.scans,
-        side.io.blocks_read,
-        side.io.bytes_read,
-        side.io.cache_hits,
-        side.io.cache_misses,
-        side.io.cache_evictions,
-        side.io.cache_hit_rate(),
-        side.wall_ms,
-    );
-    if let Some(verdict) = &side.model {
-        json.push_str(&format!(", \"model\": {}", verdict.to_json()));
-    }
-    json.push('}');
-    json
+        finalize: true,
+        extra_scans: u64::from(cache.is_some()), // index-build scan
+    };
+    let what = if cache.is_some() {
+        "paged"
+    } else {
+        "scan-only"
+    };
+    side.check(what, model, Some(workload), MODEL_TOLERANCE);
+    side
 }
 
 /// Runs the experiment, prints the comparison and writes the JSON file.
@@ -126,51 +83,22 @@ pub fn run() {
         "== Buffer-pool pager: scan-only vs paged two-k rounds (P(α,β), β = 2.0, |V| ≈ {n}) =="
     );
 
-    let graph = mis_gen::Plrg::with_vertices(n, 2.0).seed(42).generate();
-    let scratch = ScratchDir::new("repro-pager").expect("scratch dir");
-    let build_stats = IoStats::shared();
-    let unsorted = build_adj_file(
-        &graph,
-        &scratch.file("graph.adj"),
-        Arc::clone(&build_stats),
-        block_size,
-    )
-    .expect("build adj file");
-    let sorted = degree_sort_adj_file(
-        &unsorted,
-        &scratch.file("graph.sorted.adj"),
-        &SortConfig {
-            block_size,
-            ..SortConfig::default()
-        },
-        &scratch,
-    )
-    .expect("degree sort");
-    let file_bytes = sorted.disk_bytes().expect("metadata");
-    let path = sorted.path().to_path_buf();
+    let fx = harness::fixture("repro-pager", n, block_size, false);
+    let model = fx.plain.cost_model(block_size).expect("metadata");
+    let path = fx.plain.path();
 
-    let mut scan_side = measure(&path, block_size, None);
+    let scan_side = measure(path, block_size, None, &model);
     let pager_config = PagerConfig::with_capacity_bytes(cache_bytes, block_size, PolicyKind::Clock);
-    let mut paged_side = measure(&path, block_size, Some((pager_config, threshold)));
-    let model = CostModel {
-        vertices: graph.num_vertices() as u64,
-        edges: graph.num_edges(),
-        file_bytes,
-        block_size: block_size as u64,
-        storage: sorted.storage().to_string(),
-        shard_bytes: Vec::new(),
-    };
-    check_side(&mut scan_side, &model);
-    check_side(&mut paged_side, &model);
+    let paged_side = measure(path, block_size, Some((pager_config, threshold)), &model);
 
-    let rows: Vec<Vec<String>> = [&scan_side, &paged_side]
+    let rows: Vec<Vec<String>> = [("scan-only", &scan_side), ("paged", &paged_side)]
         .iter()
-        .map(|s| {
+        .map(|(label, s)| {
             vec![
-                s.label.to_string(),
+                label.to_string(),
                 s.is_size.to_string(),
-                s.scans.to_string(),
-                s.paged_rounds.to_string(),
+                s.file_scans.to_string(),
+                s.paged_rounds.unwrap_or_default().to_string(),
                 s.io.blocks_read.to_string(),
                 harness::fmt_bytes(s.io.bytes_read),
                 if s.io.cache_hits + s.io.cache_misses == 0 {
@@ -178,7 +106,7 @@ pub fn run() {
                 } else {
                     format!("{:.1}%", 100.0 * s.io.cache_hit_rate())
                 },
-                format!("{:.1}ms", s.wall_ms),
+                format!("{:.1}ms", s.wall_ms.unwrap_or_default()),
             ]
         })
         .collect();
@@ -191,10 +119,7 @@ pub fn run() {
         "bytes read",
         "hit rate",
         "time",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect::<Vec<_>>();
+    ];
     harness::print_table(&header, &rows);
 
     assert_eq!(
@@ -209,8 +134,8 @@ pub fn run() {
         "  identical |IS| = {}; paged path saved {} block transfers ({} scans -> {}, cache {} MiB, {} policy, threshold {:.2})",
         scan_side.is_size,
         saved,
-        scan_side.scans,
-        paged_side.scans,
+        scan_side.file_scans,
+        paged_side.file_scans,
         cache_bytes >> 20,
         pager_config.policy.name(),
         threshold,
@@ -220,62 +145,44 @@ pub fn run() {
         MODEL_TOLERANCE * 100.0
     );
 
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"experiment\": \"pager\",\n",
-            "  \"graph\": {{\"model\": \"plrg\", \"beta\": 2.0, \"seed\": 42, ",
-            "\"vertices\": {}, \"edges\": {}, \"file_bytes\": {}}},\n",
-            "  \"block_size\": {},\n",
-            "  \"hardware_threads\": {},\n",
-            "  \"available_threads\": {},\n",
-            "  \"cache\": {{\"bytes\": {}, \"frames\": {}, \"policy\": \"{}\", ",
-            "\"paged_threshold\": {:.2}}},\n",
-            "  \"scan_only\": {},\n",
-            "  \"paged\": {},\n",
-            "  \"blocks_saved\": {}\n",
-            "}}\n"
-        ),
-        graph.num_vertices(),
-        graph.num_edges(),
-        file_bytes,
-        block_size,
-        mis_obs::hardware_threads(),
-        mis_core::engine::available_threads(),
-        cache_bytes,
-        pager_config.frames,
-        pager_config.policy.name(),
-        threshold,
-        side_json(&scan_side),
-        side_json(&paged_side),
-        saved,
-    );
-    let out_path =
-        std::env::var("BENCH_PAGER_OUT").unwrap_or_else(|_| DEFAULT_JSON_PATH.to_string());
-    match std::fs::write(&out_path, &json) {
-        Ok(()) => println!("  wrote {out_path}"),
-        Err(e) => eprintln!("  could not write {out_path}: {e}"),
-    }
+    let (vertices, edges) = (fx.graph.num_vertices(), fx.graph.num_edges());
+    let mut body = JsonObject::default();
+    let mut graph = fx.graph_json();
+    graph.field("file_bytes", model.file_bytes);
+    body.field("graph", graph.to_json())
+        .field(
+            "cache",
+            format_args!(
+                "{{\"bytes\": {cache_bytes}, \"frames\": {}, \"policy\": \"{}\", \
+             \"paged_threshold\": {threshold:.2}}}",
+                pager_config.frames,
+                pager_config.policy.name()
+            ),
+        )
+        .field("scan_only", scan_side.to_json())
+        .field("paged", paged_side.to_json())
+        .field("blocks_saved", saved);
+    harness::write_snapshot("pager", block_size, &body);
 
     let mut ledger = LedgerEntry::new(
         "repro pager",
-        &format!("plrg beta=2.0 n={}", graph.num_vertices()),
+        &format!("plrg beta=2.0 n={vertices}"),
         harness::env_fingerprint(block_size, &model.storage),
     );
-    ledger.metric("vertices", graph.num_vertices() as f64);
-    ledger.metric("edges", graph.num_edges() as f64);
-    ledger.metric("file_bytes", file_bytes as f64);
+    ledger.metric("vertices", vertices as f64);
+    ledger.metric("edges", edges as f64);
+    ledger.metric("file_bytes", model.file_bytes as f64);
     ledger.metric("is_size", scan_side.is_size as f64);
     ledger.metric("scan_only_blocks_read", scan_side.io.blocks_read as f64);
     ledger.metric("paged_blocks_read", paged_side.io.blocks_read as f64);
     ledger.metric("blocks_saved", saved as f64);
-    ledger.metric("paged_rounds", paged_side.paged_rounds as f64);
+    ledger.metric(
+        "paged_rounds",
+        paged_side.paged_rounds.unwrap_or_default() as f64,
+    );
     ledger.metric("cache_hit_rate", paged_side.io.cache_hit_rate());
-    for side in [&scan_side, &paged_side] {
-        ledger.verdict(
-            &format!("model {}", side.label),
-            side.model.as_ref().is_some_and(|v| v.pass),
-        );
+    for (label, side) in [("scan-only", &scan_side), ("paged", &paged_side)] {
+        ledger.verdict(&format!("model {label}"), side.conforms());
     }
     harness::ledger_append(&ledger);
 }
@@ -283,33 +190,22 @@ pub fn run() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::TEST_BLOCK_SIZE;
 
     /// End-to-end regression for the acceptance criterion: on a real
     /// on-disk graph the paged path returns the same set with fewer
     /// block transfers.
     #[test]
     fn paged_side_saves_blocks_and_matches() {
-        let graph = mis_gen::Plrg::with_vertices(20_000, 2.0).seed(7).generate();
-        let scratch = ScratchDir::new("pager-exp-test").unwrap();
-        let stats = IoStats::shared();
-        let block_size = 4096;
-        let file = build_adj_file(&graph, &scratch.file("g.adj"), stats, block_size).unwrap();
-        let path = file.path().to_path_buf();
-        let mut scan_side = measure(&path, block_size, None);
-        let pc = PagerConfig::with_capacity_bytes(1 << 20, block_size, PolicyKind::Lru);
-        let mut paged_side = measure(&path, block_size, Some((pc, 1.0)));
-        let model = CostModel {
-            vertices: graph.num_vertices() as u64,
-            edges: graph.num_edges(),
-            file_bytes: file.disk_bytes().unwrap(),
-            block_size: block_size as u64,
-            storage: file.storage().to_string(),
-            shard_bytes: Vec::new(),
-        };
-        check_side(&mut scan_side, &model);
-        check_side(&mut paged_side, &model);
+        let fx = harness::test_fixture("pager-exp-test", 20_000);
+        let model = fx.plain.cost_model(TEST_BLOCK_SIZE).unwrap();
+        let path = fx.plain.path();
+        let scan_side = measure(path, TEST_BLOCK_SIZE, None, &model);
+        let pc = PagerConfig::with_capacity_bytes(1 << 20, TEST_BLOCK_SIZE, PolicyKind::Lru);
+        let paged_side = measure(path, TEST_BLOCK_SIZE, Some((pc, 1.0)), &model);
+        assert!(scan_side.conforms() && paged_side.conforms());
         assert_eq!(scan_side.is_size, paged_side.is_size);
-        assert!(paged_side.paged_rounds > 0);
+        assert!(paged_side.paged_rounds > Some(0));
         assert!(
             paged_side.io.blocks_read < scan_side.io.blocks_read,
             "paged {} vs scan {}",
@@ -317,11 +213,5 @@ mod tests {
             scan_side.io.blocks_read
         );
         assert!(paged_side.io.cache_hits > 0);
-        // The JSON fragment is well-formed enough to contain the fields
-        // downstream tooling keys on.
-        let fragment = side_json(&paged_side);
-        for key in ["is_size", "blocks_read", "cache_hit_rate", "wall_ms"] {
-            assert!(fragment.contains(key), "missing {key} in {fragment}");
-        }
     }
 }

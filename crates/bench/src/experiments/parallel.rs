@@ -23,26 +23,14 @@
 //! and the `--min-speedup` assertion is skipped when the hardware cannot
 //! possibly satisfy it.
 
-use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::path::PathBuf;
 
 use mis_core::engine::available_threads;
-use mis_core::{prove_maximal_with, Executor, Greedy, SwapConfig, TwoKSwap};
-use mis_extmem::{IoSnapshot, IoStats, ScratchDir, SortConfig};
-use mis_graph::{build_adj_file, compress_adj, degree_sort_adj_file, AnyAdjFile, GraphScan};
-use mis_obs::{CostModel, LedgerEntry, ModelVerdict, Trace, TraceReport, Workload};
+use mis_core::Executor;
+use mis_graph::GraphScan;
+use mis_obs::{LedgerEntry, Trace, TraceReport};
 
-use crate::harness::{self, SplitTimes};
-
-/// Default output path of the machine-readable results.
-pub const DEFAULT_JSON_PATH: &str = "BENCH_parallel.json";
-
-/// Blocks-read tolerance of the cost-model conformance checks: opening
-/// a file reads its header through the block reader (+1 block that no
-/// whole-scan prediction accounts for), which at smoke scales — where a
-/// scan is only one or two blocks — is a several-percent relative
-/// error. The scan-*count* side of the check stays exact.
-pub(crate) const MODEL_TOLERANCE: f64 = 0.1;
+use crate::harness::{self, IoWindow, JsonObject, Row, MODEL_TOLERANCE};
 
 /// Command-line configuration of the experiment.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,23 +59,15 @@ impl Default for ParallelArgs {
     }
 }
 
-/// Parses `--threads N` / `--min-speedup X` trailing arguments.
+/// Parses `--threads N` / `--min-speedup X` / `--trace FILE` trailing
+/// arguments.
 fn parse_args(args: &[String]) -> Result<ParallelArgs, String> {
     let mut parsed = ParallelArgs::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--threads" => {
-                let v = it.next().ok_or("--threads needs a value")?;
-                parsed.threads = v
-                    .parse()
-                    .map_err(|_| format!("bad --threads value {v:?}"))?;
-                if parsed.threads == 0 {
-                    return Err("--threads must be at least 1".into());
-                }
-            }
+    harness::parse_flags(args, &mut parsed.threads, |flag, value| {
+        let value = || value.ok_or(format!("{flag} needs a value"));
+        match flag {
             "--min-speedup" => {
-                let v = it.next().ok_or("--min-speedup needs a value")?;
+                let v = value()?;
                 let x: f64 = v
                     .parse()
                     .map_err(|_| format!("bad --min-speedup value {v:?}"))?;
@@ -96,154 +76,23 @@ fn parse_args(args: &[String]) -> Result<ParallelArgs, String> {
                 }
                 parsed.min_speedup = Some(x);
             }
-            "--trace" => {
-                let v = it.next().ok_or("--trace needs a value")?;
-                parsed.trace = Some(PathBuf::from(v));
-            }
-            other => return Err(format!("unknown argument {other:?}")),
+            "--trace" => parsed.trace = Some(PathBuf::from(value()?)),
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    })?;
     Ok(parsed)
 }
 
-/// One measured (storage, backend) configuration.
-struct Side {
-    storage: &'static str,
-    label: String,
-    threads: usize,
-    is_size: u64,
-    rounds: u32,
-    paged_rounds: u64,
-    scans: u64,
-    io: IoSnapshot,
-    times: SplitTimes,
-    maximal: bool,
-    /// Cost-model conformance verdict (filled in by [`check_side`]).
-    model: Option<ModelVerdict>,
-    /// Fraction of worker wall-time spent in decode/fold (from the side's
-    /// own trace; `None` when untraced or the backend spawned no workers).
-    worker_utilization: Option<f64>,
-    /// Total worker queue-wait in milliseconds (traced sides only).
-    queue_wait_ms: Option<f64>,
-}
-
-fn measure(path: &Path, block_size: usize, executor: Executor) -> Side {
-    // Fresh counters per side so the backends cannot bleed into each
-    // other (IoStats is thread-safe, so the parallel reader tallies into
-    // the same counters the sequential path uses).
-    let stats = IoStats::shared();
-    let (file, pipeline, times) = harness::timed_split(
-        || {
-            let _setup = mis_obs::span("phase", "setup");
-            let file = AnyAdjFile::open_with_block_size(path, Arc::clone(&stats), block_size)
-                .expect("open");
-            // Warm-up scan: pull the file into the OS page cache so the
-            // timed phase measures decode + scan work, not first-touch
-            // disk latency that would be charged to whichever side runs
-            // first.
-            file.scan(&mut |_, _| {}).expect("warm-up scan");
-            file
-        },
-        |file| {
-            let _scan_span = mis_obs::span("phase", "scan");
-            let scan = file.as_scan();
-            let greedy = Greedy::with_executor(executor).run(scan);
-            let config = SwapConfig::default().with_executor(executor);
-            let outcome = TwoKSwap::with_config(config).run(scan, &greedy.set);
-            let proof = prove_maximal_with(scan, &outcome.result.set, &executor);
-            (greedy.file_scans, outcome, proof)
-        },
-    );
-    let (greedy_scans, outcome, proof) = pipeline;
-    Side {
-        storage: file.storage(),
-        label: executor.describe(),
-        threads: executor.threads(),
-        is_size: outcome.result.set.len() as u64,
-        rounds: outcome.stats.num_rounds(),
-        paged_rounds: outcome.stats.paged_rounds,
-        scans: greedy_scans + outcome.result.file_scans + 1, // + proof scan
-        io: stats.snapshot(),
-        times,
-        maximal: proof.is_maximal_independent(),
-        worker_utilization: None,
-        queue_wait_ms: None,
-        model: None,
-    }
-}
-
-/// Checks one side's I/O counters against the paper's cost model and
-/// stores the verdict on the side: the pipeline is greedy → two-k →
-/// maximality proof, plus the warm-up scan and the proof pass as the
-/// two accounted extra scans.
-fn check_side(side: &mut Side, vertices: u64, edges: u64, file_bytes: u64, block_size: usize) {
-    let model = CostModel {
-        vertices,
-        edges,
-        file_bytes,
-        block_size: block_size as u64,
-        storage: side.storage.to_string(),
-        shard_bytes: Vec::new(),
-    };
-    let workload = Workload::GreedyThenSwap {
-        rounds: side.rounds as u64,
-        paged_rounds: side.paged_rounds,
-        finalize: true,
-        extra_scans: 2, // warm-up scan + maximality proof
-    };
-    let verdict = model.check(
-        Some(workload),
-        side.io.scans_started,
-        side.io.blocks_read,
-        MODEL_TOLERANCE,
-    );
-    assert!(verdict.pass, "{}/{}: {verdict}", side.storage, side.label);
-    side.model = Some(verdict);
-}
-
-fn side_json(side: &Side) -> String {
-    let mut json = format!(
-        concat!(
-            "{{\"storage\": \"{}\", \"backend\": \"{}\", \"threads\": {}, ",
-            "\"is_size\": {}, \"rounds\": {}, \"file_scans\": {}, ",
-            "\"blocks_read\": {}, \"bytes_read\": {}, \"maximal\": {}, ",
-            "\"setup_ms\": {:.2}, \"scan_ms\": {:.2}, \"wall_ms\": {:.2}"
-        ),
-        side.storage,
-        side.label,
-        side.threads,
-        side.is_size,
-        side.rounds,
-        side.scans,
-        side.io.blocks_read,
-        side.io.bytes_read,
-        side.maximal,
-        side.times.setup_ms,
-        side.times.scan_ms,
-        side.times.wall_ms(),
-    );
-    if let Some(util) = side.worker_utilization {
-        json.push_str(&format!(", \"worker_utilization\": {util:.4}"));
-    }
-    if let Some(wait) = side.queue_wait_ms {
-        json.push_str(&format!(", \"queue_wait_ms\": {wait:.2}"));
-    }
-    if let Some(verdict) = &side.model {
-        json.push_str(&format!(", \"model\": {}", verdict.to_json()));
-    }
-    json.push('}');
-    json
-}
-
 /// Steady-state speedup of `par(top)` over `par(1)` on one storage.
-fn scan_speedup(sides: &[Side], storage: &str, top: usize) -> f64 {
+fn scan_speedup(sides: &[Row], storage: &str, top: usize) -> f64 {
     let scan_ms = |threads: usize| {
+        let backend = format!("par({threads})");
         sides
             .iter()
-            .find(|s| s.storage == storage && s.label == format!("par({threads})"))
-            .unwrap_or_else(|| panic!("missing {storage} par({threads}) side"))
-            .times
-            .scan_ms
+            .find(|s| s.storage == Some(storage) && s.backend.as_ref() == Some(&backend))
+            .and_then(|s| s.scan_ms)
+            .unwrap_or_else(|| panic!("missing {storage} {backend} side"))
     };
     let (one, top) = (scan_ms(1), scan_ms(top));
     if top > 0.0 {
@@ -260,14 +109,8 @@ pub fn run() {
 
 /// Parses trailing CLI arguments and runs the experiment.
 pub fn run_args(args: &[String]) {
-    match parse_args(args) {
-        Ok(parsed) => run_with(parsed),
-        Err(e) => {
-            eprintln!("repro parallel: {e}");
-            eprintln!("usage: repro parallel [--threads N] [--min-speedup X] [--trace FILE]");
-            std::process::exit(2);
-        }
-    }
+    let usage = "[--threads N] [--min-speedup X] [--trace FILE]";
+    run_with(harness::args_or_exit("parallel", usage, parse_args(args)));
 }
 
 fn run_with(cli: ParallelArgs) {
@@ -282,110 +125,76 @@ fn run_with(cli: ParallelArgs) {
         available_threads()
     );
 
-    let graph = mis_gen::Plrg::with_vertices(n, 2.0).seed(42).generate();
-    let scratch = ScratchDir::new("repro-parallel").expect("scratch dir");
-    let build_stats = IoStats::shared();
-    let unsorted = build_adj_file(
-        &graph,
-        &scratch.file("graph.adj"),
-        Arc::clone(&build_stats),
-        block_size,
-    )
-    .expect("build adj file");
-    let sorted = degree_sort_adj_file(
-        &unsorted,
-        &scratch.file("graph.sorted.adj"),
-        &SortConfig {
-            block_size,
-            ..SortConfig::default()
-        },
-        &scratch,
-    )
-    .expect("degree sort");
-    let compressed = compress_adj(
-        &sorted,
-        &scratch.file("graph.sorted.cadj"),
-        Arc::clone(&build_stats),
-        block_size,
-    )
-    .expect("compress");
-    let file_bytes = sorted.disk_bytes().expect("metadata");
+    let fx = harness::fixture("repro-parallel", n, block_size, true);
+    let compressed = fx.compressed.as_ref().expect("compressed fixture");
+    let file_bytes = fx.plain.disk_bytes().expect("metadata");
     let comp_bytes = compressed.disk_bytes().expect("metadata");
-    let paths = [sorted.path().to_path_buf(), compressed.path().to_path_buf()];
 
     let mut workers = vec![1usize, 2, 4, 8];
     if !workers.contains(&cli.threads) {
         workers.push(cli.threads);
         workers.sort_unstable();
     }
+    let executors: Vec<Executor> = std::iter::once(Executor::Sequential)
+        .chain(workers.iter().map(|&w| Executor::parallel(w)))
+        .collect();
 
-    // When tracing: drain the sink after each side so worker utilization
-    // and queue-wait attribute to that side alone, then fold every side's
-    // events into one combined timeline for the output file. (The first
-    // drain also clears the graph-build spans recorded above.)
+    // Every side attributes only its own trace events to its worker
+    // utilization and queue wait; the combined timeline for the output
+    // file collects all of them, including the graph build's and
+    // anything queued between sides. Untraced, it stays empty.
     let mut combined = Trace::default();
-    let traced = cli.trace.is_some();
-    if traced {
-        combined.extend(mis_obs::drain());
-    }
     let mut sides = Vec::new();
-    {
-        let mut measure_traced = |path: &Path, executor: Executor| {
-            if traced {
-                // Belt and braces: anything still queued before this
-                // side starts belongs to the combined timeline, never
-                // to this side's report.
-                combined.extend(mis_obs::drain());
-            }
-            let mut side = measure(path, block_size, executor);
-            if traced {
-                let trace = mis_obs::drain();
-                let report = TraceReport::from_trace(&trace);
-                if !report.workers.is_empty() {
-                    side.worker_utilization = Some(report.worker_utilization());
-                    side.queue_wait_ms = Some(report.queue_wait_us / 1e3);
-                }
-                combined.extend(trace);
-            }
-            side
-        };
-        for path in &paths {
-            sides.push(measure_traced(path, Executor::Sequential));
-            for &w in &workers {
-                sides.push(measure_traced(path, Executor::parallel(w)));
-            }
+    for file in [&fx.plain, compressed] {
+        for &executor in &executors {
+            combined.extend(mis_obs::drain());
+            let (mut side, trace) = harness::solve_twok(
+                file.path(),
+                block_size,
+                executor,
+                IoWindow::WithOpen,
+                MODEL_TOLERANCE,
+            );
+            side.threads = Some(executor.threads());
+            combined.extend(trace);
+            sides.push(side);
         }
     }
+    let traced = cli.trace.is_some();
 
     // The 1-thread parallel backend must take the sequential bypass: no
     // reader thread, no worker pool, no hand-out queue. A traced run
     // proves it — the side's own trace must contain no worker timelines.
     if traced {
-        for side in sides.iter().filter(|s| s.label == "par(1)") {
+        for side in sides
+            .iter()
+            .filter(|s| s.backend.as_deref() == Some("par(1)"))
+        {
             assert!(
                 side.worker_utilization.is_none(),
-                "{}/par(1): expected the sequential bypass (no worker threads), \
+                "{}: expected the sequential bypass (no worker threads), \
                  but the trace recorded worker timelines",
-                side.storage
+                side.name()
             );
         }
         println!("  par(1) bypass verified: no worker threads traced on the 1-thread backend");
     }
 
+    let ms = |v: Option<f64>| format!("{:.1}ms", v.unwrap_or_default());
     let rows: Vec<Vec<String>> = sides
         .iter()
         .map(|s| {
             vec![
-                s.storage.to_string(),
-                s.label.clone(),
+                s.storage.unwrap_or_default().to_string(),
+                s.backend.clone().unwrap_or_default(),
                 s.is_size.to_string(),
                 s.rounds.to_string(),
-                s.scans.to_string(),
+                s.file_scans.to_string(),
                 s.io.blocks_read.to_string(),
-                s.maximal.to_string(),
-                format!("{:.1}ms", s.times.setup_ms),
-                format!("{:.1}ms", s.times.scan_ms),
-                format!("{:.1}ms", s.times.wall_ms()),
+                (s.maximal == Some(true)).to_string(),
+                ms(s.setup_ms),
+                ms(s.scan_ms),
+                ms(s.wall_ms),
             ]
         })
         .collect();
@@ -400,73 +209,24 @@ fn run_with(cli: ParallelArgs) {
         "setup",
         "scan",
         "total",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect::<Vec<_>>();
+    ];
     harness::print_table(&header, &rows);
 
-    // Every side must conform to the paper's I/O cost model: exact
-    // scan count, blocks within tolerance of scans × ⌈bytes/B⌉.
-    let plain_label = sides[0].storage;
-    for side in &mut sides {
-        let bytes = if side.storage == plain_label {
-            file_bytes
-        } else {
-            comp_bytes
-        };
-        check_side(
-            side,
-            graph.num_vertices() as u64,
-            graph.num_edges(),
-            bytes,
-            block_size,
-        );
-    }
+    // Every side conformed to the paper's I/O cost model inside
+    // `solve_twok`: exact scan count, blocks within tolerance of
+    // scans × ⌈bytes/B⌉.
     println!(
         "  cost model: all {} sides conform (exact scan counts, blocks within ±{:.0}%)",
         sides.len(),
         MODEL_TOLERANCE * 100.0
     );
 
-    // The thread count must not change the result within a storage, and
-    // the storage codec must not change the result either.
+    // Neither the thread count nor the storage codec may change the
+    // result.
+    harness::assert_same_result(&sides);
+    let (plain_storage, comp_storage) = (fx.plain.storage(), compressed.storage());
     let baseline = &sides[0];
-    for storage in [sides[0].storage, sides[workers.len() + 1].storage] {
-        let group: Vec<&Side> = sides.iter().filter(|s| s.storage == storage).collect();
-        let first = group[0];
-        for side in &group {
-            assert_eq!(
-                side.is_size, first.is_size,
-                "{storage}/{}: thread count must not change |IS|",
-                side.label
-            );
-            assert_eq!(
-                side.rounds, first.rounds,
-                "{storage}/{}: round trajectory",
-                side.label
-            );
-            assert!(
-                side.maximal,
-                "{storage}/{}: maximality proof must hold",
-                side.label
-            );
-        }
-        assert_eq!(
-            first.is_size, baseline.is_size,
-            "{storage}: storage codec must not change |IS|"
-        );
-    }
-    // Whole-experiment I/O: fold the per-side snapshots (each measured
-    // against fresh counters) into one total.
-    let mut total_io = IoSnapshot::default();
-    for side in &sides {
-        total_io += side.io;
-    }
-    println!("  total experiment io = {total_io}");
 
-    let plain_storage = sides[0].storage;
-    let comp_storage = sides[workers.len() + 1].storage;
     let plain_speedup = scan_speedup(&sides, plain_storage, cli.threads);
     let comp_speedup = scan_speedup(&sides, comp_storage, cli.threads);
     let speedup_4_over_1 = scan_speedup(&sides, plain_storage, 4);
@@ -505,74 +265,37 @@ fn run_with(cli: ParallelArgs) {
         }
     }
 
-    let side_list = sides
-        .iter()
-        .map(side_json)
-        .collect::<Vec<_>>()
-        .join(",\n    ");
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"experiment\": \"parallel\",\n",
-            "  \"graph\": {{\"model\": \"plrg\", \"beta\": 2.0, \"seed\": 42, ",
-            "\"vertices\": {}, \"edges\": {}, \"file_bytes\": {}, ",
-            "\"compressed_bytes\": {}}},\n",
-            "  \"block_size\": {},\n",
-            "  \"hardware_threads\": {},\n",
-            "  \"available_threads\": {},\n",
-            "  \"speedup_threads\": {},\n",
-            "  \"speedup_asserted\": {},\n",
-            "  \"sides\": [\n    {}\n  ],\n",
-            "  \"plain_scan_speedup\": {:.4},\n",
-            "  \"compressed_scan_speedup\": {:.4},\n",
-            "  \"speedup_4_over_1\": {:.4}\n",
-            "}}\n"
-        ),
-        graph.num_vertices(),
-        graph.num_edges(),
-        file_bytes,
-        comp_bytes,
-        block_size,
-        mis_obs::hardware_threads(),
-        available_threads(),
-        cli.threads,
-        speedup_asserted,
-        side_list,
-        plain_speedup,
-        comp_speedup,
-        speedup_4_over_1,
-    );
-    let out_path =
-        std::env::var("BENCH_PARALLEL_OUT").unwrap_or_else(|_| DEFAULT_JSON_PATH.to_string());
-    match std::fs::write(&out_path, &json) {
-        Ok(()) => println!("  wrote {out_path}"),
-        Err(e) => eprintln!("  could not write {out_path}: {e}"),
-    }
+    let (vertices, edges) = (fx.graph.num_vertices(), fx.graph.num_edges());
+    let mut body = JsonObject::default();
+    let mut graph = fx.graph_json();
+    graph
+        .field("file_bytes", file_bytes)
+        .field("compressed_bytes", comp_bytes);
+    body.field("graph", graph.to_json())
+        .field("speedup_threads", cli.threads)
+        .field("speedup_asserted", speedup_asserted)
+        .field("sides", harness::json_list(sides.iter().map(Row::to_json)))
+        .fixed("plain_scan_speedup", plain_speedup, 4)
+        .fixed("compressed_scan_speedup", comp_speedup, 4)
+        .fixed("speedup_4_over_1", speedup_4_over_1, 4);
+    harness::write_snapshot("parallel", block_size, &body);
 
     // One ledger entry for the whole experiment: result metrics, the
     // measured speedups, and one conformance verdict per side.
     let mut entry = LedgerEntry::new(
         "repro parallel",
-        &format!("plrg beta=2.0 n={}", graph.num_vertices()),
+        &format!("plrg beta=2.0 n={vertices}"),
         harness::env_fingerprint(block_size, &format!("{plain_storage}+{comp_storage}")),
     );
-    entry.metric("vertices", graph.num_vertices() as f64);
-    entry.metric("edges", graph.num_edges() as f64);
+    entry.metric("vertices", vertices as f64);
+    entry.metric("edges", edges as f64);
     entry.metric("file_bytes", file_bytes as f64);
     entry.metric("compressed_bytes", comp_bytes as f64);
     entry.metric("is_size", baseline.is_size as f64);
     entry.metric("plain_scan_speedup", plain_speedup);
     entry.metric("compressed_scan_speedup", comp_speedup);
     entry.metric("speedup_4_over_1", speedup_4_over_1);
-    entry.metric("scans", total_io.scans_started as f64);
-    entry.metric("blocks_read", total_io.blocks_read as f64);
-    entry.metric("bytes_read", total_io.bytes_read as f64);
-    for side in &sides {
-        entry.verdict(
-            &format!("model {}/{}", side.storage, side.label),
-            side.model.as_ref().is_some_and(|v| v.pass),
-        );
-    }
+    harness::record_rows(&mut entry, &sides);
 
     // Write the combined timeline and ingest it: the round-trip through
     // the JSONL file is deliberate — it exercises the same parse path
@@ -603,59 +326,40 @@ fn run_with(cli: ParallelArgs) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::TEST_BLOCK_SIZE;
 
     /// End-to-end regression for the acceptance criterion: on a real
     /// on-disk graph every worker count returns the identical set with
     /// an intact maximality proof — on both storage codecs.
     #[test]
     fn all_worker_counts_agree_on_disk() {
-        let graph = mis_gen::Plrg::with_vertices(10_000, 2.0).seed(7).generate();
-        let scratch = ScratchDir::new("parallel-exp-test").unwrap();
-        let stats = IoStats::shared();
-        let block_size = 4096;
-        let file = build_adj_file(
-            &graph,
-            &scratch.file("g.adj"),
-            Arc::clone(&stats),
-            block_size,
-        )
-        .unwrap();
-        let comp = compress_adj(&file, &scratch.file("g.cadj"), stats, block_size).unwrap();
-        for path in [file.path().to_path_buf(), comp.path().to_path_buf()] {
-            let file_bytes = std::fs::metadata(&path).unwrap().len();
-            let check = |side: &mut Side| {
-                check_side(
-                    side,
-                    graph.num_vertices() as u64,
-                    graph.num_edges(),
-                    file_bytes,
-                    block_size,
+        let fx = harness::test_fixture("parallel-exp-test", 10_000);
+        for file in [&fx.plain, fx.compressed.as_ref().unwrap()] {
+            let measure = |executor| {
+                let (side, _) = harness::solve_twok(
+                    file.path(),
+                    TEST_BLOCK_SIZE,
+                    executor,
+                    IoWindow::WithOpen,
+                    MODEL_TOLERANCE,
                 );
-                assert!(side.model.as_ref().unwrap().pass);
+                assert!(side.conforms());
+                side
             };
-            let mut baseline = measure(&path, block_size, Executor::Sequential);
-            check(&mut baseline);
-            assert!(baseline.maximal);
-            assert!(baseline.times.setup_ms > 0.0, "setup phase was timed");
-            assert!(baseline.times.scan_ms > 0.0, "scan phase was timed");
+            let baseline = measure(Executor::Sequential);
+            assert_eq!(baseline.maximal, Some(true));
+            assert!(baseline.setup_ms > Some(0.0), "setup phase was timed");
+            assert!(baseline.scan_ms > Some(0.0), "scan phase was timed");
             for workers in [1usize, 2, 4] {
-                let mut side = measure(&path, block_size, Executor::parallel(workers));
-                check(&mut side);
+                let side = measure(Executor::parallel(workers));
                 assert_eq!(side.is_size, baseline.is_size, "workers {workers}");
                 assert_eq!(side.rounds, baseline.rounds, "workers {workers}");
-                assert_eq!(side.scans, baseline.scans, "workers {workers}");
+                assert_eq!(side.file_scans, baseline.file_scans, "workers {workers}");
                 assert_eq!(
                     side.io.blocks_read, baseline.io.blocks_read,
                     "workers {workers}: same block transfers"
                 );
-                assert!(side.maximal, "workers {workers}");
-            }
-            let fragment = side_json(&baseline);
-            for key in [
-                "storage", "backend", "threads", "is_size", "maximal", "setup_ms", "scan_ms",
-                "wall_ms", "model",
-            ] {
-                assert!(fragment.contains(key), "missing {key} in {fragment}");
+                assert_eq!(side.maximal, Some(true), "workers {workers}");
             }
         }
     }

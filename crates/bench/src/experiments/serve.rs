@@ -26,21 +26,12 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use mis_core::{is_maximal_independent_set, RepairConfig};
-use mis_extmem::{IoStats, ScratchDir, SortConfig};
-use mis_gen::churn::{churn_stream, ChurnKind};
-use mis_graph::{build_adj_file, degree_sort_adj_file, GraphScan, VertexId};
-use mis_obs::{CostModel, LedgerEntry, ModelVerdict, RequestSummary};
-use mis_update::{Checkpoint, EdgeOp, ServeConfig, ServeEngine, UpdateStore};
+use mis_extmem::IoStats;
+use mis_graph::VertexId;
+use mis_obs::{LedgerEntry, ModelVerdict, RequestSummary};
+use mis_update::{Checkpoint, ServeConfig, ServeEngine, UpdateStore};
 
-use crate::harness;
-
-/// Default output path of the machine-readable results.
-pub const DEFAULT_JSON_PATH: &str = "BENCH_serve.json";
-
-/// Blocks-read tolerance of the offline-replay conformance check (the
-/// same slack as `repro churn`: checkpoint and WAL replay I/O ride
-/// between the accounted base-file scans).
-const SERVE_MODEL_TOLERANCE: f64 = 0.25;
+use crate::harness::{self, UPDATE_MODEL_TOLERANCE};
 
 /// Everything the experiment measured.
 #[derive(Debug)]
@@ -76,42 +67,10 @@ pub struct ServeResult {
 
 /// Runs the experiment on a `P(α,β)` graph with `n` vertices.
 pub fn run_serve(n: u64, epochs: usize, ops_per_epoch: usize, block_size: usize) -> ServeResult {
-    let graph = mis_gen::Plrg::with_vertices(n, 2.0).seed(42).generate();
-    let stream = churn_stream(&graph, epochs * ops_per_epoch, 0.3, 7);
-    assert_eq!(stream.len(), epochs * ops_per_epoch, "stream fell short");
-    let batches: Vec<Vec<EdgeOp>> = stream
-        .chunks(ops_per_epoch)
-        .map(|batch| {
-            batch
-                .iter()
-                .map(|op| match op.kind {
-                    ChurnKind::Insert => EdgeOp::Insert(op.u, op.v),
-                    ChurnKind::Delete => EdgeOp::Delete(op.u, op.v),
-                })
-                .collect()
-        })
-        .collect();
-
-    let scratch = ScratchDir::new("repro-serve").expect("scratch dir");
-    let build_stats = IoStats::shared();
-    let unsorted = build_adj_file(
-        &graph,
-        &scratch.file("base.adj"),
-        Arc::clone(&build_stats),
-        block_size,
-    )
-    .expect("build adj file");
-    let sorted = degree_sort_adj_file(
-        &unsorted,
-        &scratch.file("base.sorted.adj"),
-        &SortConfig {
-            block_size,
-            ..SortConfig::default()
-        },
-        &scratch,
-    )
-    .expect("degree sort");
-    let base_path = sorted.path().to_path_buf();
+    let fx = harness::fixture("repro-serve", n, block_size, false);
+    let batches = harness::churn_batches(&fx.graph, epochs, ops_per_epoch);
+    let total_ops = epochs * ops_per_epoch;
+    let base_path = fx.plain.path();
 
     // ---- Served side: engine + concurrent readers. ----
     let repair = RepairConfig {
@@ -119,9 +78,9 @@ pub fn run_serve(n: u64, epochs: usize, ops_per_epoch: usize, block_size: usize)
         verify: true,
     };
     let (store, _) = UpdateStore::open(
-        &base_path,
-        &scratch.file("serve.wal"),
-        &scratch.file("serve.ckpt"),
+        base_path,
+        &fx.scratch.file("serve.wal"),
+        &fx.scratch.file("serve.ckpt"),
         IoStats::shared(),
         block_size,
     )
@@ -203,9 +162,9 @@ pub fn run_serve(n: u64, epochs: usize, ops_per_epoch: usize, block_size: usize)
     // ---- Offline replay: same stream, apply with a conflict scan. ----
     let offline_stats = IoStats::shared();
     let (mut offline, _) = UpdateStore::open(
-        &base_path,
-        &scratch.file("offline.wal"),
-        &scratch.file("offline.ckpt"),
+        base_path,
+        &fx.scratch.file("offline.wal"),
+        &fx.scratch.file("offline.ckpt"),
         Arc::clone(&offline_stats),
         block_size,
     )
@@ -246,27 +205,19 @@ pub fn run_serve(n: u64, epochs: usize, ops_per_epoch: usize, block_size: usize)
 
     // The offline side is pure accounted scans — it must conform to the
     // blocks-per-scan relation of the cost model.
-    let io = offline_stats.snapshot();
-    let model = CostModel {
-        vertices: graph.num_vertices() as u64,
-        edges: graph.num_edges(),
-        file_bytes: sorted.disk_bytes().expect("metadata"),
-        block_size: block_size as u64,
-        storage: sorted.storage().to_string(),
-        shard_bytes: Vec::new(),
-    };
-    let verdict = model.check(
+    let model = fx.plain.cost_model(block_size).expect("metadata");
+    let verdict = harness::check_model(
+        "offline replay",
+        &model,
         None,
-        io.scans_started,
-        io.blocks_read,
-        SERVE_MODEL_TOLERANCE,
+        &offline_stats.snapshot(),
+        UPDATE_MODEL_TOLERANCE,
     );
-    assert!(verdict.pass, "offline replay: {verdict}");
 
     let stats = engine.stats();
     ServeResult {
         epochs: stats.epoch,
-        total_ops: stream.len(),
+        total_ops,
         rolls,
         compactions,
         final_is: served_views.last().expect("views").set().len() as u64,
@@ -274,7 +225,7 @@ pub fn run_serve(n: u64, epochs: usize, ops_per_epoch: usize, block_size: usize)
         replay_matches,
         pinned_stable,
         reader_requests: reader_requests.load(Ordering::Relaxed),
-        update_rate: stream.len() as f64 / (ingest_wall_ms / 1e3).max(1e-9),
+        update_rate: total_ops as f64 / (ingest_wall_ms / 1e3).max(1e-9),
         requests: stats.requests,
         ingest_wall_ms,
         model: Some(verdict),
@@ -327,10 +278,7 @@ pub fn run() {
             ]
         })
         .collect();
-    let header = ["request", "count", "p50", "p99", "max"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect::<Vec<_>>();
+    let header = ["request", "count", "p50", "p99", "max"];
     harness::print_table(&header, &rows);
     println!(
         "  {} ops over {} epochs at {:.0} ops/s; {} rolls, {} compactions; \
@@ -360,54 +308,28 @@ pub fn run() {
         "readers must make progress during ingest"
     );
 
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"experiment\": \"serve\",\n",
-            "  \"graph\": {{\"model\": \"plrg\", \"beta\": 2.0, \"seed\": 42, \"vertices\": {}}},\n",
-            "  \"workload\": {{\"epochs\": {}, \"ops\": {}, \"delete_fraction\": 0.3, \"seed\": 7}},\n",
-            "  \"block_size\": {},\n",
-            "  \"hardware_threads\": {},\n",
-            "  \"available_threads\": {},\n",
-            "  \"final_is\": {},\n",
-            "  \"rolls\": {},\n",
-            "  \"compactions\": {},\n",
-            "  \"all_proved\": {},\n",
-            "  \"replay_matches\": {},\n",
-            "  \"pinned_stable\": {},\n",
-            "  \"per_op_ns\": {:.0},\n",
-            "  \"ingest_wall_ms\": {:.2},\n",
-            "  \"requests\": {},\n",
-            "  \"model\": {}\n",
-            "}}\n"
-        ),
-        n,
-        result.epochs,
-        result.total_ops,
-        block_size,
-        mis_obs::hardware_threads(),
-        mis_core::engine::available_threads(),
-        result.final_is,
-        result.rolls,
-        result.compactions,
-        result.all_proved,
-        result.replay_matches,
-        result.pinned_stable,
-        result.ingest_wall_ms * 1e6 / result.total_ops.max(1) as f64,
-        result.ingest_wall_ms,
-        requests_json(&result.requests),
-        result
-            .model
-            .as_ref()
-            .map(|v| v.to_json())
-            .unwrap_or_else(|| "null".into()),
-    );
-    let out_path =
-        std::env::var("BENCH_SERVE_OUT").unwrap_or_else(|_| DEFAULT_JSON_PATH.to_string());
-    match std::fs::write(&out_path, &json) {
-        Ok(()) => println!("  wrote {out_path}"),
-        Err(e) => eprintln!("  could not write {out_path}: {e}"),
-    }
+    let mut body = harness::churn_snapshot(n, result.epochs, result.total_ops);
+    body.field("final_is", result.final_is)
+        .field("rolls", result.rolls)
+        .field("compactions", result.compactions)
+        .field("all_proved", result.all_proved)
+        .field("replay_matches", result.replay_matches)
+        .field("pinned_stable", result.pinned_stable)
+        .fixed(
+            "per_op_ns",
+            result.ingest_wall_ms * 1e6 / result.total_ops.max(1) as f64,
+            0,
+        )
+        .fixed("ingest_wall_ms", result.ingest_wall_ms, 2)
+        .field("requests", requests_json(&result.requests))
+        .field(
+            "model",
+            result
+                .model
+                .as_ref()
+                .map_or_else(|| "null".into(), ModelVerdict::to_json),
+        );
+    harness::write_snapshot("serve", block_size, &body);
 
     let mut ledger = LedgerEntry::new(
         "repro serve",

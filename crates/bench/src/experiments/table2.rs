@@ -11,12 +11,7 @@ use crate::harness;
 /// Runs the experiment and prints the table.
 pub fn run() {
     sweep::banner("Table 2: Greedy performance ratio (theory / Algorithm 5 bound)");
-    let header = vec![
-        "β".to_string(),
-        "GR(α,β)".to_string(),
-        "bound".to_string(),
-        "ratio".to_string(),
-    ];
+    let header = ["β", "GR(α,β)", "bound", "ratio"];
     let mut rows = Vec::new();
     for beta in harness::beta_grid() {
         let graphs = sweep::generate(beta, sweep::graphs_per_beta());

@@ -19,10 +19,7 @@ pub fn run() {
         "analog |E|",
         "analog avg",
         "analog disk",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect::<Vec<_>>();
+    ];
     let mut rows = Vec::new();
     for d in &DATASETS {
         let g = d.generate(scale);

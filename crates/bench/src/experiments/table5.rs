@@ -12,10 +12,7 @@ pub fn print(runs: &[DatasetRun]) {
     let header = [
         "Data Set", "DynUpd", "STXXL", "Baseline", "One-k(B)", "Two-k(B)", "Greedy", "One-k(G)",
         "Two-k(G)",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect::<Vec<_>>();
+    ];
     let mut rows = Vec::new();
     for run in runs {
         let get = |n: &str| run.get(n).map(|r| r.size.to_string()).unwrap_or_default();

@@ -23,10 +23,7 @@ pub fn print(runs: &[DatasetRun]) {
         "m(Greedy)",
         "m(One-k)",
         "m(Two-k)",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect::<Vec<_>>();
+    ];
     let mut rows = Vec::new();
     for run in runs {
         let t = |n: &str| {

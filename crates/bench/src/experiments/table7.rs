@@ -9,10 +9,7 @@ use crate::harness::{self, DatasetRun};
 /// Prints Table 7 from precomputed dataset runs.
 pub fn print(runs: &[DatasetRun]) {
     println!("== Table 7: rounds of One-k-swap and Two-k-swap (after Greedy) ==");
-    let header = ["Data Set", "One-k rounds", "Two-k rounds"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect::<Vec<_>>();
+    let header = ["Data Set", "One-k rounds", "Two-k rounds"];
     let mut rows = Vec::new();
     for run in runs {
         let r = |n: &str| run.get(n).map(|r| r.rounds.to_string()).unwrap_or_default();

@@ -19,10 +19,7 @@ pub fn print(runs: &[DatasetRun]) {
         "rounds1-3",
         "ratio3",
         "total",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect::<Vec<_>>();
+    ];
     let mut rows = Vec::new();
     for run in runs {
         let Some(one_k) = run.get("One-k (Greedy)") else {

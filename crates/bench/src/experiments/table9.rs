@@ -3,8 +3,9 @@
 //!
 //! Paper: accuracy ≥ 98.7% everywhere, the estimate is a lower bound, and
 //! (surprisingly) the greedy set *shrinks* as β grows. At |V| = 10M the
-//! estimate column of the paper is 8,102,389 … 6,157,404; `mis-theory`
-//! reproduces those numbers digit-for-digit (see EXPERIMENTS.md).
+//! estimate column of the paper is 8,102,389 … 6,157,404;
+//! `mis_theory::expected_greedy_size` gives 8,102,389 at β = 1.7 and
+//! 6,157,403 at β = 2.7.
 
 use mis_core::Greedy;
 use mis_graph::OrderedCsr;
@@ -16,10 +17,7 @@ use crate::harness;
 /// Runs the experiment and prints the table.
 pub fn run() {
     sweep::banner("Table 9: Greedy estimation accuracy");
-    let header = ["β", "|E|", "Estimation", "Real", "Accuracy"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect::<Vec<_>>();
+    let header = ["β", "|E|", "Estimation", "Real", "Accuracy"];
     let mut rows = Vec::new();
     for beta in harness::beta_grid() {
         let graphs = sweep::generate(beta, sweep::graphs_per_beta());

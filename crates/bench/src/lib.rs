@@ -17,18 +17,21 @@
 //! cargo run --release -p mis-bench --bin repro -- fig10    # |SC| / |V| vs β
 //! cargo run --release -p mis-bench --bin repro -- io       # semi-external I/O accounting demo
 //! cargo run --release -p mis-bench --bin repro -- pager    # scan-only vs paged swap rounds (+ BENCH_pager.json)
+//! cargo run --release -p mis-bench --bin repro -- parallel # worker counts × storage codecs (+ BENCH_parallel.json)
+//! cargo run --release -p mis-bench --bin repro -- shard    # sharded vs unpartitioned stores (+ BENCH_shard.json)
+//! cargo run --release -p mis-bench --bin repro -- churn    # incremental repair vs rebuild (+ BENCH_churn.json)
+//! cargo run --release -p mis-bench --bin repro -- serve    # readers during tiered ingest (+ BENCH_serve.json)
 //! cargo run --release -p mis-bench --bin repro -- cascade  # Figure 5 worst case, scaled
 //! cargo run --release -p mis-bench --bin repro -- ablation # SwapConfig ablations
 //! cargo run --release -p mis-bench --bin repro -- bounds   # Alg. 5 vs matching bound (extension)
-//! cargo run --release -p mis-bench --bin repro -- peeling  # reducing-peeling (extension)
-//! cargo run --release -p mis-bench --bin repro -- compress # gap compression (extension)
+//! cargo run --release -p mis-bench --bin repro -- compress # gap compression (+ BENCH_compress.json)
 //! cargo run --release -p mis-bench --bin repro -- all
 //! ```
 //!
 //! Scale control: `REPRO_SCALE` (float, default 1) multiplies the dataset
 //! analogue sizes and the β-sweep vertex count. Absolute numbers scale
-//! with `|V|`; the paper-vs-us comparisons in EXPERIMENTS.md are about the
-//! *shape* (who wins, by what factor, how ratios move with β).
+//! with `|V|`, so compare a run with the paper by its *shape*: who wins,
+//! by what factor, and how the ratios move with β.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -31,7 +31,6 @@
 
 pub mod bound;
 pub mod cost;
-pub mod cover;
 pub mod dynamic;
 pub mod engine;
 pub mod exact;
@@ -39,7 +38,6 @@ pub mod greedy;
 pub mod incremental;
 pub mod onek;
 pub mod order;
-pub mod peeling;
 pub mod result;
 pub mod tfp;
 pub mod twok;
@@ -49,7 +47,6 @@ pub use bound::{
     best_upper_bound, best_upper_bound_with, matching_bound, matching_bound_with, upper_bound_scan,
     upper_bound_scan_with,
 };
-pub use cover::{cover_from_independent_set, is_vertex_cover, min_vertex_cover};
 pub use dynamic::DynamicUpdate;
 pub use engine::{Executor, ParallelConfig, ScanPass};
 pub use greedy::{Baseline, Greedy};
@@ -58,7 +55,6 @@ pub use incremental::{
 };
 pub use onek::OneKSwap;
 pub use order::degree_order;
-pub use peeling::{peel, peel_and_solve};
 pub use result::{
     MemoryModel, MisResult, RoundStats, SwapConfig, SwapOutcome, SwapStats, DEFAULT_PAGED_THRESHOLD,
 };

@@ -16,6 +16,7 @@ use std::sync::Arc;
 
 use mis_extmem::pager::PagerConfig;
 use mis_extmem::{IoStats, DEFAULT_BLOCK_SIZE};
+use mis_obs::CostModel;
 
 use crate::adjfile::AdjFile;
 use crate::compressed::CompressedAdjFile;
@@ -96,6 +97,25 @@ impl AnyAdjFile {
         }
     }
 
+    /// The paper's I/O cost model for scanning this store in
+    /// `block_size`-byte blocks. |V|, |E|, the on-disk bytes and the
+    /// storage label come from the store; a sharded store adds its
+    /// manifest's shard table, because each shard rounds up to whole
+    /// blocks on its own.
+    pub fn cost_model(&self, block_size: usize) -> io::Result<CostModel> {
+        Ok(CostModel {
+            vertices: self.num_vertices() as u64,
+            edges: self.num_edges(),
+            file_bytes: self.disk_bytes()?,
+            block_size: block_size as u64,
+            storage: self.storage().to_string(),
+            shard_bytes: match self {
+                AnyAdjFile::Sharded(g) => g.manifest().shard_bytes(),
+                _ => Vec::new(),
+            },
+        })
+    }
+
     /// Opens the paged access path under `config`: the record index is
     /// built with one accounted scan (per shard for sharded stores, which
     /// split the frame budget across per-shard pagers).
@@ -148,6 +168,7 @@ mod tests {
     use crate::builder::build_adj_file;
     use crate::compressed::compress_adj;
     use crate::csr::CsrGraph;
+    use crate::sharded::{split_adj_file, SplitOptions};
     use mis_extmem::ScratchDir;
 
     #[test]
@@ -176,6 +197,24 @@ mod tests {
             assert!(file.disk_bytes().unwrap() > 0);
             assert!(file.path().exists());
         }
+
+        let sharded_path = dir.file("g.shrd");
+        let options = SplitOptions {
+            shards: 2,
+            block_size: 256,
+        };
+        let manifest = split_adj_file(&plain, &sharded_path, &options).unwrap();
+        let sharded = AnyAdjFile::open(&sharded_path, Arc::clone(&stats)).unwrap();
+        for file in [&plain, &comp, &sharded] {
+            let model = file.cost_model(256).unwrap();
+            assert_eq!((model.vertices, model.edges, model.block_size), (4, 3, 256));
+            assert_eq!(model.file_bytes, file.disk_bytes().unwrap());
+            assert_eq!(model.storage, file.storage());
+        }
+        assert!(plain.cost_model(256).unwrap().shard_bytes.is_empty());
+        let model = sharded.cost_model(256).unwrap();
+        assert_eq!(model.file_bytes, manifest.total_bytes());
+        assert_eq!(model.shard_bytes, manifest.shard_bytes());
 
         let junk = dir.file("junk.bin");
         std::fs::write(&junk, b"garbage garbage!").unwrap();

@@ -16,9 +16,9 @@
 //!              info <manifest>                      inspect a MISSHRD1 manifest
 //! mis stats    <graph>                   size / degree summary (incl. shard table)
 //! mis bound    <graph>                   Algorithm 5 + matching upper bounds
-//! mis run      <graph> [--algo A] [--rounds N] [--quiet] [--threads N]
+//! mis run      <graph> [--algo A] [--rounds N] [--threads N]
 //!              [--cache-mb N] [--policy clock|lru] [--paged-threshold F]
-//!              A ∈ greedy | baseline | onek | twok | peel | tfp | dynamic
+//!              A ∈ greedy | baseline | onek | twok | tfp | dynamic
 //! mis update   <append|apply|compact|status> ...   durable edge updates
 //!              append <base> --ops <file>          log one epoch of edits
 //!              apply <base> [--rounds N]           repair + checkpoint the IS
@@ -119,10 +119,9 @@ use std::time::{Duration, Instant};
 use mis_obs as obs;
 use mis_obs::report::{parse_json, Json};
 use mis_obs::{
-    check_snapshots, diff_snapshots, CostModel, EnvFingerprint, GateConfig, Ledger, LedgerEntry,
-    TraceReport, Workload,
+    check_snapshots, diff_snapshots, EnvFingerprint, GateConfig, Ledger, LedgerEntry, TraceReport,
+    Workload,
 };
-use semi_mis::algo::peeling::peel_and_solve;
 use semi_mis::extmem::{SortConfig, DEFAULT_BLOCK_SIZE};
 use semi_mis::graph::{
     build_adj_file, compress_adj, degree_sort_adj_file, degree_sort_compressed_adj_file, edgelist,
@@ -154,7 +153,7 @@ usage: mis <command> ... [--block-size BYTES]
         info <manifest>
   stats <graph> [--threads N]
   bound <graph> [--threads N]
-  run <graph> [--algo greedy|baseline|onek|twok|peel|tfp|dynamic] [--rounds N]
+  run <graph> [--algo greedy|baseline|onek|twok|tfp|dynamic] [--rounds N]
               [--threads N] [--cache-mb N] [--policy clock|lru] [--paged-threshold F]
   update append <base> --ops <file> [--wal F]
          apply <base> [--rounds N] [--wal F] [--checkpoint F]
@@ -875,17 +874,7 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     // must conform to the paper's `⌈bytes/B⌉` blocks-per-scan model.
     let verdict = if opt(&opts, "check-model").is_some() {
         let tolerance: f64 = opt_parse(&opts, "tolerance", 0.0)?;
-        let model = CostModel {
-            vertices: n as u64,
-            edges: scan.num_edges(),
-            file_bytes: file.disk_bytes().map_err(|e| e.to_string())?,
-            block_size: block_size as u64,
-            storage: scan.storage().to_string(),
-            shard_bytes: match &file {
-                AnyAdjFile::Sharded(g) => g.manifest().shard_bytes(),
-                _ => Vec::new(),
-            },
-        };
+        let model = file.cost_model(block_size).map_err(|e| e.to_string())?;
         let scanned = stats.snapshot().since(&before_scan);
         let v = model.check(
             Some(Workload::Greedy),
@@ -1017,7 +1006,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         SwapConfig::default()
     };
     config = config.with_executor(executor);
-    let quiet = opt(&opts, "quiet").is_some();
     let trace_path = opt_trace(&opts);
 
     let stats = IoStats::shared();
@@ -1072,18 +1060,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
                 g.file_scans + o.result.file_scans,
                 o.result.memory,
             )
-        }
-        "peel" => {
-            let (r, outcome) = peel_and_solve(scan, config);
-            if !quiet {
-                println!(
-                    "peeled: {} included, {} excluded, kernel {}",
-                    outcome.included.len(),
-                    outcome.excluded,
-                    outcome.kernel_vertices
-                );
-            }
-            (r.set, r.file_scans, r.memory)
         }
         "tfp" => {
             let r = TfpMaximalIs::new()

@@ -1,12 +1,10 @@
 //! Cross-crate tests for the extension features: compressed files,
-//! vertex cover, reducing-peeling, incremental updates, and the
-//! matching bound — all through the public facade.
+//! incremental updates, and the matching bound — all through the public
+//! facade.
 
 use std::sync::Arc;
 
-use semi_mis::algo::cover::{cover_from_independent_set, is_vertex_cover, min_vertex_cover};
-use semi_mis::algo::peeling::{peel, peel_and_solve};
-use semi_mis::algo::{matching_bound, SwapConfig};
+use semi_mis::algo::matching_bound;
 use semi_mis::graph::{build_adj_file, compress_adj};
 use semi_mis::prelude::*;
 
@@ -58,48 +56,6 @@ fn compression_reduces_scan_block_traffic() {
         comp_io.blocks_read,
         plain_io.blocks_read
     );
-}
-
-#[test]
-fn vertex_cover_and_independent_set_are_complements() {
-    let graph = semi_mis::gen::datasets::by_name("Citeseerx")
-        .unwrap()
-        .generate(0.15);
-    let sorted = OrderedCsr::degree_sorted(&graph);
-    let cover = min_vertex_cover(&sorted);
-    assert!(is_vertex_cover(&graph, &cover));
-    let complement = cover_from_independent_set(&graph, &cover);
-    assert!(is_independent_set(&graph, &complement));
-    assert_eq!(cover.len() + complement.len(), graph.num_vertices());
-}
-
-#[test]
-fn peel_and_solve_beats_or_matches_plain_pipeline() {
-    let graph = semi_mis::gen::datasets::by_name("DBLP")
-        .unwrap()
-        .generate(0.15);
-    let sorted = OrderedCsr::degree_sorted(&graph);
-    let (combined, outcome) = peel_and_solve(&sorted, SwapConfig::default());
-    assert!(is_independent_set(&graph, &combined.set));
-    assert!(is_maximal_independent_set(&graph, &combined.set));
-
-    let greedy = Greedy::new().run(&sorted);
-    let plain = TwoKSwap::new().run(&sorted, &greedy.set);
-    assert!(combined.set.len() + 1 >= plain.result.set.len());
-    // The included + excluded + kernel partition covers the graph.
-    assert_eq!(
-        outcome.included.len() as u64 + outcome.excluded + outcome.kernel_vertices,
-        graph.num_vertices() as u64
-    );
-}
-
-#[test]
-fn peeling_resists_min_degree_three_graphs() {
-    // BA graphs with attachment 3 have no pendant vertices at all.
-    let graph = semi_mis::gen::ba::barabasi_albert(1_000, 3, 2);
-    let out = peel(&graph, None);
-    assert_eq!(out.kernel_vertices, 1_000);
-    assert!(out.included.is_empty());
 }
 
 #[test]

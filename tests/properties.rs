@@ -141,37 +141,6 @@ proptest! {
     }
 
     #[test]
-    fn peeling_preserves_optimality(g in arb_graph(20, 40)) {
-        // |included| + α(kernel) must equal α(G): the degree-0/1
-        // reductions never cost optimality.
-        let out = semi_mis::algo::peeling::peel(&g, None);
-        prop_assert!(is_independent_set(&g, &out.included));
-        let alpha = semi_mis::algo::exact::independence_number(&g);
-        // Kernel = undecided vertices without an included neighbour.
-        let n = g.num_vertices();
-        let mut inc = vec![false; n];
-        for &v in &out.included { inc[v as usize] = true; }
-        let mut kernel = vec![false; n];
-        g.scan(&mut |v, ns| {
-            if !inc[v as usize] && !ns.iter().any(|&u| inc[u as usize]) {
-                kernel[v as usize] = true;
-            }
-        }).unwrap();
-        let mut edges = Vec::new();
-        for (u, v) in g.edges() {
-            if kernel[u as usize] && kernel[v as usize] {
-                edges.push((u, v));
-            }
-        }
-        let kernel_graph = CsrGraph::from_edges(n, &edges);
-        let kernel_alpha = semi_mis::algo::exact::maximum_independent_set(&kernel_graph)
-            .iter()
-            .filter(|&&v| kernel[v as usize])
-            .count();
-        prop_assert_eq!(out.included.len() + kernel_alpha, alpha);
-    }
-
-    #[test]
     fn compressed_file_round_trips(g in arb_graph(40, 150)) {
         use std::sync::Arc;
         let scratch = ScratchDir::new("prop-cadj").unwrap();

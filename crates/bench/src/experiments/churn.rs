@@ -43,6 +43,8 @@ pub struct Side {
     pub wall_ms: f64,
     /// Whether every epoch's set passed the maximality proof.
     pub all_proved: bool,
+    /// Epochs repaired by point reads instead of scans.
+    pub local_epochs: u64,
     /// Cost-model conformance verdict (blocks-per-scan relation; the
     /// epoch pass structure itself is not predicted).
     pub model: Option<ModelVerdict>,
@@ -138,6 +140,8 @@ pub fn run_churn(n: u64, epochs: usize, ops_per_epoch: usize, block_size: usize)
                 verify: true,
             })
             .expect("apply epoch");
+        // An apply one epoch behind repairs by point reads alone.
+        incremental.local_epochs += u64::from(report.file_scans == 0);
         incremental.scans += report.file_scans;
         incremental.final_is = report.set.len() as u64;
         incremental.all_proved &= report.maximality_proved;
@@ -196,6 +200,7 @@ pub fn run_churn(n: u64, epochs: usize, ops_per_epoch: usize, block_size: usize)
             side.label,
             &model,
             None,
+            side.local_epochs,
             &side.io,
             UPDATE_MODEL_TOLERANCE,
         ));

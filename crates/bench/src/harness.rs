@@ -232,15 +232,25 @@ pub(crate) fn test_fixture(scratch_name: &str, n: u64) -> Fixture {
 /// Checks `io` against `model` and panics, naming `what`, unless it
 /// conforms. With a `workload` the scan count must match exactly; the
 /// blocks read must lie within `tolerance` of the scans × ⌈bytes/B⌉
-/// relation either way.
+/// relation either way, widened for each of the `point_passes` passes
+/// of point reads (local epoch repairs) by one transfer per page of the
+/// store's point-access pager ([`mis_update::point_pager`]).
 pub fn check_model(
     what: &str,
     model: &CostModel,
     workload: Option<Workload>,
+    point_passes: u64,
     io: &IoSnapshot,
     tolerance: f64,
 ) -> ModelVerdict {
-    let verdict = model.check(workload, io.scans_started, io.blocks_read, tolerance);
+    let verdict = model.check_with_point_reads(
+        workload,
+        point_passes,
+        mis_update::point_pager().page_size as u64,
+        io.scans_started,
+        io.blocks_read,
+        tolerance,
+    );
     assert!(verdict.pass, "{what}: {verdict}");
     verdict
 }
@@ -298,7 +308,7 @@ impl Row {
         workload: Option<Workload>,
         tolerance: f64,
     ) {
-        self.model = Some(check_model(what, model, workload, &self.io, tolerance));
+        self.model = Some(check_model(what, model, workload, 0, &self.io, tolerance));
     }
 
     /// Whether the verdict was taken and passed.

@@ -57,10 +57,20 @@ impl Greedy {
 
     /// Runs one pass and returns a **maximal** independent set.
     pub fn run<G: GraphScan + ?Sized>(&self, graph: &G) -> MisResult {
+        self.run_observing_order(graph).0
+    }
+
+    /// [`Greedy::run`], also reporting whether the records arrived in
+    /// ascending-degree order — whether the pass ran as the paper's
+    /// GREEDY rather than as a BASELINE over an unsorted file.
+    pub fn run_observing_order<G: GraphScan + ?Sized>(&self, graph: &G) -> (MisResult, bool) {
         let n = graph.num_vertices();
         let mut state = vec![State::Initial; n];
+        let (mut last_degree, mut degree_sorted) = (0, true);
         self.executor
             .fold_ordered(graph, &mut |v, ns| {
+                degree_sorted &= ns.len() >= last_degree;
+                last_degree = ns.len();
                 if state[v as usize] == State::Initial {
                     state[v as usize] = State::Is;
                     for &u in ns {
@@ -78,14 +88,15 @@ impl Greedy {
             .filter(|(_, &s)| s == State::Is)
             .map(|(v, _)| v as VertexId)
             .collect();
-        MisResult {
+        let result = MisResult {
             set,
             file_scans: 1,
             memory: MemoryModel {
                 state_bytes: n as u64,
                 ..MemoryModel::default()
             },
-        }
+        };
+        (result, degree_sorted)
     }
 }
 
@@ -127,6 +138,16 @@ mod tests {
         let result = Greedy::new().run(&sorted);
         assert_eq!(result.set, vec![1, 2, 3, 4]);
         assert_eq!(result.file_scans, 1);
+    }
+
+    #[test]
+    fn the_pass_observes_whether_records_arrive_degree_sorted() {
+        let g = CsrGraph::from_edges(5, &[(0, 1), (0, 2), (0, 3), (0, 4)]);
+        let (sorted, in_order) = Greedy::new().run_observing_order(&OrderedCsr::degree_sorted(&g));
+        assert!(in_order);
+        assert_eq!(sorted, Greedy::new().run(&OrderedCsr::degree_sorted(&g)));
+        // Id order reaches the hub (degree 4) before the leaves.
+        assert!(!Greedy::new().run_observing_order(&g).1);
     }
 
     #[test]

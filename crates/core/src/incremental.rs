@@ -2,24 +2,61 @@
 //! paper's stated future-work direction ("how our solutions can be
 //! extended to the incremental massive graphs with frequent updates").
 //!
-//! Strategy: keep the current independent set; after a batch of edge
-//! updates (overlaid via [`mis_graph::PinnedDelta`], so the base file is
-//! untouched), [`repair_updated_set_from_ops`]
+//! [`try_repair_updated_set_from_ops`] takes the set proved at the epoch
+//! before a batch, the batch's inserted pairs and a view that already
+//! reflects the batch (e.g. an epoch-pinned [`mis_graph::PinnedDelta`]),
+//! and returns a proved maximal independent set of that view;
+//! [`try_repair_since`] picks its inputs from the set's epoch, for the
+//! maintenance engine and the serve engine alike. It has two paths,
+//! which both start by **evicting**: only an inserted edge can
+//! connect two members, so the conflicts are the inserted pairs whose
+//! endpoints are both in the set; each drops its higher endpoint,
+//! resolved in ascending order of that endpoint (deterministic,
+//! independent of batch order). A caller that no longer has the inserted
+//! pairs — its log was folded into the base — finds the same conflicts
+//! with one scan ([`conflicting_pairs`]).
 //!
-//! 1. **evicts** — only an inserted edge can connect two members, so the
-//!    conflicts are the batch's inserted pairs whose endpoints are both
-//!    in the set; each drops its higher endpoint, resolved in ascending
-//!    order of that endpoint (deterministic, independent of batch order).
-//!    A caller that no longer has the inserted pairs — its log was folded
-//!    into the base — finds the same conflicts with one scan
-//!    ([`conflicting_pairs`]);
-//! 2. **recovers** — a bounded number of one-k-swap rounds wins back most
-//!    of the evicted mass (Table 8's early-stop profile is exactly why a
-//!    small round budget suffices), and the swap's post-swap 0↔1 and
-//!    finalisation passes re-maximalise: a *deleted* edge can free a
-//!    previously excluded vertex — its last independent-set neighbour is
-//!    gone — and those vertices are swept into the set here;
-//! 3. **proves** — optionally one more scan certifies that the repaired
+//! ## The local path
+//!
+//! When the view carries the record of the one batch since the set's
+//! epoch and point reads of its records ([`GraphScan::last_batch`]),
+//! the repair reads only what that batch could have changed, and starts
+//! no accounted scan:
+//!
+//! 1. **refill** — the frontier is the batch's touched vertices plus the
+//!    evicted members and their neighbours, the only vertices that can
+//!    have lost their last member neighbour. Visited in storage order, a
+//!    non-member with no member neighbour joins;
+//! 2. **recover** — up to [`RepairConfig::recover_rounds`] rounds of
+//!    one-k's 1↔k move, only where the batch could have created one
+//!    (Table 8's early-stop profile is why a small round budget
+//!    suffices). Round one's candidates are the members that are the
+//!    only member neighbour of a deleted edge's endpoint, an evicted
+//!    member or one of its neighbours; a later round's, of a vertex the
+//!    round before moved or one of its neighbours;
+//! 3. **certify** — every vertex the batch touched or whose closed
+//!    neighbourhood changed membership must be a member with no member
+//!    neighbour or a non-member with one. Every other vertex kept its
+//!    adjacency and its neighbours' membership, so with the previous
+//!    epoch proved this proves the whole set.
+//!
+//! Each record is read at most once per repair, into one arena, and each
+//! step reads its records in storage order. Cost: point reads of the
+//! batch's two-hop neighbourhood, independent of `|V|` apart from the
+//! `O(|V|)` membership array and set collect. If the certificate fails
+//! (say, `inserted` missed one of the batch's inserted pairs), the
+//! whole-graph path runs on the same view.
+//!
+//! ## The whole-graph path
+//!
+//! Every other view takes today's scans:
+//!
+//! 1. **recover** — a bounded number of one-k-swap rounds wins back most
+//!    of the evicted mass, and the swap's post-swap 0↔1 and finalisation
+//!    passes re-maximalise: a *deleted* edge can free a previously
+//!    excluded vertex — its last independent-set neighbour is gone — and
+//!    those vertices are swept into the set here;
+//! 2. **prove** — optionally one more scan certifies that the repaired
 //!    set is a maximal independent set of the edited graph, so callers
 //!    (e.g. the `mis_update` maintenance engine) can checkpoint it
 //!    without trusting the repair logic.
@@ -28,10 +65,11 @@
 
 use std::io;
 
-use mis_graph::{GraphScan, VertexId};
+use mis_graph::hash::FxHashMap;
+use mis_graph::{GraphScan, LastBatch, NeighborAccess, VertexId};
 
 use crate::onek::OneKSwap;
-use crate::result::{SwapConfig, SwapOutcome};
+use crate::result::{MemoryModel, MisResult, RoundStats, SwapConfig, SwapOutcome, SwapStats};
 use crate::verify::is_maximal_independent_set;
 
 /// Tuning for [`repair_updated_set_from_ops`].
@@ -39,7 +77,8 @@ use crate::verify::is_maximal_independent_set;
 pub struct RepairConfig {
     /// One-k-swap round budget for the recover pass.
     pub recover_rounds: u32,
-    /// Spend one extra scan proving maximality on the edited graph.
+    /// Report the repaired set's proof: one extra scan on the
+    /// whole-graph path, the local certificate on the local path.
     pub verify: bool,
 }
 
@@ -59,12 +98,15 @@ pub struct UpdateRepairOutcome {
     pub swap: SwapOutcome,
     /// Members evicted because an inserted edge connected them.
     pub evicted: u64,
-    /// Whether the verification scan proved the repaired set maximal on
-    /// the edited graph (`false` when [`RepairConfig::verify`] is off).
+    /// Whether the proof certified the repaired set maximal on the
+    /// edited graph (`false` when [`RepairConfig::verify`] is off).
     pub maximality_proved: bool,
     /// Scans spent on the proof (0 or 1), *not* included in
     /// `swap.result.file_scans`.
     pub verify_scans: u64,
+    /// Whether the local path produced the set (no accounted scan), as
+    /// opposed to the whole-graph path.
+    pub local: bool,
 }
 
 /// Every edge of `graph` whose endpoints are both in `set`, as
@@ -92,20 +134,100 @@ pub fn conflicting_pairs<G: GraphScan + ?Sized>(
     Ok(pairs)
 }
 
-/// Repairs `set` after a batch of edge insertions **and deletions**:
-/// evict, bounded recover, re-maximalise, and optionally prove the result
-/// maximal on `graph`, which must already reflect every update of the
-/// batch (e.g. an epoch-pinned [`mis_graph::PinnedDelta`]).
-///
-/// The eviction pass walks the `inserted` pairs instead of scanning the
-/// whole graph, so its cost is `O(|batch|)` rather than
-/// `O(scan(|V|+|E|))` — the difference between a maintenance pass and a
-/// serving-path epoch commit. `inserted` need not be deduplicated or
-/// ordered, and may name pairs that do not conflict: conflicts are
-/// resolved in ascending order of their higher endpoint, so chains of
-/// conflicts (edges sharing a member endpoint) evict the same vertices
-/// regardless of batch order.
+/// [`try_repair_updated_set_from_ops`], panicking on a failed point
+/// read.
 pub fn repair_updated_set_from_ops<G: GraphScan + ?Sized>(
+    graph: &G,
+    set: &[VertexId],
+    inserted: &[(VertexId, VertexId)],
+    config: RepairConfig,
+) -> UpdateRepairOutcome {
+    try_repair_updated_set_from_ops(graph, set, inserted, config).expect("point read failed")
+}
+
+/// Repairs `set`, proved maximal at the epoch before a batch of edge
+/// insertions **and deletions**, on `graph`, which must already reflect
+/// every update of the batch: evict, refill, bounded recover, and prove
+/// (see the [module docs](self) for both paths).
+///
+/// `inserted` must name every pair the batch left inserted; it need not
+/// be deduplicated or ordered, and may name pairs that do not conflict:
+/// conflicts are resolved in ascending order of their higher endpoint,
+/// so chains of conflicts (edges sharing a member endpoint) evict the
+/// same vertices regardless of batch order.
+///
+/// A view whose [`GraphScan::last_batch`] is `Some` takes the local
+/// path, so its record must be the batch since `set`'s epoch; hide it
+/// ([`mis_graph::PinnedDelta::without_last_batch`]) otherwise. Point-read
+/// errors of the local path are returned; the whole-graph path still
+/// panics on a failed scan.
+pub fn try_repair_updated_set_from_ops<G: GraphScan + ?Sized>(
+    graph: &G,
+    set: &[VertexId],
+    inserted: &[(VertexId, VertexId)],
+    config: RepairConfig,
+) -> io::Result<UpdateRepairOutcome> {
+    if let Some((batch, reads)) = graph.last_batch() {
+        let local = local_repair(graph.num_vertices(), batch, reads, set, inserted, config)?;
+        if let Some(out) = local {
+            return Ok(out);
+        }
+    }
+    let _span = mis_obs::span("repair", "repair.whole_graph");
+    Ok(whole_graph_repair(graph, set, inserted, config))
+}
+
+/// Repairs `set`, proved maximal at epoch `set_epoch`, on `graph`,
+/// which reflects every batch committed since: locally, fed the record's
+/// inserted pairs, when the view's [`GraphScan::last_batch`] is the one
+/// batch after `set_epoch`; otherwise on the whole graph, fed the
+/// conflicts of one scan ([`conflicting_pairs`]), since the batches
+/// since `set_epoch` are not known. Errors of that scan and of point
+/// reads are returned.
+pub fn try_repair_since<G: GraphScan + ?Sized>(
+    graph: &G,
+    set: &[VertexId],
+    set_epoch: u64,
+    config: RepairConfig,
+) -> io::Result<UpdateRepairOutcome> {
+    match graph.last_batch() {
+        Some((batch, _)) if batch.epoch() == set_epoch + 1 => {
+            try_repair_updated_set_from_ops(graph, set, batch.inserted(), config)
+        }
+        _ => {
+            let conflicts = conflicting_pairs(graph, set)?;
+            let _span = mis_obs::span("repair", "repair.whole_graph");
+            Ok(whole_graph_repair(graph, set, &conflicts, config))
+        }
+    }
+}
+
+/// Evicts the members `inserted` connects: each conflict evicts its
+/// higher endpoint unless an earlier one already evicted its lower
+/// endpoint; resolving them sorted by the higher endpoint makes the
+/// outcome a function of the edge set alone. Returns the evicted
+/// vertices.
+fn evict(member: &mut [bool], inserted: &[(VertexId, VertexId)]) -> Vec<VertexId> {
+    let mut conflicts: Vec<(VertexId, VertexId)> = inserted
+        .iter()
+        .filter(|&&(u, v)| u != v && member[u as usize] && member[v as usize])
+        .map(|&(u, v)| (u.min(v), u.max(v)))
+        .collect();
+    conflicts.sort_unstable_by_key(|&(lo, hi)| (hi, lo));
+    conflicts.dedup();
+    let mut evicted = Vec::new();
+    for (lo, hi) in conflicts {
+        if member[lo as usize] && member[hi as usize] {
+            member[hi as usize] = false;
+            evicted.push(hi);
+        }
+    }
+    evicted
+}
+
+/// The whole-graph path: evict, one-k rounds over full scans, and the
+/// proof scan.
+fn whole_graph_repair<G: GraphScan + ?Sized>(
     graph: &G,
     set: &[VertexId],
     inserted: &[(VertexId, VertexId)],
@@ -116,26 +238,9 @@ pub fn repair_updated_set_from_ops<G: GraphScan + ?Sized>(
     for &v in set {
         member[v as usize] = true;
     }
-
     // Only an inserted edge can connect two members, so conflicts are
-    // found in the batch itself — no graph scan needed to evict. Each
-    // conflict evicts its higher endpoint unless an earlier one already
-    // evicted its lower endpoint; resolving them sorted by the higher
-    // endpoint makes the outcome a function of the edge set alone.
-    let mut conflicts: Vec<(VertexId, VertexId)> = inserted
-        .iter()
-        .filter(|&&(u, v)| u != v && member[u as usize] && member[v as usize])
-        .map(|&(u, v)| (u.min(v), u.max(v)))
-        .collect();
-    conflicts.sort_unstable_by_key(|&(lo, hi)| (hi, lo));
-    conflicts.dedup();
-    let mut evicted = 0u64;
-    for (lo, hi) in conflicts {
-        if member[lo as usize] && member[hi as usize] {
-            member[hi as usize] = false;
-            evicted += 1;
-        }
-    }
+    // found in the batch itself — no graph scan needed to evict.
+    let evicted = evict(&mut member, inserted).len() as u64;
 
     let repaired: Vec<VertexId> = (0..n as VertexId).filter(|&v| member[v as usize]).collect();
     let swap_config = SwapConfig {
@@ -156,7 +261,252 @@ pub fn repair_updated_set_from_ops<G: GraphScan + ?Sized>(
         evicted,
         maximality_proved,
         verify_scans,
+        local: false,
     }
+}
+
+/// Neighbour lists read by point reads, each at most once per repair,
+/// kept in one arena.
+struct Arena<'a> {
+    reads: &'a dyn NeighborAccess,
+    /// Per read vertex: its storage-order rank and its list's range in
+    /// `nbrs`. Only looked up, never iterated.
+    at: FxHashMap<VertexId, (u64, usize, usize)>,
+    nbrs: Vec<VertexId>,
+}
+
+impl<'a> Arena<'a> {
+    fn new(reads: &'a dyn NeighborAccess) -> Self {
+        Self {
+            reads,
+            at: FxHashMap::default(),
+            nbrs: Vec::new(),
+        }
+    }
+
+    /// Sorts `vs` into storage order without duplicates, then reads every
+    /// list the arena lacks in that order, so the pager sees each page
+    /// at most once per call.
+    fn read_all(&mut self, vs: &mut Vec<VertexId>) -> io::Result<()> {
+        let reads = self.reads;
+        let rank = |v| {
+            self.at
+                .get(&v)
+                .map_or_else(|| reads.record_rank(v), |e| e.0)
+        };
+        let mut keyed: Vec<(u64, VertexId)> = vs.iter().map(|&v| (rank(v), v)).collect();
+        keyed.sort_unstable();
+        keyed.dedup();
+        vs.clear();
+        vs.extend(keyed.iter().map(|&(_, v)| v));
+        for (rank, v) in keyed {
+            if self.at.contains_key(&v) {
+                continue;
+            }
+            let start = self.nbrs.len();
+            let nbrs = &mut self.nbrs;
+            reads.with_neighbors(v, &mut |ns| nbrs.extend_from_slice(ns))?;
+            self.at.insert(v, (rank, start, self.nbrs.len()));
+        }
+        Ok(())
+    }
+
+    /// `v`'s neighbours; `v` must have been read.
+    fn neighbors(&self, v: VertexId) -> &[VertexId] {
+        let (_, start, end) = self.at[&v];
+        &self.nbrs[start..end]
+    }
+
+    /// `v`'s storage-order rank; `v` must have been read.
+    fn rank(&self, v: VertexId) -> u64 {
+        self.at[&v].0
+    }
+
+    /// The neighbours of every vertex in `vs`, each of which must have
+    /// been read.
+    fn around(&self, vs: &[VertexId]) -> Vec<VertexId> {
+        vs.iter()
+            .flat_map(|&v| self.neighbors(v).iter().copied())
+            .collect()
+    }
+}
+
+/// The only member among `ns`, if exactly one is.
+fn only_member(ns: &[VertexId], member: &[bool]) -> Option<VertexId> {
+    let mut members = ns.iter().copied().filter(|&u| member[u as usize]);
+    let first = members.next()?;
+    members.next().is_none().then_some(first)
+}
+
+/// One 1↔k move in the evaluate-then-apply shape of a local-search move
+/// ([`OneKMove::delta`], then [`OneKMove::perform`]): member `out`
+/// leaves the set and the mutually non-adjacent vertices `take` join.
+struct OneKMove {
+    out: VertexId,
+    take: Vec<VertexId>,
+}
+
+impl OneKMove {
+    /// Evaluates moving member `w` out against the current membership.
+    /// Its A-vertices — non-members whose only member neighbour is `w` —
+    /// are taken greedily in storage order, each one not adjacent to
+    /// those taken before. A move takes at least two, so it gains at
+    /// least one member.
+    fn delta(w: VertexId, arena: &Arena<'_>, member: &[bool]) -> Option<Self> {
+        if !member[w as usize] {
+            return None;
+        }
+        let mut a_vertices: Vec<VertexId> = arena
+            .neighbors(w)
+            .iter()
+            .copied()
+            .filter(|&u| !member[u as usize] && only_member(arena.neighbors(u), member) == Some(w))
+            .collect();
+        a_vertices.sort_unstable_by_key(|&u| (arena.rank(u), u));
+        let mut take: Vec<VertexId> = Vec::new();
+        for u in a_vertices {
+            if !arena.neighbors(u).iter().any(|x| take.contains(x)) {
+                take.push(u);
+            }
+        }
+        (take.len() >= 2).then_some(Self { out: w, take })
+    }
+
+    /// Applies the move, appending every vertex it moved to `moved`.
+    fn perform(self, member: &mut [bool], moved: &mut Vec<VertexId>) {
+        member[self.out as usize] = false;
+        for &u in &self.take {
+            member[u as usize] = true;
+        }
+        moved.push(self.out);
+        moved.extend(self.take);
+    }
+}
+
+/// The local path (see the [module docs](self)); `Ok(None)` when the
+/// certificate fails.
+fn local_repair(
+    n: usize,
+    batch: &LastBatch,
+    reads: &dyn NeighborAccess,
+    set: &[VertexId],
+    inserted: &[(VertexId, VertexId)],
+    config: RepairConfig,
+) -> io::Result<Option<UpdateRepairOutcome>> {
+    let mut member = {
+        let _span = mis_obs::span("repair", "repair.members");
+        let mut member = vec![false; n];
+        for &v in set {
+            member[v as usize] = true;
+        }
+        member
+    };
+    let mut arena = Arena::new(reads);
+
+    // Evict, then refill the frontier in storage order.
+    let (evicted, joined, mut seeds) = {
+        let _span = mis_obs::span("repair", "repair.evict");
+        let evicted = evict(&mut member, inserted);
+        let mut near = evicted.clone();
+        arena.read_all(&mut near)?;
+        let around = arena.around(&near);
+        near.extend(around);
+        let mut frontier = near.clone();
+        frontier.extend_from_slice(batch.touched());
+        arena.read_all(&mut frontier)?;
+        let mut joined = Vec::new();
+        for &v in &frontier {
+            if !member[v as usize] && arena.neighbors(v).iter().all(|&u| !member[u as usize]) {
+                member[v as usize] = true;
+                joined.push(v);
+            }
+        }
+        near.extend(batch.deleted().iter().flat_map(|&(u, v)| [u, v]));
+        (evicted, joined, near)
+    };
+
+    // Recover: bounded rounds of 1↔k moves around the seeds.
+    let mut rounds = Vec::new();
+    let mut moved_all = Vec::new();
+    {
+        let _span = mis_obs::span("repair", "repair.recover");
+        for _ in 0..config.recover_rounds {
+            arena.read_all(&mut seeds)?;
+            let mut candidates: Vec<VertexId> = seeds
+                .iter()
+                .filter(|&&x| !member[x as usize])
+                .filter_map(|&x| only_member(arena.neighbors(x), &member))
+                .collect();
+            arena.read_all(&mut candidates)?;
+            let mut around = arena.around(&candidates);
+            arena.read_all(&mut around)?;
+            let mut round = RoundStats::default();
+            let mut moved = Vec::new();
+            for &w in &candidates {
+                if let Some(step) = OneKMove::delta(w, &arena, &member) {
+                    round.swapped_out += 1;
+                    round.swapped_in += step.take.len() as u64;
+                    step.perform(&mut member, &mut moved);
+                }
+            }
+            rounds.push(round);
+            if moved.is_empty() {
+                break;
+            }
+            seeds = arena.around(&moved);
+            seeds.extend_from_slice(&moved);
+            moved_all.extend(moved);
+        }
+    }
+
+    // Certify every vertex whose own state or neighbourhood may differ
+    // from the proved epoch before.
+    {
+        let _span = mis_obs::span("repair", "repair.certify");
+        let mut changed = evicted.clone();
+        changed.extend(&joined);
+        changed.extend(&moved_all);
+        let mut region = arena.around(&changed);
+        region.extend(changed);
+        region.extend_from_slice(batch.touched());
+        arena.read_all(&mut region)?;
+        let certified = region.iter().all(|&v| {
+            let dominated = arena.neighbors(v).iter().any(|&u| member[u as usize]);
+            member[v as usize] != dominated
+        });
+        if !certified {
+            return Ok(None);
+        }
+    }
+
+    let repaired: Vec<VertexId> = {
+        let _span = mis_obs::span("repair", "repair.collect");
+        (0..n as VertexId).filter(|&v| member[v as usize]).collect()
+    };
+    let stats = SwapStats {
+        rounds,
+        initial_size: (set.len() - evicted.len()) as u64,
+        final_size: repaired.len() as u64,
+        ..SwapStats::default()
+    };
+    Ok(Some(UpdateRepairOutcome {
+        swap: SwapOutcome {
+            result: MisResult {
+                set: repaired,
+                file_scans: 0,
+                memory: MemoryModel {
+                    state_bytes: n as u64,
+                    pager_bytes: reads.resident_bytes(),
+                    ..MemoryModel::default()
+                },
+            },
+            stats,
+        },
+        evicted: evicted.len() as u64,
+        maximality_proved: config.verify,
+        verify_scans: 0,
+        local: true,
+    }))
 }
 
 #[cfg(test)]
@@ -164,7 +514,7 @@ mod tests {
     use super::*;
     use crate::greedy::Greedy;
     use crate::verify::{is_independent_set, is_maximal_independent_set};
-    use mis_graph::{CsrGraph, OrderedCsr, PinnedDelta};
+    use mis_graph::{CsrGraph, OrderedCsr, PinnedDelta, SharedAccess};
     use std::sync::Arc;
 
     /// An empty overlay over a copy of `g`, ready to edit.
@@ -433,5 +783,106 @@ mod tests {
         let twice = scan_repair(&g, &once.swap.result.set, config);
         assert_eq!(twice.evicted, 0);
         assert!(twice.swap.result.set.len() >= once.swap.result.set.len());
+    }
+
+    /// An empty overlay over a copy of `g` with point reads of `g`.
+    fn served(g: &CsrGraph) -> PinnedDelta<CsrGraph> {
+        edit(g).with_access(SharedAccess::new(Box::new(g.clone())))
+    }
+
+    /// `count` churn batches of `ops` operations over `g`.
+    fn batches(g: &CsrGraph, count: usize, ops: usize, seed: u64) -> Vec<Vec<(u32, u32, bool)>> {
+        mis_gen::churn_stream(g, count * ops, 0.3, seed)
+            .chunks(ops)
+            .map(|chunk| {
+                chunk
+                    .iter()
+                    .map(|op| (op.u, op.v, op.kind == mis_gen::ChurnKind::Insert))
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_local_path_keeps_a_proved_set_at_every_epoch() {
+        let g = mis_gen::plrg::Plrg::with_vertices(3_000, 2.0)
+            .seed(5)
+            .generate();
+        let mut view = served(&g);
+        let mut set = Greedy::new().run(&OrderedCsr::degree_sorted(&g)).set;
+        for batch in batches(&g, 12, 150, 9) {
+            view.apply_batch(batch);
+            let inserted = view.overlay().last_batch().unwrap().inserted().to_vec();
+            let out =
+                try_repair_updated_set_from_ops(&view, &set, &inserted, RepairConfig::default())
+                    .unwrap();
+            assert!(out.local, "epoch {}", view.epoch());
+            assert!(out.maximality_proved);
+            assert_eq!((out.swap.result.file_scans, out.verify_scans), (0, 0));
+            assert!(is_maximal_independent_set(&view, &out.swap.result.set));
+            // The whole-graph path on the same inputs proves too.
+            let whole = repair_updated_set_from_ops(
+                &view.clone().without_last_batch(),
+                &set,
+                &inserted,
+                RepairConfig::default(),
+            );
+            assert!(!whole.local && whole.maximality_proved);
+            assert_eq!(out.evicted, whole.evicted);
+            set = out.swap.result.set;
+        }
+    }
+
+    #[test]
+    fn the_local_path_moves_one_member_out_for_two() {
+        // Star 0-{1,2} plus the path 2-3: the set {0, 3} is maximal.
+        // Deleting (2, 3) leaves 2 with 0 as its only member neighbour,
+        // so 0 makes way for its leaves 1 and 2.
+        let g = CsrGraph::from_edges(4, &[(0, 1), (0, 2), (2, 3)]);
+        let mut view = served(&g);
+        view.apply_batch([(2, 3, false)]);
+        let out = repair_updated_set_from_ops(&view, &[0, 3], &[], RepairConfig::default());
+        assert!(out.local);
+        assert_eq!(out.swap.result.set, vec![1, 2, 3]);
+        assert_eq!(out.swap.stats.rounds[0].swapped_in, 2);
+        assert_eq!(out.swap.stats.rounds[0].swapped_out, 1);
+    }
+
+    #[test]
+    fn a_failed_certificate_falls_back_to_the_whole_graph() {
+        // Inserting (0, 2) between members without naming it leaves a
+        // conflict the local certificate sees.
+        let g = mis_gen::special::path(4);
+        let mut view = served(&g);
+        view.apply_batch([(0, 2, true)]);
+        let out = repair_updated_set_from_ops(&view, &[0, 2], &[], RepairConfig::default());
+        assert!(!out.local);
+        let named = repair_updated_set_from_ops(&view, &[0, 2], &[(0, 2)], RepairConfig::default());
+        assert!(named.local && named.maximality_proved);
+        assert_eq!(named.swap.result.set, vec![0, 3]);
+    }
+
+    /// Point reads that always fail.
+    struct FailingReads;
+
+    impl NeighborAccess for FailingReads {
+        fn with_neighbors(&self, _: VertexId, _: &mut dyn FnMut(&[VertexId])) -> io::Result<()> {
+            Err(io::Error::new(io::ErrorKind::UnexpectedEof, "truncated"))
+        }
+
+        fn record_rank(&self, v: VertexId) -> u64 {
+            u64::from(v)
+        }
+    }
+
+    #[test]
+    fn point_read_errors_are_returned() {
+        let g = mis_gen::special::path(4);
+        let mut view = edit(&g).with_access(SharedAccess::new(Box::new(FailingReads)));
+        view.apply_batch([(0, 2, true)]);
+        let err =
+            try_repair_updated_set_from_ops(&view, &[0, 2], &[(0, 2)], RepairConfig::default())
+                .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 }

@@ -58,11 +58,23 @@
 //! When the edits grow past the memory budget, compact them into a new
 //! base file and start a fresh overlay (see `mis_update`'s log
 //! compaction).
+//!
+//! ## The last batch
+//!
+//! [`DeltaOverlay::apply_batch`] applies one committed batch and keeps a
+//! [`LastBatch`] record of it: which vertices it touched and which pairs
+//! it left inserted or deleted. Between the epoch before the batch and
+//! the batch's own epoch, the edge set differs only on those pairs, so a
+//! repair that was proved at the earlier epoch only has to revisit them.
+//! A [`PinnedDelta`] carrying a [`SharedAccess`] point-read handle over
+//! its base hands both out through [`GraphScan::last_batch`].
 
+use std::fmt;
 use std::io;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::hash::FxHashMap;
+use crate::raccess::NeighborAccess;
 use crate::scan::GraphScan;
 use crate::VertexId;
 
@@ -118,6 +130,44 @@ pub struct DeltaOverlay {
     pairs: FxHashMap<(VertexId, VertexId), PairState>,
     added_edges: u64,
     deleted_edges: u64,
+    /// The batch [`DeltaOverlay::apply_batch`] applied last, unless a
+    /// single edit has changed the overlay since.
+    last_batch: Option<LastBatch>,
+}
+
+/// The record of one committed batch: the epoch it committed as, every
+/// endpoint of its operations, and the pairs it left inserted or
+/// deleted (the last operation on a pair wins, as the overlay replays
+/// it). All lists are ascending and distinct; pairs are `(lower,
+/// higher)`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LastBatch {
+    epoch: u64,
+    touched: Vec<VertexId>,
+    inserted: Vec<(VertexId, VertexId)>,
+    deleted: Vec<(VertexId, VertexId)>,
+}
+
+impl LastBatch {
+    /// The epoch the batch committed as.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// Every endpoint of every operation in the batch.
+    pub fn touched(&self) -> &[VertexId] {
+        &self.touched
+    }
+
+    /// The pairs whose last operation in the batch inserts them.
+    pub fn inserted(&self) -> &[(VertexId, VertexId)] {
+        &self.inserted
+    }
+
+    /// The pairs whose last operation in the batch deletes them.
+    pub fn deleted(&self) -> &[(VertexId, VertexId)] {
+        &self.deleted
+    }
 }
 
 fn pair_key(u: VertexId, v: VertexId) -> (VertexId, VertexId) {
@@ -144,7 +194,64 @@ impl DeltaOverlay {
     /// scans unchanged (records dedup against the base at scan time),
     /// though a duplicate of a *base* edge inflates the running count by
     /// one, since base membership cannot be checked without a scan.
+    ///
+    /// A single edit is no batch: it drops the [`LastBatch`] record.
     pub fn insert_edge(&mut self, n: usize, u: VertexId, v: VertexId) {
+        self.last_batch = None;
+        self.insert(n, u, v);
+    }
+
+    /// Deletes an undirected edge: the pair becomes a tombstone,
+    /// retracting any overlay insertion *and* filtering any base copy
+    /// out of subsequent scans. Deleting the same edge twice is a no-op;
+    /// deleting an edge that never existed leaves scans unchanged but
+    /// deflates the running count by one. Drops the [`LastBatch`]
+    /// record, like [`DeltaOverlay::insert_edge`].
+    pub fn delete_edge(&mut self, n: usize, u: VertexId, v: VertexId) {
+        self.last_batch = None;
+        self.delete(n, u, v);
+    }
+
+    /// Applies one committed batch of `(u, v, insert)` operations in
+    /// order, then records it as the [`LastBatch`] of `epoch`.
+    pub fn apply_batch<I>(&mut self, n: usize, epoch: u64, ops: I)
+    where
+        I: IntoIterator<Item = (VertexId, VertexId, bool)>,
+    {
+        let mut touched = Vec::new();
+        let mut last: Vec<((VertexId, VertexId), usize, bool)> = Vec::new();
+        for (i, (u, v, insert)) in ops.into_iter().enumerate() {
+            if insert {
+                self.insert(n, u, v);
+            } else {
+                self.delete(n, u, v);
+            }
+            if u != v {
+                touched.extend([u, v]);
+                last.push((pair_key(u, v), i, insert));
+            }
+        }
+        touched.sort_unstable();
+        touched.dedup();
+        // Latest operation first within each pair, then keep only it.
+        last.sort_unstable_by_key(|&(key, i, _)| (key, std::cmp::Reverse(i)));
+        last.dedup_by_key(|&mut (key, _, _)| key);
+        let (inserted, deleted): (Vec<_>, Vec<_>) = last.into_iter().partition(|&(_, _, ins)| ins);
+        self.last_batch = Some(LastBatch {
+            epoch,
+            touched,
+            inserted: inserted.into_iter().map(|(key, _, _)| key).collect(),
+            deleted: deleted.into_iter().map(|(key, _, _)| key).collect(),
+        });
+    }
+
+    /// The record of the batch [`DeltaOverlay::apply_batch`] applied
+    /// last, unless a single edit has changed the overlay since.
+    pub fn last_batch(&self) -> Option<&LastBatch> {
+        self.last_batch.as_ref()
+    }
+
+    fn insert(&mut self, n: usize, u: VertexId, v: VertexId) {
         check_endpoints(n, u, v);
         if u == v {
             return;
@@ -169,12 +276,7 @@ impl DeltaOverlay {
         self.file(n, v, u, true);
     }
 
-    /// Deletes an undirected edge: the pair becomes a tombstone,
-    /// retracting any overlay insertion *and* filtering any base copy
-    /// out of subsequent scans. Deleting the same edge twice is a no-op;
-    /// deleting an edge that never existed leaves scans unchanged but
-    /// deflates the running count by one.
-    pub fn delete_edge(&mut self, n: usize, u: VertexId, v: VertexId) {
+    fn delete(&mut self, n: usize, u: VertexId, v: VertexId) {
         check_endpoints(n, u, v);
         if u == v {
             return;
@@ -328,6 +430,32 @@ fn arena_offset(at: usize) -> u32 {
         .expect("overlay arena exceeds u32 offsets")
 }
 
+/// One point-access handle over a base file, shared by every view
+/// that carries it. Point reads lock it for the duration of one fetch.
+#[derive(Clone)]
+pub struct SharedAccess(Arc<Mutex<Box<dyn NeighborAccess + Send>>>);
+
+impl SharedAccess {
+    /// Shares `access`.
+    pub fn new(access: Box<dyn NeighborAccess + Send>) -> Self {
+        Self(Arc::new(Mutex::new(access)))
+    }
+
+    /// The handle, locked. A read that panicked earlier may have left
+    /// the pager mid-fetch, so a poisoned lock is an error.
+    fn lock(&self) -> io::Result<MutexGuard<'_, Box<dyn NeighborAccess + Send>>> {
+        self.0
+            .lock()
+            .map_err(|_| io::Error::other("point-access handle poisoned by a failed read"))
+    }
+}
+
+impl fmt::Debug for SharedAccess {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("SharedAccess")
+    }
+}
+
 /// The overlay view: a cheaply cloneable base handle plus a refcounted
 /// [`DeltaOverlay`], stamped with the update epoch the overlay reflects.
 ///
@@ -337,11 +465,19 @@ fn arena_offset(at: usize) -> u32 {
 /// underneath. Callers that build, edit and scan wrap an owned base
 /// with `PinnedDelta::new(base, Arc::default(), 0)`; the edit methods
 /// are copy-on-write, so a view cloned earlier keeps the overlay it had.
+///
+/// A view may also carry a [`SharedAccess`] handle over its base. It
+/// then answers point reads of the merged graph ([`NeighborAccess`]),
+/// and hands out the overlay's [`LastBatch`] through
+/// [`GraphScan::last_batch`] when that batch produced the view's epoch.
 #[derive(Debug, Clone)]
 pub struct PinnedDelta<G: GraphScan> {
     base: G,
     overlay: Arc<DeltaOverlay>,
     epoch: u64,
+    access: Option<SharedAccess>,
+    /// Whether [`GraphScan::last_batch`] may hand out the record.
+    batch_visible: bool,
 }
 
 impl<G: GraphScan> PinnedDelta<G> {
@@ -352,7 +488,23 @@ impl<G: GraphScan> PinnedDelta<G> {
             base,
             overlay,
             epoch,
+            access: None,
+            batch_visible: true,
         }
+    }
+
+    /// Attaches a point-access handle, which must read `base` itself.
+    pub fn with_access(mut self, access: SharedAccess) -> Self {
+        self.access = Some(access);
+        self
+    }
+
+    /// The same view with its [`LastBatch`] hidden from
+    /// [`GraphScan::last_batch`], for callers whose set was not proved
+    /// at the epoch just before this one.
+    pub fn without_last_batch(mut self) -> Self {
+        self.batch_visible = false;
+        self
     }
 
     /// The update epoch this view is pinned at.
@@ -384,6 +536,18 @@ impl<G: GraphScan> PinnedDelta<G> {
         Arc::make_mut(&mut self.overlay).delete_edge(n, u, v);
     }
 
+    /// Commits `(u, v, insert)` operations as the next epoch — see
+    /// [`DeltaOverlay::apply_batch`]. Copy-on-write, like
+    /// [`PinnedDelta::insert_edge`].
+    pub fn apply_batch<I>(&mut self, ops: I)
+    where
+        I: IntoIterator<Item = (VertexId, VertexId, bool)>,
+    {
+        let n = self.base.num_vertices();
+        self.epoch += 1;
+        Arc::make_mut(&mut self.overlay).apply_batch(n, self.epoch, ops);
+    }
+
     /// Counts the edited graph's edges exactly with one scan, regardless
     /// of duplicate-base inserts or phantom deletes in the overlay (see
     /// [`GraphScan::num_edges`]'s caveat on this type).
@@ -392,16 +556,46 @@ impl<G: GraphScan> PinnedDelta<G> {
         self.scan(&mut |_, ns| directed += ns.len() as u64)?;
         Ok(directed / 2)
     }
+}
 
-    /// Merges the overlay into one base record for point queries:
-    /// given `v`'s *base* neighbour list, returns the pinned view's
-    /// neighbour list (tombstones filtered, insertions appended).
-    pub fn merge_neighbors(&self, v: VertexId, base_ns: &[VertexId]) -> Vec<VertexId> {
+/// Point reads of the merged graph: the base record through the attached
+/// handle, with the overlay merged in canonical order. A view without a
+/// handle answers every read with [`io::ErrorKind::Unsupported`]. The
+/// callback runs with the handle locked, so it must not read through a
+/// view that shares the handle.
+impl<G: GraphScan> NeighborAccess for PinnedDelta<G> {
+    fn with_neighbors(&self, v: VertexId, f: &mut dyn FnMut(&[VertexId])) -> io::Result<()> {
+        let access = self.access.as_ref().ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::Unsupported,
+                "no point-access handle attached to this view",
+            )
+        })?;
         let mut merged = Vec::new();
-        if !self.overlay.merge_record(v, base_ns, &mut merged) {
-            merged.extend_from_slice(base_ns);
-        }
-        merged
+        access.lock()?.with_neighbors(v, &mut |ns| {
+            if self.overlay.merge_record(v, ns, &mut merged) {
+                f(&merged);
+            } else {
+                f(ns);
+            }
+        })
+    }
+
+    fn record_rank(&self, v: VertexId) -> u64 {
+        // A rank is an index lookup, safe behind a poisoned lock.
+        self.access.as_ref().map_or(u64::from(v), |a| {
+            a.0.lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .record_rank(v)
+        })
+    }
+
+    fn resident_bytes(&self) -> u64 {
+        self.access.as_ref().map_or(0, |a| {
+            a.0.lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .resident_bytes()
+        })
     }
 }
 
@@ -432,6 +626,12 @@ impl<G: GraphScan> GraphScan for PinnedDelta<G> {
 
     fn storage(&self) -> &'static str {
         "pinned-delta"
+    }
+
+    fn last_batch(&self) -> Option<(&LastBatch, &dyn NeighborAccess)> {
+        let batch = self.overlay.last_batch()?;
+        (self.batch_visible && self.access.is_some() && batch.epoch() == self.epoch)
+            .then_some((batch, self as &dyn NeighborAccess))
     }
 }
 
@@ -713,17 +913,82 @@ mod tests {
         assert_eq!(records(&delta)[4], (4, vec![2]));
     }
 
+    /// `g` as a shared point-access handle.
+    fn handle(g: &CsrGraph) -> SharedAccess {
+        SharedAccess::new(Box::new(g.clone()))
+    }
+
     #[test]
     fn pinned_point_queries_merge_the_overlay() {
         let g = base();
         let mut pinned = edit(&g);
         pinned.insert_edge(0, 3);
         pinned.delete_edge(0, 1);
+        let err = pinned.with_neighbors(0, &mut |_| {}).unwrap_err();
+        assert_eq!(
+            err.kind(),
+            io::ErrorKind::Unsupported,
+            "no handle, no reads"
+        );
+        let pinned = pinned.with_access(handle(&g));
+        let mut got = Vec::new();
         // Vertex 0's base record is [1]; the view deletes 1, adds 3.
-        assert_eq!(pinned.merge_neighbors(0, &[1]), vec![3]);
+        pinned
+            .with_neighbors(0, &mut |ns| got = ns.to_vec())
+            .unwrap();
+        assert_eq!(got, vec![3]);
         // An untouched vertex passes its base record through.
-        assert_eq!(pinned.merge_neighbors(2, &[1]), vec![1]);
+        pinned
+            .with_neighbors(2, &mut |ns| got = ns.to_vec())
+            .unwrap();
+        assert_eq!(got, vec![1]);
         assert!(!pinned.overlay().touches(2));
         assert!(pinned.overlay().touches(0));
+        assert_eq!(pinned.record_rank(3), 3, "CSR storage order is id order");
+    }
+
+    #[test]
+    fn a_batch_records_its_net_pairs_and_touched_vertices() {
+        let g = base();
+        let ops = [
+            (3, 4, true),
+            (2, 1, false),
+            (4, 3, false), // inserted, then deleted again
+            (0, 4, true),
+            (4, 0, false),
+            (4, 0, true), // the last op on (0, 4) inserts it
+        ];
+        let mut batched = edit(&g);
+        batched.apply_batch(ops);
+        let mut single = edit(&g);
+        for (u, v, insert) in ops {
+            if insert {
+                single.insert_edge(u, v);
+            } else {
+                single.delete_edge(u, v);
+            }
+        }
+        assert_eq!(raw_records(&batched), raw_records(&single));
+        assert_eq!(batched.epoch(), 1);
+        let batch = batched.overlay().last_batch().unwrap().clone();
+        assert_eq!(batch.epoch(), 1);
+        assert_eq!(batch.touched(), &[0, 1, 2, 3, 4]);
+        assert_eq!(batch.inserted(), &[(0, 4)]);
+        assert_eq!(batch.deleted(), &[(1, 2), (3, 4)]);
+        assert!(single.overlay().last_batch().is_none());
+
+        // The view hands the record out only with a handle, at the
+        // record's own epoch, and not once it is hidden.
+        assert!(batched.last_batch().is_none());
+        let view = batched.with_access(handle(&g));
+        assert_eq!(view.last_batch().map(|(b, _)| b), Some(&batch));
+        assert!(view.clone().without_last_batch().last_batch().is_none());
+        let later = PinnedDelta::new(g.clone(), Arc::clone(view.overlay()), 2);
+        assert!(later.with_access(handle(&g)).last_batch().is_none());
+        // A single edit after the batch drops the record.
+        let mut edited = view.clone();
+        edited.insert_edge(1, 3);
+        assert!(edited.last_batch().is_none());
+        assert!(view.last_batch().is_some(), "copy-on-write keeps it");
     }
 }

@@ -60,7 +60,7 @@ pub use compressed::{
     compress_adj, compress_adj_indexed, CompressedAdjFile, CompressedAdjWriter, GapCodec,
 };
 pub use csr::CsrGraph;
-pub use delta::{DeltaOverlay, PinnedDelta};
+pub use delta::{DeltaOverlay, LastBatch, PinnedDelta, SharedAccess};
 pub use raccess::{NeighborAccess, RandomAccessGraph, RecordIndex};
 pub use scan::{GraphScan, OrderedCsr, RecordBlock};
 pub use sharded::{

@@ -24,6 +24,7 @@
 use std::io;
 
 use crate::csr::CsrGraph;
+use crate::delta::LastBatch;
 use crate::raccess::NeighborAccess;
 use crate::VertexId;
 
@@ -81,6 +82,15 @@ pub trait GraphScan: Sync {
     /// A short human-readable description of the backing storage.
     fn storage(&self) -> &'static str {
         "unknown"
+    }
+
+    /// The record of the one batch that produced this view's epoch,
+    /// together with point reads of this view's records, when the view
+    /// carries both. Only an epoch-pinned overlay view
+    /// ([`crate::PinnedDelta`]) with a point-access handle does; every
+    /// other graph is scan-only and returns `None`.
+    fn last_batch(&self) -> Option<(&LastBatch, &dyn NeighborAccess)> {
+        None
     }
 }
 

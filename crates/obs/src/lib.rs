@@ -79,14 +79,21 @@
 //!   and the `queue.depth` gauge explain *why* workers idle.
 //! * cat `"serve"` — the serving front end's spans: `serve.flush` (one
 //!   epoch commit) and its stages `serve.append` (with the store's
-//!   `store.roll` and `store.compact_segments` nested inside when the
-//!   roll policy fires), `serve.snapshot`, `serve.repair` (the
-//!   snapshot-side repair alone), `serve.checkpoint` and
-//!   `serve.publish`, plus the `serve.pending` gauge (queued ops
-//!   awaiting the next flush). Request
+//!   `store.overlay_copy`, and `store.roll` and `store.compact_segments`
+//!   nested inside when the roll policy fires), `serve.snapshot`,
+//!   `serve.repair` (the snapshot-side repair alone), `serve.checkpoint`
+//!   and `serve.publish` (with `serve.build_view`), plus the
+//!   `serve.pending` gauge (queued ops awaiting the next flush). Request
 //!   latency distributions are kept per kind in
 //!   [`requests::RequestStats`] rather than as trace events, so a
 //!   million probes cost two histogram increments, not a million spans.
+//! * cat `"repair"` — the steps of one incremental repair, nested in
+//!   `serve.repair` when a flush runs it: on the local path
+//!   `repair.members` (the membership array), `repair.evict` (eviction
+//!   and the frontier refill), `repair.recover` (the 1↔k moves),
+//!   `repair.certify` (the local maximality certificate) and
+//!   `repair.collect` (the set collect); `repair.whole_graph` when the
+//!   repair scans the whole graph instead.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -183,10 +183,32 @@ impl CostModel {
         observed_blocks: u64,
         tolerance: f64,
     ) -> ModelVerdict {
+        self.check_with_point_reads(workload, 0, 0, observed_scans, observed_blocks, tolerance)
+    }
+
+    /// [`CostModel::check`] for an observation that also includes
+    /// `point_passes` passes of point reads outside the workload's paged
+    /// rounds (a local epoch repair is one), through a pager of
+    /// `page_size`-byte pages: each pass is bounded by one transfer per
+    /// page of the file, the way a paged round is by one scan's blocks.
+    pub fn check_with_point_reads(
+        &self,
+        workload: Option<Workload>,
+        point_passes: u64,
+        page_size: u64,
+        observed_scans: u64,
+        observed_blocks: u64,
+        tolerance: f64,
+    ) -> ModelVerdict {
         let bps = self.blocks_per_scan();
         let paged_rounds = workload.map_or(0, |w| w.paged_rounds());
+        let pages = if point_passes == 0 {
+            0
+        } else {
+            self.file_bytes.div_ceil(page_size.max(1))
+        };
         let lo = observed_scans * bps;
-        let hi = (observed_scans + paged_rounds) * bps;
+        let hi = (observed_scans + paged_rounds) * bps + point_passes * pages;
         let tol = tolerance.max(0.0);
         let min_ok = (lo as f64 * (1.0 - tol)).floor() as u64;
         let max_ok = (hi as f64 * (1.0 + tol)).ceil() as u64;
@@ -207,7 +229,7 @@ impl CostModel {
             detail.push_str(&format!(
                 "blocks: predicted [{min_ok}, {max_ok}] \
                  ({observed_scans} scans × {bps} blocks/scan, {paged_rounds} paged rounds, \
-                 ±{:.0}%), observed {observed_blocks}",
+                 {point_passes} point passes × {pages} pages, ±{:.0}%), observed {observed_blocks}",
                 tol * 100.0
             ));
         }
@@ -220,7 +242,11 @@ impl CostModel {
             predicted_blocks_max: hi,
             observed_blocks,
             tolerance: tol,
-            mode: if paged_rounds == 0 { "exact" } else { "range" },
+            mode: if paged_rounds + point_passes == 0 {
+                "exact"
+            } else {
+                "range"
+            },
             pass: blocks_ok && scans_ok,
             detail,
         }
@@ -380,6 +406,23 @@ mod tests {
         // Tolerance widens the window.
         let v = m.check(Some(w), 7, 91, 0.05);
         assert!(v.pass, "{v}");
+    }
+
+    #[test]
+    fn point_passes_admit_one_transfer_per_page_each() {
+        // 10 blocks of 1000 B a scan; 100-byte pages make 100 per pass.
+        let m = model(10_000, 1_000);
+        let v = m.check_with_point_reads(None, 2, 100, 3, 230, 0.0);
+        assert!(v.pass, "{v}");
+        assert_eq!((v.mode, v.predicted_blocks_max), ("range", 230));
+        let v = m.check_with_point_reads(None, 2, 100, 3, 231, 0.0);
+        assert!(!v.pass, "{v}");
+        assert!(
+            v.detail.contains("2 point passes × 100 pages"),
+            "{}",
+            v.detail
+        );
+        assert_eq!(m.check(None, 3, 30, 0.0).mode, "exact");
     }
 
     #[test]

@@ -30,18 +30,19 @@
 //!   maintenance resumes from the last repaired state instead of a
 //!   from-scratch rebuild;
 //! * [`store::UpdateStore`] — the maintenance engine gluing base file,
-//!   tiered log, checkpoint and one maintained
-//!   [`mis_graph::DeltaOverlay`] together: `append_ops` (applies each
-//!   committed batch to the overlay, then rolls and merges segments per
-//!   its one [`store::RollPolicy`]) → `apply` (finds conflicting members
-//!   with one scan, repairs via [`mis_core::repair_updated_set_from_ops`]
-//!   on the overlaid base, re-checkpoints) → `compact` (merge into a
-//!   fresh adjacency file, truncate the log);
+//!   tiered log, checkpoint, one maintained [`mis_graph::DeltaOverlay`]
+//!   and one point-access handle together: `append_ops` (applies each
+//!   committed batch to the overlay, keeping its record, then rolls and
+//!   merges segments per its one [`store::RollPolicy`]) → `apply`
+//!   (repairs via [`mis_core::try_repair_since`] on the
+//!   overlaid base — by point reads one epoch behind, otherwise fed the
+//!   conflicting members of one scan — and re-checkpoints) → `compact`
+//!   (merge into a fresh adjacency file, truncate the log);
 //! * [`serve::ServeEngine`] — the long-running front end behind `mis
 //!   serve`: batches updates into epochs through the same store and the
 //!   same repair, runs the repair on epoch-pinned views (readers never
 //!   block on ingest), and answers membership/neighborhood/stats
-//!   queries.
+//!   queries, the neighborhoods through the store's handle.
 //!
 //! So `mis update` and `mis serve` share one path from a committed batch
 //! to a proved set: one read view ([`mis_graph::PinnedDelta`]), one
@@ -71,7 +72,7 @@ pub use segment::{Segment, SegmentMeta};
 pub use serve::{FlushReport, ServeConfig, ServeEngine, ServeStats, ServeView};
 pub use snapshot::Snapshot;
 pub use store::{
-    AppendReport, ApplyReport, CompactFormat, CompactReport, RollPolicy, SegmentCompaction,
-    StoreStatus, UpdateStore,
+    point_pager, AppendReport, ApplyReport, CompactFormat, CompactReport, RollPolicy,
+    SegmentCompaction, StoreStatus, UpdateStore, POINT_PAGE_SIZE,
 };
 pub use wal::{EdgeOp, Wal, WalRecovery};

@@ -31,26 +31,39 @@
 //!
 //! Flushes themselves are serialized by a dedicated mutex so epochs
 //! commit and publish in order. Each flush stage has its own trace span
-//! inside `serve.flush`: `serve.append` (the store's roll and merge
-//! spans nest inside it when they run), `serve.snapshot`,
-//! `serve.repair`, `serve.checkpoint` and `serve.publish`.
+//! inside `serve.flush`: `serve.append` (the store's overlay copy, roll
+//! and merge spans nest inside it), `serve.snapshot`, `serve.repair`
+//! (its `repair.*` steps nest inside it), `serve.checkpoint` and
+//! `serve.publish` (with `serve.build_view`).
 //!
-//! Neighborhood queries go through one shared [`NeighborAccess`] point
-//! path (plain, compressed or sharded — whatever backs the store), so
-//! every reader draws from the same bounded pager budget, then merge the
-//! pinned overlay via [`PinnedDelta::merge_neighbors`].
+//! ## Local repairs
+//!
+//! A flush whose published view is at the epoch just before its own
+//! repairs locally: the pinned view carries the store's record of the
+//! batch and the store's point-access handle, so the repair reads only
+//! what the batch touched and starts no scan. After a failed flush left
+//! a gap (its append committed, its checkpoint did not), the next flush
+//! hides the record and takes the whole-graph path, fed the conflicts
+//! of one scan; STATS counts those as `whole_graph_repairs`.
+//!
+//! The point-access path belongs to the store: it opens one paged
+//! handle over its base (plain, compressed or sharded — whatever backs
+//! the store) under [`ServeConfig::pager`], and every view carries it.
+//! Neighborhood queries read the published view's merged records
+//! through it ([`NeighborAccess`] on [`PinnedDelta`]), so readers and
+//! repairs draw from the same bounded pager budget.
 
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
-use mis_core::{repair_updated_set_from_ops, RepairConfig};
+use mis_core::{try_repair_since, RepairConfig};
 use mis_extmem::PagerConfig;
 use mis_graph::{AnyAdjFile, GraphScan, NeighborAccess, PinnedDelta, VertexId};
 use mis_obs::{RequestStats, RequestSummary};
 
-use crate::store::{RollPolicy, StoreStatus, UpdateStore};
+use crate::store::{point_pager, RollPolicy, StoreStatus, UpdateStore};
 use crate::wal::EdgeOp;
 
 /// Tuning for a [`ServeEngine`].
@@ -67,9 +80,11 @@ pub struct ServeConfig {
     /// Merge sealed segments once this many are live
     /// ([`RollPolicy::compact_threshold`]).
     pub compact_threshold: usize,
-    /// Per-epoch repair tuning (recover rounds, proof scan).
+    /// Per-epoch repair tuning (recover rounds, proof).
     pub repair: RepairConfig,
-    /// The shared pager budget of the neighborhood-query path.
+    /// The pager budget of the store's point-access handle, which local
+    /// repairs and neighborhood queries share (default
+    /// [`point_pager`]).
     pub pager: PagerConfig,
 }
 
@@ -81,7 +96,7 @@ impl Default for ServeConfig {
             roll_bytes: 4 << 20,
             compact_threshold: 6,
             repair: RepairConfig::default(),
-            pager: PagerConfig::default(),
+            pager: point_pager(),
         }
     }
 }
@@ -117,7 +132,7 @@ impl ServeView {
         &self.graph
     }
 
-    /// Whether this epoch's proof scan certified maximality.
+    /// Whether this epoch's proof certified maximality.
     pub fn maximality_proved(&self) -> bool {
         self.maximality_proved
     }
@@ -134,8 +149,10 @@ pub struct FlushReport {
     pub evicted: u64,
     /// Maintained set size after repair.
     pub set_size: usize,
-    /// Whether the proof scan certified maximality.
+    /// Whether the proof certified maximality.
     pub maximality_proved: bool,
+    /// Whether the repair took the local path (no scan).
+    pub local: bool,
     /// Whether the WAL rolled into a sealed segment.
     pub rolled: bool,
     /// Segments merged by a partial compaction, if one ran.
@@ -157,6 +174,8 @@ pub struct ServeStats {
     pub rolls: u64,
     /// Partial (segment) compactions performed.
     pub compactions: u64,
+    /// Flushes whose repair took the whole-graph path.
+    pub whole_graph_repairs: u64,
     /// Requests answered, by kind, with latency quantiles.
     pub requests: Vec<(&'static str, RequestSummary)>,
 }
@@ -167,13 +186,13 @@ pub struct ServeEngine {
     view: RwLock<Arc<ServeView>>,
     pending: Mutex<Vec<EdgeOp>>,
     flush_lock: Mutex<()>,
-    access: Mutex<Box<dyn NeighborAccess + Send>>,
     requests: RequestStats,
     config: ServeConfig,
     num_vertices: usize,
     flushes: AtomicU64,
     rolls: AtomicU64,
     compactions: AtomicU64,
+    whole_graph_repairs: AtomicU64,
 }
 
 impl std::fmt::Debug for ServeEngine {
@@ -186,34 +205,34 @@ impl std::fmt::Debug for ServeEngine {
 }
 
 impl ServeEngine {
-    /// Wraps `store` for serving: sets the store's [`RollPolicy`] from
-    /// the [`ServeConfig`] thresholds, brings the checkpoint up to the
-    /// last committed epoch (bootstrapping the set if none exists),
-    /// publishes the initial view, and opens the shared point-access
-    /// path on the base file.
+    /// Wraps `store` for serving: sets the store's [`RollPolicy`] and
+    /// pager budget from the [`ServeConfig`], brings the checkpoint up to
+    /// the last committed epoch (bootstrapping the set if none exists,
+    /// and opening the store's point-access handle), and publishes the
+    /// initial view.
     pub fn new(mut store: UpdateStore, config: ServeConfig) -> io::Result<Self> {
         store.set_roll_policy(RollPolicy {
             max_wal_bytes: config.roll_bytes,
             max_wal_epochs: config.roll_epochs,
             compact_threshold: config.compact_threshold,
         });
+        store.set_pager(config.pager);
         let report = store.apply(config.repair)?;
         let proved = report.maximality_proved || report.up_to_date;
         let view = build_view(store.snapshot().pinned(), report.set, proved);
-        let access = store.base().open_random_access(config.pager)?;
         let num_vertices = store.base().num_vertices();
         Ok(Self {
             store: Mutex::new(store),
             view: RwLock::new(Arc::new(view)),
             pending: Mutex::new(Vec::new()),
             flush_lock: Mutex::new(()),
-            access: Mutex::new(access),
             requests: RequestStats::new(),
             config,
             num_vertices,
             flushes: AtomicU64::new(0),
             rolls: AtomicU64::new(0),
             compactions: AtomicU64::new(0),
+            whole_graph_repairs: AtomicU64::new(0),
         })
     }
 
@@ -297,33 +316,23 @@ impl ServeEngine {
         }
 
         // Repair part: store unlocked — readers and submitters proceed.
+        // Locally when the published view is at the epoch just before;
+        // after a gap, on the whole graph.
         let prev = self.view();
-        debug_assert_eq!(prev.epoch() + 1, pinned.epoch(), "flushes are serialized");
-        // Eviction must only see the batch's *net* insertions: a pair
-        // inserted and then deleted later in the same batch is absent
-        // from the committed graph, so feeding it to the repair would
-        // evict a member over an edge that does not exist. Last op per
-        // (normalised) pair wins, exactly as the overlay replays it.
-        let mut net: std::collections::HashMap<(VertexId, VertexId), bool> = Default::default();
-        for op in &batch {
-            let (u, v) = op.endpoints();
-            net.insert((u.min(v), u.max(v)), op.is_insert());
-        }
-        let inserted: Vec<(VertexId, VertexId)> = net
-            .into_iter()
-            .filter(|&(_, is_insert)| is_insert)
-            .map(|(pair, _)| pair)
-            .collect();
         let out = {
             let _span = mis_obs::span("serve", "serve.repair");
-            repair_updated_set_from_ops(&pinned, prev.set(), &inserted, self.config.repair)
+            try_repair_since(&pinned, prev.set(), prev.epoch(), self.config.repair)?
         };
+        if !out.local {
+            self.whole_graph_repairs.fetch_add(1, Ordering::Relaxed);
+        }
         let report = FlushReport {
             epoch: pinned.epoch(),
             ops: batch.len(),
             evicted: out.evicted,
             set_size: out.swap.result.set.len(),
             maximality_proved: out.maximality_proved,
+            local: out.local,
             rolled: appended.rolled,
             compacted: appended.merged,
         };
@@ -338,7 +347,10 @@ impl ServeEngine {
         }
         {
             let _span = mis_obs::span("serve", "serve.publish");
-            let view = build_view(pinned, out.swap.result.set, out.maximality_proved);
+            let view = {
+                let _span = mis_obs::span("serve", "serve.build_view");
+                build_view(pinned, out.swap.result.set, out.maximality_proved)
+            };
             *self.view.write().expect("view lock poisoned") = Arc::new(view);
         }
         self.flushes.fetch_add(1, Ordering::Relaxed);
@@ -357,18 +369,15 @@ impl ServeEngine {
         Ok(answer)
     }
 
-    /// `v`'s neighbour list at the published epoch: the base record via
-    /// the shared point-access path, merged with the pinned overlay.
+    /// `v`'s neighbour list at the published epoch: the view's merged
+    /// record, read through the store's point-access handle.
     pub fn neighbors(&self, v: VertexId) -> io::Result<Vec<VertexId>> {
         let started = Instant::now();
         self.check_vertex(v)?;
-        let view = self.view();
-        let mut base = Vec::new();
-        {
-            let access = self.access.lock().expect("access lock poisoned");
-            access.with_neighbors(v, &mut |ns| base.extend_from_slice(ns))?;
-        }
-        let merged = view.graph().merge_neighbors(v, &base);
+        let mut merged = Vec::new();
+        self.view()
+            .graph()
+            .with_neighbors(v, &mut |ns| merged.extend_from_slice(ns))?;
         self.requests
             .record("neighbors", started.elapsed().as_nanos() as u64);
         Ok(merged)
@@ -386,6 +395,7 @@ impl ServeEngine {
             flushes: self.flushes.load(Ordering::Relaxed),
             rolls: self.rolls.load(Ordering::Relaxed),
             compactions: self.compactions.load(Ordering::Relaxed),
+            whole_graph_repairs: self.whole_graph_repairs.load(Ordering::Relaxed),
             requests: self.requests.summaries(),
         };
         self.requests
@@ -591,6 +601,87 @@ mod tests {
         let view = eng.view();
         assert_eq!(view.epoch(), 6);
         assert!(view.maximality_proved());
+    }
+
+    /// A batch that connects two members of `view`'s set and deletes a
+    /// base edge at `v`.
+    fn churn(eng: &ServeEngine, v: VertexId) -> Vec<EdgeOp> {
+        let view = eng.view();
+        let (a, b) = (view.set()[v as usize], view.set()[v as usize + 1]);
+        let mut ops = vec![EdgeOp::Insert(a, b)];
+        view.graph()
+            .with_neighbors(v, &mut |ns| {
+                ops.extend(ns.first().map(|&u| EdgeOp::Delete(v, u)))
+            })
+            .unwrap();
+        ops
+    }
+
+    #[test]
+    fn a_flush_after_a_gap_repairs_the_whole_graph() {
+        let dir = ScratchDir::new("serve-gap").unwrap();
+        let eng = engine(
+            &dir,
+            ServeConfig {
+                batch_ops: usize::MAX,
+                ..ServeConfig::default()
+            },
+        );
+        eng.submit(&churn(&eng, 3)).unwrap();
+        let first = eng.flush().unwrap().unwrap();
+        assert!(first.local && first.maximality_proved);
+
+        // The checkpoint cannot be replaced while its path is a
+        // directory: the append commits epoch 2, the flush fails, and
+        // epoch 1 stays published.
+        let ckpt = dir.file("is.ckpt");
+        std::fs::remove_file(&ckpt).unwrap();
+        std::fs::create_dir(&ckpt).unwrap();
+        eng.submit(&churn(&eng, 5)).unwrap();
+        assert!(eng.flush().is_err());
+        assert_eq!(eng.view().epoch(), 1);
+        std::fs::remove_dir(&ckpt).unwrap();
+        assert_eq!(eng.store_status().unwrap().last_epoch, 2);
+
+        // The next flush sees epoch 3 pinned two epochs past the view.
+        let prev = eng.view();
+        eng.submit(&churn(&eng, 7)).unwrap();
+        let report = eng.flush().unwrap().unwrap();
+        assert_eq!(report.epoch, prev.epoch() + 2);
+        assert!(!report.local);
+        assert!(report.maximality_proved);
+        let view = eng.view();
+        assert!(mis_core::is_maximal_independent_set(
+            view.graph(),
+            view.set()
+        ));
+        assert_eq!(eng.stats().whole_graph_repairs, 1);
+
+        // The one after it is local again.
+        eng.submit(&churn(&eng, 9)).unwrap();
+        assert!(eng.flush().unwrap().unwrap().local);
+        assert_eq!(eng.stats().whole_graph_repairs, 1);
+    }
+
+    #[test]
+    fn a_flush_on_a_truncated_base_fails_and_the_view_keeps_serving() {
+        let dir = ScratchDir::new("serve-trunc").unwrap();
+        let eng = engine(&dir, ServeConfig::default());
+        let view = eng.view();
+        let (member, other) = (view.set()[0], view.set()[1]);
+        // No record is left to read once the base keeps only part of its
+        // header, and nothing was read through the pager before.
+        let path = dir.file("base.adj");
+        let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        file.set_len(16).unwrap();
+        eng.submit(&[EdgeOp::Insert(member, other)]).unwrap();
+        let err = eng.flush().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(
+            Arc::ptr_eq(&eng.view(), &view),
+            "the previous view stays published"
+        );
+        assert!(eng.member(member).unwrap());
     }
 
     #[test]

@@ -17,10 +17,11 @@
 //!   later appends and compactions never change;
 //! * [`UpdateStore::apply`] — bring the maintained independent set up to
 //!   the last committed epoch: resume from the checkpointed set (or
-//!   bootstrap one with Greedy), find the members an edge now connects
-//!   with one scan of the pinned view, hand them to the one incremental
-//!   repair ([`repair_updated_set_from_ops`]), and write a fresh
-//!   checkpoint;
+//!   bootstrap one with Greedy), hand it to the one incremental repair
+//!   ([`try_repair_since`]) — locally, from the record of
+//!   the last batch, when the checkpoint is one epoch behind; otherwise
+//!   fed the members an edge now connects, found with one scan — and
+//!   write a fresh checkpoint;
 //! * [`UpdateStore::compact_segments`] — the leveled/partial compactor:
 //!   merge a run of overlapping sealed segments into one (superseded
 //!   per-pair operations elided) without touching the WAL or the base,
@@ -50,6 +51,10 @@
 //!   between files without changing the edge set they replay to;
 //! * full compaction folds it into the new base and starts it empty.
 //!
+//! Each append also leaves the overlay's record of its batch
+//! ([`mis_graph::LastBatch`]), which open rebuilds from the last
+//! committed epoch's operations and a full compaction drops.
+//!
 //! Snapshots and the serve engine's published view share it by `Arc`.
 //! When one of them still holds the current version, the next append
 //! edits a copy (copy-on-write): a copy of the overlay's flat arrays,
@@ -59,6 +64,16 @@
 //! The base file may be any [`AnyAdjFile`] backend (plain, compressed or
 //! sharded — the magic is sniffed at open), so a store can compact into
 //! the compressed format and keep running on it.
+//!
+//! ## The point-access handle
+//!
+//! The store owns one paged handle over its base
+//! ([`AnyAdjFile::open_random_access`], under [`UpdateStore::set_pager`]'s
+//! budget). The first [`UpdateStore::apply`] opens it, paying the one
+//! index-build scan; a full compaction reopens it over the new base.
+//! Every snapshot taken after that carries it, so local repairs and the
+//! serve engine's neighborhood queries read through it. `mis update
+//! append` and `status` never open it.
 //!
 //! ## Crash recovery
 //!
@@ -74,15 +89,15 @@
 
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use mis_core::{conflicting_pairs, repair_updated_set_from_ops, Greedy, RepairConfig};
+use mis_core::{try_repair_since, try_repair_updated_set_from_ops, Greedy, RepairConfig};
 use mis_graph::{
     split_adj_file, AnyAdjFile, DeltaOverlay, GapCodec, GraphScan, PinnedDelta, PlainCodec,
-    RecordCodec, RecordWriter, SplitOptions, VertexId,
+    RecordCodec, RecordWriter, SharedAccess, SplitOptions, VertexId,
 };
 
-use mis_extmem::IoStats;
+use mis_extmem::{IoStats, PagerConfig, PolicyKind};
 
 use crate::checkpoint::Checkpoint;
 use crate::manifest::{Manifest, MANIFEST_NAME};
@@ -111,6 +126,23 @@ impl Default for RollPolicy {
             compact_threshold: 8,
         }
     }
+}
+
+/// Page size of the default point-access pager. A point read needs one
+/// record, tens of bytes on a power-law graph, so a miss should not cost
+/// a whole scan block: at 64 KiB pages a local repair over a 200k-vertex
+/// base read about 4× the bytes it reads at 4 KiB, the usual device and
+/// OS page.
+pub const POINT_PAGE_SIZE: usize = 4096;
+
+/// The default budget of the point-access handle:
+/// [`PagerConfig::default`]'s 4 MiB in [`POINT_PAGE_SIZE`] pages.
+pub fn point_pager() -> PagerConfig {
+    PagerConfig::with_capacity_bytes(
+        PagerConfig::default().capacity_bytes(),
+        POINT_PAGE_SIZE,
+        PolicyKind::default(),
+    )
 }
 
 /// Crash-simulation points for the kill-point regression tests: the
@@ -149,6 +181,11 @@ pub struct UpdateStore {
     /// Every committed operation over `base`, shared copy-on-write with
     /// snapshots (see the module docs).
     overlay: Arc<DeltaOverlay>,
+    /// The pager budget of the point-access handle.
+    pager: PagerConfig,
+    /// The one point-access handle over `base`, opened by the first
+    /// [`UpdateStore::apply`] and attached to every later snapshot.
+    access: OnceLock<SharedAccess>,
 }
 
 /// On-disk layout of a compacted base file.
@@ -358,11 +395,29 @@ impl UpdateStore {
             dead: Vec::new(),
             roll: RollPolicy::default(),
             overlay: Arc::default(),
+            pager: point_pager(),
+            access: OnceLock::new(),
         };
+        // Replay every epoch but the last, then the last as a batch, so
+        // the overlay holds its record again. Merges keep each pair's
+        // last operation and the stream order, so that batch's touched
+        // vertices and net pairs are the ones its append recorded.
         let n = store.base.num_vertices();
+        let last = store.wal.last_epoch();
         let mut overlay = DeltaOverlay::new();
-        for (_, op) in store.committed_ops() {
-            apply_op(&mut overlay, n, op);
+        let mut batch = Vec::new();
+        for (epoch, op) in store.committed_ops() {
+            if epoch == last {
+                batch.push(edit(op));
+            } else {
+                match op {
+                    EdgeOp::Insert(u, v) => overlay.insert_edge(n, u, v),
+                    EdgeOp::Delete(u, v) => overlay.delete_edge(n, u, v),
+                }
+            }
+        }
+        if !batch.is_empty() {
+            overlay.apply_batch(n, last, batch);
         }
         store.overlay = Arc::new(overlay);
         Ok((store, recovery))
@@ -405,6 +460,24 @@ impl UpdateStore {
         self.roll = policy;
     }
 
+    /// Replaces the pager budget of the point-access handle (default
+    /// [`point_pager`]). An open handle is dropped; the next
+    /// [`UpdateStore::apply`] opens it again under `pager`.
+    pub fn set_pager(&mut self, pager: PagerConfig) {
+        self.pager = pager;
+        self.access = OnceLock::new();
+    }
+
+    /// The point-access handle over the base, opened on first use with
+    /// one accounted index-build scan.
+    fn point_access(&self) -> io::Result<&SharedAccess> {
+        if let Some(access) = self.access.get() {
+            return Ok(access);
+        }
+        let opened = SharedAccess::new(self.base.open_random_access(self.pager)?);
+        Ok(self.access.get_or_init(|| opened))
+    }
+
     /// Appends a batch of operations and seals it as one epoch, then
     /// applies the [`RollPolicy`]: rolls the WAL into a sealed segment
     /// when it crosses a threshold, and merges segments whenever
@@ -429,10 +502,15 @@ impl UpdateStore {
         }
         let epoch = self.wal.commit_epoch()?;
         let n = self.base.num_vertices();
-        let overlay = Arc::make_mut(&mut self.overlay);
-        for &(_, op) in &self.wal.committed()[first..] {
-            apply_op(overlay, n, op);
-        }
+        let batch = self.wal.committed()[first..]
+            .iter()
+            .map(|&(_, op)| edit(op));
+        // A snapshot still holding the current version makes this a copy.
+        let overlay = {
+            let _span = mis_obs::span("store", "store.overlay_copy");
+            Arc::make_mut(&mut self.overlay)
+        };
+        overlay.apply_batch(n, epoch, batch);
         let rolled = (self.wal_epochs() >= self.roll.max_wal_epochs
             || self.wal.disk_bytes() >= self.roll.max_wal_bytes)
             && self.roll_segment()?.is_some();
@@ -601,14 +679,19 @@ impl UpdateStore {
     }
 
     /// The epoch-pinned read view as of now: the base handle plus the
-    /// maintained overlay. Later appends, rolls and compactions never
-    /// affect it.
+    /// maintained overlay, and the point-access handle once
+    /// [`UpdateStore::apply`] has opened it. Later appends, rolls and
+    /// compactions never affect it.
     pub fn snapshot(&self) -> Snapshot {
-        Snapshot::new(PinnedDelta::new(
+        let view = PinnedDelta::new(
             self.base.clone(),
             Arc::clone(&self.overlay),
             self.wal.last_epoch(),
-        ))
+        );
+        Snapshot::new(match self.access.get() {
+            Some(access) => view.with_access(access.clone()),
+            None => view,
+        })
     }
 
     /// Every committed operation — sealed segments first, then the WAL
@@ -626,15 +709,25 @@ impl UpdateStore {
     }
 
     /// Brings the maintained independent set up to the last committed
-    /// epoch and checkpoints it.
+    /// epoch and checkpoints it, opening the point-access handle first
+    /// if it is not open yet.
     ///
-    /// A resumed apply finds the members an edge now connects with one
-    /// scan of the pinned view ([`conflicting_pairs`]) rather than from
-    /// the log, because the log may no longer reach back to the
-    /// checkpoint: a full compaction folds it into the base. The repair
-    /// itself is the serving path's ([`repair_updated_set_from_ops`]).
+    /// A checkpoint one epoch behind is repaired locally: the overlay
+    /// holds the record of the one batch since, even after a reopen, so
+    /// the repair ([`try_repair_since`]) reads only what that batch
+    /// touched. Any other checkpoint — older, or from before a full
+    /// compaction dropped the record — takes the whole-graph path, fed
+    /// the members an edge now connects, found with one scan of the
+    /// pinned view: the log may no longer reach back to the checkpoint.
+    ///
+    /// Without a checkpoint, Greedy bootstraps the set. When its pass
+    /// saw the records out of ascending-degree order it ran as the
+    /// unsorted BASELINE, so the whole-graph repair lifts its set before
+    /// local repairs take over, since those never revisit what a batch
+    /// did not touch.
     pub fn apply(&self, config: RepairConfig) -> io::Result<ApplyReport> {
         let _span = mis_obs::span("store", "store.apply");
+        self.point_access()?;
         let target = self.wal.last_epoch();
         let delta = self.snapshot().pinned();
         let report = match Checkpoint::load_if_exists(&self.ckpt_path, &self.stats)? {
@@ -666,8 +759,7 @@ impl UpdateStore {
             }
             // Resume from the checkpointed set: evict, recover, prove.
             Some(ckpt) => {
-                let conflicts = conflicting_pairs(&delta, &ckpt.set)?;
-                let out = repair_updated_set_from_ops(&delta, &ckpt.set, &conflicts, config);
+                let out = try_repair_since(&delta, &ckpt.set, ckpt.epoch, config)?;
                 ApplyReport {
                     epoch: target,
                     resumed_from: ckpt.epoch,
@@ -681,17 +773,26 @@ impl UpdateStore {
             }
             // First apply ever: bootstrap with Greedy on the edited graph.
             None => {
-                let greedy = Greedy::new().run(&delta);
+                let (greedy, degree_sorted) = Greedy::new().run_observing_order(&delta);
+                let (set, file_scans, maximality_proved) = if degree_sorted {
+                    let proved =
+                        config.verify && mis_core::is_maximal_independent_set(&delta, &greedy.set);
+                    (greedy.set, u64::from(config.verify), proved)
+                } else {
+                    let delta = delta.without_last_batch();
+                    let out = try_repair_updated_set_from_ops(&delta, &greedy.set, &[], config)?;
+                    let scans = out.swap.result.file_scans + out.verify_scans;
+                    (out.swap.result.set, scans, out.maximality_proved)
+                };
                 ApplyReport {
                     epoch: target,
                     resumed_from: 0,
                     bootstrapped: true,
                     up_to_date: false,
                     evicted: 0,
-                    file_scans: greedy.file_scans + u64::from(config.verify),
-                    maximality_proved: config.verify
-                        && mis_core::is_maximal_independent_set(&delta, &greedy.set),
-                    set: greedy.set,
+                    file_scans: greedy.file_scans + file_scans,
+                    maximality_proved,
+                    set,
                 }
             }
         };
@@ -810,6 +911,9 @@ impl UpdateStore {
         self.base =
             AnyAdjFile::open_with_block_size(out_path, Arc::clone(&self.stats), self.block_size)?;
         self.overlay = Arc::default();
+        if self.access.take().is_some() {
+            self.point_access()?;
+        }
         // Every sealed segment is folded into the new base: drop them
         // from the manifest, truncate the WAL, then remove their files.
         if !self.manifest.segments.is_empty() || !self.segments.is_empty() {
@@ -909,12 +1013,10 @@ fn remove_if_present(path: &Path) -> bool {
     }
 }
 
-/// Applies one committed operation to `overlay` over `n` base vertices.
-fn apply_op(overlay: &mut DeltaOverlay, n: usize, op: EdgeOp) {
-    match op {
-        EdgeOp::Insert(u, v) => overlay.insert_edge(n, u, v),
-        EdgeOp::Delete(u, v) => overlay.delete_edge(n, u, v),
-    }
+/// `op` as the overlay's `(u, v, insert)` operation.
+fn edit(op: EdgeOp) -> (VertexId, VertexId, bool) {
+    let (u, v) = op.endpoints();
+    (u, v, op.is_insert())
 }
 
 /// Writes the merged records of `delta` as one file of codec `C` at
@@ -1467,6 +1569,14 @@ mod tests {
         );
     }
 
+    /// Cuts the base file in `dir` down to `len` bytes under the store.
+    fn truncate_base(dir: &ScratchDir, len: impl FnOnce(u64) -> u64) {
+        let path = dir.file("base.adj");
+        let full = std::fs::metadata(&path).unwrap().len();
+        let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        file.set_len(len(full)).unwrap();
+    }
+
     #[test]
     fn apply_returns_storage_errors() {
         let dir = ScratchDir::new("store-trunc").unwrap();
@@ -1474,14 +1584,96 @@ mod tests {
         store.apply(RepairConfig::default()).unwrap();
         let (u, v) = non_edge(&store);
         store.append_ops(&[EdgeOp::Insert(u, v)]).unwrap();
-        // The base loses its last third under the open store: the
-        // conflict scan is the first to read it.
-        let path = dir.file("base.adj");
-        let len = std::fs::metadata(&path).unwrap().len();
-        let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
-        file.set_len(len * 2 / 3).unwrap();
+        store.append_ops(&[EdgeOp::Delete(u, v)]).unwrap();
+        // The base loses its last third under the open store: two epochs
+        // behind, the conflict scan is the first to read it.
+        truncate_base(&dir, |len| len * 2 / 3);
         let err = store.apply(RepairConfig::default()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn a_local_apply_returns_point_read_errors() {
+        let dir = ScratchDir::new("store-trunc-local").unwrap();
+        let (mut store, _) = setup(&dir, 61);
+        store.apply(RepairConfig::default()).unwrap();
+        let (u, v) = non_edge(&store);
+        store.append_ops(&[EdgeOp::Insert(u, v)]).unwrap();
+        // One epoch behind, the repair reads only the batch's records,
+        // through the pager, and none of them is left.
+        truncate_base(&dir, |_| 16);
+        let err = store.apply(RepairConfig::default()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn only_an_apply_one_epoch_behind_repairs_locally() {
+        let dir = ScratchDir::new("store-local").unwrap();
+        let (mut store, stats) = setup(&dir, 67);
+        let config = RepairConfig::default();
+        store.apply(config).unwrap();
+        let batch = |i: u32| {
+            let set = Checkpoint::load(&dir.file("is.ckpt"), &stats).unwrap().set;
+            let mut ops: Vec<EdgeOp> = set
+                .chunks_exact(2)
+                .skip(i as usize * 5)
+                .take(5)
+                .map(|p| EdgeOp::Insert(p[0], p[1]))
+                .collect();
+            ops.push(EdgeOp::Delete(i, i + 1));
+            ops
+        };
+        let apply = |store: &UpdateStore| {
+            let scans = stats.snapshot().scans_started;
+            let report = store.apply(config).unwrap();
+            assert!(report.maximality_proved);
+            let view = store.snapshot().pinned();
+            assert!(mis_core::is_maximal_independent_set(&view, &report.set));
+            (report, stats.snapshot().scans_started - scans - 1)
+        };
+
+        // One epoch behind: no scan at all.
+        store.append_ops(&batch(0)).unwrap();
+        let (report, scans) = apply(&store);
+        assert_eq!((report.file_scans, scans), (0, 0));
+        assert!(report.evicted > 0);
+
+        // Two epochs behind: one conflict scan plus the repair's seven.
+        store.append_ops(&batch(1)).unwrap();
+        store.append_ops(&batch(2)).unwrap();
+        let (report, scans) = apply(&store);
+        assert_eq!((report.file_scans, scans), (7, 8));
+
+        // After a reopen the record is rebuilt from the log.
+        store.append_ops(&batch(3)).unwrap();
+        drop(store);
+        let (mut store, _) = UpdateStore::open(
+            &dir.file("base.adj"),
+            &dir.file("edits.wal"),
+            &dir.file("is.ckpt"),
+            Arc::clone(&stats),
+            4096,
+        )
+        .unwrap();
+        let scans = stats.snapshot().scans_started;
+        let report = store.apply(config).unwrap();
+        assert_eq!(report.file_scans, 0);
+        assert_eq!(
+            stats.snapshot().scans_started - scans,
+            1,
+            "the index build only"
+        );
+
+        // A full compaction drops the record: whole-graph again.
+        store.append_ops(&batch(4)).unwrap();
+        store.compact(&dir.file("base2.adj")).unwrap();
+        assert!(store.snapshot().pinned().last_batch().is_none());
+        let (report, _) = apply(&store);
+        assert_eq!(report.file_scans, 7);
+        // ... until the next batch.
+        store.append_ops(&batch(5)).unwrap();
+        let (report, scans) = apply(&store);
+        assert_eq!((report.file_scans, scans), (0, 0));
     }
 
     #[test]
@@ -1574,7 +1766,7 @@ mod tests {
         let report = store.apply(RepairConfig::default()).unwrap();
         assert_eq!(report.evicted, 1);
         assert!(report.maximality_proved);
-        let served = repair_updated_set_from_ops(
+        let served = mis_core::repair_updated_set_from_ops(
             &store.snapshot().pinned(),
             &[0, 1, 2, 8],
             &inserted,

@@ -11,7 +11,8 @@
 //! * a store reopened from the files on disk, and
 //! * the model edge set (as sorted neighbour lists),
 //!
-//! with equal `num_edges()`; and every view pinned at an earlier epoch
+//! with equal `num_edges()` (the reopened store also with the same
+//! record of the last batch); and every view pinned at an earlier epoch
 //! must still scan exactly as it did when it was taken (copy-on-write
 //! isolation).
 
@@ -181,6 +182,8 @@ proptest! {
             prop_assert_eq!(reopened_view.epoch(), epoch);
             prop_assert_eq!(records(&reopened_view), got.clone());
             prop_assert_eq!(reopened_view.num_edges(), view.num_edges());
+            // ... with the record of the last batch rebuilt from the log.
+            prop_assert_eq!(reopened_view.overlay().last_batch(), view.overlay().last_batch());
             drop(reopened);
 
             // Views pinned earlier never move.

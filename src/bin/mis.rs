@@ -97,15 +97,17 @@
 //! listens on a unix socket (`--socket`) or TCP address (`--listen`),
 //! batches `ADD`/`DEL` operations into WAL epochs (auto-flushing every
 //! `--batch-ops`, or on an explicit `FLUSH`), repairs the maintained
-//! independent set incrementally per epoch, and answers `MEMBER`,
-//! `NEIGHBORS`, `STATS` and `STATUS` queries from epoch-pinned snapshot
-//! views that ingest and compaction never block. One line per request,
-//! one line per response; replies start with `OK` or `ERR`. The same
-//! subcommand doubles as the client: `mis serve --status` prints the
-//! server's stats + store status, `--script FILE` plays a file of
-//! protocol verbs, `--shutdown` flushes and stops the server. `<base>`
-//! accepts every store format (plain, compressed, sharded); all serve
-//! queries share one pager budget (`--cache-mb`).
+//! independent set incrementally per epoch — by point reads of what the
+//! batch touched, without a scan — and answers `MEMBER`, `NEIGHBORS`,
+//! `STATS` and `STATUS` queries from epoch-pinned snapshot views that
+//! ingest and compaction never block. One line per request, one line per
+//! response; replies start with `OK` or `ERR`. The same subcommand
+//! doubles as the client: `mis serve --status` prints the server's
+//! stats + store status, `--script FILE` plays a file of protocol verbs,
+//! `--shutdown` flushes and stops the server. `<base>` accepts every
+//! store format (plain, compressed, sharded); the repairs and all serve
+//! queries share one pager budget (`--cache-mb`, default 4 MiB in 4 KiB
+//! pages).
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -1435,7 +1437,7 @@ fn serve_server(base: &Path, opts: &Options) -> Result<(), String> {
         pager: if cache_mb > 0 {
             PagerConfig::with_capacity_bytes(cache_mb << 20, block_size, PolicyKind::default())
         } else {
-            PagerConfig::default()
+            defaults.pager
         },
     };
     if config.batch_ops == 0 {
@@ -1863,13 +1865,14 @@ fn serve_stats_json(stats: &ServeStats) -> String {
     }
     format!(
         "{{\"epoch\":{},\"set_size\":{},\"pending_ops\":{},\"flushes\":{},\"rolls\":{},\
-         \"compactions\":{},\"requests\":{{{}}}}}",
+         \"compactions\":{},\"whole_graph_repairs\":{},\"requests\":{{{}}}}}",
         stats.epoch,
         stats.set_size,
         stats.pending_ops,
         stats.flushes,
         stats.rolls,
         stats.compactions,
+        stats.whole_graph_repairs,
         reqs
     )
 }
@@ -2537,6 +2540,7 @@ mod tests {
         );
         let stats = ask(&mut conn, "STATS");
         assert!(stats.starts_with("OK {\"epoch\":1,"), "{stats}");
+        assert!(stats.contains("\"whole_graph_repairs\":0,"), "{stats}");
         let status = ask(&mut conn, "STATUS");
         assert!(status.contains("\"last_epoch\":1"), "{status}");
         // Bad requests get an ERR, not a dropped connection.

@@ -2,83 +2,61 @@
 //! paper's stated future-work direction ("how our solutions can be
 //! extended to the incremental massive graphs with frequent updates").
 //!
-//! [`try_repair_updated_set_from_ops`] takes the set proved at the epoch
-//! before a batch, the batch's inserted pairs and a view that already
-//! reflects the batch (e.g. an epoch-pinned [`mis_graph::PinnedDelta`]),
-//! and returns a proved maximal independent set of that view;
-//! [`try_repair_since`] picks its inputs from the set's epoch, for the
-//! maintenance engine and the serve engine alike. It has two paths,
-//! which both start by **evicting**: only an inserted edge can
-//! connect two members, so the conflicts are the inserted pairs whose
-//! endpoints are both in the set; each drops its higher endpoint,
-//! resolved in ascending order of that endpoint (deterministic,
-//! independent of batch order). A caller that no longer has the inserted
-//! pairs — its log was folded into the base — finds the same conflicts
-//! with one scan ([`conflicting_pairs`]).
+//! [`try_repair_since`] repairs a set proved maximal at some epoch on a
+//! view reflecting every batch committed since (e.g. an epoch-pinned
+//! [`mis_graph::PinnedDelta`]); [`repair_updated_set_from_ops`] is its
+//! panicking form for a set from the epoch just before the view. Both
+//! `mis_update` engines run this one repair. It starts from the view's
+//! batch record ([`GraphScan::last_batch`]) when that is the one batch
+//! since the set's epoch: the vertices the batch touched and the pairs
+//! it left inserted or deleted. Otherwise one **violation scan** stands
+//! in for the record: the member pairs an edge joins for the inserted
+//! pairs, the non-members with no member neighbour for the deleted
+//! pairs' endpoints (a scan cannot tell which edges were deleted), and
+//! both for the touched vertices. Then:
 //!
-//! ## The local path
-//!
-//! When the view carries the record of the one batch since the set's
-//! epoch and point reads of its records ([`GraphScan::last_batch`]),
-//! the repair reads only what that batch could have changed, and starts
-//! no accounted scan:
-//!
-//! 1. **refill** — the frontier is the batch's touched vertices plus the
-//!    evicted members and their neighbours, the only vertices that can
-//!    have lost their last member neighbour. Visited in storage order, a
-//!    non-member with no member neighbour joins;
-//! 2. **recover** — up to [`RepairConfig::recover_rounds`] rounds of
-//!    one-k's 1↔k move, only where the batch could have created one
-//!    (Table 8's early-stop profile is why a small round budget
-//!    suffices). Round one's candidates are the members that are the
-//!    only member neighbour of a deleted edge's endpoint, an evicted
-//!    member or one of its neighbours; a later round's, of a vertex the
-//!    round before moved or one of its neighbours;
-//! 3. **certify** — every vertex the batch touched or whose closed
+//! 1. **evict** — each recorded pair joining two members drops its
+//!    higher endpoint, in ascending order of that endpoint;
+//! 2. **refill** — in storage order, each touched vertex, evicted member
+//!    or neighbour of one with no member neighbour joins;
+//! 3. **recover** — up to [`RepairConfig::recover_rounds`] rounds of
+//!    one-k's 1↔k move (Table 8's early-stop profile), tried first on
+//!    the only member neighbours of deleted endpoints and of evicted
+//!    members and their neighbours, then around what the round before
+//!    moved;
+//! 4. **certify** — every touched vertex and every vertex whose closed
 //!    neighbourhood changed membership must be a member with no member
-//!    neighbour or a non-member with one. Every other vertex kept its
-//!    adjacency and its neighbours' membership, so with the previous
-//!    epoch proved this proves the whole set.
+//!    neighbour or a non-member with one.
 //!
-//! Each record is read at most once per repair, into one arena, and each
-//! step reads its records in storage order. Cost: point reads of the
-//! batch's two-hop neighbourhood, independent of `|V|` apart from the
-//! `O(|V|)` membership array and set collect. If the certificate fails
-//! (say, `inserted` missed one of the batch's inserted pairs), the
-//! whole-graph path runs on the same view.
+//! Every other vertex kept its adjacency, its membership and its
+//! neighbours' membership, and was correct at the proved epoch before
+//! the batch or, after a violation scan, on this very view, so the
+//! certificate proves the whole set. A failed certificate after a batch
+//! record (say, `inserted` missed a pair) reruns the repair from the
+//! violation scan; after the violation scan it is an
+//! [`io::ErrorKind::InvalidData`] error.
 //!
-//! ## The whole-graph path
-//!
-//! Every other view takes today's scans:
-//!
-//! 1. **recover** — a bounded number of one-k-swap rounds wins back most
-//!    of the evicted mass, and the swap's post-swap 0↔1 and finalisation
-//!    passes re-maximalise: a *deleted* edge can free a previously
-//!    excluded vertex — its last independent-set neighbour is gone — and
-//!    those vertices are swept into the set here;
-//! 2. **prove** — optionally one more scan certifies that the repaired
-//!    set is a maximal independent set of the edited graph, so callers
-//!    (e.g. the `mis_update` maintenance engine) can checkpoint it
-//!    without trusting the repair logic.
-//!
-//! Cost: `O(scan(|V|+|E|))` per batch instead of a from-scratch rebuild.
+//! Each step reads the records it lacks, once per repair, in storage
+//! order: by point reads when the view has them
+//! ([`GraphScan::point_reads`]), otherwise by one filtered scan. Both
+//! give the same set. A batch record with point reads costs no accounted
+//! scan, only the batch's two-hop neighbourhood and the `O(|V|)`
+//! membership array and set collect; a view with neither pays up to
+//! `4 + 3 · recover_rounds` scans.
 
 use std::io;
 
 use mis_graph::hash::FxHashMap;
 use mis_graph::{GraphScan, LastBatch, NeighborAccess, VertexId};
 
-use crate::onek::OneKSwap;
-use crate::result::{MemoryModel, MisResult, RoundStats, SwapConfig, SwapOutcome, SwapStats};
-use crate::verify::is_maximal_independent_set;
+use crate::result::{MemoryModel, MisResult, RoundStats, SwapOutcome, SwapStats};
 
 /// Tuning for [`repair_updated_set_from_ops`].
 #[derive(Debug, Clone, Copy)]
 pub struct RepairConfig {
-    /// One-k-swap round budget for the recover pass.
+    /// Round budget of the recover step's 1↔k moves.
     pub recover_rounds: u32,
-    /// Report the repaired set's proof: one extra scan on the
-    /// whole-graph path, the local certificate on the local path.
+    /// Report the certificate as the repaired set's proof.
     pub verify: bool,
 }
 
@@ -94,112 +72,104 @@ impl Default for RepairConfig {
 /// Outcome of a deletion-aware incremental repair.
 #[derive(Debug, Clone)]
 pub struct UpdateRepairOutcome {
-    /// The repaired run (set, scans, per-round stats).
+    /// The repaired set, per-round stats, and in `result.file_scans`
+    /// every accounted scan the repair started (0 with a batch record
+    /// and point reads, 1 for a violation scan, 1 per scan read).
     pub swap: SwapOutcome,
-    /// Members evicted because an inserted edge connected them.
+    /// Members evicted because an edge connected them.
     pub evicted: u64,
-    /// Whether the proof certified the repaired set maximal on the
-    /// edited graph (`false` when [`RepairConfig::verify`] is off).
+    /// Whether the certificate proved the repaired set maximal on the
+    /// view (`false` when [`RepairConfig::verify`] is off).
     pub maximality_proved: bool,
-    /// Scans spent on the proof (0 or 1), *not* included in
-    /// `swap.result.file_scans`.
-    pub verify_scans: u64,
-    /// Whether the local path produced the set (no accounted scan), as
-    /// opposed to the whole-graph path.
-    pub local: bool,
 }
 
-/// Every edge of `graph` whose endpoints are both in `set`, as
-/// `(lower, higher)` pairs in scan order, found with one scan. These are
-/// the conflicts [`repair_updated_set_from_ops`] resolves when the
-/// inserted edges that caused them are no longer known.
-pub fn conflicting_pairs<G: GraphScan + ?Sized>(
-    graph: &G,
-    set: &[VertexId],
-) -> io::Result<Vec<(VertexId, VertexId)>> {
-    let mut member = vec![false; graph.num_vertices()];
-    for &v in set {
-        member[v as usize] = true;
-    }
-    let mut pairs = Vec::new();
-    graph.scan(&mut |v, ns| {
-        if member[v as usize] {
-            pairs.extend(
-                ns.iter()
-                    .filter(|&&u| u < v && member[u as usize])
-                    .map(|&u| (u, v)),
-            );
-        }
-    })?;
-    Ok(pairs)
-}
-
-/// [`try_repair_updated_set_from_ops`], panicking on a failed point
-/// read.
+/// [`try_repair_since`] for a set proved at the epoch just before
+/// `graph`'s, panicking on a failed read.
+///
+/// With the view's batch record, `inserted` names every pair the batch
+/// left inserted; it need not be deduplicated or ordered, and may name
+/// pairs that do not conflict: conflicts are resolved in ascending order
+/// of their higher endpoint, so chains of conflicts (edges sharing a
+/// member endpoint) evict the same vertices regardless of batch order.
+/// Without a record the violation scan finds the conflicts, and
+/// `inserted` is not used.
 pub fn repair_updated_set_from_ops<G: GraphScan + ?Sized>(
     graph: &G,
     set: &[VertexId],
     inserted: &[(VertexId, VertexId)],
     config: RepairConfig,
 ) -> UpdateRepairOutcome {
-    try_repair_updated_set_from_ops(graph, set, inserted, config).expect("point read failed")
+    let record = graph.last_batch().map(|batch| (batch, inserted));
+    repair(graph, set, record, config).expect("repair read failed")
 }
 
-/// Repairs `set`, proved maximal at the epoch before a batch of edge
-/// insertions **and deletions**, on `graph`, which must already reflect
-/// every update of the batch: evict, refill, bounded recover, and prove
-/// (see the [module docs](self) for both paths).
-///
-/// `inserted` must name every pair the batch left inserted; it need not
-/// be deduplicated or ordered, and may name pairs that do not conflict:
-/// conflicts are resolved in ascending order of their higher endpoint,
-/// so chains of conflicts (edges sharing a member endpoint) evict the
-/// same vertices regardless of batch order.
-///
-/// A view whose [`GraphScan::last_batch`] is `Some` takes the local
-/// path, so its record must be the batch since `set`'s epoch; hide it
-/// ([`mis_graph::PinnedDelta::without_last_batch`]) otherwise. Point-read
-/// errors of the local path are returned; the whole-graph path still
-/// panics on a failed scan.
-pub fn try_repair_updated_set_from_ops<G: GraphScan + ?Sized>(
-    graph: &G,
-    set: &[VertexId],
-    inserted: &[(VertexId, VertexId)],
-    config: RepairConfig,
-) -> io::Result<UpdateRepairOutcome> {
-    if let Some((batch, reads)) = graph.last_batch() {
-        let local = local_repair(graph.num_vertices(), batch, reads, set, inserted, config)?;
-        if let Some(out) = local {
-            return Ok(out);
-        }
-    }
-    let _span = mis_obs::span("repair", "repair.whole_graph");
-    Ok(whole_graph_repair(graph, set, inserted, config))
-}
-
-/// Repairs `set`, proved maximal at epoch `set_epoch`, on `graph`,
-/// which reflects every batch committed since: locally, fed the record's
-/// inserted pairs, when the view's [`GraphScan::last_batch`] is the one
-/// batch after `set_epoch`; otherwise on the whole graph, fed the
-/// conflicts of one scan ([`conflicting_pairs`]), since the batches
-/// since `set_epoch` are not known. Errors of that scan and of point
-/// reads are returned.
+/// Repairs `set`, proved maximal at epoch `set_epoch`, on `graph`, which
+/// reflects every batch committed since: from the view's batch record
+/// when [`GraphScan::last_batch`] is the one batch after `set_epoch`, and
+/// from the violation scan otherwise (see the [module docs](self)).
+/// Every read error is returned.
 pub fn try_repair_since<G: GraphScan + ?Sized>(
     graph: &G,
     set: &[VertexId],
     set_epoch: u64,
     config: RepairConfig,
 ) -> io::Result<UpdateRepairOutcome> {
-    match graph.last_batch() {
-        Some((batch, _)) if batch.epoch() == set_epoch + 1 => {
-            try_repair_updated_set_from_ops(graph, set, batch.inserted(), config)
-        }
-        _ => {
-            let conflicts = conflicting_pairs(graph, set)?;
-            let _span = mis_obs::span("repair", "repair.whole_graph");
-            Ok(whole_graph_repair(graph, set, &conflicts, config))
+    let record = graph
+        .last_batch()
+        .filter(|batch| batch.epoch().checked_sub(1) == Some(set_epoch))
+        .map(|batch| (batch, batch.inserted()));
+    repair(graph, set, record, config)
+}
+
+/// What the repair revisits: a batch record, or the violation scan's
+/// findings standing in for one.
+#[derive(Default)]
+struct Damage {
+    /// Refilled and certified.
+    touched: Vec<VertexId>,
+    /// Evict from where both endpoints are members.
+    inserted: Vec<(VertexId, VertexId)>,
+    /// Round-one recover seeds besides the evicted members' closed
+    /// neighbourhoods.
+    seeds: Vec<VertexId>,
+}
+
+/// The one repair: from `record`, the batch record and the pairs it
+/// inserted, when given; from the violation scan otherwise, or when the
+/// record-fed certificate fails.
+fn repair<G: GraphScan + ?Sized>(
+    graph: &G,
+    set: &[VertexId],
+    record: Option<(&LastBatch, &[(VertexId, VertexId)])>,
+    config: RepairConfig,
+) -> io::Result<UpdateRepairOutcome> {
+    let mut arena = Arena::new(graph);
+    if let Some((batch, inserted)) = record {
+        let damage = Damage {
+            touched: batch.touched().to_vec(),
+            inserted: inserted.to_vec(),
+            seeds: batch.deleted().iter().flat_map(|&(u, v)| [u, v]).collect(),
+        };
+        if let Some(out) = run(&mut arena, set, damage, config)? {
+            return Ok(out);
         }
     }
+    let damage = arena.violation_scan(set)?;
+    run(&mut arena, set, damage, config)?.ok_or_else(|| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            "the repaired set failed its certificate after a violation scan",
+        )
+    })
+}
+
+/// `set` as a membership array over `n` vertices.
+fn members(n: usize, set: &[VertexId]) -> Vec<bool> {
+    let mut member = vec![false; n];
+    for &v in set {
+        member[v as usize] = true;
+    }
+    member
 }
 
 /// Evicts the members `inserted` connects: each conflict evicts its
@@ -225,74 +195,44 @@ fn evict(member: &mut [bool], inserted: &[(VertexId, VertexId)]) -> Vec<VertexId
     evicted
 }
 
-/// The whole-graph path: evict, one-k rounds over full scans, and the
-/// proof scan.
-fn whole_graph_repair<G: GraphScan + ?Sized>(
-    graph: &G,
-    set: &[VertexId],
-    inserted: &[(VertexId, VertexId)],
-    config: RepairConfig,
-) -> UpdateRepairOutcome {
-    let n = graph.num_vertices();
-    let mut member = vec![false; n];
-    for &v in set {
-        member[v as usize] = true;
-    }
-    // Only an inserted edge can connect two members, so conflicts are
-    // found in the batch itself — no graph scan needed to evict.
-    let evicted = evict(&mut member, inserted).len() as u64;
-
-    let repaired: Vec<VertexId> = (0..n as VertexId).filter(|&v| member[v as usize]).collect();
-    let swap_config = SwapConfig {
-        max_rounds: Some(config.recover_rounds),
-        ..SwapConfig::default()
-    };
-    // The swap's initial scan promotes vertices freed by deletions into
-    // `A` states, and its finalisation pass guarantees maximality.
-    let swap = OneKSwap::with_config(swap_config).run(graph, &repaired);
-
-    let (maximality_proved, verify_scans) = if config.verify {
-        (is_maximal_independent_set(graph, &swap.result.set), 1)
-    } else {
-        (false, 0)
-    };
-    UpdateRepairOutcome {
-        swap,
-        evicted,
-        maximality_proved,
-        verify_scans,
-        local: false,
-    }
-}
-
-/// Neighbour lists read by point reads, each at most once per repair,
-/// kept in one arena.
-struct Arena<'a> {
-    reads: &'a dyn NeighborAccess,
+/// Neighbour lists read for one repair, each at most once, kept in one
+/// arena: by point reads when the view has them, otherwise by one
+/// filtered scan per read step.
+struct Arena<'a, G: ?Sized> {
+    graph: &'a G,
+    reads: Option<&'a dyn NeighborAccess>,
     /// Per read vertex: its storage-order rank and its list's range in
     /// `nbrs`. Only looked up, never iterated.
     at: FxHashMap<VertexId, (u64, usize, usize)>,
     nbrs: Vec<VertexId>,
+    /// Accounted scans the repair started: scan reads and the violation
+    /// scan.
+    scans: u64,
 }
 
-impl<'a> Arena<'a> {
-    fn new(reads: &'a dyn NeighborAccess) -> Self {
+impl<'a, G: GraphScan + ?Sized> Arena<'a, G> {
+    fn new(graph: &'a G) -> Self {
         Self {
-            reads,
+            graph,
+            reads: graph.point_reads(),
             at: FxHashMap::default(),
             nbrs: Vec::new(),
+            scans: 0,
         }
     }
 
-    /// Sorts `vs` into storage order without duplicates, then reads every
-    /// list the arena lacks in that order, so the pager sees each page
-    /// at most once per call.
+    /// Reads every list of `vs` the arena lacks in storage order, so the
+    /// pager sees each page at most once per call (without point reads,
+    /// one scan reads them all), and leaves `vs` in storage order
+    /// without duplicates.
     fn read_all(&mut self, vs: &mut Vec<VertexId>) -> io::Result<()> {
-        let reads = self.reads;
+        if self.reads.is_none() {
+            self.scan_missing(vs)?;
+        }
+        let (at, reads) = (&self.at, self.reads);
         let rank = |v| {
-            self.at
-                .get(&v)
-                .map_or_else(|| reads.record_rank(v), |e| e.0)
+            at.get(&v)
+                .map_or_else(|| reads.map_or(0, |r| r.record_rank(v)), |e| e.0)
         };
         let mut keyed: Vec<(u64, VertexId)> = vs.iter().map(|&v| (rank(v), v)).collect();
         keyed.sort_unstable();
@@ -300,15 +240,59 @@ impl<'a> Arena<'a> {
         vs.clear();
         vs.extend(keyed.iter().map(|&(_, v)| v));
         for (rank, v) in keyed {
-            if self.at.contains_key(&v) {
-                continue;
+            if let (Some(reads), false) = (reads, self.at.contains_key(&v)) {
+                let start = self.nbrs.len();
+                let nbrs = &mut self.nbrs;
+                reads.with_neighbors(v, &mut |ns| nbrs.extend_from_slice(ns))?;
+                self.at.insert(v, (rank, start, self.nbrs.len()));
             }
-            let start = self.nbrs.len();
-            let nbrs = &mut self.nbrs;
-            reads.with_neighbors(v, &mut |ns| nbrs.extend_from_slice(ns))?;
-            self.at.insert(v, (rank, start, self.nbrs.len()));
         }
         Ok(())
+    }
+
+    /// Reads every list of `vs` the arena lacks with one scan, ranking
+    /// each by its position in the scan.
+    fn scan_missing(&mut self, vs: &[VertexId]) -> io::Result<()> {
+        let mut missing: Vec<VertexId> = vs
+            .iter()
+            .copied()
+            .filter(|v| !self.at.contains_key(v))
+            .collect();
+        if missing.is_empty() {
+            return Ok(());
+        }
+        missing.sort_unstable();
+        self.scans += 1;
+        let (at, nbrs, mut rank) = (&mut self.at, &mut self.nbrs, 0);
+        self.graph.scan(&mut |v, ns| {
+            if missing.binary_search(&v).is_ok() {
+                at.insert(v, (rank, nbrs.len(), nbrs.len() + ns.len()));
+                nbrs.extend_from_slice(ns);
+            }
+            rank += 1;
+        })
+    }
+
+    /// The violation scan: every edge joining two members of `set`, as a
+    /// `(lower, higher)` pair, and every non-member with no member
+    /// neighbour.
+    fn violation_scan(&mut self, set: &[VertexId]) -> io::Result<Damage> {
+        let _span = mis_obs::span("repair", "repair.scan");
+        self.scans += 1;
+        let member = members(self.graph.num_vertices(), set);
+        let mut found = Damage::default();
+        self.graph.scan(&mut |v, ns| {
+            if member[v as usize] {
+                for &u in ns.iter().filter(|&&u| u < v && member[u as usize]) {
+                    found.inserted.push((u, v));
+                    found.touched.extend([u, v]);
+                }
+            } else if ns.iter().all(|&u| !member[u as usize]) {
+                found.touched.push(v);
+                found.seeds.push(v);
+            }
+        })?;
+        Ok(found)
     }
 
     /// `v`'s neighbours; `v` must have been read.
@@ -352,7 +336,11 @@ impl OneKMove {
     /// are taken greedily in storage order, each one not adjacent to
     /// those taken before. A move takes at least two, so it gains at
     /// least one member.
-    fn delta(w: VertexId, arena: &Arena<'_>, member: &[bool]) -> Option<Self> {
+    fn delta<G: GraphScan + ?Sized>(
+        w: VertexId,
+        arena: &Arena<'_, G>,
+        member: &[bool],
+    ) -> Option<Self> {
         if !member[w as usize] {
             return None;
         }
@@ -383,36 +371,30 @@ impl OneKMove {
     }
 }
 
-/// The local path (see the [module docs](self)); `Ok(None)` when the
-/// certificate fails.
-fn local_repair(
-    n: usize,
-    batch: &LastBatch,
-    reads: &dyn NeighborAccess,
+/// Evict, refill, recover and certify `set` from `damage` (see the
+/// [module docs](self)); `Ok(None)` when the certificate fails.
+fn run<G: GraphScan + ?Sized>(
+    arena: &mut Arena<'_, G>,
     set: &[VertexId],
-    inserted: &[(VertexId, VertexId)],
+    damage: Damage,
     config: RepairConfig,
 ) -> io::Result<Option<UpdateRepairOutcome>> {
+    let n = arena.graph.num_vertices();
     let mut member = {
         let _span = mis_obs::span("repair", "repair.members");
-        let mut member = vec![false; n];
-        for &v in set {
-            member[v as usize] = true;
-        }
-        member
+        members(n, set)
     };
-    let mut arena = Arena::new(reads);
 
     // Evict, then refill the frontier in storage order.
     let (evicted, joined, mut seeds) = {
         let _span = mis_obs::span("repair", "repair.evict");
-        let evicted = evict(&mut member, inserted);
+        let evicted = evict(&mut member, &damage.inserted);
         let mut near = evicted.clone();
         arena.read_all(&mut near)?;
         let around = arena.around(&near);
         near.extend(around);
         let mut frontier = near.clone();
-        frontier.extend_from_slice(batch.touched());
+        frontier.extend_from_slice(&damage.touched);
         arena.read_all(&mut frontier)?;
         let mut joined = Vec::new();
         for &v in &frontier {
@@ -421,7 +403,7 @@ fn local_repair(
                 joined.push(v);
             }
         }
-        near.extend(batch.deleted().iter().flat_map(|&(u, v)| [u, v]));
+        near.extend(damage.seeds);
         (evicted, joined, near)
     };
 
@@ -443,7 +425,7 @@ fn local_repair(
             let mut round = RoundStats::default();
             let mut moved = Vec::new();
             for &w in &candidates {
-                if let Some(step) = OneKMove::delta(w, &arena, &member) {
+                if let Some(step) = OneKMove::delta(w, arena, &member) {
                     round.swapped_out += 1;
                     round.swapped_in += step.take.len() as u64;
                     step.perform(&mut member, &mut moved);
@@ -460,7 +442,7 @@ fn local_repair(
     }
 
     // Certify every vertex whose own state or neighbourhood may differ
-    // from the proved epoch before.
+    // from what the record vouches for.
     {
         let _span = mis_obs::span("repair", "repair.certify");
         let mut changed = evicted.clone();
@@ -468,7 +450,7 @@ fn local_repair(
         changed.extend(&moved_all);
         let mut region = arena.around(&changed);
         region.extend(changed);
-        region.extend_from_slice(batch.touched());
+        region.extend_from_slice(&damage.touched);
         arena.read_all(&mut region)?;
         let certified = region.iter().all(|&v| {
             let dominated = arena.neighbors(v).iter().any(|&u| member[u as usize]);
@@ -493,10 +475,10 @@ fn local_repair(
         swap: SwapOutcome {
             result: MisResult {
                 set: repaired,
-                file_scans: 0,
+                file_scans: arena.scans,
                 memory: MemoryModel {
                     state_bytes: n as u64,
-                    pager_bytes: reads.resident_bytes(),
+                    pager_bytes: arena.reads.map_or(0, |r| r.resident_bytes()),
                     ..MemoryModel::default()
                 },
             },
@@ -504,8 +486,6 @@ fn local_repair(
         },
         evicted: evicted.len() as u64,
         maximality_proved: config.verify,
-        verify_scans: 0,
-        local: true,
     }))
 }
 
@@ -522,14 +502,35 @@ mod tests {
         PinnedDelta::new(g.clone(), Arc::default(), 0)
     }
 
-    /// The repair fed by a conflict scan instead of the batch's inserts.
+    /// `graph` with its batch record hidden, so a repair on it starts
+    /// from the violation scan.
+    struct NoRecord<'a, G: ?Sized>(&'a G);
+
+    impl<G: GraphScan + ?Sized> GraphScan for NoRecord<'_, G> {
+        fn num_vertices(&self) -> usize {
+            self.0.num_vertices()
+        }
+
+        fn num_edges(&self) -> u64 {
+            self.0.num_edges()
+        }
+
+        fn scan(&self, f: &mut dyn FnMut(VertexId, &[VertexId])) -> io::Result<()> {
+            self.0.scan(f)
+        }
+
+        fn point_reads(&self) -> Option<&dyn NeighborAccess> {
+            self.0.point_reads()
+        }
+    }
+
+    /// The repair fed by the violation scan.
     fn scan_repair<G: GraphScan + ?Sized>(
         graph: &G,
         set: &[VertexId],
         config: RepairConfig,
     ) -> UpdateRepairOutcome {
-        let conflicts = conflicting_pairs(graph, set).unwrap();
-        repair_updated_set_from_ops(graph, set, &conflicts, config)
+        repair_updated_set_from_ops(&NoRecord(graph), set, &[], config)
     }
 
     #[test]
@@ -547,7 +548,7 @@ mod tests {
     }
 
     #[test]
-    fn conflicting_pairs_names_each_conflicting_edge_once() {
+    fn the_violation_scan_names_each_conflict_once_and_every_undominated_vertex() {
         // Path 0-1-2-3-4-5 plus inserted (0, 2) and (2, 4): with the set
         // {0, 2, 4, 5}, the conflicts are (0,2), (2,4) and the base edge
         // (4,5), each named once, lower endpoint first.
@@ -555,10 +556,15 @@ mod tests {
         let mut delta = edit(&g);
         delta.insert_edge(0, 2);
         delta.insert_edge(4, 2);
-        let mut pairs = conflicting_pairs(&delta, &[0, 2, 4, 5]).unwrap();
-        pairs.sort_unstable();
-        assert_eq!(pairs, vec![(0, 2), (2, 4), (4, 5)]);
-        assert!(conflicting_pairs(&g, &[0, 2, 4]).unwrap().is_empty());
+        let mut found = Arena::new(&delta).violation_scan(&[0, 2, 4, 5]).unwrap();
+        found.inserted.sort_unstable();
+        assert_eq!(found.inserted, vec![(0, 2), (2, 4), (4, 5)]);
+        assert!(found.seeds.is_empty());
+        // On the base with {0, 2}, nothing conflicts and 4, 5 have no
+        // member neighbour.
+        let found = Arena::new(&g).violation_scan(&[0, 2]).unwrap();
+        assert!(found.inserted.is_empty());
+        assert_eq!((found.touched, found.seeds), (vec![4, 5], vec![4, 5]));
     }
 
     #[test]
@@ -571,7 +577,7 @@ mod tests {
         let out = repair_updated_set_from_ops(&delta, &[0], &[], RepairConfig::default());
         assert_eq!(out.evicted, 0);
         assert!(out.maximality_proved);
-        assert_eq!(out.verify_scans, 1);
+        assert_eq!(out.swap.result.file_scans, 1, "the violation scan");
         assert_eq!(out.swap.result.set, vec![0, 2]);
     }
 
@@ -605,8 +611,9 @@ mod tests {
 
         let out = repair_updated_set_from_ops(&delta, &initial, &inserted, RepairConfig::default());
         assert!(out.evicted > 0, "conflicting insertions must evict");
-        assert!(out.maximality_proved, "proof scan must pass");
+        assert!(out.maximality_proved, "the certificate must pass");
         assert!(is_independent_set(&delta, &out.swap.result.set));
+        assert!(is_maximal_independent_set(&delta, &out.swap.result.set));
     }
 
     #[test]
@@ -621,18 +628,17 @@ mod tests {
 
     #[test]
     fn verify_flag_controls_proof_scan() {
+        // The certificate always runs; `verify` only decides whether the
+        // outcome reports it.
         let g = mis_gen::special::path(6);
-        let out = repair_updated_set_from_ops(
-            &g,
-            &[0],
-            &[],
-            RepairConfig {
-                recover_rounds: 1,
-                verify: false,
-            },
-        );
+        let config = RepairConfig {
+            recover_rounds: 1,
+            verify: false,
+        };
+        let out = repair_updated_set_from_ops(&g, &[0], &[], config);
         assert!(!out.maximality_proved);
-        assert_eq!(out.verify_scans, 0);
+        assert_eq!(out.swap.result.file_scans, 1, "the violation scan only");
+        assert!(is_maximal_independent_set(&g, &out.swap.result.set));
     }
 
     #[test]
@@ -699,43 +705,50 @@ mod tests {
         let sorted = OrderedCsr::degree_sorted(&g);
         let initial = Greedy::new().run(&sorted).set;
 
-        let mut delta = edit(&g);
-        let mut inserted = Vec::new();
-        for pair in initial.chunks_exact(2).take(40) {
-            delta.insert_edge(pair[0], pair[1]);
-            inserted.push((pair[0], pair[1]));
-        }
-        let mut deleted = 0;
+        let mut ops: Vec<(VertexId, VertexId, bool)> = initial
+            .chunks_exact(2)
+            .take(40)
+            .map(|pair| (pair[0], pair[1], true))
+            .collect();
         g.scan(&mut |v, ns| {
-            if deleted < 60 {
-                if let Some(&u) = ns.iter().find(|&&u| u > v) {
-                    delta.delete_edge(v, u);
-                    deleted += 1;
-                }
+            if ops.len() < 100 {
+                ops.extend(ns.iter().find(|&&u| u > v).map(|&u| (v, u, false)));
             }
         })
         .unwrap();
+        let mut view = edit(&g);
+        view.apply_batch(ops.iter().copied());
+        let inserted: Vec<_> = ops
+            .iter()
+            .filter(|op| op.2)
+            .map(|op| (op.0, op.1))
+            .collect();
 
-        let scanned = scan_repair(&delta, &initial, RepairConfig::default());
+        let scanned = scan_repair(&view, &initial, RepairConfig::default());
         let from_ops =
-            repair_updated_set_from_ops(&delta, &initial, &inserted, RepairConfig::default());
-        // The scan finds exactly the batch's conflicts → identical sets.
+            repair_updated_set_from_ops(&view, &initial, &inserted, RepairConfig::default());
+        // The scan finds exactly the batch's conflicts, so both evict the
+        // same members; the record revisits the deleted edges' endpoints
+        // too, which a scan cannot name, so the sets may differ.
         assert!(scanned.evicted > 0);
         assert_eq!(from_ops.evicted, scanned.evicted);
-        assert_eq!(from_ops.swap.result.set, scanned.swap.result.set);
-        assert!(from_ops.maximality_proved);
-        // Neither side spends a swap scan on eviction.
+        assert!(from_ops.maximality_proved && scanned.maximality_proved);
+        assert!(is_maximal_independent_set(&view, &scanned.swap.result.set));
+        assert!(is_maximal_independent_set(&view, &from_ops.swap.result.set));
         assert_eq!(
-            from_ops.swap.result.file_scans,
-            scanned.swap.result.file_scans
+            (
+                from_ops.swap.result.file_scans,
+                scanned.swap.result.file_scans
+            ),
+            (0, 1)
         );
 
         // Duplicates and reversed pairs do not double-evict.
         let mut noisy = inserted.clone();
         noisy.extend(inserted.iter().map(|&(u, v)| (v, u)));
-        let dup = repair_updated_set_from_ops(&delta, &initial, &noisy, RepairConfig::default());
-        assert_eq!(dup.evicted, scanned.evicted);
-        assert_eq!(dup.swap.result.set, scanned.swap.result.set);
+        let dup = repair_updated_set_from_ops(&view, &initial, &noisy, RepairConfig::default());
+        assert_eq!(dup.evicted, from_ops.evicted);
+        assert_eq!(dup.swap.result.set, from_ops.swap.result.set);
     }
 
     #[test]
@@ -760,8 +773,10 @@ mod tests {
             vec![(4, 2), (2, 0)],
             vec![(2, 4), (2, 4), (0, 2)],
         ] {
-            let ops =
-                repair_updated_set_from_ops(&delta, &initial, &batch, RepairConfig::default());
+            let mut view = edit(&g);
+            view.apply_batch(batch.iter().map(|&(u, v)| (u, v, true)));
+            let ops = repair_updated_set_from_ops(&view, &initial, &batch, RepairConfig::default());
+            assert_eq!(ops.swap.result.file_scans, 0, "batch {batch:?}");
             assert_eq!(ops.evicted, scanned.evicted, "batch {batch:?}");
             assert_eq!(
                 ops.swap.result.set, scanned.swap.result.set,
@@ -812,23 +827,18 @@ mod tests {
         let mut set = Greedy::new().run(&OrderedCsr::degree_sorted(&g)).set;
         for batch in batches(&g, 12, 150, 9) {
             view.apply_batch(batch);
-            let inserted = view.overlay().last_batch().unwrap().inserted().to_vec();
-            let out =
-                try_repair_updated_set_from_ops(&view, &set, &inserted, RepairConfig::default())
-                    .unwrap();
-            assert!(out.local, "epoch {}", view.epoch());
-            assert!(out.maximality_proved);
-            assert_eq!((out.swap.result.file_scans, out.verify_scans), (0, 0));
+            let config = RepairConfig::default();
+            let out = try_repair_since(&view, &set, view.epoch() - 1, config).unwrap();
+            assert!(out.maximality_proved, "epoch {}", view.epoch());
+            assert_eq!(out.swap.result.file_scans, 0);
             assert!(is_maximal_independent_set(&view, &out.swap.result.set));
-            // The whole-graph path on the same inputs proves too.
-            let whole = repair_updated_set_from_ops(
-                &view.clone().without_last_batch(),
-                &set,
-                &inserted,
-                RepairConfig::default(),
-            );
-            assert!(!whole.local && whole.maximality_proved);
-            assert_eq!(out.evicted, whole.evicted);
+            // The violation scan on the same view proves too, and finds
+            // the same conflicts.
+            let scanned = scan_repair(&view, &set, config);
+            assert!(scanned.maximality_proved);
+            assert_eq!(scanned.swap.result.file_scans, 1);
+            assert!(is_maximal_independent_set(&view, &scanned.swap.result.set));
+            assert_eq!(out.evicted, scanned.evicted);
             set = out.swap.result.set;
         }
     }
@@ -842,23 +852,26 @@ mod tests {
         let mut view = served(&g);
         view.apply_batch([(2, 3, false)]);
         let out = repair_updated_set_from_ops(&view, &[0, 3], &[], RepairConfig::default());
-        assert!(out.local);
+        assert_eq!(out.swap.result.file_scans, 0);
         assert_eq!(out.swap.result.set, vec![1, 2, 3]);
         assert_eq!(out.swap.stats.rounds[0].swapped_in, 2);
         assert_eq!(out.swap.stats.rounds[0].swapped_out, 1);
     }
 
     #[test]
-    fn a_failed_certificate_falls_back_to_the_whole_graph() {
+    fn a_failed_certificate_falls_back_to_the_violation_scan() {
         // Inserting (0, 2) between members without naming it leaves a
-        // conflict the local certificate sees.
+        // conflict the certificate sees; the violation scan finds it.
         let g = mis_gen::special::path(4);
         let mut view = served(&g);
         view.apply_batch([(0, 2, true)]);
         let out = repair_updated_set_from_ops(&view, &[0, 2], &[], RepairConfig::default());
-        assert!(!out.local);
+        assert_eq!((out.evicted, out.swap.result.file_scans), (1, 1));
+        assert!(out.maximality_proved);
+        assert_eq!(out.swap.result.set, vec![0, 3]);
         let named = repair_updated_set_from_ops(&view, &[0, 2], &[(0, 2)], RepairConfig::default());
-        assert!(named.local && named.maximality_proved);
+        assert_eq!(named.swap.result.file_scans, 0);
+        assert!(named.maximality_proved);
         assert_eq!(named.swap.result.set, vec![0, 3]);
     }
 
@@ -880,9 +893,10 @@ mod tests {
         let g = mis_gen::special::path(4);
         let mut view = edit(&g).with_access(SharedAccess::new(Box::new(FailingReads)));
         view.apply_batch([(0, 2, true)]);
-        let err =
-            try_repair_updated_set_from_ops(&view, &[0, 2], &[(0, 2)], RepairConfig::default())
-                .unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        for set_epoch in [0, 7] {
+            let err =
+                try_repair_since(&view, &[0, 2], set_epoch, RepairConfig::default()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        }
     }
 }

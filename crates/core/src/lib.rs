@@ -51,8 +51,7 @@ pub use dynamic::DynamicUpdate;
 pub use engine::{Executor, ParallelConfig, ScanPass};
 pub use greedy::{Baseline, Greedy};
 pub use incremental::{
-    conflicting_pairs, repair_updated_set_from_ops, try_repair_since,
-    try_repair_updated_set_from_ops, RepairConfig, UpdateRepairOutcome,
+    repair_updated_set_from_ops, try_repair_since, RepairConfig, UpdateRepairOutcome,
 };
 pub use onek::OneKSwap;
 pub use order::degree_order;

@@ -66,8 +66,8 @@
 //! it left inserted or deleted. Between the epoch before the batch and
 //! the batch's own epoch, the edge set differs only on those pairs, so a
 //! repair that was proved at the earlier epoch only has to revisit them.
-//! A [`PinnedDelta`] carrying a [`SharedAccess`] point-read handle over
-//! its base hands both out through [`GraphScan::last_batch`].
+//! A [`PinnedDelta`] hands the record out through
+//! [`GraphScan::last_batch`] at the batch's own epoch.
 
 use std::fmt;
 use std::io;
@@ -466,18 +466,15 @@ impl fmt::Debug for SharedAccess {
 /// with `PinnedDelta::new(base, Arc::default(), 0)`; the edit methods
 /// are copy-on-write, so a view cloned earlier keeps the overlay it had.
 ///
-/// A view may also carry a [`SharedAccess`] handle over its base. It
-/// then answers point reads of the merged graph ([`NeighborAccess`]),
-/// and hands out the overlay's [`LastBatch`] through
-/// [`GraphScan::last_batch`] when that batch produced the view's epoch.
+/// With a [`SharedAccess`] handle over its base, or over a base with
+/// [`GraphScan::point_reads`], the view answers point reads of the
+/// merged graph ([`NeighborAccess`]).
 #[derive(Debug, Clone)]
 pub struct PinnedDelta<G: GraphScan> {
     base: G,
     overlay: Arc<DeltaOverlay>,
     epoch: u64,
     access: Option<SharedAccess>,
-    /// Whether [`GraphScan::last_batch`] may hand out the record.
-    batch_visible: bool,
 }
 
 impl<G: GraphScan> PinnedDelta<G> {
@@ -489,21 +486,12 @@ impl<G: GraphScan> PinnedDelta<G> {
             overlay,
             epoch,
             access: None,
-            batch_visible: true,
         }
     }
 
     /// Attaches a point-access handle, which must read `base` itself.
     pub fn with_access(mut self, access: SharedAccess) -> Self {
         self.access = Some(access);
-        self
-    }
-
-    /// The same view with its [`LastBatch`] hidden from
-    /// [`GraphScan::last_batch`], for callers whose set was not proved
-    /// at the epoch just before this one.
-    pub fn without_last_batch(mut self) -> Self {
-        self.batch_visible = false;
         self
     }
 
@@ -559,43 +547,49 @@ impl<G: GraphScan> PinnedDelta<G> {
 }
 
 /// Point reads of the merged graph: the base record through the attached
-/// handle, with the overlay merged in canonical order. A view without a
-/// handle answers every read with [`io::ErrorKind::Unsupported`]. The
-/// callback runs with the handle locked, so it must not read through a
-/// view that shares the handle.
+/// handle, or else through the base's own point reads, with the overlay
+/// merged in canonical order. A view with neither answers every read
+/// with [`io::ErrorKind::Unsupported`]. The callback runs with the
+/// handle locked, so it must not read through a view that shares the
+/// handle.
 impl<G: GraphScan> NeighborAccess for PinnedDelta<G> {
     fn with_neighbors(&self, v: VertexId, f: &mut dyn FnMut(&[VertexId])) -> io::Result<()> {
-        let access = self.access.as_ref().ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::Unsupported,
-                "no point-access handle attached to this view",
-            )
-        })?;
         let mut merged = Vec::new();
-        access.lock()?.with_neighbors(v, &mut |ns| {
+        let mut merge = |ns: &[VertexId]| {
             if self.overlay.merge_record(v, ns, &mut merged) {
                 f(&merged);
             } else {
                 f(ns);
             }
-        })
+        };
+        match (&self.access, self.base.point_reads()) {
+            (Some(access), _) => access.lock()?.with_neighbors(v, &mut merge),
+            (None, Some(base)) => base.with_neighbors(v, &mut merge),
+            (None, None) => Err(io::Error::new(
+                io::ErrorKind::Unsupported,
+                "no point reads for this view: no handle, and a scan-only base",
+            )),
+        }
     }
 
     fn record_rank(&self, v: VertexId) -> u64 {
-        // A rank is an index lookup, safe behind a poisoned lock.
-        self.access.as_ref().map_or(u64::from(v), |a| {
-            a.0.lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .record_rank(v)
-        })
+        self.lookup(|reads| reads.record_rank(v))
+            .unwrap_or(u64::from(v))
     }
 
     fn resident_bytes(&self) -> u64 {
-        self.access.as_ref().map_or(0, |a| {
-            a.0.lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .resident_bytes()
-        })
+        self.lookup(|reads| reads.resident_bytes()).unwrap_or(0)
+    }
+}
+
+impl<G: GraphScan> PinnedDelta<G> {
+    /// `f` over the base's point reads, the handle's or else the base's
+    /// own, for an index lookup, which is safe behind a poisoned lock.
+    fn lookup<T>(&self, f: impl FnOnce(&dyn NeighborAccess) -> T) -> Option<T> {
+        match &self.access {
+            Some(a) => Some(f(&**a.0.lock().unwrap_or_else(PoisonError::into_inner))),
+            None => self.base.point_reads().map(f),
+        }
     }
 }
 
@@ -628,10 +622,15 @@ impl<G: GraphScan> GraphScan for PinnedDelta<G> {
         "pinned-delta"
     }
 
-    fn last_batch(&self) -> Option<(&LastBatch, &dyn NeighborAccess)> {
-        let batch = self.overlay.last_batch()?;
-        (self.batch_visible && self.access.is_some() && batch.epoch() == self.epoch)
-            .then_some((batch, self as &dyn NeighborAccess))
+    fn last_batch(&self) -> Option<&LastBatch> {
+        self.overlay
+            .last_batch()
+            .filter(|batch| batch.epoch() == self.epoch)
+    }
+
+    fn point_reads(&self) -> Option<&dyn NeighborAccess> {
+        (self.access.is_some() || self.base.point_reads().is_some())
+            .then_some(self as &dyn NeighborAccess)
     }
 }
 
@@ -918,33 +917,58 @@ mod tests {
         SharedAccess::new(Box::new(g.clone()))
     }
 
+    /// `g` without point reads, as a file is.
+    struct ScanOnly(CsrGraph);
+
+    impl GraphScan for ScanOnly {
+        fn num_vertices(&self) -> usize {
+            self.0.num_vertices()
+        }
+
+        fn num_edges(&self) -> u64 {
+            self.0.num_edges()
+        }
+
+        fn scan(&self, f: &mut dyn FnMut(VertexId, &[VertexId])) -> io::Result<()> {
+            self.0.scan(f)
+        }
+    }
+
     #[test]
     fn pinned_point_queries_merge_the_overlay() {
         let g = base();
-        let mut pinned = edit(&g);
-        pinned.insert_edge(0, 3);
-        pinned.delete_edge(0, 1);
-        let err = pinned.with_neighbors(0, &mut |_| {}).unwrap_err();
+        let mut scan_only = PinnedDelta::new(ScanOnly(g.clone()), Arc::default(), 0);
+        scan_only.insert_edge(0, 3);
+        scan_only.delete_edge(0, 1);
+        assert!(scan_only.point_reads().is_none());
+        let err = scan_only.with_neighbors(0, &mut |_| {}).unwrap_err();
         assert_eq!(
             err.kind(),
             io::ErrorKind::Unsupported,
-            "no handle, no reads"
+            "no handle and a scan-only base: no reads"
         );
-        let pinned = pinned.with_access(handle(&g));
-        let mut got = Vec::new();
-        // Vertex 0's base record is [1]; the view deletes 1, adds 3.
-        pinned
-            .with_neighbors(0, &mut |ns| got = ns.to_vec())
-            .unwrap();
-        assert_eq!(got, vec![3]);
-        // An untouched vertex passes its base record through.
-        pinned
-            .with_neighbors(2, &mut |ns| got = ns.to_vec())
-            .unwrap();
-        assert_eq!(got, vec![1]);
-        assert!(!pinned.overlay().touches(2));
-        assert!(pinned.overlay().touches(0));
-        assert_eq!(pinned.record_rank(3), 3, "CSR storage order is id order");
+        let with_handle = scan_only.with_access(handle(&g));
+        let mut in_memory = edit(&g);
+        in_memory.insert_edge(0, 3);
+        in_memory.delete_edge(0, 1);
+        // A handle, or a base with point reads of its own.
+        for pinned in [&with_handle as &dyn GraphScan, &in_memory] {
+            let reads = pinned.point_reads().unwrap();
+            let mut got = Vec::new();
+            // Vertex 0's base record is [1]; the view deletes 1, adds 3.
+            reads
+                .with_neighbors(0, &mut |ns| got = ns.to_vec())
+                .unwrap();
+            assert_eq!(got, vec![3]);
+            // An untouched vertex passes its base record through.
+            reads
+                .with_neighbors(2, &mut |ns| got = ns.to_vec())
+                .unwrap();
+            assert_eq!(got, vec![1]);
+            assert_eq!(reads.record_rank(3), 3, "CSR storage order is id order");
+        }
+        assert!(!in_memory.overlay().touches(2));
+        assert!(in_memory.overlay().touches(0));
     }
 
     #[test]
@@ -977,18 +1001,14 @@ mod tests {
         assert_eq!(batch.deleted(), &[(1, 2), (3, 4)]);
         assert!(single.overlay().last_batch().is_none());
 
-        // The view hands the record out only with a handle, at the
-        // record's own epoch, and not once it is hidden.
-        assert!(batched.last_batch().is_none());
-        let view = batched.with_access(handle(&g));
-        assert_eq!(view.last_batch().map(|(b, _)| b), Some(&batch));
-        assert!(view.clone().without_last_batch().last_batch().is_none());
-        let later = PinnedDelta::new(g.clone(), Arc::clone(view.overlay()), 2);
-        assert!(later.with_access(handle(&g)).last_batch().is_none());
+        // The view hands the record out at the record's own epoch only.
+        assert_eq!(batched.last_batch(), Some(&batch));
+        let later = PinnedDelta::new(g.clone(), Arc::clone(batched.overlay()), 2);
+        assert!(later.last_batch().is_none());
         // A single edit after the batch drops the record.
-        let mut edited = view.clone();
+        let mut edited = batched.clone();
         edited.insert_edge(1, 3);
         assert!(edited.last_batch().is_none());
-        assert!(view.last_batch().is_some(), "copy-on-write keeps it");
+        assert!(batched.last_batch().is_some(), "copy-on-write keeps it");
     }
 }

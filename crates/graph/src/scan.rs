@@ -20,6 +20,9 @@
 //! [`RecordBlock`]s. It is the one hand-out unit of the parallel
 //! execution engine for every storage: the engine needs nothing else
 //! from a format.
+//!
+//! Two independent, optional hooks serve the incremental repair:
+//! [`GraphScan::last_batch`] and [`GraphScan::point_reads`].
 
 use std::io;
 
@@ -84,12 +87,18 @@ pub trait GraphScan: Sync {
         "unknown"
     }
 
-    /// The record of the one batch that produced this view's epoch,
-    /// together with point reads of this view's records, when the view
-    /// carries both. Only an epoch-pinned overlay view
-    /// ([`crate::PinnedDelta`]) with a point-access handle does; every
-    /// other graph is scan-only and returns `None`.
-    fn last_batch(&self) -> Option<(&LastBatch, &dyn NeighborAccess)> {
+    /// The record of the one batch that produced this view's epoch, when
+    /// the view keeps one. Only an epoch-pinned overlay view
+    /// ([`crate::PinnedDelta`]) does; every other graph returns `None`.
+    fn last_batch(&self) -> Option<&LastBatch> {
+        None
+    }
+
+    /// Point reads of this graph's own records, ranked in the storage
+    /// order of [`GraphScan::scan`], when it has them: the in-memory
+    /// graphs do, and so does a [`crate::PinnedDelta`] with a handle or
+    /// over a base that has them. Files are scan-only.
+    fn point_reads(&self) -> Option<&dyn NeighborAccess> {
         None
     }
 }
@@ -205,6 +214,10 @@ impl GraphScan for CsrGraph {
     fn storage(&self) -> &'static str {
         "csr"
     }
+
+    fn point_reads(&self) -> Option<&dyn NeighborAccess> {
+        Some(self)
+    }
 }
 
 /// An in-memory CSR graph scanned in an explicit record order.
@@ -309,6 +322,10 @@ impl GraphScan for OrderedCsr<'_> {
 
     fn storage(&self) -> &'static str {
         "csr-ordered"
+    }
+
+    fn point_reads(&self) -> Option<&dyn NeighborAccess> {
+        Some(self)
     }
 }
 

@@ -88,12 +88,12 @@
 //!   [`requests::RequestStats`] rather than as trace events, so a
 //!   million probes cost two histogram increments, not a million spans.
 //! * cat `"repair"` — the steps of one incremental repair, nested in
-//!   `serve.repair` when a flush runs it: on the local path
+//!   `serve.repair` when a flush runs it: `repair.scan` (the violation
+//!   scan, when the batch record does not reach back to the set),
 //!   `repair.members` (the membership array), `repair.evict` (eviction
 //!   and the frontier refill), `repair.recover` (the 1↔k moves),
 //!   `repair.certify` (the local maximality certificate) and
-//!   `repair.collect` (the set collect); `repair.whole_graph` when the
-//!   repair scans the whole graph instead.
+//!   `repair.collect` (the set collect).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

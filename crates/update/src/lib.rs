@@ -34,9 +34,9 @@
 //!   and one point-access handle together: `append_ops` (applies each
 //!   committed batch to the overlay, keeping its record, then rolls and
 //!   merges segments per its one [`store::RollPolicy`]) → `apply`
-//!   (repairs via [`mis_core::try_repair_since`] on the
-//!   overlaid base — by point reads one epoch behind, otherwise fed the
-//!   conflicting members of one scan — and re-checkpoints) → `compact`
+//!   (repairs via [`mis_core::try_repair_since`] on the overlaid base
+//!   by point reads — from the batch record one epoch behind, otherwise
+//!   after one violation scan — and re-checkpoints) → `compact`
 //!   (merge into a fresh adjacency file, truncate the log);
 //! * [`serve::ServeEngine`] — the long-running front end behind `mis
 //!   serve`: batches updates into epochs through the same store and the

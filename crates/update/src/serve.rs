@@ -3,9 +3,9 @@
 //! [`ServeEngine`] is what the `mis serve` process wraps around an
 //! [`UpdateStore`]: edge updates are **batched** into WAL epochs, the
 //! maintained independent set is repaired **incrementally** per epoch
-//! (via [`mis_core::repair_updated_set_from_ops`] — eviction walks the
-//! batch, not the graph), and queries are answered from an epoch-pinned
-//! [`ServeView`] that ingest never blocks.
+//! (via [`mis_core::try_repair_since`] — the repair reads what the batch
+//! touched, not the graph), and queries are answered from an
+//! epoch-pinned [`ServeView`] that ingest never blocks.
 //!
 //! ## Concurrency protocol
 //!
@@ -36,15 +36,16 @@
 //! (its `repair.*` steps nest inside it), `serve.checkpoint` and
 //! `serve.publish` (with `serve.build_view`).
 //!
-//! ## Local repairs
+//! ## Repairs
 //!
 //! A flush whose published view is at the epoch just before its own
-//! repairs locally: the pinned view carries the store's record of the
-//! batch and the store's point-access handle, so the repair reads only
-//! what the batch touched and starts no scan. After a failed flush left
-//! a gap (its append committed, its checkpoint did not), the next flush
-//! hides the record and takes the whole-graph path, fed the conflicts
-//! of one scan; STATS counts those as `whole_graph_repairs`.
+//! repairs from the batch: the pinned view carries the store's record of
+//! the batch and the store's point-access handle, so the repair reads
+//! only what the batch touched and starts no scan. After a failed flush
+//! left a gap (its append committed, its checkpoint or a roll did not),
+//! the record no longer reaches back to the published set, so the next
+//! flush's repair starts from one violation scan, then reads the same
+//! way; STATS counts those flushes as `scan_repairs`.
 //!
 //! The point-access path belongs to the store: it opens one paged
 //! handle over its base (plain, compressed or sharded — whatever backs
@@ -151,8 +152,6 @@ pub struct FlushReport {
     pub set_size: usize,
     /// Whether the proof certified maximality.
     pub maximality_proved: bool,
-    /// Whether the repair took the local path (no scan).
-    pub local: bool,
     /// Whether the WAL rolled into a sealed segment.
     pub rolled: bool,
     /// Segments merged by a partial compaction, if one ran.
@@ -174,8 +173,8 @@ pub struct ServeStats {
     pub rolls: u64,
     /// Partial (segment) compactions performed.
     pub compactions: u64,
-    /// Flushes whose repair took the whole-graph path.
-    pub whole_graph_repairs: u64,
+    /// Flushes whose repair had to scan (after a gap).
+    pub scan_repairs: u64,
     /// Requests answered, by kind, with latency quantiles.
     pub requests: Vec<(&'static str, RequestSummary)>,
 }
@@ -192,7 +191,7 @@ pub struct ServeEngine {
     flushes: AtomicU64,
     rolls: AtomicU64,
     compactions: AtomicU64,
-    whole_graph_repairs: AtomicU64,
+    scan_repairs: AtomicU64,
 }
 
 impl std::fmt::Debug for ServeEngine {
@@ -232,7 +231,7 @@ impl ServeEngine {
             flushes: AtomicU64::new(0),
             rolls: AtomicU64::new(0),
             compactions: AtomicU64::new(0),
-            whole_graph_repairs: AtomicU64::new(0),
+            scan_repairs: AtomicU64::new(0),
         })
     }
 
@@ -316,15 +315,15 @@ impl ServeEngine {
         }
 
         // Repair part: store unlocked — readers and submitters proceed.
-        // Locally when the published view is at the epoch just before;
-        // after a gap, on the whole graph.
+        // From the batch when the published view is at the epoch just
+        // before; after a gap, from one violation scan.
         let prev = self.view();
         let out = {
             let _span = mis_obs::span("serve", "serve.repair");
             try_repair_since(&pinned, prev.set(), prev.epoch(), self.config.repair)?
         };
-        if !out.local {
-            self.whole_graph_repairs.fetch_add(1, Ordering::Relaxed);
+        if out.swap.result.file_scans > 0 {
+            self.scan_repairs.fetch_add(1, Ordering::Relaxed);
         }
         let report = FlushReport {
             epoch: pinned.epoch(),
@@ -332,7 +331,6 @@ impl ServeEngine {
             evicted: out.evicted,
             set_size: out.swap.result.set.len(),
             maximality_proved: out.maximality_proved,
-            local: out.local,
             rolled: appended.rolled,
             compacted: appended.merged,
         };
@@ -395,7 +393,7 @@ impl ServeEngine {
             flushes: self.flushes.load(Ordering::Relaxed),
             rolls: self.rolls.load(Ordering::Relaxed),
             compactions: self.compactions.load(Ordering::Relaxed),
-            whole_graph_repairs: self.whole_graph_repairs.load(Ordering::Relaxed),
+            scan_repairs: self.scan_repairs.load(Ordering::Relaxed),
             requests: self.requests.summaries(),
         };
         self.requests
@@ -618,49 +616,63 @@ mod tests {
     }
 
     #[test]
-    fn a_flush_after_a_gap_repairs_the_whole_graph() {
-        let dir = ScratchDir::new("serve-gap").unwrap();
-        let eng = engine(
-            &dir,
-            ServeConfig {
+    fn a_flush_after_a_gap_repairs_from_one_scan() {
+        // A checkpoint path blocked by a directory, or a segment
+        // directory path blocked by a file when the second epoch rolls:
+        // the append commits epoch 2, the flush fails, and epoch 1 stays
+        // published.
+        for (blocked, roll_epochs) in [("is.ckpt", 8), ("edits.segs", 2)] {
+            let dir = ScratchDir::new("serve-gap").unwrap();
+            let store = store(&dir);
+            let stats = Arc::clone(store.stats());
+            let config = ServeConfig {
                 batch_ops: usize::MAX,
+                roll_epochs,
                 ..ServeConfig::default()
-            },
-        );
-        eng.submit(&churn(&eng, 3)).unwrap();
-        let first = eng.flush().unwrap().unwrap();
-        assert!(first.local && first.maximality_proved);
+            };
+            let eng = ServeEngine::new(store, config).unwrap();
+            eng.submit(&churn(&eng, 3)).unwrap();
+            assert!(eng.flush().unwrap().unwrap().maximality_proved);
 
-        // The checkpoint cannot be replaced while its path is a
-        // directory: the append commits epoch 2, the flush fails, and
-        // epoch 1 stays published.
-        let ckpt = dir.file("is.ckpt");
-        std::fs::remove_file(&ckpt).unwrap();
-        std::fs::create_dir(&ckpt).unwrap();
-        eng.submit(&churn(&eng, 5)).unwrap();
-        assert!(eng.flush().is_err());
-        assert_eq!(eng.view().epoch(), 1);
-        std::fs::remove_dir(&ckpt).unwrap();
-        assert_eq!(eng.store_status().unwrap().last_epoch, 2);
+            let path = dir.file(blocked);
+            if path.exists() {
+                std::fs::remove_file(&path).unwrap();
+                std::fs::create_dir(&path).unwrap();
+            } else {
+                std::fs::write(&path, b"").unwrap();
+            }
+            eng.submit(&churn(&eng, 5)).unwrap();
+            assert!(eng.flush().is_err(), "{blocked}");
+            assert_eq!(eng.view().epoch(), 1);
+            if path.is_dir() {
+                std::fs::remove_dir(&path).unwrap();
+            } else {
+                std::fs::remove_file(&path).unwrap();
+            }
+            assert_eq!(eng.store_status().unwrap().last_epoch, 2);
 
-        // The next flush sees epoch 3 pinned two epochs past the view.
-        let prev = eng.view();
-        eng.submit(&churn(&eng, 7)).unwrap();
-        let report = eng.flush().unwrap().unwrap();
-        assert_eq!(report.epoch, prev.epoch() + 2);
-        assert!(!report.local);
-        assert!(report.maximality_proved);
-        let view = eng.view();
-        assert!(mis_core::is_maximal_independent_set(
-            view.graph(),
-            view.set()
-        ));
-        assert_eq!(eng.stats().whole_graph_repairs, 1);
+            // The next flush pins epoch 3, two epochs past the view: one
+            // violation scan, then point reads.
+            eng.submit(&churn(&eng, 7)).unwrap();
+            let scans = stats.snapshot().scans_started;
+            let report = eng.flush().unwrap().unwrap();
+            assert_eq!(stats.snapshot().scans_started - scans, 1, "{blocked}");
+            assert_eq!(report.epoch, 3);
+            assert!(report.maximality_proved);
+            let view = eng.view();
+            assert!(mis_core::is_maximal_independent_set(
+                view.graph(),
+                view.set()
+            ));
+            assert_eq!(eng.stats().scan_repairs, 1);
 
-        // The one after it is local again.
-        eng.submit(&churn(&eng, 9)).unwrap();
-        assert!(eng.flush().unwrap().unwrap().local);
-        assert_eq!(eng.stats().whole_graph_repairs, 1);
+            // The one after it repairs from its batch, with no scan.
+            eng.submit(&churn(&eng, 9)).unwrap();
+            let scans = stats.snapshot().scans_started;
+            assert!(eng.flush().unwrap().unwrap().maximality_proved);
+            assert_eq!(stats.snapshot().scans_started, scans, "{blocked}");
+            assert_eq!(eng.stats().scan_repairs, 1);
+        }
     }
 
     #[test]

@@ -18,10 +18,9 @@
 //! * [`UpdateStore::apply`] — bring the maintained independent set up to
 //!   the last committed epoch: resume from the checkpointed set (or
 //!   bootstrap one with Greedy), hand it to the one incremental repair
-//!   ([`try_repair_since`]) — locally, from the record of
-//!   the last batch, when the checkpoint is one epoch behind; otherwise
-//!   fed the members an edge now connects, found with one scan — and
-//!   write a fresh checkpoint;
+//!   ([`try_repair_since`]) — from the record of the last batch when the
+//!   checkpoint is one epoch behind, otherwise from one violation scan —
+//!   and write a fresh checkpoint;
 //! * [`UpdateStore::compact_segments`] — the leveled/partial compactor:
 //!   merge a run of overlapping sealed segments into one (superseded
 //!   per-pair operations elided) without touching the WAL or the base,
@@ -71,9 +70,9 @@
 //! ([`AnyAdjFile::open_random_access`], under [`UpdateStore::set_pager`]'s
 //! budget). The first [`UpdateStore::apply`] opens it, paying the one
 //! index-build scan; a full compaction reopens it over the new base.
-//! Every snapshot taken after that carries it, so local repairs and the
-//! serve engine's neighborhood queries read through it. `mis update
-//! append` and `status` never open it.
+//! Every snapshot taken after that carries it, so repairs and the serve
+//! engine's neighborhood queries read through it and never read records
+//! by scans. `mis update append` and `status` never open it.
 //!
 //! ## Crash recovery
 //!
@@ -91,7 +90,9 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
-use mis_core::{try_repair_since, try_repair_updated_set_from_ops, Greedy, RepairConfig};
+use mis_core::{
+    is_maximal_independent_set, try_repair_since, Greedy, OneKSwap, RepairConfig, SwapConfig,
+};
 use mis_graph::{
     split_adj_file, AnyAdjFile, DeltaOverlay, GapCodec, GraphScan, PinnedDelta, PlainCodec,
     RecordCodec, RecordWriter, SharedAccess, SplitOptions, VertexId,
@@ -243,11 +244,11 @@ pub struct ApplyReport {
     pub up_to_date: bool,
     /// Members evicted because an inserted edge connected them.
     pub evicted: u64,
-    /// Swap and proof scans the maintenance performed. A resumed apply
-    /// first scans once for conflicting members; that scan is not
-    /// counted here ([`IoStats`] counts it).
+    /// Accounted scans the maintenance performed: a bootstrap's Greedy,
+    /// swap and proof scans, or a repair's (0 one epoch behind, else 1,
+    /// the violation scan); not the handle's index build.
     pub file_scans: u64,
-    /// Whether the proof scan certified maximality on the edited graph.
+    /// Whether the proof certified maximality on the edited graph.
     pub maximality_proved: bool,
     /// The checkpointed independent set, ascending.
     pub set: Vec<VertexId>,
@@ -712,19 +713,19 @@ impl UpdateStore {
     /// epoch and checkpoints it, opening the point-access handle first
     /// if it is not open yet.
     ///
-    /// A checkpoint one epoch behind is repaired locally: the overlay
-    /// holds the record of the one batch since, even after a reopen, so
-    /// the repair ([`try_repair_since`]) reads only what that batch
-    /// touched. Any other checkpoint — older, or from before a full
-    /// compaction dropped the record — takes the whole-graph path, fed
-    /// the members an edge now connects, found with one scan of the
-    /// pinned view: the log may no longer reach back to the checkpoint.
+    /// The repair ([`try_repair_since`]) reads only what the batches
+    /// since the checkpoint could have changed. One epoch behind, the
+    /// overlay holds the record of the one batch since, even after a
+    /// reopen, and no scan runs. Any other checkpoint — older, or from
+    /// before a full compaction dropped the record — costs one violation
+    /// scan of the pinned view, which finds what the log may no longer
+    /// name.
     ///
     /// Without a checkpoint, Greedy bootstraps the set. When its pass
     /// saw the records out of ascending-degree order it ran as the
-    /// unsorted BASELINE, so the whole-graph repair lifts its set before
-    /// local repairs take over, since those never revisit what a batch
-    /// did not touch.
+    /// unsorted BASELINE, so early-stopped one-k rounds lift its set
+    /// before repairs take over, since those never revisit what a batch
+    /// did not touch; then the proof scan.
     pub fn apply(&self, config: RepairConfig) -> io::Result<ApplyReport> {
         let _span = mis_obs::span("store", "store.apply");
         self.point_access()?;
@@ -757,7 +758,7 @@ impl UpdateStore {
                     set: ckpt.set,
                 });
             }
-            // Resume from the checkpointed set: evict, recover, prove.
+            // Resume from the checkpointed set: evict, recover, certify.
             Some(ckpt) => {
                 let out = try_repair_since(&delta, &ckpt.set, ckpt.epoch, config)?;
                 ApplyReport {
@@ -766,7 +767,7 @@ impl UpdateStore {
                     bootstrapped: false,
                     up_to_date: false,
                     evicted: out.evicted,
-                    file_scans: out.swap.result.file_scans + out.verify_scans,
+                    file_scans: out.swap.result.file_scans,
                     maximality_proved: out.maximality_proved,
                     set: out.swap.result.set,
                 }
@@ -774,23 +775,21 @@ impl UpdateStore {
             // First apply ever: bootstrap with Greedy on the edited graph.
             None => {
                 let (greedy, degree_sorted) = Greedy::new().run_observing_order(&delta);
-                let (set, file_scans, maximality_proved) = if degree_sorted {
-                    let proved =
-                        config.verify && mis_core::is_maximal_independent_set(&delta, &greedy.set);
-                    (greedy.set, u64::from(config.verify), proved)
+                let (set, swap_scans) = if degree_sorted {
+                    (greedy.set, 0)
                 } else {
-                    let delta = delta.without_last_batch();
-                    let out = try_repair_updated_set_from_ops(&delta, &greedy.set, &[], config)?;
-                    let scans = out.swap.result.file_scans + out.verify_scans;
-                    (out.swap.result.set, scans, out.maximality_proved)
+                    let swap = OneKSwap::with_config(SwapConfig::early_stop(config.recover_rounds))
+                        .run(&delta, &greedy.set);
+                    (swap.result.set, swap.result.file_scans)
                 };
+                let maximality_proved = config.verify && is_maximal_independent_set(&delta, &set);
                 ApplyReport {
                     epoch: target,
                     resumed_from: 0,
                     bootstrapped: true,
                     up_to_date: false,
                     evicted: 0,
-                    file_scans: greedy.file_scans + file_scans,
+                    file_scans: greedy.file_scans + swap_scans + u64::from(config.verify),
                     maximality_proved,
                     set,
                 }
@@ -1586,9 +1585,15 @@ mod tests {
         store.append_ops(&[EdgeOp::Insert(u, v)]).unwrap();
         store.append_ops(&[EdgeOp::Delete(u, v)]).unwrap();
         // The base loses its last third under the open store: two epochs
-        // behind, the conflict scan is the first to read it.
+        // behind, the violation scan is the first to read it.
         truncate_base(&dir, |len| len * 2 / 3);
         let err = store.apply(RepairConfig::default()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        let set = Checkpoint::load(&dir.file("is.ckpt"), store.stats())
+            .unwrap()
+            .set;
+        let view = store.snapshot().pinned();
+        let err = try_repair_since(&view, &set, 0, RepairConfig::default()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
@@ -1638,11 +1643,11 @@ mod tests {
         assert_eq!((report.file_scans, scans), (0, 0));
         assert!(report.evicted > 0);
 
-        // Two epochs behind: one conflict scan plus the repair's seven.
+        // Two epochs behind: the violation scan, then point reads.
         store.append_ops(&batch(1)).unwrap();
         store.append_ops(&batch(2)).unwrap();
         let (report, scans) = apply(&store);
-        assert_eq!((report.file_scans, scans), (7, 8));
+        assert_eq!((report.file_scans, scans), (1, 1));
 
         // After a reopen the record is rebuilt from the log.
         store.append_ops(&batch(3)).unwrap();
@@ -1664,12 +1669,12 @@ mod tests {
             "the index build only"
         );
 
-        // A full compaction drops the record: whole-graph again.
+        // A full compaction drops the record: the violation scan again.
         store.append_ops(&batch(4)).unwrap();
         store.compact(&dir.file("base2.adj")).unwrap();
         assert!(store.snapshot().pinned().last_batch().is_none());
-        let (report, _) = apply(&store);
-        assert_eq!(report.file_scans, 7);
+        let (report, scans) = apply(&store);
+        assert_eq!((report.file_scans, scans), (1, 1));
         // ... until the next batch.
         store.append_ops(&batch(5)).unwrap();
         let (report, scans) = apply(&store);

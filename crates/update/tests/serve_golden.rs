@@ -5,12 +5,13 @@
 //! inserted earlier in the stream), rolling the WAL into segments and
 //! merging segments along the way, twice:
 //!
-//! * [`GOLDEN`]: through an `UpdateStore`, a Greedy bootstrap and
-//!   `repair_updated_set_from_ops` on views with the batch record
-//!   hidden — the whole-graph repair, seven scans an epoch;
+//! * [`GOLDEN`]: through an `UpdateStore`, a Greedy bootstrap and the
+//!   one-k reference repair of `common`, built in the test from
+//!   eviction, early-stopped one-k rounds and the proof scan — seven
+//!   scans an epoch;
 //! * [`LOCAL_GOLDEN`]: through [`ServeEngine`], whose flushes repair
-//!   locally by point reads; every epoch is also audited with a full
-//!   scan.
+//!   locally by point reads, with no scan; every epoch is also audited
+//!   with a full scan.
 //!
 //! Every epoch pins the set's size, the members its batch evicted,
 //! whether the repair proved maximality, and an FNV-1a hash of the set.
@@ -21,9 +22,11 @@
 //! must reproduce these lines exactly; a mismatch prints the actual
 //! table for review.
 
+mod common;
+
 use std::sync::Arc;
 
-use mis_core::{is_maximal_independent_set, repair_updated_set_from_ops, Greedy};
+use mis_core::{is_maximal_independent_set, Greedy};
 use mis_extmem::{IoStats, ScratchDir};
 use mis_gen::{churn_stream, ChurnKind};
 use mis_graph::{build_adj_file, CsrGraph};
@@ -152,8 +155,8 @@ fn e0(name: &str, set: &[u32], proved: bool) -> String {
     )
 }
 
-/// The whole-graph repair, epoch by epoch, on record-free views.
-fn whole_graph_lines(case: &Case) -> Vec<String> {
+/// The one-k reference repair, epoch by epoch.
+fn reference_lines(case: &Case) -> Vec<String> {
     let name = case.name();
     let dir = ScratchDir::new("serve-golden").unwrap();
     let (graph, mut store) = case.open(&dir);
@@ -169,12 +172,11 @@ fn whole_graph_lines(case: &Case) -> Vec<String> {
     for ops in case.batches(&graph) {
         let epoch = store.append_ops(&ops).unwrap().epoch;
         let view = store.snapshot().pinned();
-        let inserted = view.overlay().last_batch().unwrap().inserted().to_vec();
-        let out =
-            repair_updated_set_from_ops(&view.without_last_batch(), &set, &inserted, config.repair);
-        assert!(!out.local);
-        set = out.swap.result.set;
-        lines.push(line(&name, epoch, &set, out.evicted, out.maximality_proved));
+        let inserted = view.overlay().last_batch().unwrap().inserted();
+        let (repaired, evicted, proved) =
+            common::one_k_reference(&view, &set, inserted, config.repair);
+        set = repaired;
+        lines.push(line(&name, epoch, &set, evicted, proved));
     }
     lines
 }
@@ -184,14 +186,21 @@ fn local_lines(case: &Case) -> Vec<String> {
     let name = case.name();
     let dir = ScratchDir::new("serve-golden-local").unwrap();
     let (graph, store) = case.open(&dir);
+    let stats = Arc::clone(store.stats());
     let engine = ServeEngine::new(store, case.config()).unwrap();
     let view = engine.view();
     let mut lines = vec![e0(&name, view.set(), view.maximality_proved())];
     for ops in case.batches(&graph) {
         engine.submit(&ops).unwrap();
+        let scans = stats.snapshot().scans_started;
         let report = engine.flush().unwrap().unwrap();
         let view = engine.view();
-        assert!(report.local, "{name} e{}", report.epoch);
+        assert_eq!(
+            stats.snapshot().scans_started,
+            scans,
+            "{name} e{}",
+            report.epoch
+        );
         assert_eq!(view.set().len(), report.set_size);
         assert!(is_maximal_independent_set(view.graph(), view.set()));
         let proved = report.maximality_proved;
@@ -226,7 +235,7 @@ fn check(actual: &[String], golden: &[&str]) {
 
 /// Recorded through `ServeEngine` with the overlay that replayed the log
 /// into per-vertex hash-map lists on every snapshot, when every flush
-/// ran the whole-graph repair.
+/// ran this repair over full scans.
 const GOLDEN: &[&str] = &[
     "plrg-n5000-s1 e0: set=2436 proved=true hash=e00eb64ccfc3fde9",
     "plrg-n5000-s1 e1: set=3225 evicted=42 proved=true hash=d609c6a1da8dbe44",
@@ -258,8 +267,8 @@ const GOLDEN: &[&str] = &[
 ];
 
 /// Recorded from `ServeEngine` with local epoch repairs: a Greedy
-/// bootstrap lifted by one whole-graph repair (the bases are id-ordered),
-/// then every flush by point reads.
+/// bootstrap lifted by early-stopped one-k rounds (the bases are
+/// id-ordered), then every flush by point reads.
 const LOCAL_GOLDEN: &[&str] = &[
     "plrg-n5000-s1 e0: set=3277 proved=true hash=9d1a644599c34dc0",
     "plrg-n5000-s1 e1: set=3237 evicted=86 proved=true hash=52d4cfbe3fa637c0",
@@ -291,8 +300,8 @@ const LOCAL_GOLDEN: &[&str] = &[
 ];
 
 #[test]
-fn whole_graph_repairs_match_golden_outputs() {
-    let actual: Vec<String> = CASES.iter().flat_map(whole_graph_lines).collect();
+fn reference_repairs_match_golden_outputs() {
+    let actual: Vec<String> = CASES.iter().flat_map(reference_lines).collect();
     check(&actual, GOLDEN);
 }
 

@@ -9,10 +9,11 @@
 //!
 //! A social graph receives batches of new friendships; instead of
 //! recomputing the independent set from scratch (a full Greedy + swap
-//! pipeline per batch), each batch is overlaid in memory and the set is
-//! repaired: the batch's inserted edges name the members to evict, a
-//! bounded number of swap rounds win back the loss, and one more scan
-//! proves the result maximal.
+//! pipeline per batch), each batch is committed to the overlay in memory
+//! and the set is repaired from the batch's record: its inserted edges
+//! name the members to evict, bounded 1↔k moves around them win back
+//! the loss, and a certificate over what the batch touched proves the
+//! result maximal, all by point reads of the in-memory base, no scan.
 
 use std::sync::Arc;
 
@@ -49,10 +50,10 @@ fn main() {
         for _ in 0..1000 {
             let (a, b) = ((next() >> 16) % n, (next() >> 16) % n);
             if a != b {
-                delta.insert_edge(a as u32, b as u32);
                 inserted.push((a as u32, b as u32));
             }
         }
+        delta.apply_batch(inserted.iter().map(|&(a, b)| (a, b, true)));
         let out = repair_updated_set_from_ops(&delta, &current, &inserted, RepairConfig::default());
         current = out.swap.result.set;
         assert!(is_independent_set(&delta, &current));
@@ -63,7 +64,7 @@ fn main() {
             delta.overlay().overlay_bytes() / 1024,
             out.evicted,
             current.len(),
-            out.swap.result.file_scans + out.verify_scans
+            out.swap.result.file_scans
         );
     }
     println!("final set verified independent and maximal on the updated graph");

@@ -1480,6 +1480,9 @@ fn serve_server(base: &Path, opts: &Options) -> Result<(), String> {
     while !shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok(Some(conn)) => {
+                // A finished connection's thread is released once its
+                // handle is dropped, so only live ones are kept.
+                handlers.retain(|h: &std::thread::JoinHandle<()>| !h.is_finished());
                 let engine = Arc::clone(&engine);
                 let shutdown = Arc::clone(&shutdown);
                 handlers.push(std::thread::spawn(move || {
@@ -1613,27 +1616,47 @@ impl ServeConn {
     }
 }
 
+/// The longest request line a connection accepts, newline excluded:
+/// about 100× the longest verb.
+const MAX_REQUEST_LINE: usize = 4096;
+
+/// Writes `reply` and its newline with one write, so a TCP reply leaves
+/// as one segment instead of waiting on the client's delayed ACK.
+fn write_line(writer: &mut dyn Write, reply: &str) -> std::io::Result<()> {
+    writer.write_all(format!("{reply}\n").as_bytes())?;
+    writer.flush()
+}
+
 /// One connection: reads protocol lines until EOF or shutdown, answers
-/// each with a single `OK …`/`ERR …` line. I/O errors just drop the
-/// connection — the server keeps running.
+/// each with a single `OK …`/`ERR …` line. A line longer than
+/// [`MAX_REQUEST_LINE`] gets an `ERR` and closes the connection; I/O
+/// errors just drop it — the server keeps running.
 fn serve_connection(conn: ServeConn, engine: &ServeEngine, shutdown: &AtomicBool) {
     let Ok((mut reader, mut writer)) = conn.split() else {
         return;
     };
-    let mut line = String::new();
+    let mut line = Vec::new();
     while !shutdown.load(Ordering::SeqCst) {
-        match reader.read_line(&mut line) {
+        // Read at most one byte past the cap, so an over-long line is
+        // seen without being buffered.
+        let room = (MAX_REQUEST_LINE + 1).saturating_sub(line.len()) as u64;
+        match std::io::Read::take(&mut reader, room).read_until(b'\n', &mut line) {
             Ok(0) => break,
             Ok(_) => {
-                let reply = match serve_execute(engine, line.trim(), shutdown) {
+                if line.last() != Some(&b'\n') && line.len() > MAX_REQUEST_LINE {
+                    let reply = format!("ERR request line longer than {MAX_REQUEST_LINE} bytes");
+                    let _ = write_line(&mut writer, &reply);
+                    break;
+                }
+                let Ok(request) = std::str::from_utf8(&line) else {
+                    break;
+                };
+                let reply = match serve_execute(engine, request.trim(), shutdown) {
                     Ok(reply) => reply,
                     Err(msg) => format!("ERR {msg}"),
                 };
                 line.clear();
-                if writeln!(writer, "{reply}")
-                    .and_then(|()| writer.flush())
-                    .is_err()
-                {
+                if write_line(&mut writer, &reply).is_err() {
                     break;
                 }
             }
@@ -1779,9 +1802,7 @@ fn serve_client(opts: &Options, verbs: &[String]) -> Result<(), String> {
     let (mut reader, mut writer) = serve_connect(opts)?;
     let mut errors = 0usize;
     for verb in verbs {
-        writeln!(writer, "{verb}")
-            .and_then(|()| writer.flush())
-            .map_err(|e| e.to_string())?;
+        write_line(&mut writer, verb).map_err(|e| e.to_string())?;
         let mut reply = String::new();
         reader.read_line(&mut reply).map_err(|e| e.to_string())?;
         if reply.is_empty() {
@@ -1865,14 +1886,14 @@ fn serve_stats_json(stats: &ServeStats) -> String {
     }
     format!(
         "{{\"epoch\":{},\"set_size\":{},\"pending_ops\":{},\"flushes\":{},\"rolls\":{},\
-         \"compactions\":{},\"whole_graph_repairs\":{},\"requests\":{{{}}}}}",
+         \"compactions\":{},\"scan_repairs\":{},\"requests\":{{{}}}}}",
         stats.epoch,
         stats.set_size,
         stats.pending_ops,
         stats.flushes,
         stats.rolls,
         stats.compactions,
-        stats.whole_graph_repairs,
+        stats.scan_repairs,
         reqs
     )
 }
@@ -2540,7 +2561,7 @@ mod tests {
         );
         let stats = ask(&mut conn, "STATS");
         assert!(stats.starts_with("OK {\"epoch\":1,"), "{stats}");
-        assert!(stats.contains("\"whole_graph_repairs\":0,"), "{stats}");
+        assert!(stats.contains("\"scan_repairs\":0,"), "{stats}");
         let status = ask(&mut conn, "STATUS");
         assert!(status.contains("\"last_epoch\":1"), "{status}");
         // Bad requests get an ERR, not a dropped connection.
@@ -2589,6 +2610,109 @@ mod tests {
             "4096",
         ]))
         .unwrap();
+    }
+
+    /// Generates a small ER base in `dir` and serves it from a thread,
+    /// listening as `listen` says (`--socket PATH` or `--listen ADDR`).
+    fn serve_in_thread(
+        dir: &ScratchDir,
+        listen: &[&str],
+    ) -> std::thread::JoinHandle<Result<(), String>> {
+        let base = dir.file("g.adj").display().to_string();
+        dispatch(&strs(&[
+            "gen",
+            "er",
+            "--vertices",
+            "300",
+            "--edges",
+            "600",
+            "--block-size",
+            "4096",
+            &base,
+        ]))
+        .unwrap();
+        let mut args = strs(&["serve", &base, "--block-size", "4096"]);
+        args.extend(strs(listen));
+        std::thread::spawn(move || dispatch(&args))
+    }
+
+    #[test]
+    fn serve_answers_sequential_tcp_requests_without_ack_stalls() {
+        // Each reply must leave as one segment: a reply and its newline
+        // written apart wait out the client's delayed ACK, ~40 ms each.
+        let dir = ScratchDir::new("cli-serve-tcp").unwrap();
+        let port = TcpListener::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap()
+            .port();
+        let addr = format!("127.0.0.1:{port}");
+        let server = serve_in_thread(&dir, &["--listen", &addr]);
+        let conn = (0..1000)
+            .find_map(|_| {
+                let conn = TcpStream::connect(&addr).ok();
+                if conn.is_none() {
+                    std::thread::sleep(Duration::from_millis(10));
+                }
+                conn
+            })
+            .expect("server did not come up");
+        let mut reader = BufReader::new(conn.try_clone().unwrap());
+        let mut writer = conn;
+        let mut reply = String::new();
+        let started = Instant::now();
+        for _ in 0..200 {
+            write_line(&mut writer, "PING").unwrap();
+            reply.clear();
+            reader.read_line(&mut reply).unwrap();
+            assert_eq!(reply, "OK pong\n");
+        }
+        let elapsed = started.elapsed();
+        write_line(&mut writer, "SHUTDOWN").unwrap();
+        reader.read_line(&mut reply).unwrap();
+        server.join().unwrap().unwrap();
+        assert!(
+            elapsed < Duration::from_secs(2),
+            "200 PINGs took {elapsed:?}"
+        );
+    }
+
+    #[test]
+    fn serve_drops_a_connection_whose_request_line_is_too_long() {
+        let dir = ScratchDir::new("cli-serve-long").unwrap();
+        let sock = dir.file("mis.sock");
+        let server = serve_in_thread(&dir, &["--socket", &sock.display().to_string()]);
+        for _ in 0..1000 {
+            if sock.exists() {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let conn = UnixStream::connect(&sock).unwrap();
+        // 1 MiB without a newline; the server reads one byte past its cap
+        // and hangs up, which fails the rest of the write.
+        let mut flood = conn.try_clone().unwrap();
+        let flood = std::thread::spawn(move || {
+            let _ = flood.write_all(&vec![b'A'; 1 << 20]);
+        });
+        let mut reader = BufReader::new(conn);
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        assert_eq!(reply, "ERR request line longer than 4096 bytes\n");
+        // Then the connection is closed: EOF, or a reset, since the
+        // server hung up with the flood's bytes still unread.
+        reply.clear();
+        match reader.read_line(&mut reply) {
+            Ok(0) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+            other => panic!("expected the connection closed, got {other:?} {reply:?}"),
+        }
+        flood.join().unwrap();
+        // The server itself keeps serving.
+        let mut other = UnixStream::connect(&sock).unwrap();
+        assert_eq!(ask(&mut other, "PING"), "OK pong");
+        assert_eq!(ask(&mut other, "SHUTDOWN"), "OK shutting down");
+        server.join().unwrap().unwrap();
     }
 
     #[test]

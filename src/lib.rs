@@ -21,7 +21,8 @@
 //!   last checkpoint, log compaction and the `mis serve` engine. Both
 //!   read the edited graph through one view ([`graph::PinnedDelta`],
 //!   in the prelude) and repair through one function
-//!   ([`algo::repair_updated_set_from_ops`], also in the prelude);
+//!   ([`algo::try_repair_since`]; its panicking form
+//!   [`algo::repair_updated_set_from_ops`] is in the prelude);
 //! * [`theory`] — the paper's analytic formulas on `P(α,β)`;
 //! * [`obs`] — low-overhead observability: span tracing, log-bucketed
 //!   latency histograms and counters, exported as Chrome-trace JSONL

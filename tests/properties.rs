@@ -264,11 +264,12 @@ proptest! {
             prop_assert_eq!(&got[v as usize], &want, "vertex {}", v);
         }
         // And the maintenance pipeline holds on the edited graph.
+        // The edits are single edits, so no batch record: the repair
+        // starts from the violation scan.
         let baseline = Baseline::new().run(&g);
-        let conflicts = semi_mis::algo::conflicting_pairs(&delta, &baseline.set).unwrap();
-        let out =
-            repair_updated_set_from_ops(&delta, &baseline.set, &conflicts, RepairConfig::default());
+        let out = repair_updated_set_from_ops(&delta, &baseline.set, &[], RepairConfig::default());
         prop_assert!(out.maximality_proved);
+        prop_assert!(is_maximal_independent_set(&delta, &out.swap.result.set));
     }
 
     #[test]

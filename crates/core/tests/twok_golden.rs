@@ -11,6 +11,13 @@
 //! truncation and "the first stored pair that fires wins" both depend on
 //! list insertion order. A change to that bookkeeping must reproduce
 //! these lines exactly; a mismatch prints the actual table for review.
+//!
+//! A second table pins dense `G(n, m)` graphs on which the shrink guard
+//! fires: a round whose nominees got blocked would shrink the set, so it
+//! is rolled back and the run goes on to the finalize pass. Each of its
+//! cases was confirmed to roll back a round under both of its
+//! configurations (round 1 for the first three graphs, round 2 for the
+//! last two).
 
 use mis_core::{Greedy, SwapConfig, SwapOutcome, TwoKSwap};
 use mis_graph::{CsrGraph, OrderedCsr};
@@ -65,6 +72,41 @@ fn graphs() -> Vec<(String, CsrGraph)> {
         ));
     }
     list
+}
+
+/// Dense `G(n, m)` graphs on which a two-k round rolls back.
+fn rollback_graphs() -> Vec<(String, CsrGraph)> {
+    [
+        (40, 200, 11),
+        (40, 240, 0),
+        (30, 150, 699),
+        (40, 200, 1283),
+        (50, 250, 504),
+    ]
+    .into_iter()
+    .map(|(n, m, seed)| {
+        (
+            format!("gnm-n{n}-m{m}-s{seed}"),
+            mis_gen::er::gnm(n, m, seed),
+        )
+    })
+    .collect()
+}
+
+fn actual_rollback_lines() -> Vec<String> {
+    let mut lines = Vec::new();
+    for (name, g) in rollback_graphs() {
+        let scan = OrderedCsr::degree_sorted(&g);
+        let greedy = Greedy::new().run(&scan);
+        for (config, swap) in [
+            ("default", SwapConfig::default()),
+            ("early3", SwapConfig::early_stop(3)),
+        ] {
+            let out = TwoKSwap::with_config(swap).run(&scan, &greedy.set);
+            lines.push(format!("{name} {config}: {}", describe(&out)));
+        }
+    }
+    lines
 }
 
 fn actual_lines() -> Vec<String> {
@@ -160,9 +202,22 @@ const GOLDEN: &[&str] = &[
     "gnm-m6000-s4 paged: is=512 scans=6 paged=4 sc=339/2244 rounds=[56/35/327 13/7/338 4/2/339 0/0/335] set=ab339ceb0782c8af",
 ];
 
-#[test]
-fn two_k_swap_matches_golden_outputs() {
-    let actual = actual_lines();
+/// Recorded on the snapshot-and-restore shrink guard that the undo list
+/// replaced.
+const ROLLBACK_GOLDEN: &[&str] = &[
+    "gnm-n40-m200-s11 default: is=10 scans=4 paged=0 sc=12/104 rounds=[] set=8585efecce75c95a",
+    "gnm-n40-m200-s11 early3: is=10 scans=4 paged=0 sc=12/104 rounds=[] set=8585efecce75c95a",
+    "gnm-n40-m240-s0 default: is=8 scans=4 paged=0 sc=16/136 rounds=[] set=4d26c1d20fd57e93",
+    "gnm-n40-m240-s0 early3: is=8 scans=4 paged=0 sc=16/136 rounds=[] set=4d26c1d20fd57e93",
+    "gnm-n30-m150-s699 default: is=6 scans=4 paged=0 sc=6/44 rounds=[] set=b4d04001c66dbeea",
+    "gnm-n30-m150-s699 early3: is=6 scans=4 paged=0 sc=6/44 rounds=[] set=b4d04001c66dbeea",
+    "gnm-n40-m200-s1283 default: is=10 scans=6 paged=0 sc=13/104 rounds=[3/2/8] set=8f0d762a32b1d07c",
+    "gnm-n40-m200-s1283 early3: is=10 scans=6 paged=0 sc=13/104 rounds=[3/2/8] set=8f0d762a32b1d07c",
+    "gnm-n50-m250-s504 default: is=12 scans=6 paged=0 sc=16/136 rounds=[3/2/13] set=5de3c5f591bc11e6",
+    "gnm-n50-m250-s504 early3: is=12 scans=6 paged=0 sc=16/136 rounds=[3/2/13] set=5de3c5f591bc11e6",
+];
+
+fn assert_matches(actual: &[String], golden: &[&str]) {
     let table = actual
         .iter()
         .map(|l| format!("    \"{l}\","))
@@ -170,10 +225,20 @@ fn two_k_swap_matches_golden_outputs() {
         .join("\n");
     assert_eq!(
         actual.len(),
-        GOLDEN.len(),
+        golden.len(),
         "case count changed; actual table:\n{table}"
     );
-    for (a, g) in actual.iter().zip(GOLDEN) {
+    for (a, g) in actual.iter().zip(golden) {
         assert_eq!(a, g, "two-k output drifted; actual table:\n{table}");
     }
+}
+
+#[test]
+fn two_k_swap_matches_golden_outputs() {
+    assert_matches(&actual_lines(), GOLDEN);
+}
+
+#[test]
+fn shrink_guard_rollbacks_match_golden_outputs() {
+    assert_matches(&actual_rollback_lines(), ROLLBACK_GOLDEN);
 }

@@ -430,6 +430,7 @@ impl TwoKSwap {
 
         // Lines 1–3: initial A states (one or two IS neighbours); one
         // mergeable engine pass against the frozen I membership.
+        let init_span = mis_obs::span("twok", "twok.init");
         file_scans += 1;
         let assignments = executor
             .run_pass(graph, &InitCandidates::new(&run.state, 2))
@@ -443,6 +444,7 @@ impl TwoKSwap {
                 run.isn2[v as usize] = w2;
             }
         }
+        drop(init_span);
 
         let mut stats = SwapStats {
             initial_size: initial.len() as u64,
@@ -464,12 +466,15 @@ impl TwoKSwap {
             let mut round = RoundStats::default();
 
             // Snapshot for the shrink guard (O(|V|) memory, allowed).
-            let snapshot: Option<(Vec<S>, Vec<u32>, Vec<u32>)> =
-                Some((run.state.clone(), run.isn1.clone(), run.isn2.clone()));
+            let snapshot: Option<(Vec<S>, Vec<u32>, Vec<u32>)> = {
+                let _span = mis_obs::span("twok", "twok.snapshot");
+                Some((run.state.clone(), run.isn1.clone(), run.isn2.clone()))
+            };
 
             // ---- Pre-swap pass (Algorithm 4 per A vertex): one full
             // scan, or paged candidate verification when few candidates
             // are live. ----
+            let pre_span = mis_obs::span("twok", "twok.pre");
             let cands = select_paged_candidates(access, self.config.paged_threshold, &run.state);
             sc.clear();
             let rs = &mut run;
@@ -527,12 +532,14 @@ impl TwoKSwap {
             } else {
                 file_scans += 1;
             }
+            drop(pre_span);
 
             round.sc_peak_vertices = sc.num_held;
             stats.sc_peak_vertices = stats.sc_peak_vertices.max(sc.num_held);
             sc_peak_bytes = sc_peak_bytes.max(sc.model_bytes());
 
             // ---- Swap phase (in memory). ----
+            let swap_span = mis_obs::span("twok", "twok.swap");
             for v in 0..n {
                 match run.state[v] {
                     S::P => {
@@ -558,11 +565,13 @@ impl TwoKSwap {
                     run.isn1[v] = 0;
                 }
             }
+            drop(swap_span);
 
             // ---- Post-swap scan (Algorithm 3 lines 15–23);
             // order-dependent (nominee joins and 0↔1 promotions are
             // visible to later records), so it runs through the
             // engine's ordered fold. ----
+            let post_span = mis_obs::span("twok", "twok.post");
             file_scans += 1;
             let rs = &mut run;
             let round_ref = &mut round;
@@ -658,6 +667,7 @@ impl TwoKSwap {
                     }
                 })
                 .expect("scan failed");
+            drop(post_span);
 
             // Shrink guard: a blocked nominee can make a round lose
             // vertices; roll back and stop rather than return a smaller
@@ -685,6 +695,7 @@ impl TwoKSwap {
         }
 
         if self.config.finalize_maximal {
+            let _span = mis_obs::span("twok", "twok.finalize");
             file_scans += 1;
             finalize_maximal(graph, &mut run.state, &executor);
         }

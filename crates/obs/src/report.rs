@@ -373,10 +373,10 @@ fn event_from_json(line_no: usize, v: &Json) -> Result<PEvent, String> {
 // Aggregates
 // ---------------------------------------------------------------------
 
-/// Wall-time total of one named phase (cat `"phase"` spans).
+/// Wall-time total of one named phase (cat `"phase"` spans) or step.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseAgg {
-    /// Phase name (`open`, `solve`, …), in first-seen order.
+    /// Phase or step name (`open`, `solve`, `twok.pre`, …).
     pub name: String,
     /// Summed duration of the phase's spans, microseconds.
     pub total_us: f64,
@@ -456,6 +456,10 @@ pub struct TraceReport {
     pub wall_us: f64,
     /// Per-phase wall-time totals (cat `"phase"`), first-seen order.
     pub phases: Vec<PhaseAgg>,
+    /// Per-step wall-time totals: the spans of every category other
+    /// than `"phase"` and `"engine"` (an algorithm's or the server's
+    /// named steps, nested inside the phases), first-seen order.
+    pub steps: Vec<PhaseAgg>,
     /// Per-worker timelines, ascending tid.
     pub workers: Vec<WorkerAgg>,
     /// Summed duration of `pass.parallel` + `pass.fold_ordered` spans.
@@ -576,28 +580,37 @@ impl TraceReport {
             self.num_spans,
             fmt_us(self.wall_us)
         );
+        let agg_line = |out: &mut String, p: &PhaseAgg| {
+            let pct = if self.wall_us > 0.0 {
+                100.0 * p.total_us / self.wall_us
+            } else {
+                0.0
+            };
+            let _ = writeln!(
+                out,
+                "  {:<12} {:>12}  {:>5.1}%  x{}",
+                p.name,
+                fmt_us(p.total_us),
+                pct,
+                p.count
+            );
+        };
         if !self.phases.is_empty() {
             let _ = writeln!(out, "\nphase breakdown:");
             for p in &self.phases {
-                let pct = if self.wall_us > 0.0 {
-                    100.0 * p.total_us / self.wall_us
-                } else {
-                    0.0
-                };
-                let _ = writeln!(
-                    out,
-                    "  {:<12} {:>12}  {:>5.1}%  x{}",
-                    p.name,
-                    fmt_us(p.total_us),
-                    pct,
-                    p.count
-                );
+                agg_line(&mut out, p);
             }
             let _ = writeln!(
                 out,
                 "  coverage: {:.1}% of wall attributed to phases",
                 100.0 * self.phase_coverage()
             );
+        }
+        if !self.steps.is_empty() {
+            let _ = writeln!(out, "\nstep breakdown:");
+            for p in &self.steps {
+                agg_line(&mut out, p);
+            }
         }
         if !self.workers.is_empty() {
             let _ = writeln!(out, "\nworker timelines:");
@@ -690,20 +703,23 @@ impl TraceReport {
             num(self.wall_us),
             num(self.phase_coverage())
         );
-        out.push_str(",\"phases\":[");
-        for (i, p) in self.phases.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        for (key, aggs) in [("phases", &self.phases), ("steps", &self.steps)] {
+            let _ = write!(out, ",\"{key}\":[");
+            for (i, p) in aggs.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                let _ = write!(
+                    out,
+                    "{{\"name\":\"{}\",\"total_us\":{},\"count\":{}}}",
+                    escape_json(&p.name),
+                    num(p.total_us),
+                    p.count
+                );
             }
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"total_us\":{},\"count\":{}}}",
-                escape_json(&p.name),
-                num(p.total_us),
-                p.count
-            );
+            out.push(']');
         }
-        out.push_str("],\"workers\":[");
+        out.push_str(",\"workers\":[");
         for (i, w) in self.workers.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -820,13 +836,18 @@ fn build(events: Vec<PEvent>) -> TraceReport {
                 report.num_spans += 1;
                 min_start = min_start.min(e.ts_us);
                 max_end = max_end.max(e.ts_us + dur_us);
-                if e.cat == "phase" {
-                    match report.phases.iter_mut().find(|p| p.name == e.name) {
+                let aggs = match e.cat.as_str() {
+                    "phase" => Some(&mut report.phases),
+                    "engine" => None,
+                    _ => Some(&mut report.steps),
+                };
+                if let Some(aggs) = aggs {
+                    match aggs.iter_mut().find(|p| p.name == e.name) {
                         Some(p) => {
                             p.total_us += dur_us;
                             p.count += 1;
                         }
-                        None => report.phases.push(PhaseAgg {
+                        None => aggs.push(PhaseAgg {
                             name: e.name.clone(),
                             total_us: *dur_us,
                             count: 1,
@@ -1180,5 +1201,36 @@ mod tests {
             json.get("queue_wait_us").unwrap().as_f64(),
             Some(report.queue_wait_us)
         );
+    }
+
+    #[test]
+    fn steps_total_the_spans_outside_phases_and_the_engine() {
+        let trace = Trace {
+            events: vec![
+                span("phase", "solve", 1, 0, 10_000_000),
+                span("twok", "twok.pre", 1, 1_000_000, 2_000_000),
+                span("engine", "pass.fold_ordered", 1, 1_100_000, 1_000_000),
+                span("twok", "twok.post", 1, 3_000_000, 1_000_000),
+                span("twok", "twok.pre", 1, 4_000_000, 3_000_000),
+            ],
+            hists: Vec::new(),
+        };
+        let report = TraceReport::from_trace(&trace);
+        assert_eq!(report.phases.len(), 1);
+        let steps: Vec<(&str, f64, u64)> = report
+            .steps
+            .iter()
+            .map(|p| (p.name.as_str(), p.total_us, p.count))
+            .collect();
+        assert_eq!(steps, [("twok.pre", 5_000.0, 2), ("twok.post", 1_000.0, 1)]);
+        assert!(report.render().contains("step breakdown"));
+        let json = parse_json(&report.render_json()).expect("valid JSON");
+        match json.get("steps") {
+            Some(Json::Arr(s)) => {
+                assert_eq!(s.len(), 2);
+                assert_eq!(s[0].get("count").unwrap().as_f64(), Some(2.0));
+            }
+            other => panic!("steps not an array: {other:?}"),
+        }
     }
 }

@@ -339,6 +339,14 @@ fn print_io_summary(stats: &IoStats, report: Option<&TraceReport>) {
             100.0 * report.phase_coverage(),
             report.wall_us / 1e6
         );
+        for step in &report.steps {
+            println!(
+                "step {} = {:.3}s (x{})",
+                step.name,
+                step.total_us / 1e6,
+                step.count
+            );
+        }
     }
 }
 
@@ -2294,6 +2302,21 @@ mod tests {
                 report.phases.iter().any(|p| p.name == phase),
                 "missing phase `{phase}` in {:?}",
                 report.phases
+            );
+        }
+        // Two-k's steps: init, one pre-swap, swap sweep and post-swap per
+        // round, and finalize.
+        for step in [
+            "twok.init",
+            "twok.pre",
+            "twok.swap",
+            "twok.post",
+            "twok.finalize",
+        ] {
+            assert!(
+                report.steps.iter().any(|p| p.name == step),
+                "missing step `{step}` in {:?}",
+                report.steps
             );
         }
         dispatch(&strs(&["trace", "report", &trace_s])).unwrap();

@@ -333,25 +333,25 @@ where
 /// those candidates in storage order through the provider (the paged
 /// path of PR 2); otherwise performs one full pass in storage order
 /// through `executor`. Returns `true` when the paged path was taken, so
-/// the caller can account a paged round instead of a file scan.
+/// the caller can account a paged round instead of a file scan, and the
+/// first scan or paged-read error otherwise.
 pub(crate) fn candidate_pass<G: GraphScan + ?Sized>(
     executor: &Executor,
     graph: &G,
     access: Option<&dyn NeighborAccess>,
     cands: Option<Vec<u32>>,
     body: &mut dyn FnMut(VertexId, &[VertexId]),
-) -> bool {
+) -> io::Result<bool> {
     match (access, cands) {
         (Some(acc), Some(cands)) => {
             for &u in &cands {
-                acc.with_neighbors(u, &mut |ns| body(u, ns))
-                    .expect("paged read failed");
+                acc.with_neighbors(u, &mut |ns| body(u, ns))?;
             }
-            true
+            Ok(true)
         }
         _ => {
-            executor.fold_ordered(graph, body).expect("scan failed");
-            false
+            executor.fold_ordered(graph, body)?;
+            Ok(false)
         }
     }
 }

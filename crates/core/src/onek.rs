@@ -28,6 +28,8 @@
 //! `y − 1 − x ≥ 1` where `x` counts `u`'s own A-neighbours pointing at
 //! `w` — an `O(deg u)` check with zero extra memory.
 
+use std::io;
+
 use mis_graph::{GraphScan, NeighborAccess, VertexId};
 
 use crate::engine::{self, Executor, ScanPass};
@@ -268,7 +270,9 @@ impl OneKSwap {
                     _ => {}
                 }
             };
-            if engine::candidate_pass(&executor, graph, access, cands, &mut pre_body) {
+            if engine::candidate_pass(&executor, graph, access, cands, &mut pre_body)
+                .expect("scan failed")
+            {
                 stats.paged_rounds += 1;
             } else {
                 file_scans += 1;
@@ -366,7 +370,7 @@ impl OneKSwap {
 
         if self.config.finalize_maximal {
             file_scans += 1;
-            finalize_maximal(graph, &mut state, &executor);
+            finalize_maximal(graph, &mut state, &executor).expect("scan failed");
         }
 
         let set: Vec<VertexId> = (0..n as VertexId)
@@ -401,14 +405,12 @@ pub(crate) fn finalize_maximal<G: GraphScan + ?Sized>(
     graph: &G,
     state: &mut [S],
     executor: &Executor,
-) {
-    executor
-        .fold_ordered(graph, &mut |u, ns| {
-            if state[u as usize] != S::I && ns.iter().all(|&nb| state[nb as usize] != S::I) {
-                state[u as usize] = S::I;
-            }
-        })
-        .expect("scan failed");
+) -> io::Result<()> {
+    executor.fold_ordered(graph, &mut |u, ns| {
+        if state[u as usize] != S::I && ns.iter().all(|&nb| state[nb as usize] != S::I) {
+            state[u as usize] = S::I;
+        }
+    })
 }
 
 #[cfg(test)]

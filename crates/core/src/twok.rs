@@ -21,7 +21,7 @@
 //! have no IS neighbour. In the normal case this completes the paper's
 //! 2↔k swap exactly (see the Figure 7 regression test); in the rare
 //! interleaving where a nominee got blocked the round could shrink the
-//! set, which is caught by a snapshot/rollback guard.
+//! set, which the shrink guard (below) rolls back.
 //!
 //! This is a deliberate deviation from Algorithm 4, which protects all
 //! three skeleton vertices in the pre-swap scan. Here only the third
@@ -29,6 +29,30 @@
 //! joins one scan later. The returned set is always independent and
 //! never smaller than the round's input, but a round with a blocked
 //! nominee can end differently from a literal reading of the pseudo-code.
+//!
+//! ## Per-vertex storage
+//!
+//! Every record's first check and every neighbour check read only the
+//! vertex's one-byte state, so `state` stays an array of its own. The
+//! rest of what a vertex carries is one 12-byte record `{isn1, isn2,
+//! link}`, whose slots mean different things by state:
+//!
+//! | state | `isn1` | `isn2` | `link` |
+//! |---|---|---|---|
+//! | `A` | first IS neighbour | second IS neighbour, or `NONE` | next in its SC list while filed |
+//! | `I`, `R` | dependant count | tail of its key list (pre-swap only) | tail of its halves list (pre-swap only) |
+//! | other | `NONE` | `NONE` | `NONE` |
+//!
+//! Sharing is safe for two reasons. During a pre-swap pass the IS side
+//! (`I`, `R`) and the candidate side (`A`, `C`, `P`) never overlap. And
+//! no code reads an `I` or `R` vertex's `isn2` as an IS neighbour. A
+//! candidate conflicted during the pass keeps its slots until the
+//! post-swap pass re-derives it, since its `link` may still thread a
+//! list. The swap sweep, which visits every vertex anyway, empties every
+//! `link` and key tail, so each pre-swap pass starts from empty lists.
+//! The per-vertex flags (nominated, blocked, seen by the post-swap pass,
+//! held in an SC set, neighbour of the record in hand) are bitmaps
+//! allocated once per run.
 //!
 //! ## Swap-candidate storage
 //!
@@ -40,16 +64,21 @@
 //! emptied per round, so filing a record allocates nothing:
 //!
 //! * halves per IS vertex, fulls per key, keys per IS vertex and pairs
-//!   per key are circular singly linked lists that keep only their tail,
-//!   threaded through `u32` link arrays;
-//! * during one pre-swap pass the IS side (`I`, `R`) and the candidate
-//!   side (`A`, `C`, `P`) never overlap, so one vertex-indexed array
-//!   holds both an IS vertex's halves tail and a candidate's next link,
-//!   and a second one holds each IS vertex's keys tail;
-//! * the one map left sends `(w1, w2)` to a key id; key records and
-//!   pairs live in reusable arenas;
+//!   per key are circular singly linked lists that keep only their tail;
+//!   halves and fulls thread through the records' `link` slots, keys and
+//!   pairs through two arrays of their own;
+//! * a full finds its key by walking both IS vertices' key lists in
+//!   lockstep, which costs at most twice the shorter list (on power-law
+//!   graphs a few keys at most); key records and pairs live in reusable
+//!   arenas;
 //! * the neighbour test reads a bitmap over vertex ids, loaded from the
 //!   record before its SC work and cleared after it.
+//!
+//! Case (i), "a neighbour is already `P`", is one bit test. A vertex
+//! turns `P` only while its own record is in hand (a 1-2 skeleton, case
+//! (iv), or the third vertex of a fired 2-3 skeleton), and at that moment
+//! it sets the `blocked` bit of each of its neighbours. Adjacency is
+//! symmetric, so the bit equals "some neighbour is `P`".
 //!
 //! The paper's Lemma 6 bounds the vertices ever held in SC sets by
 //! `|V| − e^α`, so per-vertex arrays stay within the semi-external
@@ -59,8 +88,19 @@
 //! truncation and "the first stored pair that fires wins" both depend on
 //! it, so every list is walked oldest first. `tests/twok_golden.rs` pins
 //! the resulting sets and statistics.
+//!
+//! ## Shrink guard
+//!
+//! A round that would shrink the set is undone, and the run stops. The
+//! round keeps an undo list of the vertices whose IS membership flipped:
+//! `P → I` and `R → N` in the swap sweep, nominee joins and 0↔1 joins in
+//! the post-swap pass. Flipping them back restores the round's input set
+//! exactly. Membership is all that needs restoring, because after a
+//! rollback the run goes straight to the finalize pass and the set
+//! collection, and both read only "in the set or not".
 
-use mis_graph::hash::FxHashMap;
+use std::io;
+
 use mis_graph::{GraphScan, NeighborAccess, VertexId};
 
 use crate::engine;
@@ -81,34 +121,283 @@ pub struct TwoKSwap {
     config: SwapConfig,
 }
 
+/// A vertex's slots besides its state; what each holds depends on the
+/// state (see the module docs).
+#[derive(Debug, Clone, Copy)]
+struct Rec {
+    isn1: u32,
+    isn2: u32,
+    link: u32,
+}
+
+impl Rec {
+    /// Neither in the set nor a candidate.
+    const EMPTY: Rec = Rec {
+        isn1: NONE,
+        isn2: NONE,
+        link: NONE,
+    };
+    /// In the set, with no dependants and empty SC lists.
+    const MEMBER: Rec = Rec {
+        isn1: 0,
+        isn2: NONE,
+        link: NONE,
+    };
+}
+
+/// A bitmap over vertex ids.
+struct Bits(Vec<u64>);
+
+impl Bits {
+    fn new(n: usize) -> Self {
+        Self(vec![0; n.div_ceil(64)])
+    }
+
+    /// Bytes of a bitmap over `n` vertices.
+    fn bytes(n: usize) -> u64 {
+        8 * n.div_ceil(64) as u64
+    }
+
+    fn get(&self, v: u32) -> bool {
+        self.0[v as usize / 64] & (1 << (v % 64)) != 0
+    }
+
+    fn set(&mut self, v: u32) {
+        self.0[v as usize / 64] |= 1 << (v % 64);
+    }
+
+    fn unset(&mut self, v: u32) {
+        self.0[v as usize / 64] &= !(1 << (v % 64));
+    }
+
+    fn clear(&mut self) {
+        self.0.fill(0);
+    }
+}
+
 /// Scratch state for one run.
 struct Run {
     state: Vec<S>,
-    /// First IS neighbour (for `A`), or dependant count (for `I`), or
-    /// `NONE`.
-    isn1: Vec<u32>,
-    /// Second IS neighbour (for `A` with two IS neighbours), else `NONE`.
-    isn2: Vec<u32>,
-    /// Nominated-to-join flags for the current round.
-    nominated: Vec<bool>,
+    rec: Vec<Rec>,
+    /// Nominated to join in this round's post-swap pass.
+    nominated: Bits,
+    /// Has a neighbour that turned `P` in this round's pre-swap pass.
+    blocked: Bits,
+    /// Vertices whose IS membership flipped this round, for the shrink
+    /// guard.
+    undo: Vec<u32>,
 }
 
 impl Run {
     fn is_singleton_a(&self, v: u32) -> bool {
-        self.state[v as usize] == S::A && self.isn2[v as usize] == NONE
+        self.state[v as usize] == S::A && self.rec[v as usize].isn2 == NONE
+    }
+
+    /// Marks `u` conflicted and maintains the singleton dependant count.
+    fn conflict(&mut self, u: u32) {
+        let r = self.rec[u as usize];
+        if r.isn2 == NONE && r.isn1 != NONE && self.state[r.isn1 as usize] == S::I {
+            let count = &mut self.rec[r.isn1 as usize].isn1;
+            *count = count.saturating_sub(1);
+        }
+        self.state[u as usize] = S::C;
+    }
+
+    /// Whether a singleton of IS vertex `w` with neighbours `ns` completes
+    /// a 1-2 skeleton (the ISN count trick): besides itself and the `x`
+    /// dependants of `w` among `ns`, `w` has another of its `y`
+    /// dependants, i.e. `y ≥ x + 2`. The count stops as soon as that
+    /// fails.
+    fn one_two_skeleton(&self, w: u32, ns: &[VertexId]) -> bool {
+        let y = self.rec[w as usize].isn1;
+        let mut x = 0;
+        y >= 2
+            && ns.iter().all(|&nb| {
+                if self.state[nb as usize] == S::A {
+                    let r = self.rec[nb as usize];
+                    x += u32::from(r.isn1 == w && r.isn2 == NONE);
+                }
+                x + 2 <= y
+            })
+    }
+
+    /// The pre-swap step (Algorithm 4) of `A` vertex `u`.
+    fn pre_swap(&mut self, sc: &mut ScSets, u: u32, ns: &[VertexId]) {
+        // Case (i): conflict with an already-protected vertex.
+        if self.blocked.get(u) {
+            self.conflict(u);
+            return;
+        }
+        let r = self.rec[u as usize];
+        let (w1, w2) = (r.isn1, r.isn2);
+        if w2 == NONE {
+            // Singleton A vertex (one IS neighbour w1).
+            match self.state[w1 as usize] {
+                // Case (iv): all IS neighbours retreating.
+                S::R => self.state[u as usize] = S::P,
+                S::I if self.one_two_skeleton(w1, ns) => {
+                    self.state[u as usize] = S::P;
+                    self.state[w1 as usize] = S::R;
+                }
+                S::I => sc.with_neighbors(ns, |sc| sc.file_half(self, u, w1)),
+                _ => {}
+            }
+        } else {
+            // Full A vertex: ISN = {w1, w2}.
+            match (self.state[w1 as usize], self.state[w2 as usize]) {
+                (S::R, S::R) => self.state[u as usize] = S::P, // case (iv)
+                (S::I, S::I) => sc.with_neighbors(ns, |sc| sc.file_full(self, u, w1, w2)),
+                _ => {} // one neighbour stays: u cannot move yet
+            }
+        }
+        if self.state[u as usize] == S::P {
+            for &nb in ns {
+                self.blocked.set(nb);
+            }
+        }
+    }
+
+    /// The post-swap step (Algorithm 3 lines 15–23) of `u`; `seen` holds
+    /// the records this pass has already visited. Returns whether `u`
+    /// joined the set.
+    fn post_swap(&mut self, u: u32, ns: &[VertexId], seen: &Bits) -> bool {
+        if self.state[u as usize] == S::I {
+            return false;
+        }
+        // Nominated vertices complete their 2↔k swap here, with the full
+        // neighbour list in memory.
+        if self.nominated.get(u) {
+            self.nominated.unset(u);
+            if ns.iter().all(|&nb| self.state[nb as usize] != S::I) {
+                self.join(u);
+                // Repair neighbours whose A state was derived before this
+                // join: u is now one of their IS neighbours. Without this,
+                // an earlier-scanned vertex could fire a 1-2 swap next
+                // round while secretly adjacent to u — breaking
+                // independence.
+                for &nb in ns {
+                    if !seen.get(nb) || self.state[nb as usize] != S::A {
+                        continue;
+                    }
+                    let r = self.rec[nb as usize];
+                    if r.isn2 == NONE {
+                        // Singleton gains a second IS neighbour.
+                        if r.isn1 != NONE && self.state[r.isn1 as usize] == S::I {
+                            let count = &mut self.rec[r.isn1 as usize].isn1;
+                            *count = count.saturating_sub(1);
+                        }
+                        self.rec[nb as usize].isn2 = u;
+                    } else {
+                        // Already two IS neighbours: now three.
+                        self.state[nb as usize] = S::N;
+                        self.rec[nb as usize] = Rec::EMPTY;
+                    }
+                }
+                return true;
+            }
+        }
+        // Re-derive A / N / 0↔1 (Algorithm 3 re-evaluates C, A and N
+        // alike). A third IS neighbour settles N.
+        let mut count = 0u32;
+        let (mut w1, mut w2) = (NONE, NONE);
+        let mut all_cn = true;
+        for &nb in ns {
+            match self.state[nb as usize] {
+                S::I => {
+                    count += 1;
+                    if count == 3 {
+                        break;
+                    }
+                    if w1 == NONE {
+                        w1 = nb;
+                    } else {
+                        w2 = nb;
+                    }
+                    all_cn = false;
+                }
+                S::C | S::N => {}
+                _ => all_cn = false,
+            }
+        }
+        match count {
+            1 | 2 => {
+                self.state[u as usize] = S::A;
+                self.rec[u as usize] = Rec {
+                    isn1: w1,
+                    isn2: w2,
+                    link: NONE,
+                };
+                if count == 1 {
+                    self.rec[w1 as usize].isn1 += 1;
+                }
+                false
+            }
+            0 if all_cn => {
+                self.join(u);
+                true
+            }
+            _ => {
+                self.state[u as usize] = S::N;
+                self.rec[u as usize] = Rec::EMPTY;
+                false
+            }
+        }
+    }
+
+    /// `u` joins the set in the post-swap pass.
+    fn join(&mut self, u: u32) {
+        self.state[u as usize] = S::I;
+        self.rec[u as usize] = Rec::MEMBER;
+        self.undo.push(u);
+    }
+
+    /// The shrink guard's rollback: flips back every membership change
+    /// of the round.
+    fn roll_back(&mut self) {
+        for &v in &self.undo {
+            let s = &mut self.state[v as usize];
+            *s = if *s == S::I { S::N } else { S::I };
+        }
+    }
+}
+
+/// Where a list's links live: the records' `link` slots, or an array
+/// of their own.
+trait Links {
+    fn next(&self, x: u32) -> u32;
+    fn set_next(&mut self, x: u32, next: u32);
+}
+
+impl Links for Vec<u32> {
+    fn next(&self, x: u32) -> u32 {
+        self[x as usize]
+    }
+
+    fn set_next(&mut self, x: u32, next: u32) {
+        self[x as usize] = next;
+    }
+}
+
+impl Links for Vec<Rec> {
+    fn next(&self, x: u32) -> u32 {
+        self[x as usize].link
+    }
+
+    fn set_next(&mut self, x: u32, next: u32) {
+        self[x as usize].link = next;
     }
 }
 
 /// Appends `x` to the circular list whose tail is `tail` (`NONE` when
-/// empty), threaded through `next`, and returns the new tail. Keeping
+/// empty), threaded through `links`, and returns the new tail. Keeping
 /// only the tail still gives O(1) appends and oldest-first walks, which
-/// start at `next[tail]`.
-fn ring_push(next: &mut [u32], tail: u32, x: u32) -> u32 {
+/// start at the tail's successor.
+fn ring_push(links: &mut impl Links, tail: u32, x: u32) -> u32 {
     if tail == NONE {
-        next[x as usize] = x;
+        links.set_next(x, x);
     } else {
-        next[x as usize] = next[tail as usize];
-        next[tail as usize] = x;
+        links.set_next(x, links.next(tail));
+        links.set_next(tail, x);
     }
     x
 }
@@ -122,25 +411,17 @@ struct RingCursor {
 }
 
 impl RingCursor {
-    fn new(links: &[u32], tail: u32) -> Self {
-        let next = if tail == NONE {
-            NONE
-        } else {
-            links[tail as usize]
-        };
+    fn new(links: &impl Links, tail: u32) -> Self {
+        let next = if tail == NONE { NONE } else { links.next(tail) };
         Self { tail, next }
     }
 
-    fn step(&mut self, links: &[u32]) -> Option<u32> {
+    fn step(&mut self, links: &impl Links) -> Option<u32> {
         let x = self.next;
         if x == NONE {
             return None;
         }
-        self.next = if x == self.tail {
-            NONE
-        } else {
-            links[x as usize]
-        };
+        self.next = if x == self.tail { NONE } else { links.next(x) };
         Some(x)
     }
 }
@@ -149,7 +430,7 @@ impl RingCursor {
 /// it and its stored candidate pairs.
 struct Key {
     w: [u32; 2],
-    /// Tail of the fulls filed under the key; links in [`ScSets::link`].
+    /// Tail of the fulls filed under the key; links in the records.
     fulls: u32,
     /// Tail of the stored pairs; links in [`ScSets::pair_next`].
     pairs: u32,
@@ -157,26 +438,21 @@ struct Key {
     num_pairs: u32,
 }
 
-/// One round's swap-candidate sets in flat storage (see the module docs).
+/// One round's swap-candidate sets in flat storage (see the module docs);
+/// the halves and fulls lists and the key-list tails live in the vertex
+/// records.
 struct ScSets {
-    /// IS vertex: tail of the halves filed under it. Candidate: next
-    /// vertex in the halves or fulls list it was filed in.
-    link: Vec<u32>,
-    /// IS vertex: tail of the keys containing it. Key `k` is node `2k`
-    /// in the list of `w[0]` and node `2k + 1` in the list of `w[1]`.
-    key_tail: Vec<u32>,
-    /// Links of the key nodes.
+    /// Links of the key nodes. Key `k` is node `2k` in the key list of
+    /// `w[0]` and node `2k + 1` in that of `w[1]`.
     key_next: Vec<u32>,
-    key_ids: FxHashMap<(u32, u32), u32>,
     keys: Vec<Key>,
     /// Stored candidate pairs of every key, and their links.
     pairs: Vec<(u32, u32)>,
     pair_next: Vec<u32>,
-    /// Neighbours of the record being filed, as a bitmap over vertex
-    /// ids; all zero between records.
-    nbrs: Vec<u64>,
-    /// Vertices held in SC sets this round (bitmap), and their count.
-    held: Vec<u64>,
+    /// Neighbours of the record being filed; all zero between records.
+    nbrs: Bits,
+    /// Vertices held in SC sets this round, and their count.
+    held: Bits,
     num_held: u64,
     /// Halves and fulls filed this round.
     num_filed: u64,
@@ -185,30 +461,26 @@ struct ScSets {
 impl ScSets {
     fn new(n: usize) -> Self {
         Self {
-            link: vec![NONE; n],
-            key_tail: vec![NONE; n],
             key_next: Vec::new(),
-            key_ids: FxHashMap::default(),
             keys: Vec::new(),
             pairs: Vec::new(),
             pair_next: Vec::new(),
-            nbrs: vec![0; n.div_ceil(64)],
-            held: vec![0; n.div_ceil(64)],
+            nbrs: Bits::new(n),
+            held: Bits::new(n),
             num_held: 0,
             num_filed: 0,
         }
     }
 
     /// Empties every set for the next round, keeping the allocations.
+    /// The lists threaded through the records were emptied by the swap
+    /// sweep.
     fn clear(&mut self) {
-        self.link.fill(NONE);
-        self.key_tail.fill(NONE);
         self.key_next.clear();
-        self.key_ids.clear();
         self.keys.clear();
         self.pairs.clear();
         self.pair_next.clear();
-        self.held.fill(0);
+        self.held.clear();
         self.num_held = 0;
         self.num_filed = 0;
     }
@@ -221,23 +493,18 @@ impl ScSets {
     /// Runs `f` with `ns` loaded into the neighbour bitmap.
     fn with_neighbors(&mut self, ns: &[VertexId], f: impl FnOnce(&mut Self)) {
         for &v in ns {
-            self.nbrs[v as usize / 64] |= 1 << (v % 64);
+            self.nbrs.set(v);
         }
         f(self);
         for &v in ns {
-            self.nbrs[v as usize / 64] = 0;
+            self.nbrs.unset(v);
         }
-    }
-
-    fn is_neighbor(&self, v: u32) -> bool {
-        self.nbrs[v as usize / 64] & (1 << (v % 64)) != 0
     }
 
     /// Counts `v` as held in an SC set this round.
     fn hold(&mut self, v: u32) {
-        let (word, bit) = (v as usize / 64, 1u64 << (v % 64));
-        if self.held[word] & bit == 0 {
-            self.held[word] |= bit;
+        if !self.held.get(v) {
+            self.held.set(v);
             self.num_held += 1;
         }
     }
@@ -248,6 +515,21 @@ impl ScSets {
             .w
             .iter()
             .all(|&w| run.state[w as usize] == S::I)
+    }
+
+    /// The key of IS pair `w` (smaller id first), if one was filed this
+    /// round. Walks both vertices' key lists in lockstep and stops when
+    /// either ends, since the key would be in both.
+    fn find_key(&self, run: &Run, w: [u32; 2]) -> Option<u32> {
+        let mut lists = w.map(|wi| RingCursor::new(&self.key_next, run.rec[wi as usize].isn2));
+        loop {
+            for list in &mut lists {
+                let k = list.step(&self.key_next)? / 2;
+                if self.keys[k as usize].w == w {
+                    return Some(k);
+                }
+            }
+        }
     }
 
     fn push_pair(&mut self, k: u32, a: u32, b: u32) {
@@ -261,9 +543,8 @@ impl ScSets {
         self.hold(b);
     }
 
-    fn add_key(&mut self, w: [u32; 2]) -> u32 {
+    fn add_key(&mut self, run: &mut Run, w: [u32; 2]) -> u32 {
         let k = self.keys.len() as u32;
-        self.key_ids.insert((w[0], w[1]), k);
         self.keys.push(Key {
             w,
             fulls: NONE,
@@ -272,8 +553,8 @@ impl ScSets {
         });
         for (node, wi) in [2 * k, 2 * k + 1].into_iter().zip(w) {
             self.key_next.push(NONE);
-            let tail = self.key_tail[wi as usize];
-            self.key_tail[wi as usize] = ring_push(&mut self.key_next, tail, node);
+            let tail = &mut run.rec[wi as usize].isn2;
+            *tail = ring_push(&mut self.key_next, *tail, node);
         }
         k
     }
@@ -291,15 +572,15 @@ impl ScSets {
             }
             if run.state[a as usize] == S::A
                 && run.state[b as usize] == S::A
-                && !self.is_neighbor(a)
-                && !self.is_neighbor(b)
+                && !self.nbrs.get(a)
+                && !self.nbrs.get(b)
             {
                 run.state[u as usize] = S::P;
                 // Nominate the earlier-scanned pair: conflicted out of this
                 // round's candidacy, joining at post-swap if still safe.
                 for m in [a, b] {
-                    to_conflicted(run, m);
-                    run.nominated[m as usize] = true;
+                    run.conflict(m);
+                    run.nominated.set(m);
                 }
                 for w in key.w {
                     run.state[w as usize] = S::R;
@@ -313,12 +594,12 @@ impl ScSets {
     /// Pairs `u` with the fulls filed under key `k`, oldest first
     /// (mutual non-adjacency checked against `u`'s neighbour bitmap).
     fn pair_with_fulls(&mut self, run: &Run, k: u32, u: u32) {
-        let mut fulls = RingCursor::new(&self.link, self.keys[k as usize].fulls);
-        while let Some(a) = fulls.step(&self.link) {
+        let mut fulls = RingCursor::new(&run.rec, self.keys[k as usize].fulls);
+        while let Some(a) = fulls.step(&run.rec) {
             if self.keys[k as usize].num_pairs >= PAIR_CAP {
                 break;
             }
-            if a != u && run.state[a as usize] == S::A && !self.is_neighbor(a) {
+            if a != u && run.state[a as usize] == S::A && !self.nbrs.get(a) {
                 self.push_pair(k, a, u);
             }
         }
@@ -328,20 +609,20 @@ impl ScSets {
     /// skeleton of any live key containing `w`, or else paired with those
     /// keys' fulls and filed as a half of `w`.
     fn file_half(&mut self, run: &mut Run, u: u32, w: u32) {
-        let mut keys = RingCursor::new(&self.key_next, self.key_tail[w as usize]);
+        let mut keys = RingCursor::new(&self.key_next, run.rec[w as usize].isn2);
         while let Some(node) = keys.step(&self.key_next) {
             if self.is_live(run, node / 2) && self.fire(run, node / 2, u) {
                 return;
             }
         }
-        let mut keys = RingCursor::new(&self.key_next, self.key_tail[w as usize]);
+        let mut keys = RingCursor::new(&self.key_next, run.rec[w as usize].isn2);
         while let Some(node) = keys.step(&self.key_next) {
             if self.is_live(run, node / 2) {
                 self.pair_with_fulls(run, node / 2, u);
             }
         }
-        let tail = self.link[w as usize];
-        self.link[w as usize] = ring_push(&mut self.link, tail, u);
+        let tail = run.rec[w as usize].link;
+        run.rec[w as usize].link = ring_push(&mut run.rec, tail, u);
         self.num_filed += 1;
     }
 
@@ -350,24 +631,23 @@ impl ScSets {
     /// halves and fulls and filed under it.
     fn file_full(&mut self, run: &mut Run, u: u32, w1: u32, w2: u32) {
         let w = [w1.min(w2), w1.max(w2)];
-        let found = self.key_ids.get(&(w[0], w[1])).copied();
-        let k = match found {
+        let k = match self.find_key(run, w) {
             Some(k) => {
                 if self.fire(run, k, u) {
                     return;
                 }
                 k
             }
-            None => self.add_key(w),
+            None => self.add_key(run, w),
         };
         // Halves of w1 and w2 …
         for wi in w {
-            let mut halves = RingCursor::new(&self.link, self.link[wi as usize]);
-            while let Some(h) = halves.step(&self.link) {
+            let mut halves = RingCursor::new(&run.rec, run.rec[wi as usize].link);
+            while let Some(h) = halves.step(&run.rec) {
                 if self.keys[k as usize].num_pairs >= PAIR_CAP {
                     break;
                 }
-                if run.is_singleton_a(h) && !self.is_neighbor(h) {
+                if run.is_singleton_a(h) && !self.nbrs.get(h) {
                     self.push_pair(k, u, h);
                 }
             }
@@ -375,7 +655,7 @@ impl ScSets {
         // … and other fulls of the same key.
         self.pair_with_fulls(run, k, u);
         let key = &mut self.keys[k as usize];
-        key.fulls = ring_push(&mut self.link, key.fulls, u);
+        key.fulls = ring_push(&mut run.rec, key.fulls, u);
         self.hold(u);
         self.num_filed += 1;
     }
@@ -395,53 +675,64 @@ impl TwoKSwap {
     }
 
     /// Enlarges `initial` (an independent set of `graph`) by two-k and
-    /// one-k swaps.
+    /// one-k swaps. Panics on a storage error; see
+    /// [`TwoKSwap::try_run_paged`].
     pub fn run<G: GraphScan + ?Sized>(&self, graph: &G, initial: &[VertexId]) -> SwapOutcome {
         self.run_paged(graph, None, initial)
     }
 
-    /// Like [`TwoKSwap::run`], with a random-access provider for the
-    /// paged candidate-verification path.
-    ///
-    /// `access` must resolve the same graph in the same storage order as
-    /// `graph`. Rounds with at most
-    /// [`crate::SwapConfig::paged_threshold`]` · |V|` live candidates
-    /// verify them through the buffer pool instead of re-scanning the
-    /// whole file; the result is identical either way.
+    /// [`TwoKSwap::try_run_paged`], panicking on a storage error.
     pub fn run_paged<G: GraphScan + ?Sized>(
         &self,
         graph: &G,
         access: Option<&dyn NeighborAccess>,
         initial: &[VertexId],
     ) -> SwapOutcome {
+        self.try_run_paged(graph, access, initial)
+            .expect("two-k swap: storage read failed")
+    }
+
+    /// Enlarges `initial` (an independent set of `graph`) by two-k and
+    /// one-k swaps, with a random-access provider for the paged
+    /// candidate-verification path. Returns the first scan or paged-read
+    /// error.
+    ///
+    /// `access` must resolve the same graph in the same storage order as
+    /// `graph`. Rounds with at most
+    /// [`crate::SwapConfig::paged_threshold`]` · |V|` live candidates
+    /// verify them through the buffer pool instead of re-scanning the
+    /// whole file; the result is identical either way.
+    pub fn try_run_paged<G: GraphScan + ?Sized>(
+        &self,
+        graph: &G,
+        access: Option<&dyn NeighborAccess>,
+        initial: &[VertexId],
+    ) -> io::Result<SwapOutcome> {
         let n = graph.num_vertices();
+        let executor = self.config.executor;
+        let init_span = mis_obs::span("twok", "twok.init");
         let mut run = Run {
             state: vec![S::N; n],
-            isn1: vec![NONE; n],
-            isn2: vec![NONE; n],
-            nominated: vec![false; n],
+            rec: vec![Rec::EMPTY; n],
+            nominated: Bits::new(n),
+            blocked: Bits::new(n),
+            undo: Vec::new(),
         };
         for &v in initial {
             run.state[v as usize] = S::I;
-            run.isn1[v as usize] = 0;
+            run.rec[v as usize] = Rec::MEMBER;
         }
-        let mut file_scans: u64 = 0;
-        let executor = self.config.executor;
 
         // Lines 1–3: initial A states (one or two IS neighbours); one
         // mergeable engine pass against the frozen I membership.
-        let init_span = mis_obs::span("twok", "twok.init");
-        file_scans += 1;
-        let assignments = executor
-            .run_pass(graph, &InitCandidates::new(&run.state, 2))
-            .expect("scan failed");
-        for (v, w1, w2) in assignments {
+        let mut file_scans: u64 = 1;
+        for (v, w1, w2) in executor.run_pass(graph, &InitCandidates::new(&run.state, 2))? {
             run.state[v as usize] = S::A;
-            run.isn1[v as usize] = w1;
+            run.rec[v as usize].isn1 = w1;
             if w2 == NONE {
-                run.isn1[w1 as usize] += 1;
+                run.rec[w1 as usize].isn1 += 1;
             } else {
-                run.isn2[v as usize] = w2;
+                run.rec[v as usize].isn2 = w2;
             }
         }
         drop(init_span);
@@ -459,17 +750,16 @@ impl TwoKSwap {
         let mut sc_peak_bytes: u64 = 0;
         let mut current_size = initial.len() as u64;
         let mut sc = ScSets::new(n);
+        // Records already passed by the post-swap scan; needed so a
+        // nominee joining mid-scan can repair the ISN state of *earlier*
+        // neighbours (later records re-derive their state anyway).
+        let mut seen = Bits::new(n);
 
         let mut can_swap = true;
         while can_swap && stats.rounds.len() < round_cap {
             can_swap = false;
             let mut round = RoundStats::default();
-
-            // Snapshot for the shrink guard (O(|V|) memory, allowed).
-            let snapshot: Option<(Vec<S>, Vec<u32>, Vec<u32>)> = {
-                let _span = mis_obs::span("twok", "twok.snapshot");
-                Some((run.state.clone(), run.isn1.clone(), run.isn2.clone()))
-            };
+            run.undo.clear();
 
             // ---- Pre-swap pass (Algorithm 4 per A vertex): one full
             // scan, or paged candidate verification when few candidates
@@ -477,57 +767,14 @@ impl TwoKSwap {
             let pre_span = mis_obs::span("twok", "twok.pre");
             let cands = select_paged_candidates(access, self.config.paged_threshold, &run.state);
             sc.clear();
-            let rs = &mut run;
+            run.blocked.clear();
+            let (rs, scs) = (&mut run, &mut sc);
             let mut pre_body = |u: VertexId, ns: &[VertexId]| {
-                if rs.state[u as usize] != S::A {
-                    return;
-                }
-                // Case (i): conflict with an already-protected vertex.
-                if ns.iter().any(|&nb| rs.state[nb as usize] == S::P) {
-                    to_conflicted(rs, u);
-                    return;
-                }
-                let w1 = rs.isn1[u as usize];
-                let w2 = rs.isn2[u as usize];
-
-                if w2 == NONE {
-                    // Singleton A vertex (one IS neighbour w1).
-                    match rs.state[w1 as usize] {
-                        S::R => {
-                            // Case (iv): all IS neighbours retreating.
-                            rs.state[u as usize] = S::P;
-                        }
-                        S::I => {
-                            // 1-2 skeleton via the ISN count trick.
-                            let y = rs.isn1[w1 as usize];
-                            let x = ns
-                                .iter()
-                                .filter(|&&nb| rs.isn1[nb as usize] == w1 && rs.is_singleton_a(nb))
-                                .count() as u32;
-                            if y >= x + 2 {
-                                rs.state[u as usize] = S::P;
-                                rs.state[w1 as usize] = S::R;
-                                return;
-                            }
-                            sc.with_neighbors(ns, |sc| sc.file_half(rs, u, w1));
-                        }
-                        _ => {}
-                    }
-                } else {
-                    // Full A vertex: ISN = {w1, w2}.
-                    let s1 = rs.state[w1 as usize];
-                    let s2 = rs.state[w2 as usize];
-                    if s1 == S::R && s2 == S::R {
-                        rs.state[u as usize] = S::P; // case (iv)
-                        return;
-                    }
-                    if s1 != S::I || s2 != S::I {
-                        return; // one neighbour stays: u cannot move yet
-                    }
-                    sc.with_neighbors(ns, |sc| sc.file_full(rs, u, w1, w2));
+                if rs.state[u as usize] == S::A {
+                    rs.pre_swap(scs, u, ns);
                 }
             };
-            if engine::candidate_pass(&executor, graph, access, cands, &mut pre_body) {
+            if engine::candidate_pass(&executor, graph, access, cands, &mut pre_body)? {
                 stats.paged_rounds += 1;
             } else {
                 file_scans += 1;
@@ -538,31 +785,27 @@ impl TwoKSwap {
             stats.sc_peak_vertices = stats.sc_peak_vertices.max(sc.num_held);
             sc_peak_bytes = sc_peak_bytes.max(sc.model_bytes());
 
-            // ---- Swap phase (in memory). ----
+            // ---- Swap phase (in memory): P → I, R → N, every member's
+            // dependant count reset, and every SC list emptied. ----
             let swap_span = mis_obs::span("twok", "twok.swap");
-            for v in 0..n {
-                match run.state[v] {
+            let states = run.state.iter_mut().zip(run.rec.iter_mut());
+            for (v, (s, rec)) in (0u32..).zip(states) {
+                match *s {
                     S::P => {
-                        run.state[v] = S::I;
-                        run.isn1[v] = 0;
-                        run.isn2[v] = NONE;
+                        *s = S::I;
+                        *rec = Rec::MEMBER;
+                        run.undo.push(v);
                         round.swapped_in += 1;
                     }
                     S::R => {
-                        run.state[v] = S::N;
-                        run.isn1[v] = NONE;
-                        run.isn2[v] = NONE;
+                        *s = S::N;
+                        *rec = Rec::EMPTY;
+                        run.undo.push(v);
                         round.swapped_out += 1;
                         can_swap = true;
                     }
-                    _ => {}
-                }
-            }
-
-            // Reset dependant counts before re-deriving A states.
-            for v in 0..n {
-                if run.state[v] == S::I {
-                    run.isn1[v] = 0;
+                    S::I => *rec = Rec::MEMBER,
+                    _ => rec.link = NONE,
                 }
             }
             drop(swap_span);
@@ -573,100 +816,15 @@ impl TwoKSwap {
             // engine's ordered fold. ----
             let post_span = mis_obs::span("twok", "twok.post");
             file_scans += 1;
+            seen.clear();
             let rs = &mut run;
             let round_ref = &mut round;
-            // Records already passed by this scan; needed so a nominee
-            // joining mid-scan can repair the ISN state of *earlier*
-            // neighbours (later records re-derive their state anyway).
-            let mut seen = vec![false; n];
-            executor
-                .fold_ordered(graph, &mut |u, ns| {
-                    seen[u as usize] = true;
-                    let s = rs.state[u as usize];
-                    if s == S::I {
-                        return;
-                    }
-                    // Nominated vertices complete their 2↔k swap here,
-                    // with the full neighbour list in memory.
-                    if rs.nominated[u as usize]
-                        && ns.iter().all(|&nb| rs.state[nb as usize] != S::I)
-                    {
-                        rs.state[u as usize] = S::I;
-                        rs.isn1[u as usize] = 0;
-                        rs.isn2[u as usize] = NONE;
-                        rs.nominated[u as usize] = false;
-                        round_ref.swapped_in += 1;
-                        // Repair neighbours whose A state was derived
-                        // before this join: u is now one of their IS
-                        // neighbours. Without this, an earlier-scanned
-                        // vertex could fire a 1-2 swap next round while
-                        // secretly adjacent to u — breaking independence.
-                        for &nb in ns {
-                            if !seen[nb as usize] || rs.state[nb as usize] != S::A {
-                                continue;
-                            }
-                            if rs.isn2[nb as usize] == NONE {
-                                // Singleton gains a second IS neighbour.
-                                let w = rs.isn1[nb as usize];
-                                if w != NONE && rs.state[w as usize] == S::I {
-                                    rs.isn1[w as usize] = rs.isn1[w as usize].saturating_sub(1);
-                                }
-                                rs.isn2[nb as usize] = u;
-                            } else {
-                                // Already two IS neighbours: now three.
-                                rs.state[nb as usize] = S::N;
-                                rs.isn1[nb as usize] = NONE;
-                                rs.isn2[nb as usize] = NONE;
-                            }
-                        }
-                        return;
-                    }
-                    rs.nominated[u as usize] = false;
-                    // Re-derive A / N / 0↔1 (Algorithm 3 re-evaluates C,
-                    // A and N alike).
-                    let mut count = 0u32;
-                    let (mut w1, mut w2) = (NONE, NONE);
-                    let mut all_cn = true;
-                    for &nb in ns {
-                        match rs.state[nb as usize] {
-                            S::I => {
-                                count += 1;
-                                if w1 == NONE {
-                                    w1 = nb;
-                                } else if w2 == NONE {
-                                    w2 = nb;
-                                }
-                                all_cn = false;
-                            }
-                            S::C | S::N => {}
-                            _ => all_cn = false,
-                        }
-                    }
-                    match count {
-                        1 => {
-                            rs.state[u as usize] = S::A;
-                            rs.isn1[u as usize] = w1;
-                            rs.isn2[u as usize] = NONE;
-                            rs.isn1[w1 as usize] += 1;
-                        }
-                        2 => {
-                            rs.state[u as usize] = S::A;
-                            rs.isn1[u as usize] = w1;
-                            rs.isn2[u as usize] = w2;
-                        }
-                        _ => {
-                            rs.state[u as usize] = S::N;
-                            rs.isn1[u as usize] = NONE;
-                            rs.isn2[u as usize] = NONE;
-                            if count == 0 && all_cn {
-                                rs.state[u as usize] = S::I;
-                                rs.isn1[u as usize] = 0;
-                                round_ref.swapped_in += 1;
-                            }
-                        }
-                    }
-                })
-                .expect("scan failed");
+            executor.fold_ordered(graph, &mut |u, ns| {
+                seen.set(u);
+                if rs.post_swap(u, ns, &seen) {
+                    round_ref.swapped_in += 1;
+                }
+            })?;
             drop(post_span);
 
             // Shrink guard: a blocked nominee can make a round lose
@@ -674,11 +832,7 @@ impl TwoKSwap {
             // set.
             let new_size = (current_size as i64 + round.net_gain()) as u64;
             if new_size < current_size {
-                if let Some((s, i1, i2)) = snapshot {
-                    run.state = s;
-                    run.isn1 = i1;
-                    run.isn2 = i2;
-                }
+                run.roll_back();
                 break;
             }
             current_size = new_size;
@@ -697,14 +851,14 @@ impl TwoKSwap {
         if self.config.finalize_maximal {
             let _span = mis_obs::span("twok", "twok.finalize");
             file_scans += 1;
-            finalize_maximal(graph, &mut run.state, &executor);
+            finalize_maximal(graph, &mut run.state, &executor)?;
         }
 
         let set: Vec<VertexId> = (0..n as VertexId)
             .filter(|&v| run.state[v as usize] == S::I)
             .collect();
         stats.final_size = set.len() as u64;
-        SwapOutcome {
+        Ok(SwapOutcome {
             result: MisResult {
                 set,
                 file_scans,
@@ -712,7 +866,9 @@ impl TwoKSwap {
                     state_bytes: n as u64,
                     isn_bytes: 8 * n as u64,
                     sc_peak_bytes,
-                    aux_bytes: n as u64, // nomination flags
+                    // The records' shared `link` slot and five bitmaps:
+                    // nominated, blocked, seen, held and neighbours.
+                    aux_bytes: 4 * n as u64 + 5 * Bits::bytes(n),
                     pager_bytes: if stats.paged_rounds > 0 {
                         access.map_or(0, |a| a.resident_bytes())
                     } else {
@@ -721,19 +877,8 @@ impl TwoKSwap {
                 },
             },
             stats,
-        }
+        })
     }
-}
-
-/// Marks `u` conflicted and maintains the singleton dependant count.
-fn to_conflicted(run: &mut Run, u: u32) {
-    if run.isn2[u as usize] == NONE {
-        let w = run.isn1[u as usize];
-        if w != NONE && run.state[w as usize] == S::I {
-            run.isn1[w as usize] = run.isn1[w as usize].saturating_sub(1);
-        }
-    }
-    run.state[u as usize] = S::C;
 }
 
 #[cfg(test)]

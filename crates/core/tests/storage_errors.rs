@@ -2,18 +2,24 @@
 //! open must come back from `run_pass` and `fold_ordered` as an
 //! `io::Error` — on the sequential path and through the parallel block
 //! pipeline alike — with no panic, no hang and no silent short read.
+//! Two-k's `try_run_paged` must return the same errors from its scans and
+//! from paged reads through a buffer pool.
 
 use std::io::ErrorKind;
 use std::path::Path;
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 use mis_core::engine::passes::DegreeStatsPass;
-use mis_core::Executor;
-use mis_extmem::{IoStats, ScratchDir};
+use mis_core::{Executor, Greedy, SwapConfig, TwoKSwap};
+use mis_extmem::{IoStats, PagerConfig, PolicyKind, ScratchDir};
 use mis_graph::{
-    build_adj_file, compress_adj, split_adj_file, AnyAdjFile, GraphScan, SplitOptions,
+    build_adj_file, compress_adj, split_adj_file, AnyAdjFile, CsrGraph, GraphScan, NeighborAccess,
+    SplitOptions,
 };
+
+/// A store's paged reader, shareable with the deadline thread.
+type SharedAccess = Arc<Mutex<Box<dyn NeighborAccess + Send>>>;
 
 const BLOCK_SIZE: usize = 1024;
 
@@ -52,11 +58,16 @@ fn within_deadline<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send +
     }
 }
 
+fn graph() -> CsrGraph {
+    mis_gen::Plrg::with_vertices(20_000, 2.0).seed(5).generate()
+}
+
 /// A plain file, its compressed twin and a 3-shard split of the plain
-/// file, each opened and then truncated underneath: the files to two
-/// thirds of their length, the store through its last shard.
-fn truncated_stores(dir: &ScratchDir) -> Vec<(&'static str, AnyAdjFile)> {
-    let g = mis_gen::Plrg::with_vertices(20_000, 2.0).seed(5).generate();
+/// file, each opened with a paged reader (a 64 KiB pool) and then
+/// truncated underneath: the files to two thirds of their length, the
+/// store through its last shard.
+fn truncated_stores(dir: &ScratchDir) -> Vec<(&'static str, AnyAdjFile, SharedAccess)> {
+    let g = graph();
     let stats = IoStats::shared();
     let plain = build_adj_file(&g, &dir.file("g.adj"), Arc::clone(&stats), BLOCK_SIZE).unwrap();
     compress_adj(&g, &dir.file("g.cadj"), Arc::clone(&stats), BLOCK_SIZE).unwrap();
@@ -72,11 +83,16 @@ fn truncated_stores(dir: &ScratchDir) -> Vec<(&'static str, AnyAdjFile)> {
     let open = |name: &str| {
         AnyAdjFile::open_with_block_size(&dir.file(name), IoStats::shared(), BLOCK_SIZE).unwrap()
     };
-    let stores = vec![
-        ("plain", open("g.adj")),
-        ("compressed", open("g.cadj")),
-        ("3-shard", open("g.shrd")),
-    ];
+    let pager = PagerConfig::with_capacity_bytes(64 << 10, BLOCK_SIZE, PolicyKind::default());
+    let stores = ["plain", "compressed", "3-shard"]
+        .into_iter()
+        .zip(["g.adj", "g.cadj", "g.shrd"])
+        .map(|(label, name)| {
+            let file = open(name);
+            let access = file.open_random_access(pager).unwrap();
+            (label, file, Arc::new(Mutex::new(access)))
+        })
+        .collect();
     truncate_to_two_thirds(&dir.file("g.adj"));
     truncate_to_two_thirds(&dir.file("g.cadj"));
     truncate_to_two_thirds(&dir.file(&manifest.shards[2].name));
@@ -97,7 +113,7 @@ fn assert_storage_error(err: std::io::Error, what: &str) {
 #[test]
 fn truncated_storage_errors_through_every_executor() {
     let dir = ScratchDir::new("engine-errors").unwrap();
-    for (label, file) in truncated_stores(&dir) {
+    for (label, file, _) in truncated_stores(&dir) {
         let n = file.num_vertices();
         for exec in [
             Executor::Sequential,
@@ -123,6 +139,42 @@ fn truncated_storage_errors_through_every_executor() {
                 visited < n,
                 "{what}: fold_ordered visited {visited} of {n} records"
             );
+        }
+    }
+}
+
+#[test]
+fn two_k_returns_scan_and_paged_read_errors() {
+    let dir = ScratchDir::new("twok-errors").unwrap();
+    let g = Arc::new(graph());
+    let initial = Greedy::new().run(&*g).set;
+    for (label, file, access) in truncated_stores(&dir) {
+        for exec in [
+            Executor::Sequential,
+            Executor::parallel(2),
+            Executor::parallel(4),
+        ] {
+            let what = format!("{label} {}", exec.describe());
+
+            // Scanned rounds: the init scan reads the truncated store.
+            let (f, set) = (file.clone(), initial.clone());
+            let config = SwapConfig::default().with_executor(exec);
+            let out = within_deadline(&what, move || {
+                TwoKSwap::with_config(config).try_run_paged(&f, None, &set)
+            });
+            let err = out.expect_err(&format!("{what}: two-k over a truncated store"));
+            assert_storage_error(err, &format!("{what} two-k scan"));
+
+            // Paged rounds: the scans read the intact graph in memory and
+            // every pre-swap pass reads through the truncated store's pool.
+            let (mem, acc, set) = (Arc::clone(&g), Arc::clone(&access), initial.clone());
+            let config = config.with_paged_threshold(1.0);
+            let out = within_deadline(&what, move || {
+                let acc = acc.lock().unwrap();
+                TwoKSwap::with_config(config).try_run_paged(&*mem, Some(&**acc), &set)
+            });
+            let err = out.expect_err(&format!("{what}: two-k through a truncated pool"));
+            assert_storage_error(err, &format!("{what} two-k paged read"));
         }
     }
 }

@@ -96,10 +96,9 @@
 //!   `repair.collect` (the set collect).
 //! * cat `"twok"` — the passes of one two-k swap run, nested in the
 //!   caller's `solve`: `twok.init` (the initial candidate scan), then per
-//!   round `twok.snapshot` (the shrink guard's copy), `twok.pre` (the
-//!   pre-swap pass, scanned or paged), `twok.swap` (the in-memory swap
-//!   sweep) and `twok.post` (the post-swap scan), and `twok.finalize`
-//!   (the maximality pass).
+//!   round `twok.pre` (the pre-swap pass, scanned or paged), `twok.swap`
+//!   (the in-memory swap sweep) and `twok.post` (the post-swap scan), and
+//!   `twok.finalize` (the maximality pass).
 //! * The report totals the spans of every other category besides
 //!   `"phase"` and `"engine"` by name, as its step breakdown.
 

@@ -90,8 +90,8 @@
 //! durable-update log rewrites its base, which sharded stores do not
 //! support). Every run prints IS
 //! size, scan counts, block transfers, cache hit rates (when caching)
-//! and the modelled memory, and verifies the result before reporting
-//! success.
+//! and the modelled memory next to the process's peak RSS, and verifies
+//! the result before reporting success.
 //!
 //! `mis serve` turns the update store into a long-running process: it
 //! listens on a unix socket (`--socket`) or TCP address (`--listen`),
@@ -309,6 +309,21 @@ fn finish_trace(path: Option<&Path>, stats: &IoStats) -> Result<Option<TraceRepo
         path.display()
     );
     Ok(Some(report))
+}
+
+/// The `peak RSS = … MiB` line `mis run` prints after the modelled
+/// memory: the process's peak resident set (`VmHWM` in
+/// `/proc/self/status`), or `None` where that file is unreadable.
+fn peak_rss_line() -> Option<String> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kib: u64 = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))?
+        .split_whitespace()
+        .next()?
+        .parse()
+        .ok()?;
+    Some(format!("peak RSS = {:.1} MiB", kib as f64 / 1024.0))
 }
 
 /// Prints the shared I/O counter summary every subcommand ends with,
@@ -1063,7 +1078,9 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         }
         "twok" => {
             let g = Greedy::with_executor(executor).run(scan);
-            let o = TwoKSwap::with_config(config).run_paged(scan, access, &g.set);
+            let o = TwoKSwap::with_config(config)
+                .try_run_paged(scan, access, &g.set)
+                .map_err(|e| e.to_string())?;
             paged_rounds = Some(o.stats.paged_rounds);
             (
                 o.result.set,
@@ -1122,6 +1139,9 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         println!("paged rounds = {}", paged_rounds.unwrap_or(0));
     }
     println!("modelled memory = {} B", memory.total());
+    if let Some(line) = peak_rss_line() {
+        println!("{line}");
+    }
     let report = finish_trace(trace_path.as_deref(), &stats)?;
     print_io_summary(&stats, report.as_ref());
     println!("verified: independent = {independent}, maximal = {maximal}");
@@ -2334,6 +2354,18 @@ mod tests {
 
         // --json renders the machine-readable form of the same report.
         dispatch(&strs(&["trace", "report", &trace_s, "--json"])).unwrap();
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn peak_rss_line_reports_vm_hwm() {
+        let line = peak_rss_line().expect("/proc/self/status is readable on Linux");
+        let mib: f64 = line
+            .strip_prefix("peak RSS = ")
+            .and_then(|rest| rest.strip_suffix(" MiB"))
+            .and_then(|num| num.parse().ok())
+            .unwrap_or_else(|| panic!("unparsable line `{line}`"));
+        assert!(mib > 0.0, "{line}");
     }
 
     /// A minimal `BENCH_*.json`-shaped snapshot with a fingerprint, an

@@ -332,9 +332,9 @@ where
 /// `select_paged_candidates` produced a candidate list, visits exactly
 /// those candidates in storage order through the provider (the paged
 /// path of PR 2); otherwise performs one full pass in storage order
-/// through `executor`. Returns `true` when the paged path was taken, so
-/// the caller can account a paged round instead of a file scan, and the
-/// first scan or paged-read error otherwise.
+/// through `executor`. Returns whether the paged path was taken, so the
+/// caller can account a paged round instead of a file scan, or the first
+/// scan or paged-read error.
 pub(crate) fn candidate_pass<G: GraphScan + ?Sized>(
     executor: &Executor,
     graph: &G,

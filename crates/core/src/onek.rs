@@ -271,7 +271,7 @@ impl OneKSwap {
                 }
             };
             if engine::candidate_pass(&executor, graph, access, cands, &mut pre_body)
-                .expect("scan failed")
+                .expect("candidate read failed")
             {
                 stats.paged_rounds += 1;
             } else {

@@ -72,7 +72,9 @@
 //!   graphs a few keys at most); key records and pairs live in reusable
 //!   arenas;
 //! * the neighbour test reads a bitmap over vertex ids, loaded from the
-//!   record before its SC work and cleared after it.
+//!   record before its SC work and cleared after it. Most records have
+//!   none: a half whose IS vertex has no key, or a full whose key is new
+//!   and whose IS vertices have no halves, skips the load.
 //!
 //! Case (i), "a neighbour is already `P`", is one bit test. A vertex
 //! turns `P` only while its own record is in hand (a 1-2 skeleton, case
@@ -193,12 +195,19 @@ impl Run {
         self.state[v as usize] == S::A && self.rec[v as usize].isn2 == NONE
     }
 
+    /// Takes a singleton off the dependant count of its IS neighbour `w`.
+    fn release(&mut self, w: u32) {
+        if w != NONE && self.state[w as usize] == S::I {
+            let count = &mut self.rec[w as usize].isn1;
+            *count = count.saturating_sub(1);
+        }
+    }
+
     /// Marks `u` conflicted and maintains the singleton dependant count.
     fn conflict(&mut self, u: u32) {
         let r = self.rec[u as usize];
-        if r.isn2 == NONE && r.isn1 != NONE && self.state[r.isn1 as usize] == S::I {
-            let count = &mut self.rec[r.isn1 as usize].isn1;
-            *count = count.saturating_sub(1);
+        if r.isn2 == NONE {
+            self.release(r.isn1);
         }
         self.state[u as usize] = S::C;
     }
@@ -239,14 +248,14 @@ impl Run {
                     self.state[u as usize] = S::P;
                     self.state[w1 as usize] = S::R;
                 }
-                S::I => sc.with_neighbors(ns, |sc| sc.file_half(self, u, w1)),
+                S::I => sc.file_half(self, u, w1, ns),
                 _ => {}
             }
         } else {
             // Full A vertex: ISN = {w1, w2}.
             match (self.state[w1 as usize], self.state[w2 as usize]) {
                 (S::R, S::R) => self.state[u as usize] = S::P, // case (iv)
-                (S::I, S::I) => sc.with_neighbors(ns, |sc| sc.file_full(self, u, w1, w2)),
+                (S::I, S::I) => sc.file_full(self, u, w1, w2, ns),
                 _ => {} // one neighbour stays: u cannot move yet
             }
         }
@@ -282,10 +291,7 @@ impl Run {
                     let r = self.rec[nb as usize];
                     if r.isn2 == NONE {
                         // Singleton gains a second IS neighbour.
-                        if r.isn1 != NONE && self.state[r.isn1 as usize] == S::I {
-                            let count = &mut self.rec[r.isn1 as usize].isn1;
-                            *count = count.saturating_sub(1);
-                        }
+                        self.release(r.isn1);
                         self.rec[nb as usize].isn2 = u;
                     } else {
                         // Already two IS neighbours: now three.
@@ -491,14 +497,15 @@ impl ScSets {
     }
 
     /// Runs `f` with `ns` loaded into the neighbour bitmap.
-    fn with_neighbors(&mut self, ns: &[VertexId], f: impl FnOnce(&mut Self)) {
+    fn with_neighbors<T>(&mut self, ns: &[VertexId], f: impl FnOnce(&mut Self) -> T) -> T {
         for &v in ns {
             self.nbrs.set(v);
         }
-        f(self);
+        let out = f(self);
         for &v in ns {
             self.nbrs.unset(v);
         }
+        out
     }
 
     /// Counts `v` as held in an SC set this round.
@@ -605,59 +612,75 @@ impl ScSets {
         }
     }
 
-    /// Singleton `u` with IS neighbour `w`: the third vertex of a 2-3
-    /// skeleton of any live key containing `w`, or else paired with those
-    /// keys' fulls and filed as a half of `w`.
-    fn file_half(&mut self, run: &mut Run, u: u32, w: u32) {
-        let mut keys = RingCursor::new(&self.key_next, run.rec[w as usize].isn2);
-        while let Some(node) = keys.step(&self.key_next) {
-            if self.is_live(run, node / 2) && self.fire(run, node / 2, u) {
-                return;
-            }
+    /// Singleton `u` with IS neighbour `w` and neighbours `ns`: the third
+    /// vertex of a 2-3 skeleton of any live key containing `w`, or else
+    /// paired with those keys' fulls and filed as a half of `w`. Most IS
+    /// vertices have no key, and then `ns` is not loaded at all.
+    fn file_half(&mut self, run: &mut Run, u: u32, w: u32, ns: &[VertexId]) {
+        let keys = run.rec[w as usize].isn2;
+        let fired = keys != NONE
+            && self.with_neighbors(ns, |sc| {
+                let mut nodes = RingCursor::new(&sc.key_next, keys);
+                while let Some(node) = nodes.step(&sc.key_next) {
+                    if sc.is_live(run, node / 2) && sc.fire(run, node / 2, u) {
+                        return true;
+                    }
+                }
+                let mut nodes = RingCursor::new(&sc.key_next, keys);
+                while let Some(node) = nodes.step(&sc.key_next) {
+                    if sc.is_live(run, node / 2) {
+                        sc.pair_with_fulls(run, node / 2, u);
+                    }
+                }
+                false
+            });
+        if !fired {
+            let tail = run.rec[w as usize].link;
+            run.rec[w as usize].link = ring_push(&mut run.rec, tail, u);
+            self.num_filed += 1;
         }
-        let mut keys = RingCursor::new(&self.key_next, run.rec[w as usize].isn2);
-        while let Some(node) = keys.step(&self.key_next) {
-            if self.is_live(run, node / 2) {
-                self.pair_with_fulls(run, node / 2, u);
-            }
-        }
-        let tail = run.rec[w as usize].link;
-        run.rec[w as usize].link = ring_push(&mut run.rec, tail, u);
-        self.num_filed += 1;
     }
 
-    /// Full `u` with IS neighbours `w1, w2`: the third vertex of a 2-3
-    /// skeleton of their key, or else paired with the key's compatible
-    /// halves and fulls and filed under it.
-    fn file_full(&mut self, run: &mut Run, u: u32, w1: u32, w2: u32) {
+    /// Full `u` with IS neighbours `w1, w2` and neighbours `ns`: the third
+    /// vertex of a 2-3 skeleton of their key, or else paired with the
+    /// key's compatible halves and fulls and filed under it. A new key
+    /// with no halves at either IS vertex has nothing to fire or pair
+    /// with, and then `ns` is not loaded at all.
+    fn file_full(&mut self, run: &mut Run, u: u32, w1: u32, w2: u32, ns: &[VertexId]) {
         let w = [w1.min(w2), w1.max(w2)];
-        let k = match self.find_key(run, w) {
-            Some(k) => {
-                if self.fire(run, k, u) {
-                    return;
-                }
-                k
-            }
+        let found = self.find_key(run, w);
+        let k = match found {
+            Some(k) => k,
             None => self.add_key(run, w),
         };
-        // Halves of w1 and w2 …
-        for wi in w {
-            let mut halves = RingCursor::new(&run.rec, run.rec[wi as usize].link);
-            while let Some(h) = halves.step(&run.rec) {
-                if self.keys[k as usize].num_pairs >= PAIR_CAP {
-                    break;
+        let has_work = found.is_some() || w.iter().any(|&wi| run.rec[wi as usize].link != NONE);
+        let fired = has_work
+            && self.with_neighbors(ns, |sc| {
+                if found.is_some() && sc.fire(run, k, u) {
+                    return true;
                 }
-                if run.is_singleton_a(h) && !self.nbrs.get(h) {
-                    self.push_pair(k, u, h);
+                // Halves of w1 and w2 …
+                for wi in w {
+                    let mut halves = RingCursor::new(&run.rec, run.rec[wi as usize].link);
+                    while let Some(h) = halves.step(&run.rec) {
+                        if sc.keys[k as usize].num_pairs >= PAIR_CAP {
+                            break;
+                        }
+                        if run.is_singleton_a(h) && !sc.nbrs.get(h) {
+                            sc.push_pair(k, u, h);
+                        }
+                    }
                 }
-            }
+                // … and other fulls of the same key.
+                sc.pair_with_fulls(run, k, u);
+                false
+            });
+        if !fired {
+            let key = &mut self.keys[k as usize];
+            key.fulls = ring_push(&mut run.rec, key.fulls, u);
+            self.hold(u);
+            self.num_filed += 1;
         }
-        // … and other fulls of the same key.
-        self.pair_with_fulls(run, k, u);
-        let key = &mut self.keys[k as usize];
-        key.fulls = ring_push(&mut run.rec, key.fulls, u);
-        self.hold(u);
-        self.num_filed += 1;
     }
 }
 
@@ -991,6 +1014,8 @@ mod tests {
         assert!(out.result.memory.sc_peak_bytes > 0);
         assert_eq!(out.result.memory.state_bytes, 8);
         assert_eq!(out.result.memory.isn_bytes, 64);
+        // The shared `link` slot, 4 B a vertex, and five one-word bitmaps.
+        assert_eq!(out.result.memory.aux_bytes, 4 * 8 + 5 * 8);
     }
 
     #[test]

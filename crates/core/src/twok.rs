@@ -267,12 +267,14 @@ impl Run {
     }
 
     /// The post-swap step (Algorithm 3 lines 15–23) of `u`; `seen` holds
-    /// the records this pass has already visited. Returns whether `u`
-    /// joined the set.
-    fn post_swap(&mut self, u: u32, ns: &[VertexId], seen: &Bits) -> bool {
+    /// the non-members this pass has already visited (members stay
+    /// members during the pass, and only `A` vertices' bits are read).
+    /// Returns whether `u` joined the set.
+    fn post_swap(&mut self, u: u32, ns: &[VertexId], seen: &mut Bits) -> bool {
         if self.state[u as usize] == S::I {
             return false;
         }
+        seen.set(u);
         // Nominated vertices complete their 2↔k swap here, with the full
         // neighbour list in memory.
         if self.nominated.get(u) {
@@ -773,7 +775,7 @@ impl TwoKSwap {
         let mut sc_peak_bytes: u64 = 0;
         let mut current_size = initial.len() as u64;
         let mut sc = ScSets::new(n);
-        // Records already passed by the post-swap scan; needed so a
+        // Non-members already passed by the post-swap scan; needed so a
         // nominee joining mid-scan can repair the ISN state of *earlier*
         // neighbours (later records re-derive their state anyway).
         let mut seen = Bits::new(n);
@@ -843,8 +845,7 @@ impl TwoKSwap {
             let rs = &mut run;
             let round_ref = &mut round;
             executor.fold_ordered(graph, &mut |u, ns| {
-                seen.set(u);
-                if rs.post_swap(u, ns, &seen) {
+                if rs.post_swap(u, ns, &mut seen) {
                     round_ref.swapped_in += 1;
                 }
             })?;

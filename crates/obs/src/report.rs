@@ -580,6 +580,12 @@ impl TraceReport {
             self.num_spans,
             fmt_us(self.wall_us)
         );
+        let width = self
+            .phases
+            .iter()
+            .chain(&self.steps)
+            .map(|p| p.name.len())
+            .fold(12, usize::max);
         let agg_line = |out: &mut String, p: &PhaseAgg| {
             let pct = if self.wall_us > 0.0 {
                 100.0 * p.total_us / self.wall_us
@@ -588,7 +594,7 @@ impl TraceReport {
             };
             let _ = writeln!(
                 out,
-                "  {:<12} {:>12}  {:>5.1}%  x{}",
+                "  {:<width$} {:>12}  {:>5.1}%  x{}",
                 p.name,
                 fmt_us(p.total_us),
                 pct,

@@ -201,7 +201,7 @@ mod tests {
         let model = fx.plain.cost_model(TEST_BLOCK_SIZE).unwrap();
         let path = fx.plain.path();
         let scan_side = measure(path, TEST_BLOCK_SIZE, None, &model);
-        let pc = PagerConfig::with_capacity_bytes(1 << 20, TEST_BLOCK_SIZE, PolicyKind::Lru);
+        let pc = PagerConfig::with_capacity_bytes(1 << 20, TEST_BLOCK_SIZE, PolicyKind::Clock);
         let paged_side = measure(path, TEST_BLOCK_SIZE, Some((pc, 1.0)), &model);
         assert!(scan_side.conforms() && paged_side.conforms());
         assert_eq!(scan_side.is_size, paged_side.is_size);

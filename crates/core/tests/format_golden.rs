@@ -5,13 +5,14 @@
 //! fetch must leave untouched:
 //!
 //! * the length and FNV-1a hash of every file the writers produce:
-//!   `build_adj_file`, `compress_adj`, both degree sorts, the indexed
-//!   writers, and 2- and 3-shard splits of both codecs (manifest and
-//!   shard files);
+//!   `build_adj_file`, `compress_adj`, both degree sorts, a copy of the
+//!   degree-sorted graph through each codec's writer (`indexed.*`), and
+//!   2- and 3-shard splits of both codecs (manifest and shard files);
 //! * the scans, blocks and bytes read by opening, scanning and
 //!   block-scanning each single file;
-//! * a hash of every record offset, from the writer-built and the
-//!   scan-built index of each codec, plus the index build's scans and
+//! * a hash of every record offset of each codec's scan-built index:
+//!   over the writer's copy (`writer=`), and over the degree-sorted plain
+//!   file or the compressed copy (`scan=`), plus that build's scans and
 //!   blocks;
 //! * 2,000 seeded paged reads per codec and per sharded store through 4
 //!   frames of 64-byte pages: a hash of the returned lists, plus blocks
@@ -27,10 +28,9 @@ use std::sync::Arc;
 use mis_extmem::{IoSnapshot, IoStats, PagerConfig, PolicyKind, ScratchDir, SortConfig};
 use mis_graph::adjfile::AdjFileWriter;
 use mis_graph::{
-    build_adj_file, compress_adj, compress_adj_indexed, degree_sort_adj_file,
-    degree_sort_compressed_adj_file, split_adj_file, AnyAdjFile, CompressedAdjFile, CsrGraph,
-    GraphScan, NeighborAccess, RandomAccessGraph, RecordIndex, ShardedGraph, SplitOptions,
-    VertexId,
+    build_adj_file, compress_adj, degree_sort_adj_file, degree_sort_compressed_adj_file,
+    split_adj_file, AnyAdjFile, CompressedAdjFile, CsrGraph, GraphScan, NeighborAccess,
+    RandomAccessGraph, RecordIndex, ShardedGraph, SplitOptions, VertexId,
 };
 
 const BLOCK: usize = 256;
@@ -194,8 +194,10 @@ fn actual_lines() -> Vec<String> {
             }
         }
 
-        // The record index: writer-built and scan-built, per codec.
-        let mut writer = AdjFileWriter::create_indexed(
+        // The record index, per codec: over the files the writers just
+        // wrote (`writer=`), and over the degree-sorted plain file or the
+        // compressed copy, with that build's cost (`scan=`, `build=`).
+        let mut writer = AdjFileWriter::create(
             &dir.file("indexed.adj"),
             n as u64,
             sorted.num_edges(),
@@ -203,11 +205,9 @@ fn actual_lines() -> Vec<String> {
             BLOCK,
         )
         .unwrap();
-        sorted
-            .scan(&mut |v, ns| writer.write_record(v, ns).unwrap())
-            .unwrap();
-        let written = writer.finish_indexed().unwrap();
-        let (indexed_c, written_c) = compress_adj_indexed(
+        writer.write_scan(&sorted).unwrap();
+        writer.finish().unwrap();
+        let indexed_c = compress_adj(
             &sorted,
             &dir.file("indexed.cadj"),
             Arc::clone(&stats),
@@ -222,6 +222,14 @@ fn actual_lines() -> Vec<String> {
             "{name} indexed.cadj: {}",
             file_hash(&dir.file("indexed.cadj"))
         ));
+        let indexed = mis_graph::AdjFile::open_with_block_size(
+            &dir.file("indexed.adj"),
+            Arc::clone(&stats),
+            BLOCK,
+        )
+        .unwrap();
+        let written = RecordIndex::build(&indexed).unwrap();
+        let written_c = RecordIndex::build(&indexed_c).unwrap();
         let before = stats.snapshot();
         let built = RecordIndex::build(&sorted).unwrap();
         let plain_build = delta(&stats, &before);

@@ -19,9 +19,9 @@
 //!    [`BufferPool::unpin`].
 //!
 //! [`BufferPool::pin`] resolves a page number through the frame table: a
-//! **hit** bumps the pin count and notifies the eviction policy; a
-//! **miss** takes a free frame (or evicts an unpinned victim chosen by the
-//! [`policy`]) and fills it with one positioned read from the
+//! **hit** bumps the pin count and sets the frame's CLOCK reference bit;
+//! a **miss** takes a free frame (or evicts an unpinned victim chosen by
+//! the [`policy`]) and fills it with one positioned read from the
 //! [`PageSource`]. Convenience wrappers [`BufferPool::with_page`] and
 //! [`BufferPool::read_at`] pair every pin with its unpin.
 //!
@@ -46,7 +46,7 @@ use std::sync::Arc;
 use crate::stats::IoStats;
 use crate::DEFAULT_BLOCK_SIZE;
 
-pub use policy::{ClockPolicy, EvictionPolicy, LruPolicy, PolicyKind};
+pub use policy::{ClockPolicy, PolicyKind};
 pub use source::{open_file_source, FilePageSource, PageSource, SeekSource};
 
 /// Buffer-pool shape: page size, frame budget, eviction policy.
@@ -119,10 +119,7 @@ pub struct BufferPool<S: PageSource> {
     frames: Vec<Frame>,
     /// page number → frame index, for every resident page.
     table: HashMap<u64, usize>,
-    policy: Box<dyn EvictionPolicy + Send>,
-    /// Pin counts mirrored out of `frames` so the policy can see them
-    /// without borrowing the frame table.
-    pins: Vec<u32>,
+    policy: ClockPolicy,
     stats: Arc<IoStats>,
     /// Lifetime request/eviction tallies for the trace's hit-rate and
     /// eviction series (sampled every [`TRACE_SAMPLE_EVERY`] requests).
@@ -150,14 +147,12 @@ impl<S: PageSource> BufferPool<S> {
     pub fn new(source: S, config: PagerConfig, stats: Arc<IoStats>) -> Self {
         assert!(config.page_size > 0, "page size must be non-zero");
         assert!(config.frames > 0, "frame capacity must be non-zero");
-        let policy = policy::make_policy(config.policy);
         Self {
             source,
             config,
             frames: Vec::new(),
             table: HashMap::new(),
-            policy,
-            pins: Vec::new(),
+            policy: ClockPolicy::default(),
             stats,
             trace_hits: 0,
             trace_misses: 0,
@@ -211,9 +206,8 @@ impl<S: PageSource> BufferPool<S> {
             self.stats.record_cache_hit();
             self.trace_hits += 1;
             self.maybe_trace();
-            self.policy.on_access(idx);
+            self.policy.reference(idx);
             self.frames[idx].pins += 1;
-            self.pins[idx] = self.frames[idx].pins;
             return Ok(FrameId(idx));
         }
         if page_no >= self.num_pages() {
@@ -241,9 +235,8 @@ impl<S: PageSource> BufferPool<S> {
         frame.page_no = page_no;
         frame.len = len;
         frame.pins = 1;
-        self.pins[idx] = 1;
         self.table.insert(page_no, idx);
-        self.policy.on_admit(idx);
+        self.policy.reference(idx);
         Ok(FrameId(idx))
     }
 
@@ -256,10 +249,11 @@ impl<S: PageSource> BufferPool<S> {
                 pins: 0,
                 data: Vec::new(),
             });
-            self.pins.push(0);
             return Ok(self.frames.len() - 1);
         }
-        let victim = self.policy.victim(&self.pins).ok_or_else(|| {
+        let frames = &self.frames;
+        let victim = self.policy.victim(frames.len(), |f| frames[f].pins > 0);
+        let victim = victim.ok_or_else(|| {
             io::Error::new(
                 io::ErrorKind::OutOfMemory,
                 "buffer pool exhausted: every frame is pinned",
@@ -290,7 +284,6 @@ impl<S: PageSource> BufferPool<S> {
         let f = &mut self.frames[frame.0];
         assert!(f.pins > 0, "unpin without a matching pin");
         f.pins -= 1;
-        self.pins[frame.0] = f.pins;
     }
 
     /// Pins `page_no`, hands its bytes to `f`, and unpins.
@@ -391,7 +384,7 @@ mod tests {
 
     #[test]
     fn capacity_one_thrashes_but_stays_correct() {
-        let (mut pool, stats) = pool_over(seq(1024), 1, 256, PolicyKind::Lru);
+        let (mut pool, stats) = pool_over(seq(1024), 1, 256, PolicyKind::Clock);
         for round in 0..2 {
             for page in 0..4u64 {
                 pool.with_page(page, |data| {
@@ -445,29 +438,9 @@ mod tests {
         assert_eq!(pool.read_at(1000, &mut tail).unwrap(), 0);
     }
 
-    /// The satellite-task traces: hit counts on a known access pattern
-    /// differ between CLOCK and LRU exactly as the textbooks predict.
-    #[test]
-    fn lru_vs_clock_hit_counts_on_known_trace() {
-        // Two frames, trace 0 1 0 2 0: LRU keeps 0 (recently used) and
-        // evicts 1 for 2, so the final 0 hits. CLOCK's sweeping hand
-        // clears 0's reference bit first and evicts 0 for 2.
-        let trace = [0u64, 1, 0, 2, 0];
-        let run = |policy: PolicyKind| {
-            let (mut pool, stats) = pool_over(seq(256 * 3), 2, 256, policy);
-            for &p in &trace {
-                pool.with_page(p, |_| {}).unwrap();
-            }
-            let snap = stats.snapshot();
-            (snap.cache_hits, snap.cache_misses, snap.cache_evictions)
-        };
-        assert_eq!(run(PolicyKind::Lru), (2, 3, 1));
-        assert_eq!(run(PolicyKind::Clock), (1, 4, 2));
-    }
-
     #[test]
     fn config_capacity_helpers() {
-        let c = PagerConfig::with_capacity_bytes(1 << 20, 64 * 1024, PolicyKind::Lru);
+        let c = PagerConfig::with_capacity_bytes(1 << 20, 64 * 1024, PolicyKind::Clock);
         assert_eq!(c.frames, 16);
         assert_eq!(c.capacity_bytes(), 1 << 20);
         // Tiny budgets still get one frame.

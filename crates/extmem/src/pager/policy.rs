@@ -1,66 +1,30 @@
-//! Pluggable frame-eviction policies for the buffer pool.
+//! CLOCK frame eviction for the buffer pool.
 //!
-//! Policies see three events: a page admitted into a frame, a frame
-//! re-accessed (a hit), and a request for a victim frame. Pinned frames
-//! are never evicted; the pool passes the current pin counts so a policy
-//! can skip them.
+//! The policy sees two events: a frame referenced (a page admitted into
+//! it, or a hit), and a request for a victim frame. Pinned frames are
+//! never evicted; the pool tells the policy which frames are pinned.
 //!
-//! Two classics are provided:
-//!
-//! * [`ClockPolicy`] — second-chance / CLOCK: one reference bit per frame
-//!   and a sweeping hand; admission and access set the bit, the hand
-//!   clears bits until it finds a clear, unpinned frame. `O(1)` state per
-//!   frame and the usual LRU approximation.
-//! * [`LruPolicy`] — exact least-recently-used via a logical access clock;
-//!   the victim is the unpinned frame with the smallest stamp. Victim
-//!   search is `O(frames)`, which is irrelevant at page granularity (an
-//!   eviction already pays a block transfer).
+//! [`ClockPolicy`] is second-chance / CLOCK: one reference bit per frame
+//! and a sweeping hand; a reference sets the bit, the hand clears bits
+//! until it finds a clear, unpinned frame. `O(1)` state per frame and the
+//! usual LRU approximation.
 
-use std::str::FromStr;
-
-/// Which eviction policy a pool should use.
+/// Which eviction policy a pool uses. CLOCK is the only one; the name
+/// stays in configurations and recorded baselines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PolicyKind {
     /// CLOCK (second chance).
     #[default]
     Clock,
-    /// Exact least-recently-used.
-    Lru,
 }
 
 impl PolicyKind {
-    /// The policy's conventional lowercase name (`clock` / `lru`).
+    /// The policy's conventional lowercase name (`clock`).
     pub fn name(self) -> &'static str {
         match self {
             PolicyKind::Clock => "clock",
-            PolicyKind::Lru => "lru",
         }
     }
-}
-
-impl FromStr for PolicyKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "clock" => Ok(PolicyKind::Clock),
-            "lru" => Ok(PolicyKind::Lru),
-            other => Err(format!("unknown eviction policy `{other}` (clock|lru)")),
-        }
-    }
-}
-
-/// The event interface between the pool and a policy.
-pub trait EvictionPolicy {
-    /// A page was admitted into frame `frame` (a miss just filled it).
-    fn on_admit(&mut self, frame: usize);
-
-    /// Frame `frame` was re-accessed (a hit).
-    fn on_access(&mut self, frame: usize);
-
-    /// Chooses an unpinned victim frame (`pins[i]` is frame `i`'s pin
-    /// count), or `None` if every frame is pinned.
-    fn victim(&mut self, pins: &[u32]) -> Option<usize>;
 }
 
 /// CLOCK / second-chance eviction.
@@ -71,36 +35,26 @@ pub struct ClockPolicy {
 }
 
 impl ClockPolicy {
-    fn ensure(&mut self, frame: usize) {
-        if frame >= self.referenced.len() {
-            self.referenced.resize(frame + 1, false);
-        }
-    }
-}
-
-impl EvictionPolicy for ClockPolicy {
-    fn on_admit(&mut self, frame: usize) {
+    /// Frame `frame` was referenced: a page was admitted into it or hit.
+    pub fn reference(&mut self, frame: usize) {
         self.ensure(frame);
         self.referenced[frame] = true;
     }
 
-    fn on_access(&mut self, frame: usize) {
-        self.ensure(frame);
-        self.referenced[frame] = true;
-    }
-
-    fn victim(&mut self, pins: &[u32]) -> Option<usize> {
-        let n = pins.len();
-        if n == 0 {
+    /// Chooses an unpinned victim among `frames` frames (`pinned(i)`
+    /// tells whether frame `i` is pinned), or `None` if every frame is
+    /// pinned.
+    pub fn victim(&mut self, frames: usize, pinned: impl Fn(usize) -> bool) -> Option<usize> {
+        if frames == 0 {
             return None;
         }
         // Two full sweeps suffice: the first clears every reference bit on
         // unpinned frames, so the second must find one — unless all frames
         // are pinned.
-        for _ in 0..2 * n {
+        for _ in 0..2 * frames {
             let f = self.hand;
-            self.hand = (self.hand + 1) % n;
-            if pins[f] > 0 {
+            self.hand = (self.hand + 1) % frames;
+            if pinned(f) {
                 continue;
             }
             self.ensure(f);
@@ -112,46 +66,11 @@ impl EvictionPolicy for ClockPolicy {
         }
         None
     }
-}
 
-/// Exact LRU eviction via a logical access clock.
-#[derive(Debug, Default)]
-pub struct LruPolicy {
-    stamp: Vec<u64>,
-    tick: u64,
-}
-
-impl LruPolicy {
-    fn touch(&mut self, frame: usize) {
-        if frame >= self.stamp.len() {
-            self.stamp.resize(frame + 1, 0);
+    fn ensure(&mut self, frame: usize) {
+        if frame >= self.referenced.len() {
+            self.referenced.resize(frame + 1, false);
         }
-        self.tick += 1;
-        self.stamp[frame] = self.tick;
-    }
-}
-
-impl EvictionPolicy for LruPolicy {
-    fn on_admit(&mut self, frame: usize) {
-        self.touch(frame);
-    }
-
-    fn on_access(&mut self, frame: usize) {
-        self.touch(frame);
-    }
-
-    fn victim(&mut self, pins: &[u32]) -> Option<usize> {
-        (0..pins.len())
-            .filter(|&f| pins[f] == 0)
-            .min_by_key(|&f| self.stamp.get(f).copied().unwrap_or(0))
-    }
-}
-
-/// Constructs the policy implementation for `kind`.
-pub(crate) fn make_policy(kind: PolicyKind) -> Box<dyn EvictionPolicy + Send> {
-    match kind {
-        PolicyKind::Clock => Box::<ClockPolicy>::default(),
-        PolicyKind::Lru => Box::<LruPolicy>::default(),
     }
 }
 
@@ -160,44 +79,29 @@ mod tests {
     use super::*;
 
     #[test]
-    fn policy_kind_parses() {
-        assert_eq!("clock".parse::<PolicyKind>().unwrap(), PolicyKind::Clock);
-        assert_eq!("lru".parse::<PolicyKind>().unwrap(), PolicyKind::Lru);
-        assert!("fifo".parse::<PolicyKind>().is_err());
-        assert_eq!(PolicyKind::Lru.name(), "lru");
+    fn policy_kind_names_clock() {
         assert_eq!(PolicyKind::default(), PolicyKind::Clock);
-    }
-
-    #[test]
-    fn lru_victim_is_least_recent_unpinned() {
-        let mut lru = LruPolicy::default();
-        lru.on_admit(0);
-        lru.on_admit(1);
-        lru.on_admit(2);
-        lru.on_access(0); // order now 1 < 2 < 0
-        assert_eq!(lru.victim(&[0, 0, 0]), Some(1));
-        assert_eq!(lru.victim(&[0, 1, 0]), Some(2)); // 1 pinned
-        assert_eq!(lru.victim(&[1, 1, 1]), None);
+        assert_eq!(PolicyKind::Clock.name(), "clock");
     }
 
     #[test]
     fn clock_gives_second_chances() {
         let mut clock = ClockPolicy::default();
-        clock.on_admit(0);
-        clock.on_admit(1);
+        clock.reference(0);
+        clock.reference(1);
         // Both referenced: first sweep clears 0 then 1, second evicts 0.
-        assert_eq!(clock.victim(&[0, 0]), Some(0));
+        assert_eq!(clock.victim(2, |_| false), Some(0));
         // Hand is now past 0; 1's bit is already clear, so 1 goes next.
-        assert_eq!(clock.victim(&[0, 0]), Some(1));
+        assert_eq!(clock.victim(2, |_| false), Some(1));
     }
 
     #[test]
     fn clock_skips_pinned_frames() {
         let mut clock = ClockPolicy::default();
-        clock.on_admit(0);
-        clock.on_admit(1);
-        assert_eq!(clock.victim(&[1, 0]), Some(1));
-        assert_eq!(clock.victim(&[1, 1]), None);
-        assert_eq!(clock.victim(&[]), None);
+        clock.reference(0);
+        clock.reference(1);
+        assert_eq!(clock.victim(2, |f| f == 0), Some(1));
+        assert_eq!(clock.victim(2, |_| true), None);
+        assert_eq!(clock.victim(0, |_| false), None);
     }
 }

@@ -44,7 +44,6 @@ use std::sync::Arc;
 use mis_extmem::varint::SliceError;
 use mis_extmem::{BlockReader, BlockWriter, ChunkBuf, IoStats, DEFAULT_BLOCK_SIZE};
 
-use crate::raccess::RecordIndex;
 use crate::scan::{GraphScan, RecordBlock};
 use crate::VertexId;
 
@@ -191,13 +190,6 @@ fn header_bytes<C: RecordCodec>(num_vertices: u64, num_edges: u64) -> io::Result
 }
 
 /// Streaming writer for adjacency files of codec `C`.
-///
-/// [`RecordWriter::create_indexed`] additionally tracks each record's
-/// byte offset as it goes, so the random-access [`RecordIndex`] comes for
-/// free at [`RecordWriter::finish_indexed`] instead of costing a rebuild
-/// scan. The plain [`RecordWriter::create`] skips the `8|V|`-byte
-/// offsets array — writers that never want an index stay at the old
-/// memory footprint.
 #[derive(Debug)]
 pub struct RecordWriter<C> {
     writer: BlockWriter<File>,
@@ -212,10 +204,6 @@ pub struct RecordWriter<C> {
     buf: Vec<u8>,
     /// The codec's per-record scratch.
     scratch: Vec<VertexId>,
-    /// `Some` only for indexed writers: offsets[v] = byte offset of v's
-    /// record (u64::MAX until written).
-    offsets: Option<Vec<u64>>,
-    cursor: u64,
     codec: PhantomData<C>,
 }
 
@@ -228,29 +216,6 @@ impl<C: RecordCodec> RecordWriter<C> {
         num_edges: u64,
         stats: Arc<IoStats>,
         block_size: usize,
-    ) -> io::Result<Self> {
-        Self::create_inner(path, num_vertices, num_edges, stats, block_size, false)
-    }
-
-    /// Like [`RecordWriter::create`], but also tracks per-vertex record
-    /// offsets (`8|V|` extra bytes) for [`RecordWriter::finish_indexed`].
-    pub fn create_indexed(
-        path: &Path,
-        num_vertices: u64,
-        num_edges: u64,
-        stats: Arc<IoStats>,
-        block_size: usize,
-    ) -> io::Result<Self> {
-        Self::create_inner(path, num_vertices, num_edges, stats, block_size, true)
-    }
-
-    fn create_inner(
-        path: &Path,
-        num_vertices: u64,
-        num_edges: u64,
-        stats: Arc<IoStats>,
-        block_size: usize,
-        indexed: bool,
     ) -> io::Result<Self> {
         let file = File::create(path)?;
         let mut writer = BlockWriter::with_block_size(file, stats, block_size);
@@ -265,27 +230,17 @@ impl<C: RecordCodec> RecordWriter<C> {
             entries: 0,
             buf: Vec::new(),
             scratch: Vec::new(),
-            offsets: indexed.then(|| vec![u64::MAX; num_vertices as usize]),
-            cursor: header.len() as u64,
             codec: PhantomData,
         })
     }
 
     /// Appends one adjacency record.
     pub fn write_record(&mut self, vertex: VertexId, neighbors: &[VertexId]) -> io::Result<()> {
-        if let Some(slot) = self
-            .offsets
-            .as_mut()
-            .and_then(|o| o.get_mut(vertex as usize))
-        {
-            *slot = self.cursor;
-        }
         self.buf.clear();
         let entries = C::encode_record(vertex, neighbors, &mut self.scratch, &mut self.buf)?;
         self.writer.write_all(&self.buf)?;
         self.written += 1;
         self.entries += entries as u64;
-        self.cursor += self.buf.len() as u64;
         Ok(())
     }
 
@@ -328,31 +283,6 @@ impl<C: RecordCodec> RecordWriter<C> {
     pub fn finish(self) -> io::Result<u64> {
         self.check_complete()?;
         self.finish_common()
-    }
-
-    /// Like [`RecordWriter::finish`], but also returns the per-vertex
-    /// record offsets accumulated during the write. Requires
-    /// [`RecordWriter::create_indexed`].
-    ///
-    /// Fails if any vertex in `0..|V|` never received a record (possible
-    /// even with a correct record *count*, via duplicate or out-of-range
-    /// vertex ids) — such an index would misdirect every random access.
-    pub fn finish_indexed(mut self) -> io::Result<RecordIndex> {
-        self.check_complete()?;
-        let offsets = self.offsets.take().ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "writer was not created with create_indexed",
-            )
-        })?;
-        if let Some(missing) = offsets.iter().position(|&o| o == u64::MAX) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("no record was written for vertex {missing}"),
-            ));
-        }
-        self.finish_common()?;
-        Ok(RecordIndex::from_offsets(offsets))
     }
 
     /// Flushes and validates a **shard member** file (see

@@ -52,7 +52,6 @@ use mis_extmem::varint::{
 use mis_extmem::IoStats;
 
 use crate::adjfile::{Frame, RecordCodec, RecordFile, RecordWriter};
-use crate::raccess::RecordIndex;
 use crate::scan::GraphScan;
 use crate::VertexId;
 
@@ -150,27 +149,6 @@ pub fn compress_adj<G: GraphScan + ?Sized>(
     writer.write_scan(graph)?;
     writer.finish()?;
     CompressedAdjFile::open_with_block_size(path, stats, block_size)
-}
-
-/// Like [`compress_adj`], but also returns the per-vertex record index
-/// built during the write (for the paged access path).
-pub fn compress_adj_indexed<G: GraphScan + ?Sized>(
-    graph: &G,
-    path: &Path,
-    stats: Arc<IoStats>,
-    block_size: usize,
-) -> io::Result<(CompressedAdjFile, RecordIndex)> {
-    let mut writer = CompressedAdjWriter::create_indexed(
-        path,
-        graph.num_vertices() as u64,
-        graph.num_edges(),
-        Arc::clone(&stats),
-        block_size,
-    )?;
-    writer.write_scan(graph)?;
-    let index = writer.finish_indexed()?;
-    let file = CompressedAdjFile::open_with_block_size(path, stats, block_size)?;
-    Ok((file, index))
 }
 
 #[cfg(test)]
@@ -391,45 +369,5 @@ mod tests {
             assert_eq!(delta.scans_started, 1, "target {target}");
             assert_eq!(delta.blocks_read, scan_delta.blocks_read, "target {target}");
         }
-    }
-
-    #[test]
-    fn writer_index_agrees_with_scan_built_index() {
-        let g = mis_gen_free_plrg(300);
-        let dir = ScratchDir::new("cadj-idx").unwrap();
-        let stats = IoStats::shared();
-        let (file, from_writer) =
-            compress_adj_indexed(&g, &dir.file("g.cadj"), stats, 512).unwrap();
-        let from_scan = RecordIndex::build(&file).unwrap();
-        assert_eq!(from_writer.len(), from_scan.len());
-        assert_eq!(from_writer.len(), 300);
-        for v in 0..file.num_vertices() as VertexId {
-            assert_eq!(from_writer.offset(v), from_scan.offset(v), "v={v}");
-        }
-    }
-
-    #[test]
-    fn unindexed_writer_cannot_finish_indexed() {
-        let dir = ScratchDir::new("cadj-unidx").unwrap();
-        let mut w =
-            CompressedAdjWriter::create(&dir.file("g.cadj"), 1, 0, IoStats::shared(), 256).unwrap();
-        w.write_record(0, &[]).unwrap();
-        assert_eq!(
-            w.finish_indexed().unwrap_err().kind(),
-            io::ErrorKind::InvalidInput
-        );
-    }
-
-    #[test]
-    fn duplicate_record_leaves_a_hole_finish_indexed_rejects() {
-        let dir = ScratchDir::new("cadj-hole").unwrap();
-        let mut w =
-            CompressedAdjWriter::create_indexed(&dir.file("h.cadj"), 2, 0, IoStats::shared(), 256)
-                .unwrap();
-        w.write_record(0, &[]).unwrap();
-        w.write_record(0, &[]).unwrap(); // count right, vertex 1 missing
-        let err = w.finish_indexed().unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("vertex 1"));
     }
 }

@@ -56,9 +56,7 @@ pub use anyfile::AnyAdjFile;
 pub use builder::{
     build_adj_file, degree_sort_adj_file, degree_sort_compressed_adj_file, GraphBuilder,
 };
-pub use compressed::{
-    compress_adj, compress_adj_indexed, CompressedAdjFile, CompressedAdjWriter, GapCodec,
-};
+pub use compressed::{compress_adj, CompressedAdjFile, CompressedAdjWriter, GapCodec};
 pub use csr::CsrGraph;
 pub use delta::{DeltaOverlay, LastBatch, PinnedDelta, SharedAccess};
 pub use raccess::{NeighborAccess, RandomAccessGraph, RecordIndex};

@@ -6,12 +6,12 @@
 //! records is exactly the waste a database buffer pool exists to remove.
 //! This module adds the random-access side, once for both record codecs:
 //!
-//! * [`RecordIndex`] — one `u64` file offset per vertex, built while
-//!   writing the file ([`crate::adjfile::RecordWriter::finish_indexed`])
-//!   or by one accounted scan that frames records without decoding them
-//!   ([`RecordIndex::build`]). `8|V|` bytes, within the semi-external
-//!   `O(|V|)` memory budget, for plain and gap-compressed files alike:
-//!   framing finds where a record ends, so no length is stored.
+//! * [`RecordIndex`] — one `u64` file offset per vertex, built by one
+//!   accounted scan that frames records without decoding them
+//!   ([`RecordIndex::build`]; a sharded store builds one per shard, by
+//!   record rank). `8|V|` bytes, within the semi-external `O(|V|)`
+//!   memory budget, for plain and gap-compressed files alike: framing
+//!   finds where a record ends, so no length is stored.
 //! * [`RandomAccessGraph`] — an adjacency file (plain `MISADJ01` or
 //!   gap-compressed `MISADJC1`) behind a [`BufferPool`]:
 //!   [`RandomAccessGraph::neighbors`] resolves a vertex through the
@@ -44,11 +44,6 @@ pub struct RecordIndex {
 }
 
 impl RecordIndex {
-    /// Wraps raw offsets (indexed by vertex id).
-    pub fn from_offsets(offsets: Vec<u64>) -> Self {
-        Self { offsets }
-    }
-
     /// Builds the index, keyed by vertex id, with one accounted
     /// sequential scan of `file` that frames records without decoding
     /// them. A record whose vertex is out of range or already indexed
@@ -191,8 +186,9 @@ impl<C: RecordCodec> RandomAccessGraph<C> {
         Self::with_index(file, index, config)
     }
 
-    /// Opens `file` for random access with a pre-built index (for
-    /// instance from [`crate::adjfile::RecordWriter::finish_indexed`]).
+    /// Opens `file` for random access with an index built over it
+    /// earlier ([`RecordIndex::build`], or a sharded store's per-shard
+    /// rank index).
     pub fn with_index(
         file: &RecordFile<C>,
         index: RecordIndex,
@@ -399,7 +395,6 @@ impl<C: RecordCodec> NeighborAccess for RandomAccessGraph<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adjfile::{AdjFile, AdjFileWriter};
     use crate::builder::build_adj_file;
     use crate::csr::CsrGraph;
     use mis_extmem::pager::PolicyKind;
@@ -447,7 +442,7 @@ mod tests {
             PagerConfig {
                 page_size: 4096,
                 frames: 4,
-                policy: PolicyKind::Lru,
+                policy: PolicyKind::Clock,
             },
         )
         .unwrap();
@@ -468,62 +463,13 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_record_leaves_a_hole_finish_indexed_rejects() {
-        let dir = ScratchDir::new("raccess-dup").unwrap();
-        let path = dir.file("g.adj");
-        let mut w = AdjFileWriter::create_indexed(&path, 2, 1, IoStats::shared(), 64).unwrap();
-        w.write_record(0, &[1]).unwrap();
-        w.write_record(0, &[1]).unwrap(); // count right, vertex 1 missing
-        let err = w.finish_indexed().unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("vertex 1"));
-    }
-
-    #[test]
-    fn unindexed_writer_cannot_finish_indexed() {
-        let dir = ScratchDir::new("raccess-unidx").unwrap();
-        let mut w = AdjFileWriter::create(&dir.file("g.adj"), 1, 0, IoStats::shared(), 64).unwrap();
-        w.write_record(0, &[]).unwrap();
-        assert_eq!(
-            w.finish_indexed().unwrap_err().kind(),
-            io::ErrorKind::InvalidInput
-        );
-    }
-
-    #[test]
-    fn writer_index_agrees_with_scan_built_index() {
-        let dir = ScratchDir::new("raccess-idx").unwrap();
-        let stats = IoStats::shared();
-        let path = dir.file("g.adj");
-        let mut w = AdjFileWriter::create_indexed(&path, 3, 2, Arc::clone(&stats), 64).unwrap();
-        w.write_record(2, &[0]).unwrap(); // out-of-id-order on purpose
-        w.write_record(0, &[2, 1]).unwrap();
-        w.write_record(1, &[0]).unwrap();
-        let from_writer = w.finish_indexed().unwrap();
-        let file = AdjFile::open(&path, stats).unwrap();
-        let from_scan = RecordIndex::build(&file).unwrap();
-        for v in 0..3 {
-            assert_eq!(from_writer.offset(v), from_scan.offset(v), "v={v}");
-        }
-        // Storage order 2, 0, 1 must be reflected by rank order.
-        let ra = RandomAccessGraph::with_index(&file, from_writer, tiny_config(4)).unwrap();
-        assert!(ra.record_rank(2) < ra.record_rank(0));
-        assert!(ra.record_rank(0) < ra.record_rank(1));
-        assert_eq!(ra.neighbors(0).unwrap(), vec![2, 1]);
-    }
-
-    #[test]
     fn mismatched_index_is_rejected() {
         let g = sample();
         let dir = ScratchDir::new("raccess-bad").unwrap();
         let stats = IoStats::shared();
         let file = build_adj_file(&g, &dir.file("g.adj"), stats, 64).unwrap();
-        let err = RandomAccessGraph::with_index(
-            &file,
-            RecordIndex::from_offsets(vec![0; 2]),
-            tiny_config(2),
-        )
-        .unwrap_err();
+        let err = RandomAccessGraph::with_index(&file, RecordIndex::default(), tiny_config(2))
+            .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         let ra = RandomAccessGraph::open(&file, tiny_config(2)).unwrap();
         assert!(ra.neighbors(99).is_err());
@@ -531,23 +477,18 @@ mod tests {
 
     #[test]
     fn compressed_neighbors_match_scan_for_every_vertex() {
-        use crate::compressed::compress_adj_indexed;
+        use crate::compressed::compress_adj;
         let g = sample();
         let dir = ScratchDir::new("raccess-comp").unwrap();
         let stats = IoStats::shared();
-        let (file, widx) =
-            compress_adj_indexed(&g, &dir.file("g.cadj"), Arc::clone(&stats), 64).unwrap();
+        let file = compress_adj(&g, &dir.file("g.cadj"), Arc::clone(&stats), 64).unwrap();
         let mut expected = vec![Vec::new(); g.num_vertices()];
         file.scan(&mut |v, ns| expected[v as usize] = ns.to_vec())
             .unwrap();
-        // Writer-built and scan-built indexes agree.
-        let sidx = RecordIndex::build(&file).unwrap();
-        for v in 0..g.num_vertices() as VertexId {
-            assert_eq!(widx.offset(v), sidx.offset(v), "v={v}");
-        }
+        let index = RecordIndex::build(&file).unwrap();
         for frames in [1, 2, 64] {
             let ra =
-                RandomAccessGraph::with_index(&file, widx.clone(), tiny_config(frames)).unwrap();
+                RandomAccessGraph::with_index(&file, index.clone(), tiny_config(frames)).unwrap();
             for v in 0..g.num_vertices() as VertexId {
                 assert_eq!(ra.neighbors(v).unwrap(), expected[v as usize], "v={v}");
             }
@@ -571,12 +512,8 @@ mod tests {
         let dir = ScratchDir::new("raccess-comp-bad").unwrap();
         let stats = IoStats::shared();
         let file = compress_adj(&g, &dir.file("g.cadj"), stats, 64).unwrap();
-        let err = RandomAccessGraph::with_index(
-            &file,
-            RecordIndex::from_offsets(vec![0; 2]),
-            tiny_config(2),
-        )
-        .unwrap_err();
+        let err = RandomAccessGraph::with_index(&file, RecordIndex::default(), tiny_config(2))
+            .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 

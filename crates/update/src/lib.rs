@@ -42,7 +42,9 @@
 //!   serve`: batches updates into epochs through the same store and the
 //!   same repair, runs the repair on epoch-pinned views (readers never
 //!   block on ingest), and answers membership/neighborhood/stats
-//!   queries, the neighborhoods through the store's handle.
+//!   queries, the neighborhoods through the store's handle;
+//!   [`serve::run`] serves it over the line protocol on a
+//!   [`serve::Listener`] (Unix socket or TCP).
 //!
 //! So `mis update` and `mis serve` share one path from a committed batch
 //! to a proved set: one read view ([`mis_graph::PinnedDelta`]), one

@@ -53,11 +53,30 @@
 //! Neighborhood queries read the published view's merged records
 //! through it ([`NeighborAccess`] on [`PinnedDelta`]), so readers and
 //! repairs draw from the same bounded pager budget.
+//!
+//! ## Line protocol
+//!
+//! [`run`] serves an engine on a [`Listener`] (a Unix socket or a TCP
+//! address), one thread per connection, both transports through one
+//! connection loop. A request is one line: a verb and its
+//! space-separated vertex ids (`ADD u v`, `DEL u v`, `FLUSH`, `MEMBER v`,
+//! `NEIGHBORS v`, `STATS`, `STATUS`, `PING`, `SHUTDOWN`; verbs are
+//! case-insensitive, an empty line is a no-op). Every request gets one
+//! reply line, `OK …` or `ERR …`, written with one write; a malformed
+//! request gets an `ERR` and the connection stays open. A line longer
+//! than 4096 bytes gets an `ERR` and the connection is closed, after at
+//! most one byte past the cap was read. `SHUTDOWN` stops the accept loop;
+//! every connection ends within its 100 ms read timeout, and a final
+//! flush commits whatever was queued, so every `ADD`/`DEL` answered `OK
+//! pending=…` is durable once [`run`] returns.
 
-use std::io;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::{TcpListener, ToSocketAddrs};
+use std::os::unix::net::UnixListener;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use mis_core::{try_repair_since, RepairConfig};
 use mis_extmem::PagerConfig;
@@ -177,6 +196,35 @@ pub struct ServeStats {
     pub scan_repairs: u64,
     /// Requests answered, by kind, with latency quantiles.
     pub requests: Vec<(&'static str, RequestSummary)>,
+}
+
+impl ServeStats {
+    /// Renders the stats as one JSON line (the `STATS` reply).
+    pub fn to_json(&self) -> String {
+        let reqs: Vec<String> = self
+            .requests
+            .iter()
+            .map(|(kind, r)| {
+                format!(
+                    "\"{kind}\":{{\"count\":{},\"p50_ns\":{},\"p99_ns\":{},\"max_ns\":{},\
+                     \"mean_ns\":{:.1}}}",
+                    r.count, r.p50_ns, r.p99_ns, r.max_ns, r.mean_ns
+                )
+            })
+            .collect();
+        format!(
+            "{{\"epoch\":{},\"set_size\":{},\"pending_ops\":{},\"flushes\":{},\"rolls\":{},\
+             \"compactions\":{},\"scan_repairs\":{},\"requests\":{{{}}}}}",
+            self.epoch,
+            self.set_size,
+            self.pending_ops,
+            self.flushes,
+            self.rolls,
+            self.compactions,
+            self.scan_repairs,
+            reqs.join(",")
+        )
+    }
 }
 
 /// The long-running update + query engine behind `mis serve`.
@@ -434,6 +482,244 @@ fn build_view(
         member,
         graph: pinned,
         maximality_proved,
+    }
+}
+
+/// The longest request line a connection accepts, newline excluded:
+/// about 100× the longest verb.
+const MAX_REQUEST_LINE: usize = 4096;
+
+/// How long an idle connection waits for bytes before it looks at the
+/// shutdown flag again.
+const READ_TIMEOUT: Duration = Duration::from_millis(100);
+
+/// How long the accept loop sleeps when nobody is waiting to connect.
+const ACCEPT_POLL: Duration = Duration::from_millis(5);
+
+/// Where [`run`] listens: a Unix socket or a TCP address. Accepts are
+/// non-blocking, so the accept loop can watch for `SHUTDOWN`. Dropping a
+/// Unix listener removes its socket file.
+#[derive(Debug)]
+pub struct Listener {
+    bound: Bound,
+}
+
+#[derive(Debug)]
+enum Bound {
+    Unix(UnixListener, PathBuf),
+    Tcp(TcpListener),
+}
+
+impl Listener {
+    /// Listens on a Unix socket at `path`, replacing a socket file a
+    /// dead server left behind.
+    pub fn bind_unix(path: &Path) -> io::Result<Self> {
+        if path.exists() {
+            std::fs::remove_file(path)?;
+        }
+        let listener = UnixListener::bind(path)?;
+        listener.set_nonblocking(true)?;
+        Ok(Self {
+            bound: Bound::Unix(listener, path.to_path_buf()),
+        })
+    }
+
+    /// Listens on a TCP address (`HOST:PORT`; port 0 picks a free one).
+    pub fn bind_tcp(addr: impl ToSocketAddrs) -> io::Result<Self> {
+        let listener = TcpListener::bind(addr)?;
+        listener.set_nonblocking(true)?;
+        Ok(Self {
+            bound: Bound::Tcp(listener),
+        })
+    }
+
+    /// `unix:PATH`, or `tcp:HOST:PORT` with the port actually bound.
+    pub fn describe(&self) -> String {
+        match &self.bound {
+            Bound::Unix(_, path) => format!("unix:{}", path.display()),
+            Bound::Tcp(l) => match l.local_addr() {
+                Ok(a) => format!("tcp:{a}"),
+                Err(_) => "tcp:?".into(),
+            },
+        }
+    }
+}
+
+impl Drop for Listener {
+    fn drop(&mut self) {
+        if let Bound::Unix(_, path) = &self.bound {
+            let _ = std::fs::remove_file(path);
+        }
+    }
+}
+
+/// Serves `engine` on `listener`, one thread per connection, until a
+/// client sends `SHUTDOWN`. Returns once every connection has ended and
+/// a final flush has committed what they queued. A failed accept ends
+/// the connections too and returns its error without the final flush; a
+/// connection thread that panics makes `run` panic once the others end.
+pub fn run(engine: &ServeEngine, listener: &Listener) -> io::Result<()> {
+    let shutdown = &AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        while !shutdown.load(Ordering::SeqCst) {
+            // A dropped handle releases its thread once it ends; the
+            // scope still waits for it.
+            let accepted = match &listener.bound {
+                Bound::Unix(l, _) => l.accept().map(|(s, _)| {
+                    if s.set_read_timeout(Some(READ_TIMEOUT)).is_ok() {
+                        scope.spawn(move || connection(&s, engine, shutdown));
+                    }
+                }),
+                Bound::Tcp(l) => l.accept().map(|(s, _)| {
+                    if s.set_read_timeout(Some(READ_TIMEOUT)).is_ok() {
+                        scope.spawn(move || connection(&s, engine, shutdown));
+                    }
+                }),
+            };
+            match accepted {
+                Ok(()) => {}
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
+                Err(e) => {
+                    shutdown.store(true, Ordering::SeqCst);
+                    return Err(io::Error::new(e.kind(), format!("accept failed: {e}")));
+                }
+            }
+        }
+        Ok(())
+    })?;
+    engine.flush()?;
+    Ok(())
+}
+
+/// Writes `line` and its newline with one write, so a TCP reply leaves
+/// as one segment instead of waiting on the peer's delayed ACK.
+pub fn write_line<W: Write + ?Sized>(writer: &mut W, line: &str) -> io::Result<()> {
+    writer.write_all(format!("{line}\n").as_bytes())?;
+    writer.flush()
+}
+
+/// One connection: reads request lines until EOF or shutdown and answers
+/// each with one line. A line longer than [`MAX_REQUEST_LINE`] gets an
+/// `ERR` and closes the connection; an I/O error just drops it.
+fn connection<S>(stream: &S, engine: &ServeEngine, shutdown: &AtomicBool)
+where
+    for<'a> &'a S: Read + Write,
+{
+    let mut reader = BufReader::new(stream);
+    let mut writer = stream;
+    let mut line = Vec::new();
+    while !shutdown.load(Ordering::SeqCst) {
+        // Read at most one byte past the cap, so an over-long line is
+        // seen without being buffered.
+        let room = (MAX_REQUEST_LINE + 1).saturating_sub(line.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut line) {
+            Ok(0) => break,
+            Ok(_) => {
+                if line.last() != Some(&b'\n') && line.len() > MAX_REQUEST_LINE {
+                    let reply = format!("ERR request line longer than {MAX_REQUEST_LINE} bytes");
+                    let _ = write_line(&mut writer, &reply);
+                    break;
+                }
+                let reply = match std::str::from_utf8(&line) {
+                    Ok(request) => execute(engine, request.trim(), shutdown)
+                        .unwrap_or_else(|msg| format!("ERR {msg}")),
+                    Err(_) => "ERR request line is not UTF-8".into(),
+                };
+                line.clear();
+                if write_line(&mut writer, &reply).is_err() {
+                    break;
+                }
+            }
+            // A timeout while idle (or mid-line: the bytes read so far
+            // stay buffered in `line`) — poll the flag, keep reading.
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock
+                        | io::ErrorKind::TimedOut
+                        | io::ErrorKind::Interrupted
+                ) => {}
+            Err(_) => break,
+        }
+    }
+}
+
+/// Parses and executes one request line: a verb plus space-separated
+/// vertex ids. `Ok` is the whole reply, `Err` the text after `ERR `.
+fn execute(engine: &ServeEngine, line: &str, shutdown: &AtomicBool) -> Result<String, String> {
+    let mut parts = line.split_whitespace();
+    let Some(verb) = parts.next() else {
+        return Ok("OK".into()); // empty line: a keep-alive no-op
+    };
+    let verb = verb.to_ascii_uppercase();
+    let args = parts
+        .map(|part| {
+            part.parse::<VertexId>()
+                .map_err(|_| format!("{verb}: bad vertex id `{part}`"))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let expect = |n: usize| {
+        if args.len() == n {
+            Ok(())
+        } else {
+            Err(format!("{verb} takes {n} argument(s), got {}", args.len()))
+        }
+    };
+    let text = |e: io::Error| e.to_string();
+    match verb.as_str() {
+        "ADD" | "DEL" => {
+            expect(2)?;
+            let op = if verb == "ADD" {
+                EdgeOp::Insert(args[0], args[1])
+            } else {
+                EdgeOp::Delete(args[0], args[1])
+            };
+            Ok(format!("OK pending={}", engine.submit(&[op]).map_err(text)?))
+        }
+        "FLUSH" => {
+            expect(0)?;
+            Ok(match engine.flush().map_err(text)? {
+                None => "OK idle".into(),
+                Some(r) => format!(
+                    "OK epoch={} ops={} evicted={} set={} proved={} rolled={} compacted={}",
+                    r.epoch, r.ops, r.evicted, r.set_size, r.maximality_proved, r.rolled,
+                    r.compacted
+                ),
+            })
+        }
+        "MEMBER" => {
+            expect(1)?;
+            Ok(format!("OK {}", engine.member(args[0]).map_err(text)?))
+        }
+        "NEIGHBORS" => {
+            expect(1)?;
+            let ns = engine.neighbors(args[0]).map_err(text)?;
+            let mut reply = format!("OK {}:", ns.len());
+            for v in ns {
+                reply.push_str(&format!(" {v}"));
+            }
+            Ok(reply)
+        }
+        "STATS" => {
+            expect(0)?;
+            Ok(format!("OK {}", engine.stats().to_json()))
+        }
+        "STATUS" => {
+            expect(0)?;
+            Ok(format!("OK {}", engine.store_status().map_err(text)?.to_json()))
+        }
+        "PING" => {
+            expect(0)?;
+            Ok("OK pong".into())
+        }
+        "SHUTDOWN" => {
+            expect(0)?;
+            shutdown.store(true, Ordering::SeqCst);
+            Ok("OK shutting down".into())
+        }
+        other => Err(format!(
+            "unknown verb `{other}` (expected ADD|DEL|FLUSH|MEMBER|NEIGHBORS|STATS|STATUS|PING|SHUTDOWN)"
+        )),
     }
 }
 
@@ -725,5 +1011,148 @@ mod tests {
         assert_eq!(report.compacted, 3);
         assert_eq!(eng.stats().compactions, 1);
         assert_eq!(eng.store_status().unwrap().segments.len(), 1);
+    }
+
+    #[test]
+    fn execute_answers_each_verb_in_one_line() {
+        let dir = ScratchDir::new("serve-execute").unwrap();
+        let eng = engine(
+            &dir,
+            ServeConfig {
+                batch_ops: usize::MAX,
+                ..ServeConfig::default()
+            },
+        );
+        let shutdown = AtomicBool::new(false);
+        let ask = |line: &str| match execute(&eng, line, &shutdown) {
+            Ok(reply) => reply,
+            Err(msg) => format!("ERR {msg}"),
+        };
+        let n = eng.num_vertices();
+        let member = eng.view().set()[0];
+        assert_eq!(ask(""), "OK");
+        assert_eq!(ask("ping"), "OK pong");
+        assert_eq!(ask("FLUSH"), "OK idle");
+        assert_eq!(ask(&format!("MEMBER {member}")), "OK true");
+        let mut expected = String::new();
+        eng.view()
+            .graph()
+            .with_neighbors(member, &mut |ns| {
+                expected = format!("OK {}:", ns.len());
+                for v in ns {
+                    expected.push_str(&format!(" {v}"));
+                }
+            })
+            .unwrap();
+        assert_eq!(ask(&format!("NEIGHBORS {member}")), expected);
+        assert_eq!(ask("ADD 0 1"), "OK pending=1");
+        assert_eq!(ask("del 0 1"), "OK pending=2");
+        let flushed = ask("FLUSH");
+        assert!(
+            flushed.starts_with("OK epoch=1 ops=2 evicted="),
+            "{flushed}"
+        );
+        assert!(flushed.contains(" proved=true rolled=false compacted=0"));
+        let stats = ask("STATS");
+        assert!(
+            stats.starts_with("OK {\"epoch\":1,\"set_size\":"),
+            "{stats}"
+        );
+        assert!(
+            stats.contains(",\"pending_ops\":0,\"flushes\":1,"),
+            "{stats}"
+        );
+        let status = ask("STATUS");
+        assert!(
+            status.starts_with(&format!("OK {{\"vertices\":{n},")),
+            "{status}"
+        );
+        assert!(status.ends_with(",\"segments\":[]}"), "{status}");
+
+        assert_eq!(ask("ADD 0"), "ERR ADD takes 2 argument(s), got 1");
+        assert_eq!(ask("MEMBER x"), "ERR MEMBER: bad vertex id `x`");
+        assert_eq!(
+            ask(&format!("MEMBER {n}")),
+            format!("ERR vertex {n} out of range ({n} vertices)")
+        );
+        assert_eq!(
+            ask("ADD 3 3"),
+            format!("ERR edge (3, 3) invalid for {n} vertices")
+        );
+        assert!(ask("FROB").starts_with("ERR unknown verb `FROB`"));
+        assert!(!shutdown.load(Ordering::SeqCst));
+        assert_eq!(ask("SHUTDOWN"), "OK shutting down");
+        assert!(shutdown.load(Ordering::SeqCst));
+    }
+
+    #[test]
+    fn json_replies_keep_their_keys_in_order() {
+        let summary = |count, p50_ns, mean_ns| RequestSummary {
+            count,
+            p50_ns,
+            p99_ns: 2047,
+            max_ns: 1500,
+            mean_ns,
+        };
+        let stats = ServeStats {
+            epoch: 3,
+            set_size: 7,
+            pending_ops: 1,
+            flushes: 3,
+            rolls: 1,
+            compactions: 0,
+            scan_repairs: 2,
+            requests: vec![
+                ("flush", summary(3, 1023, 1200.25)),
+                ("member", summary(2, 255, 150.0)),
+            ],
+        };
+        assert_eq!(
+            stats.to_json(),
+            "{\"epoch\":3,\"set_size\":7,\"pending_ops\":1,\"flushes\":3,\"rolls\":1,\
+             \"compactions\":0,\"scan_repairs\":2,\"requests\":{\
+             \"flush\":{\"count\":3,\"p50_ns\":1023,\"p99_ns\":2047,\"max_ns\":1500,\"mean_ns\":1200.2},\
+             \"member\":{\"count\":2,\"p50_ns\":255,\"p99_ns\":2047,\"max_ns\":1500,\"mean_ns\":150.0}}}"
+        );
+        let segment = |id, bytes| crate::SegmentMeta {
+            id,
+            epoch_lo: 1,
+            epoch_hi: 2,
+            ops: 3,
+            min_vertex: 0,
+            max_vertex: 9,
+            tombstones: 1,
+            bytes,
+        };
+        let mut status = StoreStatus {
+            vertices: 10,
+            base_edges: 12,
+            live_edges: 13,
+            last_epoch: 2,
+            committed_ops: 4,
+            wal_bytes: 64,
+            checkpoint: None,
+            segments: Vec::new(),
+            segment_bytes: 0,
+            dead_segments: 1,
+        };
+        let head = "{\"vertices\":10,\"base_edges\":12,\"live_edges\":13,\"last_epoch\":2,\
+                    \"committed_ops\":4,\"wal_bytes\":64,\"segment_bytes\":0,\"dead_segments\":1,";
+        assert_eq!(
+            status.to_json(),
+            format!("{head}\"checkpoint\":null,\"segments\":[]}}")
+        );
+        status.checkpoint = Some((2, 5));
+        status.segments = vec![segment(0, 40), segment(1, 48)];
+        assert_eq!(
+            status.to_json(),
+            format!(
+                "{head}\"checkpoint\":{{\"epoch\":2,\"set_size\":5}},\"segments\":[\
+                 {{\"id\":0,\"epoch_lo\":1,\"epoch_hi\":2,\"ops\":3,\"tombstones\":1,\
+                 \"min_vertex\":0,\"max_vertex\":9,\"bytes\":40}},\
+                 {{\"id\":1,\"epoch_lo\":1,\"epoch_hi\":2,\"ops\":3,\"tombstones\":1,\
+                 \"min_vertex\":0,\"max_vertex\":9,\"bytes\":48}}]}}"
+            )
+        );
     }
 }

@@ -320,6 +320,50 @@ pub struct StoreStatus {
     pub dead_segments: usize,
 }
 
+impl StoreStatus {
+    /// Renders the status as one JSON line (the serve protocol's `STATUS`
+    /// reply and `mis update status --json`).
+    pub fn to_json(&self) -> String {
+        let segs: Vec<String> = self
+            .segments
+            .iter()
+            .map(|m| {
+                format!(
+                    "{{\"id\":{},\"epoch_lo\":{},\"epoch_hi\":{},\"ops\":{},\"tombstones\":{},\
+                     \"min_vertex\":{},\"max_vertex\":{},\"bytes\":{}}}",
+                    m.id,
+                    m.epoch_lo,
+                    m.epoch_hi,
+                    m.ops,
+                    m.tombstones,
+                    m.min_vertex,
+                    m.max_vertex,
+                    m.bytes
+                )
+            })
+            .collect();
+        let ckpt = match self.checkpoint {
+            Some((epoch, size)) => format!("{{\"epoch\":{epoch},\"set_size\":{size}}}"),
+            None => "null".into(),
+        };
+        format!(
+            "{{\"vertices\":{},\"base_edges\":{},\"live_edges\":{},\"last_epoch\":{},\
+             \"committed_ops\":{},\"wal_bytes\":{},\"segment_bytes\":{},\"dead_segments\":{},\
+             \"checkpoint\":{},\"segments\":[{}]}}",
+            self.vertices,
+            self.base_edges,
+            self.live_edges,
+            self.last_epoch,
+            self.committed_ops,
+            self.wal_bytes,
+            self.segment_bytes,
+            self.dead_segments,
+            ckpt,
+            segs.join(",")
+        )
+    }
+}
+
 impl UpdateStore {
     /// Opens the store: validates the base file, replays (and recovers)
     /// the WAL, loads the segment manifest, opens and validates every

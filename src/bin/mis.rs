@@ -17,13 +17,13 @@
 //! mis stats    <graph>                   size / degree summary (incl. shard table)
 //! mis bound    <graph>                   Algorithm 5 + matching upper bounds
 //! mis run      <graph> [--algo A] [--rounds N] [--threads N]
-//!              [--cache-mb N] [--policy clock|lru] [--paged-threshold F]
+//!              [--cache-mb N] [--paged-threshold F]
 //!              A ∈ greedy | baseline | onek | twok | tfp | dynamic
 //! mis update   <append|apply|compact|status> ...   durable edge updates
 //!              append <base> --ops <file>          log one epoch of edits
 //!              apply <base> [--rounds N]           repair + checkpoint the IS
 //!              compact <base> <out>                merge log into a new base
-//!                      [--format plain|compressed]
+//!                      [--format plain|compressed|sharded:N]
 //!              status <base> [--json]              inspect epochs/segments
 //!              (all take [--wal F] [--checkpoint F]; defaults derive
 //!               from the base path: <base>.wal / <base>.ckpt)
@@ -42,11 +42,11 @@
 //!
 //! Every subcommand accepts `--block-size BYTES` (default 65536), the `B`
 //! of the external-memory cost model. `mis run --cache-mb N` gives the
-//! swap algorithms a buffer-pool page cache of `N` MiB over the adjacency
-//! file: rounds with few live candidates then verify them through the
-//! pool instead of re-scanning the whole file (`--policy` picks the
-//! eviction policy, `--paged-threshold` the candidate fraction below
-//! which a round goes paged).
+//! swap algorithms a CLOCK buffer-pool page cache of `N` MiB over the
+//! adjacency file: rounds with few live candidates then verify them
+//! through the pool instead of re-scanning the whole file
+//! (`--paged-threshold` is the candidate fraction below which a round
+//! goes paged).
 //!
 //! `run`, `stats` and `bound` additionally accept `--threads N` (default:
 //! the machine's available parallelism): with `N > 1` the scan passes run
@@ -86,9 +86,9 @@
 //! `--threads N`, a sharded graph runs through the same parallel block
 //! pipeline as a single file (one reader thread streams the shards in
 //! order, `N` workers fold).
-//! `<base>` of `mis update` takes plain and compressed files (the
-//! durable-update log rewrites its base, which sharded stores do not
-//! support). Every run prints IS
+//! `<base>` of `mis update` and `mis serve` takes all three as well (the
+//! update log overlays whatever backs the store, and `update compact
+//! --format sharded:N` writes a sharded base). Every run prints IS
 //! size, scan counts, block transfers, cache hit rates (when caching)
 //! and the modelled memory next to the process's peak RSS, and verifies
 //! the result before reporting success.
@@ -107,16 +107,17 @@
 //! `--shutdown` flushes and stops the server. `<base>` accepts every
 //! store format (plain, compressed, sharded); the repairs and all serve
 //! queries share one pager budget (`--cache-mb`, default 4 MiB in 4 KiB
-//! pages).
+//! pages). The protocol itself — verbs, connection loop, listener and
+//! the JSON replies — is `mis_update::serve`; this binary parses the
+//! flags, opens the store and prints the start and shutdown summaries.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
-use std::os::unix::net::{UnixListener, UnixStream};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
+use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use mis_obs as obs;
 use mis_obs::report::{parse_json, Json};
@@ -130,7 +131,8 @@ use semi_mis::graph::{
     split_adj_file, AnyAdjFile, ShardManifest, SplitOptions,
 };
 use semi_mis::prelude::*;
-use semi_mis::update::{CompactFormat, ServeConfig, ServeEngine, ServeStats, StoreStatus};
+use semi_mis::update::serve::{self, write_line, Listener};
+use semi_mis::update::{CompactFormat, ServeConfig, ServeEngine};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -156,10 +158,10 @@ usage: mis <command> ... [--block-size BYTES]
   stats <graph> [--threads N]
   bound <graph> [--threads N]
   run <graph> [--algo greedy|baseline|onek|twok|tfp|dynamic] [--rounds N]
-              [--threads N] [--cache-mb N] [--policy clock|lru] [--paged-threshold F]
+              [--threads N] [--cache-mb N] [--paged-threshold F]
   update append <base> --ops <file> [--wal F]
          apply <base> [--rounds N] [--wal F] [--checkpoint F]
-         compact <base> <out> [--format plain|compressed] [--wal F] [--checkpoint F]
+         compact <base> <out> [--format plain|compressed|sharded:N] [--wal F] [--checkpoint F]
          status <base> [--json] [--wal F] [--checkpoint F]
   serve <base> (--socket PATH | --listen HOST:PORT)
         [--batch-ops N] [--roll-epochs N] [--roll-bytes B] [--compact-threshold N]
@@ -204,7 +206,6 @@ type Options = Vec<(String, String)>;
 /// Flags that take no value; parsed as `(name, "true")`.
 const BOOL_FLAGS: &[&str] = &[
     "compress",
-    "quiet",
     "record",
     "check-model",
     "json",
@@ -1007,14 +1008,9 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         executor = Executor::Sequential;
     }
     let cache_mb: u64 = opt_parse(&opts, "cache-mb", 0)?;
-    let policy: PolicyKind = match opt(&opts, "policy") {
-        None => PolicyKind::default(),
-        Some(s) => s.parse()?,
-    };
     let paged_threshold: f64 = opt_parse(&opts, "paged-threshold", DEFAULT_PAGED_THRESHOLD)?;
-    if cache_mb == 0 && (opt(&opts, "policy").is_some() || opt(&opts, "paged-threshold").is_some())
-    {
-        return Err("--policy and --paged-threshold require --cache-mb".into());
+    if cache_mb == 0 && opt(&opts, "paged-threshold").is_some() {
+        return Err("--paged-threshold requires --cache-mb".into());
     }
     if cache_mb > 0 && paged_threshold == 0.0 {
         // A zero threshold silently disables the paged path: the cache
@@ -1045,7 +1041,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         }
         config.paged_threshold = paged_threshold;
         config.validate()?;
-        let pc = PagerConfig::with_capacity_bytes(cache_mb << 20, block_size, policy);
+        let pc =
+            PagerConfig::with_capacity_bytes(cache_mb << 20, block_size, PolicyKind::default());
         pager_config = Some(pc);
         // Both codecs share one record index (a byte offset per vertex)
         // and one paged fetch; sharded stores split the frame budget
@@ -1376,7 +1373,7 @@ fn cmd_update(args: &[String]) -> Result<(), String> {
         "status" => {
             let status = store.status().map_err(|e| e.to_string())?;
             if opt(&opts, "json").is_some() {
-                println!("{}", status_json(&status));
+                println!("{}", status.to_json());
             } else {
                 println!("base: {} ({} B blocks)", base.display(), block_size);
                 println!("  |V| = {}", status.vertices);
@@ -1442,24 +1439,19 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
              or a client flag (--status | --script FILE | --shutdown)"
             .into());
     };
-    serve_server(Path::new(base), &opts)
-}
-
-/// Server mode: open the store, publish the engine behind a listener,
-/// answer protocol lines until a `SHUTDOWN` arrives.
-fn serve_server(base: &Path, opts: &Options) -> Result<(), String> {
-    let (wal, ckpt) = update_paths(base, opts);
-    let block_size = opt_block_size(opts)?;
-    let trace_path = opt_trace(opts);
-    let cache_mb: u64 = opt_parse(opts, "cache-mb", 0)?;
+    let base = Path::new(base);
+    let (wal, ckpt) = update_paths(base, &opts);
+    let block_size = opt_block_size(&opts)?;
+    let trace_path = opt_trace(&opts);
+    let cache_mb: u64 = opt_parse(&opts, "cache-mb", 0)?;
     let defaults = ServeConfig::default();
     let config = ServeConfig {
-        batch_ops: opt_parse(opts, "batch-ops", defaults.batch_ops)?,
-        roll_epochs: opt_parse(opts, "roll-epochs", defaults.roll_epochs)?,
-        roll_bytes: opt_parse(opts, "roll-bytes", defaults.roll_bytes)?,
-        compact_threshold: opt_parse(opts, "compact-threshold", defaults.compact_threshold)?,
+        batch_ops: opt_parse(&opts, "batch-ops", defaults.batch_ops)?,
+        roll_epochs: opt_parse(&opts, "roll-epochs", defaults.roll_epochs)?,
+        roll_bytes: opt_parse(&opts, "roll-bytes", defaults.roll_bytes)?,
+        compact_threshold: opt_parse(&opts, "compact-threshold", defaults.compact_threshold)?,
         repair: RepairConfig {
-            recover_rounds: opt_parse(opts, "rounds", 2)?,
+            recover_rounds: opt_parse(&opts, "rounds", 2)?,
             verify: true,
         },
         pager: if cache_mb > 0 {
@@ -1471,7 +1463,14 @@ fn serve_server(base: &Path, opts: &Options) -> Result<(), String> {
     if config.batch_ops == 0 {
         return Err("--batch-ops must be at least 1".into());
     }
-    let listener = ServeListener::bind(opts)?;
+    let listener = match (opt(&opts, "socket"), opt(&opts, "listen")) {
+        (Some(path), None) => {
+            Listener::bind_unix(Path::new(path)).map_err(|e| format!("{path}: {e}"))?
+        }
+        (None, Some(addr)) => Listener::bind_tcp(addr).map_err(|e| format!("{addr}: {e}"))?,
+        (None, None) => return Err("serve needs --socket PATH or --listen HOST:PORT".into()),
+        (Some(_), Some(_)) => return Err("--socket and --listen are mutually exclusive".into()),
+    };
 
     let stats = IoStats::shared();
     let open_span = obs::span("phase", "open");
@@ -1483,19 +1482,18 @@ fn serve_server(base: &Path, opts: &Options) -> Result<(), String> {
             recovery.dropped_bytes, recovery.last_epoch
         );
     }
-    let engine = Arc::new(ServeEngine::new(store, config).map_err(|e| e.to_string())?);
+    let engine = ServeEngine::new(store, config).map_err(|e| e.to_string())?;
     drop(open_span);
 
-    {
-        let view = engine.view();
-        println!(
-            "serving {} ({} vertices) at epoch {}, |IS| = {}",
-            base.display(),
-            engine.num_vertices(),
-            view.epoch(),
-            view.set().len()
-        );
-    }
+    let view = engine.view();
+    println!(
+        "serving {} ({} vertices) at epoch {}, |IS| = {}",
+        base.display(),
+        engine.num_vertices(),
+        view.epoch(),
+        view.set().len()
+    );
+    drop(view);
     println!(
         "listening on {} (verbs: ADD u v | DEL u v | FLUSH | MEMBER v | \
          NEIGHBORS v | STATS | STATUS | PING | SHUTDOWN)",
@@ -1503,35 +1501,8 @@ fn serve_server(base: &Path, opts: &Options) -> Result<(), String> {
     );
 
     let serve_span = obs::span("phase", "serve");
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let mut handlers = Vec::new();
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok(Some(conn)) => {
-                // A finished connection's thread is released once its
-                // handle is dropped, so only live ones are kept.
-                handlers.retain(|h: &std::thread::JoinHandle<()>| !h.is_finished());
-                let engine = Arc::clone(&engine);
-                let shutdown = Arc::clone(&shutdown);
-                handlers.push(std::thread::spawn(move || {
-                    serve_connection(conn, &engine, &shutdown)
-                }));
-            }
-            Ok(None) => std::thread::sleep(Duration::from_millis(5)),
-            Err(e) => {
-                listener.close();
-                return Err(format!("accept failed: {e}"));
-            }
-        }
-    }
-    for h in handlers {
-        let _ = h.join();
-    }
+    serve::run(&engine, &listener).map_err(|e| e.to_string())?;
     drop(serve_span);
-    listener.close();
-
-    // Final flush so nothing queued at shutdown is lost.
-    engine.flush().map_err(|e| e.to_string())?;
     let summary = engine.stats();
     println!(
         "shutdown at epoch {}: |IS| = {}, {} flushes, {} rolls, {} compactions",
@@ -1549,247 +1520,6 @@ fn serve_server(base: &Path, opts: &Options) -> Result<(), String> {
     let report = finish_trace(trace_path.as_deref(), &stats)?;
     print_io_summary(&stats, report.as_ref());
     Ok(())
-}
-
-/// Where `mis serve` listens: a unix socket or a TCP address. Accepts
-/// are non-blocking so the main loop can watch the shutdown flag.
-enum ServeListener {
-    Unix {
-        listener: UnixListener,
-        path: PathBuf,
-    },
-    Tcp(TcpListener),
-}
-
-/// One accepted serve connection, either flavour.
-enum ServeConn {
-    Unix(UnixStream),
-    Tcp(TcpStream),
-}
-
-impl ServeListener {
-    fn bind(opts: &Options) -> Result<Self, String> {
-        match (opt(opts, "socket"), opt(opts, "listen")) {
-            (Some(path), None) => {
-                let path = PathBuf::from(path);
-                // A socket file left by a dead server blocks bind.
-                if path.exists() {
-                    std::fs::remove_file(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-                }
-                let listener =
-                    UnixListener::bind(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-                listener.set_nonblocking(true).map_err(|e| e.to_string())?;
-                Ok(Self::Unix { listener, path })
-            }
-            (None, Some(addr)) => {
-                let listener = TcpListener::bind(addr).map_err(|e| format!("{addr}: {e}"))?;
-                listener.set_nonblocking(true).map_err(|e| e.to_string())?;
-                Ok(Self::Tcp(listener))
-            }
-            (None, None) => Err("serve needs --socket PATH or --listen HOST:PORT".into()),
-            (Some(_), Some(_)) => Err("--socket and --listen are mutually exclusive".into()),
-        }
-    }
-
-    fn describe(&self) -> String {
-        match self {
-            Self::Unix { path, .. } => format!("unix:{}", path.display()),
-            Self::Tcp(l) => match l.local_addr() {
-                Ok(a) => format!("tcp:{a}"),
-                Err(_) => "tcp:?".into(),
-            },
-        }
-    }
-
-    /// One non-blocking accept; `Ok(None)` when nobody is waiting.
-    fn accept(&self) -> std::io::Result<Option<ServeConn>> {
-        let conn = match self {
-            Self::Unix { listener, .. } => listener.accept().map(|(s, _)| ServeConn::Unix(s)),
-            Self::Tcp(l) => l.accept().map(|(s, _)| ServeConn::Tcp(s)),
-        };
-        match conn {
-            Ok(c) => Ok(Some(c)),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Ok(None),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Removes the socket file so the next server can bind cleanly.
-    fn close(&self) {
-        if let Self::Unix { path, .. } = self {
-            let _ = std::fs::remove_file(path);
-        }
-    }
-}
-
-/// The buffered read half + write half of a serve connection.
-type ConnHalves = (Box<dyn BufRead>, Box<dyn Write>);
-
-impl ServeConn {
-    /// Splits into a buffered reader + writer with a short read timeout,
-    /// so connection threads notice the shutdown flag while idle.
-    fn split(self) -> std::io::Result<ConnHalves> {
-        match self {
-            Self::Unix(s) => {
-                s.set_read_timeout(Some(Duration::from_millis(100)))?;
-                let r = s.try_clone()?;
-                Ok((Box::new(BufReader::new(r)), Box::new(s)))
-            }
-            Self::Tcp(s) => {
-                s.set_read_timeout(Some(Duration::from_millis(100)))?;
-                let r = s.try_clone()?;
-                Ok((Box::new(BufReader::new(r)), Box::new(s)))
-            }
-        }
-    }
-}
-
-/// The longest request line a connection accepts, newline excluded:
-/// about 100× the longest verb.
-const MAX_REQUEST_LINE: usize = 4096;
-
-/// Writes `reply` and its newline with one write, so a TCP reply leaves
-/// as one segment instead of waiting on the client's delayed ACK.
-fn write_line(writer: &mut dyn Write, reply: &str) -> std::io::Result<()> {
-    writer.write_all(format!("{reply}\n").as_bytes())?;
-    writer.flush()
-}
-
-/// One connection: reads protocol lines until EOF or shutdown, answers
-/// each with a single `OK …`/`ERR …` line. A line longer than
-/// [`MAX_REQUEST_LINE`] gets an `ERR` and closes the connection; I/O
-/// errors just drop it — the server keeps running.
-fn serve_connection(conn: ServeConn, engine: &ServeEngine, shutdown: &AtomicBool) {
-    let Ok((mut reader, mut writer)) = conn.split() else {
-        return;
-    };
-    let mut line = Vec::new();
-    while !shutdown.load(Ordering::SeqCst) {
-        // Read at most one byte past the cap, so an over-long line is
-        // seen without being buffered.
-        let room = (MAX_REQUEST_LINE + 1).saturating_sub(line.len()) as u64;
-        match std::io::Read::take(&mut reader, room).read_until(b'\n', &mut line) {
-            Ok(0) => break,
-            Ok(_) => {
-                if line.last() != Some(&b'\n') && line.len() > MAX_REQUEST_LINE {
-                    let reply = format!("ERR request line longer than {MAX_REQUEST_LINE} bytes");
-                    let _ = write_line(&mut writer, &reply);
-                    break;
-                }
-                let Ok(request) = std::str::from_utf8(&line) else {
-                    break;
-                };
-                let reply = match serve_execute(engine, request.trim(), shutdown) {
-                    Ok(reply) => reply,
-                    Err(msg) => format!("ERR {msg}"),
-                };
-                line.clear();
-                if write_line(&mut writer, &reply).is_err() {
-                    break;
-                }
-            }
-            // A timeout while idle (or mid-line: the bytes read so far
-            // stay buffered in `line`) — poll the flag, keep reading.
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock
-                        | std::io::ErrorKind::TimedOut
-                        | std::io::ErrorKind::Interrupted
-                ) =>
-            {
-                continue
-            }
-            Err(_) => break,
-        }
-    }
-}
-
-/// Parses and executes one protocol line: one verb plus space-separated
-/// vertex arguments; every reply is a single line.
-fn serve_execute(
-    engine: &ServeEngine,
-    line: &str,
-    shutdown: &AtomicBool,
-) -> Result<String, String> {
-    let mut parts = line.split_whitespace();
-    let Some(verb) = parts.next() else {
-        return Ok("OK".into()); // empty line: a keep-alive no-op
-    };
-    let verb = verb.to_ascii_uppercase();
-    let mut args: Vec<u32> = Vec::new();
-    for part in parts {
-        args.push(
-            part.parse()
-                .map_err(|_| format!("{verb}: bad vertex id `{part}`"))?,
-        );
-    }
-    let expect = |n: usize| {
-        if args.len() == n {
-            Ok(())
-        } else {
-            Err(format!("{verb} takes {n} argument(s), got {}", args.len()))
-        }
-    };
-    match verb.as_str() {
-        "ADD" | "DEL" => {
-            expect(2)?;
-            let op = if verb == "ADD" {
-                EdgeOp::Insert(args[0], args[1])
-            } else {
-                EdgeOp::Delete(args[0], args[1])
-            };
-            let pending = engine.submit(&[op]).map_err(|e| e.to_string())?;
-            Ok(format!("OK pending={pending}"))
-        }
-        "FLUSH" => {
-            expect(0)?;
-            match engine.flush().map_err(|e| e.to_string())? {
-                None => Ok("OK idle".into()),
-                Some(r) => Ok(format!(
-                    "OK epoch={} ops={} evicted={} set={} proved={} rolled={} compacted={}",
-                    r.epoch, r.ops, r.evicted, r.set_size, r.maximality_proved, r.rolled,
-                    r.compacted
-                )),
-            }
-        }
-        "MEMBER" => {
-            expect(1)?;
-            let member = engine.member(args[0]).map_err(|e| e.to_string())?;
-            Ok(format!("OK {member}"))
-        }
-        "NEIGHBORS" => {
-            expect(1)?;
-            let ns = engine.neighbors(args[0]).map_err(|e| e.to_string())?;
-            let mut reply = format!("OK {}:", ns.len());
-            for v in ns {
-                reply.push(' ');
-                reply.push_str(&v.to_string());
-            }
-            Ok(reply)
-        }
-        "STATS" => {
-            expect(0)?;
-            Ok(format!("OK {}", serve_stats_json(&engine.stats())))
-        }
-        "STATUS" => {
-            expect(0)?;
-            let status = engine.store_status().map_err(|e| e.to_string())?;
-            Ok(format!("OK {}", status_json(&status)))
-        }
-        "PING" => {
-            expect(0)?;
-            Ok("OK pong".into())
-        }
-        "SHUTDOWN" => {
-            expect(0)?;
-            shutdown.store(true, Ordering::SeqCst);
-            Ok("OK shutting down".into())
-        }
-        other => Err(format!(
-            "unknown verb `{other}` (expected ADD|DEL|FLUSH|MEMBER|NEIGHBORS|STATS|STATUS|PING|SHUTDOWN)"
-        )),
-    }
 }
 
 /// Maps the serve client flags to the protocol lines they play.
@@ -1824,10 +1554,28 @@ fn serve_client_verbs(opts: &Options) -> Result<Option<Vec<String>>, String> {
     Ok(None)
 }
 
+/// Connects to `--socket PATH` or `--connect HOST:PORT` and plays the
+/// protocol lines.
+fn serve_client(opts: &Options, verbs: &[String]) -> Result<(), String> {
+    if let Some(path) = opt(opts, "socket") {
+        let stream = UnixStream::connect(path).map_err(|e| format!("{path}: {e}"))?;
+        play(&stream, verbs)
+    } else if let Some(addr) = opt(opts, "connect") {
+        let stream = TcpStream::connect(addr).map_err(|e| format!("{addr}: {e}"))?;
+        play(&stream, verbs)
+    } else {
+        Err("serve client mode needs --socket PATH or --connect HOST:PORT".into())
+    }
+}
+
 /// Plays protocol lines against a running server and echoes the
 /// replies. Fails when any reply is an `ERR`.
-fn serve_client(opts: &Options, verbs: &[String]) -> Result<(), String> {
-    let (mut reader, mut writer) = serve_connect(opts)?;
+fn play<S>(stream: &S, verbs: &[String]) -> Result<(), String>
+where
+    for<'a> &'a S: Read + Write,
+{
+    let mut reader = BufReader::new(stream);
+    let mut writer = stream;
     let mut errors = 0usize;
     for verb in verbs {
         write_line(&mut writer, verb).map_err(|e| e.to_string())?;
@@ -1849,86 +1597,11 @@ fn serve_client(opts: &Options, verbs: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Connects the client to `--socket PATH` or `--connect HOST:PORT`.
-fn serve_connect(opts: &Options) -> Result<ConnHalves, String> {
-    if let Some(path) = opt(opts, "socket") {
-        let s = UnixStream::connect(path).map_err(|e| format!("{path}: {e}"))?;
-        let r = s.try_clone().map_err(|e| e.to_string())?;
-        Ok((Box::new(BufReader::new(r)), Box::new(s)))
-    } else if let Some(addr) = opt(opts, "connect") {
-        let s = TcpStream::connect(addr).map_err(|e| format!("{addr}: {e}"))?;
-        let r = s.try_clone().map_err(|e| e.to_string())?;
-        Ok((Box::new(BufReader::new(r)), Box::new(s)))
-    } else {
-        Err("serve client mode needs --socket PATH or --connect HOST:PORT".into())
-    }
-}
-
-/// Renders a [`StoreStatus`] as one JSON line (the `STATUS` verb and
-/// `mis update status --json`).
-fn status_json(status: &StoreStatus) -> String {
-    let mut segs = String::new();
-    for (i, m) in status.segments.iter().enumerate() {
-        if i > 0 {
-            segs.push(',');
-        }
-        segs.push_str(&format!(
-            "{{\"id\":{},\"epoch_lo\":{},\"epoch_hi\":{},\"ops\":{},\"tombstones\":{},\
-             \"min_vertex\":{},\"max_vertex\":{},\"bytes\":{}}}",
-            m.id, m.epoch_lo, m.epoch_hi, m.ops, m.tombstones, m.min_vertex, m.max_vertex, m.bytes
-        ));
-    }
-    let ckpt = match status.checkpoint {
-        Some((epoch, size)) => format!("{{\"epoch\":{epoch},\"set_size\":{size}}}"),
-        None => "null".into(),
-    };
-    format!(
-        "{{\"vertices\":{},\"base_edges\":{},\"live_edges\":{},\"last_epoch\":{},\
-         \"committed_ops\":{},\"wal_bytes\":{},\"segment_bytes\":{},\"dead_segments\":{},\
-         \"checkpoint\":{},\"segments\":[{}]}}",
-        status.vertices,
-        status.base_edges,
-        status.live_edges,
-        status.last_epoch,
-        status.committed_ops,
-        status.wal_bytes,
-        status.segment_bytes,
-        status.dead_segments,
-        ckpt,
-        segs
-    )
-}
-
-/// Renders a [`ServeStats`] as one JSON line (the `STATS` verb).
-fn serve_stats_json(stats: &ServeStats) -> String {
-    let mut reqs = String::new();
-    for (i, (kind, r)) in stats.requests.iter().enumerate() {
-        if i > 0 {
-            reqs.push(',');
-        }
-        reqs.push_str(&format!(
-            "\"{kind}\":{{\"count\":{},\"p50_ns\":{},\"p99_ns\":{},\"max_ns\":{},\
-             \"mean_ns\":{:.1}}}",
-            r.count, r.p50_ns, r.p99_ns, r.max_ns, r.mean_ns
-        ));
-    }
-    format!(
-        "{{\"epoch\":{},\"set_size\":{},\"pending_ops\":{},\"flushes\":{},\"rolls\":{},\
-         \"compactions\":{},\"scan_repairs\":{},\"requests\":{{{}}}}}",
-        stats.epoch,
-        stats.set_size,
-        stats.pending_ops,
-        stats.flushes,
-        stats.rolls,
-        stats.compactions,
-        stats.scan_repairs,
-        reqs
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::TcpListener;
+    use std::time::Duration;
 
     fn strs(v: &[&str]) -> Vec<String> {
         v.iter().map(|s| s.to_string()).collect()
@@ -2042,29 +1715,23 @@ mod tests {
             &out,
         ]))
         .unwrap();
-        // Paged twok run through a 1 MiB cache, both policies.
-        for policy in ["clock", "lru"] {
-            dispatch(&strs(&[
-                "run",
-                &out,
-                "--algo",
-                "twok",
-                "--cache-mb",
-                "1",
-                "--policy",
-                policy,
-                "--block-size",
-                "4096",
-                "--paged-threshold",
-                "1.0",
-            ]))
-            .unwrap();
-        }
+        // Paged twok run through a 1 MiB cache.
+        dispatch(&strs(&[
+            "run",
+            &out,
+            "--algo",
+            "twok",
+            "--cache-mb",
+            "1",
+            "--block-size",
+            "4096",
+            "--paged-threshold",
+            "1.0",
+        ]))
+        .unwrap();
         // Cache flags are rejected where they cannot apply.
         assert!(dispatch(&strs(&["run", &out, "--algo", "greedy", "--cache-mb", "1"])).is_err());
-        assert!(dispatch(&strs(&["run", &out, "--policy", "clock"])).is_err());
         assert!(dispatch(&strs(&["run", &out, "--paged-threshold", "0.5"])).is_err());
-        assert!(dispatch(&strs(&["run", &out, "--policy", "fifo", "--cache-mb", "1"])).is_err());
         // The paged path works on compressed files too (the record
         // index is built at open by framing the variable-width records).
         let cout = dir.file("g.cadj").display().to_string();

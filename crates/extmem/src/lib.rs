@@ -23,7 +23,7 @@
 //!   sorted overflow runs), the data structure behind Zeh's external
 //!   maximal-independent-set algorithm that the paper benchmarks as `STXXL`;
 //! * [`pager::BufferPool`] — a buffer-pool page cache (frame table,
-//!   pin/unpin, CLOCK eviction) over a seekable source, for the
+//!   CLOCK eviction) over a seekable source, for the
 //!   random-access reads that sequential scans cannot serve cheaply;
 //! * [`ScratchDir`] — self-cleaning scratch space for spill files.
 //!

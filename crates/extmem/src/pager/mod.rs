@@ -9,21 +9,19 @@
 //!
 //! ## Frame lifecycle
 //!
-//! Every frame is in one of three states:
+//! Every frame is in one of two states:
 //!
 //! 1. **free** — not yet allocated (the pool allocates lazily up to its
 //!    configured capacity);
-//! 2. **resident** — holds a valid page, unpinned; eligible for eviction;
-//! 3. **pinned** — resident and held by one or more callers via
-//!    [`BufferPool::pin`]; never evicted until every pin is returned with
-//!    [`BufferPool::unpin`].
+//! 2. **resident** — holds a valid page; eligible for eviction.
 //!
-//! [`BufferPool::pin`] resolves a page number through the frame table: a
-//! **hit** bumps the pin count and sets the frame's CLOCK reference bit;
-//! a **miss** takes a free frame (or evicts an unpinned victim chosen by
-//! the [`policy`]) and fills it with one positioned read from the
-//! [`PageSource`]. Convenience wrappers [`BufferPool::with_page`] and
-//! [`BufferPool::read_at`] pair every pin with its unpin.
+//! [`BufferPool::with_page`] resolves a page number through the frame
+//! table: a **hit** sets the frame's CLOCK reference bit; a **miss** takes
+//! a free frame (or evicts the victim chosen by the [`policy`]) and fills
+//! it with one positioned read from the [`PageSource`]. The page's bytes
+//! are lent to the caller's closure only, and the call borrows the pool
+//! mutably, so no page is in use while another is fetched: nothing pins
+//! a frame, and any resident frame may be the next victim.
 //!
 //! ## Relation to the paper's cost model
 //!
@@ -56,7 +54,7 @@ pub struct PagerConfig {
     pub page_size: usize,
     /// Maximum number of resident frames.
     pub frames: usize,
-    /// Eviction policy for unpinned frames.
+    /// Eviction policy.
     pub policy: PolicyKind,
 }
 
@@ -88,13 +86,6 @@ impl PagerConfig {
     }
 }
 
-/// Handle to a pinned frame, returned by [`BufferPool::pin`].
-///
-/// The handle stays valid until the matching [`BufferPool::unpin`]; the
-/// pool will refuse to evict the frame in between.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FrameId(usize);
-
 /// One slot of the frame table.
 #[derive(Debug)]
 struct Frame {
@@ -102,17 +93,14 @@ struct Frame {
     page_no: u64,
     /// Valid bytes in `data` (short only for the last page of the source).
     len: usize,
-    /// Outstanding pins.
-    pins: u32,
     /// Page bytes (`page_size` long once allocated).
     data: Vec<u8>,
 }
 
-/// A fixed-capacity page cache with pin/unpin semantics.
+/// A fixed-capacity page cache with CLOCK eviction.
 ///
 /// Single-threaded by design (like the scans it complements); sharing
-/// across threads would need external synchronisation anyway because pins
-/// borrow frame memory.
+/// across threads needs external synchronisation.
 pub struct BufferPool<S: PageSource> {
     source: S,
     config: PagerConfig,
@@ -182,11 +170,6 @@ impl<S: PageSource> BufferPool<S> {
         &self.config
     }
 
-    /// Length of the backing source in bytes.
-    pub fn source_len(&self) -> u64 {
-        self.source.len()
-    }
-
     /// Number of pages the source spans.
     pub fn num_pages(&self) -> u64 {
         self.source.len().div_ceil(self.config.page_size as u64)
@@ -197,19 +180,29 @@ impl<S: PageSource> BufferPool<S> {
         self.frames.len()
     }
 
-    /// Pins `page_no` into a frame, reading it from the source if absent.
+    /// Hands the bytes of page `page_no` to `f`, reading the page from
+    /// the source into a frame first unless it is resident.
     ///
     /// Fails with [`io::ErrorKind::InvalidInput`] for pages beyond the
-    /// source and [`io::ErrorKind::OutOfMemory`] if every frame is pinned.
-    pub fn pin(&mut self, page_no: u64) -> io::Result<FrameId> {
-        if let Some(&idx) = self.table.get(&page_no) {
-            self.stats.record_cache_hit();
-            self.trace_hits += 1;
-            self.maybe_trace();
-            self.policy.reference(idx);
-            self.frames[idx].pins += 1;
-            return Ok(FrameId(idx));
-        }
+    /// source.
+    pub fn with_page<R>(&mut self, page_no: u64, f: impl FnOnce(&[u8]) -> R) -> io::Result<R> {
+        let idx = match self.table.get(&page_no) {
+            Some(&idx) => {
+                self.stats.record_cache_hit();
+                self.trace_hits += 1;
+                self.maybe_trace();
+                self.policy.reference(idx);
+                idx
+            }
+            None => self.fetch(page_no)?,
+        };
+        let frame = &self.frames[idx];
+        Ok(f(&frame.data[..frame.len]))
+    }
+
+    /// A miss: reads `page_no` from the source into a frame and returns
+    /// the frame's index.
+    fn fetch(&mut self, page_no: u64) -> io::Result<usize> {
         if page_no >= self.num_pages() {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -219,7 +212,7 @@ impl<S: PageSource> BufferPool<S> {
         self.stats.record_cache_miss();
         self.trace_misses += 1;
         self.maybe_trace();
-        let idx = self.acquire_frame()?;
+        let idx = self.acquire_frame();
         let page_size = self.config.page_size;
         let frame = &mut self.frames[idx];
         frame.data.resize(page_size, 0);
@@ -234,32 +227,22 @@ impl<S: PageSource> BufferPool<S> {
         self.stats.record_block_read(len as u64);
         frame.page_no = page_no;
         frame.len = len;
-        frame.pins = 1;
         self.table.insert(page_no, idx);
         self.policy.reference(idx);
-        Ok(FrameId(idx))
+        Ok(idx)
     }
 
     /// Finds a frame for a new page: allocate below capacity, else evict.
-    fn acquire_frame(&mut self) -> io::Result<usize> {
+    fn acquire_frame(&mut self) -> usize {
         if self.frames.len() < self.config.frames {
             self.frames.push(Frame {
                 page_no: u64::MAX,
                 len: 0,
-                pins: 0,
                 data: Vec::new(),
             });
-            return Ok(self.frames.len() - 1);
+            return self.frames.len() - 1;
         }
-        let frames = &self.frames;
-        let victim = self.policy.victim(frames.len(), |f| frames[f].pins > 0);
-        let victim = victim.ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::OutOfMemory,
-                "buffer pool exhausted: every frame is pinned",
-            )
-        })?;
-        debug_assert_eq!(self.frames[victim].pins, 0);
+        let victim = self.policy.victim(self.frames.len());
         self.stats.record_cache_eviction();
         self.trace_evictions += 1;
         self.table.remove(&self.frames[victim].page_no);
@@ -268,57 +251,7 @@ impl<S: PageSource> BufferPool<S> {
         // remove another frame's live table entry).
         self.frames[victim].page_no = u64::MAX;
         self.frames[victim].len = 0;
-        Ok(victim)
-    }
-
-    /// The valid bytes of a pinned frame's page.
-    pub fn page(&self, frame: FrameId) -> &[u8] {
-        let f = &self.frames[frame.0];
-        debug_assert!(f.pins > 0, "reading an unpinned frame");
-        &f.data[..f.len]
-    }
-
-    /// Returns one pin of `frame`. Unpinned frames become eviction
-    /// candidates; the memory stays valid until eviction actually strikes.
-    pub fn unpin(&mut self, frame: FrameId) {
-        let f = &mut self.frames[frame.0];
-        assert!(f.pins > 0, "unpin without a matching pin");
-        f.pins -= 1;
-    }
-
-    /// Pins `page_no`, hands its bytes to `f`, and unpins.
-    pub fn with_page<R>(&mut self, page_no: u64, f: impl FnOnce(&[u8]) -> R) -> io::Result<R> {
-        let frame = self.pin(page_no)?;
-        let out = f(self.page(frame));
-        self.unpin(frame);
-        Ok(out)
-    }
-
-    /// Copies up to `out.len()` bytes starting at byte `offset` through
-    /// the cache, pinning each covered page in turn. Returns the bytes
-    /// copied (short only at end of source).
-    pub fn read_at(&mut self, offset: u64, out: &mut [u8]) -> io::Result<usize> {
-        let page_size = self.config.page_size as u64;
-        let mut copied = 0;
-        while copied < out.len() {
-            let pos = offset + copied as u64;
-            if pos >= self.source.len() {
-                break;
-            }
-            let page_no = pos / page_size;
-            let in_page = (pos % page_size) as usize;
-            let n = self.with_page(page_no, |page| {
-                let avail = page.len().saturating_sub(in_page);
-                let take = avail.min(out.len() - copied);
-                out[copied..copied + take].copy_from_slice(&page[in_page..in_page + take]);
-                take
-            })?;
-            if n == 0 {
-                break;
-            }
-            copied += n;
-        }
-        Ok(copied)
+        victim
     }
 }
 
@@ -353,12 +286,9 @@ mod tests {
     fn pin_miss_then_hit() {
         let (mut pool, stats) = pool_over(seq(1000), 4, 256, PolicyKind::Clock);
         assert_eq!(pool.num_pages(), 4);
-        let f = pool.pin(1).unwrap();
-        assert_eq!(pool.page(f).len(), 256);
-        assert_eq!(pool.page(f)[0], (256 % 251) as u8);
-        pool.unpin(f);
-        let f2 = pool.pin(1).unwrap();
-        pool.unpin(f2);
+        let first = pool.with_page(1, |page| (page.len(), page[0])).unwrap();
+        assert_eq!(first, (256, (256 % 251) as u8));
+        pool.with_page(1, |_| ()).unwrap();
         let snap = stats.snapshot();
         assert_eq!(snap.cache_misses, 1);
         assert_eq!(snap.cache_hits, 1);
@@ -369,16 +299,14 @@ mod tests {
     #[test]
     fn last_page_is_short() {
         let (mut pool, _stats) = pool_over(seq(1000), 4, 256, PolicyKind::Clock);
-        let f = pool.pin(3).unwrap();
-        assert_eq!(pool.page(f).len(), 1000 - 3 * 256);
-        pool.unpin(f);
+        assert_eq!(pool.with_page(3, <[u8]>::len).unwrap(), 1000 - 3 * 256);
     }
 
     #[test]
     fn pin_beyond_source_fails() {
         let (mut pool, _stats) = pool_over(seq(100), 2, 64, PolicyKind::Clock);
         assert_eq!(pool.num_pages(), 2);
-        let err = pool.pin(2).unwrap_err();
+        let err = pool.with_page(2, |_| ()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 
@@ -401,41 +329,22 @@ mod tests {
     }
 
     #[test]
-    fn all_frames_pinned_is_an_error() {
-        let (mut pool, _stats) = pool_over(seq(1024), 2, 256, PolicyKind::Clock);
-        let a = pool.pin(0).unwrap();
-        let b = pool.pin(1).unwrap();
-        let err = pool.pin(2).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::OutOfMemory);
-        pool.unpin(a);
-        let c = pool.pin(2).unwrap();
-        pool.unpin(b);
-        pool.unpin(c);
-    }
-
-    #[test]
-    #[should_panic(expected = "unpin without a matching pin")]
-    fn double_unpin_panics() {
-        let (mut pool, _stats) = pool_over(seq(256), 1, 256, PolicyKind::Clock);
-        let f = pool.pin(0).unwrap();
-        pool.unpin(f);
-        pool.unpin(f);
-    }
-
-    #[test]
     fn read_at_crosses_page_boundaries() {
+        // Bytes 50..350 span pages 0..=5, gathered in turn the way a
+        // record crossing pages is fetched: six misses.
         let data = seq(1000);
         let (mut pool, stats) = pool_over(data.clone(), 8, 64, PolicyKind::Clock);
-        let mut out = vec![0u8; 300];
-        assert_eq!(pool.read_at(50, &mut out).unwrap(), 300);
-        assert_eq!(out, data[50..350]);
-        // 50..350 covers pages 0..=5: six misses, crossings re-hit page 0 etc.
+        let mut out = Vec::new();
+        for page in 0..=5 {
+            pool.with_page(page, |bytes| out.extend_from_slice(bytes))
+                .unwrap();
+        }
+        assert_eq!(out[50..350], data[50..350]);
         assert_eq!(stats.snapshot().cache_misses, 6);
-        // Short read at the tail.
-        let mut tail = vec![0u8; 100];
-        assert_eq!(pool.read_at(950, &mut tail).unwrap(), 50);
-        assert_eq!(tail[..50], data[950..]);
-        assert_eq!(pool.read_at(1000, &mut tail).unwrap(), 0);
+        // The tail page is short, and nothing lies past it.
+        let tail = pool.with_page(15, <[u8]>::to_vec).unwrap();
+        assert_eq!(tail, data[960..]);
+        assert!(pool.with_page(16, |_| ()).is_err());
     }
 
     #[test]

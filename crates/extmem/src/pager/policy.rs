@@ -1,13 +1,12 @@
 //! CLOCK frame eviction for the buffer pool.
 //!
 //! The policy sees two events: a frame referenced (a page admitted into
-//! it, or a hit), and a request for a victim frame. Pinned frames are
-//! never evicted; the pool tells the policy which frames are pinned.
+//! it, or a hit), and a request for a victim frame.
 //!
 //! [`ClockPolicy`] is second-chance / CLOCK: one reference bit per frame
 //! and a sweeping hand; a reference sets the bit, the hand clears bits
-//! until it finds a clear, unpinned frame. `O(1)` state per frame and the
-//! usual LRU approximation.
+//! until it finds a clear frame. `O(1)` state per frame and the usual LRU
+//! approximation.
 
 /// Which eviction policy a pool uses. CLOCK is the only one; the name
 /// stays in configurations and recorded baselines.
@@ -41,30 +40,18 @@ impl ClockPolicy {
         self.referenced[frame] = true;
     }
 
-    /// Chooses an unpinned victim among `frames` frames (`pinned(i)`
-    /// tells whether frame `i` is pinned), or `None` if every frame is
-    /// pinned.
-    pub fn victim(&mut self, frames: usize, pinned: impl Fn(usize) -> bool) -> Option<usize> {
-        if frames == 0 {
-            return None;
-        }
-        // Two full sweeps suffice: the first clears every reference bit on
-        // unpinned frames, so the second must find one — unless all frames
-        // are pinned.
-        for _ in 0..2 * frames {
+    /// Chooses a victim among `frames` frames (at least one). The first
+    /// sweep clears every reference bit it passes, so the hand stops
+    /// within two sweeps.
+    pub fn victim(&mut self, frames: usize) -> usize {
+        loop {
             let f = self.hand;
             self.hand = (self.hand + 1) % frames;
-            if pinned(f) {
-                continue;
-            }
             self.ensure(f);
-            if self.referenced[f] {
-                self.referenced[f] = false;
-            } else {
-                return Some(f);
+            if !std::mem::take(&mut self.referenced[f]) {
+                return f;
             }
         }
-        None
     }
 
     fn ensure(&mut self, frame: usize) {
@@ -90,18 +77,8 @@ mod tests {
         clock.reference(0);
         clock.reference(1);
         // Both referenced: first sweep clears 0 then 1, second evicts 0.
-        assert_eq!(clock.victim(2, |_| false), Some(0));
+        assert_eq!(clock.victim(2), 0);
         // Hand is now past 0; 1's bit is already clear, so 1 goes next.
-        assert_eq!(clock.victim(2, |_| false), Some(1));
-    }
-
-    #[test]
-    fn clock_skips_pinned_frames() {
-        let mut clock = ClockPolicy::default();
-        clock.reference(0);
-        clock.reference(1);
-        assert_eq!(clock.victim(2, |f| f == 0), Some(1));
-        assert_eq!(clock.victim(2, |_| true), None);
-        assert_eq!(clock.victim(0, |_| false), None);
+        assert_eq!(clock.victim(2), 1);
     }
 }

@@ -15,7 +15,7 @@
 //! * [`RandomAccessGraph`] — an adjacency file (plain `MISADJ01` or
 //!   gap-compressed `MISADJC1`) behind a [`BufferPool`]:
 //!   [`RandomAccessGraph::neighbors`] resolves a vertex through the
-//!   index and reads its record via pinned pages, so repeated reads of a
+//!   index and reads its record through the pool's pages, so repeated reads of a
 //!   small working set cost cache hits instead of scans.
 //! * [`NeighborAccess`] — the trait the swap algorithms use for their
 //!   paged candidate-verification path, also implemented by the in-memory
@@ -279,7 +279,7 @@ impl RandomAccessGraph<GapCodec> {
 /// neighbours to `dst`.
 ///
 /// Starting at the record's page, each page covering the record is
-/// pinned exactly once, in ascending order, so the hit and miss counters
+/// requested exactly once, in ascending order, so the hit and miss counters
 /// measure page locality. A record inside one page is framed and decoded
 /// straight off that page; only a record crossing a page boundary is
 /// gathered into `raw` first.

@@ -13,10 +13,9 @@
 //!   cue to re-commit the baseline deliberately). Strings and
 //!   booleans are compared the same way.
 //! * **wall** (higher is worse) — keys ending `_ms`/`_us`/`_ns` or
-//!   containing `wait`/`stall`. Gated by a relative tolerance plus an
-//!   absolute floor ([`GateConfig::wall_tolerance`],
-//!   [`GateConfig::wall_floor`]) so millisecond-scale jitter cannot
-//!   fail a build.
+//!   containing `wait`/`stall`. Gated by a relative tolerance of 50%
+//!   plus an absolute floor of 10 in the leaf's own unit, so
+//!   millisecond-scale jitter cannot fail a build.
 //! * **quality** (lower is worse) — keys containing `speedup`,
 //!   `utilization` or `hit_rate`; same tolerance, inverted direction.
 //!
@@ -61,25 +60,12 @@ fn is_quality_key(key: &str) -> bool {
     key.contains("speedup") || key.contains("utilization") || key.contains("hit_rate")
 }
 
-/// Thresholds for the noisy (wall/quality) gates.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GateConfig {
-    /// Allowed relative drift for wall/quality metrics (0.5 = 50%).
-    pub wall_tolerance: f64,
-    /// Absolute slack added on top of the relative band, in the
-    /// metric's own unit — keeps millisecond-scale runs from failing
-    /// on scheduler jitter.
-    pub wall_floor: f64,
-}
+/// Allowed relative drift of a wall or quality leaf (0.5 = 50%).
+const WALL_TOLERANCE: f64 = 0.5;
 
-impl Default for GateConfig {
-    fn default() -> Self {
-        GateConfig {
-            wall_tolerance: 0.5,
-            wall_floor: 10.0,
-        }
-    }
-}
+/// Absolute slack added on top of the relative band, in the leaf's own
+/// unit — keeps millisecond-scale runs from failing on scheduler jitter.
+const WALL_FLOOR: f64 = 10.0;
 
 /// One leaf of the side-by-side diff.
 #[derive(Debug, Clone, PartialEq)]
@@ -207,7 +193,7 @@ fn nearly_equal(a: f64, b: f64) -> bool {
 }
 
 /// Gates `current` against `base` per the module-doc classification.
-pub fn check_snapshots(base: &Json, current: &Json, cfg: &GateConfig) -> GateOutcome {
+pub fn check_snapshots(base: &Json, current: &Json) -> GateOutcome {
     let wall_gated = match (fingerprint_of(base), fingerprint_of(current)) {
         (Some(a), Some(b)) => a == b,
         _ => false,
@@ -246,24 +232,22 @@ pub fn check_snapshots(base: &Json, current: &Json, cfg: &GateConfig) -> GateOut
                         continue;
                     }
                     outcome.wall_compared += 1;
-                    let tol = cfg.wall_tolerance.max(0.0);
                     if is_wall_key(key) {
-                        let limit = b * (1.0 + tol) + cfg.wall_floor;
+                        let limit = b * (1.0 + WALL_TOLERANCE) + WALL_FLOOR;
                         if c > limit {
                             outcome.violations.push(format!(
                                 "{path}: {c} exceeds baseline {b} (limit {limit:.2}, \
-                                 +{:.0}% + {})",
-                                tol * 100.0,
-                                cfg.wall_floor
+                                 +{:.0}% + {WALL_FLOOR})",
+                                WALL_TOLERANCE * 100.0
                             ));
                         }
                     } else {
-                        let limit = b * (1.0 - tol) - cfg.wall_floor.min(b * 0.5);
+                        let limit = b * (1.0 - WALL_TOLERANCE) - WALL_FLOOR.min(b * 0.5);
                         if c < limit {
                             outcome.violations.push(format!(
                                 "{path}: {c} below baseline {b} (limit {limit:.3}, \
                                  −{:.0}%)",
-                                tol * 100.0
+                                WALL_TOLERANCE * 100.0
                             ));
                         }
                     }
@@ -328,7 +312,7 @@ mod tests {
 
     #[test]
     fn identical_snapshots_pass() {
-        let out = check_snapshots(&base(), &base(), &GateConfig::default());
+        let out = check_snapshots(&base(), &base());
         assert!(out.pass(), "{:?}", out.violations);
         assert!(out.wall_gated);
         assert!(out.exact_compared >= 8);
@@ -342,7 +326,7 @@ mod tests {
             "\"blocks_read\": 273, \"scans\": 13, \"wall_ms\": 64.0",
             "\"blocks_read\": 290, \"scans\": 13, \"wall_ms\": 64.0",
         );
-        let out = check_snapshots(&base(), &cur, &GateConfig::default());
+        let out = check_snapshots(&base(), &cur);
         assert!(!out.pass());
         assert!(
             out.violations[0].contains("blocks_read"),
@@ -356,21 +340,17 @@ mod tests {
             "273, \"scans\": 13, \"wall_ms\": 64.0",
             "272, \"scans\": 13, \"wall_ms\": 64.0",
         );
-        assert!(!check_snapshots(&base(), &cur, &GateConfig::default()).pass());
+        assert!(!check_snapshots(&base(), &cur).pass());
     }
 
     #[test]
     fn wall_regression_fails_only_beyond_tolerance_plus_floor() {
-        let cfg = GateConfig {
-            wall_tolerance: 0.5,
-            wall_floor: 10.0,
-        };
         // 64ms -> 90ms: within 64*1.5+10 = 106 — noise, passes.
         let cur = with(BASE, "\"wall_ms\": 64.0", "\"wall_ms\": 90.0");
-        assert!(check_snapshots(&base(), &cur, &cfg).pass());
+        assert!(check_snapshots(&base(), &cur).pass());
         // 64ms -> 120ms: beyond the band — fails.
         let cur = with(BASE, "\"wall_ms\": 64.0", "\"wall_ms\": 120.0");
-        let out = check_snapshots(&base(), &cur, &cfg);
+        let out = check_snapshots(&base(), &cur);
         assert!(!out.pass());
         assert!(out.violations[0].contains("wall_ms"));
     }
@@ -383,7 +363,7 @@ mod tests {
             "\"hardware_threads\": 8",
             "\"hardware_threads\": 4",
         );
-        let out = check_snapshots(&base(), &cur, &GateConfig::default());
+        let out = check_snapshots(&base(), &cur);
         assert!(out.pass(), "{:?}", out.violations);
         assert!(!out.wall_gated);
         assert_eq!(out.wall_compared, 0);
@@ -393,30 +373,32 @@ mod tests {
             "\"blocks_read\": 273, \"scans\": 13, \"wall_ms\": 64.0",
             "\"blocks_read\": 300, \"scans\": 13, \"wall_ms\": 64.0",
         );
-        let out = check_snapshots(&base(), &cur, &GateConfig::default());
+        let out = check_snapshots(&base(), &cur);
         assert!(!out.pass());
     }
 
     #[test]
     fn quality_drop_and_missing_metric_fail() {
-        let cur = with(
-            BASE,
+        // A quality leaf may fall 50%, and then by the floor capped at
+        // half the baseline: 40 -> 9 is below its limit of 20 - 10.
+        let quality = BASE.replace(
             "\"worker_utilization\": 0.8",
-            "\"worker_utilization\": 0.1",
+            "\"worker_utilization\": 40.0",
         );
-        let cfg = GateConfig {
-            wall_tolerance: 0.3,
-            wall_floor: 0.1,
-        };
-        let out = check_snapshots(&base(), &cur, &cfg);
+        let cur = with(
+            &quality,
+            "\"worker_utilization\": 40.0",
+            "\"worker_utilization\": 9.0",
+        );
+        let out = check_snapshots(&parse_json(&quality).unwrap(), &cur);
         assert!(!out.pass());
         assert!(out.violations[0].contains("utilization"));
 
         let cur = with(BASE, "\"maximal\": true", "\"maximal\": false");
-        assert!(!check_snapshots(&base(), &cur, &GateConfig::default()).pass());
+        assert!(!check_snapshots(&base(), &cur).pass());
 
         let cur = with(BASE, ", \"maximal\": true", "");
-        let out = check_snapshots(&base(), &cur, &GateConfig::default());
+        let out = check_snapshots(&base(), &cur);
         assert!(!out.pass());
         assert!(out.violations[0].contains("missing"));
     }

@@ -115,7 +115,7 @@ pub mod requests;
 pub mod trace;
 
 pub use clock::{hardware_threads, timed, timed_split, SplitTimes};
-pub use gate::{check_snapshots, diff_snapshots, GateConfig, GateOutcome};
+pub use gate::{check_snapshots, diff_snapshots, GateOutcome};
 pub use hist::LogHistogram;
 pub use ledger::{EnvFingerprint, Ledger, LedgerEntry};
 pub use model::{CostModel, ModelVerdict, Workload};

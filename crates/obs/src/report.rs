@@ -1,12 +1,12 @@
 //! Trace ingestion and aggregation: per-phase breakdown, per-worker
 //! utilization, engine wait attribution.
 //!
-//! A [`TraceReport`] is built either straight from an in-memory
-//! [`Trace`] ([`TraceReport::from_trace`] — used by `repro parallel` to
-//! enrich its JSON) or by re-reading a saved JSONL file
+//! A [`TraceReport`] is built by parsing a trace's JSONL: a saved file
 //! ([`TraceReport::load`] — used by `mis trace report`, which thereby
 //! also validates that the file on disk is well-formed, one JSON object
-//! per line).
+//! per line) or an in-memory [`Trace`] rendered the same way
+//! ([`TraceReport::from_trace`] — used by the `repro` harness to enrich
+//! its rows).
 //!
 //! The aggregation understands the naming conventions documented at the
 //! crate root: cat `"phase"` spans form the phase breakdown and the
@@ -18,7 +18,7 @@ use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 
-use crate::trace::{EventKind, Trace};
+use crate::trace::Trace;
 
 /// Tolerance when checking span nesting, in microseconds. Timestamps
 /// are exported with nanosecond precision, so 5ns absorbs rounding.
@@ -477,46 +477,15 @@ pub struct TraceReport {
 }
 
 impl TraceReport {
-    /// Builds the report from an in-memory trace (no file round-trip).
+    /// Builds the report from an in-memory trace, through the same
+    /// JSONL a saved trace holds, so both paths read one event mapping.
     pub fn from_trace(trace: &Trace) -> TraceReport {
-        let mut events: Vec<PEvent> = trace
-            .events
-            .iter()
-            .map(|e| PEvent {
-                cat: e.cat.to_string(),
-                name: e.name.to_string(),
-                tid: e.tid,
-                ts_us: e.ts_ns as f64 / 1e3,
-                kind: match e.kind {
-                    EventKind::Span { dur_ns } => PKind::Span {
-                        dur_us: dur_ns as f64 / 1e3,
-                    },
-                    EventKind::Counter { value } => PKind::Counter { value },
-                    EventKind::Instant => PKind::Instant,
-                    EventKind::Meta { role } => PKind::Meta {
-                        role: role.to_string(),
-                    },
-                },
-            })
-            .collect();
-        for h in &trace.hists {
-            events.push(PEvent {
-                cat: h.cat.to_string(),
-                name: h.name.to_string(),
-                tid: 0,
-                ts_us: 0.0,
-                kind: PKind::Hist(HistSummary {
-                    cat: h.cat.to_string(),
-                    name: h.name.to_string(),
-                    count: h.hist.count(),
-                    mean_ns: h.hist.mean(),
-                    p50_ns: h.hist.quantile(0.5),
-                    p99_ns: h.hist.quantile(0.99),
-                    max_ns: h.hist.max(),
-                }),
-            });
-        }
-        build(events)
+        let mut jsonl = Vec::new();
+        trace
+            .write_chrome_jsonl(&mut jsonl)
+            .expect("vec write cannot fail");
+        let text = String::from_utf8(jsonl).expect("trace JSONL is UTF-8");
+        Self::from_jsonl_str(&text).expect("a rendered trace parses")
     }
 
     /// Parses JSONL text (one Chrome trace event per line). Errors name
@@ -999,7 +968,7 @@ fn check_nesting(events: &[PEvent]) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{Event, HistEntry};
+    use crate::trace::{Event, EventKind, HistEntry};
     use crate::LogHistogram;
 
     fn span(cat: &'static str, name: &'static str, tid: u64, ts_ns: u64, dur_ns: u64) -> Event {

@@ -12,13 +12,14 @@
 //! crc     u32 LE       FNV-1a over everything after the magic
 //! ```
 //!
-//! Writes go through a temp file + rename, so a crash mid-checkpoint
-//! leaves the previous checkpoint intact; loads validate the checksum and
-//! reject short or tampered files. Reads and writes bump the
-//! `checkpoints_read` / `checkpoints_written` counters of the shared
-//! [`IoStats`].
+//! The magic, payload and checksum are the envelope the segment
+//! manifest uses too, with the WAL's FNV-1a. Writes go through a temp
+//! file + rename, so a crash mid-checkpoint leaves the previous
+//! checkpoint intact; loads validate the checksum and reject short or
+//! tampered files. Reads and writes bump the `checkpoints_read` /
+//! `checkpoints_written` counters of the shared [`IoStats`].
 
-use std::io::{self, Cursor, Write};
+use std::io::{self, Cursor};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -27,19 +28,10 @@ use mis_extmem::varint::{read_ascending_gaps, write_ascending_gaps};
 use mis_extmem::IoStats;
 use mis_graph::VertexId;
 
+use crate::wal::{corrupt, open_envelope, write_envelope};
+
 /// Magic bytes identifying an independent-set checkpoint.
 pub const CKPT_MAGIC: &[u8; 8] = b"MISCKPT1";
-
-/// 32-bit FNV-1a (shared definition with the WAL would be circular; the
-/// eight-line function is simply duplicated).
-fn fnv1a32(bytes: &[u8]) -> u32 {
-    let mut h: u32 = 0x811C_9DC5;
-    for &b in bytes {
-        h ^= u32::from(b);
-        h = h.wrapping_mul(0x0100_0193);
-    }
-    h
-}
 
 /// A loaded checkpoint: the set and the WAL epoch it is valid at.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,35 +63,17 @@ impl Checkpoint {
         codec::write_u64(&mut payload, epoch)?;
         codec::write_u64(&mut payload, set.len() as u64)?;
         write_ascending_gaps(&mut payload, set)?;
-        let crc = fnv1a32(&payload);
-
-        let tmp = path.with_extension("ckpt.tmp");
-        {
-            let mut file = std::fs::File::create(&tmp)?;
-            file.write_all(CKPT_MAGIC)?;
-            file.write_all(&payload)?;
-            file.write_all(&crc.to_le_bytes())?;
-            file.sync_data()?;
-        }
-        std::fs::rename(&tmp, path)?;
+        let bytes = write_envelope(path, CKPT_MAGIC, &payload)?;
         stats.record_checkpoint_write();
-        Ok((CKPT_MAGIC.len() + payload.len() + 4) as u64)
+        Ok(bytes)
     }
 
     /// Loads and validates the checkpoint at `path`.
     pub fn load(path: &Path, stats: &Arc<IoStats>) -> io::Result<Self> {
-        let bytes = std::fs::read(path)?;
-        let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
-        if bytes.len() < CKPT_MAGIC.len() + 8 + 8 + 4 {
-            return Err(bad("checkpoint file too short"));
-        }
-        if &bytes[..CKPT_MAGIC.len()] != CKPT_MAGIC {
-            return Err(bad("not an independent-set checkpoint"));
-        }
-        let payload = &bytes[CKPT_MAGIC.len()..bytes.len() - 4];
-        let crc = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("4-byte slice"));
-        if crc != fnv1a32(payload) {
-            return Err(bad("checkpoint checksum mismatch"));
+        let buf = std::fs::read(path)?;
+        let payload = open_envelope(&buf, CKPT_MAGIC, "checkpoint")?;
+        if payload.len() < 8 + 8 {
+            return Err(corrupt("checkpoint file too short"));
         }
         let mut cur = Cursor::new(payload);
         let epoch = codec::read_u64(&mut cur)?;
@@ -107,7 +81,7 @@ impl Checkpoint {
         let mut set = Vec::new();
         read_ascending_gaps(&mut cur, &mut set, n)?;
         if cur.position() != payload.len() as u64 {
-            return Err(bad("trailing bytes after checkpoint payload"));
+            return Err(corrupt("trailing bytes after checkpoint payload"));
         }
         stats.record_checkpoint_read();
         Ok(Self { epoch, set })
@@ -163,12 +137,15 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
 
         Checkpoint::write(&path, 2, &[1, 5, 9], &stats).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xFF;
-        std::fs::write(&path, &bytes).unwrap();
-        let err = Checkpoint::load(&path, &stats).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let good = std::fs::read(&path).unwrap();
+        // One flipped byte anywhere after the magic, payload or checksum.
+        for at in CKPT_MAGIC.len()..good.len() {
+            let mut bytes = good.clone();
+            bytes[at] ^= 0x01;
+            std::fs::write(&path, &bytes).unwrap();
+            let err = Checkpoint::load(&path, &stats).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "flip at {at}");
+        }
 
         std::fs::write(&path, b"short").unwrap();
         assert!(Checkpoint::load(&path, &stats).is_err());

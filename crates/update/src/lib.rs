@@ -7,8 +7,8 @@
 //! multi-gigabyte base adjacency file per batch, edge updates append to a
 //! checksummed **write-ahead log**, roll into immutable **sealed
 //! segments**, overlay the base file at scan time, and are periodically
-//! **compacted** — partially (segment merges) or fully (a fresh base
-//! file).
+//! **compacted** — partially (every live segment merged into one) or
+//! fully (a fresh base file).
 //!
 //! The moving parts:
 //!
@@ -17,8 +17,8 @@
 //!   markers as commit points, and torn-tail recovery on open (see the
 //!   module docs for the byte-level format);
 //! * [`segment::Segment`] — an immutable sealed run of WAL epochs, kept
-//!   in memory, with a footer carrying its epoch range, vertex range and
-//!   tombstone count, which the compactor uses to plan merges;
+//!   in memory, framed like the WAL and read by the same replay, with a
+//!   footer carrying its epoch range, vertex range and tombstone count;
 //! * [`manifest::Manifest`] — the atomically-replaced list of live
 //!   segments (ids never reused), the authority recovery trusts over
 //!   directory contents;

@@ -23,13 +23,12 @@
 //! freshly sealed segment can never collide with a file an old snapshot
 //! still pins.
 
-use std::fs::File;
-use std::io::{self, Cursor, Write};
+use std::io::{self, Cursor};
 use std::path::Path;
 
 use mis_extmem::varint::{read_varint, write_varint};
 
-use crate::wal::fnv1a32;
+use crate::wal::{corrupt, open_envelope, write_envelope};
 
 /// Magic bytes identifying a segment manifest.
 pub const MANIFEST_MAGIC: &[u8; 8] = b"MISMAN01";
@@ -55,10 +54,6 @@ impl Default for Manifest {
     }
 }
 
-fn corrupt(msg: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
-}
-
 impl Manifest {
     /// Allocates the next segment id.
     pub fn allocate(&mut self) -> u64 {
@@ -75,14 +70,7 @@ impl Manifest {
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Self::default()),
             Err(e) => return Err(e),
         };
-        if buf.len() < MANIFEST_MAGIC.len() + 4 || &buf[..MANIFEST_MAGIC.len()] != MANIFEST_MAGIC {
-            return Err(corrupt("not a segment manifest"));
-        }
-        let payload = &buf[MANIFEST_MAGIC.len()..buf.len() - 4];
-        let crc_bytes: [u8; 4] = buf[buf.len() - 4..].try_into().expect("4-byte slice");
-        if u32::from_le_bytes(crc_bytes) != fnv1a32(payload) {
-            return Err(corrupt("segment manifest checksum mismatch"));
-        }
+        let payload = open_envelope(&buf, MANIFEST_MAGIC, "segment manifest")?;
         let mut cur = Cursor::new(payload);
         let next_id = read_varint(&mut cur).map_err(|_| corrupt("truncated manifest"))?;
         let count = read_varint(&mut cur).map_err(|_| corrupt("truncated manifest"))?;
@@ -104,22 +92,11 @@ impl Manifest {
     /// bytes go to `<path>.tmp`, are fsynced, then renamed into place.
     pub fn store(&self, path: &Path) -> io::Result<()> {
         let mut payload = Vec::new();
-        write_varint(&mut payload, self.next_id).expect("vec write cannot fail");
-        write_varint(&mut payload, self.segments.len() as u64).expect("vec write cannot fail");
-        for &id in &self.segments {
-            write_varint(&mut payload, id).expect("vec write cannot fail");
+        let header = [self.next_id, self.segments.len() as u64];
+        for v in header.into_iter().chain(self.segments.iter().copied()) {
+            write_varint(&mut payload, v).expect("vec write cannot fail");
         }
-        let mut buf: Vec<u8> = MANIFEST_MAGIC.to_vec();
-        buf.extend_from_slice(&payload);
-        buf.extend_from_slice(&fnv1a32(&payload).to_le_bytes());
-
-        let tmp = path.with_extension("tmp");
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&buf)?;
-            f.sync_data()?;
-        }
-        std::fs::rename(&tmp, path)
+        write_envelope(path, MANIFEST_MAGIC, &payload).map(drop)
     }
 }
 
@@ -174,6 +151,14 @@ mod tests {
         *bad.last_mut().unwrap() ^= 0xFF;
         std::fs::write(&path, &bad).unwrap();
         assert!(Manifest::load_or_default(&path).is_err());
+        // One flipped payload byte fails the checksum.
+        for at in MANIFEST_MAGIC.len()..good.len() - 4 {
+            let mut bad = good.clone();
+            bad[at] ^= 0x01;
+            std::fs::write(&path, &bad).unwrap();
+            let err = Manifest::load_or_default(&path).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "flip at {at}");
+        }
 
         std::fs::write(&path, b"JUNKJUNKJUNK").unwrap();
         assert!(Manifest::load_or_default(&path).is_err());

@@ -25,42 +25,31 @@
 //!     varint epoch_lo, varint epoch_hi
 //!     varint op count
 //!     varint min vertex, varint max vertex
-//!     varint tombstone count (deletes; > 0 sets the tombstone flag)
+//!     varint tombstone count (deletes)
 //!     crc      u32 LE    FNV-1a over tag + payload
 //! ```
 //!
-//! The footer serves **merge planning**, not scans: its vertex range
-//! lets the compactor pick runs of segments whose operations can
-//! supersede each other ([`SegmentMeta::overlaps`]), and its epoch range
-//! and counts let open validate the body and `mis update status` report
-//! it. A segment without a valid trailing footer is rejected as corrupt
-//! — segments are renamed into place only after a full fsync, so a torn
-//! segment can only be a bug or bit rot, never a crash artefact (crashes
-//! leave `*.tmp` orphans, cleaned on open).
+//! Open reads the body with the WAL's own replay, so the two files share
+//! one record walk. The footer's epoch range and counts let open validate
+//! the body, and `mis update status` reports all of it. A segment
+//! without a valid trailing footer is rejected as corrupt — segments are
+//! renamed into place only after a full fsync, so a torn segment can
+//! only be a bug or bit rot, never a crash artefact (crashes leave
+//! `*.tmp` orphans, cleaned on open).
 
-use std::fs::File;
-use std::io::{self, Cursor, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 
-use mis_extmem::varint::{read_varint, write_varint};
 use mis_extmem::IoStats;
 use mis_graph::VertexId;
 
-use crate::wal::{encode_record, fnv1a32, EdgeOp, TAG_DELETE, TAG_EPOCH, TAG_INSERT};
+use crate::wal::{corrupt, encode_record, replace_file, EdgeOp, Replay, TAG_EPOCH, TAG_FOOTER};
 
 /// Magic bytes identifying a sealed WAL segment.
 pub const SEGMENT_MAGIC: &[u8; 8] = b"MISSEG01";
 
-/// Footer record tag (the WAL itself never writes this tag, so a
-/// segment body can be replayed with WAL tooling up to the footer).
-pub(crate) const TAG_FOOTER: u8 = 0x04;
-
-fn corrupt(msg: String) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg)
-}
-
-/// The footer metadata of one sealed segment — everything the merge
-/// planner and `mis update status` need without touching its records.
+/// The footer metadata of one sealed segment — everything `mis update
+/// status` reports without touching its records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegmentMeta {
     /// Segment id (dense per store, assigned by the manifest).
@@ -82,22 +71,20 @@ pub struct SegmentMeta {
 }
 
 impl SegmentMeta {
-    /// Whether the segment has any delete operations.
-    pub fn has_tombstones(&self) -> bool {
-        self.tombstones > 0
-    }
-
-    /// Whether any operation in the segment *could* touch a vertex in
-    /// `[lo, hi]`. Conservative: `true` may still mean no op matches,
-    /// but `false` guarantees none does.
-    pub fn touches_range(&self, lo: VertexId, hi: VertexId) -> bool {
-        self.ops > 0 && self.min_vertex <= hi && self.max_vertex >= lo
-    }
-
-    /// Whether this segment's vertex range overlaps `other`'s — the
-    /// compactor's merge criterion.
-    pub fn overlaps(&self, other: &SegmentMeta) -> bool {
-        self.ops > 0 && other.touches_range(self.min_vertex, self.max_vertex)
+    /// The metadata of a `bytes`-long file whose footer holds `fields`;
+    /// `None` when a vertex does not fit a `u32`.
+    fn from_footer(fields: [u64; 7], bytes: u64) -> Option<Self> {
+        let [id, epoch_lo, epoch_hi, ops, min_v, max_v, tombstones] = fields;
+        Some(Self {
+            id,
+            epoch_lo,
+            epoch_hi,
+            ops,
+            min_vertex: min_v.try_into().ok()?,
+            max_vertex: max_v.try_into().ok()?,
+            tombstones,
+            bytes,
+        })
     }
 }
 
@@ -130,173 +117,85 @@ impl Segment {
     /// that open-time cleanup removes.
     pub fn seal(dir: &Path, id: u64, ops: &[(u64, EdgeOp)], stats: &IoStats) -> io::Result<Self> {
         assert!(!ops.is_empty(), "sealing an empty segment");
+        debug_assert!(
+            ops.windows(2).all(|w| w[0].0 <= w[1].0),
+            "ops must be epoch-ascending"
+        );
         let _span = mis_obs::span("segment", "segment.seal");
         let mut buf: Vec<u8> = SEGMENT_MAGIC.to_vec();
         let (mut min_v, mut max_v) = (VertexId::MAX, VertexId::MIN);
         let mut tombstones = 0u64;
-        let (mut epoch_lo, mut epoch_hi) = (ops[0].0, ops[0].0);
 
-        // Re-encode with the WAL's framing, epoch group by epoch group.
+        // Re-encode with the WAL's framing, a marker after each epoch.
         let mut batch = 0u64;
-        let mut cur_epoch = ops[0].0;
-        for &(epoch, op) in ops {
-            debug_assert!(epoch >= cur_epoch, "ops must be epoch-ascending");
-            if epoch != cur_epoch {
-                buf.extend_from_slice(&encode_record(TAG_EPOCH, &[cur_epoch, batch]));
-                cur_epoch = epoch;
-                batch = 0;
-            }
+        for (i, &(epoch, op)) in ops.iter().enumerate() {
             let (u, v) = op.endpoints();
             min_v = min_v.min(u.min(v));
             max_v = max_v.max(u.max(v));
             tombstones += u64::from(!op.is_insert());
-            let tag = if op.is_insert() {
-                TAG_INSERT
-            } else {
-                TAG_DELETE
-            };
-            buf.extend_from_slice(&encode_record(tag, &[u64::from(u), u64::from(v)]));
+            buf.extend_from_slice(&op.encode());
             batch += 1;
-            epoch_lo = epoch_lo.min(epoch);
-            epoch_hi = epoch_hi.max(epoch);
+            if ops.get(i + 1).is_none_or(|&(next, _)| next != epoch) {
+                buf.extend_from_slice(&encode_record(TAG_EPOCH, &[epoch, batch]));
+                batch = 0;
+            }
         }
-        buf.extend_from_slice(&encode_record(TAG_EPOCH, &[cur_epoch, batch]));
-        buf.extend_from_slice(&encode_footer(
+        let footer = [
             id,
-            epoch_lo,
-            epoch_hi,
+            ops[0].0,
+            ops[ops.len() - 1].0,
             ops.len() as u64,
-            min_v,
-            max_v,
+            u64::from(min_v),
+            u64::from(max_v),
             tombstones,
-        ));
+        ];
+        buf.extend_from_slice(&encode_record(TAG_FOOTER, &footer));
 
-        let final_path = dir.join(segment_file_name(id));
-        let tmp_path = dir.join(format!("{}.tmp", segment_file_name(id)));
-        {
-            let mut f = File::create(&tmp_path)?;
-            f.write_all(&buf)?;
-            f.sync_data()?;
-        }
-        std::fs::rename(&tmp_path, &final_path)?;
+        let path = dir.join(segment_file_name(id));
+        replace_file(&path, &buf)?;
         stats.record_wal_write(buf.len() as u64);
-
+        let meta = SegmentMeta::from_footer(footer, buf.len() as u64).expect("vertex ids are u32");
         Ok(Self {
-            meta: SegmentMeta {
-                id,
-                epoch_lo,
-                epoch_hi,
-                ops: ops.len() as u64,
-                min_vertex: min_v,
-                max_vertex: max_v,
-                tombstones,
-                bytes: buf.len() as u64,
-            },
+            meta,
             ops: ops.to_vec(),
-            path: final_path,
+            path,
         })
     }
 
     /// Opens and fully validates a sealed segment: magic, every record
-    /// checksum, every epoch marker, and a footer whose counts match the
-    /// replayed body.
+    /// checksum, every epoch marker, and a footer, last in the file,
+    /// whose counts match the replayed body.
     pub fn open(path: &Path, stats: &IoStats) -> io::Result<Self> {
         let buf = std::fs::read(path)?;
         stats.record_wal_read(buf.len() as u64);
-        let name = path.display();
-        if buf.len() < SEGMENT_MAGIC.len() || &buf[..SEGMENT_MAGIC.len()] != SEGMENT_MAGIC {
-            return Err(corrupt(format!("{name}: not a sealed WAL segment")));
+        let bad = |msg: &str| corrupt(format!("{}: {msg}", path.display()));
+        if !buf.starts_with(SEGMENT_MAGIC) {
+            return Err(bad("not a sealed WAL segment"));
         }
-
-        let mut ops: Vec<(u64, EdgeOp)> = Vec::new();
-        let mut batch: Vec<EdgeOp> = Vec::new();
-        let mut last_epoch = 0u64;
-        let mut footer: Option<SegmentMeta> = None;
-        let mut pos = SEGMENT_MAGIC.len();
-        while pos < buf.len() {
-            let start = pos;
-            let tag = buf[pos];
-            pos += 1;
-            let field_count = if tag == TAG_FOOTER { 7 } else { 2 };
-            let mut cur = Cursor::new(&buf[pos..]);
-            let mut fields = [0u64; 7];
-            for f in fields.iter_mut().take(field_count) {
-                *f = read_varint(&mut cur)
-                    .map_err(|_| corrupt(format!("{name}: truncated record")))?;
-            }
-            pos += cur.position() as usize;
-            let crc_bytes = buf
-                .get(pos..pos + 4)
-                .ok_or_else(|| corrupt(format!("{name}: truncated checksum")))?;
-            let crc = u32::from_le_bytes(crc_bytes.try_into().expect("4-byte slice"));
-            if crc != fnv1a32(&buf[start..pos]) {
-                return Err(corrupt(format!("{name}: record checksum mismatch")));
-            }
-            pos += 4;
-
-            match tag {
-                TAG_INSERT | TAG_DELETE => {
-                    let (Ok(u), Ok(v)) =
-                        (VertexId::try_from(fields[0]), VertexId::try_from(fields[1]))
-                    else {
-                        return Err(corrupt(format!("{name}: vertex id overflows u32")));
-                    };
-                    batch.push(if tag == TAG_INSERT {
-                        EdgeOp::Insert(u, v)
-                    } else {
-                        EdgeOp::Delete(u, v)
-                    });
-                }
-                TAG_EPOCH => {
-                    let (epoch, count) = (fields[0], fields[1]);
-                    if epoch <= last_epoch && last_epoch != 0 || count != batch.len() as u64 {
-                        return Err(corrupt(format!("{name}: inconsistent epoch marker")));
-                    }
-                    last_epoch = epoch;
-                    ops.extend(batch.drain(..).map(|op| (epoch, op)));
-                }
-                TAG_FOOTER => {
-                    if pos != buf.len() {
-                        return Err(corrupt(format!("{name}: data after the footer")));
-                    }
-                    let (Ok(min_v), Ok(max_v)) =
-                        (VertexId::try_from(fields[4]), VertexId::try_from(fields[5]))
-                    else {
-                        return Err(corrupt(format!("{name}: footer vertex overflows u32")));
-                    };
-                    footer = Some(SegmentMeta {
-                        id: fields[0],
-                        epoch_lo: fields[1],
-                        epoch_hi: fields[2],
-                        ops: fields[3],
-                        min_vertex: min_v,
-                        max_vertex: max_v,
-                        tombstones: fields[6],
-                        bytes: buf.len() as u64,
-                    });
-                }
-                other => {
-                    return Err(corrupt(format!("{name}: unknown record tag {other:#x}")));
-                }
-            }
+        let body = Replay::read(&buf, SEGMENT_MAGIC.len());
+        if let Some(e) = body.error {
+            return Err(bad(e));
         }
-
-        let meta = footer.ok_or_else(|| corrupt(format!("{name}: missing footer")))?;
-        if !batch.is_empty() {
-            return Err(corrupt(format!("{name}: unsealed trailing operations")));
+        let footer = body.footer.ok_or_else(|| bad("missing footer"))?;
+        if body.end != buf.len() {
+            return Err(bad("data after the footer"));
         }
-        let tombstones = ops.iter().filter(|(_, op)| !op.is_insert()).count() as u64;
-        let replayed_lo = ops.first().map_or(0, |(e, _)| *e);
-        if meta.ops != ops.len() as u64
-            || meta.tombstones != tombstones
-            || meta.epoch_lo != replayed_lo
-            || meta.epoch_hi != last_epoch
+        if !body.batch.is_empty() {
+            return Err(bad("unsealed trailing operations"));
+        }
+        let meta = SegmentMeta::from_footer(footer, buf.len() as u64)
+            .ok_or_else(|| bad("footer vertex overflows u32"))?;
+        let deletes = body.ops.iter().filter(|(_, op)| !op.is_insert()).count() as u64;
+        if meta.ops != body.ops.len() as u64
+            || meta.tombstones != deletes
+            || meta.epoch_lo != body.ops.first().map_or(0, |(e, _)| *e)
+            || meta.epoch_hi != body.last_epoch
         {
-            return Err(corrupt(format!("{name}: footer disagrees with the body")));
+            return Err(bad("footer disagrees with the body"));
         }
         Ok(Self {
             meta,
-            ops,
+            ops: body.ops,
             path: path.to_path_buf(),
         })
     }
@@ -361,32 +260,6 @@ pub fn merge_segments(
     Ok((seg, dropped))
 }
 
-fn encode_footer(
-    id: u64,
-    epoch_lo: u64,
-    epoch_hi: u64,
-    ops: u64,
-    min_v: VertexId,
-    max_v: VertexId,
-    tombstones: u64,
-) -> Vec<u8> {
-    let mut rec = vec![TAG_FOOTER];
-    for f in [
-        id,
-        epoch_lo,
-        epoch_hi,
-        ops,
-        u64::from(min_v),
-        u64::from(max_v),
-        tombstones,
-    ] {
-        write_varint(&mut rec, f).expect("vec write cannot fail");
-    }
-    let crc = fnv1a32(&rec);
-    rec.extend_from_slice(&crc.to_le_bytes());
-    rec
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -413,7 +286,6 @@ mod tests {
         assert_eq!(sealed.meta().min_vertex, 3);
         assert_eq!(sealed.meta().max_vertex, 9);
         assert_eq!(sealed.meta().tombstones, 2);
-        assert!(sealed.meta().has_tombstones());
         assert!(sealed.path().ends_with("seg-000007.seg"));
         // No temp orphan remains after a clean seal.
         assert!(!dir.path().join("seg-000007.seg.tmp").exists());
@@ -425,20 +297,6 @@ mod tests {
     }
 
     #[test]
-    fn filter_is_conservative_but_never_wrong() {
-        let dir = ScratchDir::new("seg-filter").unwrap();
-        let stats = IoStats::shared();
-        let seg = Segment::seal(dir.path(), 1, &ops(), &stats).unwrap();
-        let m = seg.meta();
-        // Vertices 3..=9 are touched.
-        assert!(m.touches_range(0, 3));
-        assert!(m.touches_range(9, 100));
-        assert!(m.touches_range(5, 5));
-        assert!(!m.touches_range(0, 2));
-        assert!(!m.touches_range(10, 100));
-    }
-
-    #[test]
     fn corruption_is_rejected() {
         let dir = ScratchDir::new("seg-corrupt").unwrap();
         let stats = IoStats::shared();
@@ -446,21 +304,32 @@ mod tests {
         let path = seg.path().to_path_buf();
         let good = std::fs::read(&path).unwrap();
 
-        // Flipping any byte after the magic fails validation.
-        for at in [9, good.len() / 2, good.len() - 2] {
+        // Flipping any one byte after the magic fails validation.
+        for at in SEGMENT_MAGIC.len()..good.len() {
             let mut bad = good.clone();
             bad[at] ^= 0xFF;
             std::fs::write(&path, &bad).unwrap();
-            assert!(Segment::open(&path, &stats).is_err(), "flip at {at}");
+            let err = Segment::open(&path, &stats).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "flip at {at}");
         }
-        // A truncated tail (no footer at the end) fails too.
-        std::fs::write(&path, &good[..good.len() - 5]).unwrap();
-        assert!(Segment::open(&path, &stats).is_err());
-        // Extra bytes after the footer fail.
-        let mut long = good.clone();
-        long.push(0);
-        std::fs::write(&path, &long).unwrap();
-        assert!(Segment::open(&path, &stats).is_err());
+        // A torn footer (cut at any byte of it, or cut off whole) fails.
+        let m = seg.meta();
+        let footer = encode_record(
+            TAG_FOOTER,
+            &[m.id, m.epoch_lo, m.epoch_hi, m.ops, 3, 9, m.tombstones],
+        );
+        assert!(good.ends_with(&footer));
+        for cut in 1..=footer.len() {
+            std::fs::write(&path, &good[..good.len() - cut]).unwrap();
+            assert!(Segment::open(&path, &stats).is_err(), "cut {cut}");
+        }
+        // Bytes after the footer fail, even a well-formed record.
+        for tail in [vec![0], encode_record(TAG_EPOCH, &[5, 0])] {
+            let mut long = good.clone();
+            long.extend_from_slice(&tail);
+            std::fs::write(&path, &long).unwrap();
+            assert!(Segment::open(&path, &stats).is_err());
+        }
         // The pristine bytes still open.
         std::fs::write(&path, &good).unwrap();
         assert!(Segment::open(&path, &stats).is_ok());

@@ -331,7 +331,8 @@ impl ServeEngine {
     /// rolls and merges segments per the store's policy), repair the
     /// maintained set on the epoch's pinned view (store unlocked),
     /// checkpoint, and publish the new view. Returns `None` when nothing
-    /// was pending.
+    /// was pending. When the append fails before its epoch commits, the
+    /// batch goes back to the front of the queue for the next flush.
     pub fn flush(&self) -> io::Result<Option<FlushReport>> {
         let _serial = self.flush_lock.lock().expect("flush lock poisoned");
         let batch: Vec<EdgeOp> = {
@@ -348,9 +349,23 @@ impl ServeEngine {
         // Durable part: append (+ roll + merge) and pin, store locked.
         let (pinned, appended) = {
             let mut store = self.store.lock().expect("store lock poisoned");
+            let before = store.wal().last_epoch();
             let appended = {
                 let _span = mis_obs::span("serve", "serve.append");
-                store.append_ops(&batch)?
+                store.append_ops(&batch)
+            };
+            let appended = match appended {
+                Ok(appended) => appended,
+                // Nothing committed: the batch goes back ahead of what
+                // was queued since, for the next flush to retry. After
+                // the commit (a failed roll or merge), it stays committed.
+                Err(e) if store.wal().last_epoch() == before => {
+                    let mut pending = self.pending.lock().expect("pending lock poisoned");
+                    pending.splice(0..0, batch);
+                    mis_obs::counter("serve", "serve.pending", pending.len() as f64);
+                    return Err(e);
+                }
+                Err(e) => return Err(e),
             };
             let _span = mis_obs::span("serve", "serve.snapshot");
             (store.snapshot().pinned(), appended)
@@ -959,6 +974,51 @@ mod tests {
             assert_eq!(stats.snapshot().scans_started, scans, "{blocked}");
             assert_eq!(eng.stats().scan_repairs, 1);
         }
+    }
+
+    #[test]
+    fn a_failed_append_requeues_its_batch_for_the_next_flush() {
+        let dir = ScratchDir::new("serve-requeue").unwrap();
+        let eng = engine(
+            &dir,
+            ServeConfig {
+                batch_ops: usize::MAX,
+                ..ServeConfig::default()
+            },
+        );
+        let batch = churn(&eng, 3);
+        assert!(batch.len() >= 2);
+        eng.submit(&batch).unwrap();
+        // The second record write fails after the first op is logged.
+        crate::wal::tests::fail_write_after(1);
+        assert!(eng.flush().is_err());
+        assert_eq!(eng.view().epoch(), 0);
+        let status = eng.store_status().unwrap();
+        assert_eq!((status.last_epoch, status.committed_ops), (0, 0));
+        assert_eq!(eng.store.lock().unwrap().wal().uncommitted_ops(), 0);
+        // Nor does the file: a reopened copy holds no op and no torn tail.
+        let copy = dir.file("copy.wal");
+        std::fs::copy(dir.file("edits.wal"), &copy).unwrap();
+        let (_, recovery) = crate::wal::Wal::open(&copy, IoStats::shared()).unwrap();
+        assert_eq!((recovery.committed_ops, recovery.dropped_bytes), (0, 0));
+
+        // Ops queued after the failure go behind the re-queued batch.
+        let later = churn(&eng, 5);
+        assert_eq!(eng.submit(&later).unwrap(), batch.len() + later.len());
+        let report = eng.flush().unwrap().unwrap();
+        assert_eq!((report.epoch, report.ops), (1, batch.len() + later.len()));
+        assert!(report.maximality_proved);
+        let committed: Vec<EdgeOp> = eng
+            .store
+            .lock()
+            .unwrap()
+            .committed_ops()
+            .map(|(epoch, op)| {
+                assert_eq!(epoch, 1);
+                op
+            })
+            .collect();
+        assert_eq!(committed, [batch, later].concat());
     }
 
     #[test]

@@ -21,11 +21,10 @@
 //!   ([`try_repair_since`]) — from the record of the last batch when the
 //!   checkpoint is one epoch behind, otherwise from one violation scan —
 //!   and write a fresh checkpoint;
-//! * [`UpdateStore::compact_segments`] — the leveled/partial compactor:
-//!   merge a run of overlapping sealed segments into one (superseded
-//!   per-pair operations elided) without touching the WAL or the base,
-//!   and remove the replaced files once the manifest no longer lists
-//!   them;
+//! * [`UpdateStore::compact_segments`] — the segment compactor: it
+//!   merges every live segment into one (superseded per-pair operations
+//!   elided) without touching the WAL or the base, and removes the
+//!   replaced files once the manifest no longer lists them;
 //! * [`UpdateStore::compact`] / [`UpdateStore::compact_as`] — full
 //!   compaction: merge base + overlay into a fresh adjacency file,
 //!   written **crash-atomically** (temp file + fsync + rename), then
@@ -621,36 +620,11 @@ impl UpdateStore {
         Ok(Some(meta))
     }
 
-    /// Picks the run of adjacent segments the partial compactor should
-    /// merge: the longest run whose vertex ranges chain-overlap (their
-    /// operations actually supersede each other), falling back to the
-    /// two oldest segments when nothing overlaps.
-    fn plan_compaction(&self) -> Option<std::ops::Range<usize>> {
-        if self.segments.len() < 2 {
-            return None;
-        }
-        let metas: Vec<&SegmentMeta> = self.segments.iter().map(|s| s.meta()).collect();
-        let mut best = 0..0;
-        let mut start = 0;
-        for i in 1..metas.len() {
-            if !metas[i - 1].overlaps(metas[i]) {
-                if i - start > best.len() {
-                    best = start..i;
-                }
-                start = i;
-            }
-        }
-        if metas.len() - start > best.len() {
-            best = start..metas.len();
-        }
-        Some(if best.len() >= 2 { best } else { 0..2 })
-    }
-
-    /// Merges a run of overlapping sealed segments into one, eliding
-    /// superseded per-pair operations. The WAL, the base and the overlay
-    /// are not touched; the replaced segment files are removed once the
-    /// manifest that drops them is durable. Returns `None` when fewer
-    /// than two segments are live.
+    /// Merges every live sealed segment into one, eliding superseded
+    /// per-pair operations. The WAL, the base and the overlay are not
+    /// touched; the replaced segment files are removed once the manifest
+    /// that drops them is durable. Returns `None` when fewer than two
+    /// segments are live.
     pub fn compact_segments(&mut self) -> io::Result<Option<SegmentCompaction>> {
         self.compact_segments_killable(KillPoint::None)
     }
@@ -660,29 +634,20 @@ impl UpdateStore {
         &mut self,
         kill: KillPoint,
     ) -> io::Result<Option<SegmentCompaction>> {
-        let Some(range) = self.plan_compaction() else {
+        if self.segments.len() < 2 {
             return Ok(None);
-        };
+        }
         let _span = mis_obs::span("store", "store.compact_segments");
         let id = self.manifest.allocate();
-        let (merged, dropped_ops) = merge_segments(
-            &self.seg_dir,
-            id,
-            &self.segments[range.clone()],
-            &self.stats,
-        )?;
+        let (merged, dropped_ops) = merge_segments(&self.seg_dir, id, &self.segments, &self.stats)?;
         let output = *merged.meta();
         if kill == KillPoint::AfterSeal {
             self.manifest.next_id = id;
             return Ok(None);
         }
-        self.manifest.segments.drain(range.clone());
-        self.manifest.segments.insert(range.start, id);
+        self.manifest.segments = vec![id];
         self.manifest.store(&self.seg_dir.join(MANIFEST_NAME))?;
-        let replaced: Vec<Segment> = self
-            .segments
-            .splice(range.clone(), std::iter::once(merged))
-            .collect();
+        let replaced = std::mem::replace(&mut self.segments, vec![merged]);
         let reclaimed_files = if kill == KillPoint::AfterManifest {
             // Simulated crash before the removal: the replaced files
             // linger as unmanifested orphans until the next open sweeps
@@ -1783,6 +1748,32 @@ mod tests {
         );
         assert_eq!(store.wal().committed().len(), 1, "the append did not roll");
         assert_eq!(store.segments().len(), 1, "three live segments merged");
+    }
+
+    #[test]
+    fn every_live_segment_merges_on_the_threshold_crossing() {
+        // Disjoint vertex ranges: no segment's operations can supersede
+        // another's, and all three still merge into one.
+        let dir = ScratchDir::new("store-mergeall").unwrap();
+        let (mut store, _) = setup(&dir, 71);
+        store.set_roll_policy(RollPolicy {
+            max_wal_bytes: u64::MAX,
+            max_wal_epochs: 1,
+            compact_threshold: 3,
+        });
+        store.append_ops(&[EdgeOp::Insert(0, 1)]).unwrap();
+        store.append_ops(&[EdgeOp::Insert(10, 11)]).unwrap();
+        assert_eq!(store.segments().len(), 2);
+        let report = store.append_ops(&[EdgeOp::Insert(20, 21)]).unwrap();
+        assert_eq!(report.merged, 3);
+        assert_eq!(store.segments().len(), 1);
+        let meta = *store.segments()[0].meta();
+        assert_eq!((meta.epoch_lo, meta.epoch_hi, meta.ops), (1, 3, 3));
+        assert_eq!((meta.min_vertex, meta.max_vertex), (0, 21));
+        drop(store);
+        let (reopened, _) = reopen(&dir);
+        assert_eq!(reopened.segments().len(), 1);
+        assert_eq!(*reopened.segments()[0].meta(), meta);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! The write-ahead edge log.
+//! The write-ahead edge log, and the byte-level pieces every durable
+//! file of the store shares.
 //!
 //! ## File format
 //!
@@ -27,10 +28,23 @@
 //! inconsistent record ends the replay: everything after the last
 //! complete epoch marker — including intact-but-uncommitted trailing edge
 //! records — is physically truncated away, so the log always reopens to
-//! exactly its last committed epoch.
+//! exactly its last committed epoch. A failed append or commit does the
+//! same while the log is open: it truncates the log back to its last
+//! marker and empties the batch, so the failed epoch commits nothing.
+//!
+//! ## Shared with the other durable files
+//!
+//! Sealed segments reuse the record framing, and their open walks the
+//! records with the same replay as [`Wal::open`]. The checkpoint and the
+//! segment manifest share one envelope, `magic ‖ payload ‖ FNV-1a of the
+//! payload (u32 LE)`. The checkpoint, the manifest, a sealed segment and
+//! the log's reset after compaction all replace their file the same way:
+//! the bytes go to `<file name>.tmp` beside it, are synced, then renamed
+//! over it, so a crash leaves the old file or the new one, never a torn
+//! one.
 
 use std::fs::{File, OpenOptions};
-use std::io::{self, Cursor, Seek, SeekFrom, Write};
+use std::io::{self, Cursor, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -44,6 +58,8 @@ pub const WAL_MAGIC: &[u8; 8] = b"MISWAL01";
 pub(crate) const TAG_INSERT: u8 = 0x01;
 pub(crate) const TAG_DELETE: u8 = 0x02;
 pub(crate) const TAG_EPOCH: u8 = 0x03;
+/// A sealed segment's footer; the only record with seven fields.
+pub(crate) const TAG_FOOTER: u8 = 0x04;
 
 /// One logged edge operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,16 +83,20 @@ impl EdgeOp {
         matches!(self, EdgeOp::Insert(..))
     }
 
-    fn tag(&self) -> u8 {
-        match self {
-            EdgeOp::Insert(..) => TAG_INSERT,
-            EdgeOp::Delete(..) => TAG_DELETE,
-        }
+    /// The operation's record: its tag and its two fields.
+    pub(crate) fn encode(&self) -> Vec<u8> {
+        let (u, v) = self.endpoints();
+        let tag = if self.is_insert() {
+            TAG_INSERT
+        } else {
+            TAG_DELETE
+        };
+        encode_record(tag, &[u64::from(u), u64::from(v)])
     }
 }
 
-/// 32-bit FNV-1a, the per-record checksum (shared with the segment
-/// files, which reuse the WAL's record framing).
+/// 32-bit FNV-1a: the checksum of every log record and of the
+/// checkpoint's and the manifest's envelope.
 pub(crate) fn fnv1a32(bytes: &[u8]) -> u32 {
     let mut h: u32 = 0x811C_9DC5;
     for &b in bytes {
@@ -86,11 +106,13 @@ pub(crate) fn fnv1a32(bytes: &[u8]) -> u32 {
     h
 }
 
-fn corrupt(msg: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
+/// An `InvalidData` error: a durable file failed validation.
+pub(crate) fn corrupt(msg: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
-/// Serialises one record (tag + payload + checksum) into a fresh buffer.
+/// Serialises one record (tag + varint fields + checksum) into a fresh
+/// buffer.
 pub(crate) fn encode_record(tag: u8, fields: &[u64]) -> Vec<u8> {
     let mut rec = vec![tag];
     for &f in fields {
@@ -99,6 +121,132 @@ pub(crate) fn encode_record(tag: u8, fields: &[u64]) -> Vec<u8> {
     let crc = fnv1a32(&rec);
     rec.extend_from_slice(&crc.to_le_bytes());
     rec
+}
+
+/// Reads the record at `buf[pos..]` (two fields, or seven for a footer)
+/// and checks its checksum. Returns its tag, its fields and the offset
+/// just past it.
+fn read_record(buf: &[u8], pos: usize) -> Result<(u8, [u64; 7], usize), &'static str> {
+    let tag = buf[pos];
+    let mut fields = [0u64; 7];
+    let count = if tag == TAG_FOOTER { 7 } else { 2 };
+    let mut cur = Cursor::new(&buf[pos + 1..]);
+    for f in &mut fields[..count] {
+        *f = read_varint(&mut cur).map_err(|_| "truncated record")?;
+    }
+    let body_end = pos + 1 + cur.position() as usize;
+    let crc = buf
+        .get(body_end..body_end + 4)
+        .ok_or("truncated checksum")?;
+    if crc != fnv1a32(&buf[pos..body_end]).to_le_bytes() {
+        return Err("record checksum mismatch");
+    }
+    Ok((tag, fields, body_end + 4))
+}
+
+/// What a walk over a file's log records read: the one reader of the
+/// WAL and of sealed segments.
+#[derive(Debug, Default)]
+pub(crate) struct Replay {
+    /// Operations sealed by an epoch marker, epoch-stamped, oldest first.
+    pub(crate) ops: Vec<(u64, EdgeOp)>,
+    /// Operations read after the last marker.
+    pub(crate) batch: Vec<EdgeOp>,
+    /// The last marker's epoch (0 when none).
+    pub(crate) last_epoch: u64,
+    /// Offset just past the last marker.
+    pub(crate) committed_len: usize,
+    /// The footer's fields, when the walk ended at one.
+    pub(crate) footer: Option<[u64; 7]>,
+    /// Offset where the walk stopped.
+    pub(crate) end: usize,
+    /// Why the walk stopped at a bad record, if it did.
+    pub(crate) error: Option<&'static str>,
+}
+
+impl Replay {
+    /// Walks the records of `buf` from `start` (just past its magic) up
+    /// to the end, the first bad record, or a footer. A marker must carry
+    /// an epoch above the last one and the count of the operations since.
+    pub(crate) fn read(buf: &[u8], start: usize) -> Self {
+        let mut replay = Self {
+            committed_len: start,
+            end: start,
+            ..Self::default()
+        };
+        replay.error = replay.walk(buf).err();
+        replay
+    }
+
+    fn walk(&mut self, buf: &[u8]) -> Result<(), &'static str> {
+        while self.end < buf.len() && self.footer.is_none() {
+            let (tag, fields, next) = read_record(buf, self.end)?;
+            let [a, b, ..] = fields;
+            match tag {
+                TAG_INSERT | TAG_DELETE => {
+                    let (Ok(u), Ok(v)) = (VertexId::try_from(a), VertexId::try_from(b)) else {
+                        return Err("vertex id overflows u32");
+                    };
+                    self.batch.push(if tag == TAG_INSERT {
+                        EdgeOp::Insert(u, v)
+                    } else {
+                        EdgeOp::Delete(u, v)
+                    });
+                }
+                TAG_EPOCH if a > self.last_epoch && b == self.batch.len() as u64 => {
+                    self.last_epoch = a;
+                    self.ops.extend(self.batch.drain(..).map(|op| (a, op)));
+                    self.committed_len = next;
+                }
+                TAG_EPOCH => return Err("inconsistent epoch marker"),
+                TAG_FOOTER => self.footer = Some(fields),
+                _ => return Err("unknown record tag"),
+            }
+            self.end = next;
+        }
+        Ok(())
+    }
+}
+
+/// Frames `payload` as `magic ‖ payload ‖ fnv1a32(payload) LE` and
+/// replaces `path` with it ([`replace_file`]). Returns the bytes written.
+pub(crate) fn write_envelope(path: &Path, magic: &[u8; 8], payload: &[u8]) -> io::Result<u64> {
+    let mut buf = Vec::with_capacity(magic.len() + payload.len() + 4);
+    buf.extend_from_slice(magic);
+    buf.extend_from_slice(payload);
+    buf.extend_from_slice(&fnv1a32(payload).to_le_bytes());
+    replace_file(path, &buf)?;
+    Ok(buf.len() as u64)
+}
+
+/// The payload of a [`write_envelope`] file, once its magic and checksum
+/// check out; `what` names the file in the errors.
+pub(crate) fn open_envelope<'a>(
+    buf: &'a [u8],
+    magic: &[u8; 8],
+    what: &str,
+) -> io::Result<&'a [u8]> {
+    let body = buf
+        .strip_prefix(magic.as_slice())
+        .filter(|body| body.len() >= 4)
+        .ok_or_else(|| corrupt(format!("not a {what}")))?;
+    let (payload, crc) = body.split_at(body.len() - 4);
+    if crc != fnv1a32(payload).to_le_bytes() {
+        return Err(corrupt(format!("{what} checksum mismatch")));
+    }
+    Ok(payload)
+}
+
+/// Replaces `path` with `bytes` crash-atomically: they go to
+/// `<file name>.tmp` beside it, are synced, then renamed over it.
+pub(crate) fn replace_file(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let mut file = File::create(&tmp)?;
+    file.write_all(bytes)?;
+    file.sync_data()?;
+    drop(file);
+    std::fs::rename(&tmp, path)
 }
 
 /// What [`Wal::open`] found and repaired.
@@ -130,6 +278,8 @@ pub struct Wal {
     last_epoch: u64,
     /// Current file length in bytes (= end of last complete record).
     len: u64,
+    /// File length at the end of the last epoch marker.
+    committed_len: u64,
     /// Set when a failed write could not be rolled back: the on-disk
     /// tail may hold garbage, so further writes are refused (reopening
     /// the log recovers it).
@@ -145,55 +295,40 @@ impl Wal {
             .create(true)
             .truncate(false)
             .open(path)?;
-        let disk_len = file.metadata()?.len();
-        if disk_len == 0 {
+        let mut buf = Vec::new();
+        file.read_to_end(&mut buf)?;
+        if buf.is_empty() {
             file.write_all(WAL_MAGIC)?;
             stats.record_wal_write(WAL_MAGIC.len() as u64);
-            let wal = Self {
-                file,
-                path: path.to_path_buf(),
-                stats,
-                committed: Vec::new(),
-                batch: Vec::new(),
-                last_epoch: 0,
-                len: WAL_MAGIC.len() as u64,
-                poisoned: false,
-            };
-            let report = WalRecovery {
-                last_epoch: 0,
-                committed_ops: 0,
-                dropped_bytes: 0,
-            };
-            return Ok((wal, report));
+            buf.extend_from_slice(WAL_MAGIC);
+        } else {
+            stats.record_wal_read(buf.len() as u64);
         }
-
-        let mut buf = Vec::with_capacity(disk_len as usize);
-        file.seek(SeekFrom::Start(0))?;
-        io::Read::read_to_end(&mut file, &mut buf)?;
-        stats.record_wal_read(buf.len() as u64);
-        if buf.len() < WAL_MAGIC.len() || &buf[..WAL_MAGIC.len()] != WAL_MAGIC {
+        if !buf.starts_with(WAL_MAGIC) {
             return Err(corrupt("not a write-ahead edge log"));
         }
 
-        let (committed, last_epoch, committed_len) = replay(&buf);
-        let dropped = disk_len - committed_len;
-        if dropped > 0 {
-            file.set_len(committed_len)?;
+        let log = Replay::read(&buf, WAL_MAGIC.len());
+        let len = log.committed_len as u64;
+        let dropped_bytes = buf.len() as u64 - len;
+        if dropped_bytes > 0 {
+            file.set_len(len)?;
         }
-        file.seek(SeekFrom::Start(committed_len))?;
+        file.seek(SeekFrom::Start(len))?;
         let report = WalRecovery {
-            last_epoch,
-            committed_ops: committed.len(),
-            dropped_bytes: dropped,
+            last_epoch: log.last_epoch,
+            committed_ops: log.ops.len(),
+            dropped_bytes,
         };
         let wal = Self {
             file,
             path: path.to_path_buf(),
             stats,
-            committed,
+            committed: log.ops,
             batch: Vec::new(),
-            last_epoch,
-            len: committed_len,
+            last_epoch: log.last_epoch,
+            len,
+            committed_len: len,
             poisoned: false,
         };
         Ok((wal, report))
@@ -209,28 +344,41 @@ impl Wal {
         Ok(())
     }
 
-    /// Writes one whole record at the current tail. On failure the tail
-    /// is rolled back to the last complete record so a later commit
-    /// cannot seal partially-written garbage; if even the rollback fails
-    /// the log is poisoned until reopened.
+    /// Writes one whole record at the current tail. On failure the log
+    /// rolls back to its last marker ([`Wal::roll_back`]).
     fn write_record(&mut self, rec: &[u8]) -> io::Result<()> {
-        match self.file.write_all(rec) {
-            Ok(()) => {
-                self.stats.record_wal_write(rec.len() as u64);
-                self.len += rec.len() as u64;
-                Ok(())
-            }
-            Err(e) => {
-                let rolled_back = self
-                    .file
-                    .set_len(self.len)
-                    .and_then(|()| self.file.seek(SeekFrom::Start(self.len)))
-                    .is_ok();
-                if !rolled_back {
-                    self.poisoned = true;
-                }
-                Err(e)
-            }
+        #[cfg(test)]
+        if tests::injected_failure() {
+            // A torn write: half the record reaches the file.
+            let _ = self.file.write_all(&rec[..rec.len() / 2]);
+            self.roll_back();
+            return Err(io::Error::other("injected write failure"));
+        }
+        if let Err(e) = self.file.write_all(rec) {
+            self.roll_back();
+            return Err(e);
+        }
+        self.stats.record_wal_write(rec.len() as u64);
+        self.len += rec.len() as u64;
+        Ok(())
+    }
+
+    /// Drops the uncommitted epoch: truncates the file back to the last
+    /// marker and empties the batch, so a failed append or commit seals
+    /// nothing into a later epoch. If even the truncate fails, the log is
+    /// poisoned until reopened.
+    fn roll_back(&mut self) {
+        self.batch.clear();
+        let to = self.committed_len;
+        if self
+            .file
+            .set_len(to)
+            .and_then(|()| self.file.seek(SeekFrom::Start(to)))
+            .is_ok()
+        {
+            self.len = to;
+        } else {
+            self.poisoned = true;
         }
     }
 
@@ -239,9 +387,7 @@ impl Wal {
         self.check_poisoned()?;
         // Clock reads only while tracing: appends are the WAL hot path.
         let start = mis_obs::enabled().then(std::time::Instant::now);
-        let (u, v) = op.endpoints();
-        let rec = encode_record(op.tag(), &[u64::from(u), u64::from(v)]);
-        self.write_record(&rec)?;
+        self.write_record(&op.encode())?;
         self.batch.push(op);
         if let Some(start) = start {
             mis_obs::observe_ns("wal", "wal.append", start.elapsed().as_nanos() as u64);
@@ -256,25 +402,15 @@ impl Wal {
         let _span = mis_obs::span("wal", "wal.commit");
         self.check_poisoned()?;
         let epoch = self.last_epoch + 1;
-        let rec = encode_record(TAG_EPOCH, &[epoch, self.batch.len() as u64]);
-        self.write_record(&rec)?;
+        self.write_record(&encode_record(TAG_EPOCH, &[epoch, self.batch.len() as u64]))?;
         if let Err(e) = self.file.sync_data() {
-            // Durability of the marker is unknown; roll the tail back so
+            // Durability of the marker is unknown; roll the epoch back so
             // the in-memory state never claims more than the disk holds.
-            let marker_start = self.len - rec.len() as u64;
-            if self
-                .file
-                .set_len(marker_start)
-                .and_then(|()| self.file.seek(SeekFrom::Start(marker_start)))
-                .is_ok()
-            {
-                self.len = marker_start;
-            } else {
-                self.poisoned = true;
-            }
+            self.roll_back();
             return Err(e);
         }
         self.last_epoch = epoch;
+        self.committed_len = self.len;
         self.committed
             .extend(self.batch.drain(..).map(|op| (epoch, op)));
         Ok(epoch)
@@ -316,26 +452,21 @@ impl Wal {
     /// with a zero-op marker carrying the current epoch, which keeps epoch
     /// numbering monotone across the compaction.
     ///
-    /// The fresh log is written beside the old one and renamed over it,
-    /// so a crash at any point leaves either the full pre-compaction log
-    /// or the sealed empty one — never a torn in-between.
+    /// The fresh log replaces the old one through `replace_file`, so a
+    /// crash at any point leaves either the full pre-compaction log or the
+    /// sealed empty one — never a torn in-between.
     pub fn reset_after_compaction(&mut self) -> io::Result<()> {
         let mut fresh: Vec<u8> = WAL_MAGIC.to_vec();
         if self.last_epoch > 0 {
             fresh.extend_from_slice(&encode_record(TAG_EPOCH, &[self.last_epoch, 0]));
         }
-        let tmp = self.path.with_extension("wal.tmp");
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&fresh)?;
-            f.sync_data()?;
-        }
-        std::fs::rename(&tmp, &self.path)?;
+        replace_file(&self.path, &fresh)?;
         // Swap the open handle to the renamed file.
         self.file = OpenOptions::new().read(true).write(true).open(&self.path)?;
         self.file.seek(SeekFrom::End(0))?;
         self.stats.record_wal_write(fresh.len() as u64);
         self.len = fresh.len() as u64;
+        self.committed_len = self.len;
         self.committed.clear();
         self.batch.clear();
         self.poisoned = false;
@@ -343,71 +474,31 @@ impl Wal {
     }
 }
 
-/// Replays `buf` (which starts with a valid magic), returning the
-/// committed ops, the last epoch id, and the byte length of the longest
-/// valid committed prefix.
-fn replay(buf: &[u8]) -> (Vec<(u64, EdgeOp)>, u64, u64) {
-    let mut committed: Vec<(u64, EdgeOp)> = Vec::new();
-    let mut batch: Vec<EdgeOp> = Vec::new();
-    let mut last_epoch = 0u64;
-    let mut committed_len = WAL_MAGIC.len() as u64;
-    let mut pos = WAL_MAGIC.len();
-
-    while pos < buf.len() {
-        let start = pos;
-        let tag = buf[pos];
-        pos += 1;
-        let mut cur = Cursor::new(&buf[pos..]);
-        let fields = (|| -> io::Result<(u64, u64)> {
-            let a = read_varint(&mut cur)?;
-            let b = read_varint(&mut cur)?;
-            Ok((a, b))
-        })();
-        let Ok((a, b)) = fields else {
-            break; // torn mid-payload
-        };
-        pos += cur.position() as usize;
-        let Some(crc_bytes) = buf.get(pos..pos + 4) else {
-            break; // torn mid-checksum
-        };
-        let crc = u32::from_le_bytes(crc_bytes.try_into().expect("4-byte slice"));
-        if crc != fnv1a32(&buf[start..pos]) {
-            break; // corrupt record
-        }
-        pos += 4;
-
-        match tag {
-            TAG_INSERT | TAG_DELETE => {
-                let (Ok(u), Ok(v)) = (VertexId::try_from(a), VertexId::try_from(b)) else {
-                    break; // ids overflow u32: treat as corruption
-                };
-                batch.push(if tag == TAG_INSERT {
-                    EdgeOp::Insert(u, v)
-                } else {
-                    EdgeOp::Delete(u, v)
-                });
-            }
-            TAG_EPOCH => {
-                // Epoch ids are strictly increasing (not necessarily
-                // dense: compaction reseals with the old epoch), and the
-                // marker's op count must match what we replayed.
-                if a <= last_epoch || b != batch.len() as u64 {
-                    break;
-                }
-                last_epoch = a;
-                committed.extend(batch.drain(..).map(|op| (a, op)));
-                committed_len = pos as u64;
-            }
-            _ => break, // unknown tag
-        }
-    }
-    (committed, last_epoch, committed_len)
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use mis_extmem::ScratchDir;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Record writes left on this thread before one fails.
+        static WRITES_BEFORE_FAILURE: Cell<Option<usize>> = const { Cell::new(None) };
+    }
+
+    /// Makes the record write after the next `n` on this thread fail
+    /// halfway through: the failure hook of `Wal::write_record`.
+    pub(crate) fn fail_write_after(n: usize) {
+        WRITES_BEFORE_FAILURE.with(|c| c.set(Some(n)));
+    }
+
+    /// Whether the hook fails this write (counting it down otherwise).
+    pub(super) fn injected_failure() -> bool {
+        WRITES_BEFORE_FAILURE.with(|c| {
+            let left = c.get();
+            c.set(left.and_then(|n| n.checked_sub(1)));
+            left == Some(0)
+        })
+    }
 
     fn open(dir: &ScratchDir, name: &str) -> (Wal, WalRecovery, Arc<IoStats>) {
         let stats = IoStats::shared();
@@ -550,6 +641,38 @@ mod tests {
         // Numbering continues after the seal.
         wal.append(EdgeOp::Insert(5, 6)).unwrap();
         assert_eq!(wal.commit_epoch().unwrap(), 3);
+    }
+
+    #[test]
+    fn a_failed_append_commits_nothing() {
+        let dir = ScratchDir::new("wal-fail").unwrap();
+        let path = dir.file("log.wal");
+        {
+            let (mut wal, _, _) = open(&dir, "log.wal");
+            fail_write_after(2);
+            wal.append(EdgeOp::Insert(1, 2)).unwrap();
+            wal.append(EdgeOp::Insert(3, 4)).unwrap();
+            assert!(wal.append(EdgeOp::Insert(5, 6)).is_err());
+            // Nothing of the failed epoch is left, in memory or on disk.
+            assert_eq!(wal.uncommitted_ops(), 0);
+            assert_eq!(wal.disk_bytes(), WAL_MAGIC.len() as u64);
+            assert_eq!(std::fs::metadata(&path).unwrap().len(), wal.disk_bytes());
+            wal.append(EdgeOp::Insert(7, 8)).unwrap();
+            assert_eq!(wal.commit_epoch().unwrap(), 1);
+
+            // A failed commit drops its batch and its torn marker too.
+            let committed = wal.disk_bytes();
+            wal.append(EdgeOp::Insert(9, 10)).unwrap();
+            fail_write_after(0);
+            assert!(wal.commit_epoch().is_err());
+            assert_eq!(wal.uncommitted_ops(), 0);
+            assert_eq!(wal.last_epoch(), 1);
+            assert_eq!(std::fs::metadata(&path).unwrap().len(), committed);
+        }
+        let (wal, rec) = Wal::open(&path, IoStats::shared()).unwrap();
+        assert_eq!(rec.last_epoch, 1);
+        assert_eq!(rec.dropped_bytes, 0);
+        assert_eq!(wal.committed(), &[(1, EdgeOp::Insert(7, 8))]);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Property-based tests for the write-ahead log: arbitrary op streams
-//! round-trip through commit/reopen, and crash truncation at *any* byte
-//! boundary recovers a prefix of whole epochs.
+//! round-trip through commit/reopen, crash truncation at *any* byte
+//! boundary recovers a prefix of whole epochs, and a tear anywhere in the
+//! last epoch recovers exactly the epoch before it.
 
 use std::sync::Arc;
 
@@ -95,5 +96,30 @@ proptest! {
         wal3.append(EdgeOp::Insert(1, 2)).unwrap();
         let next = wal3.commit_epoch().unwrap();
         prop_assert_eq!(next, recovery.last_epoch + 1);
+    }
+
+    #[test]
+    fn a_tear_anywhere_in_the_last_epoch_recovers_the_one_before(epochs in arb_epochs()) {
+        let dir = ScratchDir::new("wal-prop-tear").unwrap();
+        let (prior, last) = epochs.split_at(epochs.len() - 1);
+        let path = write_log(&dir, "log.wal", prior);
+        let prior_len = std::fs::metadata(&path).unwrap().len() as usize;
+        let (mut wal, _) = Wal::open(&path, IoStats::shared()).unwrap();
+        for &op in &last[0] {
+            wal.append(op).unwrap();
+        }
+        wal.commit_epoch().unwrap();
+        drop(wal);
+        let bytes = std::fs::read(&path).unwrap();
+
+        // Every cut from the last epoch's first byte to its marker's last.
+        for cut in prior_len..bytes.len() {
+            std::fs::write(&path, &bytes[..cut]).unwrap();
+            let (wal, recovery) = Wal::open(&path, IoStats::shared()).unwrap();
+            prop_assert_eq!(recovery.last_epoch, prior.len() as u64);
+            prop_assert_eq!(recovery.dropped_bytes, (cut - prior_len) as u64);
+            prop_assert_eq!(wal.committed(), expected(prior).as_slice());
+            prop_assert_eq!(std::fs::metadata(&path).unwrap().len(), prior_len as u64);
+        }
     }
 }

@@ -36,7 +36,7 @@
 //!              [--json]                   machine-readable report
 //! mis bench    diff <base> <current>     side-by-side snapshot diff
 //!              check --baseline <file>    noise-aware regression gate
-//!                    [--current <file>] [--wall-tolerance F] [--wall-floor F]
+//!                    [--current <file>]
 //!              history [--last N] [--ledger FILE]   show the perf ledger
 //! ```
 //!
@@ -70,8 +70,8 @@
 //! or `BENCH_HISTORY_OUT` override the path). `mis stats
 //! --check-model` additionally checks the scan's observed I/O against
 //! the paper's cost model (`⌈bytes/B⌉` blocks per scan, see
-//! [`mis_obs::model`]) and fails when it does not conform within
-//! `--tolerance`. `mis bench check` gates a freshly measured
+//! [`mis_obs::model`]) and fails when it does not conform exactly.
+//! `mis bench check` gates a freshly measured
 //! `BENCH_*.json` snapshot against a committed baseline: I/O-count
 //! metrics must match exactly, wall-clock metrics get a noise band and
 //! are skipped automatically when the two environment fingerprints
@@ -122,8 +122,7 @@ use std::time::Instant;
 use mis_obs as obs;
 use mis_obs::report::{parse_json, Json};
 use mis_obs::{
-    check_snapshots, diff_snapshots, EnvFingerprint, GateConfig, Ledger, LedgerEntry, TraceReport,
-    Workload,
+    check_snapshots, diff_snapshots, EnvFingerprint, Ledger, LedgerEntry, TraceReport, Workload,
 };
 use semi_mis::extmem::{SortConfig, DEFAULT_BLOCK_SIZE};
 use semi_mis::graph::{
@@ -170,14 +169,13 @@ usage: mis <command> ... [--block-size BYTES]
   trace report <trace.jsonl> [--json]
   bench diff <base.json> <current.json>
         check --baseline <file> [--current <file>]
-              [--wall-tolerance F] [--wall-floor F]
         history [--last N] [--ledger FILE]
   (<graph>/<base> may be plain MISADJ01 or gap-compressed MISADJC1 files;
    run/stats/bound/update also take [--trace FILE] to record a Chrome-trace
    JSONL timeline, inspected with `mis trace report` or chrome://tracing;
    run/stats/bound also take [--record] [--rev SHA] [--ledger FILE] to append
    a checksummed entry to the BENCH_history.jsonl perf ledger, and stats
-   takes [--check-model] [--tolerance F] to enforce the I/O cost model)
+   takes [--check-model] to enforce the I/O cost model exactly)
 ";
 
 fn dispatch(args: &[String]) -> Result<(), String> {
@@ -504,12 +502,7 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
                     .to_string_lossy()
                     .into_owned(),
             };
-            let defaults = GateConfig::default();
-            let cfg = GateConfig {
-                wall_tolerance: opt_parse(&opts, "wall-tolerance", defaults.wall_tolerance)?,
-                wall_floor: opt_parse(&opts, "wall-floor", defaults.wall_floor)?,
-            };
-            let out = check_snapshots(&read_snapshot(baseline)?, &read_snapshot(&current)?, &cfg);
+            let out = check_snapshots(&read_snapshot(baseline)?, &read_snapshot(&current)?);
             println!(
                 "gate: {} exact leaves, {} wall/quality leaves ({})",
                 out.exact_compared,
@@ -899,14 +892,13 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     // its I/O delta (header reads excluded via the pre-scan snapshot)
     // must conform to the paper's `⌈bytes/B⌉` blocks-per-scan model.
     let verdict = if opt(&opts, "check-model").is_some() {
-        let tolerance: f64 = opt_parse(&opts, "tolerance", 0.0)?;
         let model = file.cost_model(block_size).map_err(|e| e.to_string())?;
         let scanned = stats.snapshot().since(&before_scan);
         let v = model.check(
             Some(Workload::Greedy),
             scanned.scans_started,
             scanned.blocks_read,
-            tolerance,
+            0.0,
         );
         println!("{v}");
         Some(v)
@@ -2092,18 +2084,16 @@ mod tests {
             &noisy,
         ]))
         .unwrap();
-        // …but a tightened tolerance turns the same wobble into a failure.
+        // …but one beyond it (64 ms × 1.5 + 10 ms = 106 ms) fails.
+        let slow = dir.file("slow.json").display().to_string();
+        std::fs::write(&slow, SNAP.replace("\"wall_ms\":64.0", "\"wall_ms\":120.0")).unwrap();
         assert!(dispatch(&strs(&[
             "bench",
             "check",
             "--baseline",
             &base_s,
             "--current",
-            &noisy,
-            "--wall-tolerance",
-            "0.1",
-            "--wall-floor",
-            "1",
+            &slow,
         ]))
         .is_err());
 

@@ -4,7 +4,7 @@
 //! repro <experiment>
 //!   table2 table4 table5 table6 table7 table8 table9
 //!   fig6 fig8 fig9 fig10
-//!   io pager parallel shard churn serve cascade ablation bounds compress
+//!   io pager parallel churn serve cascade ablation bounds compress
 //!   all        # everything (dataset suite computed once)
 //! ```
 //!
@@ -12,9 +12,7 @@
 //! of the reported speedup, default 4), `--min-speedup X` (fail when
 //! the steady-state speedup falls short; skipped on machines with fewer
 //! than `N` hardware threads) and `--trace FILE` (record every side's
-//! spans). `repro shard` measures the `MISSHRD1`
-//! sharded store against the unpartitioned backends and also accepts
-//! `--threads N`.
+//! spans).
 //!
 //! Environment: `REPRO_SCALE` (default 1.0) scales analogue/sweep sizes,
 //! `REPRO_GRAPHS_PER_BETA` (default 3) controls sweep averaging.
@@ -39,7 +37,6 @@ fn main() {
         "io" => io::run(),
         "pager" => pager::run(),
         "parallel" => parallel::run_args(&args[1..]),
-        "shard" => shard::run_args(&args[1..]),
         "churn" => churn::run(),
         "serve" => serve::run(),
         "cascade" => cascade::run(),
@@ -77,8 +74,6 @@ fn main() {
             println!();
             parallel::run();
             println!();
-            shard::run();
-            println!();
             churn::run();
             println!();
             serve::run();
@@ -93,7 +88,7 @@ fn main() {
         }
         _ => {
             eprintln!(
-                "usage: repro <table2|table4|table5|table6|table7|table8|table9|fig6|fig8|fig9|fig10|io|pager|parallel|shard|churn|serve|cascade|ablation|bounds|compress|all>"
+                "usage: repro <table2|table4|table5|table6|table7|table8|table9|fig6|fig8|fig9|fig10|io|pager|parallel|churn|serve|cascade|ablation|bounds|compress|all>"
             );
             std::process::exit(2);
         }

@@ -17,7 +17,6 @@ pub mod io;
 pub mod pager;
 pub mod parallel;
 pub mod serve;
-pub mod shard;
 pub mod sweep;
 pub mod table2;
 pub mod table4;

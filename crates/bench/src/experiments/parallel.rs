@@ -30,7 +30,7 @@ use mis_core::Executor;
 use mis_graph::GraphScan;
 use mis_obs::{LedgerEntry, Trace, TraceReport};
 
-use crate::harness::{self, IoWindow, JsonObject, Row, MODEL_TOLERANCE};
+use crate::harness::{self, JsonObject, Row, MODEL_TOLERANCE};
 
 /// Command-line configuration of the experiment.
 #[derive(Debug, Clone, PartialEq)]
@@ -148,13 +148,8 @@ fn run_with(cli: ParallelArgs) {
     for file in [&fx.plain, compressed] {
         for &executor in &executors {
             combined.extend(mis_obs::drain());
-            let (mut side, trace) = harness::solve_twok(
-                file.path(),
-                block_size,
-                executor,
-                IoWindow::WithOpen,
-                MODEL_TOLERANCE,
-            );
+            let (mut side, trace) =
+                harness::solve_twok(file.path(), block_size, executor, MODEL_TOLERANCE);
             side.threads = Some(executor.threads());
             combined.extend(trace);
             sides.push(side);
@@ -336,13 +331,8 @@ mod tests {
         let fx = harness::test_fixture("parallel-exp-test", 10_000);
         for file in [&fx.plain, fx.compressed.as_ref().unwrap()] {
             let measure = |executor| {
-                let (side, _) = harness::solve_twok(
-                    file.path(),
-                    TEST_BLOCK_SIZE,
-                    executor,
-                    IoWindow::WithOpen,
-                    MODEL_TOLERANCE,
-                );
+                let (side, _) =
+                    harness::solve_twok(file.path(), TEST_BLOCK_SIZE, executor, MODEL_TOLERANCE);
                 assert!(side.conforms());
                 side
             };

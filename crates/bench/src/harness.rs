@@ -3,8 +3,8 @@
 //! The paper's tables and figures share the six-algorithm suite
 //! ([`run_all_algorithms`]), the β grid, the formatting helpers and
 //! [`print_table`]. The experiments that write a `BENCH_*.json`
-//! snapshot — `parallel`, `shard`, `compress`, `pager`, `churn` and
-//! `serve` — also share one copy of each of these:
+//! snapshot — `parallel`, `compress`, `pager`, `churn` and `serve` —
+//! also share one copy of each of these:
 //!
 //! * [`fixture`]: the measured graph, `P(α,β)` at β = 2.0 and seed 42,
 //!   as a degree-sorted plain file and, on request, its gap-compressed
@@ -18,9 +18,9 @@
 //!   puts the rows' total I/O and verdicts into the ledger entry.
 //! * [`JsonObject`]: the ordered field list behind every row and
 //!   snapshot; `churn` fills one with its own keys.
-//! * [`solve_twok`]: the pipeline `parallel` and `shard` time, a warm-up
-//!   scan and then greedy → two-k → maximality proof. [`parse_flags`]
-//!   and [`args_or_exit`] read their `--threads N` and other flags.
+//! * [`solve_twok`]: the pipeline `parallel` times, a warm-up scan and
+//!   then greedy → two-k → maximality proof. [`parse_flags`] and
+//!   [`args_or_exit`] read its `--threads N` and other flags.
 //! * [`churn_batches`] and [`churn_snapshot`]: the edit stream `churn`
 //!   and `serve` drive, and how their snapshots describe it.
 //! * [`write_snapshot`]: the snapshot file. Its header carries the
@@ -137,7 +137,7 @@ pub struct Fixture {
     /// Its gap-compressed copy, when one was asked for.
     pub compressed: Option<AnyAdjFile>,
     /// The directory holding the files; experiments put their own files
-    /// (logs, checkpoints, shard stores) here too.
+    /// (logs and checkpoints) here too.
     pub scratch: ScratchDir,
 }
 
@@ -266,8 +266,6 @@ pub struct Row {
     pub backend: Option<String>,
     /// Worker threads of the executor.
     pub threads: Option<usize>,
-    /// Shard count of the store (1 = unpartitioned).
-    pub shards: Option<usize>,
     /// |IS| of the final set.
     pub is_size: u64,
     /// Swap rounds.
@@ -316,15 +314,12 @@ impl Row {
         self.model.as_ref().is_some_and(|v| v.pass)
     }
 
-    /// `storage/backend`, plus ` xN` when a shard count is set: the
-    /// row's name in messages and ledger verdicts.
+    /// `storage/backend`: the row's name in messages and ledger
+    /// verdicts.
     pub fn name(&self) -> String {
         let storage = self.storage.unwrap_or("-");
         let backend = self.backend.as_deref().unwrap_or("-");
-        match self.shards {
-            Some(shards) => format!("{storage}/{backend} x{shards}"),
-            None => format!("{storage}/{backend}"),
-        }
+        format!("{storage}/{backend}")
     }
 
     /// The row as one JSON object, with the fields the experiment set.
@@ -338,9 +333,6 @@ impl Row {
         }
         if let Some(threads) = self.threads {
             json.field("threads", threads);
-        }
-        if let Some(shards) = self.shards {
-            json.field("shards", shards);
         }
         json.field("is_size", self.is_size)
             .field("rounds", self.rounds);
@@ -516,50 +508,36 @@ pub fn write_snapshot(experiment: &str, block_size: usize, body: &JsonObject) {
     }
 }
 
-/// Which I/O a [`solve_twok`] row counts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IoWindow {
-    /// Everything on a fresh counter, the open's header reads included.
-    WithOpen,
-    /// Everything after the open: header and manifest reads excluded.
-    AfterOpen,
-}
-
-/// The pipeline `repro parallel` and `repro shard` time on the store at
-/// `path`. The setup phase opens the store and scans it once, to pull it
-/// into the OS page cache, so the timed scan phase measures decode and
-/// scan work, not the first-touch disk latency of whichever side runs
-/// first. The scan phase runs greedy → two-k → maximality proof on
-/// `executor`.
+/// The pipeline `repro parallel` times on the file at `path`. The setup
+/// phase opens the file and scans it once, to pull it into the OS page
+/// cache, so the timed scan phase measures decode and scan work, not the
+/// first-touch disk latency of whichever side runs first. The scan phase
+/// runs greedy → two-k → maximality proof on `executor`.
 ///
 /// The row carries storage, backend, |IS|, rounds, file scans, the I/O
-/// over `window`, the proof, the three phase times and, when a traced
-/// run spawned workers, their utilization and queue wait. Its cost-model
-/// verdict, with the warm-up scan and the proof as the two extra scans,
-/// has passed at `tolerance`. Trace events queued before the run are
-/// dropped; the run's own come back with the row.
+/// of the whole run (the open's header read included), the proof, the
+/// three phase times and, when a traced run spawned workers, their
+/// utilization and queue wait. Its cost-model verdict, with the warm-up
+/// scan and the proof as the two extra scans, has passed at
+/// `tolerance`. Trace events queued before the run are dropped; the
+/// run's own come back with the row.
 pub fn solve_twok(
     path: &Path,
     block_size: usize,
     executor: Executor,
-    window: IoWindow,
     tolerance: f64,
 ) -> (Row, Trace) {
     drop(mis_obs::drain());
     let stats = IoStats::shared();
-    let ((file, opened), (greedy_scans, outcome, proof), times) = timed_split(
+    let (file, (greedy_scans, outcome, proof), times) = timed_split(
         || {
             let _setup = mis_obs::span("phase", "setup");
             let file = AnyAdjFile::open_with_block_size(path, Arc::clone(&stats), block_size)
                 .expect("open");
-            let opened = match window {
-                IoWindow::WithOpen => IoSnapshot::default(),
-                IoWindow::AfterOpen => stats.snapshot(),
-            };
             file.scan(&mut |_, _| {}).expect("warm-up scan");
-            (file, opened)
+            file
         },
-        |(file, _)| {
+        |file| {
             let _scan_span = mis_obs::span("phase", "scan");
             let scan = file.as_scan();
             let greedy = Greedy::with_executor(executor).run(scan);
@@ -578,7 +556,7 @@ pub fn solve_twok(
         is_size: outcome.result.set.len() as u64,
         rounds: outcome.stats.num_rounds() as u64,
         file_scans: greedy_scans + outcome.result.file_scans + 1, // + proof scan
-        io: stats.snapshot().since(&opened),
+        io: stats.snapshot(),
         maximal: Some(proof.is_maximal_independent()),
         setup_ms: Some(times.setup_ms),
         scan_ms: Some(times.scan_ms),
@@ -773,13 +751,6 @@ pub fn sweep_vertices() -> u64 {
     ((100_000.0 * scale) as u64).max(1_000)
 }
 
-/// Early-stop swap runner used by Table 8.
-pub fn one_k_with_rounds(graph: &CsrGraph, rounds: u32) -> mis_core::result::SwapOutcome {
-    let sorted = OrderedCsr::degree_sorted(graph);
-    let greedy = Greedy::new().run(&sorted);
-    OneKSwap::with_config(SwapConfig::early_stop(rounds)).run(&sorted, &greedy.set)
-}
-
 /// Formats a duration compactly (`ms` below 10 s, seconds otherwise).
 pub fn fmt_time(d: Duration) -> String {
     if d < Duration::from_secs(10) {
@@ -880,7 +851,6 @@ mod tests {
             "storage",
             "backend",
             "threads",
-            "shards",
             "paged_rounds",
             "cache_hits",
             "cache_misses",
@@ -917,7 +887,6 @@ mod tests {
             storage: Some("adj-file"),
             backend: Some("par(2)".into()),
             threads: Some(2),
-            shards: Some(1),
             paged_rounds: Some(0),
             cache: true,
             maximal: Some(true),
@@ -940,7 +909,7 @@ mod tests {
         let mut body = JsonObject::default();
         body.field("sides", json_list([row.to_json(), row.to_json()]))
             .fixed("ratio", 1.5, 4);
-        for experiment in ["parallel", "shard", "compress", "pager", "churn", "serve"] {
+        for experiment in ["parallel", "compress", "pager", "churn", "serve"] {
             let snapshot = parse_json(&snapshot_json(experiment, 4096, &body)).unwrap();
             assert_eq!(
                 snapshot.get("experiment").and_then(Json::as_str),

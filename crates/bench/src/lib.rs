@@ -18,7 +18,6 @@
 //! cargo run --release -p mis-bench --bin repro -- io       # semi-external I/O accounting demo
 //! cargo run --release -p mis-bench --bin repro -- pager    # scan-only vs paged swap rounds (+ BENCH_pager.json)
 //! cargo run --release -p mis-bench --bin repro -- parallel # worker counts × storage codecs (+ BENCH_parallel.json)
-//! cargo run --release -p mis-bench --bin repro -- shard    # sharded vs unpartitioned stores (+ BENCH_shard.json)
 //! cargo run --release -p mis-bench --bin repro -- churn    # incremental repair vs rebuild (+ BENCH_churn.json)
 //! cargo run --release -p mis-bench --bin repro -- serve    # readers during tiered ingest (+ BENCH_serve.json)
 //! cargo run --release -p mis-bench --bin repro -- cascade  # Figure 5 worst case, scaled

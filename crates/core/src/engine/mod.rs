@@ -19,9 +19,9 @@
 //!   never costs more than `seq`.
 //!
 //! The block pipeline is the only parallel path, for every storage —
-//! in-memory graphs, both on-disk codecs and sharded stores alike. It
-//! needs no per-format code and reads every block exactly once, so the
-//! paper's `scans × ⌈bytes/B⌉` ledger stays exact. Its one cost is that
+//! in-memory graphs and both on-disk codecs alike. It needs no
+//! per-format code and reads every block exactly once, so the paper's
+//! `scans × ⌈bytes/B⌉` ledger stays exact. Its one cost is that
 //! records decode on the reader thread: a mergeable pass over a
 //! compressed file decodes on one core. Two earlier backends — raw byte
 //! ranges decoded on the workers, and workers that each owned whole

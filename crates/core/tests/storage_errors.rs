@@ -1,5 +1,5 @@
-//! Storage errors through every executor: a file or shard truncated after
-//! open must come back from `run_pass` and `fold_ordered` as an
+//! Storage errors through every executor: a file truncated after open
+//! must come back from `run_pass` and `fold_ordered` as an
 //! `io::Error` — on the sequential path and through the parallel block
 //! pipeline alike — with no panic, no hang and no silent short read.
 //! Two-k's `try_run_paged` must return the same errors from its scans and
@@ -13,10 +13,7 @@ use std::time::Duration;
 use mis_core::engine::passes::DegreeStatsPass;
 use mis_core::{Executor, Greedy, SwapConfig, TwoKSwap};
 use mis_extmem::{IoStats, PagerConfig, PolicyKind, ScratchDir};
-use mis_graph::{
-    build_adj_file, compress_adj, split_adj_file, AnyAdjFile, CsrGraph, GraphScan, NeighborAccess,
-    SplitOptions,
-};
+use mis_graph::{build_adj_file, compress_adj, AnyAdjFile, CsrGraph, GraphScan, NeighborAccess};
 
 /// A store's paged reader, shareable with the deadline thread.
 type SharedAccess = Arc<Mutex<Box<dyn NeighborAccess + Send>>>;
@@ -62,40 +59,28 @@ fn graph() -> CsrGraph {
     mis_gen::Plrg::with_vertices(20_000, 2.0).seed(5).generate()
 }
 
-/// A plain file, its compressed twin and a 3-shard split of the plain
-/// file, each opened with a paged reader (a 64 KiB pool) and then
-/// truncated underneath: the files to two thirds of their length, the
-/// store through its last shard.
+/// A plain file and its compressed twin, each opened with a paged
+/// reader (a 64 KiB pool) and then truncated underneath to two thirds of
+/// its length.
 fn truncated_stores(dir: &ScratchDir) -> Vec<(&'static str, AnyAdjFile, SharedAccess)> {
     let g = graph();
     let stats = IoStats::shared();
-    let plain = build_adj_file(&g, &dir.file("g.adj"), Arc::clone(&stats), BLOCK_SIZE).unwrap();
+    build_adj_file(&g, &dir.file("g.adj"), Arc::clone(&stats), BLOCK_SIZE).unwrap();
     compress_adj(&g, &dir.file("g.cadj"), Arc::clone(&stats), BLOCK_SIZE).unwrap();
-    let manifest = split_adj_file(
-        &AnyAdjFile::Plain(plain),
-        &dir.file("g.shrd"),
-        &SplitOptions {
-            shards: 3,
-            block_size: BLOCK_SIZE,
-        },
-    )
-    .unwrap();
-    let open = |name: &str| {
-        AnyAdjFile::open_with_block_size(&dir.file(name), IoStats::shared(), BLOCK_SIZE).unwrap()
-    };
     let pager = PagerConfig::with_capacity_bytes(64 << 10, BLOCK_SIZE, PolicyKind::default());
-    let stores = ["plain", "compressed", "3-shard"]
+    let stores = ["plain", "compressed"]
         .into_iter()
-        .zip(["g.adj", "g.cadj", "g.shrd"])
+        .zip(["g.adj", "g.cadj"])
         .map(|(label, name)| {
-            let file = open(name);
+            let file =
+                AnyAdjFile::open_with_block_size(&dir.file(name), IoStats::shared(), BLOCK_SIZE)
+                    .unwrap();
             let access = file.open_random_access(pager).unwrap();
             (label, file, Arc::new(Mutex::new(access)))
         })
         .collect();
     truncate_to_two_thirds(&dir.file("g.adj"));
     truncate_to_two_thirds(&dir.file("g.cadj"));
-    truncate_to_two_thirds(&dir.file(&manifest.shards[2].name));
     stores
 }
 

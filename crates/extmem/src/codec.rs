@@ -30,20 +30,6 @@ pub fn read_u64<R: Read>(r: &mut R) -> io::Result<u64> {
     Ok(u64::from_le_bytes(buf))
 }
 
-/// Writes a slice of `u32`s in little-endian order through `scratch`.
-pub fn write_u32_slice<W: Write>(
-    w: &mut W,
-    values: &[u32],
-    scratch: &mut Vec<u8>,
-) -> io::Result<()> {
-    scratch.clear();
-    scratch.reserve(values.len() * 4);
-    for v in values {
-        scratch.extend_from_slice(&v.to_le_bytes());
-    }
-    w.write_all(scratch)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

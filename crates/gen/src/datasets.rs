@@ -51,11 +51,6 @@ impl Dataset {
             .seed(self.seed)
             .generate()
     }
-
-    /// Generates at scale 1.0.
-    pub fn generate_default(&self) -> CsrGraph {
-        self.generate(1.0)
-    }
 }
 
 /// The ten datasets of Table 4, in the paper's order.

@@ -256,19 +256,6 @@ impl<C: RecordCodec> RecordWriter<C> {
         error.map_or(Ok(()), Err)
     }
 
-    fn check_complete(&self) -> io::Result<()> {
-        if self.written != self.expected_vertices {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "adjacency file incomplete: wrote {} of {} records",
-                    self.written, self.expected_vertices
-                ),
-            ));
-        }
-        Ok(())
-    }
-
     /// Flushes, validates that exactly `|V|` records were written, and
     /// reconciles the `|E|` header with the directed entries actually
     /// written — a caller whose announced edge count drifted from the
@@ -281,26 +268,15 @@ impl<C: RecordCodec> RecordWriter<C> {
     /// some edge was recorded on one endpoint only), since no undirected
     /// edge count could describe such a file.
     pub fn finish(self) -> io::Result<u64> {
-        self.check_complete()?;
-        self.finish_common()
-    }
-
-    /// Flushes and validates a **shard member** file (see
-    /// [`crate::sharded`]): exactly the announced (shard-local) record
-    /// count must have been written, but the directed entry total may be
-    /// odd — a shard holds a contiguous record run of a larger graph, so
-    /// edges crossing the cut are recorded on one endpoint only. The
-    /// header's edge field is reconciled to the *directed* entry count
-    /// (the manifest carries the global undirected `|E|`). Returns the
-    /// directed entry count.
-    pub fn finish_shard(self) -> io::Result<u64> {
-        self.check_complete()?;
-        let entries = self.entries;
-        self.flush_with_edges(entries)?;
-        Ok(entries)
-    }
-
-    fn finish_common(self) -> io::Result<u64> {
+        if self.written != self.expected_vertices {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "adjacency file incomplete: wrote {} of {} records",
+                    self.written, self.expected_vertices
+                ),
+            ));
+        }
         if !self.entries.is_multiple_of(2) {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -311,20 +287,15 @@ impl<C: RecordCodec> RecordWriter<C> {
                 ),
             ));
         }
-        let true_edges = self.entries / 2;
-        self.flush_with_edges(true_edges)?;
-        Ok(true_edges)
-    }
-
-    /// Flushes, then rewrites the header in place if `edges` is not the
-    /// `|E|` announced at create (the header keeps its width).
-    fn flush_with_edges(self, edges: u64) -> io::Result<()> {
+        let edges = self.entries / 2;
         self.writer.finish()?;
+        // The header keeps its width, so a drifted `|E|` is rewritten in
+        // place.
         if edges != self.expected_edges {
             let mut f = std::fs::OpenOptions::new().write(true).open(&self.path)?;
             f.write_all(&header_bytes::<C>(self.expected_vertices, edges)?)?;
         }
-        Ok(())
+        Ok(edges)
     }
 }
 
@@ -340,12 +311,6 @@ pub struct RecordFile<C> {
     num_edges: u64,
     block_size: usize,
     stats: Arc<IoStats>,
-    /// Upper bound the record-degree sanity checks validate against.
-    /// Equal to `num_vertices` for a standalone file; a shard member of a
-    /// larger graph stores only its own record count in the header while
-    /// degrees range over the *global* vertex universe, so
-    /// [`RecordFile::open_shard`] widens the cap to the manifest's `|V|`.
-    degree_cap: u64,
     codec: PhantomData<C>,
 }
 
@@ -382,23 +347,8 @@ impl<C: RecordCodec> RecordFile<C> {
             num_edges,
             block_size,
             stats,
-            degree_cap: num_vertices,
             codec: PhantomData,
         })
-    }
-
-    /// Opens `path` as a shard member of a graph with `universe` vertices
-    /// in total: record degrees are validated against the global vertex
-    /// count instead of the shard's own (smaller) record count.
-    pub fn open_shard(
-        path: &Path,
-        stats: Arc<IoStats>,
-        block_size: usize,
-        universe: u64,
-    ) -> io::Result<Self> {
-        let mut file = Self::open_with_block_size(path, stats, block_size)?;
-        file.degree_cap = file.degree_cap.max(universe);
-        Ok(file)
     }
 
     /// The file path.
@@ -414,11 +364,6 @@ impl<C: RecordCodec> RecordFile<C> {
     /// File size on disk in bytes.
     pub fn disk_bytes(&self) -> io::Result<u64> {
         Ok(std::fs::metadata(&self.path)?.len())
-    }
-
-    /// The cap record degrees are validated against.
-    pub(crate) fn degree_cap(&self) -> u64 {
-        self.degree_cap
     }
 
     /// A chunked reader positioned at the first record, after checking
@@ -455,7 +400,7 @@ impl<C: RecordCodec> RecordFile<C> {
         let mut chunk = self.records()?;
         for _ in 0..self.num_vertices {
             let frame = loop {
-                match C::frame(chunk.available(), self.degree_cap) {
+                match C::frame(chunk.available(), self.num_vertices) {
                     Ok(frame) => break frame,
                     Err(SliceError::NeedMore) if chunk.refill()? => {}
                     Err(e) => return Err(e.into_io_error("adjacency record")),

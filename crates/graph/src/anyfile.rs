@@ -2,14 +2,14 @@
 //!
 //! Plain (`MISADJ01`, [`AdjFile`]) and gap-compressed (`MISADJC1`,
 //! [`CompressedAdjFile`]) files — the two codecs of one
-//! [`crate::adjfile::RecordFile`] — and `MISSHRD1` sharded stores are
-//! full peers everywhere a graph is scanned: the CLI, the durable-update
-//! store and the experiment harness all accept any of them.
-//! [`AnyAdjFile`] opens a path by magic bytes and delegates the whole
-//! [`GraphScan`] surface, including the native block hand-out, and
-//! [`AnyAdjFile::open_random_access`] opens the matching paged access
-//! path, so callers stay format-agnostic.
+//! [`crate::adjfile::RecordFile`] — are full peers everywhere a graph is
+//! scanned: the CLI, the durable-update store and the experiment harness
+//! all accept either. [`AnyAdjFile`] opens a path by magic bytes and
+//! delegates the whole [`GraphScan`] surface, including the native block
+//! hand-out, and [`AnyAdjFile::open_random_access`] opens the matching
+//! paged access path, so callers stay format-agnostic.
 
+use std::convert::Infallible;
 use std::io::{self, Read};
 use std::path::Path;
 use std::sync::Arc;
@@ -22,7 +22,6 @@ use crate::adjfile::AdjFile;
 use crate::compressed::CompressedAdjFile;
 use crate::raccess::{NeighborAccess, RandomAccessGraph};
 use crate::scan::{GraphScan, RecordBlock};
-use crate::sharded::ShardedGraph;
 use crate::VertexId;
 
 /// Any flavour of on-disk adjacency storage, behind one scan interface.
@@ -32,9 +31,10 @@ pub enum AnyAdjFile {
     Plain(AdjFile),
     /// A gap-compressed `MISADJC1` file.
     Compressed(CompressedAdjFile),
-    /// A `MISSHRD1` sharded store (manifest + shard files). Shared so
-    /// the wrapper stays cheaply cloneable like the single-file formats.
-    Sharded(Arc<ShardedGraph>),
+    /// Never constructed: no storage layout is left behind it. The
+    /// variant stays, uninhabited, because `e2e-bench/src/solve.rs`
+    /// still names it in a match.
+    Sharded(Infallible),
 }
 
 impl AnyAdjFile {
@@ -60,8 +60,6 @@ impl AnyAdjFile {
             }
             b"MISADJC1" => CompressedAdjFile::open_with_block_size(path, stats, block_size)
                 .map(AnyAdjFile::Compressed),
-            b"MISSHRD1" => ShardedGraph::open_with_block_size(path, stats, block_size)
-                .map(|g| AnyAdjFile::Sharded(Arc::new(g))),
             _ => Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("{}: not an adjacency file", path.display()),
@@ -69,12 +67,12 @@ impl AnyAdjFile {
         }
     }
 
-    /// The file path (the manifest path for sharded stores).
+    /// The file path.
     pub fn path(&self) -> &Path {
         match self {
             AnyAdjFile::Plain(f) => f.path(),
             AnyAdjFile::Compressed(f) => f.path(),
-            AnyAdjFile::Sharded(g) => g.path(),
+            AnyAdjFile::Sharded(never) => match *never {},
         }
     }
 
@@ -83,25 +81,22 @@ impl AnyAdjFile {
         match self {
             AnyAdjFile::Plain(f) => f.stats(),
             AnyAdjFile::Compressed(f) => f.stats(),
-            AnyAdjFile::Sharded(g) => g.stats(),
+            AnyAdjFile::Sharded(never) => match *never {},
         }
     }
 
-    /// Payload size on disk in bytes (the summed shard files for sharded
-    /// stores, excluding the manifest).
+    /// File size on disk in bytes.
     pub fn disk_bytes(&self) -> io::Result<u64> {
         match self {
             AnyAdjFile::Plain(f) => f.disk_bytes(),
             AnyAdjFile::Compressed(f) => f.disk_bytes(),
-            AnyAdjFile::Sharded(g) => g.disk_bytes(),
+            AnyAdjFile::Sharded(never) => match *never {},
         }
     }
 
-    /// The paper's I/O cost model for scanning this store in
+    /// The paper's I/O cost model for scanning this file in
     /// `block_size`-byte blocks. |V|, |E|, the on-disk bytes and the
-    /// storage label come from the store; a sharded store adds its
-    /// manifest's shard table, because each shard rounds up to whole
-    /// blocks on its own.
+    /// storage label come from the file.
     pub fn cost_model(&self, block_size: usize) -> io::Result<CostModel> {
         Ok(CostModel {
             vertices: self.num_vertices() as u64,
@@ -109,16 +104,11 @@ impl AnyAdjFile {
             file_bytes: self.disk_bytes()?,
             block_size: block_size as u64,
             storage: self.storage().to_string(),
-            shard_bytes: match self {
-                AnyAdjFile::Sharded(g) => g.manifest().shard_bytes(),
-                _ => Vec::new(),
-            },
         })
     }
 
-    /// Opens the paged access path under `config`: the record index is
-    /// built with one accounted scan (per shard for sharded stores, which
-    /// split the frame budget across per-shard pagers).
+    /// Opens the paged access path under `config`; the record index is
+    /// built with one accounted scan.
     pub fn open_random_access(
         &self,
         config: PagerConfig,
@@ -126,7 +116,7 @@ impl AnyAdjFile {
         Ok(match self {
             AnyAdjFile::Plain(f) => Box::new(RandomAccessGraph::open(f, config)?),
             AnyAdjFile::Compressed(f) => Box::new(RandomAccessGraph::open(f, config)?),
-            AnyAdjFile::Sharded(g) => Box::new(g.open_random_access(config)?),
+            AnyAdjFile::Sharded(never) => match *never {},
         })
     }
 
@@ -135,7 +125,7 @@ impl AnyAdjFile {
         match self {
             AnyAdjFile::Plain(f) => f,
             AnyAdjFile::Compressed(f) => f,
-            AnyAdjFile::Sharded(g) => &**g,
+            AnyAdjFile::Sharded(never) => match *never {},
         }
     }
 }
@@ -168,7 +158,6 @@ mod tests {
     use crate::builder::build_adj_file;
     use crate::compressed::compress_adj;
     use crate::csr::CsrGraph;
-    use crate::sharded::{split_adj_file, SplitOptions};
     use mis_extmem::ScratchDir;
 
     #[test]
@@ -198,27 +187,21 @@ mod tests {
             assert!(file.path().exists());
         }
 
-        let sharded_path = dir.file("g.shrd");
-        let options = SplitOptions {
-            shards: 2,
-            block_size: 256,
-        };
-        let manifest = split_adj_file(&plain, &sharded_path, &options).unwrap();
-        let sharded = AnyAdjFile::open(&sharded_path, Arc::clone(&stats)).unwrap();
-        for file in [&plain, &comp, &sharded] {
+        for file in [&plain, &comp] {
             let model = file.cost_model(256).unwrap();
             assert_eq!((model.vertices, model.edges, model.block_size), (4, 3, 256));
             assert_eq!(model.file_bytes, file.disk_bytes().unwrap());
             assert_eq!(model.storage, file.storage());
         }
-        assert!(plain.cost_model(256).unwrap().shard_bytes.is_empty());
-        let model = sharded.cost_model(256).unwrap();
-        assert_eq!(model.file_bytes, manifest.total_bytes());
-        assert_eq!(model.shard_bytes, manifest.shard_bytes());
 
         let junk = dir.file("junk.bin");
         std::fs::write(&junk, b"garbage garbage!").unwrap();
         assert!(AnyAdjFile::open(&junk, Arc::clone(&stats)).is_err());
+        // The magic of the removed sharded layout is refused, not misread.
+        let manifest = dir.file("g.shrd");
+        std::fs::write(&manifest, b"MISSHRD1\x04\0\0\0\0\0\0\0").unwrap();
+        let err = AnyAdjFile::open(&manifest, Arc::clone(&stats)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(AnyAdjFile::open(&dir.file("missing.adj"), stats).is_err());
     }
 }

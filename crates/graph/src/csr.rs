@@ -55,20 +55,6 @@ impl CsrGraph {
         Self { offsets, neighbors }
     }
 
-    /// Builds a graph directly from parts.
-    ///
-    /// `offsets` must have length `n + 1`, start at 0, be non-decreasing and
-    /// end at `neighbors.len()`. Intended for generators that already
-    /// produce deduplicated sorted lists; invariants are checked in debug
-    /// builds.
-    pub fn from_parts(offsets: Vec<u64>, neighbors: Vec<VertexId>) -> Self {
-        debug_assert!(!offsets.is_empty());
-        debug_assert_eq!(offsets[0], 0);
-        debug_assert_eq!(*offsets.last().unwrap() as usize, neighbors.len());
-        debug_assert!(offsets.windows(2).all(|w| w[0] <= w[1]));
-        Self { offsets, neighbors }
-    }
-
     /// A graph with `n` vertices and no edges.
     pub fn empty(n: usize) -> Self {
         Self {

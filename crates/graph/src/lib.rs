@@ -29,10 +29,6 @@
 //!   per-vertex [`RecordIndex`] of byte offsets and [`RandomAccessGraph`],
 //!   adjacency reads served through `mis_extmem`'s buffer-pool page cache
 //!   for the swap algorithms' paged candidate-verification path;
-//! * [`sharded`] — the `MISSHRD1` manifest-backed sharded layout: one
-//!   adjacency file split into degree-balanced vertex-range shards,
-//!   scanned in manifest order as one logical pass, with per-shard
-//!   pagers on the random-access side;
 //! * [`edgelist`] — text edge-list parsing (SNAP-style `u v` lines);
 //! * [`hash`] — a small Fx-style hasher for hot `u32`-keyed maps.
 
@@ -49,7 +45,6 @@ pub mod edgelist;
 pub mod hash;
 pub mod raccess;
 pub mod scan;
-pub mod sharded;
 
 pub use adjfile::{AdjFile, PlainCodec, RecordCodec, RecordFile, RecordWriter};
 pub use anyfile::AnyAdjFile;
@@ -61,9 +56,6 @@ pub use csr::CsrGraph;
 pub use delta::{DeltaOverlay, LastBatch, PinnedDelta, SharedAccess};
 pub use raccess::{NeighborAccess, RandomAccessGraph, RecordIndex};
 pub use scan::{GraphScan, OrderedCsr, RecordBlock};
-pub use sharded::{
-    split_adj_file, ShardManifest, ShardMeta, ShardedGraph, ShardedRandomAccess, SplitOptions,
-};
 
 /// Vertex identifier. Graphs with up to `u32::MAX` vertices are supported;
 /// the paper's largest graph (Clueweb12) has 978 million vertices, well

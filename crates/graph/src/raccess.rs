@@ -8,10 +8,9 @@
 //!
 //! * [`RecordIndex`] — one `u64` file offset per vertex, built by one
 //!   accounted scan that frames records without decoding them
-//!   ([`RecordIndex::build`]; a sharded store builds one per shard, by
-//!   record rank). `8|V|` bytes, within the semi-external `O(|V|)`
-//!   memory budget, for plain and gap-compressed files alike: framing
-//!   finds where a record ends, so no length is stored.
+//!   ([`RecordIndex::build`]). `8|V|` bytes, within the semi-external
+//!   `O(|V|)` memory budget, for plain and gap-compressed files alike:
+//!   framing finds where a record ends, so no length is stored.
 //! * [`RandomAccessGraph`] — an adjacency file (plain `MISADJ01` or
 //!   gap-compressed `MISADJC1`) behind a [`BufferPool`]:
 //!   [`RandomAccessGraph::neighbors`] resolves a vertex through the
@@ -67,21 +66,6 @@ impl RecordIndex {
                 ));
             }
             *slot = offset;
-            Ok(())
-        })?;
-        Ok(Self { offsets })
-    }
-
-    /// Builds the index keyed by **record rank** (storage order) instead
-    /// of vertex id, with one accounted scan. Shard members of a sharded
-    /// store carry global vertex ids in records while the index spans
-    /// only the shard's own records; rank `r` of an id-ordered shard is
-    /// its base vertex plus `r`.
-    pub(crate) fn build_ranked<C: RecordCodec>(file: &RecordFile<C>) -> io::Result<Self> {
-        let _span = mis_obs::span("graph", "index.build");
-        let mut offsets = Vec::with_capacity(file.num_vertices());
-        file.for_each_record(|offset, _, _| {
-            offsets.push(offset);
             Ok(())
         })?;
         Ok(Self { offsets })
@@ -143,28 +127,16 @@ struct PoolState {
 /// An adjacency file of codec `C` — plain or gap-compressed — served
 /// through a buffer-pool page cache.
 ///
-/// Create with [`RandomAccessGraph::open`] (index built by one scan) or
-/// [`RandomAccessGraph::with_index`] (index carried over from the
-/// writer). All reads go through the pool, so hits, misses, evictions
-/// and the block transfers of misses land in the same
+/// Create with [`RandomAccessGraph::open`], which builds the record
+/// index with one scan. All reads go through the pool, so hits, misses,
+/// evictions and the block transfers of misses land in the same
 /// [`mis_extmem::IoStats`] as the scan machinery's counters.
 pub struct RandomAccessGraph<C> {
     state: RefCell<PoolState>,
     index: RecordIndex,
     num_vertices: usize,
     num_edges: u64,
-    /// The file's record-degree cap, checked again on every fetch.
-    degree_cap: u64,
     config: PagerConfig,
-    /// First global vertex id served by this graph. Non-zero only for
-    /// shard members of a [`crate::sharded::ShardedGraph`], whose records
-    /// carry global ids while the index spans only the shard's own
-    /// records (`global id - vertex_base` = local index).
-    vertex_base: VertexId,
-    /// Added to every byte offset by [`NeighborAccess::record_rank`] so
-    /// ranks stay strictly monotone across a whole sharded store (the
-    /// caller passes the sum of the preceding shards' file sizes).
-    rank_base: u64,
     codec: PhantomData<C>,
 }
 
@@ -183,27 +155,6 @@ impl<C: RecordCodec> RandomAccessGraph<C> {
     /// accounted scan.
     pub fn open(file: &RecordFile<C>, config: PagerConfig) -> io::Result<Self> {
         let index = RecordIndex::build(file)?;
-        Self::with_index(file, index, config)
-    }
-
-    /// Opens `file` for random access with an index built over it
-    /// earlier ([`RecordIndex::build`], or a sharded store's per-shard
-    /// rank index).
-    pub fn with_index(
-        file: &RecordFile<C>,
-        index: RecordIndex,
-        config: PagerConfig,
-    ) -> io::Result<Self> {
-        if index.len() != file.num_vertices() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!(
-                    "record index covers {} vertices, file has {}",
-                    index.len(),
-                    file.num_vertices()
-                ),
-            ));
-        }
         let pool = BufferPool::new(
             open_file_source(file.path())?,
             config,
@@ -218,24 +169,9 @@ impl<C: RecordCodec> RandomAccessGraph<C> {
             index,
             num_vertices: file.num_vertices(),
             num_edges: file.num_edges(),
-            degree_cap: file.degree_cap(),
             config,
-            vertex_base: 0,
-            rank_base: 0,
             codec: PhantomData,
         })
-    }
-
-    /// Re-bases this graph as one shard of a larger store: it serves the
-    /// `num_vertices()` consecutive global ids starting at `vertex_base`
-    /// (the shard's records must be id-ordered, so local index =
-    /// `global id - vertex_base`), and its [`NeighborAccess::record_rank`]
-    /// values are offset by `rank_base` to stay strictly monotone across
-    /// the shards in manifest order.
-    pub fn with_shard_base(mut self, vertex_base: VertexId, rank_base: u64) -> Self {
-        self.vertex_base = vertex_base;
-        self.rank_base = rank_base;
-        self
     }
 
     /// Number of vertices.
@@ -347,27 +283,20 @@ fn decode_fetched<C: RecordCodec>(
 
 impl<C: RecordCodec> NeighborAccess for RandomAccessGraph<C> {
     fn with_neighbors(&self, v: VertexId, f: &mut dyn FnMut(&[VertexId])) -> io::Result<()> {
-        let local = match v.checked_sub(self.vertex_base) {
-            Some(l) if (l as usize) < self.num_vertices => l,
-            _ => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!(
-                        "vertex {v} out of range ({} vertices from {})",
-                        self.num_vertices, self.vertex_base
-                    ),
-                ));
-            }
-        };
-        let offset = self.index.offset(local);
+        if v as usize >= self.num_vertices {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("vertex {v} out of range ({} vertices)", self.num_vertices),
+            ));
+        }
+        let offset = self.index.offset(v);
         // Fill the reusable neighbour buffer, then release the borrow so
-        // the callback may recursively read through this graph. Records
-        // carry global ids, so fetch validation compares against `v`.
+        // the callback may recursively read through this graph.
         let nbrs = {
             let PoolState { pool, raw, nbrs } = &mut *self.state.borrow_mut();
             let mut out = std::mem::take(nbrs);
             out.clear();
-            fetch::<C>(pool, raw, offset, v, self.degree_cap, &mut out)?;
+            fetch::<C>(pool, raw, offset, v, self.num_vertices as u64, &mut out)?;
             out
         };
         f(&nbrs);
@@ -377,9 +306,8 @@ impl<C: RecordCodec> NeighborAccess for RandomAccessGraph<C> {
 
     fn record_rank(&self, v: VertexId) -> u64 {
         // Records are contiguous, so the byte offset is itself strictly
-        // monotone in storage order; `rank_base` extends that across the
-        // shards of a partitioned store.
-        self.rank_base + self.index.offset(v - self.vertex_base)
+        // monotone in storage order.
+        self.index.offset(v)
     }
 
     fn resident_bytes(&self) -> u64 {
@@ -468,9 +396,6 @@ mod tests {
         let dir = ScratchDir::new("raccess-bad").unwrap();
         let stats = IoStats::shared();
         let file = build_adj_file(&g, &dir.file("g.adj"), stats, 64).unwrap();
-        let err = RandomAccessGraph::with_index(&file, RecordIndex::default(), tiny_config(2))
-            .unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         let ra = RandomAccessGraph::open(&file, tiny_config(2)).unwrap();
         assert!(ra.neighbors(99).is_err());
     }
@@ -485,10 +410,8 @@ mod tests {
         let mut expected = vec![Vec::new(); g.num_vertices()];
         file.scan(&mut |v, ns| expected[v as usize] = ns.to_vec())
             .unwrap();
-        let index = RecordIndex::build(&file).unwrap();
         for frames in [1, 2, 64] {
-            let ra =
-                RandomAccessGraph::with_index(&file, index.clone(), tiny_config(frames)).unwrap();
+            let ra = RandomAccessGraph::open(&file, tiny_config(frames)).unwrap();
             for v in 0..g.num_vertices() as VertexId {
                 assert_eq!(ra.neighbors(v).unwrap(), expected[v as usize], "v={v}");
             }
@@ -503,18 +426,6 @@ mod tests {
             "pool frames + 8 bytes of index per vertex"
         );
         assert!(ra.neighbors(99).is_err());
-    }
-
-    #[test]
-    fn compressed_mismatched_index_is_rejected() {
-        use crate::compressed::compress_adj;
-        let g = sample();
-        let dir = ScratchDir::new("raccess-comp-bad").unwrap();
-        let stats = IoStats::shared();
-        let file = compress_adj(&g, &dir.file("g.cadj"), stats, 64).unwrap();
-        let err = RandomAccessGraph::with_index(&file, RecordIndex::default(), tiny_config(2))
-            .unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 
     #[test]

@@ -12,9 +12,7 @@
 //! * [`crate::AdjFile`] and [`crate::CompressedAdjFile`] — on disk, one
 //!   implementation for both record codecs; storage order = the order
 //!   records were written (vertex-id order from the builder, degree
-//!   order after the Algorithm 1 preprocessing step);
-//! * [`crate::ShardedGraph`] — the sharded store, in the same record
-//!   order as the file it was split from.
+//!   order after the Algorithm 1 preprocessing step).
 //!
 //! [`GraphScan::scan_blocks`] streams the same records grouped into
 //! [`RecordBlock`]s. It is the one hand-out unit of the parallel

@@ -238,19 +238,14 @@ fn corrupt_plain_bytes_error_cleanly_everywhere() {
         if let Err(e) = file.scan_blocks(4, &mut |_| {}) {
             assert_clean(e, "plain mutant scan_blocks");
         }
-        match RecordIndex::build(&file) {
-            Ok(index) => {
+        let pager = PagerConfig {
+            page_size: 64,
+            frames: 4,
+            policy: PolicyKind::Clock,
+        };
+        match RandomAccessGraph::open(&file, pager) {
+            Ok(ra) => {
                 // A survivable mutant: paged reads must still behave.
-                let ra = RandomAccessGraph::with_index(
-                    &file,
-                    index,
-                    PagerConfig {
-                        page_size: 64,
-                        frames: 4,
-                        policy: PolicyKind::Clock,
-                    },
-                )
-                .unwrap();
                 for v in 0..file.num_vertices() as u32 {
                     if let Err(e) = ra.with_neighbors(v, &mut |_| {}) {
                         assert_clean(e, "plain mutant paged read");

@@ -139,33 +139,15 @@ pub struct CostModel {
     /// Block size the reader transfers in.
     pub block_size: u64,
     /// Storage format label (`"adj-file"` / `"adj-file-compressed"` /
-    /// `"sharded-adj"` / …).
+    /// …).
     pub storage: String,
-    /// Per-shard file sizes for sharded stores (summed from the
-    /// `MISSHRD1` manifest's shard headers), empty for single-file
-    /// storage. Each shard is its own stream, so each rounds up to block
-    /// granularity independently.
-    pub shard_bytes: Vec<u64>,
 }
 
 impl CostModel {
-    /// Blocks one sequential scan transfers. Single-file storage follows
-    /// the paper's `scan(|V|+|E|) = ⌈bytes/B⌉`; a sharded store scans
-    /// each shard as an independent stream, so a logical scan transfers
-    /// `Σᵢ ⌈shard_bytesᵢ/B⌉` — the per-shard ceilings summed, not the
-    /// ceiling of the sum.
+    /// Blocks one sequential scan transfers: the paper's
+    /// `scan(|V|+|E|) = ⌈bytes/B⌉`.
     pub fn blocks_per_scan(&self) -> u64 {
-        let b = self.block_size.max(1);
-        if self.shard_bytes.is_empty() {
-            self.file_bytes.div_ceil(b)
-        } else {
-            self.shard_bytes.iter().map(|&s| s.div_ceil(b)).sum()
-        }
-    }
-
-    /// Blocks `scans` full scans transfer.
-    pub fn predicted_blocks(&self, scans: u64) -> u64 {
-        scans * self.blocks_per_scan()
+        self.file_bytes.div_ceil(self.block_size.max(1))
     }
 
     /// Checks observed I/O counters against the model.
@@ -334,7 +316,6 @@ mod tests {
             file_bytes,
             block_size,
             storage: "adj-file".into(),
-            shard_bytes: Vec::new(),
         }
     }
 
@@ -344,21 +325,6 @@ mod tests {
         assert_eq!(model(1_001, 100).blocks_per_scan(), 11);
         assert_eq!(model(1, 100).blocks_per_scan(), 1);
         assert_eq!(model(0, 100).blocks_per_scan(), 0);
-    }
-
-    #[test]
-    fn sharded_blocks_per_scan_sums_per_shard_ceilings() {
-        // Two shards each round up independently: ⌈1001/100⌉ + ⌈999/100⌉
-        // = 11 + 10 = 21, one more than the monolithic ⌈2000/100⌉ = 20.
-        let mut m = model(2_000, 100);
-        m.shard_bytes = vec![1_001, 999];
-        assert_eq!(m.blocks_per_scan(), 21);
-        // An empty shard contributes zero blocks.
-        m.shard_bytes = vec![2_000, 0, 0];
-        assert_eq!(m.blocks_per_scan(), 20);
-        // Empty vec keeps the single-file formula.
-        m.shard_bytes.clear();
-        assert_eq!(m.blocks_per_scan(), 20);
     }
 
     #[test]

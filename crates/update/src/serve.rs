@@ -48,8 +48,8 @@
 //! way; STATS counts those flushes as `scan_repairs`.
 //!
 //! The point-access path belongs to the store: it opens one paged
-//! handle over its base (plain, compressed or sharded — whatever backs
-//! the store) under [`ServeConfig::pager`], and every view carries it.
+//! handle over its base (plain or compressed) under
+//! [`ServeConfig::pager`], and every view carries it.
 //! Neighborhood queries read the published view's merged records
 //! through it ([`NeighborAccess`] on [`PinnedDelta`]), so readers and
 //! repairs draw from the same bounded pager budget.

@@ -29,9 +29,8 @@
 //!   compaction: merge base + overlay into a fresh adjacency file,
 //!   written **crash-atomically** (temp file + fsync + rename), then
 //!   drop every segment and truncate the log. The [`CompactFormat`]
-//!   picks the plain `MISADJ01` layout, the 2–3× smaller gap-compressed
-//!   `MISADJC1` layout, or a sharded `MISSHRD1` store (per-shard bases
-//!   via [`mis_graph::split_adj_file`]);
+//!   picks the plain `MISADJ01` layout or the 2–3× smaller
+//!   gap-compressed `MISADJC1` layout;
 //! * [`UpdateStore::status`] — inspect epochs, pending ops, per-segment
 //!   footers and sizes.
 //!
@@ -59,9 +58,9 @@
 //! not a replay. Sealed segments keep their operations in memory, so no
 //! reader ever opens a segment file after [`UpdateStore::open`].
 //!
-//! The base file may be any [`AnyAdjFile`] backend (plain, compressed or
-//! sharded — the magic is sniffed at open), so a store can compact into
-//! the compressed format and keep running on it.
+//! The base file may be either [`AnyAdjFile`] format (plain or
+//! compressed — the magic is sniffed at open), so a store can compact
+//! into the compressed format and keep running on it.
 //!
 //! ## The point-access handle
 //!
@@ -93,8 +92,8 @@ use mis_core::{
     is_maximal_independent_set, try_repair_since, Greedy, OneKSwap, RepairConfig, SwapConfig,
 };
 use mis_graph::{
-    split_adj_file, AnyAdjFile, DeltaOverlay, GapCodec, GraphScan, PinnedDelta, PlainCodec,
-    RecordCodec, RecordWriter, SharedAccess, SplitOptions, VertexId,
+    AnyAdjFile, DeltaOverlay, GapCodec, GraphScan, PinnedDelta, PlainCodec, RecordCodec,
+    RecordWriter, SharedAccess, VertexId,
 };
 
 use mis_extmem::{IoStats, PagerConfig, PolicyKind};
@@ -197,10 +196,6 @@ pub enum CompactFormat {
     /// Gap-compressed `MISADJC1` records (2–3× smaller on power-law
     /// graphs; neighbour lists are stored id-sorted).
     Compressed,
-    /// A sharded `MISSHRD1` store with this many vertex-range shards
-    /// (each shard a plain file), split degree-balanced via
-    /// [`mis_graph::split_adj_file`].
-    Sharded(usize),
 }
 
 impl std::str::FromStr for CompactFormat {
@@ -210,20 +205,9 @@ impl std::str::FromStr for CompactFormat {
         match s {
             "plain" => Ok(CompactFormat::Plain),
             "compressed" => Ok(CompactFormat::Compressed),
-            other => {
-                if let Some(shards) = other.strip_prefix("sharded:") {
-                    let shards: usize = shards
-                        .parse()
-                        .map_err(|_| format!("bad shard count in `{other}`"))?;
-                    if shards == 0 {
-                        return Err("shard count must be at least 1".to_string());
-                    }
-                    return Ok(CompactFormat::Sharded(shards));
-                }
-                Err(format!(
-                    "unknown compact format `{other}` (expected plain|compressed|sharded:N)"
-                ))
-            }
+            other => Err(format!(
+                "unknown compact format `{other}` (expected plain|compressed)"
+            )),
         }
     }
 }
@@ -467,8 +451,8 @@ impl UpdateStore {
         Ok((store, recovery))
     }
 
-    /// The base adjacency file (plain, compressed or sharded) currently
-    /// backing the store.
+    /// The base adjacency file (plain or compressed) currently backing
+    /// the store.
     pub fn base(&self) -> &AnyAdjFile {
         &self.base
     }
@@ -491,11 +475,6 @@ impl UpdateStore {
     /// The live sealed segments, oldest first.
     pub fn segments(&self) -> &[Segment] {
         &self.segments
-    }
-
-    /// The directory holding the manifest and sealed segments.
-    pub fn segments_dir(&self) -> &Path {
-        &self.seg_dir
     }
 
     /// Replaces the roll/compaction policy (defaults are conservative:
@@ -839,12 +818,10 @@ impl UpdateStore {
     /// compacted file as its new base, so a compressed compaction
     /// shrinks every subsequent maintenance scan.
     ///
-    /// Crash-atomic for the single-file formats: the new base is written
-    /// to `<out>.cmp.tmp`, fsynced, and renamed over `out_path`; a crash
-    /// leaves either the old store (plus a harmless temp, cleaned by the
-    /// next compaction or open) or the completed new base. The sharded
-    /// format writes through [`split_adj_file`], which emits its shard
-    /// files directly.
+    /// Crash-atomic: the new base is written to `<out>.cmp.tmp`, fsynced,
+    /// and renamed over `out_path`; a crash leaves either the old store
+    /// (plus a harmless temp, cleaned by the next compaction or open) or
+    /// the completed new base.
     pub fn compact_as(
         &mut self,
         out_path: &Path,
@@ -883,38 +860,8 @@ impl UpdateStore {
             CompactFormat::Compressed => {
                 write_merged::<GapCodec>(&delta, &tmp_path, stats, block_size)?;
             }
-            CompactFormat::Sharded(shards) => {
-                // Two steps through the existing machinery: materialise
-                // the overlay as a plain temp file, then split it into
-                // degree-balanced vertex-range shards.
-                write_merged::<PlainCodec>(&delta, &tmp_path, stats, block_size)?;
-                if kill == KillPoint::AfterSeal {
-                    return Err(simulated_kill());
-                }
-                let src = AnyAdjFile::open_with_block_size(
-                    &tmp_path,
-                    Arc::clone(&self.stats),
-                    self.block_size,
-                )?;
-                split_adj_file(
-                    &src,
-                    out_path,
-                    &SplitOptions {
-                        shards,
-                        block_size: self.block_size,
-                    },
-                )?;
-                drop(src);
-                std::fs::remove_file(&tmp_path)?;
-            }
         }
-        if !matches!(format, CompactFormat::Sharded(_)) {
-            finish_compact_file(&tmp_path, out_path, kill)?;
-        }
-        if kill == KillPoint::AfterSeal {
-            // (the sharded format returned before splitting)
-            return Err(simulated_kill());
-        }
+        finish_compact_file(&tmp_path, out_path, kill)?;
 
         self.base =
             AnyAdjFile::open_with_block_size(out_path, Arc::clone(&self.stats), self.block_size)?;
@@ -973,13 +920,13 @@ fn compact_temp_path(out_path: &Path) -> PathBuf {
 }
 
 /// Fsyncs the finished temp file and renames it over the target — the
-/// commit point of a single-file compaction.
+/// commit point of a compaction.
 fn finish_compact_file(tmp: &Path, out: &Path, kill: KillPoint) -> io::Result<()> {
     std::fs::File::open(tmp)?.sync_data()?;
     if kill == KillPoint::AfterSeal {
         // Simulated crash: the finished temp exists, the target was
-        // never replaced. compact_as_killable surfaces the kill error.
-        return Ok(());
+        // never replaced.
+        return Err(simulated_kill());
     }
     std::fs::rename(tmp, out)
 }
@@ -1318,13 +1265,7 @@ mod tests {
             "plain".parse::<CompactFormat>().unwrap(),
             CompactFormat::Plain
         );
-        assert_eq!(
-            "sharded:4".parse::<CompactFormat>().unwrap(),
-            CompactFormat::Sharded(4)
-        );
         assert!("zip".parse::<CompactFormat>().is_err());
-        assert!("sharded:0".parse::<CompactFormat>().is_err());
-        assert!("sharded:x".parse::<CompactFormat>().is_err());
     }
 
     #[test]
@@ -1548,33 +1489,6 @@ mod tests {
         assert!(!seg_dir.join("MANIFEST.tmp").exists());
         assert_eq!(reopened.segments().len(), 1);
         assert_eq!(reopened.num_committed_ops(), 1);
-    }
-
-    #[test]
-    fn compact_to_sharded_keeps_the_pipeline_running() {
-        let dir = ScratchDir::new("store-shardcompact").unwrap();
-        let (mut store, _) = setup(&dir, 41);
-        store.apply(RepairConfig::default()).unwrap();
-        let (u, v) = non_edge(&store);
-        store.append_ops(&[EdgeOp::Insert(u, v)]).unwrap();
-        store.apply(RepairConfig::default()).unwrap();
-        let live_edges = store.status().unwrap().live_edges;
-
-        let report = store
-            .compact_as(&dir.file("base.shrd"), CompactFormat::Sharded(4))
-            .unwrap();
-        assert_eq!(report.vertices as usize, store.base().num_vertices());
-        assert_eq!(report.edges, live_edges);
-        assert!(matches!(store.base(), AnyAdjFile::Sharded(_)));
-        // Maintenance continues on the sharded base.
-        assert!(store.apply(RepairConfig::default()).unwrap().up_to_date);
-        store.append_ops(&[EdgeOp::Delete(u, v)]).unwrap();
-        assert!(
-            store
-                .apply(RepairConfig::default())
-                .unwrap()
-                .maximality_proved
-        );
     }
 
     /// Cuts the base file in `dir` down to `len` bytes under the store.

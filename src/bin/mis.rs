@@ -10,11 +10,8 @@
 //! mis convert  <edges.txt> <out.adj>     text edge list → adjacency file
 //! mis sort     <in.adj> <out>            degree-sort (Algorithm 1 preprocessing)
 //!              [--compress]               emit gap-compressed MISADJC1
-//!              [--shards N]               emit a MISSHRD1 sharded store
 //! mis compress <in> <out.cadj>           gap-compress (WebGraph-style)
-//! mis shard    split <in> <out.shrd> [--shards N]   split into vertex-range shards
-//!              info <manifest>                      inspect a MISSHRD1 manifest
-//! mis stats    <graph>                   size / degree summary (incl. shard table)
+//! mis stats    <graph>                   size / degree summary
 //! mis bound    <graph>                   Algorithm 5 + matching upper bounds
 //! mis run      <graph> [--algo A] [--rounds N] [--threads N]
 //!              [--cache-mb N] [--paged-threshold F]
@@ -23,7 +20,7 @@
 //!              append <base> --ops <file>          log one epoch of edits
 //!              apply <base> [--rounds N]           repair + checkpoint the IS
 //!              compact <base> <out>                merge log into a new base
-//!                      [--format plain|compressed|sharded:N]
+//!                      [--format plain|compressed]
 //!              status <base> [--json]              inspect epochs/segments
 //!              (all take [--wal F] [--checkpoint F]; defaults derive
 //!               from the base path: <base>.wal / <base>.ckpt)
@@ -41,7 +38,8 @@
 //! ```
 //!
 //! Every subcommand accepts `--block-size BYTES` (default 65536), the `B`
-//! of the external-memory cost model. `mis run --cache-mb N` gives the
+//! of the external-memory cost model, and fails with `unknown option
+//! --X` on any option it does not read. `mis run --cache-mb N` gives the
 //! swap algorithms a CLOCK buffer-pool page cache of `N` MiB over the
 //! adjacency file: rounds with few live candidates then verify them
 //! through the pool instead of re-scanning the whole file
@@ -77,21 +75,15 @@
 //! are skipped automatically when the two environment fingerprints
 //! differ.
 //!
-//! `<graph>` accepts plain (`MISADJ01`), gap-compressed (`MISADJC1`)
-//! and sharded (`MISSHRD1` manifest) stores everywhere it appears,
-//! detected by magic bytes — including `mis run --cache-mb`, which
-//! builds the one record index both codecs share (per-shard pagers
-//! sharing the one cache budget for sharded stores). `gen`, `convert`
-//! and `sort` take `--shards N` to emit a sharded store directly; with
-//! `--threads N`, a sharded graph runs through the same parallel block
-//! pipeline as a single file (one reader thread streams the shards in
-//! order, `N` workers fold).
-//! `<base>` of `mis update` and `mis serve` takes all three as well (the
-//! update log overlays whatever backs the store, and `update compact
-//! --format sharded:N` writes a sharded base). Every run prints IS
-//! size, scan counts, block transfers, cache hit rates (when caching)
-//! and the modelled memory next to the process's peak RSS, and verifies
-//! the result before reporting success.
+//! `<graph>` accepts plain (`MISADJ01`) and gap-compressed (`MISADJC1`)
+//! files everywhere it appears, detected by magic bytes — including
+//! `mis run --cache-mb`, which builds the one record index both codecs
+//! share. `<base>` of `mis update` and `mis serve` takes both as well
+//! (the update log overlays whatever backs the store, and `update
+//! compact --format compressed` writes a compressed base). Every run
+//! prints IS size, scan counts, block transfers, cache hit rates (when
+//! caching) and the modelled memory next to the process's peak RSS, and
+//! verifies the result before reporting success.
 //!
 //! `mis serve` turns the update store into a long-running process: it
 //! listens on a unix socket (`--socket`) or TCP address (`--listen`),
@@ -104,12 +96,12 @@
 //! response; replies start with `OK` or `ERR`. The same subcommand
 //! doubles as the client: `mis serve --status` prints the server's
 //! stats + store status, `--script FILE` plays a file of protocol verbs,
-//! `--shutdown` flushes and stops the server. `<base>` accepts every
-//! store format (plain, compressed, sharded); the repairs and all serve
-//! queries share one pager budget (`--cache-mb`, default 4 MiB in 4 KiB
-//! pages). The protocol itself — verbs, connection loop, listener and
-//! the JSON replies — is `mis_update::serve`; this binary parses the
-//! flags, opens the store and prints the start and shutdown summaries.
+//! `--shutdown` flushes and stops the server. `<base>` accepts both
+//! file formats; the repairs and all serve queries share one pager
+//! budget (`--cache-mb`, default 4 MiB in 4 KiB pages). The protocol
+//! itself — verbs, connection loop, listener and the JSON replies — is
+//! `mis_update::serve`; this binary parses the flags, opens the store
+//! and prints the start and shutdown summaries.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -127,7 +119,7 @@ use mis_obs::{
 use semi_mis::extmem::{SortConfig, DEFAULT_BLOCK_SIZE};
 use semi_mis::graph::{
     build_adj_file, compress_adj, degree_sort_adj_file, degree_sort_compressed_adj_file, edgelist,
-    split_adj_file, AnyAdjFile, ShardManifest, SplitOptions,
+    AnyAdjFile,
 };
 use semi_mis::prelude::*;
 use semi_mis::update::serve::{self, write_line, Listener};
@@ -148,19 +140,17 @@ fn main() -> ExitCode {
 
 const USAGE: &str = "
 usage: mis <command> ... [--block-size BYTES]
-  gen <plrg|dataset|er|ba|rmat> [options] [--compress] [--shards N] <out.adj>
-  convert <edges.txt> <out.adj> [--compress] [--shards N]
-  sort <in.adj> <out> [--compress] [--shards N]
+  gen <plrg|dataset|er|ba|rmat> [options] [--compress] <out.adj>
+  convert <edges.txt> <out.adj> [--compress]
+  sort <in.adj> <out> [--compress]
   compress <in> <out.cadj>
-  shard split <in> <out.shrd> [--shards N]
-        info <manifest>
   stats <graph> [--threads N]
   bound <graph> [--threads N]
   run <graph> [--algo greedy|baseline|onek|twok|tfp|dynamic] [--rounds N]
               [--threads N] [--cache-mb N] [--paged-threshold F]
   update append <base> --ops <file> [--wal F]
          apply <base> [--rounds N] [--wal F] [--checkpoint F]
-         compact <base> <out> [--format plain|compressed|sharded:N] [--wal F] [--checkpoint F]
+         compact <base> <out> [--format plain|compressed] [--wal F] [--checkpoint F]
          status <base> [--json] [--wal F] [--checkpoint F]
   serve <base> (--socket PATH | --listen HOST:PORT)
         [--batch-ops N] [--roll-epochs N] [--roll-bytes B] [--compact-threshold N]
@@ -186,7 +176,6 @@ fn dispatch(args: &[String]) -> Result<(), String> {
         "convert" => cmd_convert(rest),
         "sort" => cmd_sort(rest),
         "compress" => cmd_compress(rest),
-        "shard" => cmd_shard(rest),
         "stats" => cmd_stats(rest),
         "bound" => cmd_bound(rest),
         "run" => cmd_run(rest),
@@ -212,13 +201,18 @@ const BOOL_FLAGS: &[&str] = &[
 ];
 
 /// Pulls `--name value` options, valueless `--flag`s and positional
-/// arguments apart.
-fn parse_opts(args: &[String]) -> Result<(Vec<String>, Options), String> {
+/// arguments apart. `known` names the options the subcommand reads;
+/// `--block-size` is accepted everywhere, and any other option is an
+/// error rather than silently ignored.
+fn parse_opts(args: &[String], known: &[&str]) -> Result<(Vec<String>, Options), String> {
     let mut positional = Vec::new();
     let mut options = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         if let Some(name) = a.strip_prefix("--") {
+            if name != "block-size" && !known.contains(&name) {
+                return Err(format!("unknown option --{name}"));
+            }
             if BOOL_FLAGS.contains(&name) {
                 options.push((name.to_string(), "true".to_string()));
                 continue;
@@ -370,7 +364,7 @@ fn print_io_summary(stats: &IoStats, report: Option<&TraceReport>) {
 /// and on traces with no spans at all (both indicate a broken
 /// recording, which CI wants to catch).
 fn cmd_trace(args: &[String]) -> Result<(), String> {
-    let (pos, opts) = parse_opts(args)?;
+    let (pos, opts) = parse_opts(args, &["json"])?;
     let [action, path] = pos.as_slice() else {
         return Err("trace needs: report <trace.jsonl>".into());
     };
@@ -455,7 +449,7 @@ fn read_snapshot(path: &str) -> Result<Json, String> {
 /// `mis bench <diff|check|history>`: the regression-gate and ledger
 /// tooling over `BENCH_*.json` snapshots and `BENCH_history.jsonl`.
 fn cmd_bench(args: &[String]) -> Result<(), String> {
-    let (pos, opts) = parse_opts(args)?;
+    let (pos, opts) = parse_opts(args, &["baseline", "current", "last", "ledger"])?;
     let [action, rest @ ..] = pos.as_slice() else {
         return Err(
             "bench needs: diff <base> <current> | check --baseline <file> | history".into(),
@@ -574,35 +568,8 @@ fn write_graph(
     out: &Path,
     block_size: usize,
     compress: bool,
-    shards: usize,
 ) -> Result<(), String> {
     let stats = IoStats::shared();
-    if shards > 1 {
-        // Sharded output: write the single file into scratch, then split
-        // it into a `MISSHRD1` manifest + shard files at `out`.
-        let scratch = ScratchDir::new("mis-cli-shard").map_err(|e| e.to_string())?;
-        let tmp = scratch.file(if compress { "g.cadj" } else { "g.adj" });
-        let file = if compress {
-            AnyAdjFile::Compressed(
-                compress_adj(graph, &tmp, stats, block_size).map_err(|e| e.to_string())?,
-            )
-        } else {
-            AnyAdjFile::Plain(
-                build_adj_file(graph, &tmp, stats, block_size).map_err(|e| e.to_string())?,
-            )
-        };
-        let manifest = split_adj_file(&file, out, &SplitOptions { shards, block_size })
-            .map_err(|e| e.to_string())?;
-        println!(
-            "wrote {}{}: {} vertices, {} edges in {} shards (block size {block_size} B)",
-            out.display(),
-            if compress { " (gap-compressed)" } else { "" },
-            graph.num_vertices(),
-            graph.num_edges(),
-            manifest.shards.len()
-        );
-        return Ok(());
-    }
     if compress {
         compress_adj(graph, out, stats, block_size).map_err(|e| e.to_string())?;
     } else {
@@ -618,89 +585,22 @@ fn write_graph(
     Ok(())
 }
 
-/// Parses `--shards N` (default 1 = unpartitioned).
-fn opt_shards(options: &[(String, String)]) -> Result<usize, String> {
-    let shards: usize = opt_parse(options, "shards", 1)?;
-    if shards == 0 {
-        return Err("--shards must be at least 1".into());
-    }
-    Ok(shards)
-}
-
-/// `mis shard <split|info>`: split an adjacency file into a `MISSHRD1`
-/// sharded store, or inspect a manifest's shard table.
-fn cmd_shard(args: &[String]) -> Result<(), String> {
-    let (pos, opts) = parse_opts(args)?;
-    let [action, rest @ ..] = pos.as_slice() else {
-        return Err("shard needs: split <in> <out.shrd> --shards N | info <manifest>".into());
-    };
-    match action.as_str() {
-        "split" => {
-            let [input, out] = rest else {
-                return Err("shard split needs: <in> <out.shrd>".into());
-            };
-            let block_size = opt_block_size(&opts)?;
-            let shards = opt_shards(&opts)?;
-            let stats = IoStats::shared();
-            let file = open_any(Path::new(input), Arc::clone(&stats), block_size)?;
-            if matches!(file, AnyAdjFile::Sharded(_)) {
-                return Err(format!("{input}: already a sharded store"));
-            }
-            let start = Instant::now();
-            let manifest =
-                split_adj_file(&file, Path::new(out), &SplitOptions { shards, block_size })
-                    .map_err(|e| e.to_string())?;
-            println!(
-                "split {input} -> {out}: {} shards, {} vertices, {} edges in {:.1}s ({})",
-                manifest.shards.len(),
-                manifest.num_vertices,
-                manifest.num_edges,
-                start.elapsed().as_secs_f64(),
-                stats.snapshot()
-            );
-            Ok(())
-        }
-        "info" => {
-            let [input] = rest else {
-                return Err("shard info needs: <manifest>".into());
-            };
-            let manifest = ShardManifest::read(Path::new(input)).map_err(|e| e.to_string())?;
-            println!(
-                "{input} (MISSHRD1, {} shards):",
-                if manifest.compressed {
-                    "compressed"
-                } else {
-                    "plain"
-                }
-            );
-            println!("  |V| = {}", manifest.num_vertices);
-            println!("  |E| = {}", manifest.num_edges);
-            println!("  id-ordered = {}", manifest.id_ordered);
-            println!("  shards = {}", manifest.shards.len());
-            println!("  total shard bytes = {}", manifest.total_bytes());
-            print_shard_table(&manifest);
-            Ok(())
-        }
-        other => Err(format!("unknown shard action `{other}`")),
-    }
-}
-
-/// Prints the per-shard vertex ranges and sizes of a manifest.
-fn print_shard_table(manifest: &ShardManifest) {
-    for (i, s) in manifest.shards.iter().enumerate() {
-        if s.records == 0 {
-            println!("    shard {i}: empty ({})", s.name);
-        } else {
-            println!(
-                "    shard {i}: vertices {}..={}, {} records, {} entries, {} B ({})",
-                s.vertex_lo, s.vertex_hi, s.records, s.entries, s.bytes, s.name
-            );
-        }
-    }
-}
-
 fn cmd_gen(args: &[String]) -> Result<(), String> {
-    let (pos, opts) = parse_opts(args)?;
+    let (pos, opts) = parse_opts(
+        args,
+        &[
+            "seed",
+            "vertices",
+            "beta",
+            "name",
+            "scale",
+            "edges",
+            "attach",
+            "log-vertices",
+            "edge-factor",
+            "compress",
+        ],
+    )?;
     let [model, out] = pos.as_slice() else {
         return Err("gen needs: <model> <out.adj>".into());
     };
@@ -743,12 +643,11 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
         &out,
         opt_block_size(&opts)?,
         opt(&opts, "compress").is_some(),
-        opt_shards(&opts)?,
     )
 }
 
 fn cmd_convert(args: &[String]) -> Result<(), String> {
-    let (pos, opts) = parse_opts(args)?;
+    let (pos, opts) = parse_opts(args, &["compress"])?;
     let [input, out] = pos.as_slice() else {
         return Err("convert needs: <edges.txt> <out.adj>".into());
     };
@@ -759,12 +658,11 @@ fn cmd_convert(args: &[String]) -> Result<(), String> {
         Path::new(out),
         opt_block_size(&opts)?,
         opt(&opts, "compress").is_some(),
-        opt_shards(&opts)?,
     )
 }
 
 fn cmd_sort(args: &[String]) -> Result<(), String> {
-    let (pos, opts) = parse_opts(args)?;
+    let (pos, opts) = parse_opts(args, &["compress"])?;
     let [input, out] = pos.as_slice() else {
         return Err("sort needs: <in.adj> <out.adj>".into());
     };
@@ -779,32 +677,7 @@ fn cmd_sort(args: &[String]) -> Result<(), String> {
         block_size,
         ..SortConfig::default()
     };
-    let shards = opt_shards(&opts)?;
-    if shards > 1 {
-        // Degree-sort into scratch, then split into the sharded store.
-        let tmp = scratch.file(if compress {
-            "sorted.cadj"
-        } else {
-            "sorted.adj"
-        });
-        let sorted = if compress {
-            AnyAdjFile::Compressed(
-                degree_sort_compressed_adj_file(&file, &tmp, &sort_cfg, &scratch)
-                    .map_err(|e| e.to_string())?,
-            )
-        } else {
-            AnyAdjFile::Plain(
-                degree_sort_adj_file(&file, &tmp, &sort_cfg, &scratch)
-                    .map_err(|e| e.to_string())?,
-            )
-        };
-        split_adj_file(
-            &sorted,
-            Path::new(out),
-            &SplitOptions { shards, block_size },
-        )
-        .map_err(|e| e.to_string())?;
-    } else if compress {
+    if compress {
         degree_sort_compressed_adj_file(&file, Path::new(out), &sort_cfg, &scratch)
             .map_err(|e| e.to_string())?;
     } else {
@@ -812,15 +685,10 @@ fn cmd_sort(args: &[String]) -> Result<(), String> {
             .map_err(|e| e.to_string())?;
     }
     println!(
-        "degree-sorted {} -> {}{}{} in {:.1}s, block size {} B ({})",
+        "degree-sorted {} -> {}{} in {:.1}s, block size {} B ({})",
         input,
         out,
         if compress { " (gap-compressed)" } else { "" },
-        if shards > 1 {
-            format!(" ({shards} shards)")
-        } else {
-            String::new()
-        },
         start.elapsed().as_secs_f64(),
         block_size,
         stats.snapshot()
@@ -838,7 +706,7 @@ fn format_ratio(before: u64, after: u64) -> String {
 }
 
 fn cmd_compress(args: &[String]) -> Result<(), String> {
-    let (pos, opts) = parse_opts(args)?;
+    let (pos, opts) = parse_opts(args, &[])?;
     let [input, out] = pos.as_slice() else {
         return Err("compress needs: <in.adj> <out.cadj>".into());
     };
@@ -857,7 +725,10 @@ fn cmd_compress(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
-    let (pos, opts) = parse_opts(args)?;
+    let (pos, opts) = parse_opts(
+        args,
+        &["threads", "trace", "check-model", "record", "rev", "ledger"],
+    )?;
     let [input] = pos.as_slice() else {
         return Err("stats needs: <graph>".into());
     };
@@ -883,11 +754,6 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     println!("  max degree = {}", degrees.max_degree);
     println!("  isolated vertices = {}", degrees.isolated);
     println!("  pendant vertices  = {}", degrees.pendant);
-    if let AnyAdjFile::Sharded(g) = &file {
-        let manifest = g.manifest();
-        println!("  shards = {}", manifest.shards.len());
-        print_shard_table(manifest);
-    }
     // --check-model: the degree pass is exactly one sequential scan, so
     // its I/O delta (header reads excluded via the pre-scan snapshot)
     // must conform to the paper's `⌈bytes/B⌉` blocks-per-scan model.
@@ -938,7 +804,7 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_bound(args: &[String]) -> Result<(), String> {
-    let (pos, opts) = parse_opts(args)?;
+    let (pos, opts) = parse_opts(args, &["threads", "trace", "record", "rev", "ledger"])?;
     let [input] = pos.as_slice() else {
         return Err("bound needs: <graph>".into());
     };
@@ -982,7 +848,20 @@ fn cmd_bound(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_run(args: &[String]) -> Result<(), String> {
-    let (pos, opts) = parse_opts(args)?;
+    let (pos, opts) = parse_opts(
+        args,
+        &[
+            "algo",
+            "rounds",
+            "threads",
+            "cache-mb",
+            "paged-threshold",
+            "trace",
+            "record",
+            "rev",
+            "ledger",
+        ],
+    )?;
     let [input] = pos.as_slice() else {
         return Err("run needs: <graph>".into());
     };
@@ -1037,8 +916,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             PagerConfig::with_capacity_bytes(cache_mb << 20, block_size, PolicyKind::default());
         pager_config = Some(pc);
         // Both codecs share one record index (a byte offset per vertex)
-        // and one paged fetch; sharded stores split the frame budget
-        // across per-shard pagers.
+        // and one paged fetch.
         Some(file.open_random_access(pc).map_err(|e| e.to_string())?)
     } else {
         None
@@ -1207,7 +1085,18 @@ fn parse_ops_file(path: &Path) -> Result<Vec<EdgeOp>, String> {
 }
 
 fn cmd_update(args: &[String]) -> Result<(), String> {
-    let (pos, opts) = parse_opts(args)?;
+    let (pos, opts) = parse_opts(
+        args,
+        &[
+            "wal",
+            "checkpoint",
+            "trace",
+            "ops",
+            "rounds",
+            "format",
+            "json",
+        ],
+    )?;
     let [action, rest_pos @ ..] = pos.as_slice() else {
         return Err("update needs: <append|apply|compact|status> <base.adj> ...".into());
     };
@@ -1419,7 +1308,26 @@ fn cmd_update(args: &[String]) -> Result<(), String> {
 /// mode), or a thin line-protocol client (`--status`, `--script FILE`,
 /// `--shutdown`) talking to one.
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let (pos, opts) = parse_opts(args)?;
+    let (pos, opts) = parse_opts(
+        args,
+        &[
+            "socket",
+            "listen",
+            "connect",
+            "wal",
+            "checkpoint",
+            "trace",
+            "cache-mb",
+            "batch-ops",
+            "roll-epochs",
+            "roll-bytes",
+            "compact-threshold",
+            "rounds",
+            "status",
+            "script",
+            "shutdown",
+        ],
+    )?;
     if let Some(verbs) = serve_client_verbs(&opts)? {
         if !pos.is_empty() {
             return Err("serve client modes take no positional arguments".into());
@@ -1601,9 +1509,10 @@ mod tests {
 
     #[test]
     fn parse_opts_splits_positionals_and_options() {
-        let (pos, opts) = parse_opts(&strs(&[
-            "in.adj", "--algo", "twok", "out.adj", "--rounds", "3",
-        ]))
+        let (pos, opts) = parse_opts(
+            &strs(&["in.adj", "--algo", "twok", "out.adj", "--rounds", "3"]),
+            &["algo", "rounds"],
+        )
         .unwrap();
         assert_eq!(pos, strs(&["in.adj", "out.adj"]));
         assert_eq!(opt(&opts, "algo"), Some("twok"));
@@ -1613,16 +1522,78 @@ mod tests {
 
     #[test]
     fn parse_opts_rejects_dangling_flag() {
-        assert!(parse_opts(&strs(&["x", "--algo"])).is_err());
+        assert!(parse_opts(&strs(&["x", "--algo"]), &["algo"]).is_err());
     }
 
     #[test]
     fn opt_parse_defaults_and_errors() {
-        let (_, opts) = parse_opts(&strs(&["--vertices", "100"])).unwrap();
+        let (_, opts) = parse_opts(&strs(&["--vertices", "100"]), &["vertices"]).unwrap();
         assert_eq!(opt_parse(&opts, "vertices", 5u64).unwrap(), 100);
         assert_eq!(opt_parse(&opts, "beta", 2.5f64).unwrap(), 2.5);
-        let (_, bad) = parse_opts(&strs(&["--vertices", "lots"])).unwrap();
+        let (_, bad) = parse_opts(&strs(&["--vertices", "lots"]), &["vertices"]).unwrap();
         assert!(opt_parse(&bad, "vertices", 5u64).is_err());
+    }
+
+    #[test]
+    fn unknown_options_are_rejected_by_name() {
+        let dir = ScratchDir::new("cli-unknown-opts").unwrap();
+        let adj = dir.file("g.adj").display().to_string();
+        let out = dir.file("x.adj").display().to_string();
+        dispatch(&strs(&[
+            "gen",
+            "er",
+            "--vertices",
+            "200",
+            "--edges",
+            "400",
+            &adj,
+        ]))
+        .unwrap();
+        // Removed options, then typos: each fails before doing any work.
+        let cases: [(&[&str], &str); 7] = [
+            (&["sort", &adj, &out, "--shards", "4"], "--shards"),
+            (&["gen", "er", "--shards", "4", &out], "--shards"),
+            (&["run", &adj, "--policy", "lru"], "--policy"),
+            (&["stats", &adj, "--tolerance", "0.5"], "--tolerance"),
+            (
+                &[
+                    "bench",
+                    "check",
+                    "--baseline",
+                    &adj,
+                    "--wall-tolerance",
+                    "0.5",
+                ],
+                "--wall-tolerance",
+            ),
+            (&["run", &adj, "--thraeds", "1"], "--thraeds"),
+            (&["gen", "plrg", "--bogus", "3", &out], "--bogus"),
+        ];
+        for (args, flag) in cases {
+            let err = dispatch(&strs(args)).unwrap_err();
+            assert_eq!(err, format!("unknown option {flag}"), "{args:?}");
+        }
+        assert!(!Path::new(&out).exists());
+        // Every flag `e2e-bench` starts the server with is read: the
+        // invocation gets as far as checking `--batch-ops`.
+        let err = dispatch(&strs(&[
+            "serve",
+            &adj,
+            "--socket",
+            "unused.sock",
+            "--wal",
+            "unused.wal",
+            "--checkpoint",
+            "unused.ckpt",
+            "--batch-ops",
+            "0",
+            "--roll-epochs",
+            "2",
+            "--compact-threshold",
+            "3",
+        ]))
+        .unwrap_err();
+        assert_eq!(err, "--batch-ops must be at least 1");
     }
 
     #[test]

@@ -61,28 +61,24 @@ fn measure(path: &Path, block_size: usize, algo: &str, mode: &str) -> Row {
     if access.is_some() {
         config = config.with_paged_threshold(1.0);
     }
-    let (set, scans, rounds, paged_rounds) = match algo {
-        "greedy" => (greedy.set, greedy.file_scans, 0, 0),
-        "onek" => {
-            let o = OneKSwap::with_config(config).run_paged(scan, access, &greedy.set);
+    let (set, scans, swap) = match algo {
+        "greedy" => (greedy.set, greedy.file_scans, None),
+        "onek" | "twok" => {
+            let o = if algo == "onek" {
+                OneKSwap::with_config(config).run_paged(scan, access, &greedy.set)
+            } else {
+                TwoKSwap::with_config(config).run_paged(scan, access, &greedy.set)
+            };
             (
                 o.result.set,
                 greedy.file_scans + o.result.file_scans,
-                o.stats.num_rounds() as u64,
-                o.stats.paged_rounds,
-            )
-        }
-        "twok" => {
-            let o = TwoKSwap::with_config(config).run_paged(scan, access, &greedy.set);
-            (
-                o.result.set,
-                greedy.file_scans + o.result.file_scans,
-                o.stats.num_rounds() as u64,
-                o.stats.paged_rounds,
+                Some(o.stats),
             )
         }
         other => unreachable!("unknown algo {other}"),
     };
+    let rounds = swap.as_ref().map_or(0, |s| s.num_rounds() as u64);
+    let paged_rounds = swap.as_ref().map_or(0, |s| s.paged_rounds);
     let proof = prove_maximal_with(scan, &set, &executor);
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     let mut side = Row {
@@ -98,16 +94,17 @@ fn measure(path: &Path, block_size: usize, algo: &str, mode: &str) -> Row {
 
     let what = format!("{}/{algo}/{mode}", file.storage());
     let index_scans = u64::from(mode == "paged"); // RecordIndex::build
-    let workload = match algo {
-        "greedy" => {
+    let workload = match swap {
+        None => {
             let expected = side.file_scans + index_scans; // greedy + proof (+ index)
             assert_eq!(side.io.scans_started, expected, "{what}: accounted scans");
             None
         }
-        _ => Some(Workload::GreedyThenSwap {
+        Some(stats) => Some(Workload::GreedyThenSwap {
             rounds,
+            rolled_back: stats.rolled_back,
             paged_rounds,
-            finalize: true,
+            finish_scanned: stats.finish_scanned,
             extra_scans: 1 + index_scans, // maximality proof (+ index build)
         }),
     };

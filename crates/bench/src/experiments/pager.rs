@@ -60,8 +60,9 @@ fn measure(
     };
     let workload = Workload::GreedyThenSwap {
         rounds: side.rounds,
+        rolled_back: outcome.stats.rolled_back,
         paged_rounds: outcome.stats.paged_rounds,
-        finalize: true,
+        finish_scanned: outcome.stats.finish_scanned,
         extra_scans: u64::from(cache.is_some()), // index-build scan
     };
     let what = if cache.is_some() {

@@ -567,8 +567,9 @@ pub fn solve_twok(
     };
     let workload = Workload::GreedyThenSwap {
         rounds: row.rounds,
+        rolled_back: outcome.stats.rolled_back,
         paged_rounds: outcome.stats.paged_rounds,
-        finalize: true,
+        finish_scanned: outcome.stats.finish_scanned,
         extra_scans: 2, // warm-up scan + maximality proof
     };
     let model = file.cost_model(block_size).expect("metadata");

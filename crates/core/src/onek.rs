@@ -22,6 +22,13 @@
 //! costs two file scans, not three), and a **post-swap** scan
 //! (0↔1 swaps and re-derivation of `A` states for the next round).
 //!
+//! With `finalize_maximal` on, the run ends with the maximality finish
+//! (every vertex with no IS neighbour joins, in storage order). The last
+//! post-swap pass records the vertices it leaves open, and the finish
+//! replays the rule over them in memory; it scans the file only when no
+//! round ran or the record outgrew |V| words (`OpenVertices`, shared
+//! with two-k-swap). Either way the set is the same.
+//!
 //! Skeleton detection uses the paper's `ISN`-reuse trick: for an IS vertex
 //! `w` the `ISN` slot holds `y = |ISN⁻¹(w)|`, the number of live `A`
 //! vertices pointing at `w`; a vertex `u` hosts a skeleton iff
@@ -173,13 +180,26 @@ impl OneKSwap {
     }
 
     /// Enlarges `initial` (which must be an independent set of `graph`)
-    /// by one-k swaps.
+    /// by one-k swaps. Panics on a storage error; see
+    /// [`OneKSwap::try_run_paged`].
     pub fn run<G: GraphScan + ?Sized>(&self, graph: &G, initial: &[VertexId]) -> SwapOutcome {
         self.run_paged(graph, None, initial)
     }
 
-    /// Like [`OneKSwap::run`], with a random-access provider for the
-    /// paged candidate-verification path.
+    /// [`OneKSwap::try_run_paged`], panicking on a storage error.
+    pub fn run_paged<G: GraphScan + ?Sized>(
+        &self,
+        graph: &G,
+        access: Option<&dyn NeighborAccess>,
+        initial: &[VertexId],
+    ) -> SwapOutcome {
+        self.try_run_paged(graph, access, initial)
+            .expect("one-k swap: storage read failed")
+    }
+
+    /// Enlarges `initial` (an independent set of `graph`) by one-k swaps,
+    /// with a random-access provider for the paged candidate-verification
+    /// path. Returns the first scan or paged-read error.
     ///
     /// `access` must resolve the same graph in the same storage order as
     /// `graph` (e.g. a [`mis_graph::RandomAccessGraph`] over the very
@@ -187,12 +207,12 @@ impl OneKSwap {
     /// [`SwapConfig::paged_threshold`]` · |V|` then verify candidates
     /// through the buffer pool instead of re-scanning the whole file; the
     /// result is identical either way.
-    pub fn run_paged<G: GraphScan + ?Sized>(
+    pub fn try_run_paged<G: GraphScan + ?Sized>(
         &self,
         graph: &G,
         access: Option<&dyn NeighborAccess>,
         initial: &[VertexId],
-    ) -> SwapOutcome {
+    ) -> io::Result<SwapOutcome> {
         let n = graph.num_vertices();
         let mut state = vec![S::N; n];
         let mut isn = vec![NONE; n];
@@ -206,10 +226,7 @@ impl OneKSwap {
         // Lines 1–3: derive initial A states and ISN counts (one
         // mergeable engine pass).
         file_scans += 1;
-        let assignments = executor
-            .run_pass(graph, &InitCandidates::new(&state, 1))
-            .expect("scan failed");
-        for (v, w, _) in assignments {
+        for (v, w, _) in executor.run_pass(graph, &InitCandidates::new(&state, 1))? {
             state[v as usize] = S::A;
             isn[v as usize] = w;
             isn[w as usize] += 1;
@@ -225,6 +242,7 @@ impl OneKSwap {
             .map(|r| r as usize)
             .unwrap_or_else(|| n.max(16)); // worst case is n/3 rounds (Fig. 5)
         let mut stagnant_rounds = 0u32;
+        let mut open = OpenVertices::new(if self.config.finalize_maximal { n } else { 0 });
 
         let mut can_swap = true;
         while can_swap && stats.rounds.len() < round_cap {
@@ -270,9 +288,7 @@ impl OneKSwap {
                     _ => {}
                 }
             };
-            if engine::candidate_pass(&executor, graph, access, cands, &mut pre_body)
-                .expect("candidate read failed")
-            {
+            if engine::candidate_pass(&executor, graph, access, cands, &mut pre_body)? {
                 stats.paged_rounds += 1;
             } else {
                 file_scans += 1;
@@ -305,57 +321,61 @@ impl OneKSwap {
 
             // ---- Post-swap scan (lines 20–28); order-dependent (0↔1
             // promotions are visible to later records), so it runs
-            // through the engine's ordered fold. ----
+            // through the engine's ordered fold. It records the vertices
+            // it leaves open for the finish. ----
             file_scans += 1;
-            executor
-                .fold_ordered(graph, &mut |u, ns| {
-                    let s = state[u as usize];
-                    if s == S::I || s == S::P || s == S::R {
-                        return;
+            open.start_pass();
+            executor.fold_ordered(graph, &mut |u, ns| {
+                let s = state[u as usize];
+                if s == S::I || s == S::P || s == S::R {
+                    return;
+                }
+                if s == S::N && !self.config.repromote_n {
+                    // Verbatim Algorithm 2: plain N vertices only get the
+                    // 0↔1 check.
+                    if ns
+                        .iter()
+                        .all(|&nb| matches!(state[nb as usize], S::C | S::N))
+                    {
+                        state[u as usize] = S::I;
+                        isn[u as usize] = 0;
+                        round.swapped_in += 1;
+                    } else if ns.iter().all(|&nb| state[nb as usize] != S::I) {
+                        open.record(u, ns);
                     }
-                    if s == S::N && !self.config.repromote_n {
-                        // Verbatim Algorithm 2: plain N vertices only get
-                        // the 0↔1 check.
-                        if ns
-                            .iter()
-                            .all(|&nb| matches!(state[nb as usize], S::C | S::N))
-                        {
-                            state[u as usize] = S::I;
-                            isn[u as usize] = 0;
-                            round.swapped_in += 1;
+                    return;
+                }
+                // Re-derive A / N (and 0↔1) from current IS neighbours.
+                let mut count = 0u32;
+                let mut is_nbr = NONE;
+                let mut all_cn = true;
+                for &nb in ns {
+                    match state[nb as usize] {
+                        S::I => {
+                            count += 1;
+                            is_nbr = nb;
+                            all_cn = false;
                         }
-                        return;
+                        S::C | S::N => {}
+                        _ => all_cn = false,
                     }
-                    // Re-derive A / N (and 0↔1) from current IS neighbours.
-                    let mut count = 0u32;
-                    let mut is_nbr = NONE;
-                    let mut all_cn = true;
-                    for &nb in ns {
-                        match state[nb as usize] {
-                            S::I => {
-                                count += 1;
-                                is_nbr = nb;
-                                all_cn = false;
-                            }
-                            S::C | S::N => {}
-                            _ => all_cn = false,
-                        }
+                }
+                if count == 1 {
+                    state[u as usize] = S::A;
+                    isn[u as usize] = is_nbr;
+                    isn[is_nbr as usize] += 1;
+                } else if count == 0 && all_cn {
+                    state[u as usize] = S::I;
+                    isn[u as usize] = 0;
+                    round.swapped_in += 1;
+                } else {
+                    state[u as usize] = S::N;
+                    isn[u as usize] = NONE;
+                    if count == 0 {
+                        open.record(u, ns);
                     }
-                    if count == 1 {
-                        state[u as usize] = S::A;
-                        isn[u as usize] = is_nbr;
-                        isn[is_nbr as usize] += 1;
-                    } else {
-                        state[u as usize] = S::N;
-                        isn[u as usize] = NONE;
-                        if count == 0 && all_cn {
-                            state[u as usize] = S::I;
-                            isn[u as usize] = 0;
-                            round.swapped_in += 1;
-                        }
-                    }
-                })
-                .expect("scan failed");
+                }
+            })?;
 
             if round.net_gain() <= 0 {
                 stagnant_rounds += 1;
@@ -369,21 +389,23 @@ impl OneKSwap {
         }
 
         if self.config.finalize_maximal {
-            file_scans += 1;
-            finalize_maximal(graph, &mut state, &executor).expect("scan failed");
+            stats.finish_scanned = open.finish(graph, &mut state, &executor)?;
+            file_scans += u64::from(stats.finish_scanned);
         }
 
         let set: Vec<VertexId> = (0..n as VertexId)
             .filter(|&v| state[v as usize] == S::I)
             .collect();
         stats.final_size = set.len() as u64;
-        SwapOutcome {
+        Ok(SwapOutcome {
             result: MisResult {
                 set,
                 file_scans,
                 memory: MemoryModel {
                     state_bytes: n as u64,
                     isn_bytes: 4 * n as u64,
+                    // The finish's record of open vertices at its peak.
+                    aux_bytes: open.peak_bytes(),
                     pager_bytes: if stats.paged_rounds > 0 {
                         access.map_or(0, |a| a.resident_bytes())
                     } else {
@@ -393,24 +415,107 @@ impl OneKSwap {
                 },
             },
             stats,
-        }
+        })
     }
 }
 
-/// One relaxed 0↔1 pass: any vertex with no IS neighbour joins. Never
-/// removes vertices, guarantees maximality (shared with two-k-swap).
-/// Order-dependent — a join is visible to later records — so it runs
-/// through the engine's ordered fold.
-pub(crate) fn finalize_maximal<G: GraphScan + ?Sized>(
-    graph: &G,
-    state: &mut [S],
-    executor: &Executor,
-) -> io::Result<()> {
-    executor.fold_ordered(graph, &mut |u, ns| {
-        if state[u as usize] != S::I && ns.iter().all(|&nb| state[nb as usize] != S::I) {
-            state[u as usize] = S::I;
+/// Finalize's rule: a non-member with no IS neighbour joins.
+fn join_if_free(state: &mut [S], u: VertexId, ns: &[VertexId]) {
+    if state[u as usize] != S::I && ns.iter().all(|&nb| state[nb as usize] != S::I) {
+        state[u as usize] = S::I;
+    }
+}
+
+/// The finish that makes a swap run's set maximal (shared with
+/// two-k-swap): one relaxed 0↔1 pass in storage order in which every
+/// vertex with no IS neighbour joins. It never removes a vertex.
+///
+/// A post-swap pass only ever adds members, so a non-member that had an
+/// IS neighbour when its record passed still has one when the pass ends
+/// and cannot join in the finish. Only the pass's *open* vertices can:
+/// the non-members it left with no IS neighbour. This record keeps them
+/// with their neighbour lists, in storage order, so the finish replays
+/// the rule over them in memory: the same joins in the same order as a
+/// scan, without reading the file. It scans instead when no standing
+/// pass was recorded in full: no round ran, the shrink guard undid the
+/// last one, or the pass outgrew the cap.
+#[derive(Debug, Default)]
+pub(crate) struct OpenVertices {
+    /// `u, deg(u), N(u)…` per open vertex, in storage order.
+    words: Vec<u32>,
+    /// Whether `words` holds every open vertex of the last post-swap
+    /// pass, and that pass's result stands.
+    complete: bool,
+    /// Most words a pass may record; 0 records nothing.
+    cap: usize,
+    /// Most words held at once.
+    peak: usize,
+}
+
+impl OpenVertices {
+    /// A record of at most `cap` words (|V| when the run finalizes, 0
+    /// when it does not).
+    pub(crate) fn new(cap: usize) -> Self {
+        Self {
+            cap,
+            ..Self::default()
         }
-    })
+    }
+
+    /// Starts recording a post-swap pass in place of the last one.
+    pub(crate) fn start_pass(&mut self) {
+        self.words.clear();
+        self.complete = true;
+    }
+
+    /// Records `u`, which the pass leaves outside the set with no IS
+    /// neighbour; a record that would pass the cap is dropped.
+    pub(crate) fn record(&mut self, u: VertexId, ns: &[VertexId]) {
+        if !self.complete {
+            return;
+        }
+        if self.words.len() + 2 + ns.len() > self.cap {
+            self.discard();
+            return;
+        }
+        self.words.push(u);
+        self.words.push(ns.len() as u32);
+        self.words.extend_from_slice(ns);
+        self.peak = self.peak.max(self.words.len());
+    }
+
+    /// Drops the record: the pass's result was undone.
+    pub(crate) fn discard(&mut self) {
+        self.words.clear();
+        self.complete = false;
+    }
+
+    /// Bytes of the largest record held, for [`MemoryModel::aux_bytes`].
+    pub(crate) fn peak_bytes(&self) -> u64 {
+        4 * self.peak as u64
+    }
+
+    /// Makes `state`'s set maximal by replaying the record, or by one
+    /// ordered scan of `graph` when the record is incomplete. Returns
+    /// whether it scanned.
+    pub(crate) fn finish<G: GraphScan + ?Sized>(
+        &self,
+        graph: &G,
+        state: &mut [S],
+        executor: &Executor,
+    ) -> io::Result<bool> {
+        if !self.complete {
+            executor.fold_ordered(graph, &mut |u, ns| join_if_free(state, u, ns))?;
+            return Ok(true);
+        }
+        let mut rest = self.words.as_slice();
+        while let [u, deg, tail @ ..] = rest {
+            let (ns, next) = tail.split_at(*deg as usize);
+            join_if_free(state, *u, ns);
+            rest = next;
+        }
+        Ok(false)
+    }
 }
 
 #[cfg(test)]
@@ -535,9 +640,40 @@ mod tests {
     fn scan_counts_are_reported() {
         let ex = figures::figure2();
         let out = run_figure(&ex, SwapConfig::default());
-        // init + 2 per round + finalize.
-        let expected = 1 + 2 * out.stats.num_rounds() as u64 + 1;
+        // init + 2 per round; the finish replays the last post-swap pass.
+        assert!(!out.stats.finish_scanned);
+        let expected = 1 + 2 * out.stats.num_rounds() as u64;
         assert_eq!(out.result.file_scans, expected);
+    }
+
+    #[test]
+    fn open_vertices_past_the_cap_finish_by_scan() {
+        // A star scanned leaf 0, hub 5, leaves 1–4, from the empty set:
+        // the post-swap pass lets leaf 0 join, makes the hub a candidate
+        // and leaves leaves 1–4 open, 12 words against a cap of 6. The
+        // finish scans and gives the two-pass set.
+        let g = CsrGraph::from_edges(6, &[(0, 5), (1, 5), (2, 5), (3, 5), (4, 5)]);
+        let scan = OrderedCsr::new(&g, vec![0, 5, 1, 2, 3, 4]);
+        let two_pass = SwapConfig {
+            finalize_maximal: false,
+            ..SwapConfig::default()
+        };
+        let outcomes = [
+            (
+                OneKSwap::new().run(&scan, &[]),
+                OneKSwap::with_config(two_pass).run(&scan, &[]),
+            ),
+            (
+                crate::TwoKSwap::new().run(&scan, &[]),
+                crate::TwoKSwap::with_config(two_pass).run(&scan, &[]),
+            ),
+        ];
+        for (out, unfinished) in outcomes {
+            assert_eq!(unfinished.result.set, vec![0]);
+            assert_eq!(out.result.set, vec![0, 1, 2, 3, 4]);
+            assert!(out.stats.finish_scanned);
+            assert_eq!(out.result.file_scans, unfinished.result.file_scans + 1);
+        }
     }
 
     #[test]

@@ -68,8 +68,11 @@ pub struct SwapConfig {
     /// so this defaults to `true`; setting it `false` reproduces the
     /// pseudo-code verbatim (the `repro ablation` bench compares both).
     pub repromote_n: bool,
-    /// Append one relaxed 0↔1 pass at the end so the returned set is
-    /// always maximal (never removes vertices; costs one extra scan).
+    /// End with one relaxed 0↔1 pass so the returned set is always
+    /// maximal (never removes vertices). It replays the last post-swap
+    /// pass's open vertices in memory and costs one extra scan only when
+    /// no kept pass recorded them in full (see
+    /// [`SwapStats::finish_scanned`]).
     pub finalize_maximal: bool,
     /// Candidate-fraction ceiling for the paged access path: a round's
     /// pre-swap pass goes through the buffer pool instead of a full file
@@ -212,8 +215,16 @@ pub struct SwapStats {
     /// Peak SC vertex count over all rounds (two-k-swap only).
     pub sc_peak_vertices: u64,
     /// Rounds whose pre-swap pass used the paged access path instead of
-    /// a full sequential scan.
+    /// a full sequential scan, an undone round included.
     pub paged_rounds: u64,
+    /// Whether two-k's shrink guard undid a last round. That round's
+    /// passes count in `file_scans`, but it is not in `rounds`.
+    pub rolled_back: bool,
+    /// Whether the maximality finish scanned the file. It replays the
+    /// last post-swap pass's open vertices in memory instead, unless no
+    /// round ran, the last round was undone, or the open vertices
+    /// outgrew their cap of |V| words.
+    pub finish_scanned: bool,
 }
 
 impl SwapStats {

@@ -98,15 +98,33 @@
 //! `P → I` and `R → N` in the swap sweep, nominee joins and 0↔1 joins in
 //! the post-swap pass. Flipping them back restores the round's input set
 //! exactly. Membership is all that needs restoring, because after a
-//! rollback the run goes straight to the finalize pass and the set
-//! collection, and both read only "in the set or not".
+//! rollback the run goes straight to the maximality finish and the set
+//! collection, and both read only "in the set or not". The undone pass's
+//! open vertices (below) no longer describe the set, so the rollback
+//! drops them and the finish scans the file. The stats report the undone
+//! round as `rolled_back`; its passes count in `file_scans`.
+//!
+//! ## Maximality finish
+//!
+//! With `finalize_maximal` on, the run ends by letting every vertex with
+//! no IS neighbour join, in storage order. The post-swap pass records
+//! its *open* vertices as it goes: the non-members it leaves with no IS
+//! neighbour (the `count == 0` case that does not join), each with its
+//! neighbour list. The finish replays the rule over that record in
+//! memory instead of scanning (`OpenVertices`, shared with one-k). The
+//! result is the scan's exactly. The post-swap pass only adds members,
+//! so a vertex that had an IS neighbour when its record passed can never
+//! join, and the record visits the rest in storage order. The finish
+//! scans instead when no round ran, after a rollback, or when the record
+//! would pass |V| words; `finish_scanned` in the stats says which ran,
+//! and the record's peak counts in `MemoryModel::aux_bytes`.
 
 use std::io;
 
 use mis_graph::{GraphScan, NeighborAccess, VertexId};
 
 use crate::engine;
-use crate::onek::{finalize_maximal, select_paged_candidates, InitCandidates, NONE, S};
+use crate::onek::{select_paged_candidates, InitCandidates, OpenVertices, NONE, S};
 use crate::result::{MemoryModel, MisResult, RoundStats, SwapConfig, SwapOutcome, SwapStats};
 
 /// Cap on stored candidate pairs per key. One valid pair is enough to
@@ -188,6 +206,8 @@ struct Run {
     /// Vertices whose IS membership flipped this round, for the shrink
     /// guard.
     undo: Vec<u32>,
+    /// The post-swap pass's open vertices, for the maximality finish.
+    open: OpenVertices,
 }
 
 impl Run {
@@ -347,6 +367,9 @@ impl Run {
             _ => {
                 self.state[u as usize] = S::N;
                 self.rec[u as usize] = Rec::EMPTY;
+                if count == 0 {
+                    self.open.record(u, ns);
+                }
                 false
             }
         }
@@ -360,12 +383,13 @@ impl Run {
     }
 
     /// The shrink guard's rollback: flips back every membership change
-    /// of the round.
+    /// of the round, and drops the round's open vertices.
     fn roll_back(&mut self) {
         for &v in &self.undo {
             let s = &mut self.state[v as usize];
             *s = if *s == S::I { S::N } else { S::I };
         }
+        self.open.discard();
     }
 }
 
@@ -742,6 +766,7 @@ impl TwoKSwap {
             nominated: Bits::new(n),
             blocked: Bits::new(n),
             undo: Vec::new(),
+            open: OpenVertices::new(if self.config.finalize_maximal { n } else { 0 }),
         };
         for &v in initial {
             run.state[v as usize] = S::I;
@@ -842,6 +867,7 @@ impl TwoKSwap {
             let post_span = mis_obs::span("twok", "twok.post");
             file_scans += 1;
             seen.clear();
+            run.open.start_pass();
             let rs = &mut run;
             let round_ref = &mut round;
             executor.fold_ordered(graph, &mut |u, ns| {
@@ -857,6 +883,7 @@ impl TwoKSwap {
             let new_size = (current_size as i64 + round.net_gain()) as u64;
             if new_size < current_size {
                 run.roll_back();
+                stats.rolled_back = true;
                 break;
             }
             current_size = new_size;
@@ -874,8 +901,8 @@ impl TwoKSwap {
 
         if self.config.finalize_maximal {
             let _span = mis_obs::span("twok", "twok.finalize");
-            file_scans += 1;
-            finalize_maximal(graph, &mut run.state, &executor)?;
+            stats.finish_scanned = run.open.finish(graph, &mut run.state, &executor)?;
+            file_scans += u64::from(stats.finish_scanned);
         }
 
         let set: Vec<VertexId> = (0..n as VertexId)
@@ -890,9 +917,10 @@ impl TwoKSwap {
                     state_bytes: n as u64,
                     isn_bytes: 8 * n as u64,
                     sc_peak_bytes,
-                    // The records' shared `link` slot and five bitmaps:
-                    // nominated, blocked, seen, held and neighbours.
-                    aux_bytes: 4 * n as u64 + 5 * Bits::bytes(n),
+                    // The records' shared `link` slot, five bitmaps
+                    // (nominated, blocked, seen, held and neighbours) and
+                    // the finish's record of open vertices at its peak.
+                    aux_bytes: 4 * n as u64 + 5 * Bits::bytes(n) + run.open.peak_bytes(),
                     pager_bytes: if stats.paged_rounds > 0 {
                         access.map_or(0, |a| a.resident_bytes())
                     } else {

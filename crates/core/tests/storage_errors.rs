@@ -2,21 +2,31 @@
 //! must come back from `run_pass` and `fold_ordered` as an
 //! `io::Error` — on the sequential path and through the parallel block
 //! pipeline alike — with no panic, no hang and no silent short read.
-//! Two-k's `try_run_paged` must return the same errors from its scans and
-//! from paged reads through a buffer pool.
+//! The swap algorithms' `try_run_paged` must return the same errors from
+//! their scans and from paged reads through a buffer pool.
 
-use std::io::ErrorKind;
+use std::io::{self, ErrorKind};
 use std::path::Path;
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 use mis_core::engine::passes::DegreeStatsPass;
-use mis_core::{Executor, Greedy, SwapConfig, TwoKSwap};
+use mis_core::{Executor, Greedy, OneKSwap, SwapConfig, SwapOutcome, TwoKSwap};
 use mis_extmem::{IoStats, PagerConfig, PolicyKind, ScratchDir};
-use mis_graph::{build_adj_file, compress_adj, AnyAdjFile, CsrGraph, GraphScan, NeighborAccess};
+use mis_graph::{
+    build_adj_file, compress_adj, AnyAdjFile, CsrGraph, GraphScan, NeighborAccess, VertexId,
+};
 
 /// A store's paged reader, shareable with the deadline thread.
 type SharedAccess = Arc<Mutex<Box<dyn NeighborAccess + Send>>>;
+
+/// A swap algorithm's fallible entry point.
+type TrySwap = fn(
+    SwapConfig,
+    &dyn GraphScan,
+    Option<&dyn NeighborAccess>,
+    &[VertexId],
+) -> io::Result<SwapOutcome>;
 
 const BLOCK_SIZE: usize = 1024;
 
@@ -128,9 +138,10 @@ fn truncated_storage_errors_through_every_executor() {
     }
 }
 
-#[test]
-fn two_k_returns_scan_and_paged_read_errors() {
-    let dir = ScratchDir::new("twok-errors").unwrap();
+/// Runs `swap` over truncated stores through every executor: the scans
+/// and the paged reads must each come back as a storage error.
+fn assert_swap_returns_storage_errors(name: &str, swap: TrySwap) {
+    let dir = ScratchDir::new(&format!("{name}-errors")).unwrap();
     let g = Arc::new(graph());
     let initial = Greedy::new().run(&*g).set;
     for (label, file, access) in truncated_stores(&dir) {
@@ -139,16 +150,14 @@ fn two_k_returns_scan_and_paged_read_errors() {
             Executor::parallel(2),
             Executor::parallel(4),
         ] {
-            let what = format!("{label} {}", exec.describe());
+            let what = format!("{name} {label} {}", exec.describe());
 
             // Scanned rounds: the init scan reads the truncated store.
             let (f, set) = (file.clone(), initial.clone());
             let config = SwapConfig::default().with_executor(exec);
-            let out = within_deadline(&what, move || {
-                TwoKSwap::with_config(config).try_run_paged(&f, None, &set)
-            });
-            let err = out.expect_err(&format!("{what}: two-k over a truncated store"));
-            assert_storage_error(err, &format!("{what} two-k scan"));
+            let out = within_deadline(&what, move || swap(config, f.as_scan(), None, &set));
+            let err = out.expect_err(&format!("{what}: over a truncated store"));
+            assert_storage_error(err, &format!("{what} scan"));
 
             // Paged rounds: the scans read the intact graph in memory and
             // every pre-swap pass reads through the truncated store's pool.
@@ -156,10 +165,24 @@ fn two_k_returns_scan_and_paged_read_errors() {
             let config = config.with_paged_threshold(1.0);
             let out = within_deadline(&what, move || {
                 let acc = acc.lock().unwrap();
-                TwoKSwap::with_config(config).try_run_paged(&*mem, Some(&**acc), &set)
+                swap(config, &*mem, Some(&**acc), &set)
             });
-            let err = out.expect_err(&format!("{what}: two-k through a truncated pool"));
-            assert_storage_error(err, &format!("{what} two-k paged read"));
+            let err = out.expect_err(&format!("{what}: through a truncated pool"));
+            assert_storage_error(err, &format!("{what} paged read"));
         }
     }
+}
+
+#[test]
+fn two_k_returns_scan_and_paged_read_errors() {
+    assert_swap_returns_storage_errors("twok", |config, graph, access, set| {
+        TwoKSwap::with_config(config).try_run_paged(graph, access, set)
+    });
+}
+
+#[test]
+fn one_k_returns_scan_and_paged_read_errors() {
+    assert_swap_returns_storage_errors("onek", |config, graph, access, set| {
+        OneKSwap::with_config(config).try_run_paged(graph, access, set)
+    });
 }

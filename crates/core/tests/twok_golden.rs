@@ -14,7 +14,8 @@
 //!
 //! A second table pins dense `G(n, m)` graphs on which the shrink guard
 //! fires: a round whose nominees got blocked would shrink the set, so it
-//! is rolled back and the run goes on to the finalize pass. Each of its
+//! is rolled back and the run finishes with the maximality scan (an undone
+//! pass leaves no open vertices to replay). Each of its
 //! cases was confirmed to roll back a round under both of its
 //! configurations (round 1 for the first three graphs, round 2 for the
 //! last two).
@@ -138,68 +139,70 @@ fn actual_lines() -> Vec<String> {
 }
 
 /// Recorded with the `FxHashMap`-of-`Vec`s SC bookkeeping that the flat
-/// linked-list layout replaced.
+/// linked-list layout replaced. The `scans=` column was re-recorded when
+/// the maximality finish began replaying the last post-swap pass's open
+/// vertices in memory: every count fell by one and nothing else moved.
 const GOLDEN: &[&str] = &[
-    "plrg-b1.8-s0 default: is=1305 scans=6 paged=0 sc=172/1944 rounds=[18/9/155 0/0/172] set=27b2a3e8604ca4ac",
-    "plrg-b1.8-s0 early3: is=1305 scans=6 paged=0 sc=172/1944 rounds=[18/9/155 0/0/172] set=27b2a3e8604ca4ac",
-    "plrg-b1.8-s0 paged: is=1305 scans=4 paged=2 sc=172/1944 rounds=[18/9/155 0/0/172] set=27b2a3e8604ca4ac",
-    "plrg-b1.8-s1 default: is=1309 scans=6 paged=0 sc=163/1936 rounds=[12/6/156 0/0/163] set=2935fba0915aeaee",
-    "plrg-b1.8-s1 early3: is=1309 scans=6 paged=0 sc=163/1936 rounds=[12/6/156 0/0/163] set=2935fba0915aeaee",
-    "plrg-b1.8-s1 paged: is=1309 scans=4 paged=2 sc=163/1936 rounds=[12/6/156 0/0/163] set=2935fba0915aeaee",
-    "plrg-b1.8-s2 default: is=1310 scans=6 paged=0 sc=162/1904 rounds=[4/2/157 0/0/162] set=4e5bdeff6696a2da",
-    "plrg-b1.8-s2 early3: is=1310 scans=6 paged=0 sc=162/1904 rounds=[4/2/157 0/0/162] set=4e5bdeff6696a2da",
-    "plrg-b1.8-s2 paged: is=1310 scans=4 paged=2 sc=162/1904 rounds=[4/2/157 0/0/162] set=4e5bdeff6696a2da",
-    "plrg-b1.8-s3 default: is=1301 scans=6 paged=0 sc=182/2004 rounds=[14/7/168 0/0/182] set=3e5cbef2dcf5f7fe",
-    "plrg-b1.8-s3 early3: is=1301 scans=6 paged=0 sc=182/2004 rounds=[14/7/168 0/0/182] set=3e5cbef2dcf5f7fe",
-    "plrg-b1.8-s3 paged: is=1301 scans=4 paged=2 sc=182/2004 rounds=[14/7/168 0/0/182] set=3e5cbef2dcf5f7fe",
-    "plrg-b1.8-s4 default: is=1302 scans=6 paged=0 sc=161/1940 rounds=[10/5/153 0/0/161] set=21eb918ad9f8c62d",
-    "plrg-b1.8-s4 early3: is=1302 scans=6 paged=0 sc=161/1940 rounds=[10/5/153 0/0/161] set=21eb918ad9f8c62d",
-    "plrg-b1.8-s4 paged: is=1302 scans=4 paged=2 sc=161/1940 rounds=[10/5/153 0/0/161] set=21eb918ad9f8c62d",
-    "plrg-b2-s0 default: is=1300 scans=6 paged=0 sc=177/2180 rounds=[2/1/176 0/0/177] set=f2f6a43ede3d778d",
-    "plrg-b2-s0 early3: is=1300 scans=6 paged=0 sc=177/2180 rounds=[2/1/176 0/0/177] set=f2f6a43ede3d778d",
-    "plrg-b2-s0 paged: is=1300 scans=4 paged=2 sc=177/2180 rounds=[2/1/176 0/0/177] set=f2f6a43ede3d778d",
-    "plrg-b2-s1 default: is=1297 scans=8 paged=0 sc=162/2144 rounds=[2/2/161 2/1/159 0/0/162] set=c071be5da94d64f3",
-    "plrg-b2-s1 early3: is=1297 scans=8 paged=0 sc=162/2144 rounds=[2/2/161 2/1/159 0/0/162] set=c071be5da94d64f3",
-    "plrg-b2-s1 paged: is=1297 scans=5 paged=3 sc=162/2144 rounds=[2/2/161 2/1/159 0/0/162] set=c071be5da94d64f3",
-    "plrg-b2-s2 default: is=1290 scans=6 paged=0 sc=161/2128 rounds=[8/4/151 0/0/161] set=8317a5d1d775245e",
-    "plrg-b2-s2 early3: is=1290 scans=6 paged=0 sc=161/2128 rounds=[8/4/151 0/0/161] set=8317a5d1d775245e",
-    "plrg-b2-s2 paged: is=1290 scans=4 paged=2 sc=161/2128 rounds=[8/4/151 0/0/161] set=8317a5d1d775245e",
-    "plrg-b2-s3 default: is=1297 scans=6 paged=0 sc=165/2128 rounds=[4/2/162 0/0/165] set=76ba9db7eb73cfcf",
-    "plrg-b2-s3 early3: is=1297 scans=6 paged=0 sc=165/2128 rounds=[4/2/162 0/0/165] set=76ba9db7eb73cfcf",
-    "plrg-b2-s3 paged: is=1297 scans=4 paged=2 sc=165/2128 rounds=[4/2/162 0/0/165] set=76ba9db7eb73cfcf",
-    "plrg-b2-s4 default: is=1298 scans=4 paged=0 sc=164/2148 rounds=[0/0/164] set=ef687a2a256d2695",
-    "plrg-b2-s4 early3: is=1298 scans=4 paged=0 sc=164/2148 rounds=[0/0/164] set=ef687a2a256d2695",
-    "plrg-b2-s4 paged: is=1298 scans=3 paged=1 sc=164/2148 rounds=[0/0/164] set=ef687a2a256d2695",
-    "plrg-b2.3-s0 default: is=1240 scans=4 paged=0 sc=160/2512 rounds=[0/0/160] set=8970dfcd791776ba",
-    "plrg-b2.3-s0 early3: is=1240 scans=4 paged=0 sc=160/2512 rounds=[0/0/160] set=8970dfcd791776ba",
-    "plrg-b2.3-s0 paged: is=1240 scans=3 paged=1 sc=160/2512 rounds=[0/0/160] set=8970dfcd791776ba",
-    "plrg-b2.3-s1 default: is=1253 scans=6 paged=0 sc=160/2436 rounds=[2/1/159 0/0/160] set=26ba899db3a16cbf",
-    "plrg-b2.3-s1 early3: is=1253 scans=6 paged=0 sc=160/2436 rounds=[2/1/159 0/0/160] set=26ba899db3a16cbf",
-    "plrg-b2.3-s1 paged: is=1253 scans=4 paged=2 sc=160/2436 rounds=[2/1/159 0/0/160] set=26ba899db3a16cbf",
-    "plrg-b2.3-s2 default: is=1240 scans=4 paged=0 sc=170/2532 rounds=[0/0/170] set=bdbcd10a45df89dc",
-    "plrg-b2.3-s2 early3: is=1240 scans=4 paged=0 sc=170/2532 rounds=[0/0/170] set=bdbcd10a45df89dc",
-    "plrg-b2.3-s2 paged: is=1240 scans=3 paged=1 sc=170/2532 rounds=[0/0/170] set=bdbcd10a45df89dc",
-    "plrg-b2.3-s3 default: is=1228 scans=6 paged=0 sc=162/2608 rounds=[2/1/161 0/0/162] set=26e54ef77f3de4c4",
-    "plrg-b2.3-s3 early3: is=1228 scans=6 paged=0 sc=162/2608 rounds=[2/1/161 0/0/162] set=26e54ef77f3de4c4",
-    "plrg-b2.3-s3 paged: is=1228 scans=4 paged=2 sc=162/2608 rounds=[2/1/161 0/0/162] set=26e54ef77f3de4c4",
-    "plrg-b2.3-s4 default: is=1258 scans=4 paged=0 sc=158/2376 rounds=[0/0/158] set=6a3f4bc393b2cef8",
-    "plrg-b2.3-s4 early3: is=1258 scans=4 paged=0 sc=158/2376 rounds=[0/0/158] set=6a3f4bc393b2cef8",
-    "plrg-b2.3-s4 paged: is=1258 scans=3 paged=1 sc=158/2376 rounds=[0/0/158] set=6a3f4bc393b2cef8",
-    "gnm-m3000-s0 default: is=705 scans=12 paged=0 sc=380/2540 rounds=[61/38/328 17/10/357 4/3/375 2/1/377 0/0/380] set=3ccad4d28dc71c6a",
-    "gnm-m3000-s0 early3: is=704 scans=8 paged=0 sc=375/2540 rounds=[61/38/328 17/10/357 4/3/375] set=e0471db7570c48c2",
-    "gnm-m3000-s0 paged: is=705 scans=7 paged=5 sc=380/2540 rounds=[61/38/328 17/10/357 4/3/375 2/1/377 0/0/380] set=3ccad4d28dc71c6a",
-    "gnm-m3000-s1 default: is=708 scans=10 paged=0 sc=362/2376 rounds=[55/33/310 13/8/361 4/2/360 0/0/362] set=facebbfdc3d9e733",
-    "gnm-m3000-s1 early3: is=708 scans=8 paged=0 sc=361/2376 rounds=[55/33/310 13/8/361 4/2/360] set=facebbfdc3d9e733",
-    "gnm-m3000-s1 paged: is=708 scans=6 paged=4 sc=362/2376 rounds=[55/33/310 13/8/361 4/2/360 0/0/362] set=facebbfdc3d9e733",
-    "gnm-m4500-s2 default: is=590 scans=10 paged=0 sc=334/2264 rounds=[76/49/297 20/11/326 4/2/329 0/0/334] set=d200af7e13c18ba6",
-    "gnm-m4500-s2 early3: is=590 scans=8 paged=0 sc=329/2264 rounds=[76/49/297 20/11/326 4/2/329] set=d200af7e13c18ba6",
-    "gnm-m4500-s2 paged: is=590 scans=6 paged=4 sc=334/2264 rounds=[76/49/297 20/11/326 4/2/329 0/0/334] set=d200af7e13c18ba6",
-    "gnm-m4500-s3 default: is=578 scans=10 paged=0 sc=364/2516 rounds=[89/55/342 24/14/351 2/1/364 0/0/362] set=45c846db4b596c20",
-    "gnm-m4500-s3 early3: is=578 scans=8 paged=0 sc=364/2516 rounds=[89/55/342 24/14/351 2/1/364] set=45c846db4b596c20",
-    "gnm-m4500-s3 paged: is=578 scans=6 paged=4 sc=364/2516 rounds=[89/55/342 24/14/351 2/1/364 0/0/362] set=45c846db4b596c20",
-    "gnm-m6000-s4 default: is=512 scans=10 paged=0 sc=339/2244 rounds=[56/35/327 13/7/338 4/2/339 0/0/335] set=ab339ceb0782c8af",
-    "gnm-m6000-s4 early3: is=512 scans=8 paged=0 sc=339/2244 rounds=[56/35/327 13/7/338 4/2/339] set=ab339ceb0782c8af",
-    "gnm-m6000-s4 paged: is=512 scans=6 paged=4 sc=339/2244 rounds=[56/35/327 13/7/338 4/2/339 0/0/335] set=ab339ceb0782c8af",
+    "plrg-b1.8-s0 default: is=1305 scans=5 paged=0 sc=172/1944 rounds=[18/9/155 0/0/172] set=27b2a3e8604ca4ac",
+    "plrg-b1.8-s0 early3: is=1305 scans=5 paged=0 sc=172/1944 rounds=[18/9/155 0/0/172] set=27b2a3e8604ca4ac",
+    "plrg-b1.8-s0 paged: is=1305 scans=3 paged=2 sc=172/1944 rounds=[18/9/155 0/0/172] set=27b2a3e8604ca4ac",
+    "plrg-b1.8-s1 default: is=1309 scans=5 paged=0 sc=163/1936 rounds=[12/6/156 0/0/163] set=2935fba0915aeaee",
+    "plrg-b1.8-s1 early3: is=1309 scans=5 paged=0 sc=163/1936 rounds=[12/6/156 0/0/163] set=2935fba0915aeaee",
+    "plrg-b1.8-s1 paged: is=1309 scans=3 paged=2 sc=163/1936 rounds=[12/6/156 0/0/163] set=2935fba0915aeaee",
+    "plrg-b1.8-s2 default: is=1310 scans=5 paged=0 sc=162/1904 rounds=[4/2/157 0/0/162] set=4e5bdeff6696a2da",
+    "plrg-b1.8-s2 early3: is=1310 scans=5 paged=0 sc=162/1904 rounds=[4/2/157 0/0/162] set=4e5bdeff6696a2da",
+    "plrg-b1.8-s2 paged: is=1310 scans=3 paged=2 sc=162/1904 rounds=[4/2/157 0/0/162] set=4e5bdeff6696a2da",
+    "plrg-b1.8-s3 default: is=1301 scans=5 paged=0 sc=182/2004 rounds=[14/7/168 0/0/182] set=3e5cbef2dcf5f7fe",
+    "plrg-b1.8-s3 early3: is=1301 scans=5 paged=0 sc=182/2004 rounds=[14/7/168 0/0/182] set=3e5cbef2dcf5f7fe",
+    "plrg-b1.8-s3 paged: is=1301 scans=3 paged=2 sc=182/2004 rounds=[14/7/168 0/0/182] set=3e5cbef2dcf5f7fe",
+    "plrg-b1.8-s4 default: is=1302 scans=5 paged=0 sc=161/1940 rounds=[10/5/153 0/0/161] set=21eb918ad9f8c62d",
+    "plrg-b1.8-s4 early3: is=1302 scans=5 paged=0 sc=161/1940 rounds=[10/5/153 0/0/161] set=21eb918ad9f8c62d",
+    "plrg-b1.8-s4 paged: is=1302 scans=3 paged=2 sc=161/1940 rounds=[10/5/153 0/0/161] set=21eb918ad9f8c62d",
+    "plrg-b2-s0 default: is=1300 scans=5 paged=0 sc=177/2180 rounds=[2/1/176 0/0/177] set=f2f6a43ede3d778d",
+    "plrg-b2-s0 early3: is=1300 scans=5 paged=0 sc=177/2180 rounds=[2/1/176 0/0/177] set=f2f6a43ede3d778d",
+    "plrg-b2-s0 paged: is=1300 scans=3 paged=2 sc=177/2180 rounds=[2/1/176 0/0/177] set=f2f6a43ede3d778d",
+    "plrg-b2-s1 default: is=1297 scans=7 paged=0 sc=162/2144 rounds=[2/2/161 2/1/159 0/0/162] set=c071be5da94d64f3",
+    "plrg-b2-s1 early3: is=1297 scans=7 paged=0 sc=162/2144 rounds=[2/2/161 2/1/159 0/0/162] set=c071be5da94d64f3",
+    "plrg-b2-s1 paged: is=1297 scans=4 paged=3 sc=162/2144 rounds=[2/2/161 2/1/159 0/0/162] set=c071be5da94d64f3",
+    "plrg-b2-s2 default: is=1290 scans=5 paged=0 sc=161/2128 rounds=[8/4/151 0/0/161] set=8317a5d1d775245e",
+    "plrg-b2-s2 early3: is=1290 scans=5 paged=0 sc=161/2128 rounds=[8/4/151 0/0/161] set=8317a5d1d775245e",
+    "plrg-b2-s2 paged: is=1290 scans=3 paged=2 sc=161/2128 rounds=[8/4/151 0/0/161] set=8317a5d1d775245e",
+    "plrg-b2-s3 default: is=1297 scans=5 paged=0 sc=165/2128 rounds=[4/2/162 0/0/165] set=76ba9db7eb73cfcf",
+    "plrg-b2-s3 early3: is=1297 scans=5 paged=0 sc=165/2128 rounds=[4/2/162 0/0/165] set=76ba9db7eb73cfcf",
+    "plrg-b2-s3 paged: is=1297 scans=3 paged=2 sc=165/2128 rounds=[4/2/162 0/0/165] set=76ba9db7eb73cfcf",
+    "plrg-b2-s4 default: is=1298 scans=3 paged=0 sc=164/2148 rounds=[0/0/164] set=ef687a2a256d2695",
+    "plrg-b2-s4 early3: is=1298 scans=3 paged=0 sc=164/2148 rounds=[0/0/164] set=ef687a2a256d2695",
+    "plrg-b2-s4 paged: is=1298 scans=2 paged=1 sc=164/2148 rounds=[0/0/164] set=ef687a2a256d2695",
+    "plrg-b2.3-s0 default: is=1240 scans=3 paged=0 sc=160/2512 rounds=[0/0/160] set=8970dfcd791776ba",
+    "plrg-b2.3-s0 early3: is=1240 scans=3 paged=0 sc=160/2512 rounds=[0/0/160] set=8970dfcd791776ba",
+    "plrg-b2.3-s0 paged: is=1240 scans=2 paged=1 sc=160/2512 rounds=[0/0/160] set=8970dfcd791776ba",
+    "plrg-b2.3-s1 default: is=1253 scans=5 paged=0 sc=160/2436 rounds=[2/1/159 0/0/160] set=26ba899db3a16cbf",
+    "plrg-b2.3-s1 early3: is=1253 scans=5 paged=0 sc=160/2436 rounds=[2/1/159 0/0/160] set=26ba899db3a16cbf",
+    "plrg-b2.3-s1 paged: is=1253 scans=3 paged=2 sc=160/2436 rounds=[2/1/159 0/0/160] set=26ba899db3a16cbf",
+    "plrg-b2.3-s2 default: is=1240 scans=3 paged=0 sc=170/2532 rounds=[0/0/170] set=bdbcd10a45df89dc",
+    "plrg-b2.3-s2 early3: is=1240 scans=3 paged=0 sc=170/2532 rounds=[0/0/170] set=bdbcd10a45df89dc",
+    "plrg-b2.3-s2 paged: is=1240 scans=2 paged=1 sc=170/2532 rounds=[0/0/170] set=bdbcd10a45df89dc",
+    "plrg-b2.3-s3 default: is=1228 scans=5 paged=0 sc=162/2608 rounds=[2/1/161 0/0/162] set=26e54ef77f3de4c4",
+    "plrg-b2.3-s3 early3: is=1228 scans=5 paged=0 sc=162/2608 rounds=[2/1/161 0/0/162] set=26e54ef77f3de4c4",
+    "plrg-b2.3-s3 paged: is=1228 scans=3 paged=2 sc=162/2608 rounds=[2/1/161 0/0/162] set=26e54ef77f3de4c4",
+    "plrg-b2.3-s4 default: is=1258 scans=3 paged=0 sc=158/2376 rounds=[0/0/158] set=6a3f4bc393b2cef8",
+    "plrg-b2.3-s4 early3: is=1258 scans=3 paged=0 sc=158/2376 rounds=[0/0/158] set=6a3f4bc393b2cef8",
+    "plrg-b2.3-s4 paged: is=1258 scans=2 paged=1 sc=158/2376 rounds=[0/0/158] set=6a3f4bc393b2cef8",
+    "gnm-m3000-s0 default: is=705 scans=11 paged=0 sc=380/2540 rounds=[61/38/328 17/10/357 4/3/375 2/1/377 0/0/380] set=3ccad4d28dc71c6a",
+    "gnm-m3000-s0 early3: is=704 scans=7 paged=0 sc=375/2540 rounds=[61/38/328 17/10/357 4/3/375] set=e0471db7570c48c2",
+    "gnm-m3000-s0 paged: is=705 scans=6 paged=5 sc=380/2540 rounds=[61/38/328 17/10/357 4/3/375 2/1/377 0/0/380] set=3ccad4d28dc71c6a",
+    "gnm-m3000-s1 default: is=708 scans=9 paged=0 sc=362/2376 rounds=[55/33/310 13/8/361 4/2/360 0/0/362] set=facebbfdc3d9e733",
+    "gnm-m3000-s1 early3: is=708 scans=7 paged=0 sc=361/2376 rounds=[55/33/310 13/8/361 4/2/360] set=facebbfdc3d9e733",
+    "gnm-m3000-s1 paged: is=708 scans=5 paged=4 sc=362/2376 rounds=[55/33/310 13/8/361 4/2/360 0/0/362] set=facebbfdc3d9e733",
+    "gnm-m4500-s2 default: is=590 scans=9 paged=0 sc=334/2264 rounds=[76/49/297 20/11/326 4/2/329 0/0/334] set=d200af7e13c18ba6",
+    "gnm-m4500-s2 early3: is=590 scans=7 paged=0 sc=329/2264 rounds=[76/49/297 20/11/326 4/2/329] set=d200af7e13c18ba6",
+    "gnm-m4500-s2 paged: is=590 scans=5 paged=4 sc=334/2264 rounds=[76/49/297 20/11/326 4/2/329 0/0/334] set=d200af7e13c18ba6",
+    "gnm-m4500-s3 default: is=578 scans=9 paged=0 sc=364/2516 rounds=[89/55/342 24/14/351 2/1/364 0/0/362] set=45c846db4b596c20",
+    "gnm-m4500-s3 early3: is=578 scans=7 paged=0 sc=364/2516 rounds=[89/55/342 24/14/351 2/1/364] set=45c846db4b596c20",
+    "gnm-m4500-s3 paged: is=578 scans=5 paged=4 sc=364/2516 rounds=[89/55/342 24/14/351 2/1/364 0/0/362] set=45c846db4b596c20",
+    "gnm-m6000-s4 default: is=512 scans=9 paged=0 sc=339/2244 rounds=[56/35/327 13/7/338 4/2/339 0/0/335] set=ab339ceb0782c8af",
+    "gnm-m6000-s4 early3: is=512 scans=7 paged=0 sc=339/2244 rounds=[56/35/327 13/7/338 4/2/339] set=ab339ceb0782c8af",
+    "gnm-m6000-s4 paged: is=512 scans=5 paged=4 sc=339/2244 rounds=[56/35/327 13/7/338 4/2/339 0/0/335] set=ab339ceb0782c8af",
 ];
 
 /// Recorded on the snapshot-and-restore shrink guard that the undo list

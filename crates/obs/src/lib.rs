@@ -98,7 +98,9 @@
 //!   caller's `solve`: `twok.init` (the initial candidate scan), then per
 //!   round `twok.pre` (the pre-swap pass, scanned or paged), `twok.swap`
 //!   (the in-memory swap sweep) and `twok.post` (the post-swap scan), and
-//!   `twok.finalize` (the maximality pass).
+//!   `twok.finalize` (the maximality finish: an in-memory replay of the
+//!   last post-swap pass's open vertices, or a scan after a rollback,
+//!   with no round, or past the replay's cap).
 //! * The report totals the spans of every other category besides
 //!   `"phase"` and `"engine"` by name, as its step breakdown.
 

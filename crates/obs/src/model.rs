@@ -23,8 +23,16 @@
 //!   cost [`SWAP_SCANS_PER_ROUND`] full scans per round (the pre-swap
 //!   candidate pass plus the post-swap re-derivation fold) — except
 //!   rounds that verified candidates through the buffer pool, which
-//!   replace the pre-swap *scan* with paged point reads — and one
-//!   final maximality pass ([`SWAP_FINALIZE_SCANS`]) when configured.
+//!   replace the pre-swap *scan* with paged point reads. A round that
+//!   two-k's shrink guard undid costs its scans too, though the run
+//!   does not count it among its rounds.
+//! * The maximality finish costs [`SWAP_FINALIZE_SCANS`] only when it
+//!   scans. Normally it replays the last post-swap pass's open vertices
+//!   in memory; it scans when no round ran, the last round was undone,
+//!   or the open vertices outgrew their cap.
+//!
+//! A run reports both facts in its stats, so the prediction is exact on
+//! every run.
 //!
 //! ## Conformance modes
 //!
@@ -54,7 +62,8 @@ pub const SWAP_INIT_SCANS: u64 = 1;
 /// Full scans per swap round: the pre-swap candidate pass plus the
 /// post-swap ordered re-derivation fold.
 pub const SWAP_SCANS_PER_ROUND: u64 = 2;
-/// Scans of the optional final maximality pass.
+/// Scans of the maximality finish when it cannot replay the last
+/// post-swap pass in memory.
 pub const SWAP_FINALIZE_SCANS: u64 = 1;
 
 /// A workload whose scan count the model can predict.
@@ -64,24 +73,28 @@ pub enum Workload {
     Greedy,
     /// A one-k or two-k swap run (both share the same pass structure).
     Swap {
-        /// Swap rounds the run completed.
+        /// Swap rounds the run kept.
         rounds: u64,
-        /// Rounds that verified candidates through the buffer pool
-        /// instead of a full pre-swap scan.
+        /// Whether the shrink guard undid one more round after them.
+        rolled_back: bool,
+        /// Rounds, an undone one included, that verified candidates
+        /// through the buffer pool instead of a full pre-swap scan.
         paged_rounds: u64,
-        /// Whether the run ended with a final maximality pass.
-        finalize: bool,
+        /// Whether the maximality finish scanned the file.
+        finish_scanned: bool,
     },
     /// Greedy followed by a swap run on its result (the common
     /// experiment shape), plus `extra_scans` accounted passes around
     /// them (warm-up, maximality proof, …).
     GreedyThenSwap {
-        /// Swap rounds the run completed.
+        /// Swap rounds the run kept.
         rounds: u64,
-        /// Paged rounds within those.
+        /// Whether the shrink guard undid one more round after them.
+        rolled_back: bool,
+        /// Paged rounds, an undone one included.
         paged_rounds: u64,
-        /// Whether the swap ended with a final maximality pass.
-        finalize: bool,
+        /// Whether the maximality finish scanned the file.
+        finish_scanned: bool,
         /// Additional whole-file scans the experiment accounted
         /// (warm-up pass, `prove_maximal` pass, index build, …).
         extra_scans: u64,
@@ -97,15 +110,21 @@ impl Workload {
             Workload::Greedy => GREEDY_SCANS,
             Workload::Swap {
                 rounds,
+                rolled_back,
                 paged_rounds,
-                finalize,
-            } => swap_scans(rounds, paged_rounds, finalize),
+                finish_scanned,
+            } => swap_scans(rounds, rolled_back, paged_rounds, finish_scanned),
             Workload::GreedyThenSwap {
                 rounds,
+                rolled_back,
                 paged_rounds,
-                finalize,
+                finish_scanned,
                 extra_scans,
-            } => GREEDY_SCANS + swap_scans(rounds, paged_rounds, finalize) + extra_scans,
+            } => {
+                GREEDY_SCANS
+                    + swap_scans(rounds, rolled_back, paged_rounds, finish_scanned)
+                    + extra_scans
+            }
         }
     }
 
@@ -120,11 +139,13 @@ impl Workload {
     }
 }
 
-/// Scan count of one swap run: init + 2/round − 1/paged round
-/// (+ finalize). See the module docs for the derivation.
-pub fn swap_scans(rounds: u64, paged_rounds: u64, finalize: bool) -> u64 {
-    SWAP_INIT_SCANS + SWAP_SCANS_PER_ROUND * rounds - paged_rounds.min(rounds)
-        + if finalize { SWAP_FINALIZE_SCANS } else { 0 }
+/// Scan count of one swap run: init + 2/round (an undone round
+/// included) − 1/paged round (+ 1 when the finish scanned). See the
+/// module docs for the derivation.
+pub fn swap_scans(rounds: u64, rolled_back: bool, paged_rounds: u64, finish_scanned: bool) -> u64 {
+    let run = rounds + u64::from(rolled_back);
+    SWAP_INIT_SCANS + SWAP_SCANS_PER_ROUND * run - paged_rounds.min(run)
+        + SWAP_FINALIZE_SCANS * u64::from(finish_scanned)
 }
 
 /// The graph-header facts the predictions are derived from.
@@ -329,18 +350,23 @@ mod tests {
 
     #[test]
     fn swap_scan_formula_matches_pass_structure() {
-        // init + 2/round + finalize
-        assert_eq!(swap_scans(0, 0, false), 1);
-        assert_eq!(swap_scans(3, 0, true), 1 + 6 + 1);
+        // init + 2/round (+ a finish scan)
+        assert_eq!(swap_scans(0, false, 0, false), 1);
+        assert_eq!(swap_scans(3, false, 0, false), 1 + 6);
+        assert_eq!(swap_scans(3, false, 0, true), 1 + 6 + 1);
         // A paged round keeps its post-swap scan only.
-        assert_eq!(swap_scans(3, 2, true), 1 + 6 - 2 + 1);
+        assert_eq!(swap_scans(3, false, 2, false), 1 + 6 - 2);
+        // An undone round costs its two scans, or one when it was paged.
+        assert_eq!(swap_scans(0, true, 0, true), 1 + 2 + 1);
+        assert_eq!(swap_scans(1, true, 2, true), 1 + 4 - 2 + 1);
         let w = Workload::GreedyThenSwap {
             rounds: 2,
+            rolled_back: false,
             paged_rounds: 0,
-            finalize: true,
+            finish_scanned: false,
             extra_scans: 2, // warm-up + maximality proof
         };
-        assert_eq!(w.predicted_scans(), 1 + (1 + 4 + 1) + 2);
+        assert_eq!(w.predicted_scans(), 1 + (1 + 4) + 2);
     }
 
     #[test]
@@ -359,8 +385,9 @@ mod tests {
         let m = model(10_000, 1_000);
         let w = Workload::Swap {
             rounds: 4,
+            rolled_back: false,
             paged_rounds: 2,
-            finalize: false,
+            finish_scanned: false,
         };
         // 1 + 8 - 2 = 7 scans; blocks between 70 and (7+2)*10 = 90.
         assert_eq!(w.predicted_scans(), 7);

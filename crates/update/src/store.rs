@@ -767,7 +767,7 @@ impl UpdateStore {
                     (greedy.set, 0)
                 } else {
                     let swap = OneKSwap::with_config(SwapConfig::early_stop(config.recover_rounds))
-                        .run(&delta, &greedy.set);
+                        .try_run_paged(&delta, None, &greedy.set)?;
                     (swap.result.set, swap.result.file_scans)
                 };
                 let maximality_proved = config.verify && is_maximal_independent_set(&delta, &set);

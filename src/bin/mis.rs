@@ -935,7 +935,9 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         }
         "onek" => {
             let g = Greedy::with_executor(executor).run(scan);
-            let o = OneKSwap::with_config(config).run_paged(scan, access, &g.set);
+            let o = OneKSwap::with_config(config)
+                .try_run_paged(scan, access, &g.set)
+                .map_err(|e| e.to_string())?;
             paged_rounds = Some(o.stats.paged_rounds);
             (
                 o.result.set,

@@ -1,14 +1,12 @@
 //! Criterion benchmarks for the external-memory substrate: block-stream
-//! throughput, external sort, external priority queue, and on-disk
+//! throughput, external priority queue, and on-disk
 //! adjacency scans vs in-memory CSR scans.
 
 use std::io::Write;
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use mis_extmem::{
-    external_sort, BlockReader, BlockWriter, ExternalPq, IoStats, ScratchDir, SortConfig,
-};
+use mis_extmem::{BlockReader, BlockWriter, ExternalPq, IoStats, ScratchDir};
 use mis_graph::{build_adj_file, GraphScan};
 
 fn bench_block_io(c: &mut Criterion) {
@@ -26,31 +24,6 @@ fn bench_block_io(c: &mut Criterion) {
             std::io::copy(&mut r, &mut std::io::sink()).unwrap()
         })
     });
-    group.finish();
-}
-
-fn bench_external_sort(c: &mut Criterion) {
-    let mut group = c.benchmark_group("external_sort");
-    group.sample_size(10);
-    for &n in &[100_000u64, 1_000_000] {
-        let input: Vec<u64> = (0..n)
-            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .collect();
-        group.throughput(Throughput::Elements(n));
-        group.bench_function(format!("spilling_{n}_u64"), |b| {
-            b.iter(|| {
-                let scratch = ScratchDir::new("bench-sort").unwrap();
-                let stats = IoStats::shared();
-                let cfg = SortConfig {
-                    mem_records: (n / 8) as usize,
-                    fan_in: 8,
-                    block_size: 64 * 1024,
-                };
-                let sorted = external_sort(input.iter().copied(), &cfg, &scratch, &stats).unwrap();
-                sorted.count()
-            })
-        });
-    }
     group.finish();
 }
 
@@ -103,11 +76,5 @@ fn bench_scans(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_block_io,
-    bench_external_sort,
-    bench_external_pq,
-    bench_scans
-);
+criterion_group!(benches, bench_block_io, bench_external_pq, bench_scans);
 criterion_main!(benches);

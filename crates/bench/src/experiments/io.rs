@@ -2,7 +2,7 @@
 //!
 //! The differentiator of the paper is the I/O profile, which the
 //! in-memory experiments cannot show. This experiment runs the full
-//! on-disk pipeline — build adjacency file → degree-sort (external sort)
+//! on-disk pipeline — build adjacency file → degree-sort (bucketed)
 //! → Greedy → One-k → Two-k — through `mis-extmem`'s block-accounted
 //! readers and compares the measured block transfers with the paper's
 //! Table 1 formulas.

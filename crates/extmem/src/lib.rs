@@ -5,7 +5,7 @@
 //! main memory of size `M` and a disk in blocks of size `B`, and the cost of
 //! an algorithm is the number of block transfers (I/Os). Its algorithms are
 //! designed to touch the disk only through **sequential scans** of the
-//! adjacency file, plus one external sort in the preprocessing phase.
+//! adjacency file, plus one sort by degree in the preprocessing phase.
 //!
 //! This crate is that disk. It provides:
 //!
@@ -14,11 +14,12 @@
 //!   independent of the operating system's page cache;
 //! * [`BlockReader`] / [`BlockWriter`] — buffered sequential readers/writers
 //!   that move data in fixed-size blocks and account each block transfer;
-//! * [`Record`] — a fixed-width record codec trait used by the sorting and
-//!   priority-queue machinery;
-//! * [`sort::external_sort`] — an external k-way merge sort
-//!   (`O(N/B · log_{M/B}(N/B))` I/Os), used to degree-sort adjacency files
-//!   and to implement the time-forward-processing baseline;
+//! * [`Record`] — a fixed-width record codec trait used by the
+//!   priority queue's spilled runs;
+//! * [`SortConfig`] — the memory budget of the degree sort
+//!   (`mis_graph::builder`), a semi-external record permutation: buckets
+//!   of at most `mem_records` neighbour entries, at most `fan_in` bucket
+//!   files per distribution scan;
 //! * [`pq::ExternalPq`] — an external priority queue (in-memory heap with
 //!   sorted overflow runs), the data structure behind Zeh's external
 //!   maximal-independent-set algorithm that the paper benchmarks as `STXXL`;
@@ -50,5 +51,5 @@ pub use pager::{BufferPool, FilePageSource, PageSource, PagerConfig, PolicyKind}
 pub use pq::ExternalPq;
 pub use record::Record;
 pub use scratch::ScratchDir;
-pub use sort::{external_sort, SortConfig};
+pub use sort::SortConfig;
 pub use stats::{IoSnapshot, IoStats};

@@ -1,15 +1,15 @@
-//! Fixed-width record codec for sorted runs and priority-queue spills.
+//! Fixed-width record codec for priority-queue spills.
 //!
-//! External sorting works on homogeneous records. The [`Record`] trait
-//! describes a `Copy` value with a fixed on-disk width; implementations are
-//! provided for the integer shapes the graph layer actually sorts:
-//! `u32`/`u64` keys, key–value pairs and edge-like triples.
+//! The external priority queue spills homogeneous records. The [`Record`]
+//! trait describes a `Copy` value with a fixed on-disk width;
+//! implementations are provided for integer shapes: `u32`/`u64` keys,
+//! key–value pairs and edge-like triples.
 
 /// A fixed-width, plain-old-data record.
 ///
 /// `BYTES` must equal the number of bytes `encode` writes and `decode`
-/// reads. Records are ordered via `Ord`; the external sort and priority
-/// queue sort by that ordering.
+/// reads. Records are ordered via `Ord`; the priority queue sorts by that
+/// ordering.
 pub trait Record: Copy + Ord {
     /// Encoded width in bytes.
     const BYTES: usize;

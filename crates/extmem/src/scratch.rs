@@ -1,8 +1,9 @@
 //! Self-cleaning scratch directories for spill files.
 //!
-//! The external sort and the external priority queue both spill sorted runs
-//! to disk. [`ScratchDir`] gives them a private directory that disappears on
-//! drop, without pulling in an external `tempfile` dependency.
+//! The degree sort spills bucket files and the external priority queue
+//! spills sorted runs to disk. [`ScratchDir`] gives them a private
+//! directory that disappears on drop, without pulling in an external
+//! `tempfile` dependency.
 
 use std::io;
 use std::path::{Path, PathBuf};

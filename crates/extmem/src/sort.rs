@@ -1,37 +1,25 @@
-//! External k-way merge sort.
+//! The memory budget of the Algorithm 1 degree sort.
 //!
 //! The preprocessing phase of the paper's Greedy algorithm sorts the
-//! adjacency file by ascending vertex degree. With `N` records, memory for
-//! `M/B` block buffers and a fan-in of `M/B`, the classic run-formation +
-//! multiway-merge algorithm costs `O(N/B · log_{M/B}(N/B))` block
-//! transfers — the `sort(...)` term in the paper's Table 1.
-//!
-//! [`external_sort`] implements exactly that: it chunks the input into
-//! memory-sized sorted runs, spills them through [`BlockWriter`]s, then
-//! merges with a bounded fan-in, counting every transfer in the shared
-//! [`IoStats`].
+//! adjacency file by ascending vertex degree, the `sort(|V|+|E|)` term in
+//! its Table 1. Since every vertex's rank fits in the semi-external
+//! model's `O(|V|)` words, that sort is a record permutation
+//! (`mis_graph::builder`): the ranks are cut into buckets that each fit
+//! in memory, distributed to bucket files through [`crate::BlockWriter`]s
+//! and placed bucket by bucket. [`SortConfig`] is its budget.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use std::fs::File;
-use std::io::{self, Read, Write};
-use std::path::PathBuf;
-use std::sync::Arc;
-
-use crate::block::{BlockReader, BlockWriter};
-use crate::codec;
-use crate::record::Record;
-use crate::scratch::ScratchDir;
-use crate::stats::IoStats;
-
-/// Tuning knobs for [`external_sort`].
+/// The degree sort's memory budget and its bucket files' I/O shape.
 #[derive(Debug, Clone)]
 pub struct SortConfig {
-    /// Maximum number of records held in memory during run formation.
+    /// Most neighbour entries (4 bytes each) one bucket holds in memory.
+    /// A vertex with more neighbours than this gets a bucket of its own.
+    /// Values below 1 count as 1.
     pub mem_records: usize,
-    /// Maximum number of runs merged at once (the `M/B` fan-in).
+    /// Most bucket files one distribution scan writes at once (the
+    /// `M/B` fan-out); more buckets cost one more input scan each
+    /// `fan_in` buckets. Values below 1 count as 1.
     pub fan_in: usize,
-    /// Block size for run files.
+    /// Block size of the bucket files and the output file.
     pub block_size: usize,
 }
 
@@ -46,308 +34,13 @@ impl Default for SortConfig {
 }
 
 impl SortConfig {
-    /// A small configuration that forces multi-run behaviour in tests.
+    /// A small configuration that forces many buckets and distribution
+    /// scans in tests.
     pub fn tiny() -> Self {
         Self {
             mem_records: 64,
             fan_in: 4,
             block_size: 256,
         }
-    }
-}
-
-/// One sorted run spilled to disk.
-#[derive(Debug)]
-struct RunFile {
-    path: PathBuf,
-    records: u64,
-}
-
-/// Writes a sorted chunk of records as a run file.
-fn write_run<R: Record>(
-    records: &[R],
-    path: PathBuf,
-    block_size: usize,
-    stats: &Arc<IoStats>,
-) -> io::Result<RunFile> {
-    let file = File::create(&path)?;
-    let mut w = BlockWriter::with_block_size(file, Arc::clone(stats), block_size);
-    codec::write_u64(&mut w, records.len() as u64)?;
-    let mut buf = vec![0u8; R::BYTES];
-    for r in records {
-        r.encode(&mut buf);
-        w.write_all(&buf)?;
-    }
-    w.finish()?;
-    Ok(RunFile {
-        path,
-        records: records.len() as u64,
-    })
-}
-
-/// Sequential reader over one run file.
-struct RunReader<R: Record> {
-    reader: BlockReader<File>,
-    remaining: u64,
-    buf: Vec<u8>,
-    _marker: std::marker::PhantomData<R>,
-}
-
-impl<R: Record> RunReader<R> {
-    fn open(run: &RunFile, block_size: usize, stats: &Arc<IoStats>) -> io::Result<Self> {
-        let file = File::open(&run.path)?;
-        let mut reader = BlockReader::with_block_size(file, Arc::clone(stats), block_size);
-        let count = codec::read_u64(&mut reader)?;
-        debug_assert_eq!(count, run.records);
-        Ok(Self {
-            reader,
-            remaining: count,
-            buf: vec![0u8; R::BYTES],
-            _marker: std::marker::PhantomData,
-        })
-    }
-
-    fn next_record(&mut self) -> io::Result<Option<R>> {
-        if self.remaining == 0 {
-            return Ok(None);
-        }
-        self.reader.read_exact(&mut self.buf)?;
-        self.remaining -= 1;
-        Ok(Some(R::decode(&self.buf)))
-    }
-}
-
-/// Merging iterator over up to `fan_in` run readers.
-struct MergeIter<R: Record> {
-    readers: Vec<RunReader<R>>,
-    heap: BinaryHeap<Reverse<(R, usize)>>,
-    error: Option<io::Error>,
-}
-
-impl<R: Record> MergeIter<R> {
-    fn new(mut readers: Vec<RunReader<R>>) -> io::Result<Self> {
-        let mut heap = BinaryHeap::with_capacity(readers.len());
-        for (i, r) in readers.iter_mut().enumerate() {
-            if let Some(rec) = r.next_record()? {
-                heap.push(Reverse((rec, i)));
-            }
-        }
-        Ok(Self {
-            readers,
-            heap,
-            error: None,
-        })
-    }
-
-    fn next_min(&mut self) -> io::Result<Option<R>> {
-        let Some(Reverse((rec, i))) = self.heap.pop() else {
-            return Ok(None);
-        };
-        if let Some(next) = self.readers[i].next_record()? {
-            self.heap.push(Reverse((next, i)));
-        }
-        Ok(Some(rec))
-    }
-}
-
-/// Output of [`external_sort`]: an iterator over records in ascending order.
-pub struct Sorted<R: Record> {
-    inner: SortedInner<R>,
-    /// Keeps the remaining run files alive until iteration completes.
-    _runs: Vec<RunFile>,
-}
-
-enum SortedInner<R: Record> {
-    Mem(std::vec::IntoIter<R>),
-    Disk(MergeIter<R>),
-}
-
-impl<R: Record> Sorted<R> {
-    /// Pulls the next record, surfacing I/O errors.
-    pub fn next_record(&mut self) -> io::Result<Option<R>> {
-        match &mut self.inner {
-            SortedInner::Mem(it) => Ok(it.next()),
-            SortedInner::Disk(m) => m.next_min(),
-        }
-    }
-}
-
-impl<R: Record> Iterator for Sorted<R> {
-    type Item = io::Result<R>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        match &mut self.inner {
-            SortedInner::Mem(it) => it.next().map(Ok),
-            SortedInner::Disk(m) => {
-                if m.error.is_some() {
-                    return None;
-                }
-                match m.next_min() {
-                    Ok(Some(r)) => Some(Ok(r)),
-                    Ok(None) => None,
-                    Err(e) => Some(Err(e)),
-                }
-            }
-        }
-    }
-}
-
-/// Sorts `input` in the external-memory model.
-///
-/// Records are chunked into sorted runs of at most `cfg.mem_records`
-/// records, spilled into `scratch`, and merged with fan-in `cfg.fan_in`.
-/// If the whole input fits into one run it is sorted purely in memory.
-pub fn external_sort<R: Record, I: IntoIterator<Item = R>>(
-    input: I,
-    cfg: &SortConfig,
-    scratch: &ScratchDir,
-    stats: &Arc<IoStats>,
-) -> io::Result<Sorted<R>> {
-    assert!(cfg.mem_records >= 1, "mem_records must be at least 1");
-    assert!(cfg.fan_in >= 2, "fan_in must be at least 2");
-
-    let mut runs: Vec<RunFile> = Vec::new();
-    let mut chunk: Vec<R> = Vec::with_capacity(cfg.mem_records.min(1 << 20));
-    let mut next_run_id = 0u64;
-    let mut iter = input.into_iter();
-
-    loop {
-        chunk.clear();
-        chunk.extend(iter.by_ref().take(cfg.mem_records));
-        if chunk.is_empty() {
-            break;
-        }
-        chunk.sort_unstable();
-        if runs.is_empty() && chunk.len() < cfg.mem_records {
-            // Entire input fit in memory: no spill needed.
-            return Ok(Sorted {
-                inner: SortedInner::Mem(std::mem::take(&mut chunk).into_iter()),
-                _runs: Vec::new(),
-            });
-        }
-        let path = scratch.file(&format!("run-{next_run_id}.bin"));
-        next_run_id += 1;
-        runs.push(write_run(&chunk, path, cfg.block_size, stats)?);
-        if chunk.len() < cfg.mem_records {
-            break; // iterator exhausted
-        }
-    }
-
-    if runs.is_empty() {
-        return Ok(Sorted {
-            inner: SortedInner::Mem(Vec::new().into_iter()),
-            _runs: Vec::new(),
-        });
-    }
-
-    // Merge passes until at most fan_in runs remain.
-    while runs.len() > cfg.fan_in {
-        let group: Vec<RunFile> = runs.drain(..cfg.fan_in).collect();
-        let readers = group
-            .iter()
-            .map(|r| RunReader::<R>::open(r, cfg.block_size, stats))
-            .collect::<io::Result<Vec<_>>>()?;
-        let mut merge = MergeIter::new(readers)?;
-        let total: u64 = group.iter().map(|r| r.records).sum();
-        let path = scratch.file(&format!("run-{next_run_id}.bin"));
-        next_run_id += 1;
-        let file = File::create(&path)?;
-        let mut w = BlockWriter::with_block_size(file, Arc::clone(stats), cfg.block_size);
-        codec::write_u64(&mut w, total)?;
-        let mut buf = vec![0u8; R::BYTES];
-        while let Some(rec) = merge.next_min()? {
-            rec.encode(&mut buf);
-            w.write_all(&buf)?;
-        }
-        w.finish()?;
-        for r in &group {
-            let _ = std::fs::remove_file(&r.path);
-        }
-        runs.push(RunFile {
-            path,
-            records: total,
-        });
-    }
-
-    let readers = runs
-        .iter()
-        .map(|r| RunReader::open(r, cfg.block_size, stats))
-        .collect::<io::Result<Vec<_>>>()?;
-    Ok(Sorted {
-        inner: SortedInner::Disk(MergeIter::new(readers)?),
-        _runs: runs,
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn sort_all<R: Record>(input: Vec<R>, cfg: &SortConfig) -> Vec<R> {
-        let scratch = ScratchDir::new("sort-test").unwrap();
-        let stats = IoStats::shared();
-        let sorted = external_sort(input, cfg, &scratch, &stats).unwrap();
-        sorted.map(|r| r.unwrap()).collect()
-    }
-
-    #[test]
-    fn empty_input() {
-        assert!(sort_all::<u32>(vec![], &SortConfig::tiny()).is_empty());
-    }
-
-    #[test]
-    fn in_memory_path() {
-        let out = sort_all(vec![5u32, 3, 9, 1], &SortConfig::default());
-        assert_eq!(out, vec![1, 3, 5, 9]);
-    }
-
-    #[test]
-    fn multi_run_merge() {
-        // 1000 records with mem_records=64 => 16 runs => needs merge passes
-        // with fan_in=4.
-        let mut input: Vec<u32> = (0..1000)
-            .map(|i| (i * 2654435761u64 % 100000) as u32)
-            .collect();
-        let out = sort_all(input.clone(), &SortConfig::tiny());
-        input.sort_unstable();
-        assert_eq!(out, input);
-    }
-
-    #[test]
-    fn exact_multiple_of_run_size() {
-        let cfg = SortConfig::tiny();
-        let mut input: Vec<u32> = (0..128).rev().collect(); // exactly 2 runs
-        let out = sort_all(input.clone(), &cfg);
-        input.sort_unstable();
-        assert_eq!(out, input);
-    }
-
-    #[test]
-    fn pairs_sort_lexicographically() {
-        let input = vec![(3u32, 1u32), (1, 9), (3, 0), (1, 2)];
-        let out = sort_all(input, &SortConfig::tiny());
-        assert_eq!(out, vec![(1, 2), (1, 9), (3, 0), (3, 1)]);
-    }
-
-    #[test]
-    fn duplicates_are_preserved() {
-        let input = vec![7u32; 500];
-        let out = sort_all(input, &SortConfig::tiny());
-        assert_eq!(out.len(), 500);
-        assert!(out.iter().all(|&v| v == 7));
-    }
-
-    #[test]
-    fn io_is_counted_for_spilled_sort() {
-        let scratch = ScratchDir::new("sort-io").unwrap();
-        let stats = IoStats::shared();
-        let input: Vec<u32> = (0..1000).rev().collect();
-        let sorted = external_sort(input, &SortConfig::tiny(), &scratch, &stats).unwrap();
-        let _: Vec<_> = sorted.collect();
-        let snap = stats.snapshot();
-        assert!(snap.blocks_written > 0, "run formation must write blocks");
-        assert!(snap.blocks_read > 0, "merging must read blocks");
-        // Every byte written must eventually be read back at least once.
-        assert!(snap.bytes_read >= snap.bytes_written / 2);
     }
 }

@@ -22,9 +22,10 @@
 //!   are written against, implemented by both representations so every
 //!   algorithm can run fully in memory (tests, micro-benchmarks) or against
 //!   real files (experiments) with identical code;
-//! * [`builder`] — semi-external construction: external sort of the edge
-//!   set, degree computation, and the degree-sort preprocessing of
-//!   Algorithm 1;
+//! * [`builder`] — construction: the in-memory edge-list builder, the
+//!   adjacency-file writer, the one `(degree, id)` rank
+//!   ([`order_by_degree`]) and the degree-sort preprocessing of
+//!   Algorithm 1, a bucketed record permutation in `O(|V|)` words;
 //! * [`raccess`] — the random-access side, shared by both codecs: a
 //!   per-vertex [`RecordIndex`] of byte offsets and [`RandomAccessGraph`],
 //!   adjacency reads served through `mis_extmem`'s buffer-pool page cache
@@ -49,7 +50,8 @@ pub mod scan;
 pub use adjfile::{AdjFile, PlainCodec, RecordCodec, RecordFile, RecordWriter};
 pub use anyfile::AnyAdjFile;
 pub use builder::{
-    build_adj_file, degree_sort_adj_file, degree_sort_compressed_adj_file, GraphBuilder,
+    build_adj_file, degree_sort_adj_file, degree_sort_compressed_adj_file, order_by_degree,
+    GraphBuilder,
 };
 pub use compressed::{compress_adj, CompressedAdjFile, CompressedAdjWriter, GapCodec};
 pub use csr::CsrGraph;

@@ -24,6 +24,7 @@
 
 use std::io;
 
+use crate::builder::{order_by_degree, ranks_of};
 use crate::csr::CsrGraph;
 use crate::delta::LastBatch;
 use crate::raccess::NeighborAccess;
@@ -245,19 +246,14 @@ impl<'a> OrderedCsr<'a> {
                 seen[v as usize] = true;
             }
         }
-        let mut rank = vec![0u32; order.len()];
-        for (r, &v) in order.iter().enumerate() {
-            rank[v as usize] = r as u32;
-        }
+        let rank = ranks_of(&order);
         Self { graph, order, rank }
     }
 
     /// Wraps `graph` in ascending-degree order (ties broken by id), the
     /// order produced by Algorithm 1's preprocessing sort.
     pub fn degree_sorted(graph: &'a CsrGraph) -> Self {
-        let mut order: Vec<VertexId> = (0..graph.num_vertices() as VertexId).collect();
-        order.sort_by_key(|&v| (graph.degree(v), v));
-        Self::new(graph, order)
+        Self::new(graph, order_by_degree(&graph.degrees()))
     }
 
     /// The underlying graph.

@@ -5,9 +5,9 @@
 //! cargo run --release --example semi_external
 //! ```
 //!
-//! Builds an on-disk adjacency file, degree-sorts it with the external
-//! merge sort (Algorithm 1's preprocessing), then runs the algorithms
-//! against the file while counting every block transfer.
+//! Builds an on-disk adjacency file, degree-sorts it through bucket
+//! files (Algorithm 1's preprocessing), then runs the algorithms against
+//! the file while counting every block transfer.
 
 use std::sync::Arc;
 
@@ -43,7 +43,7 @@ fn main() -> std::io::Result<()> {
         &unsorted,
         &scratch.file("graph.sorted.adj"),
         &SortConfig {
-            mem_records: 1 << 18, // the "M" of the semi-external model
+            mem_records: 1 << 18, // neighbour entries held per bucket: the model's "M"
             fan_in: 8,
             block_size,
         },

@@ -305,8 +305,9 @@ fn finish_trace(path: Option<&Path>, stats: &IoStats) -> Result<Option<TraceRepo
 }
 
 /// The `peak RSS = … MiB` line `mis run` prints after the modelled
-/// memory: the process's peak resident set (`VmHWM` in
-/// `/proc/self/status`), or `None` where that file is unreadable.
+/// memory and `mis sort` after its summary: the process's peak resident
+/// set (`VmHWM` in `/proc/self/status`), or `None` where that file is
+/// unreadable.
 fn peak_rss_line() -> Option<String> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     let kib: u64 = status
@@ -440,6 +441,19 @@ fn record_ledger(
     Ok(())
 }
 
+/// Runs `f` on `out` (one locked stdout handle) and flushes it. A reader
+/// that closes the pipe early (`mis bench diff … | head`) ends the
+/// output; it is not an error.
+fn write_output(
+    out: &mut dyn Write,
+    f: impl FnOnce(&mut dyn Write) -> std::io::Result<()>,
+) -> Result<(), String> {
+    match f(&mut *out).and_then(|()| out.flush()) {
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(()),
+        done => done.map_err(|e| e.to_string()),
+    }
+}
+
 /// Reads and parses one `BENCH_*.json` snapshot.
 fn read_snapshot(path: &str) -> Result<Json, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
@@ -463,26 +477,29 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
             let (base, cur) = (read_snapshot(a)?, read_snapshot(b)?);
             let deltas = diff_snapshots(&base, &cur);
             let fmt = |v: Option<f64>| v.map_or_else(|| "-".to_string(), |x| format!("{x}"));
-            println!("diff: base = {a}, current = {b}");
-            println!(
-                "{:<44} {:>14} {:>14} {:>8}",
-                "metric", "base", "current", "delta"
-            );
-            for d in &deltas {
-                let rel = d
-                    .rel_change()
-                    .filter(|r| *r != 0.0)
-                    .map_or_else(String::new, |r| format!("{:+.1}%", r * 100.0));
-                println!(
+            write_output(&mut std::io::stdout().lock(), |out| {
+                writeln!(out, "diff: base = {a}, current = {b}")?;
+                writeln!(
+                    out,
                     "{:<44} {:>14} {:>14} {:>8}",
-                    d.path,
-                    fmt(d.base),
-                    fmt(d.current),
-                    rel
-                );
-            }
-            println!("{} numeric leaves compared", deltas.len());
-            Ok(())
+                    "metric", "base", "current", "delta"
+                )?;
+                for d in &deltas {
+                    let rel = d
+                        .rel_change()
+                        .filter(|r| *r != 0.0)
+                        .map_or_else(String::new, |r| format!("{:+.1}%", r * 100.0));
+                    writeln!(
+                        out,
+                        "{:<44} {:>14} {:>14} {:>8}",
+                        d.path,
+                        fmt(d.base),
+                        fmt(d.current),
+                        rel
+                    )?;
+                }
+                writeln!(out, "{} numeric leaves compared", deltas.len())
+            })
         }
         "check" => {
             let baseline = opt(&opts, "baseline").ok_or("bench check needs --baseline <file>")?;
@@ -693,6 +710,9 @@ fn cmd_sort(args: &[String]) -> Result<(), String> {
         block_size,
         stats.snapshot()
     );
+    if let Some(line) = peak_rss_line() {
+        println!("{line}");
+    }
     Ok(())
 }
 
@@ -2004,6 +2024,28 @@ mod tests {
     /// I/O count and a wall metric.
     const SNAP: &str = r#"{"experiment":"t","hardware_threads":8,"available_threads":8,
         "sides":[{"label":"seq","blocks_read":273,"scans":13,"wall_ms":64.0}]}"#;
+
+    #[test]
+    fn a_closed_pipe_ends_output_quietly() {
+        /// Takes one write, then fails every later one with `kind`.
+        struct ClosedAfterOne(std::io::ErrorKind, bool);
+        impl Write for ClosedAfterOne {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                if std::mem::replace(&mut self.1, true) {
+                    return Err(self.0.into());
+                }
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let lines = |out: &mut dyn Write| (0..3).try_for_each(|i| writeln!(out, "line {i}"));
+        let mut closed = ClosedAfterOne(std::io::ErrorKind::BrokenPipe, false);
+        assert_eq!(write_output(&mut closed, lines), Ok(()));
+        let mut full = ClosedAfterOne(std::io::ErrorKind::StorageFull, false);
+        assert!(write_output(&mut full, lines).is_err());
+    }
 
     #[test]
     fn bench_diff_and_check_gate_round_trip() {

@@ -3,8 +3,9 @@
 //! consistency, and substrate equivalences.
 
 use proptest::prelude::*;
-use semi_mis::extmem::{external_sort, ExternalPq, IoStats, ScratchDir, SortConfig};
-use semi_mis::graph::CsrGraph;
+use semi_mis::extmem::{ExternalPq, IoStats, ScratchDir, SortConfig};
+use semi_mis::graph::adjfile::AdjFileWriter;
+use semi_mis::graph::{degree_sort_adj_file, degree_sort_compressed_adj_file, CsrGraph};
 use semi_mis::prelude::*;
 
 /// Arbitrary small graph: vertex count and an edge list over it.
@@ -13,6 +14,60 @@ fn arb_graph(max_n: usize, max_m: usize) -> impl Strategy<Value = CsrGraph> {
         proptest::collection::vec((0..n as u32, 0..n as u32), 0..max_m)
             .prop_map(move |edges| CsrGraph::from_edges(n, &edges))
     })
+}
+
+/// Every record of `file`, in storage order.
+fn records(file: &dyn GraphScan) -> Vec<(VertexId, Vec<VertexId>)> {
+    let mut records = Vec::new();
+    file.scan(&mut |v, ns| records.push((v, ns.to_vec())))
+        .unwrap();
+    records
+}
+
+/// The degree sort of `g` on both codecs, from a plain file whose lists
+/// are in id order (not rank order), against an in-memory reference:
+/// records in ascending `(degree, id)` order, plain lists by
+/// `(degree, id)`, compressed lists by id.
+fn check_degree_sort(g: &CsrGraph, cfg: &SortConfig) {
+    let dir = ScratchDir::new("prop-degsort").unwrap();
+    let stats = IoStats::shared();
+    let path = dir.file("g.adj");
+    let n = g.num_vertices() as u64;
+    let mut writer =
+        AdjFileWriter::create(&path, n, g.num_edges(), stats.clone(), cfg.block_size).unwrap();
+    writer.write_scan(g).unwrap();
+    writer.finish().unwrap();
+    let input = AdjFile::open_with_block_size(&path, stats, cfg.block_size).unwrap();
+    let plain = degree_sort_adj_file(&input, &dir.file("s.adj"), cfg, &dir).unwrap();
+    let comp = degree_sort_compressed_adj_file(&input, &dir.file("s.cadj"), cfg, &dir).unwrap();
+
+    let key = |v: VertexId| (g.degree(v), v);
+    let mut order: Vec<VertexId> = g.vertices().collect();
+    order.sort_by_key(|&v| key(v));
+    let by_key: Vec<_> = order
+        .iter()
+        .map(|&v| {
+            let mut ns = g.neighbors(v).to_vec();
+            ns.sort_by_key(|&u| key(u));
+            (v, ns)
+        })
+        .collect();
+    let by_id: Vec<_> = order
+        .iter()
+        .map(|&v| (v, g.neighbors(v).to_vec()))
+        .collect();
+    assert_eq!(records(&plain), by_key, "{cfg:?}");
+    assert_eq!(records(&comp), by_id, "{cfg:?}");
+    assert_eq!(plain.num_edges(), g.num_edges());
+    assert_eq!(comp.num_edges(), g.num_edges());
+}
+
+#[test]
+fn degree_sort_of_the_empty_graph() {
+    for n in [0, 1, 5] {
+        check_degree_sort(&CsrGraph::empty(n), &SortConfig::tiny());
+        check_degree_sort(&CsrGraph::empty(n), &SortConfig::default());
+    }
 }
 
 proptest! {
@@ -91,16 +146,29 @@ proptest! {
     }
 
     #[test]
-    fn external_sort_equals_std_sort(mut input in proptest::collection::vec(any::<u32>(), 0..3000)) {
-        let scratch = ScratchDir::new("prop-sort").unwrap();
-        let stats = IoStats::shared();
-        let cfg = SortConfig { mem_records: 128, fan_in: 3, block_size: 512 };
-        let sorted: Vec<u32> = external_sort(input.clone(), &cfg, &scratch, &stats)
-            .unwrap()
-            .map(|r| r.unwrap())
-            .collect();
-        input.sort_unstable();
-        prop_assert_eq!(sorted, input);
+    fn degree_sort_equals_in_memory_reference(
+        g in arb_graph(40, 120),
+        isolated in 0usize..6,
+        hub in 0u32..30,
+        budget in 0usize..5,
+        fan_in in 1usize..4,
+    ) {
+        // Isolated vertices after the random ones, and a hub on vertex 0.
+        let n = g.num_vertices() + isolated;
+        let mut edges: Vec<(u32, u32)> = g.edges().collect();
+        edges.extend((1..=hub.min(n as u32 - 1)).map(|v| (0, v)));
+        let g = CsrGraph::from_edges(n, &edges);
+        let entries = 2 * g.num_edges() as usize;
+        // One record per bucket; a hub above the budget; several
+        // buckets; one bucket.
+        let mem_records = match budget {
+            0 => 1,
+            1 => (g.max_degree() as usize).saturating_sub(1),
+            2 => entries / 5,
+            3 => entries / 2,
+            _ => entries,
+        };
+        check_degree_sort(&g, &SortConfig { mem_records, fan_in, block_size: 64 });
     }
 
     #[test]

@@ -4,15 +4,9 @@
 //! repro <experiment>
 //!   table2 table4 table5 table6 table7 table8 table9
 //!   fig6 fig8 fig9 fig10
-//!   io pager parallel churn serve cascade ablation bounds compress
+//!   io pager churn serve cascade ablation bounds compress
 //!   all        # everything (dataset suite computed once)
 //! ```
-//!
-//! `repro parallel` additionally accepts `--threads N` (top worker count
-//! of the reported speedup, default 4), `--min-speedup X` (fail when
-//! the steady-state speedup falls short; skipped on machines with fewer
-//! than `N` hardware threads) and `--trace FILE` (record every side's
-//! spans).
 //!
 //! Environment: `REPRO_SCALE` (default 1.0) scales analogue/sweep sizes,
 //! `REPRO_GRAPHS_PER_BETA` (default 3) controls sweep averaging.
@@ -36,7 +30,6 @@ fn main() {
         "fig10" => fig10::run(),
         "io" => io::run(),
         "pager" => pager::run(),
-        "parallel" => parallel::run_args(&args[1..]),
         "churn" => churn::run(),
         "serve" => serve::run(),
         "cascade" => cascade::run(),
@@ -72,8 +65,6 @@ fn main() {
             println!();
             pager::run();
             println!();
-            parallel::run();
-            println!();
             churn::run();
             println!();
             serve::run();
@@ -88,7 +79,7 @@ fn main() {
         }
         _ => {
             eprintln!(
-                "usage: repro <table2|table4|table5|table6|table7|table8|table9|fig6|fig8|fig9|fig10|io|pager|parallel|churn|serve|cascade|ablation|bounds|compress|all>"
+                "usage: repro <table2|table4|table5|table6|table7|table8|table9|fig6|fig8|fig9|fig10|io|pager|churn|serve|cascade|ablation|bounds|compress|all>"
             );
             std::process::exit(2);
         }

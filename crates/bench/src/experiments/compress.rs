@@ -1,13 +1,13 @@
 //! Compressed-backend experiment: plain vs gap-compressed adjacency
-//! files across the whole algorithm × executor matrix.
+//! files across the whole algorithm × access-path matrix.
 //!
 //! The compressed `MISADJC1` format is a first-class storage backend:
-//! sequential scans, the paged (`--cache-mb`) candidate-verification
-//! path and the block-parallel engine all run on it. This experiment
-//! proves the contract on one generated power-law graph — for greedy,
-//! one-k and two-k at scan-only, paged and 4-thread configurations, the
-//! independent set and its maximality proof are identical on both
-//! backends while the compressed side moves 2–3× fewer blocks. The
+//! sequential scans and the paged (`--cache-mb`) candidate-verification
+//! path both run on it. This experiment proves the contract on one
+//! generated power-law graph — for greedy, one-k and two-k, scan-only
+//! and paged, the independent set and its maximality proof are
+//! identical on both backends while the compressed side moves 2–3×
+//! fewer blocks. The
 //! numbers land in `BENCH_compress.json` (override the path with
 //! `BENCH_COMPRESS_OUT`).
 
@@ -15,7 +15,7 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
-use mis_core::{prove_maximal_with, Executor, Greedy, OneKSwap, SwapConfig, TwoKSwap};
+use mis_core::{prove_maximal, Greedy, OneKSwap, SwapConfig, TwoKSwap};
 use mis_extmem::pager::PolicyKind;
 use mis_extmem::{IoStats, PagerConfig};
 use mis_graph::{AnyAdjFile, GraphScan, NeighborAccess};
@@ -24,7 +24,7 @@ use mis_obs::{LedgerEntry, Workload};
 use crate::harness::{self, JsonObject, Row, MODEL_TOLERANCE};
 
 const ALGOS: [&str; 3] = ["greedy", "onek", "twok"];
-const MODES: [&str; 3] = ["scan", "paged", "par4"];
+const MODES: [&str; 2] = ["scan", "paged"];
 
 /// Measures one (algorithm, mode) cell on the store at `path` and checks
 /// it against the store's cost model. Swap cells state their full
@@ -39,10 +39,6 @@ fn measure(path: &Path, block_size: usize, algo: &str, mode: &str) -> Row {
     let stats = IoStats::shared();
     let file =
         AnyAdjFile::open_with_block_size(path, Arc::clone(&stats), block_size).expect("open");
-    let executor = match mode {
-        "par4" => Executor::parallel(4),
-        _ => Executor::Sequential,
-    };
     // The paged mode gives the swap rounds a 4 MiB buffer pool over the
     // record index both codecs share; greedy has no paged path and simply
     // ignores the provider.
@@ -56,8 +52,8 @@ fn measure(path: &Path, block_size: usize, algo: &str, mode: &str) -> Row {
     let scan = file.as_scan();
 
     let start = Instant::now();
-    let greedy = Greedy::with_executor(executor).run(scan);
-    let mut config = SwapConfig::default().with_executor(executor);
+    let greedy = Greedy::new().run(scan);
+    let mut config = SwapConfig::default();
     if access.is_some() {
         config = config.with_paged_threshold(1.0);
     }
@@ -79,7 +75,7 @@ fn measure(path: &Path, block_size: usize, algo: &str, mode: &str) -> Row {
     };
     let rounds = swap.as_ref().map_or(0, |s| s.num_rounds() as u64);
     let paged_rounds = swap.as_ref().map_or(0, |s| s.paged_rounds);
-    let proof = prove_maximal_with(scan, &set, &executor);
+    let proof = prove_maximal(scan, &set);
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     let mut side = Row {
         is_size: set.len() as u64,
@@ -119,7 +115,7 @@ pub fn run() {
     let block_size = 64 * 1024usize;
     println!(
         "== Compressed storage backend: plain vs gap-compressed across \
-         greedy/one-k/two-k × scan/paged/par4 (P(α,β), β = 2.0, |V| ≈ {n}) =="
+         greedy/one-k/two-k × scan/paged (P(α,β), β = 2.0, |V| ≈ {n}) =="
     );
 
     let fx = harness::fixture("repro-compress", n, block_size, true);
@@ -234,7 +230,7 @@ mod tests {
 
     /// End-to-end regression for the acceptance criterion: on a real
     /// on-disk graph the compressed backend returns the same set with
-    /// fewer block transfers for every algorithm and executor mode.
+    /// fewer block transfers for every algorithm and access path.
     #[test]
     fn compressed_cells_match_plain_with_fewer_blocks() {
         let fx = harness::test_fixture("compress-exp-test", 8_000);

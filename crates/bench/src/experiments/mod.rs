@@ -15,7 +15,6 @@ pub mod fig8;
 pub mod fig9;
 pub mod io;
 pub mod pager;
-pub mod parallel;
 pub mod serve;
 pub mod sweep;
 pub mod table2;

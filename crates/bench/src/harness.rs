@@ -3,8 +3,8 @@
 //! The paper's tables and figures share the six-algorithm suite
 //! ([`run_all_algorithms`]), the β grid, the formatting helpers and
 //! [`print_table`]. The experiments that write a `BENCH_*.json`
-//! snapshot — `parallel`, `compress`, `pager`, `churn` and `serve` —
-//! also share one copy of each of these:
+//! snapshot — `compress`, `pager`, `churn` and `serve` — also share
+//! one copy of each of these:
 //!
 //! * [`fixture`]: the measured graph, `P(α,β)` at β = 2.0 and seed 42,
 //!   as a degree-sorted plain file and, on request, its gap-compressed
@@ -13,14 +13,9 @@
 //! * [`Row`]: one measured configuration. [`Row::check`] asserts its
 //!   I/O against the cost model through [`check_model`] and keeps the
 //!   verdict; [`Row::to_json`] writes only the fields the experiment
-//!   set, so each snapshot keeps its own keys. [`assert_same_result`]
-//!   requires every row to have found the same set, and [`record_rows`]
-//!   puts the rows' total I/O and verdicts into the ledger entry.
+//!   set, so each snapshot keeps its own keys.
 //! * [`JsonObject`]: the ordered field list behind every row and
 //!   snapshot; `churn` fills one with its own keys.
-//! * [`solve_twok`]: the pipeline `parallel` times, a warm-up scan and
-//!   then greedy → two-k → maximality proof. [`parse_flags`] and
-//!   [`args_or_exit`] read its `--threads N` and other flags.
 //! * [`churn_batches`] and [`churn_snapshot`]: the edit stream `churn`
 //!   and `serve` drive, and how their snapshots describe it.
 //! * [`write_snapshot`]: the snapshot file. Its header carries the
@@ -29,22 +24,20 @@
 //!   wall-clock gates. `BENCH_<NAME>_OUT` overrides its path.
 
 use std::fmt;
-use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
 use mis_core::engine::available_threads;
 use mis_core::{
-    prove_maximal_with, upper_bound_scan, Baseline, DynamicUpdate, Executor, Greedy, OneKSwap,
-    SwapConfig, TfpMaximalIs, TwoKSwap,
+    upper_bound_scan, Baseline, DynamicUpdate, Greedy, OneKSwap, TfpMaximalIs, TwoKSwap,
 };
 use mis_extmem::{IoSnapshot, IoStats, ScratchDir, SortConfig};
 use mis_gen::churn::{churn_stream, ChurnKind, ChurnOp};
 use mis_gen::Dataset;
 use mis_graph::{
-    build_adj_file, compress_adj, degree_sort_adj_file, AnyAdjFile, CsrGraph, GraphScan, OrderedCsr,
+    build_adj_file, compress_adj, degree_sort_adj_file, AnyAdjFile, CsrGraph, OrderedCsr,
 };
-use mis_obs::{CostModel, LedgerEntry, ModelVerdict, Trace, TraceReport, Workload};
+use mis_obs::{CostModel, LedgerEntry, ModelVerdict, Workload};
 use mis_update::EdgeOp;
 
 /// Result of one algorithm on one graph.
@@ -260,12 +253,6 @@ pub fn check_model(
 /// [`Row::to_json`] writes a field only when the experiment set it.
 #[derive(Debug, Clone, Default)]
 pub struct Row {
-    /// Storage label of the measured store.
-    pub storage: Option<&'static str>,
-    /// Executor label (`seq`, `par(4)`, …), written as `backend`.
-    pub backend: Option<String>,
-    /// Worker threads of the executor.
-    pub threads: Option<usize>,
     /// |IS| of the final set.
     pub is_size: u64,
     /// Swap rounds.
@@ -281,17 +268,8 @@ pub struct Row {
     pub cache: bool,
     /// Whether the maximality proof held.
     pub maximal: Option<bool>,
-    /// Setup phase (open and warm-up scan), milliseconds.
-    pub setup_ms: Option<f64>,
-    /// Scan phase, milliseconds.
-    pub scan_ms: Option<f64>,
     /// Whole measured run, milliseconds.
     pub wall_ms: Option<f64>,
-    /// Fraction of worker wall time spent decoding and folding, from the
-    /// run's own trace.
-    pub worker_utilization: Option<f64>,
-    /// Total worker queue wait, milliseconds, from the run's own trace.
-    pub queue_wait_ms: Option<f64>,
     /// Cost-model verdict, set by [`Row::check`].
     pub model: Option<ModelVerdict>,
 }
@@ -314,26 +292,9 @@ impl Row {
         self.model.as_ref().is_some_and(|v| v.pass)
     }
 
-    /// `storage/backend`: the row's name in messages and ledger
-    /// verdicts.
-    pub fn name(&self) -> String {
-        let storage = self.storage.unwrap_or("-");
-        let backend = self.backend.as_deref().unwrap_or("-");
-        format!("{storage}/{backend}")
-    }
-
     /// The row as one JSON object, with the fields the experiment set.
     pub fn to_json(&self) -> String {
         let mut json = JsonObject::default();
-        if let Some(storage) = self.storage {
-            json.string("storage", storage);
-        }
-        if let Some(backend) = &self.backend {
-            json.string("backend", backend);
-        }
-        if let Some(threads) = self.threads {
-            json.field("threads", threads);
-        }
         json.field("is_size", self.is_size)
             .field("rounds", self.rounds);
         if let Some(paged) = self.paged_rounds {
@@ -351,58 +312,13 @@ impl Row {
         if let Some(maximal) = self.maximal {
             json.field("maximal", maximal);
         }
-        for (key, ms) in [
-            ("setup_ms", self.setup_ms),
-            ("scan_ms", self.scan_ms),
-            ("wall_ms", self.wall_ms),
-        ] {
-            if let Some(ms) = ms {
-                json.fixed(key, ms, 2);
-            }
-        }
-        if let Some(util) = self.worker_utilization {
-            json.fixed("worker_utilization", util, 4);
-        }
-        if let Some(wait) = self.queue_wait_ms {
-            json.fixed("queue_wait_ms", wait, 2);
+        if let Some(ms) = self.wall_ms {
+            json.fixed("wall_ms", ms, 2);
         }
         if let Some(verdict) = &self.model {
             json.field("model", verdict.to_json());
         }
         json.to_json()
-    }
-}
-
-/// Prints the rows' summed I/O as the experiment's total and records it
-/// in `entry` (scans, blocks and bytes read), with one cost-model
-/// verdict per row.
-pub fn record_rows(entry: &mut LedgerEntry, rows: &[Row]) {
-    let mut total = IoSnapshot::default();
-    for row in rows {
-        total += row.io;
-    }
-    println!("  total experiment io = {total}");
-    entry.metric("scans", total.scans_started as f64);
-    entry.metric("blocks_read", total.blocks_read as f64);
-    entry.metric("bytes_read", total.bytes_read as f64);
-    for row in rows {
-        entry.verdict(&format!("model {}", row.name()), row.conforms());
-    }
-}
-
-/// Asserts that every row computed the first row's result: the same
-/// |IS| and round trajectory, and a maximality proof that held.
-pub fn assert_same_result(rows: &[Row]) {
-    let first = &rows[0];
-    for row in rows {
-        let name = row.name();
-        assert_eq!(row.is_size, first.is_size, "{name}: |IS| must not change");
-        assert_eq!(row.rounds, first.rounds, "{name}: round trajectory");
-        assert_eq!(
-            row.maximal,
-            Some(true),
-            "{name}: maximality proof must hold"
-        );
     }
 }
 
@@ -506,111 +422,6 @@ pub fn write_snapshot(experiment: &str, block_size: usize, body: &JsonObject) {
         Ok(()) => println!("  wrote {path}"),
         Err(e) => eprintln!("  could not write {path}: {e}"),
     }
-}
-
-/// The pipeline `repro parallel` times on the file at `path`. The setup
-/// phase opens the file and scans it once, to pull it into the OS page
-/// cache, so the timed scan phase measures decode and scan work, not the
-/// first-touch disk latency of whichever side runs first. The scan phase
-/// runs greedy → two-k → maximality proof on `executor`.
-///
-/// The row carries storage, backend, |IS|, rounds, file scans, the I/O
-/// of the whole run (the open's header read included), the proof, the
-/// three phase times and, when a traced run spawned workers, their
-/// utilization and queue wait. Its cost-model verdict, with the warm-up
-/// scan and the proof as the two extra scans, has passed at
-/// `tolerance`. Trace events queued before the run are dropped; the
-/// run's own come back with the row.
-pub fn solve_twok(
-    path: &Path,
-    block_size: usize,
-    executor: Executor,
-    tolerance: f64,
-) -> (Row, Trace) {
-    drop(mis_obs::drain());
-    let stats = IoStats::shared();
-    let (file, (greedy_scans, outcome, proof), times) = timed_split(
-        || {
-            let _setup = mis_obs::span("phase", "setup");
-            let file = AnyAdjFile::open_with_block_size(path, Arc::clone(&stats), block_size)
-                .expect("open");
-            file.scan(&mut |_, _| {}).expect("warm-up scan");
-            file
-        },
-        |file| {
-            let _scan_span = mis_obs::span("phase", "scan");
-            let scan = file.as_scan();
-            let greedy = Greedy::with_executor(executor).run(scan);
-            let config = SwapConfig::default().with_executor(executor);
-            let outcome = TwoKSwap::with_config(config).run(scan, &greedy.set);
-            let proof = prove_maximal_with(scan, &outcome.result.set, &executor);
-            (greedy.file_scans, outcome, proof)
-        },
-    );
-    let trace = mis_obs::drain();
-    let report = TraceReport::from_trace(&trace);
-    let workers = !report.workers.is_empty();
-    let mut row = Row {
-        storage: Some(file.storage()),
-        backend: Some(executor.describe()),
-        is_size: outcome.result.set.len() as u64,
-        rounds: outcome.stats.num_rounds() as u64,
-        file_scans: greedy_scans + outcome.result.file_scans + 1, // + proof scan
-        io: stats.snapshot(),
-        maximal: Some(proof.is_maximal_independent()),
-        setup_ms: Some(times.setup_ms),
-        scan_ms: Some(times.scan_ms),
-        wall_ms: Some(times.wall_ms()),
-        worker_utilization: workers.then(|| report.worker_utilization()),
-        queue_wait_ms: workers.then(|| report.queue_wait_us / 1e3),
-        ..Row::default()
-    };
-    let workload = Workload::GreedyThenSwap {
-        rounds: row.rounds,
-        rolled_back: outcome.stats.rolled_back,
-        paged_rounds: outcome.stats.paged_rounds,
-        finish_scanned: outcome.stats.finish_scanned,
-        extra_scans: 2, // warm-up scan + maximality proof
-    };
-    let model = file.cost_model(block_size).expect("metadata");
-    row.check(&row.name(), &model, Some(workload), tolerance);
-    (row, trace)
-}
-
-/// Unwraps an experiment's parsed arguments; on an error, prints it
-/// with the experiment's `usage` and exits with status 2.
-pub fn args_or_exit<T>(experiment: &str, usage: &str, parsed: Result<T, String>) -> T {
-    parsed.unwrap_or_else(|e| {
-        eprintln!("repro {experiment}: {e}");
-        eprintln!("usage: repro {experiment} {usage}");
-        std::process::exit(2);
-    })
-}
-
-/// Parses an experiment's `--flag value` arguments. `--threads N`, at
-/// least 1, goes into `threads`; any other flag goes to `other` with its
-/// value, and `other` returns `Ok(false)` for a flag it does not know.
-pub fn parse_flags(
-    args: &[String],
-    threads: &mut usize,
-    mut other: impl FnMut(&str, Option<&str>) -> Result<bool, String>,
-) -> Result<(), String> {
-    let mut it = args.iter().map(String::as_str);
-    while let Some(flag) = it.next() {
-        let value = it.next();
-        if flag == "--threads" {
-            let v = value.ok_or("--threads needs a value")?;
-            *threads = v
-                .parse()
-                .map_err(|_| format!("bad --threads value {v:?}"))?;
-            if *threads == 0 {
-                return Err("--threads must be at least 1".into());
-            }
-        } else if !other(flag, value)? {
-            return Err(format!("unknown argument {flag:?}"));
-        }
-    }
-    Ok(())
 }
 
 /// Runs the full six-algorithm suite of Table 5 on `graph`:
@@ -849,20 +660,13 @@ mod tests {
             "bytes_read",
         ];
         let optional = [
-            "storage",
-            "backend",
-            "threads",
             "paged_rounds",
             "cache_hits",
             "cache_misses",
             "cache_evictions",
             "cache_hit_rate",
             "maximal",
-            "setup_ms",
-            "scan_ms",
             "wall_ms",
-            "worker_utilization",
-            "queue_wait_ms",
             "model",
         ];
         let mut row = Row {
@@ -885,24 +689,17 @@ mod tests {
         row.io.blocks_read = 5 * model.blocks_per_scan();
         row.check("test", &model, None, 0.0);
         row = Row {
-            storage: Some("adj-file"),
-            backend: Some("par(2)".into()),
-            threads: Some(2),
             paged_rounds: Some(0),
             cache: true,
             maximal: Some(true),
-            setup_ms: Some(1.0),
-            scan_ms: Some(2.0),
             wall_ms: Some(3.0),
-            worker_utilization: Some(0.5),
-            queue_wait_ms: Some(0.25),
             ..row
         };
         let full = parse_json(&row.to_json()).unwrap();
         for key in always.iter().chain(&optional) {
             assert!(full.get(key).is_some(), "set {key} must be written");
         }
-        assert_eq!(full.get("backend").and_then(Json::as_str), Some("par(2)"));
+        assert_eq!(full.get("wall_ms").and_then(Json::as_f64), Some(3.0));
         assert_eq!(full.get("maximal"), Some(&Json::Bool(true)));
         let verdict = full.get("model").unwrap();
         assert_eq!(verdict.get("pass"), Some(&Json::Bool(true)));
@@ -910,7 +707,7 @@ mod tests {
         let mut body = JsonObject::default();
         body.field("sides", json_list([row.to_json(), row.to_json()]))
             .fixed("ratio", 1.5, 4);
-        for experiment in ["parallel", "compress", "pager", "churn", "serve"] {
+        for experiment in ["compress", "pager", "churn", "serve"] {
             let snapshot = parse_json(&snapshot_json(experiment, 4096, &body)).unwrap();
             assert_eq!(
                 snapshot.get("experiment").and_then(Json::as_str),

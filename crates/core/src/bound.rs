@@ -10,42 +10,40 @@
 //! as the "optimal bound" denominator of every reported approximation
 //! ratio (Tables 2/5, Figures 8/9).
 
+use std::io;
+
 use mis_graph::GraphScan;
 
-use crate::engine::Executor;
+use crate::engine;
 
 /// Upper bound for the independence number of `graph`; one sequential
-/// scan, one byte per vertex.
+/// scan, one byte per vertex. Panics on a storage error; see
+/// [`try_upper_bound_scan`].
 pub fn upper_bound_scan<G: GraphScan + ?Sized>(graph: &G) -> u64 {
-    upper_bound_scan_with(graph, &Executor::Sequential)
+    try_upper_bound_scan(graph).expect("star bound: storage read failed")
 }
 
-/// [`upper_bound_scan`] on an explicit executor backend.
-///
-/// The star partition is order-dependent (a vertex is a centre iff no
-/// earlier star claimed it), so the pass runs through
-/// [`Executor::fold_ordered`] and is identical on every backend.
-pub fn upper_bound_scan_with<G: GraphScan + ?Sized>(graph: &G, executor: &Executor) -> u64 {
+/// [`upper_bound_scan`] (engine pass `bound.star`), returning the scan's
+/// error.
+pub fn try_upper_bound_scan<G: GraphScan + ?Sized>(graph: &G) -> io::Result<u64> {
     let n = graph.num_vertices();
     let mut visited = vec![false; n];
     let mut bound: u64 = 0;
-    executor
-        .fold_ordered(graph, &mut |v, ns| {
-            if visited[v as usize] {
-                return;
+    engine::pass(graph, "bound.star", &mut |v, ns| {
+        if visited[v as usize] {
+            return;
+        }
+        visited[v as usize] = true;
+        let mut leaves: u64 = 0;
+        for &u in ns {
+            if !visited[u as usize] {
+                visited[u as usize] = true;
+                leaves += 1;
             }
-            visited[v as usize] = true;
-            let mut leaves: u64 = 0;
-            for &u in ns {
-                if !visited[u as usize] {
-                    visited[u as usize] = true;
-                    leaves += 1;
-                }
-            }
-            bound += leaves.max(1);
-        })
-        .expect("scan failed");
-    bound
+        }
+        bound += leaves.max(1);
+    })?;
+    Ok(bound)
 }
 
 /// Matching-based upper bound: for any matching `M`, every edge of `M`
@@ -56,41 +54,35 @@ pub fn upper_bound_scan_with<G: GraphScan + ?Sized>(graph: &G, executor: &Execut
 /// bit per vertex — the same semi-external budget as Algorithm 5. The two
 /// bounds are incomparable in general (Algorithm 5 wins on stars, the
 /// matching bound wins on cliques and cycles); [`best_upper_bound`]
-/// takes the minimum of both at the cost of a second scan.
+/// takes the minimum of both at the cost of a second scan. Panics on a
+/// storage error; see [`try_matching_bound`].
 pub fn matching_bound<G: GraphScan + ?Sized>(graph: &G) -> u64 {
-    matching_bound_with(graph, &Executor::Sequential)
+    try_matching_bound(graph).expect("matching bound: storage read failed")
 }
 
-/// [`matching_bound`] on an explicit executor backend (order-dependent
-/// greedy matching, hence [`Executor::fold_ordered`]).
-pub fn matching_bound_with<G: GraphScan + ?Sized>(graph: &G, executor: &Executor) -> u64 {
+/// [`matching_bound`] (engine pass `bound.matching`), returning the
+/// scan's error.
+pub fn try_matching_bound<G: GraphScan + ?Sized>(graph: &G) -> io::Result<u64> {
     let n = graph.num_vertices();
     let mut matched = vec![false; n];
     let mut matching_size: u64 = 0;
-    executor
-        .fold_ordered(graph, &mut |v, ns| {
-            if matched[v as usize] {
-                return;
-            }
-            if let Some(&u) = ns.iter().find(|&&u| !matched[u as usize] && u != v) {
-                matched[v as usize] = true;
-                matched[u as usize] = true;
-                matching_size += 1;
-            }
-        })
-        .expect("scan failed");
-    n as u64 - matching_size
+    engine::pass(graph, "bound.matching", &mut |v, ns| {
+        if matched[v as usize] {
+            return;
+        }
+        if let Some(&u) = ns.iter().find(|&&u| !matched[u as usize] && u != v) {
+            matched[v as usize] = true;
+            matched[u as usize] = true;
+            matching_size += 1;
+        }
+    })?;
+    Ok(n as u64 - matching_size)
 }
 
 /// The tighter of [`upper_bound_scan`] and [`matching_bound`] (two
 /// scans).
 pub fn best_upper_bound<G: GraphScan + ?Sized>(graph: &G) -> u64 {
-    best_upper_bound_with(graph, &Executor::Sequential)
-}
-
-/// [`best_upper_bound`] on an explicit executor backend.
-pub fn best_upper_bound_with<G: GraphScan + ?Sized>(graph: &G, executor: &Executor) -> u64 {
-    upper_bound_scan_with(graph, executor).min(matching_bound_with(graph, executor))
+    upper_bound_scan(graph).min(matching_bound(graph))
 }
 
 #[cfg(test)]
@@ -169,32 +161,6 @@ mod tests {
         let best = best_upper_bound(&g);
         assert!(best <= upper_bound_scan(&g));
         assert!(best <= matching_bound(&g));
-    }
-
-    #[test]
-    fn bounds_are_identical_on_every_backend() {
-        let g = mis_gen::plrg::Plrg::with_vertices(1_200, 2.1)
-            .seed(4)
-            .generate();
-        let ordered = OrderedCsr::degree_sorted(&g);
-        for threads in 1..=3 {
-            let exec = Executor::parallel(threads);
-            assert_eq!(
-                upper_bound_scan_with(&ordered, &exec),
-                upper_bound_scan(&ordered),
-                "threads {threads}"
-            );
-            assert_eq!(
-                matching_bound_with(&ordered, &exec),
-                matching_bound(&ordered),
-                "threads {threads}"
-            );
-            assert_eq!(
-                best_upper_bound_with(&ordered, &exec),
-                best_upper_bound(&ordered),
-                "threads {threads}"
-            );
-        }
     }
 
     #[test]

@@ -1,14 +1,12 @@
-//! Reusable mergeable passes.
-//!
-//! These are the order-insensitive scans shared by the CLI and the
-//! experiment harness, expressed as [`ScanPass`] implementations so any
-//! [`Executor`] backend can run them. Algorithm-specific passes (the
-//! swap algorithms' initial candidate derivation, the verification
-//! pass) live next to their algorithms.
+//! Reusable passes shared by the CLI and the experiment harness.
+//! Algorithm-specific passes (the swap algorithms' initial candidate
+//! derivation, the verification pass) live next to their algorithms.
 
-use mis_graph::{GraphScan, VertexId};
+use std::io;
 
-use super::{Executor, ScanPass};
+use mis_graph::GraphScan;
+
+use super::Executor;
 
 /// Degree summary of one full scan (the `mis stats` subcommand).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -36,48 +34,28 @@ impl DegreeStats {
     }
 }
 
-/// One-scan degree/stat summary; every per-record update commutes, so
-/// the pass is mergeable and parallelises fully.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DegreeStatsPass;
-
-impl ScanPass for DegreeStatsPass {
-    type Shard = DegreeStats;
-    type Output = DegreeStats;
-
-    fn new_shard(&self) -> Self::Shard {
-        DegreeStats::default()
-    }
-
-    fn visit(&self, shard: &mut Self::Shard, _v: VertexId, neighbors: &[VertexId]) {
-        shard.records += 1;
-        shard.degree_sum += neighbors.len() as u64;
-        shard.max_degree = shard.max_degree.max(neighbors.len());
-        match neighbors.len() {
-            0 => shard.isolated += 1,
-            1 => shard.pendant += 1,
-            _ => {}
-        }
-    }
-
-    fn merge(&self, into: &mut Self::Shard, later: Self::Shard) {
-        into.records += later.records;
-        into.degree_sum += later.degree_sum;
-        into.max_degree = into.max_degree.max(later.max_degree);
-        into.isolated += later.isolated;
-        into.pendant += later.pendant;
-    }
-
-    fn finish(&self, shard: Self::Shard) -> Self::Output {
-        shard
-    }
+/// Computes the [`DegreeStats`] of `graph` in one scan, panicking on a
+/// storage error; see [`try_degree_stats`]. The executor is ignored
+/// (see [`Executor`]).
+pub fn degree_stats<G: GraphScan + ?Sized>(graph: &G, _executor: &Executor) -> DegreeStats {
+    try_degree_stats(graph).expect("degree stats: storage read failed")
 }
 
-/// Computes the [`DegreeStats`] of `graph` in one pass on `executor`.
-pub fn degree_stats<G: GraphScan + ?Sized>(graph: &G, executor: &Executor) -> DegreeStats {
-    executor
-        .run_pass(graph, &DegreeStatsPass)
-        .expect("scan failed")
+/// Computes the [`DegreeStats`] of `graph` in one scan (pass
+/// `degree_stats`), returning the scan's error.
+pub fn try_degree_stats<G: GraphScan + ?Sized>(graph: &G) -> io::Result<DegreeStats> {
+    let mut stats = DegreeStats::default();
+    super::pass(graph, "degree_stats", &mut |_, neighbors| {
+        stats.records += 1;
+        stats.degree_sum += neighbors.len() as u64;
+        stats.max_degree = stats.max_degree.max(neighbors.len());
+        match neighbors.len() {
+            0 => stats.isolated += 1,
+            1 => stats.pendant += 1,
+            _ => {}
+        }
+    })?;
+    Ok(stats)
 }
 
 #[cfg(test)]
@@ -89,15 +67,13 @@ mod tests {
     fn degree_stats_on_known_graph() {
         // A 4-star plus one isolated vertex.
         let g = CsrGraph::from_edges(6, &[(0, 1), (0, 2), (0, 3), (0, 4)]);
-        for exec in [Executor::Sequential, Executor::parallel(3)] {
-            let stats = degree_stats(&g, &exec);
-            assert_eq!(stats.records, 6);
-            assert_eq!(stats.degree_sum, 8);
-            assert_eq!(stats.max_degree, 4);
-            assert_eq!(stats.isolated, 1);
-            assert_eq!(stats.pendant, 4);
-            assert!((stats.avg_degree() - 8.0 / 6.0).abs() < 1e-12);
-        }
+        let stats = degree_stats(&g, &Executor::Sequential);
+        assert_eq!(stats.records, 6);
+        assert_eq!(stats.degree_sum, 8);
+        assert_eq!(stats.max_degree, 4);
+        assert_eq!(stats.isolated, 1);
+        assert_eq!(stats.pendant, 4);
+        assert!((stats.avg_degree() - 8.0 / 6.0).abs() < 1e-12);
         assert_eq!(DegreeStats::default().avg_degree(), 0.0);
     }
 }

@@ -11,9 +11,11 @@
 //! typo for the excluded state — the intended algorithm (and this
 //! implementation) marks them ineligible.
 
+use std::io;
+
 use mis_graph::{GraphScan, VertexId};
 
-use crate::engine::Executor;
+use crate::engine::{self, Executor};
 use crate::result::{MemoryModel, MisResult};
 
 /// Per-vertex state of Algorithm 1.
@@ -32,55 +34,57 @@ enum State {
 ///
 /// Scans in the storage order of the provided [`GraphScan`]; pair with a
 /// degree-sorted file (or [`mis_graph::OrderedCsr::degree_sorted`]) for
-/// the paper's GREEDY behaviour.
-///
-/// The lazy-exclusion fold is order-dependent (a vertex joins iff no
-/// earlier record excluded it), so the pass runs through
-/// [`Executor::fold_ordered`]: sequential on the default backend, and
-/// read/decode-pipelined — with identical transitions — on a parallel
-/// one.
+/// the paper's GREEDY behaviour. The scan is one engine pass named
+/// `greedy`.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Greedy {
-    executor: Executor,
-}
+pub struct Greedy;
 
 impl Greedy {
-    /// Creates the algorithm on the sequential backend.
+    /// Creates the algorithm.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 
-    /// Creates the algorithm on an explicit executor backend.
-    pub fn with_executor(executor: Executor) -> Self {
-        Self { executor }
+    /// Creates the algorithm; the executor is ignored (see
+    /// [`Executor`]).
+    pub fn with_executor(_executor: Executor) -> Self {
+        Self
     }
 
-    /// Runs one pass and returns a **maximal** independent set.
+    /// Runs one pass and returns a **maximal** independent set. Panics
+    /// on a storage error; see [`Greedy::try_run`].
     pub fn run<G: GraphScan + ?Sized>(&self, graph: &G) -> MisResult {
-        self.run_observing_order(graph).0
+        self.try_run(graph).expect("greedy: storage read failed")
     }
 
-    /// [`Greedy::run`], also reporting whether the records arrived in
+    /// Runs one pass and returns a **maximal** independent set, or the
+    /// scan's error.
+    pub fn try_run<G: GraphScan + ?Sized>(&self, graph: &G) -> io::Result<MisResult> {
+        Ok(self.try_run_observing_order(graph)?.0)
+    }
+
+    /// [`Greedy::try_run`], also reporting whether the records arrived in
     /// ascending-degree order — whether the pass ran as the paper's
     /// GREEDY rather than as a BASELINE over an unsorted file.
-    pub fn run_observing_order<G: GraphScan + ?Sized>(&self, graph: &G) -> (MisResult, bool) {
+    pub fn try_run_observing_order<G: GraphScan + ?Sized>(
+        &self,
+        graph: &G,
+    ) -> io::Result<(MisResult, bool)> {
         let n = graph.num_vertices();
         let mut state = vec![State::Initial; n];
         let (mut last_degree, mut degree_sorted) = (0, true);
-        self.executor
-            .fold_ordered(graph, &mut |v, ns| {
-                degree_sorted &= ns.len() >= last_degree;
-                last_degree = ns.len();
-                if state[v as usize] == State::Initial {
-                    state[v as usize] = State::Is;
-                    for &u in ns {
-                        if state[u as usize] == State::Initial {
-                            state[u as usize] = State::Excluded;
-                        }
+        engine::pass(graph, "greedy", &mut |v, ns| {
+            degree_sorted &= ns.len() >= last_degree;
+            last_degree = ns.len();
+            if state[v as usize] == State::Initial {
+                state[v as usize] = State::Is;
+                for &u in ns {
+                    if state[u as usize] == State::Initial {
+                        state[u as usize] = State::Excluded;
                     }
                 }
-            })
-            .expect("scan failed");
+            }
+        })?;
 
         let set: Vec<VertexId> = state
             .iter()
@@ -96,7 +100,7 @@ impl Greedy {
                 ..MemoryModel::default()
             },
         };
-        (result, degree_sorted)
+        Ok((result, degree_sorted))
     }
 }
 
@@ -104,24 +108,17 @@ impl Greedy {
 /// without the degree-sort preprocessing. A thin, self-documenting wrapper
 /// around [`Greedy`].
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Baseline {
-    executor: Executor,
-}
+pub struct Baseline;
 
 impl Baseline {
-    /// Creates the algorithm on the sequential backend.
+    /// Creates the algorithm.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates the algorithm on an explicit executor backend.
-    pub fn with_executor(executor: Executor) -> Self {
-        Self { executor }
+        Self
     }
 
     /// Runs one pass in the scan's storage order.
     pub fn run<G: GraphScan + ?Sized>(&self, graph: &G) -> MisResult {
-        Greedy::with_executor(self.executor).run(graph)
+        Greedy.run(graph)
     }
 }
 
@@ -143,11 +140,13 @@ mod tests {
     #[test]
     fn the_pass_observes_whether_records_arrive_degree_sorted() {
         let g = CsrGraph::from_edges(5, &[(0, 1), (0, 2), (0, 3), (0, 4)]);
-        let (sorted, in_order) = Greedy::new().run_observing_order(&OrderedCsr::degree_sorted(&g));
+        let (sorted, in_order) = Greedy::new()
+            .try_run_observing_order(&OrderedCsr::degree_sorted(&g))
+            .unwrap();
         assert!(in_order);
         assert_eq!(sorted, Greedy::new().run(&OrderedCsr::degree_sorted(&g)));
         // Id order reaches the hub (degree 4) before the leaves.
-        assert!(!Greedy::new().run_observing_order(&g).1);
+        assert!(!Greedy::new().try_run_observing_order(&g).unwrap().1);
     }
 
     #[test]
@@ -196,19 +195,6 @@ mod tests {
     fn empty_graph() {
         let g = CsrGraph::empty(0);
         assert!(Greedy::new().run(&g).set.is_empty());
-    }
-
-    #[test]
-    fn parallel_backend_is_byte_identical() {
-        let g = mis_gen::plrg::Plrg::with_vertices(1_500, 2.0)
-            .seed(11)
-            .generate();
-        let sorted = OrderedCsr::degree_sorted(&g);
-        let seq = Greedy::new().run(&sorted);
-        for threads in 1..=4 {
-            let par = Greedy::with_executor(Executor::parallel(threads)).run(&sorted);
-            assert_eq!(par, seq, "threads {threads}");
-        }
     }
 
     #[test]

@@ -20,11 +20,11 @@
 //! the experiment harness can regenerate the paper's Tables 6–8 and
 //! Figure 10 (round counts, early-stop profile, SC size, memory model).
 //!
-//! All scan loops run through the unified execution [`engine`]: a
-//! [`ScanPass`]/[`Executor`] split with a `Sequential` backend (the
-//! paper's verbatim single-threaded access model, the default) and a
-//! block-parallel `Parallel` backend that produces bit-identical results
-//! at any thread count (see the engine-equivalence proptests).
+//! Every full scan runs through one helper of the [`engine`]: a
+//! sequential pass on the calling thread, the paper's access model,
+//! recorded as one `pass` span named after the algorithm pass. The
+//! algorithms that scan also have fallible `try_*` entry points that
+//! return a storage error instead of panicking.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -44,11 +44,10 @@ pub mod twok;
 pub mod verify;
 
 pub use bound::{
-    best_upper_bound, best_upper_bound_with, matching_bound, matching_bound_with, upper_bound_scan,
-    upper_bound_scan_with,
+    best_upper_bound, matching_bound, try_matching_bound, try_upper_bound_scan, upper_bound_scan,
 };
 pub use dynamic::DynamicUpdate;
-pub use engine::{Executor, ParallelConfig, ScanPass};
+pub use engine::Executor;
 pub use greedy::{Baseline, Greedy};
 pub use incremental::{
     repair_updated_set_from_ops, try_repair_since, RepairConfig, UpdateRepairOutcome,
@@ -61,5 +60,6 @@ pub use result::{
 pub use tfp::TfpMaximalIs;
 pub use twok::TwoKSwap;
 pub use verify::{
-    is_independent_set, is_maximal_independent_set, prove_maximal, prove_maximal_with, SetProof,
+    is_independent_set, is_maximal_independent_set, prove_maximal, prove_maximal_with,
+    try_prove_maximal, SetProof,
 };

@@ -39,69 +39,46 @@ use std::io;
 
 use mis_graph::{GraphScan, NeighborAccess, VertexId};
 
-use crate::engine::{self, Executor, ScanPass};
+use crate::engine;
 use crate::result::{MemoryModel, MisResult, RoundStats, SwapConfig, SwapOutcome, SwapStats};
 
 pub(crate) const NONE: u32 = u32::MAX;
 
 /// The initial `A`-state derivation shared by both swap algorithms
-/// (lines 1–3 of Algorithms 2 and 3): for every vertex still `N`, find
-/// its IS neighbours. Each record's verdict reads only the frozen `I`
-/// membership, so the pass is mergeable and parallelises; the caller
-/// applies the collected `(v, w1, w2)` assignments after the scan
-/// (`w2 == NONE` for singletons).
-pub(crate) struct InitCandidates<'a> {
-    state: &'a [S],
-    /// IS-neighbour slots tracked before breaking: 1 for one-k-swap
-    /// (singleton `A` only), 2 for two-k-swap.
+/// (lines 1–3 of Algorithms 2 and 3): the IS neighbours of a vertex `v`
+/// still `N`, when it has at least one and at most `slots` of them
+/// (1 for one-k-swap, 2 for two-k-swap). Returns `(w1, w2)`, with
+/// `w2 == NONE` for a singleton.
+///
+/// The verdict reads only `v`'s own state and its neighbours' `I`
+/// membership, and the init pass turns only `N` vertices into `A`, so
+/// applying each verdict during the scan gives the same states as
+/// applying them all after it.
+pub(crate) fn init_candidate(
+    state: &[S],
+    v: VertexId,
+    ns: &[VertexId],
     slots: u32,
-}
-
-impl<'a> InitCandidates<'a> {
-    pub(crate) fn new(state: &'a [S], slots: u32) -> Self {
-        Self { state, slots }
+) -> Option<(u32, u32)> {
+    if state[v as usize] != S::N {
+        return None;
     }
-}
-
-impl ScanPass for InitCandidates<'_> {
-    type Shard = Vec<(u32, u32, u32)>;
-    type Output = Vec<(u32, u32, u32)>;
-
-    fn new_shard(&self) -> Self::Shard {
-        Vec::new()
-    }
-
-    fn visit(&self, shard: &mut Self::Shard, v: VertexId, ns: &[VertexId]) {
-        if self.state[v as usize] != S::N {
-            return;
-        }
-        let mut count = 0u32;
-        let (mut w1, mut w2) = (NONE, NONE);
-        for &u in ns {
-            if self.state[u as usize] == S::I {
-                count += 1;
-                if w1 == NONE {
-                    w1 = u;
-                } else if w2 == NONE {
-                    w2 = u;
-                }
-                if count > self.slots {
-                    break;
-                }
+    let mut count = 0u32;
+    let (mut w1, mut w2) = (NONE, NONE);
+    for &u in ns {
+        if state[u as usize] == S::I {
+            count += 1;
+            if w1 == NONE {
+                w1 = u;
+            } else if w2 == NONE {
+                w2 = u;
+            }
+            if count > slots {
+                return None;
             }
         }
-        if count >= 1 && count <= self.slots {
-            shard.push((v, w1, if count == 2 { w2 } else { NONE }));
-        }
     }
-
-    fn merge(&self, into: &mut Self::Shard, later: Self::Shard) {
-        into.extend(later);
-    }
-
-    fn finish(&self, shard: Self::Shard) -> Self::Output {
-        shard
-    }
+    (count >= 1).then_some((w1, if count == 2 { w2 } else { NONE }))
 }
 
 /// Collects one round's paged-path candidates: `Some(list)` sorted into
@@ -220,17 +197,15 @@ impl OneKSwap {
             state[v as usize] = S::I;
             isn[v as usize] = 0; // count slot for IS vertices
         }
-        let mut file_scans: u64 = 0;
-        let executor = self.config.executor;
-
-        // Lines 1–3: derive initial A states and ISN counts (one
-        // mergeable engine pass).
-        file_scans += 1;
-        for (v, w, _) in executor.run_pass(graph, &InitCandidates::new(&state, 1))? {
-            state[v as usize] = S::A;
-            isn[v as usize] = w;
-            isn[w as usize] += 1;
-        }
+        // Lines 1–3: derive initial A states and ISN counts (one scan).
+        let mut file_scans: u64 = 1;
+        engine::pass(graph, "onek.init", &mut |v, ns| {
+            if let Some((w, _)) = init_candidate(&state, v, ns, 1) {
+                state[v as usize] = S::A;
+                isn[v as usize] = w;
+                isn[w as usize] += 1;
+            }
+        })?;
 
         let mut stats = SwapStats {
             initial_size: initial.len() as u64,
@@ -288,7 +263,7 @@ impl OneKSwap {
                     _ => {}
                 }
             };
-            if engine::candidate_pass(&executor, graph, access, cands, &mut pre_body)? {
+            if engine::candidate_pass(graph, access, cands, "onek.pre", &mut pre_body)? {
                 stats.paged_rounds += 1;
             } else {
                 file_scans += 1;
@@ -319,13 +294,12 @@ impl OneKSwap {
                 }
             }
 
-            // ---- Post-swap scan (lines 20–28); order-dependent (0↔1
-            // promotions are visible to later records), so it runs
-            // through the engine's ordered fold. It records the vertices
-            // it leaves open for the finish. ----
+            // ---- Post-swap scan (lines 20–28); 0↔1 promotions are
+            // visible to later records. It records the vertices it leaves
+            // open for the finish. ----
             file_scans += 1;
             open.start_pass();
-            executor.fold_ordered(graph, &mut |u, ns| {
+            engine::pass(graph, "onek.post", &mut |u, ns| {
                 let s = state[u as usize];
                 if s == S::I || s == S::P || s == S::R {
                     return;
@@ -389,7 +363,7 @@ impl OneKSwap {
         }
 
         if self.config.finalize_maximal {
-            stats.finish_scanned = open.finish(graph, &mut state, &executor)?;
+            stats.finish_scanned = open.finish(graph, &mut state, "onek.finalize")?;
             file_scans += u64::from(stats.finish_scanned);
         }
 
@@ -496,16 +470,16 @@ impl OpenVertices {
     }
 
     /// Makes `state`'s set maximal by replaying the record, or by one
-    /// ordered scan of `graph` when the record is incomplete. Returns
-    /// whether it scanned.
+    /// scan of `graph` (engine pass `name`) when the record is
+    /// incomplete. Returns whether it scanned.
     pub(crate) fn finish<G: GraphScan + ?Sized>(
         &self,
         graph: &G,
         state: &mut [S],
-        executor: &Executor,
+        name: &'static str,
     ) -> io::Result<bool> {
         if !self.complete {
-            executor.fold_ordered(graph, &mut |u, ns| join_if_free(state, u, ns))?;
+            engine::pass(graph, name, &mut |u, ns| join_if_free(state, u, ns))?;
             return Ok(true);
         }
         let mut rest = self.words.as_slice();
@@ -697,23 +671,6 @@ mod tests {
                 plain.result.file_scans - paged.result.file_scans,
                 paged.stats.paged_rounds
             );
-        }
-    }
-
-    #[test]
-    fn parallel_executor_is_byte_identical() {
-        for seed in 0..2 {
-            let g = mis_gen::plrg::Plrg::with_vertices(1_500, 2.0)
-                .seed(seed)
-                .generate();
-            let scan = OrderedCsr::degree_sorted(&g);
-            let greedy = Greedy::new().run(&scan);
-            let seq = OneKSwap::new().run(&scan, &greedy.set);
-            for threads in 1..=4 {
-                let config = SwapConfig::default().with_executor(Executor::parallel(threads));
-                let par = OneKSwap::with_config(config).run(&scan, &greedy.set);
-                assert_eq!(par, seq, "seed {seed}, threads {threads}");
-            }
         }
     }
 

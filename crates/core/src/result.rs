@@ -92,11 +92,6 @@ pub struct SwapConfig {
     /// as a configuration error rather than silently degenerate paging
     /// (the CLI does).
     pub paged_threshold: f64,
-    /// Execution backend for the full-scan passes (init, pre-swap,
-    /// post-swap, finalise). [`Executor::Sequential`] (the default) is
-    /// the paper's single-threaded access model; a parallel executor
-    /// produces bit-identical results at any thread count.
-    pub executor: Executor,
 }
 
 /// Default candidate fraction below which a round switches to paged
@@ -118,7 +113,6 @@ impl Default for SwapConfig {
             repromote_n: true,
             finalize_maximal: true,
             paged_threshold: 0.0,
-            executor: Executor::Sequential,
         }
     }
 }
@@ -157,9 +151,9 @@ impl SwapConfig {
         self
     }
 
-    /// Sets the execution backend for the full-scan passes.
-    pub fn with_executor(mut self, executor: Executor) -> Self {
-        self.executor = executor;
+    /// The same configuration; the executor is ignored (see
+    /// [`Executor`]).
+    pub fn with_executor(self, _executor: Executor) -> Self {
         self
     }
 
@@ -332,15 +326,9 @@ mod tests {
                 .paged_threshold,
             0.5
         );
-        // ... and so is the sequential execution backend.
-        assert_eq!(c.executor, Executor::Sequential);
-        assert_eq!(
-            SwapConfig::default()
-                .with_executor(Executor::parallel(3))
-                .executor
-                .threads(),
-            3
-        );
+        // An executor changes nothing.
+        let parallel = SwapConfig::default().with_executor(Executor::parallel(3));
+        assert_eq!(format!("{parallel:?}"), format!("{c:?}"));
     }
 
     #[test]

@@ -124,7 +124,7 @@ use std::io;
 use mis_graph::{GraphScan, NeighborAccess, VertexId};
 
 use crate::engine;
-use crate::onek::{select_paged_candidates, InitCandidates, OpenVertices, NONE, S};
+use crate::onek::{init_candidate, select_paged_candidates, OpenVertices, NONE, S};
 use crate::result::{MemoryModel, MisResult, RoundStats, SwapConfig, SwapOutcome, SwapStats};
 
 /// Cap on stored candidate pairs per key. One valid pair is enough to
@@ -758,7 +758,6 @@ impl TwoKSwap {
         initial: &[VertexId],
     ) -> io::Result<SwapOutcome> {
         let n = graph.num_vertices();
-        let executor = self.config.executor;
         let init_span = mis_obs::span("twok", "twok.init");
         let mut run = Run {
             state: vec![S::N; n],
@@ -774,17 +773,19 @@ impl TwoKSwap {
         }
 
         // Lines 1–3: initial A states (one or two IS neighbours); one
-        // mergeable engine pass against the frozen I membership.
+        // scan against the I membership, which it does not change.
         let mut file_scans: u64 = 1;
-        for (v, w1, w2) in executor.run_pass(graph, &InitCandidates::new(&run.state, 2))? {
-            run.state[v as usize] = S::A;
-            run.rec[v as usize].isn1 = w1;
-            if w2 == NONE {
-                run.rec[w1 as usize].isn1 += 1;
-            } else {
-                run.rec[v as usize].isn2 = w2;
+        engine::pass(graph, "twok.init", &mut |v, ns| {
+            if let Some((w1, w2)) = init_candidate(&run.state, v, ns, 2) {
+                run.state[v as usize] = S::A;
+                run.rec[v as usize].isn1 = w1;
+                if w2 == NONE {
+                    run.rec[w1 as usize].isn1 += 1;
+                } else {
+                    run.rec[v as usize].isn2 = w2;
+                }
             }
-        }
+        })?;
         drop(init_span);
 
         let mut stats = SwapStats {
@@ -824,7 +825,7 @@ impl TwoKSwap {
                     rs.pre_swap(scs, u, ns);
                 }
             };
-            if engine::candidate_pass(&executor, graph, access, cands, &mut pre_body)? {
+            if engine::candidate_pass(graph, access, cands, "twok.pre", &mut pre_body)? {
                 stats.paged_rounds += 1;
             } else {
                 file_scans += 1;
@@ -860,17 +861,15 @@ impl TwoKSwap {
             }
             drop(swap_span);
 
-            // ---- Post-swap scan (Algorithm 3 lines 15–23);
-            // order-dependent (nominee joins and 0↔1 promotions are
-            // visible to later records), so it runs through the
-            // engine's ordered fold. ----
+            // ---- Post-swap scan (Algorithm 3 lines 15–23); nominee
+            // joins and 0↔1 promotions are visible to later records. ----
             let post_span = mis_obs::span("twok", "twok.post");
             file_scans += 1;
             seen.clear();
             run.open.start_pass();
             let rs = &mut run;
             let round_ref = &mut round;
-            executor.fold_ordered(graph, &mut |u, ns| {
+            engine::pass(graph, "twok.post", &mut |u, ns| {
                 if rs.post_swap(u, ns, &mut seen) {
                     round_ref.swapped_in += 1;
                 }
@@ -901,7 +900,7 @@ impl TwoKSwap {
 
         if self.config.finalize_maximal {
             let _span = mis_obs::span("twok", "twok.finalize");
-            stats.finish_scanned = run.open.finish(graph, &mut run.state, &executor)?;
+            stats.finish_scanned = run.open.finish(graph, &mut run.state, "twok.finalize")?;
             file_scans += u64::from(stats.finish_scanned);
         }
 
@@ -1096,24 +1095,6 @@ mod tests {
         );
         assert!(is_maximal_independent_set(&g, &out.result.set));
         assert!(out.result.set.len() >= greedy.set.len());
-    }
-
-    #[test]
-    fn parallel_executor_is_byte_identical() {
-        use crate::engine::Executor;
-        for seed in 0..2 {
-            let g = mis_gen::plrg::Plrg::with_vertices(1_500, 2.1)
-                .seed(seed)
-                .generate();
-            let scan = OrderedCsr::degree_sorted(&g);
-            let greedy = Greedy::new().run(&scan);
-            let seq = TwoKSwap::new().run(&scan, &greedy.set);
-            for threads in 1..=4 {
-                let config = SwapConfig::default().with_executor(Executor::parallel(threads));
-                let par = TwoKSwap::with_config(config).run(&scan, &greedy.set);
-                assert_eq!(par, seq, "seed {seed}, threads {threads}");
-            }
-        }
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! Independence and maximality checks.
 //!
 //! Both checks are themselves semi-external: one bit per vertex in memory,
-//! one sequential scan of the graph. The scan is a mergeable
-//! [`ScanPass`] — every record is judged against the fixed membership
-//! bitmap, and the two verdict booleans combine by logical AND — so the
-//! proof runs on any [`Executor`] backend with an identical result.
+//! one sequential scan of the graph (engine pass `proof`), in which every
+//! record is judged against the fixed membership bitmap.
+
+use std::io;
 
 use mis_graph::{GraphScan, VertexId};
 
-use crate::engine::{Executor, ScanPass};
+use crate::engine::{self, Executor};
 
 /// Builds a membership bitmap from a vertex list.
 fn membership(n: usize, set: &[VertexId]) -> Vec<bool> {
@@ -35,60 +35,43 @@ impl SetProof {
     }
 }
 
-/// The verification pass: independence and domination in one scan.
-struct ProofPass<'a> {
-    member: &'a [bool],
-}
-
-impl ScanPass for ProofPass<'_> {
-    type Shard = SetProof;
-    type Output = SetProof;
-
-    fn new_shard(&self) -> Self::Shard {
-        SetProof {
-            independent: true,
-            maximal: true,
-        }
-    }
-
-    fn visit(&self, shard: &mut Self::Shard, v: VertexId, neighbors: &[VertexId]) {
-        let v_in = self.member[v as usize];
-        let touches = neighbors.iter().any(|&u| self.member[u as usize]);
+/// Proves (or refutes) in one scan that `set` is a maximal independent
+/// set of `graph`, or returns the scan's error. Duplicates in `set` are
+/// tolerated.
+pub fn try_prove_maximal<G: GraphScan + ?Sized>(
+    graph: &G,
+    set: &[VertexId],
+) -> io::Result<SetProof> {
+    let member = membership(graph.num_vertices(), set);
+    let mut proof = SetProof {
+        independent: true,
+        maximal: true,
+    };
+    engine::pass(graph, "proof", &mut |v, neighbors| {
+        let v_in = member[v as usize];
+        let touches = neighbors.iter().any(|&u| member[u as usize]);
         if v_in && touches {
-            shard.independent = false;
+            proof.independent = false;
         }
         if !v_in && !touches {
-            shard.maximal = false;
+            proof.maximal = false;
         }
-    }
-
-    fn merge(&self, into: &mut Self::Shard, later: Self::Shard) {
-        into.independent &= later.independent;
-        into.maximal &= later.maximal;
-    }
-
-    fn finish(&self, shard: Self::Shard) -> Self::Output {
-        shard
-    }
+    })?;
+    Ok(proof)
 }
 
-/// Proves (or refutes) in one scan that `set` is a maximal independent
-/// set of `graph`, on the given executor backend. Duplicates in `set`
-/// are tolerated.
+/// [`prove_maximal`]; the executor is ignored (see [`Executor`]).
 pub fn prove_maximal_with<G: GraphScan + ?Sized>(
     graph: &G,
     set: &[VertexId],
-    executor: &Executor,
+    _executor: &Executor,
 ) -> SetProof {
-    let member = membership(graph.num_vertices(), set);
-    executor
-        .run_pass(graph, &ProofPass { member: &member })
-        .expect("scan failed")
+    prove_maximal(graph, set)
 }
 
-/// [`prove_maximal_with`] on the sequential backend.
+/// [`try_prove_maximal`], panicking on a storage error.
 pub fn prove_maximal<G: GraphScan + ?Sized>(graph: &G, set: &[VertexId]) -> SetProof {
-    prove_maximal_with(graph, set, &Executor::Sequential)
+    try_prove_maximal(graph, set).expect("proof: storage read failed")
 }
 
 /// Whether `set` is an independent set of `graph` (no two members
@@ -159,19 +142,5 @@ mod tests {
         let proof = prove_maximal(&g, &[1]);
         assert!(proof.independent && !proof.maximal);
         assert!(!proof.is_maximal_independent());
-    }
-
-    #[test]
-    fn parallel_proof_matches_sequential() {
-        let g = mis_gen::plrg::Plrg::with_vertices(1_000, 2.0)
-            .seed(9)
-            .generate();
-        let greedy = crate::greedy::Greedy::new().run(&g);
-        let seq = prove_maximal(&g, &greedy.set);
-        for threads in 1..=4 {
-            let par = prove_maximal_with(&g, &greedy.set, &Executor::parallel(threads));
-            assert_eq!(par, seq, "threads {threads}");
-        }
-        assert!(seq.is_maximal_independent());
     }
 }

@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 
-use mis_core::{Executor, Greedy, OneKSwap, SwapConfig, SwapOutcome, TwoKSwap};
+use mis_core::{Greedy, OneKSwap, SwapConfig, SwapOutcome, TwoKSwap};
 use mis_graph::{CsrGraph, GraphScan, OrderedCsr, VertexId};
 
 /// A random PLRG (β ∈ {1.8, 2.1, 2.5}), sparse `G(n, m)` or dense
@@ -63,7 +63,7 @@ fn swap(
 }
 
 /// Checks one-k and two-k from the Greedy and the empty start on the
-/// sequential, `par(2)` and paged paths, and one-k without `N`
+/// scanned and paged paths, and one-k without `N`
 /// re-promotion, against the two-pass reference, and returns the
 /// outcomes.
 fn assert_finish_matches_reference(g: &CsrGraph) -> Vec<SwapOutcome> {
@@ -71,11 +71,6 @@ fn assert_finish_matches_reference(g: &CsrGraph) -> Vec<SwapOutcome> {
     let greedy = Greedy::new().run(&sorted).set;
     let paths = [
         ("seq", SwapConfig::default(), false),
-        (
-            "par(2)",
-            SwapConfig::default().with_executor(Executor::parallel(2)),
-            false,
-        ),
         (
             "paged",
             SwapConfig::default().with_paged_threshold(1.0),

@@ -62,7 +62,7 @@ fn delta(stats: &IoStats, before: &IoSnapshot) -> IoSnapshot {
     stats.snapshot().since(before)
 }
 
-/// File bytes, then the I/O of open, one scan and one block scan.
+/// File bytes, then the I/O of open and one scan.
 fn file_line(name: &str, path: &Path) -> String {
     let stats = IoStats::shared();
     let file = AnyAdjFile::open_with_block_size(path, Arc::clone(&stats), BLOCK).unwrap();
@@ -71,20 +71,14 @@ fn file_line(name: &str, path: &Path) -> String {
     let mut entries = 0u64;
     file.scan(&mut |_, ns| entries += ns.len() as u64).unwrap();
     let scan = delta(&stats, &before);
-    let before = stats.snapshot();
-    let mut blocks = 0u64;
-    file.scan_blocks(64, &mut |_| blocks += 1).unwrap();
-    let block_scan = delta(&stats, &before);
     format!(
-        "{name}: {} open={}/{} scan={}/{}/{} entries={entries} scan_blocks={}/{} blocks={blocks}",
+        "{name}: {} open={}/{} scan={}/{}/{} entries={entries}",
         file_hash(path),
         open.scans_started,
         open.blocks_read,
         scan.scans_started,
         scan.blocks_read,
         scan.bytes_read,
-        block_scan.scans_started,
-        block_scan.blocks_read,
     )
 }
 
@@ -252,10 +246,10 @@ fn actual_lines() -> Vec<String> {
 /// Recorded with separate plain and compressed implementations.
 const GOLDEN: &[&str] = &[
     "plrg-n2000-b1.8-s1: |V|=1977 |E|=3237",
-    "plrg-n2000-b1.8-s1 raw.adj: bytes=41736 fnv=392db13677078a5d open=0/1 scan=1/164/41736 entries=6474 scan_blocks=1/164 blocks=32",
-    "plrg-n2000-b1.8-s1 raw.cadj: bytes=14565 fnv=94d51cf354f54e2a open=0/1 scan=1/57/14565 entries=6474 scan_blocks=1/57 blocks=32",
-    "plrg-n2000-b1.8-s1 sorted.adj: bytes=41736 fnv=b591cd025a0127b5 open=0/1 scan=1/164/41736 entries=6474 scan_blocks=1/164 blocks=32",
-    "plrg-n2000-b1.8-s1 sorted.cadj: bytes=14565 fnv=22e5f47efe55d076 open=0/1 scan=1/57/14565 entries=6474 scan_blocks=1/57 blocks=32",
+    "plrg-n2000-b1.8-s1 raw.adj: bytes=41736 fnv=392db13677078a5d open=0/1 scan=1/164/41736 entries=6474",
+    "plrg-n2000-b1.8-s1 raw.cadj: bytes=14565 fnv=94d51cf354f54e2a open=0/1 scan=1/57/14565 entries=6474",
+    "plrg-n2000-b1.8-s1 sorted.adj: bytes=41736 fnv=b591cd025a0127b5 open=0/1 scan=1/164/41736 entries=6474",
+    "plrg-n2000-b1.8-s1 sorted.cadj: bytes=14565 fnv=22e5f47efe55d076 open=0/1 scan=1/57/14565 entries=6474",
     "plrg-n2000-b1.8-s1 indexed.adj: bytes=41736 fnv=b591cd025a0127b5",
     "plrg-n2000-b1.8-s1 indexed.cadj: bytes=14565 fnv=22e5f47efe55d076",
     "plrg-n2000-b1.8-s1 index adj: writer=736ecc3b1c3b605a scan=736ecc3b1c3b605a build=1/164",
@@ -263,10 +257,10 @@ const GOLDEN: &[&str] = &[
     "plrg-n2000-b1.8-s1 paged adj: lists=9be37ae0f310e58b blocks=2572 hits=20 misses=2572 evictions=2568",
     "plrg-n2000-b1.8-s1 paged cadj: lists=798cf05bb7d2bb13 blocks=2151 hits=54 misses=2151 evictions=2147",
     "plrg-n3000-b2-s2: |V|=2979 |E|=3812",
-    "plrg-n3000-b2-s2 raw.adj: bytes=54352 fnv=8b74444776131d7f open=0/1 scan=1/213/54352 entries=7624 scan_blocks=1/213 blocks=47",
-    "plrg-n3000-b2-s2 raw.cadj: bytes=20307 fnv=574cb8c75827e1f9 open=0/1 scan=1/80/20307 entries=7624 scan_blocks=1/80 blocks=47",
-    "plrg-n3000-b2-s2 sorted.adj: bytes=54352 fnv=1cf105bf2468ce4b open=0/1 scan=1/213/54352 entries=7624 scan_blocks=1/213 blocks=47",
-    "plrg-n3000-b2-s2 sorted.cadj: bytes=20307 fnv=0b34f987a8cbc425 open=0/1 scan=1/80/20307 entries=7624 scan_blocks=1/80 blocks=47",
+    "plrg-n3000-b2-s2 raw.adj: bytes=54352 fnv=8b74444776131d7f open=0/1 scan=1/213/54352 entries=7624",
+    "plrg-n3000-b2-s2 raw.cadj: bytes=20307 fnv=574cb8c75827e1f9 open=0/1 scan=1/80/20307 entries=7624",
+    "plrg-n3000-b2-s2 sorted.adj: bytes=54352 fnv=1cf105bf2468ce4b open=0/1 scan=1/213/54352 entries=7624",
+    "plrg-n3000-b2-s2 sorted.cadj: bytes=20307 fnv=0b34f987a8cbc425 open=0/1 scan=1/80/20307 entries=7624",
     "plrg-n3000-b2-s2 indexed.adj: bytes=54352 fnv=1cf105bf2468ce4b",
     "plrg-n3000-b2-s2 indexed.cadj: bytes=20307 fnv=0b34f987a8cbc425",
     "plrg-n3000-b2-s2 index adj: writer=0589e1eab7d74dc3 scan=0589e1eab7d74dc3 build=1/213",
@@ -274,10 +268,10 @@ const GOLDEN: &[&str] = &[
     "plrg-n3000-b2-s2 paged adj: lists=76f380e66f48f9e4 blocks=2453 hits=20 misses=2453 evictions=2449",
     "plrg-n3000-b2-s2 paged cadj: lists=edcec24b78b3dacc blocks=2133 hits=38 misses=2133 evictions=2129",
     "plrg-n4000-b2.3-s3: |V|=3985 |E|=3746",
-    "plrg-n4000-b2.3-s3 raw.adj: bytes=61872 fnv=19a02454454d68a0 open=0/1 scan=1/242/61872 entries=7492 scan_blocks=1/242 blocks=63",
-    "plrg-n4000-b2.3-s3 raw.cadj: bytes=24456 fnv=77688dce1ae9e1d5 open=0/1 scan=1/96/24456 entries=7492 scan_blocks=1/96 blocks=63",
-    "plrg-n4000-b2.3-s3 sorted.adj: bytes=61872 fnv=d3d20476c6c054c8 open=0/1 scan=1/242/61872 entries=7492 scan_blocks=1/242 blocks=63",
-    "plrg-n4000-b2.3-s3 sorted.cadj: bytes=24456 fnv=3c0db05b44125853 open=0/1 scan=1/96/24456 entries=7492 scan_blocks=1/96 blocks=63",
+    "plrg-n4000-b2.3-s3 raw.adj: bytes=61872 fnv=19a02454454d68a0 open=0/1 scan=1/242/61872 entries=7492",
+    "plrg-n4000-b2.3-s3 raw.cadj: bytes=24456 fnv=77688dce1ae9e1d5 open=0/1 scan=1/96/24456 entries=7492",
+    "plrg-n4000-b2.3-s3 sorted.adj: bytes=61872 fnv=d3d20476c6c054c8 open=0/1 scan=1/242/61872 entries=7492",
+    "plrg-n4000-b2.3-s3 sorted.cadj: bytes=24456 fnv=3c0db05b44125853 open=0/1 scan=1/96/24456 entries=7492",
     "plrg-n4000-b2.3-s3 indexed.adj: bytes=61872 fnv=d3d20476c6c054c8",
     "plrg-n4000-b2.3-s3 indexed.cadj: bytes=24456 fnv=3c0db05b44125853",
     "plrg-n4000-b2.3-s3 index adj: writer=e7589cbf55b53e21 scan=e7589cbf55b53e21 build=1/242",

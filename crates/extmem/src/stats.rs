@@ -109,9 +109,8 @@ impl IoStats {
     /// Folds a snapshot of counters into this set — the aggregation hook
     /// for work that was tallied against a *different* `IoStats` (a
     /// sub-experiment run with fresh counters, a store opened with its
-    /// own stats) and needs to land in one combined total. Note that the
-    /// parallel execution engine does **not** need this: its threads
-    /// share one `Arc<IoStats>` and tally concurrently through the
+    /// own stats) and needs to land in one combined total. Threads that
+    /// share one `Arc<IoStats>` do not need it: they tally through the
     /// atomic counters. Merging is likewise safe from any thread.
     pub fn merge(&self, delta: &IoSnapshot) {
         self.blocks_read

@@ -27,9 +27,8 @@
 //!
 //! Everything else exists once, generic over the codec: the writer
 //! ([`RecordWriter`]), `open` and the header check every scan repeats
-//! ([`RecordFile`]), and one record loop that [`GraphScan::scan`],
-//! [`GraphScan::scan_blocks`] and the record index build
-//! ([`crate::RecordIndex`]) all run. Scans go through a
+//! ([`RecordFile`]), and one record loop that [`GraphScan::scan`] and
+//! the record index build ([`crate::RecordIndex`]) both run. Scans go through a
 //! [`mis_extmem::BlockReader`], so every pass is accounted in the shared
 //! [`IoStats`] at block granularity — this is what the paper's
 //! `scan(|V|+|E|)` I/O costs are measured against.
@@ -44,7 +43,7 @@ use std::sync::Arc;
 use mis_extmem::varint::SliceError;
 use mis_extmem::{BlockReader, BlockWriter, ChunkBuf, IoStats, DEFAULT_BLOCK_SIZE};
 
-use crate::scan::{GraphScan, RecordBlock};
+use crate::scan::GraphScan;
 use crate::VertexId;
 
 /// Size of the fixed plain-file (`MISADJ01`) header in bytes.
@@ -472,27 +471,6 @@ impl<C: RecordCodec> GraphScan for RecordFile<C> {
             f(frame.vertex, &neighbors);
             Ok(())
         })
-    }
-
-    /// Native block hand-out: neighbours decode **straight into** each
-    /// [`RecordBlock`]'s shared neighbour buffer, skipping the default
-    /// implementation's per-record re-buffering copy.
-    fn scan_blocks(&self, target_records: usize, f: &mut dyn FnMut(RecordBlock)) -> io::Result<()> {
-        let target = target_records.max(1);
-        let nbr_cap = target.saturating_mul(16);
-        let mut block = RecordBlock::with_seq(0);
-        self.for_each_record(|_, frame, bytes| {
-            block.push_with(frame.vertex, |dst| decode_record::<C>(frame, bytes, dst))?;
-            if block.len() >= target || block.edge_entries() >= nbr_cap {
-                let seq = block.seq() + 1;
-                f(std::mem::replace(&mut block, RecordBlock::with_seq(seq)));
-            }
-            Ok(())
-        })?;
-        if !block.is_empty() {
-            f(block);
-        }
-        Ok(())
     }
 
     fn storage(&self) -> &'static str {

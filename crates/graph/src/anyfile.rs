@@ -21,7 +21,7 @@ use mis_obs::CostModel;
 use crate::adjfile::AdjFile;
 use crate::compressed::CompressedAdjFile;
 use crate::raccess::{NeighborAccess, RandomAccessGraph};
-use crate::scan::{GraphScan, RecordBlock};
+use crate::scan::GraphScan;
 use crate::VertexId;
 
 /// Any flavour of on-disk adjacency storage, behind one scan interface.
@@ -141,10 +141,6 @@ impl GraphScan for AnyAdjFile {
 
     fn scan(&self, f: &mut dyn FnMut(VertexId, &[VertexId])) -> io::Result<()> {
         self.as_scan().scan(f)
-    }
-
-    fn scan_blocks(&self, target_records: usize, f: &mut dyn FnMut(RecordBlock)) -> io::Result<()> {
-        self.as_scan().scan_blocks(target_records, f)
     }
 
     fn storage(&self) -> &'static str {

@@ -333,41 +333,5 @@ mod tests {
         let err = file.scan(&mut |_, _| {}).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("header changed"), "{err}");
-        let err = file.scan_blocks(4, &mut |_| {}).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-    }
-
-    #[test]
-    fn native_scan_blocks_replays_scan_exactly() {
-        let g = mis_gen_free_plrg(500);
-        let dir = ScratchDir::new("cadj-blocks").unwrap();
-        let stats = IoStats::shared();
-        let file = compress_adj(&g, &dir.file("g.cadj"), Arc::clone(&stats), 512).unwrap();
-        let mut direct = Vec::new();
-        let before = stats.snapshot();
-        file.scan(&mut |v, ns| direct.push((v, ns.to_vec())))
-            .unwrap();
-        let scan_delta = stats.snapshot().since(&before);
-        for target in [1, 7, 100_000] {
-            let mut replayed = Vec::new();
-            let mut seqs = Vec::new();
-            let before = stats.snapshot();
-            file.scan_blocks(target, &mut |block| {
-                seqs.push(block.seq());
-                assert!(!block.is_empty());
-                for (v, ns) in block.iter() {
-                    replayed.push((v, ns.to_vec()));
-                }
-            })
-            .unwrap();
-            assert_eq!(replayed, direct, "target {target}");
-            let expect: Vec<u64> = (0..seqs.len() as u64).collect();
-            assert_eq!(seqs, expect, "target {target}: seq numbers in order");
-            // The parallel engine's hand-out must cost exactly what the
-            // sequential scan costs: one scan, the same blocks.
-            let delta = stats.snapshot().since(&before);
-            assert_eq!(delta.scans_started, 1, "target {target}");
-            assert_eq!(delta.blocks_read, scan_delta.blocks_read, "target {target}");
-        }
     }
 }

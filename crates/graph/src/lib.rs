@@ -57,7 +57,7 @@ pub use compressed::{compress_adj, CompressedAdjFile, CompressedAdjWriter, GapCo
 pub use csr::CsrGraph;
 pub use delta::{DeltaOverlay, LastBatch, PinnedDelta, SharedAccess};
 pub use raccess::{NeighborAccess, RandomAccessGraph, RecordIndex};
-pub use scan::{GraphScan, OrderedCsr, RecordBlock};
+pub use scan::{GraphScan, OrderedCsr};
 
 /// Vertex identifier. Graphs with up to `u32::MAX` vertices are supported;
 /// the paper's largest graph (Clueweb12) has 978 million vertices, well

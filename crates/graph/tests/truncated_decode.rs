@@ -76,11 +76,6 @@ fn probe_compressed(path: &std::path::Path) {
     };
     let scan = file.scan(&mut |_, _| {});
     assert_clean(scan.expect_err("scan of truncated file must error"), "scan");
-    let blocks = file.scan_blocks(4, &mut |_| {});
-    assert_clean(
-        blocks.expect_err("scan_blocks of truncated file must error"),
-        "scan_blocks",
-    );
     // Index + paged access: building the index walks every record.
     match RecordIndex::build(&file) {
         Ok(_) => panic!("index build must not succeed on a truncated file"),
@@ -163,9 +158,6 @@ fn corrupt_compressed_bytes_error_cleanly_everywhere() {
         if let Err(e) = file.scan(&mut |_, _| {}) {
             assert_clean(e, "mutant scan");
         }
-        if let Err(e) = file.scan_blocks(4, &mut |_| {}) {
-            assert_clean(e, "mutant scan_blocks");
-        }
         match RecordIndex::build(&file) {
             Ok(_) => {
                 // A survivable mutant: paged reads must still behave.
@@ -208,10 +200,6 @@ fn corrupt_plain_bytes_error_cleanly_everywhere() {
     let kind = |r: std::io::Result<()>| r.expect_err("corrupt degree must error").kind();
     assert_eq!(kind(file.scan(&mut |_, _| {})), ErrorKind::InvalidData);
     assert_eq!(
-        kind(file.scan_blocks(4, &mut |_| {})),
-        ErrorKind::InvalidData
-    );
-    assert_eq!(
         RecordIndex::build(&file).expect_err("index build").kind(),
         ErrorKind::InvalidData
     );
@@ -234,9 +222,6 @@ fn corrupt_plain_bytes_error_cleanly_everywhere() {
         };
         if let Err(e) = file.scan(&mut |_, _| {}) {
             assert_clean(e, "plain mutant scan");
-        }
-        if let Err(e) = file.scan_blocks(4, &mut |_| {}) {
-            assert_clean(e, "plain mutant scan_blocks");
         }
         let pager = PagerConfig {
             page_size: 64,
@@ -306,10 +291,6 @@ fn replaced_file_fails_every_pass<C: RecordCodec>() {
     write(&ring(20));
     let kind = |r: std::io::Result<()>| r.expect_err("a replaced file must not scan").kind();
     assert_eq!(kind(file.scan(&mut |_, _| {})), ErrorKind::InvalidData);
-    assert_eq!(
-        kind(file.scan_blocks(4, &mut |_| {})),
-        ErrorKind::InvalidData
-    );
     let err = RecordIndex::build(&file).expect_err("index build of a replaced file");
     assert_eq!(err.kind(), ErrorKind::InvalidData);
     assert!(err.to_string().contains("header changed"), "{err}");

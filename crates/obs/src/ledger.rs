@@ -9,7 +9,7 @@
 //! [`LedgerEntry`] line to a JSONL file that is never rewritten:
 //!
 //! ```json
-//! {"ts_ms":…,"source":"repro parallel","label":"plain par(4)",
+//! {"ts_ms":…,"source":"mis run","label":"g.adj twok",
 //!  "env":{"hardware_threads":8,"available_threads":8,"block_size":65536,
 //!         "storage":"adj-file","git_rev":"abc1234"},
 //!  "metrics":{"is_size":24791,"scans":13,"blocks_read":273,"wall_ms":41.2},
@@ -143,14 +143,14 @@ impl EnvFingerprint {
 pub struct LedgerEntry {
     /// Milliseconds since the Unix epoch at append time.
     pub ts_ms: u64,
-    /// What produced the entry (`"repro parallel"`, `"mis run"`, …).
+    /// What produced the entry (`"repro compress"`, `"mis run"`, …).
     pub source: String,
-    /// Free-form sub-label (`"plain par(4)"`, the graph path, …).
+    /// Free-form sub-label (the graph path, …).
     pub label: String,
     /// Environment fingerprint.
     pub env: EnvFingerprint,
     /// Result metrics, in insertion order (|IS|, rounds, scans,
-    /// blocks/bytes read, wall/scan/setup ms, worker utilization, …).
+    /// blocks/bytes read, wall ms, …).
     /// Non-finite values are dropped at serialization time.
     pub metrics: Vec<(String, f64)>,
     /// Per-phase wall time in microseconds, from the trace report.
@@ -187,16 +187,10 @@ impl LedgerEntry {
         self.verdicts.push((name.to_string(), pass));
     }
 
-    /// Ingests the per-phase breakdown (and, when the trace saw
-    /// workers, the utilization/queue-wait metrics) from a parsed
-    /// [`TraceReport`].
+    /// Ingests the per-phase breakdown from a parsed [`TraceReport`].
     pub fn ingest_report(&mut self, report: &TraceReport) {
         for p in &report.phases {
             self.phases.push((p.name.clone(), p.total_us));
-        }
-        if !report.workers.is_empty() {
-            self.metric("worker_utilization", report.worker_utilization());
-            self.metric("queue_wait_ms", report.queue_wait_us / 1e3);
         }
     }
 

@@ -2,16 +2,16 @@
 //!
 //! The paper's cost model counts scans and block transfers
 //! (`mis_extmem::IoStats` reproduces it), but counters cannot explain
-//! *time*: whether parallel workers starve on the hand-out queue or the
-//! reader thread is the bottleneck. This crate is the measurement
-//! substrate the rest of the workspace instruments itself with:
+//! *time*: which pass of which algorithm, or which stage of a flush, a
+//! run spends it in. This crate is the measurement substrate the rest of
+//! the workspace instruments itself with:
 //!
 //! * [`trace`] — a span/counter/gauge event layer with **thread-local
 //!   event buffers**, monotonic timestamps and a process-global on/off
 //!   switch. When the sink is disabled (the default) every recording
 //!   call is one relaxed atomic load and **no heap allocation** — the
-//!   hot paths of the execution engine stay hot (see the
-//!   `disabled_sink_allocates_nothing` overhead test).
+//!   scan passes stay hot (see the `disabled_sink_allocates_nothing`
+//!   overhead test).
 //! * [`hist`] — log-bucketed latency histograms
 //!   ([`hist::LogHistogram`]): power-of-two buckets, constant memory,
 //!   mergeable, with quantile estimates. Used for per-fetch pager
@@ -22,9 +22,8 @@
 //!   the CLI, so every experiment splits setup from steady-state work
 //!   the same way.
 //! * [`report`] — parses a trace back (JSONL, one Chrome trace event
-//!   per line) and aggregates it into a per-phase wall-time breakdown
-//!   and a per-worker utilization table; `mis trace report` and the
-//!   `repro parallel` experiment both build on it.
+//!   per line) and aggregates it into per-phase, per-step and per-pass
+//!   wall-time breakdowns; `mis trace report` builds on it.
 //! * [`ledger`] — an append-only, per-line-checksummed
 //!   `BENCH_history.jsonl` performance ledger: every `repro`
 //!   experiment and every `mis run|stats|bound --record` appends one
@@ -43,16 +42,15 @@
 //! ## Event schema
 //!
 //! A trace is a sequence of [`trace::Event`]s, each carrying a static
-//! category (`"engine"`, `"pager"`, `"wal"`, `"phase"`, …), a static
+//! category (`"pass"`, `"pager"`, `"wal"`, `"phase"`, …), a static
 //! name, the recording thread's small dense id, and a monotonic
 //! timestamp in nanoseconds since the process's trace epoch:
 //!
 //! | kind                          | Chrome phase | meaning |
 //! |-------------------------------|--------------|---------|
-//! | [`trace::EventKind::Span`]    | `"X"`        | a named duration (begin + `dur_ns`), e.g. `worker.fold` |
-//! | [`trace::EventKind::Counter`] | `"C"`        | a sampled series value, e.g. `queue.depth`, `pager.hit_rate` |
+//! | [`trace::EventKind::Span`]    | `"X"`        | a named duration (begin + `dur_ns`), e.g. `twok.pre` |
+//! | [`trace::EventKind::Counter`] | `"C"`        | a sampled series value, e.g. `serve.pending`, `pager.hit_rate` |
 //! | [`trace::EventKind::Instant`] | `"i"`        | a point event, e.g. `graph.open` |
-//! | [`trace::EventKind::Meta`]    | `"M"`        | thread role (`reader` / `worker` / `main`) |
 //!
 //! Latency histograms ride along as one instant event per histogram
 //! with the bucket table in `args` (`"kind": "histogram"`).
@@ -69,14 +67,13 @@
 //!   `warmup`, `solve`, `verify`, …). The report's per-phase breakdown
 //!   and its coverage figure (`phase time / wall time`) come from
 //!   these.
-//! * names `worker.wait` / `worker.fold` — per-worker timeline spans;
-//!   the report derives busy/wait/idle and utilization per thread from
-//!   them.
-//! * `pass.parallel` / `pass.fold_ordered` / `pass.merge` — one span per
-//!   engine pass (and per in-order merge) on the calling thread; worker
-//!   utilization is measured against these.
-//! * `reader.handout` (reader blocked pushing into the bounded queue)
-//!   and the `queue.depth` gauge explain *why* workers idle.
+//! * cat `"pass"` — one span per accounted scan of the algorithms in
+//!   `mis-core`, named after the pass: `greedy`, `onek.init`,
+//!   `onek.pre`, `onek.post`, `onek.finalize`, the same four for
+//!   `twok.*`, `proof`, `bound.star`, `bound.matching` and
+//!   `degree_stats`. A paged pre-swap pass and a finish that replays in
+//!   memory read no file and have no pass span. The report totals these
+//!   as its pass breakdown.
 //! * cat `"serve"` — the serving front end's spans: `serve.flush` (one
 //!   epoch commit) and its stages `serve.append` (with the store's
 //!   `store.overlay_copy`, and `store.roll` and `store.compact_segments`
@@ -102,7 +99,7 @@
 //!   last post-swap pass's open vertices, or a scan after a rollback,
 //!   with no round, or past the replay's cap).
 //! * The report totals the spans of every other category besides
-//!   `"phase"` and `"engine"` by name, as its step breakdown.
+//!   `"phase"` and `"pass"` by name, as its step breakdown.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -124,6 +121,6 @@ pub use model::{CostModel, ModelVerdict, Workload};
 pub use report::TraceReport;
 pub use requests::{RequestStats, RequestSummary};
 pub use trace::{
-    counter, drain, enabled, flush_local, instant, name_thread, observe_ns, set_enabled, span,
-    Event, EventKind, SpanGuard, Trace,
+    counter, drain, enabled, flush_local, instant, observe_ns, set_enabled, span, Event, EventKind,
+    SpanGuard, Trace,
 };

@@ -1,5 +1,5 @@
-//! Trace ingestion and aggregation: per-phase breakdown, per-worker
-//! utilization, engine wait attribution.
+//! Trace ingestion and aggregation: per-phase, per-step and per-pass
+//! breakdowns.
 //!
 //! A [`TraceReport`] is built by parsing a trace's JSONL: a saved file
 //! ([`TraceReport::load`] — used by `mis trace report`, which thereby
@@ -10,9 +10,8 @@
 //!
 //! The aggregation understands the naming conventions documented at the
 //! crate root: cat `"phase"` spans form the phase breakdown and the
-//! coverage figure; `worker.*` spans form per-thread timelines split
-//! into busy (`worker.fold`) and wait (`worker.wait`); `reader.handout`
-//! attributes the remaining idle time.
+//! coverage figure, cat `"pass"` spans (one per accounted scan) the pass
+//! breakdown, and the spans of every other category the step breakdown.
 
 use std::fmt::Write as _;
 use std::io;
@@ -291,7 +290,6 @@ enum PKind {
     Span { dur_us: f64 },
     Counter { value: f64 },
     Instant,
-    Meta { role: String },
     Hist(HistSummary),
 }
 
@@ -350,14 +348,8 @@ fn event_from_json(line_no: usize, v: &Json) -> Result<PEvent, String> {
                 PKind::Instant
             }
         }
-        "M" => PKind::Meta {
-            role: v
-                .get("args")
-                .and_then(|a| a.get("name"))
-                .and_then(Json::as_str)
-                .unwrap_or("?")
-                .to_string(),
-        },
+        // Metadata (a thread's name) carries no timing.
+        "M" => PKind::Instant,
         other => return Err(ctx(&format!("unknown phase \"{other}\""))),
     };
     Ok(PEvent {
@@ -382,33 +374,6 @@ pub struct PhaseAgg {
     pub total_us: f64,
     /// Number of spans folded into `total_us`.
     pub count: u64,
-}
-
-/// Timeline of one worker thread, from its `worker.*` spans.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WorkerAgg {
-    /// The thread's trace id.
-    pub tid: u64,
-    /// The thread's declared role (`worker` unless renamed).
-    pub role: String,
-    /// Microseconds in `worker.fold`.
-    pub busy_us: f64,
-    /// Microseconds in `worker.wait`.
-    pub wait_us: f64,
-    /// Extent of the thread's timeline: last span end − first span
-    /// start, microseconds. Busy + wait ≤ span; the rest is idle.
-    pub span_us: f64,
-}
-
-impl WorkerAgg {
-    /// Fraction of the thread's timeline spent busy (0 when empty).
-    pub fn utilization(&self) -> f64 {
-        if self.span_us > 0.0 {
-            self.busy_us / self.span_us
-        } else {
-            0.0
-        }
-    }
 }
 
 /// Summary of one latency histogram.
@@ -457,17 +422,12 @@ pub struct TraceReport {
     /// Per-phase wall-time totals (cat `"phase"`), first-seen order.
     pub phases: Vec<PhaseAgg>,
     /// Per-step wall-time totals: the spans of every category other
-    /// than `"phase"` and `"engine"` (an algorithm's or the server's
+    /// than `"phase"` and `"pass"` (an algorithm's or the server's
     /// named steps, nested inside the phases), first-seen order.
     pub steps: Vec<PhaseAgg>,
-    /// Per-worker timelines, ascending tid.
-    pub workers: Vec<WorkerAgg>,
-    /// Summed duration of `pass.parallel` + `pass.fold_ordered` spans.
-    pub pass_us: f64,
-    /// Summed `worker.wait` time across workers.
-    pub queue_wait_us: f64,
-    /// Summed `reader.handout` time (reader blocked on the queue).
-    pub handout_us: f64,
+    /// Per-pass wall-time totals: the cat `"pass"` spans, one per
+    /// accounted scan, by pass name, first-seen order.
+    pub passes: Vec<PhaseAgg>,
     /// Latency histogram summaries.
     pub hists: Vec<HistSummary>,
     /// Counter series summaries.
@@ -522,18 +482,6 @@ impl TraceReport {
         }
     }
 
-    /// Aggregate worker utilization: total busy time over total
-    /// timeline extent across all workers (0 when no workers traced).
-    pub fn worker_utilization(&self) -> f64 {
-        let busy: f64 = self.workers.iter().map(|w| w.busy_us).sum();
-        let span: f64 = self.workers.iter().map(|w| w.span_us).sum();
-        if span > 0.0 {
-            busy / span
-        } else {
-            0.0
-        }
-    }
-
     /// Whether every thread's spans nest properly.
     pub fn nesting_ok(&self) -> bool {
         self.nesting_violations.is_empty()
@@ -553,6 +501,7 @@ impl TraceReport {
             .phases
             .iter()
             .chain(&self.steps)
+            .chain(&self.passes)
             .map(|p| p.name.len())
             .fold(12, usize::max);
         let agg_line = |out: &mut String, p: &PhaseAgg| {
@@ -581,46 +530,13 @@ impl TraceReport {
                 100.0 * self.phase_coverage()
             );
         }
-        if !self.steps.is_empty() {
-            let _ = writeln!(out, "\nstep breakdown:");
-            for p in &self.steps {
-                agg_line(&mut out, p);
+        for (title, aggs) in [("step", &self.steps), ("pass", &self.passes)] {
+            if !aggs.is_empty() {
+                let _ = writeln!(out, "\n{title} breakdown:");
+                for p in aggs {
+                    agg_line(&mut out, p);
+                }
             }
-        }
-        if !self.workers.is_empty() {
-            let _ = writeln!(out, "\nworker timelines:");
-            let _ = writeln!(
-                out,
-                "  {:>4}  {:<8} {:>12} {:>12} {:>12} {:>7}",
-                "tid", "role", "busy", "wait", "span", "util"
-            );
-            for w in &self.workers {
-                let _ = writeln!(
-                    out,
-                    "  {:>4}  {:<8} {:>12} {:>12} {:>12} {:>6.1}%",
-                    w.tid,
-                    w.role,
-                    fmt_us(w.busy_us),
-                    fmt_us(w.wait_us),
-                    fmt_us(w.span_us),
-                    100.0 * w.utilization()
-                );
-            }
-            let _ = writeln!(
-                out,
-                "  aggregate utilization: {:.1}% over {} worker(s)",
-                100.0 * self.worker_utilization(),
-                self.workers.len()
-            );
-        }
-        if self.pass_us > 0.0 || self.queue_wait_us > 0.0 || self.handout_us > 0.0 {
-            let _ = writeln!(
-                out,
-                "\nengine: pass {}  queue.wait {}  reader.handout {}",
-                fmt_us(self.pass_us),
-                fmt_us(self.queue_wait_us),
-                fmt_us(self.handout_us)
-            );
         }
         if !self.hists.is_empty() {
             let _ = writeln!(out, "\nlatency histograms:");
@@ -678,7 +594,11 @@ impl TraceReport {
             num(self.wall_us),
             num(self.phase_coverage())
         );
-        for (key, aggs) in [("phases", &self.phases), ("steps", &self.steps)] {
+        for (key, aggs) in [
+            ("phases", &self.phases),
+            ("steps", &self.steps),
+            ("passes", &self.passes),
+        ] {
             let _ = write!(out, ",\"{key}\":[");
             for (i, p) in aggs.iter().enumerate() {
                 if i > 0 {
@@ -694,32 +614,6 @@ impl TraceReport {
             }
             out.push(']');
         }
-        out.push_str(",\"workers\":[");
-        for (i, w) in self.workers.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"tid\":{},\"role\":\"{}\",\"busy_us\":{},\"wait_us\":{},\
-                 \"span_us\":{},\"utilization\":{}}}",
-                w.tid,
-                escape_json(&w.role),
-                num(w.busy_us),
-                num(w.wait_us),
-                num(w.span_us),
-                num(w.utilization())
-            );
-        }
-        let _ = write!(
-            out,
-            "],\"worker_utilization\":{},\"pass_us\":{},\"queue_wait_us\":{},\
-             \"handout_us\":{}",
-            num(self.worker_utilization()),
-            num(self.pass_us),
-            num(self.queue_wait_us),
-            num(self.handout_us)
-        );
         out.push_str(",\"hists\":[");
         for (i, h) in self.hists.iter().enumerate() {
             if i > 0 {
@@ -803,7 +697,6 @@ fn build(events: Vec<PEvent>) -> TraceReport {
 
     let mut min_start = f64::INFINITY;
     let mut max_end = f64::NEG_INFINITY;
-    let mut roles: Vec<(u64, String)> = Vec::new();
 
     for e in &events {
         match &e.kind {
@@ -812,28 +705,20 @@ fn build(events: Vec<PEvent>) -> TraceReport {
                 min_start = min_start.min(e.ts_us);
                 max_end = max_end.max(e.ts_us + dur_us);
                 let aggs = match e.cat.as_str() {
-                    "phase" => Some(&mut report.phases),
-                    "engine" => None,
-                    _ => Some(&mut report.steps),
+                    "phase" => &mut report.phases,
+                    "pass" => &mut report.passes,
+                    _ => &mut report.steps,
                 };
-                if let Some(aggs) = aggs {
-                    match aggs.iter_mut().find(|p| p.name == e.name) {
-                        Some(p) => {
-                            p.total_us += dur_us;
-                            p.count += 1;
-                        }
-                        None => aggs.push(PhaseAgg {
-                            name: e.name.clone(),
-                            total_us: *dur_us,
-                            count: 1,
-                        }),
+                match aggs.iter_mut().find(|p| p.name == e.name) {
+                    Some(p) => {
+                        p.total_us += dur_us;
+                        p.count += 1;
                     }
-                }
-                match e.name.as_str() {
-                    "pass.parallel" | "pass.fold_ordered" => report.pass_us += dur_us,
-                    "worker.wait" => report.queue_wait_us += dur_us,
-                    "reader.handout" => report.handout_us += dur_us,
-                    _ => {}
+                    None => aggs.push(PhaseAgg {
+                        name: e.name.clone(),
+                        total_us: *dur_us,
+                        count: 1,
+                    }),
                 }
             }
             PKind::Counter { value } => {
@@ -857,58 +742,11 @@ fn build(events: Vec<PEvent>) -> TraceReport {
                 }
             }
             PKind::Instant => {}
-            PKind::Meta { role } => {
-                if !roles.iter().any(|(tid, _)| *tid == e.tid) {
-                    roles.push((e.tid, role.clone()));
-                }
-            }
             PKind::Hist(h) => report.hists.push(h.clone()),
         }
     }
     if report.num_spans > 0 {
         report.wall_us = (max_end - min_start).max(0.0);
-    }
-
-    // Per-worker timelines from worker.* spans.
-    let mut tids: Vec<u64> = events
-        .iter()
-        .filter(|e| matches!(e.kind, PKind::Span { .. }) && e.name.starts_with("worker."))
-        .map(|e| e.tid)
-        .collect();
-    tids.sort_unstable();
-    tids.dedup();
-    for tid in tids {
-        let mut agg = WorkerAgg {
-            tid,
-            role: roles
-                .iter()
-                .find(|(t, _)| *t == tid)
-                .map(|(_, r)| r.clone())
-                .unwrap_or_else(|| "worker".to_string()),
-            busy_us: 0.0,
-            wait_us: 0.0,
-            span_us: 0.0,
-        };
-        let mut first = f64::INFINITY;
-        let mut last = f64::NEG_INFINITY;
-        for e in events.iter().filter(|e| e.tid == tid) {
-            if let PKind::Span { dur_us } = e.kind {
-                if !e.name.starts_with("worker.") {
-                    continue;
-                }
-                first = first.min(e.ts_us);
-                last = last.max(e.ts_us + dur_us);
-                match e.name.as_str() {
-                    "worker.fold" => agg.busy_us += dur_us,
-                    "worker.wait" => agg.wait_us += dur_us,
-                    _ => {}
-                }
-            }
-        }
-        if last > first {
-            agg.span_us = last - first;
-        }
-        report.workers.push(agg);
     }
 
     report.nesting_violations = check_nesting(&events);
@@ -987,25 +825,25 @@ mod tests {
         fetch.record(2_000);
         Trace {
             events: vec![
-                Event {
-                    cat: "thread",
-                    name: "thread_name",
-                    tid: 2,
-                    ts_ns: 0,
-                    kind: EventKind::Meta { role: "worker" },
-                },
                 span("phase", "open", 1, 0, 1_000_000),
                 span("phase", "solve", 1, 1_000_000, 9_000_000),
-                span("engine", "pass.parallel", 1, 1_100_000, 8_000_000),
-                span("engine", "worker.wait", 2, 1_200_000, 500_000),
-                span("engine", "worker.fold", 2, 1_700_000, 6_000_000),
-                span("engine", "worker.fold", 3, 1_300_000, 7_000_000),
+                span("pass", "greedy", 1, 1_100_000, 2_000_000),
+                span("pass", "proof", 1, 3_200_000, 1_500_000),
+                span("pass", "proof", 1, 5_000_000, 500_000),
+                span("serve", "serve.flush", 2, 1_200_000, 500_000),
                 Event {
-                    cat: "engine",
-                    name: "queue.depth",
+                    cat: "serve",
+                    name: "serve.pending",
                     tid: 1,
                     ts_ns: 1_150_000,
                     kind: EventKind::Counter { value: 3.0 },
+                },
+                Event {
+                    cat: "graph",
+                    name: "graph.open",
+                    tid: 1,
+                    ts_ns: 0,
+                    kind: EventKind::Instant,
                 },
             ],
             hists: vec![HistEntry {
@@ -1017,7 +855,7 @@ mod tests {
     }
 
     #[test]
-    fn from_trace_aggregates_phases_workers_and_waits() {
+    fn from_trace_aggregates_phases_passes_and_counters() {
         let report = TraceReport::from_trace(&sample_trace());
         assert_eq!(report.num_spans, 6);
         assert!(
@@ -1031,17 +869,15 @@ mod tests {
         assert!((report.phases[1].total_us - 9_000.0).abs() < 1e-6);
         // open + solve cover the whole extent.
         assert!((report.phase_coverage() - 1.0).abs() < 1e-9);
-        assert_eq!(report.workers.len(), 2);
-        let w2 = &report.workers[0];
-        assert_eq!(w2.tid, 2);
-        assert_eq!(w2.role, "worker");
-        assert!((w2.busy_us - 6_000.0).abs() < 1e-6);
-        assert!((w2.wait_us - 500.0).abs() < 1e-6);
-        assert!((w2.span_us - 6_500.0).abs() < 1e-6);
-        // tid 3 has no meta event — role defaults to "worker".
-        assert_eq!(report.workers[1].role, "worker");
-        assert!((report.pass_us - 8_000.0).abs() < 1e-6);
-        assert!((report.queue_wait_us - 500.0).abs() < 1e-6);
+        // Pass spans total by name, apart from the steps.
+        let passes: Vec<(&str, f64, u64)> = report
+            .passes
+            .iter()
+            .map(|p| (p.name.as_str(), p.total_us, p.count))
+            .collect();
+        assert_eq!(passes, [("greedy", 2_000.0, 1), ("proof", 2_000.0, 2)]);
+        assert_eq!(report.steps.len(), 1);
+        assert_eq!(report.steps[0].name, "serve.flush");
         assert_eq!(report.counters.len(), 1);
         assert_eq!(report.counters[0].samples, 1);
         assert_eq!(report.hists.len(), 1);
@@ -1049,7 +885,7 @@ mod tests {
         assert!(report.nesting_ok(), "{:?}", report.nesting_violations);
         let rendered = report.render();
         assert!(rendered.contains("phase breakdown"));
-        assert!(rendered.contains("worker timelines"));
+        assert!(rendered.contains("pass breakdown"));
         assert!(rendered.contains("pager.fetch"));
     }
 
@@ -1064,8 +900,7 @@ mod tests {
         assert_eq!(parsed.num_spans, direct.num_spans);
         assert!((parsed.wall_us - direct.wall_us).abs() < 1e-3);
         assert_eq!(parsed.phases.len(), direct.phases.len());
-        assert_eq!(parsed.workers.len(), direct.workers.len());
-        assert!((parsed.worker_utilization() - direct.worker_utilization()).abs() < 1e-6);
+        assert_eq!(parsed.passes.len(), direct.passes.len());
         assert_eq!(parsed.hists, direct.hists);
         assert!(parsed.nesting_ok());
     }
@@ -1131,14 +966,12 @@ mod tests {
         assert_eq!(report.num_spans, 0);
         assert_eq!(report.wall_us, 0.0);
         assert_eq!(report.phase_coverage(), 0.0);
-        assert_eq!(report.worker_utilization(), 0.0);
         assert!(report.nesting_ok());
-        assert!(report.phases.is_empty() && report.workers.is_empty());
+        assert!(report.phases.is_empty() && report.passes.is_empty());
         // An empty-but-valid JSONL trace (blank lines only) behaves
         // identically, and both renderers stay well formed.
         let parsed = TraceReport::from_jsonl_str("\n\n").unwrap();
         assert_eq!(parsed.num_events, 0);
-        assert_eq!(parsed.worker_utilization(), 0.0);
         assert!(parsed.render().contains("0 events, 0 spans"));
         let json = parse_json(&parsed.render_json()).expect("valid JSON");
         assert_eq!(json.get("num_events").unwrap().as_f64(), Some(0.0));
@@ -1160,31 +993,26 @@ mod tests {
         };
         assert_eq!(phases.len(), 2);
         assert_eq!(phases[0].get("name").unwrap().as_str(), Some("open"));
-        let workers = match json.get("workers") {
-            Some(Json::Arr(w)) => w,
-            other => panic!("workers not an array: {other:?}"),
+        let passes = match json.get("passes") {
+            Some(Json::Arr(p)) => p,
+            other => panic!("passes not an array: {other:?}"),
         };
-        assert_eq!(workers.len(), 2);
-        let util = json.get("worker_utilization").unwrap().as_f64().unwrap();
-        assert!((util - report.worker_utilization()).abs() < 1e-9);
+        assert_eq!(passes.len(), 2);
+        assert_eq!(passes[1].get("count").unwrap().as_f64(), Some(2.0));
         let hists = match json.get("hists") {
             Some(Json::Arr(h)) => h,
             other => panic!("hists not an array: {other:?}"),
         };
         assert_eq!(hists[0].get("count").unwrap().as_f64(), Some(2.0));
-        assert_eq!(
-            json.get("queue_wait_us").unwrap().as_f64(),
-            Some(report.queue_wait_us)
-        );
     }
 
     #[test]
-    fn steps_total_the_spans_outside_phases_and_the_engine() {
+    fn steps_total_the_spans_outside_phases_and_passes() {
         let trace = Trace {
             events: vec![
                 span("phase", "solve", 1, 0, 10_000_000),
                 span("twok", "twok.pre", 1, 1_000_000, 2_000_000),
-                span("engine", "pass.fold_ordered", 1, 1_100_000, 1_000_000),
+                span("pass", "twok.pre", 1, 1_100_000, 1_000_000),
                 span("twok", "twok.post", 1, 3_000_000, 1_000_000),
                 span("twok", "twok.pre", 1, 4_000_000, 3_000_000),
             ],
@@ -1198,6 +1026,9 @@ mod tests {
             .map(|p| (p.name.as_str(), p.total_us, p.count))
             .collect();
         assert_eq!(steps, [("twok.pre", 5_000.0, 2), ("twok.post", 1_000.0, 1)]);
+        // The pass span of the same name is not part of the step.
+        assert_eq!(report.passes.len(), 1);
+        assert_eq!(report.passes[0].total_us, 1_000.0);
         assert!(report.render().contains("step breakdown"));
         let json = parse_json(&report.render_json()).expect("valid JSON");
         match json.get("steps") {

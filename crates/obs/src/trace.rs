@@ -12,7 +12,7 @@
 //!   the crate's overhead test);
 //! * with the sink enabled, events land in a **thread-local buffer**
 //!   (pre-allocated, flushed in batches into the global sink when full
-//!   and when the thread exits), so workers never contend on a lock
+//!   and when the thread exits), so threads never contend on a lock
 //!   per event;
 //! * timestamps are monotonic ([`Instant`]-based) nanoseconds since
 //!   the process's trace epoch — comparable across threads.
@@ -23,7 +23,7 @@
 //! mis_obs::trace::set_enabled(true);
 //! {
 //!     let _outer = mis_obs::trace::span("phase", "solve");
-//!     mis_obs::trace::counter("engine", "queue.depth", 3.0);
+//!     mis_obs::trace::counter("serve", "serve.pending", 3.0);
 //! }
 //! let trace = mis_obs::trace::drain();
 //! mis_obs::trace::set_enabled(false);
@@ -36,11 +36,10 @@
 //! sink; buffers of *other threads still running* are not visible until
 //! those threads call [`flush_local`], fill a batch, or exit. Note that
 //! joining a thread (including via `std::thread::scope`) does **not**
-//! guarantee its thread-local destructors have run — a joined worker's
+//! guarantee its thread-local destructors have run — a joined thread's
 //! tail of buffered events can land in the sink *after* a subsequent
 //! [`drain`]. Spawned threads that record events should therefore call
-//! [`flush_local`] as their last act (the engine's worker and reader
-//! closures do), making `drain`-after-join exact.
+//! [`flush_local`] as their last act, making `drain`-after-join exact.
 
 use std::cell::RefCell;
 use std::io::{self, Write};
@@ -86,19 +85,14 @@ pub enum EventKind {
     },
     /// A point event.
     Instant,
-    /// Declares the recording thread's role (`reader`, `worker`, …).
-    Meta {
-        /// The role name.
-        role: &'static str,
-    },
 }
 
 /// One trace event. See the crate docs for the schema.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Event {
-    /// Static category (`"engine"`, `"pager"`, `"wal"`, `"phase"`, …).
+    /// Static category (`"pass"`, `"pager"`, `"wal"`, `"phase"`, …).
     pub cat: &'static str,
-    /// Static event name (`"worker.fold"`, `"queue.depth"`, …).
+    /// Static event name (`"twok.pre"`, `"serve.pending"`, …).
     pub name: &'static str,
     /// Dense per-thread id (assigned on each thread's first event).
     pub tid: u64,
@@ -262,15 +256,6 @@ pub fn instant(cat: &'static str, name: &'static str) {
     }
 }
 
-/// Declares the calling thread's role for the trace viewer and the
-/// per-worker report (`reader`, `worker`, `main`, …).
-#[inline]
-pub fn name_thread(role: &'static str) {
-    if enabled() {
-        push("thread", "thread_name", now_ns(), EventKind::Meta { role });
-    }
-}
-
 /// Adds one sample (typically nanoseconds) to the named latency
 /// histogram. Histograms live in the global sink (recording takes a
 /// short lock) and are exported with the next [`drain`].
@@ -298,7 +283,7 @@ pub fn observe_ns(cat: &'static str, name: &'static str, value_ns: u64) {
 /// Spawned threads should call this as the last statement of their
 /// closure: relying on the thread-local destructor is not enough,
 /// because `join` (and `std::thread::scope`) may return before TLS
-/// destructors run, letting a worker's tail of events leak past the
+/// destructors run, letting a thread's tail of events leak past the
 /// next [`drain`] into a later drain window. A no-op when the thread
 /// has no buffered events.
 pub fn flush_local() {
@@ -363,7 +348,7 @@ impl Trace {
     }
 
     /// Writes the trace as JSONL: one Chrome trace-event object per
-    /// line (`ph` `"X"`/`"C"`/`"i"`/`"M"`, timestamps in microseconds).
+    /// line (`ph` `"X"`/`"C"`/`"i"`, timestamps in microseconds).
     /// Wrap the lines into a JSON array (`jq -s .`) to load the file in
     /// `chrome://tracing` or Perfetto.
     pub fn write_chrome_jsonl<W: Write>(&self, w: &mut W) -> io::Result<()> {
@@ -385,17 +370,6 @@ impl Trace {
                 }
                 EventKind::Instant => {
                     writeln!(w, "{head},\"ph\":\"i\",\"s\":\"t\"}}")?;
-                }
-                EventKind::Meta { role } => {
-                    writeln!(
-                        w,
-                        "{{\"name\":\"thread_name\",\"cat\":\"{}\",\"pid\":{},\"tid\":{},\
-                         \"ts\":{},\"ph\":\"M\",\"args\":{{\"name\":\"{role}\"}}}}",
-                        e.cat,
-                        TRACE_PID,
-                        e.tid,
-                        us(e.ts_ns)
-                    )?;
                 }
             }
         }
@@ -463,7 +437,6 @@ mod tests {
             counter("t", "c", 1.0);
             instant("t", "i");
             observe_ns("t", "h", 10);
-            name_thread("main");
         }
         let trace = drain();
         assert!(trace.is_empty(), "{trace:?}");
@@ -510,11 +483,10 @@ mod tests {
         set_enabled(false);
         drain();
         set_enabled(true);
-        name_thread("main");
+        span("t", "main").done();
         let handles: Vec<_> = (0..3)
             .map(|_| {
                 std::thread::spawn(|| {
-                    name_thread("worker");
                     let _s = span("t", "work");
                 })
             })
@@ -524,19 +496,13 @@ mod tests {
         }
         set_enabled(false);
         let trace = drain();
-        let worker_tids: Vec<u64> = trace
-            .events
-            .iter()
-            .filter(|e| matches!(e.kind, EventKind::Meta { role: "worker" }))
-            .map(|e| e.tid)
-            .collect();
-        assert_eq!(worker_tids.len(), 3);
-        let mut uniq = worker_tids.clone();
-        uniq.sort_unstable();
-        uniq.dedup();
-        assert_eq!(uniq.len(), 3, "each thread gets its own tid");
-        // Worker spans flushed at thread exit are all present.
-        assert_eq!(trace.num_spans(), 3);
+        let mut tids: Vec<u64> = trace.events.iter().map(|e| e.tid).collect();
+        assert_eq!(tids.len(), 4);
+        tids.sort_unstable();
+        tids.dedup();
+        assert_eq!(tids.len(), 4, "each thread gets its own tid");
+        // Spans flushed at thread exit are all present.
+        assert_eq!(trace.num_spans(), 4);
     }
 
     #[test]
@@ -580,8 +546,8 @@ mod tests {
                     kind: EventKind::Span { dur_ns: 2_000_500 },
                 },
                 Event {
-                    cat: "engine",
-                    name: "queue.depth",
+                    cat: "serve",
+                    name: "serve.pending",
                     tid: 2,
                     ts_ns: 3_000,
                     kind: EventKind::Counter { value: 4.0 },
@@ -592,13 +558,6 @@ mod tests {
                     tid: 1,
                     ts_ns: 10,
                     kind: EventKind::Instant,
-                },
-                Event {
-                    cat: "thread",
-                    name: "thread_name",
-                    tid: 2,
-                    ts_ns: 0,
-                    kind: EventKind::Meta { role: "worker" },
                 },
             ],
             hists: vec![HistEntry {
@@ -615,17 +574,15 @@ mod tests {
         trace.write_chrome_jsonl(&mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 5);
+        assert_eq!(lines.len(), 4);
         assert!(lines[0].contains("\"ph\":\"X\""));
         assert!(lines[0].contains("\"ts\":1.500"), "{}", lines[0]);
         assert!(lines[0].contains("\"dur\":2000.500"));
         assert!(lines[1].contains("\"ph\":\"C\""));
         assert!(lines[1].contains("\"value\":4"));
         assert!(lines[2].contains("\"ph\":\"i\""));
-        assert!(lines[3].contains("\"ph\":\"M\""));
-        assert!(lines[3].contains("\"name\":\"worker\""));
-        assert!(lines[4].contains("\"kind\":\"histogram\""));
-        assert!(lines[4].contains("\"count\":1"));
+        assert!(lines[3].contains("\"kind\":\"histogram\""));
+        assert!(lines[3].contains("\"count\":1"));
         for line in lines {
             assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
         }

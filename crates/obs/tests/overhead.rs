@@ -50,12 +50,11 @@ fn disabled_sink_allocates_nothing() {
 
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     for _ in 0..10_000 {
-        let _outer = mis_obs::span("engine", "pass.parallel");
-        let _inner = mis_obs::span("engine", "worker.fold");
-        mis_obs::counter("engine", "queue.depth", 3.0);
+        let _outer = mis_obs::span("phase", "solve");
+        let _inner = mis_obs::span("pass", "twok.pre");
+        mis_obs::counter("serve", "serve.pending", 3.0);
         mis_obs::instant("graph", "graph.open");
         mis_obs::observe_ns("pager", "pager.fetch", 1_234);
-        mis_obs::name_thread("worker");
     }
     let after = ALLOCATIONS.load(Ordering::Relaxed);
 

@@ -88,9 +88,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
-use mis_core::{
-    is_maximal_independent_set, try_repair_since, Greedy, OneKSwap, RepairConfig, SwapConfig,
-};
+use mis_core::{try_prove_maximal, try_repair_since, Greedy, OneKSwap, RepairConfig, SwapConfig};
 use mis_graph::{
     AnyAdjFile, DeltaOverlay, GapCodec, GraphScan, PinnedDelta, PlainCodec, RecordCodec,
     RecordWriter, SharedAccess, VertexId,
@@ -762,7 +760,7 @@ impl UpdateStore {
             }
             // First apply ever: bootstrap with Greedy on the edited graph.
             None => {
-                let (greedy, degree_sorted) = Greedy::new().run_observing_order(&delta);
+                let (greedy, degree_sorted) = Greedy::new().try_run_observing_order(&delta)?;
                 let (set, swap_scans) = if degree_sorted {
                     (greedy.set, 0)
                 } else {
@@ -770,7 +768,8 @@ impl UpdateStore {
                         .try_run_paged(&delta, None, &greedy.set)?;
                     (swap.result.set, swap.result.file_scans)
                 };
-                let maximality_proved = config.verify && is_maximal_independent_set(&delta, &set);
+                let maximality_proved =
+                    config.verify && try_prove_maximal(&delta, &set)?.is_maximal_independent();
                 ApplyReport {
                     epoch: target,
                     resumed_from: 0,

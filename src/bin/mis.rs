@@ -8,12 +8,12 @@
 //!              rmat --log-vertices K --edge-factor F
 //!              [--compress]               emit gap-compressed MISADJC1
 //! mis convert  <edges.txt> <out.adj>     text edge list → adjacency file
-//! mis sort     <in.adj> <out>            degree-sort (Algorithm 1 preprocessing)
+//! mis sort     <in> <out>                degree-sort (Algorithm 1 preprocessing)
 //!              [--compress]               emit gap-compressed MISADJC1
 //! mis compress <in> <out.cadj>           gap-compress (WebGraph-style)
 //! mis stats    <graph>                   size / degree summary
 //! mis bound    <graph>                   Algorithm 5 + matching upper bounds
-//! mis run      <graph> [--algo A] [--rounds N] [--threads N]
+//! mis run      <graph> [--algo A] [--rounds N]
 //!              [--cache-mb N] [--paged-threshold F]
 //!              A ∈ greedy | baseline | onek | twok | tfp | dynamic
 //! mis update   <append|apply|compact|status> ...   durable edge updates
@@ -46,19 +46,18 @@
 //! (`--paged-threshold` is the candidate fraction below which a round
 //! goes paged).
 //!
-//! `run`, `stats` and `bound` additionally accept `--threads N` (default:
-//! the machine's available parallelism): with `N > 1` the scan passes run
-//! on the block-parallel execution engine (`mis_core::engine`) — results
-//! are bit-identical to the sequential backend at every thread count.
-//! (`--algo tfp|dynamic` have no engine-ported passes and always run
-//! single-threaded; an explicit `--threads` is noted and ignored there.)
+//! Every scan runs sequentially on the calling thread, the paper's
+//! access model. A storage error (a truncated or corrupt file) ends
+//! `run`, `stats` and `bound` with the error and exit status 2, never a
+//! panic.
 //!
 //! `run`, `stats`, `bound` and `update` accept `--trace FILE`: the command
-//! then records a [`mis_obs`] timeline — top-level phase spans, per-worker
-//! engine timelines, pager/WAL latency histograms and the final I/O
-//! counters — and writes it as Chrome-trace JSONL. Inspect it with
-//! `mis trace report FILE` (per-phase breakdown, per-worker utilization)
-//! or load it into `chrome://tracing` / Perfetto.
+//! then records a [`mis_obs`] timeline — top-level phase spans, one
+//! `pass` span per accounted scan, the algorithms' step spans, pager/WAL
+//! latency histograms and the final I/O counters — and writes it as
+//! Chrome-trace JSONL. Inspect it with `mis trace report FILE` (phase,
+//! step and pass breakdowns) or load it into `chrome://tracing` /
+//! Perfetto.
 //!
 //! `run`, `stats` and `bound` also accept `--record`: the command then
 //! appends one checksummed [`mis_obs::ledger::LedgerEntry`] — result
@@ -119,7 +118,7 @@ use mis_obs::{
 use semi_mis::extmem::{SortConfig, DEFAULT_BLOCK_SIZE};
 use semi_mis::graph::{
     build_adj_file, compress_adj, degree_sort_adj_file, degree_sort_compressed_adj_file, edgelist,
-    AnyAdjFile,
+    AnyAdjFile, RecordCodec, RecordFile,
 };
 use semi_mis::prelude::*;
 use semi_mis::update::serve::{self, write_line, Listener};
@@ -142,12 +141,12 @@ const USAGE: &str = "
 usage: mis <command> ... [--block-size BYTES]
   gen <plrg|dataset|er|ba|rmat> [options] [--compress] <out.adj>
   convert <edges.txt> <out.adj> [--compress]
-  sort <in.adj> <out> [--compress]
+  sort <in> <out> [--compress]
   compress <in> <out.cadj>
-  stats <graph> [--threads N]
-  bound <graph> [--threads N]
+  stats <graph>
+  bound <graph>
   run <graph> [--algo greedy|baseline|onek|twok|tfp|dynamic] [--rounds N]
-              [--threads N] [--cache-mb N] [--paged-threshold F]
+              [--cache-mb N] [--paged-threshold F]
   update append <base> --ops <file> [--wal F]
          apply <base> [--rounds N] [--wal F] [--checkpoint F]
          compact <base> <out> [--format plain|compressed] [--wal F] [--checkpoint F]
@@ -258,17 +257,6 @@ fn opt_block_size(options: &[(String, String)]) -> Result<usize, String> {
         return Err("--block-size must be non-zero".into());
     }
     Ok(block_size)
-}
-
-/// Parses `--threads N` into an executor backend. Defaults to the
-/// machine's available parallelism; `1` is the sequential backend.
-fn opt_executor(options: &[(String, String)]) -> Result<Executor, String> {
-    let threads: usize = opt_parse(options, "threads", engine::available_threads())?;
-    match threads {
-        0 => Err("--threads must be at least 1".into()),
-        1 => Ok(Executor::Sequential),
-        n => Ok(Executor::parallel(n)),
-    }
 }
 
 /// Parses the shared `--trace FILE` option and, when present, arms the
@@ -681,26 +669,25 @@ fn cmd_convert(args: &[String]) -> Result<(), String> {
 fn cmd_sort(args: &[String]) -> Result<(), String> {
     let (pos, opts) = parse_opts(args, &["compress"])?;
     let [input, out] = pos.as_slice() else {
-        return Err("sort needs: <in.adj> <out.adj>".into());
+        return Err("sort needs: <in> <out>".into());
     };
     let block_size = opt_block_size(&opts)?;
     let compress = opt(&opts, "compress").is_some();
     let stats = IoStats::shared();
-    let file = AdjFile::open_with_block_size(Path::new(input), Arc::clone(&stats), block_size)
-        .map_err(|e| e.to_string())?;
+    let file = open_any(Path::new(input), Arc::clone(&stats), block_size)?;
     let scratch = ScratchDir::new("mis-cli-sort").map_err(|e| e.to_string())?;
     let start = Instant::now();
     let sort_cfg = SortConfig {
         block_size,
         ..SortConfig::default()
     };
-    if compress {
-        degree_sort_compressed_adj_file(&file, Path::new(out), &sort_cfg, &scratch)
-            .map_err(|e| e.to_string())?;
-    } else {
-        degree_sort_adj_file(&file, Path::new(out), &sort_cfg, &scratch)
-            .map_err(|e| e.to_string())?;
+    let out_path = Path::new(out);
+    match &file {
+        AnyAdjFile::Plain(f) => sort_file(f, out_path, compress, &sort_cfg, &scratch),
+        AnyAdjFile::Compressed(f) => sort_file(f, out_path, compress, &sort_cfg, &scratch),
+        AnyAdjFile::Sharded(never) => match *never {},
     }
+    .map_err(|e| e.to_string())?;
     println!(
         "degree-sorted {} -> {}{} in {:.1}s, block size {} B ({})",
         input,
@@ -714,6 +701,22 @@ fn cmd_sort(args: &[String]) -> Result<(), String> {
         println!("{line}");
     }
     Ok(())
+}
+
+/// Degree-sorts `input`, of either codec, into a plain or (`compress`) a
+/// gap-compressed file at `out`.
+fn sort_file<I: RecordCodec>(
+    input: &RecordFile<I>,
+    out: &Path,
+    compress: bool,
+    cfg: &SortConfig,
+    scratch: &ScratchDir,
+) -> std::io::Result<()> {
+    if compress {
+        degree_sort_compressed_adj_file(input, out, cfg, scratch).map(drop)
+    } else {
+        degree_sort_adj_file(input, out, cfg, scratch).map(drop)
+    }
 }
 
 /// Formats the `before/after` compression ratio, avoiding `inf`/`NaN`
@@ -745,14 +748,10 @@ fn cmd_compress(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
-    let (pos, opts) = parse_opts(
-        args,
-        &["threads", "trace", "check-model", "record", "rev", "ledger"],
-    )?;
+    let (pos, opts) = parse_opts(args, &["trace", "check-model", "record", "rev", "ledger"])?;
     let [input] = pos.as_slice() else {
         return Err("stats needs: <graph>".into());
     };
-    let executor = opt_executor(&opts)?;
     let block_size = opt_block_size(&opts)?;
     let trace_path = opt_trace(&opts);
     let stats = IoStats::shared();
@@ -765,7 +764,7 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     let before_scan = stats.snapshot();
     let degrees = {
         let _scan_span = obs::span("phase", "scan");
-        engine::passes::degree_stats(scan, &executor)
+        engine::passes::try_degree_stats(scan).map_err(|e| e.to_string())?
     };
     println!("{input} ({}):", scan.storage());
     println!("  |V| = {n}");
@@ -824,11 +823,10 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_bound(args: &[String]) -> Result<(), String> {
-    let (pos, opts) = parse_opts(args, &["threads", "trace", "record", "rev", "ledger"])?;
+    let (pos, opts) = parse_opts(args, &["trace", "record", "rev", "ledger"])?;
     let [input] = pos.as_slice() else {
         return Err("bound needs: <graph>".into());
     };
-    let executor = opt_executor(&opts)?;
     let block_size = opt_block_size(&opts)?;
     let trace_path = opt_trace(&opts);
     let stats = IoStats::shared();
@@ -838,8 +836,8 @@ fn cmd_bound(args: &[String]) -> Result<(), String> {
     };
     let scan = file.as_scan();
     let bound_span = obs::span("phase", "bound");
-    let star = semi_mis::algo::upper_bound_scan_with(scan, &executor);
-    let matching = semi_mis::algo::matching_bound_with(scan, &executor);
+    let star = semi_mis::algo::try_upper_bound_scan(scan).map_err(|e| e.to_string())?;
+    let matching = semi_mis::algo::try_matching_bound(scan).map_err(|e| e.to_string())?;
     drop(bound_span);
     println!("Algorithm 5 (star partition): {star}");
     println!("matching bound (|V| - |M|):   {matching}");
@@ -873,7 +871,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         &[
             "algo",
             "rounds",
-            "threads",
             "cache-mb",
             "paged-threshold",
             "trace",
@@ -888,16 +885,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let algo = opt(&opts, "algo").unwrap_or("twok");
     let rounds: u32 = opt_parse(&opts, "rounds", 0)?;
     let block_size = opt_block_size(&opts)?;
-    let mut executor = opt_executor(&opts)?;
-    // `tfp` (external priority queues) and `dynamic` (in-memory) have no
-    // engine-ported scan passes; run them — and report them — as
-    // sequential rather than pretending `--threads` applies.
-    if matches!(algo, "tfp" | "dynamic") && executor != Executor::Sequential {
-        if opt(&opts, "threads").is_some() {
-            println!("note: --algo {algo} runs single-threaded; ignoring --threads");
-        }
-        executor = Executor::Sequential;
-    }
     let cache_mb: u64 = opt_parse(&opts, "cache-mb", 0)?;
     let paged_threshold: f64 = opt_parse(&opts, "paged-threshold", DEFAULT_PAGED_THRESHOLD)?;
     if cache_mb == 0 && opt(&opts, "paged-threshold").is_some() {
@@ -917,7 +904,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     } else {
         SwapConfig::default()
     };
-    config = config.with_executor(executor);
     let trace_path = opt_trace(&opts);
 
     let stats = IoStats::shared();
@@ -950,11 +936,11 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let mut paged_rounds = None;
     let (set, scans, memory) = match algo {
         "greedy" | "baseline" => {
-            let r = Greedy::with_executor(executor).run(scan);
+            let r = Greedy::new().try_run(scan).map_err(|e| e.to_string())?;
             (r.set, r.file_scans, r.memory)
         }
         "onek" => {
-            let g = Greedy::with_executor(executor).run(scan);
+            let g = Greedy::new().try_run(scan).map_err(|e| e.to_string())?;
             let o = OneKSwap::with_config(config)
                 .try_run_paged(scan, access, &g.set)
                 .map_err(|e| e.to_string())?;
@@ -966,7 +952,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             )
         }
         "twok" => {
-            let g = Greedy::with_executor(executor).run(scan);
+            let g = Greedy::new().try_run(scan).map_err(|e| e.to_string())?;
             let o = TwoKSwap::with_config(config)
                 .try_run_paged(scan, access, &g.set)
                 .map_err(|e| e.to_string())?;
@@ -1003,7 +989,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 
     let proof = {
         let _verify = obs::span("phase", "verify");
-        prove_maximal_with(scan, &set, &executor)
+        try_prove_maximal(scan, &set).map_err(|e| e.to_string())?
     };
     let (independent, maximal) = (proof.independent, proof.maximal);
     println!("algorithm = {algo}");
@@ -1011,11 +997,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     println!("time = {:.2}s", elapsed.as_secs_f64());
     println!("algorithm scans = {scans}");
     println!("block size = {block_size} B");
-    println!(
-        "executor = {} ({} threads)",
-        executor.describe(),
-        executor.threads()
-    );
     if let Some(pc) = pager_config {
         println!(
             "page cache = {} MiB ({} frames of {} B, {} eviction), paged threshold {:.2}",
@@ -1048,7 +1029,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             e.metric("is_size", set.len() as f64);
             e.metric("algo_scans", scans as f64);
             e.metric("wall_ms", elapsed.as_secs_f64() * 1e3);
-            e.metric("threads", executor.threads() as f64);
             if let Some(paged) = paged_rounds {
                 e.metric("paged_rounds", paged as f64);
             }
@@ -1572,8 +1552,11 @@ mod tests {
         ]))
         .unwrap();
         // Removed options, then typos: each fails before doing any work.
-        let cases: [(&[&str], &str); 7] = [
+        let cases: [(&[&str], &str); 10] = [
             (&["sort", &adj, &out, "--shards", "4"], "--shards"),
+            (&["run", &adj, "--threads", "2"], "--threads"),
+            (&["stats", &adj, "--threads", "2"], "--threads"),
+            (&["bound", &adj, "--threads", "2"], "--threads"),
             (&["gen", "er", "--shards", "4", &out], "--shards"),
             (&["run", &adj, "--policy", "lru"], "--policy"),
             (&["stats", &adj, "--tolerance", "0.5"], "--tolerance"),
@@ -1808,29 +1791,72 @@ mod tests {
         assert!(dispatch(&strs(&["stats", "x.adj", "--block-size", "0"])).is_err());
     }
 
+    /// A corrupt record is an error of `stats`, `bound` and `run`, not a
+    /// panic: 12 bytes of `0xFF` make a varint overflow mid-file.
     #[test]
-    fn threads_flag_round_trip() {
-        let dir = ScratchDir::new("cli-threads").unwrap();
-        let out = dir.file("g.adj").display().to_string();
+    fn corrupt_records_are_errors_not_panics() {
+        let dir = ScratchDir::new("cli-corrupt").unwrap();
+        let out = dir.file("g.cadj").display().to_string();
         dispatch(&strs(&[
             "gen",
             "plrg",
             "--vertices",
-            "1500",
+            "20000",
             "--beta",
             "2.0",
+            "--compress",
             &out,
         ]))
         .unwrap();
-        // The whole pipeline on the parallel backend.
-        dispatch(&strs(&["stats", &out, "--threads", "4"])).unwrap();
-        dispatch(&strs(&["bound", &out, "--threads", "4"])).unwrap();
-        dispatch(&strs(&["run", &out, "--algo", "twok", "--threads", "4"])).unwrap();
-        dispatch(&strs(&["run", &out, "--algo", "greedy", "--threads", "2"])).unwrap();
-        // --threads 1 is the sequential backend; 0 is rejected.
-        dispatch(&strs(&["run", &out, "--threads", "1", "--rounds", "1"])).unwrap();
-        assert!(dispatch(&strs(&["run", &out, "--threads", "0"])).is_err());
-        assert!(dispatch(&strs(&["run", &out, "--threads", "lots"])).is_err());
+        let mut bytes = std::fs::read(&out).unwrap();
+        bytes[60_000..60_012].fill(0xFF);
+        std::fs::write(&out, &bytes).unwrap();
+        for args in [
+            &["stats", &out][..],
+            &["bound", &out],
+            &["run", &out, "--algo", "greedy"],
+            &["run", &out, "--algo", "twok"],
+        ] {
+            let err = dispatch(&strs(args)).unwrap_err();
+            assert!(err.contains("corrupt adjacency record"), "{args:?}: {err}");
+        }
+    }
+
+    /// `mis sort` reads either codec: sorting a `mis compress` copy
+    /// writes the same bytes as sorting the plain file, for both output
+    /// codecs.
+    #[test]
+    fn sort_of_a_compressed_input_matches_the_plain_sort() {
+        let dir = ScratchDir::new("cli-sort-cadj").unwrap();
+        let path = |name: &str| dir.file(name).display().to_string();
+        let (adj, cadj) = (path("g.adj"), path("g.cadj"));
+        dispatch(&strs(&[
+            "gen",
+            "plrg",
+            "--vertices",
+            "3000",
+            "--beta",
+            "2.0",
+            &adj,
+        ]))
+        .unwrap();
+        dispatch(&strs(&["compress", &adj, &cadj])).unwrap();
+        for (compress, ext) in [(false, "adj"), (true, "cadj")] {
+            let outputs: Vec<Vec<u8>> = [&adj, &cadj]
+                .into_iter()
+                .enumerate()
+                .map(|(i, input)| {
+                    let out = path(&format!("sorted{i}.{ext}"));
+                    let mut args = vec!["sort", input.as_str(), out.as_str()];
+                    if compress {
+                        args.push("--compress");
+                    }
+                    dispatch(&strs(&args)).unwrap();
+                    std::fs::read(&out).unwrap()
+                })
+                .collect();
+            assert!(outputs[0] == outputs[1], "--compress {compress}");
+        }
     }
 
     #[test]
@@ -1952,16 +1978,7 @@ mod tests {
         let trace = dir.file("run.jsonl");
         let trace_s = trace.display().to_string();
         dispatch(&strs(&[
-            "run",
-            &out,
-            "--algo",
-            "twok",
-            "--rounds",
-            "1",
-            "--threads",
-            "2",
-            "--trace",
-            &trace_s,
+            "run", &out, "--algo", "twok", "--rounds", "1", "--trace", &trace_s,
         ]))
         .unwrap();
         // The file is valid JSONL and carries this command's phase spans.
@@ -1989,6 +2006,14 @@ mod tests {
                 report.steps.iter().any(|p| p.name == step),
                 "missing step `{step}` in {:?}",
                 report.steps
+            );
+        }
+        // One pass span per scan: greedy, two-k's scans and the proof.
+        for pass in ["greedy", "twok.init", "twok.pre", "twok.post", "proof"] {
+            assert!(
+                report.passes.iter().any(|p| p.name == pass),
+                "missing pass `{pass}` in {:?}",
+                report.passes
             );
         }
         dispatch(&strs(&["trace", "report", &trace_s])).unwrap();
@@ -2184,23 +2209,13 @@ mod tests {
         ]))
         .unwrap();
         // The degree pass is one scan of ⌈bytes/B⌉ blocks — the model
-        // must conform exactly, on both storage backends and executors.
+        // must conform exactly, on both storage backends.
         dispatch(&strs(&[
             "stats",
             &out,
             "--check-model",
             "--block-size",
             "4096",
-        ]))
-        .unwrap();
-        dispatch(&strs(&[
-            "stats",
-            &out,
-            "--check-model",
-            "--block-size",
-            "4096",
-            "--threads",
-            "4",
         ]))
         .unwrap();
         let cout = dir.file("g.cadj").display().to_string();

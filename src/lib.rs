@@ -67,8 +67,8 @@ pub use mis_update as update;
 pub mod prelude {
     pub use mis_core::{
         degree_order, engine, is_independent_set, is_maximal_independent_set, prove_maximal,
-        prove_maximal_with, upper_bound_scan, Baseline, DynamicUpdate, Executor, Greedy, OneKSwap,
-        ParallelConfig, SwapConfig, TfpMaximalIs, TwoKSwap, DEFAULT_PAGED_THRESHOLD,
+        try_prove_maximal, upper_bound_scan, Baseline, DynamicUpdate, Greedy, OneKSwap, SwapConfig,
+        TfpMaximalIs, TwoKSwap, DEFAULT_PAGED_THRESHOLD,
     };
     pub use mis_core::{repair_updated_set_from_ops, RepairConfig};
     pub use mis_extmem::{IoStats, PagerConfig, PolicyKind, ScratchDir};

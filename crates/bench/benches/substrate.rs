@@ -35,7 +35,7 @@ fn bench_external_pq(c: &mut Criterion) {
     group.bench_function("push_pop_spilling", |b| {
         b.iter(|| {
             let stats = IoStats::shared();
-            let mut pq: ExternalPq<u32> = ExternalPq::new(1 << 12, "bench", stats).unwrap();
+            let mut pq = ExternalPq::new(1 << 12, "bench", stats).unwrap();
             for i in 0..n {
                 pq.push(i.wrapping_mul(2654435761)).unwrap();
             }

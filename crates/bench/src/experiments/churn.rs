@@ -23,7 +23,7 @@ use std::time::Instant;
 use mis_core::{is_maximal_independent_set, Greedy, OneKSwap, RepairConfig, SwapConfig};
 use mis_extmem::{IoSnapshot, IoStats};
 use mis_graph::{AdjFile, PinnedDelta};
-use mis_obs::{LedgerEntry, ModelVerdict};
+use mis_obs::ModelVerdict;
 use mis_update::{EdgeOp, UpdateStore, Wal};
 
 use crate::harness::{self, JsonObject, UPDATE_MODEL_TOLERANCE};
@@ -92,10 +92,6 @@ pub struct ChurnResult {
     pub epochs: usize,
     /// Total operations across all epochs.
     pub total_ops: usize,
-    /// Edge count of the generated base graph.
-    pub edges: u64,
-    /// On-disk bytes of the degree-sorted base file.
-    pub base_bytes: u64,
 }
 
 /// Runs the comparison on a `P(α,β)` graph with `n` vertices.
@@ -212,8 +208,6 @@ pub fn run_churn(n: u64, epochs: usize, ops_per_epoch: usize, block_size: usize)
         torn,
         epochs,
         total_ops: epochs * ops_per_epoch,
-        edges: fx.graph.num_edges(),
-        base_bytes: model.file_bytes,
     }
 }
 
@@ -301,36 +295,6 @@ pub fn run() {
             ),
         );
     harness::write_snapshot("churn", block_size, &body);
-
-    let mut ledger = LedgerEntry::new(
-        "repro churn",
-        &format!("plrg beta=2.0 n={n}, {epochs}x{ops_per_epoch} ops"),
-        harness::env_fingerprint(block_size, "adj-file"),
-    );
-    ledger.metric("vertices", n as f64);
-    ledger.metric("edges", result.edges as f64);
-    ledger.metric("base_bytes", result.base_bytes as f64);
-    ledger.metric("final_is", result.incremental.final_is as f64);
-    ledger.metric("incremental_scans", result.incremental.scans as f64);
-    ledger.metric("rebuild_scans", result.rebuild.scans as f64);
-    ledger.metric("scans_saved", scans_saved as f64);
-    ledger.metric("blocks_saved", blocks_saved as f64);
-    ledger.metric(
-        "wal_bytes_written",
-        result.incremental.io.wal_bytes_written as f64,
-    );
-    ledger.metric("torn_dropped_bytes", result.torn.dropped_bytes as f64);
-    for side in [&result.incremental, &result.rebuild] {
-        ledger.verdict(
-            &format!("model {}", side.label),
-            side.model.as_ref().is_some_and(|v| v.pass),
-        );
-    }
-    ledger.verdict(
-        "all_proved",
-        result.incremental.all_proved && result.rebuild.all_proved,
-    );
-    harness::ledger_append(&ledger);
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@ use mis_core::{prove_maximal, Greedy, OneKSwap, SwapConfig, TwoKSwap};
 use mis_extmem::pager::PolicyKind;
 use mis_extmem::{IoStats, PagerConfig};
 use mis_graph::{AnyAdjFile, GraphScan, NeighborAccess};
-use mis_obs::{LedgerEntry, Workload};
+use mis_obs::Workload;
 
 use crate::harness::{self, JsonObject, Row, MODEL_TOLERANCE};
 
@@ -136,21 +136,10 @@ pub fn run() {
     let mut rows = Vec::new();
     let mut cells = Vec::new();
     let mut total_saved = 0u64;
-    let mut ledger = LedgerEntry::new(
-        "repro compress",
-        &format!("plrg beta=2.0 n={}", fx.graph.num_vertices()),
-        harness::env_fingerprint(block_size, "adj-file+adj-file-compressed"),
-    );
     for algo in ALGOS {
         for mode in MODES {
             let plain = measure(fx.plain.path(), block_size, algo, mode);
             let comp = measure(compressed.path(), block_size, algo, mode);
-            for (side, file) in [(&plain, &fx.plain), (&comp, compressed)] {
-                ledger.verdict(
-                    &format!("model {}/{algo}/{mode}", file.storage()),
-                    side.conforms(),
-                );
-            }
             assert_eq!(
                 plain.is_size, comp.is_size,
                 "{algo}/{mode}: the storage backend must not change |IS|"
@@ -203,7 +192,6 @@ pub fn run() {
         MODEL_TOLERANCE * 100.0
     );
 
-    let (vertices, edges) = (fx.graph.num_vertices(), fx.graph.num_edges());
     let ratio = plain_bytes as f64 / comp_bytes as f64;
     let mut body = JsonObject::default();
     body.field("graph", fx.graph_json().to_json())
@@ -213,14 +201,6 @@ pub fn run() {
         .field("cells", harness::json_list(cells))
         .field("blocks_saved_total", total_saved);
     harness::write_snapshot("compress", block_size, &body);
-
-    ledger.metric("vertices", vertices as f64);
-    ledger.metric("edges", edges as f64);
-    ledger.metric("plain_bytes", plain_bytes as f64);
-    ledger.metric("compressed_bytes", comp_bytes as f64);
-    ledger.metric("compression_ratio", ratio);
-    ledger.metric("blocks_saved_total", total_saved as f64);
-    harness::ledger_append(&ledger);
 }
 
 #[cfg(test)]

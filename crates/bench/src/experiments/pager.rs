@@ -18,7 +18,7 @@ use mis_core::{Greedy, SwapConfig, TwoKSwap};
 use mis_extmem::pager::PolicyKind;
 use mis_extmem::{IoStats, PagerConfig};
 use mis_graph::{AdjFile, RandomAccessGraph};
-use mis_obs::{CostModel, LedgerEntry, Workload};
+use mis_obs::{CostModel, Workload};
 
 use crate::harness::{self, JsonObject, Row, MODEL_TOLERANCE};
 
@@ -146,7 +146,6 @@ pub fn run() {
         MODEL_TOLERANCE * 100.0
     );
 
-    let (vertices, edges) = (fx.graph.num_vertices(), fx.graph.num_edges());
     let mut body = JsonObject::default();
     let mut graph = fx.graph_json();
     graph.field("file_bytes", model.file_bytes);
@@ -164,28 +163,6 @@ pub fn run() {
         .field("paged", paged_side.to_json())
         .field("blocks_saved", saved);
     harness::write_snapshot("pager", block_size, &body);
-
-    let mut ledger = LedgerEntry::new(
-        "repro pager",
-        &format!("plrg beta=2.0 n={vertices}"),
-        harness::env_fingerprint(block_size, &model.storage),
-    );
-    ledger.metric("vertices", vertices as f64);
-    ledger.metric("edges", edges as f64);
-    ledger.metric("file_bytes", model.file_bytes as f64);
-    ledger.metric("is_size", scan_side.is_size as f64);
-    ledger.metric("scan_only_blocks_read", scan_side.io.blocks_read as f64);
-    ledger.metric("paged_blocks_read", paged_side.io.blocks_read as f64);
-    ledger.metric("blocks_saved", saved as f64);
-    ledger.metric(
-        "paged_rounds",
-        paged_side.paged_rounds.unwrap_or_default() as f64,
-    );
-    ledger.metric("cache_hit_rate", paged_side.io.cache_hit_rate());
-    for (label, side) in [("scan-only", &scan_side), ("paged", &paged_side)] {
-        ledger.verdict(&format!("model {label}"), side.conforms());
-    }
-    harness::ledger_append(&ledger);
 }
 
 #[cfg(test)]

@@ -28,7 +28,7 @@ use std::time::Instant;
 use mis_core::{is_maximal_independent_set, RepairConfig};
 use mis_extmem::IoStats;
 use mis_graph::VertexId;
-use mis_obs::{LedgerEntry, ModelVerdict, RequestSummary};
+use mis_obs::{ModelVerdict, RequestSummary};
 use mis_update::{Checkpoint, ServeConfig, ServeEngine, UpdateStore};
 
 use crate::harness::{self, UPDATE_MODEL_TOLERANCE};
@@ -333,28 +333,6 @@ pub fn run() {
                 .map_or_else(|| "null".into(), ModelVerdict::to_json),
         );
     harness::write_snapshot("serve", block_size, &body);
-
-    let mut ledger = LedgerEntry::new(
-        "repro serve",
-        &format!("plrg beta=2.0 n={n}, {epochs}x{ops_per_epoch} ops, 2 readers"),
-        harness::env_fingerprint(block_size, "adj-file"),
-    );
-    ledger.metric("vertices", n as f64);
-    ledger.metric("total_ops", result.total_ops as f64);
-    ledger.metric("final_is", result.final_is as f64);
-    ledger.metric("rolls", result.rolls as f64);
-    ledger.metric("compactions", result.compactions as f64);
-    ledger.metric("reader_requests", result.reader_requests as f64);
-    ledger.metric("update_rate", result.update_rate);
-    for (kind, r) in &result.requests {
-        ledger.metric(&format!("{kind}_p50_ns"), r.p50_ns as f64);
-        ledger.metric(&format!("{kind}_p99_ns"), r.p99_ns as f64);
-    }
-    ledger.verdict("all_proved", result.all_proved);
-    ledger.verdict("replay_matches", result.replay_matches);
-    ledger.verdict("pinned_stable", result.pinned_stable);
-    ledger.verdict("model", result.model.as_ref().is_some_and(|v| v.pass));
-    harness::ledger_append(&ledger);
 }
 
 #[cfg(test)]

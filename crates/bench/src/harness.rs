@@ -18,10 +18,11 @@
 //!   snapshot; `churn` fills one with its own keys.
 //! * [`churn_batches`] and [`churn_snapshot`]: the edit stream `churn`
 //!   and `serve` drive, and how their snapshots describe it.
-//! * [`write_snapshot`]: the snapshot file. Its header carries the
-//!   experiment, the block size and the `hardware_threads` /
-//!   `available_threads` fingerprint on which `mis bench check` arms its
-//!   wall-clock gates. `BENCH_<NAME>_OUT` overrides its path.
+//! * [`write_snapshot`]: the snapshot file, the one place an experiment
+//!   records its numbers. Its header carries the experiment, the block
+//!   size and the `hardware_threads` / `available_threads` fingerprint
+//!   on which `mis bench check` arms its wall-clock gates.
+//!   `BENCH_<NAME>_OUT` overrides its path.
 
 use std::fmt;
 use std::sync::Arc;
@@ -37,7 +38,7 @@ use mis_gen::Dataset;
 use mis_graph::{
     build_adj_file, compress_adj, degree_sort_adj_file, AnyAdjFile, CsrGraph, OrderedCsr,
 };
-use mis_obs::{CostModel, LedgerEntry, ModelVerdict, Workload};
+use mis_obs::{timed, CostModel, ModelVerdict, Workload};
 use mis_update::EdgeOp;
 
 /// Result of one algorithm on one graph.
@@ -83,31 +84,8 @@ impl DatasetRun {
     }
 }
 
-// The timing primitives live in `mis_obs` (shared with the CLI and the
-// trace layer); re-exported here so experiment code keeps one import.
-pub use mis_obs::{timed, timed_split, SplitTimes};
-
-/// Environment fingerprint for experiment ledger entries: the machine's
-/// thread counts, the experiment's block size and storage label, and
-/// CI's `GITHUB_SHA` as the git revision when present.
-pub fn env_fingerprint(block_size: usize, storage: &str) -> mis_obs::EnvFingerprint {
-    mis_obs::EnvFingerprint::detect(block_size as u64, storage, std::env::var("GITHUB_SHA").ok())
-}
-
-/// Appends one entry to the perf ledger (`BENCH_HISTORY_OUT`, default
-/// `BENCH_history.jsonl`). An unwritable ledger is reported but does
-/// not fail the experiment — the measurement itself already happened
-/// and its assertions already ran.
-pub fn ledger_append(entry: &LedgerEntry) {
-    let ledger = mis_obs::Ledger::open_default();
-    match ledger.append(entry) {
-        Ok(()) => println!("  appended ledger entry -> {}", ledger.path().display()),
-        Err(e) => eprintln!("  could not append to {}: {e}", ledger.path().display()),
-    }
-}
-
 /// Blocks-read tolerance of the conformance checks whose I/O includes
-/// the open (`parallel`, `compress`, `pager`): opening a file reads its
+/// the open (`compress`, `pager`): opening a file reads its
 /// header through the block reader, +1 block that no whole-scan
 /// prediction accounts for. At smoke scales, where a scan is only one or
 /// two blocks, that is a several-percent relative error. The scan-count

@@ -62,8 +62,7 @@ impl TfpMaximalIs {
         let mut in_set = vec![false; n];
         // Messages are recipient ids; receiving any message means "one of
         // your lower neighbours joined".
-        let mut pq: ExternalPq<u32> =
-            ExternalPq::new(self.pq_memory_records, "tfp", Arc::clone(&stats))?;
+        let mut pq = ExternalPq::new(self.pq_memory_records, "tfp", Arc::clone(&stats))?;
 
         let mut order_violation: Option<(VertexId, VertexId)> = None;
         let mut last: Option<VertexId> = None;

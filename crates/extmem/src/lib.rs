@@ -14,15 +14,14 @@
 //!   independent of the operating system's page cache;
 //! * [`BlockReader`] / [`BlockWriter`] — buffered sequential readers/writers
 //!   that move data in fixed-size blocks and account each block transfer;
-//! * [`Record`] — a fixed-width record codec trait used by the
-//!   priority queue's spilled runs;
 //! * [`SortConfig`] — the memory budget of the degree sort
 //!   (`mis_graph::builder`), a semi-external record permutation: buckets
 //!   of at most `mem_records` neighbour entries, at most `fan_in` bucket
 //!   files per distribution scan;
-//! * [`pq::ExternalPq`] — an external priority queue (in-memory heap with
-//!   sorted overflow runs), the data structure behind Zeh's external
-//!   maximal-independent-set algorithm that the paper benchmarks as `STXXL`;
+//! * [`pq::ExternalPq`] — an external priority queue of `u32` keys
+//!   (in-memory heap with sorted overflow runs), the data structure
+//!   behind Zeh's external maximal-independent-set algorithm that the
+//!   paper benchmarks as `STXXL`;
 //! * [`pager::BufferPool`] — a buffer-pool page cache (frame table,
 //!   CLOCK eviction) over a seekable source, for the
 //!   random-access reads that sequential scans cannot serve cheaply;
@@ -39,7 +38,6 @@ pub mod chunk;
 pub mod codec;
 pub mod pager;
 pub mod pq;
-pub mod record;
 pub mod scratch;
 pub mod sort;
 pub mod stats;
@@ -49,7 +47,6 @@ pub use block::{BlockReader, BlockWriter, DEFAULT_BLOCK_SIZE};
 pub use chunk::ChunkBuf;
 pub use pager::{BufferPool, FilePageSource, PageSource, PagerConfig, PolicyKind};
 pub use pq::ExternalPq;
-pub use record::Record;
 pub use scratch::ScratchDir;
 pub use sort::SortConfig;
 pub use stats::{IoSnapshot, IoStats};

@@ -19,44 +19,43 @@ use std::sync::Arc;
 
 use crate::block::{BlockReader, BlockWriter};
 use crate::codec;
-use crate::record::Record;
 use crate::scratch::ScratchDir;
 use crate::stats::IoStats;
 
-/// A disk-backed min-priority queue over fixed-width records.
-pub struct ExternalPq<R: Record> {
-    heap: BinaryHeap<Reverse<R>>,
+/// A disk-backed min-priority queue of `u32` keys; spilled runs store
+/// each key as 4 little-endian bytes.
+pub struct ExternalPq {
+    heap: BinaryHeap<Reverse<u32>>,
     mem_capacity: usize,
     block_size: usize,
-    runs: Vec<PqRun<R>>,
-    /// Heads of non-exhausted runs, keyed by (record, run index).
-    run_heads: BinaryHeap<Reverse<(R, usize)>>,
+    runs: Vec<PqRun>,
+    /// Heads of non-exhausted runs, keyed by (key, run index).
+    run_heads: BinaryHeap<Reverse<(u32, usize)>>,
     spilled_remaining: u64,
     scratch: ScratchDir,
     next_run_id: u64,
     stats: Arc<IoStats>,
 }
 
-struct PqRun<R: Record> {
+struct PqRun {
     reader: BlockReader<File>,
     remaining: u64,
-    buf: Vec<u8>,
-    _marker: std::marker::PhantomData<R>,
 }
 
-impl<R: Record> PqRun<R> {
-    fn next_record(&mut self) -> io::Result<Option<R>> {
+impl PqRun {
+    fn next_key(&mut self) -> io::Result<Option<u32>> {
         if self.remaining == 0 {
             return Ok(None);
         }
-        self.reader.read_exact(&mut self.buf)?;
+        let mut buf = [0u8; 4];
+        self.reader.read_exact(&mut buf)?;
         self.remaining -= 1;
-        Ok(Some(R::decode(&self.buf)))
+        Ok(Some(u32::from_le_bytes(buf)))
     }
 }
 
-impl<R: Record> ExternalPq<R> {
-    /// Creates a queue that keeps at most `mem_capacity` records in memory.
+impl ExternalPq {
+    /// Creates a queue that keeps at most `mem_capacity` keys in memory.
     pub fn new(mem_capacity: usize, label: &str, stats: Arc<IoStats>) -> io::Result<Self> {
         Self::with_block_size(mem_capacity, label, stats, crate::block::DEFAULT_BLOCK_SIZE)
     }
@@ -82,7 +81,7 @@ impl<R: Record> ExternalPq<R> {
         })
     }
 
-    /// Number of records currently queued.
+    /// Number of keys currently queued.
     pub fn len(&self) -> u64 {
         self.heap.len() as u64 + self.spilled_remaining
     }
@@ -97,17 +96,17 @@ impl<R: Record> ExternalPq<R> {
         self.next_run_id
     }
 
-    /// Inserts a record, spilling the in-memory heap if it is full.
-    pub fn push(&mut self, record: R) -> io::Result<()> {
+    /// Inserts a key, spilling the in-memory heap if it is full.
+    pub fn push(&mut self, key: u32) -> io::Result<()> {
         if self.heap.len() >= self.mem_capacity {
             self.spill()?;
         }
-        self.heap.push(Reverse(record));
+        self.heap.push(Reverse(key));
         Ok(())
     }
 
-    /// Removes and returns the smallest record.
-    pub fn pop(&mut self) -> io::Result<Option<R>> {
+    /// Removes and returns the smallest key.
+    pub fn pop(&mut self) -> io::Result<Option<u32>> {
         let mem_min = self.heap.peek().map(|Reverse(r)| *r);
         let run_min = self.run_heads.peek().map(|Reverse((r, _))| *r);
         match (mem_min, run_min) {
@@ -124,8 +123,8 @@ impl<R: Record> ExternalPq<R> {
         }
     }
 
-    /// Returns the smallest record without removing it.
-    pub fn peek(&self) -> Option<R> {
+    /// Returns the smallest key without removing it.
+    pub fn peek(&self) -> Option<u32> {
         let mem_min = self.heap.peek().map(|Reverse(r)| *r);
         let run_min = self.run_heads.peek().map(|Reverse((r, _))| *r);
         match (mem_min, run_min) {
@@ -136,19 +135,19 @@ impl<R: Record> ExternalPq<R> {
         }
     }
 
-    fn pop_run(&mut self) -> io::Result<Option<R>> {
-        let Some(Reverse((rec, idx))) = self.run_heads.pop() else {
+    fn pop_run(&mut self) -> io::Result<Option<u32>> {
+        let Some(Reverse((key, idx))) = self.run_heads.pop() else {
             return Ok(None);
         };
         self.spilled_remaining -= 1;
-        if let Some(next) = self.runs[idx].next_record()? {
+        if let Some(next) = self.runs[idx].next_key()? {
             self.run_heads.push(Reverse((next, idx)));
         }
-        Ok(Some(rec))
+        Ok(Some(key))
     }
 
     fn spill(&mut self) -> io::Result<()> {
-        let mut drained: Vec<R> = self.heap.drain().map(|Reverse(r)| r).collect();
+        let mut drained: Vec<u32> = self.heap.drain().map(|Reverse(k)| k).collect();
         drained.sort_unstable();
         let path = self
             .scratch
@@ -157,10 +156,8 @@ impl<R: Record> ExternalPq<R> {
         let file = File::create(&path)?;
         let mut w = BlockWriter::with_block_size(file, Arc::clone(&self.stats), self.block_size);
         codec::write_u64(&mut w, drained.len() as u64)?;
-        let mut buf = vec![0u8; R::BYTES];
-        for r in &drained {
-            r.encode(&mut buf);
-            w.write_all(&buf)?;
+        for k in &drained {
+            w.write_all(&k.to_le_bytes())?;
         }
         w.finish()?;
 
@@ -171,11 +168,9 @@ impl<R: Record> ExternalPq<R> {
         let mut run = PqRun {
             reader,
             remaining: count,
-            buf: vec![0u8; R::BYTES],
-            _marker: std::marker::PhantomData,
         };
         self.spilled_remaining += count;
-        if let Some(head) = run.next_record()? {
+        if let Some(head) = run.next_key()? {
             let idx = self.runs.len();
             self.runs.push(run);
             self.run_heads.push(Reverse((head, idx)));
@@ -232,11 +227,11 @@ mod tests {
         let mut popped = Vec::new();
         for batch in 0..50u32 {
             for j in 0..10u32 {
-                pq.push((batch * 100 + j, j)).unwrap();
+                pq.push(batch * 100 + j).unwrap();
             }
             // Pop everything below the next batch's range.
             while let Some(head) = pq.peek() {
-                if head.0 >= (batch + 1) * 100 {
+                if head >= (batch + 1) * 100 {
                     break;
                 }
                 popped.push(pq.pop().unwrap().unwrap());
@@ -245,8 +240,11 @@ mod tests {
         while let Some(v) = pq.pop().unwrap() {
             popped.push(v);
         }
-        assert_eq!(popped.len(), 500);
-        assert!(popped.windows(2).all(|w| w[0] <= w[1]));
+        let expected: Vec<u32> = (0..50u32)
+            .flat_map(|batch| (0..10u32).map(move |j| batch * 100 + j))
+            .collect();
+        assert_eq!(popped, expected);
+        assert!(pq.runs_spilled() > 0, "the schedule must spill");
     }
 
     #[test]
@@ -266,7 +264,7 @@ mod tests {
     #[test]
     fn empty_pop_is_none() {
         let stats = IoStats::shared();
-        let mut pq: ExternalPq<u32> = ExternalPq::new(4, "empty", stats).unwrap();
+        let mut pq = ExternalPq::new(4, "empty", stats).unwrap();
         assert!(pq.pop().unwrap().is_none());
         assert!(pq.is_empty());
     }

@@ -111,7 +111,7 @@ fn block_writer_surfaces_disk_full() {
 fn pq_push_failure_reported_when_scratch_removed() {
     use mis_extmem::ExternalPq;
     let stats = IoStats::shared();
-    let mut pq: ExternalPq<u32> = ExternalPq::with_block_size(4, "fail-pq", stats, 64).unwrap();
+    let mut pq = ExternalPq::with_block_size(4, "fail-pq", stats, 64).unwrap();
     for i in 0..4u32 {
         pq.push(i).unwrap();
     }

@@ -1,5 +1,5 @@
-//! The shared wall-clock helpers: phase-split timing and hardware
-//! topology, used identically by the bench harness and the CLI.
+//! The shared wall-clock helpers of the bench harness: closure timing
+//! and the hardware topology that fingerprints a `BENCH_*.json` snapshot.
 
 use std::num::NonZeroUsize;
 use std::time::{Duration, Instant};
@@ -9,40 +9,6 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     let start = Instant::now();
     let value = f();
     (value, start.elapsed())
-}
-
-/// Wall-clock of a two-phase measurement: one-time setup (file opens,
-/// page-cache warm-up, index builds) against the steady-state scan work
-/// that a parallel speedup must be computed from. Folding setup into one
-/// undifferentiated wall time understates scaling — setup is identical
-/// at every thread count, so it dilutes the ratio toward 1.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct SplitTimes {
-    /// Milliseconds of one-time setup.
-    pub setup_ms: f64,
-    /// Milliseconds of steady-state scan work.
-    pub scan_ms: f64,
-}
-
-impl SplitTimes {
-    /// Total wall-clock of both phases.
-    pub fn wall_ms(&self) -> f64 {
-        self.setup_ms + self.scan_ms
-    }
-}
-
-/// Times `setup` then `work` separately, handing `work` the setup value.
-pub fn timed_split<A, B>(
-    setup: impl FnOnce() -> A,
-    work: impl FnOnce(&A) -> B,
-) -> (A, B, SplitTimes) {
-    let start = Instant::now();
-    let a = setup();
-    let setup_ms = start.elapsed().as_secs_f64() * 1e3;
-    let start = Instant::now();
-    let b = work(&a);
-    let scan_ms = start.elapsed().as_secs_f64() * 1e3;
-    (a, b, SplitTimes { setup_ms, scan_ms })
 }
 
 /// The machine's hardware thread count, as best the process can tell.
@@ -73,24 +39,6 @@ mod tests {
         let (v, d) = timed(|| 41 + 1);
         assert_eq!(v, 42);
         assert!(d >= Duration::ZERO);
-    }
-
-    #[test]
-    fn split_times_add_up() {
-        let t = SplitTimes {
-            setup_ms: 1.5,
-            scan_ms: 2.5,
-        };
-        assert!((t.wall_ms() - 4.0).abs() < 1e-12);
-        assert_eq!(SplitTimes::default().wall_ms(), 0.0);
-    }
-
-    #[test]
-    fn timed_split_hands_setup_value_to_work() {
-        let (a, b, times) = timed_split(|| vec![1, 2, 3], |v| v.iter().sum::<i32>());
-        assert_eq!(a, vec![1, 2, 3]);
-        assert_eq!(b, 6);
-        assert!(times.setup_ms >= 0.0 && times.scan_ms >= 0.0);
     }
 
     #[test]

@@ -12,52 +12,37 @@
 //!   fails the gate (a legitimate improvement fails too — that is the
 //!   cue to re-commit the baseline deliberately). Strings and
 //!   booleans are compared the same way.
-//! * **wall** (higher is worse) — keys ending `_ms`/`_us`/`_ns` or
-//!   containing `wait`/`stall`. Gated by a relative tolerance of 50%
-//!   plus an absolute floor of 10 in the leaf's own unit, so
-//!   millisecond-scale jitter cannot fail a build.
-//! * **quality** (lower is worse) — keys containing `speedup`,
-//!   `utilization` or `hit_rate`; same tolerance, inverted direction.
+//! * **wall** (higher is worse) — keys ending `_ms`/`_us`/`_ns`. Gated
+//!   by a relative tolerance of 50% plus an absolute floor of 10 in the
+//!   leaf's own unit, so millisecond-scale jitter cannot fail a build.
+//! * **quality** (lower is worse) — keys containing `hit_rate`; same
+//!   tolerance, inverted direction.
 //!
 //! Wall and quality gates are only meaningful when both snapshots
 //! come from comparable environments, so they are **skipped
-//! automatically** when the embedded fingerprints
-//! (`hardware_threads`/`available_threads`, see
-//! [`crate::ledger::EnvFingerprint`]) differ or are absent — exactly
-//! the failure mode `speedup_asserted:false` guards against at
-//! measurement time. I/O-count gates are always enforced: blocks and
-//! scans do not depend on the machine.
+//! automatically** when the fingerprints in the snapshot headers
+//! (`hardware_threads`/`available_threads`) differ or are absent.
+//! I/O-count gates are always enforced: blocks and scans do not depend
+//! on the machine.
 //!
-//! Keys that *identify* the environment rather than measure the run
-//! (`hardware_threads`, `available_threads`, `speedup_asserted`,
-//! `git_rev`, `ts_ms`, `crc`) are excluded from gating entirely.
+//! The two thread counts *identify* the environment rather than measure
+//! the run, so they are excluded from gating entirely.
 
 use crate::report::Json;
 
 /// Keys that describe the environment, not the measurement.
-const EXCLUDED: &[&str] = &[
-    "hardware_threads",
-    "available_threads",
-    "speedup_asserted",
-    "git_rev",
-    "ts_ms",
-    "crc",
-];
+const EXCLUDED: &[&str] = &["hardware_threads", "available_threads"];
 
 fn is_excluded(key: &str) -> bool {
     EXCLUDED.contains(&key)
 }
 
 fn is_wall_key(key: &str) -> bool {
-    key.ends_with("_ms")
-        || key.ends_with("_us")
-        || key.ends_with("_ns")
-        || key.contains("wait")
-        || key.contains("stall")
+    key.ends_with("_ms") || key.ends_with("_us") || key.ends_with("_ns")
 }
 
 fn is_quality_key(key: &str) -> bool {
-    key.contains("speedup") || key.contains("utilization") || key.contains("hit_rate")
+    key.contains("hit_rate")
 }
 
 /// Allowed relative drift of a wall or quality leaf (0.5 = 50%).
@@ -291,15 +276,17 @@ mod tests {
     use super::*;
     use crate::report::parse_json;
 
+    /// A `BENCH_pager.json`-shaped snapshot: a fingerprint, exact I/O
+    /// counts, wall and hit-rate leaves, and a string and a bool.
     const BASE: &str = r#"{
-        "experiment": "parallel", "hardware_threads": 8, "available_threads": 8,
-        "speedup_asserted": false, "block_size": 65536,
-        "sides": [
-            {"label": "seq", "blocks_read": 273, "scans": 13, "wall_ms": 64.0},
-            {"label": "par4", "blocks_read": 273, "scans": 13, "wall_ms": 22.0,
-             "worker_utilization": 0.8}
-        ],
-        "speedup": 2.9, "maximal": true
+        "experiment": "pager", "block_size": 65536,
+        "hardware_threads": 8, "available_threads": 8,
+        "scan_only": {"is_size": 70208, "file_scans": 8, "blocks_read": 281,
+                      "cache_hit_rate": 0.0, "wall_ms": 64.0},
+        "paged": {"is_size": 70208, "paged_rounds": 3, "file_scans": 5, "blocks_read": 238,
+                  "cache_hit_rate": 0.9996, "wall_ms": 22.0,
+                  "model": {"storage": "adj-file", "pass": true}},
+        "blocks_saved": 43
     }"#;
 
     fn base() -> Json {
@@ -307,6 +294,7 @@ mod tests {
     }
 
     fn with(base: &str, from: &str, to: &str) -> Json {
+        assert!(base.contains(from), "fixture lacks `{from}`");
         parse_json(&base.replacen(from, to, 1)).unwrap()
     }
 
@@ -315,31 +303,23 @@ mod tests {
         let out = check_snapshots(&base(), &base());
         assert!(out.pass(), "{:?}", out.violations);
         assert!(out.wall_gated);
-        assert!(out.exact_compared >= 8);
-        assert!(out.wall_compared >= 3);
+        assert_eq!(out.exact_compared, 12);
+        assert_eq!(out.wall_compared, 4);
     }
 
     #[test]
     fn io_count_regression_fails_exactly() {
-        let cur = with(
-            BASE,
-            "\"blocks_read\": 273, \"scans\": 13, \"wall_ms\": 64.0",
-            "\"blocks_read\": 290, \"scans\": 13, \"wall_ms\": 64.0",
-        );
+        let cur = with(BASE, "\"blocks_read\": 281", "\"blocks_read\": 290");
         let out = check_snapshots(&base(), &cur);
         assert!(!out.pass());
         assert!(
-            out.violations[0].contains("blocks_read"),
+            out.violations[0].contains("scan_only.blocks_read"),
             "{:?}",
             out.violations
         );
         // Even a one-block *improvement* fails: deterministic metrics
         // must match the committed baseline bit for bit.
-        let cur = with(
-            BASE,
-            "273, \"scans\": 13, \"wall_ms\": 64.0",
-            "272, \"scans\": 13, \"wall_ms\": 64.0",
-        );
+        let cur = with(BASE, "\"blocks_read\": 281", "\"blocks_read\": 280");
         assert!(!check_snapshots(&base(), &cur).pass());
     }
 
@@ -348,11 +328,14 @@ mod tests {
         // 64ms -> 90ms: within 64*1.5+10 = 106 — noise, passes.
         let cur = with(BASE, "\"wall_ms\": 64.0", "\"wall_ms\": 90.0");
         assert!(check_snapshots(&base(), &cur).pass());
+        // A faster run is never a wall violation.
+        let cur = with(BASE, "\"wall_ms\": 64.0", "\"wall_ms\": 5.0");
+        assert!(check_snapshots(&base(), &cur).pass());
         // 64ms -> 120ms: beyond the band — fails.
         let cur = with(BASE, "\"wall_ms\": 64.0", "\"wall_ms\": 120.0");
         let out = check_snapshots(&base(), &cur);
         assert!(!out.pass());
-        assert!(out.violations[0].contains("wall_ms"));
+        assert!(out.violations[0].contains("scan_only.wall_ms"));
     }
 
     #[test]
@@ -370,8 +353,8 @@ mod tests {
         // …but an I/O regression still fails on that same box.
         let cur = with(
             &BASE.replace("\"hardware_threads\": 8", "\"hardware_threads\": 4"),
-            "\"blocks_read\": 273, \"scans\": 13, \"wall_ms\": 64.0",
-            "\"blocks_read\": 300, \"scans\": 13, \"wall_ms\": 64.0",
+            "\"blocks_read\": 281",
+            "\"blocks_read\": 300",
         );
         let out = check_snapshots(&base(), &cur);
         assert!(!out.pass());
@@ -381,23 +364,20 @@ mod tests {
     fn quality_drop_and_missing_metric_fail() {
         // A quality leaf may fall 50%, and then by the floor capped at
         // half the baseline: 40 -> 9 is below its limit of 20 - 10.
-        let quality = BASE.replace(
-            "\"worker_utilization\": 0.8",
-            "\"worker_utilization\": 40.0",
-        );
+        let quality = BASE.replace("\"cache_hit_rate\": 0.9996", "\"cache_hit_rate\": 40.0");
         let cur = with(
             &quality,
-            "\"worker_utilization\": 40.0",
-            "\"worker_utilization\": 9.0",
+            "\"cache_hit_rate\": 40.0",
+            "\"cache_hit_rate\": 9.0",
         );
         let out = check_snapshots(&parse_json(&quality).unwrap(), &cur);
         assert!(!out.pass());
-        assert!(out.violations[0].contains("utilization"));
+        assert!(out.violations[0].contains("paged.cache_hit_rate"));
 
-        let cur = with(BASE, "\"maximal\": true", "\"maximal\": false");
+        let cur = with(BASE, "\"pass\": true", "\"pass\": false");
         assert!(!check_snapshots(&base(), &cur).pass());
 
-        let cur = with(BASE, ", \"maximal\": true", "");
+        let cur = with(BASE, ",\n        \"blocks_saved\": 43", "");
         let out = check_snapshots(&base(), &cur);
         assert!(!out.pass());
         assert!(out.violations[0].contains("missing"));
@@ -405,12 +385,12 @@ mod tests {
 
     #[test]
     fn diff_lists_numeric_leaves_with_changes() {
-        let cur = with(BASE, "\"speedup\": 2.9", "\"speedup\": 3.4");
+        let cur = with(BASE, "\"blocks_saved\": 43", "\"blocks_saved\": 40");
         let deltas = diff_snapshots(&base(), &cur);
-        let speedup = deltas.iter().find(|d| d.path == "speedup").unwrap();
-        assert_eq!(speedup.base, Some(2.9));
-        assert_eq!(speedup.current, Some(3.4));
-        assert!((speedup.rel_change().unwrap() - (3.4 / 2.9 - 1.0)).abs() < 1e-12);
-        assert!(deltas.iter().any(|d| d.path == "sides[1].wall_ms"));
+        let saved = deltas.iter().find(|d| d.path == "blocks_saved").unwrap();
+        assert_eq!(saved.base, Some(43.0));
+        assert_eq!(saved.current, Some(40.0));
+        assert!((saved.rel_change().unwrap() - (40.0 / 43.0 - 1.0)).abs() < 1e-12);
+        assert!(deltas.iter().any(|d| d.path == "paged.wall_ms"));
     }
 }

@@ -16,19 +16,13 @@
 //!   ([`hist::LogHistogram`]): power-of-two buckets, constant memory,
 //!   mergeable, with quantile estimates. Used for per-fetch pager
 //!   latency and WAL append/commit latency.
-//! * [`clock`] — the one shared wall-clock helper set
-//!   ([`clock::timed_split`], [`clock::SplitTimes`],
-//!   [`clock::hardware_threads`]) used by both the bench harness and
-//!   the CLI, so every experiment splits setup from steady-state work
-//!   the same way.
+//! * [`clock`] — the shared wall-clock helpers ([`clock::timed`],
+//!   [`clock::hardware_threads`]) of the bench harness: it times the
+//!   paper's algorithm suite and writes the thread-count fingerprint
+//!   into every `BENCH_*.json` header.
 //! * [`report`] — parses a trace back (JSONL, one Chrome trace event
 //!   per line) and aggregates it into per-phase, per-step and per-pass
 //!   wall-time breakdowns; `mis trace report` builds on it.
-//! * [`ledger`] — an append-only, per-line-checksummed
-//!   `BENCH_history.jsonl` performance ledger: every `repro`
-//!   experiment and every `mis run|stats|bound --record` appends one
-//!   [`ledger::LedgerEntry`] carrying result metrics, an environment
-//!   fingerprint and the per-phase trace breakdown.
 //! * [`model`] — the paper's I/O cost model as an executable
 //!   prediction ([`model::CostModel`]): expected scans-per-round and
 //!   blocks-per-scan from graph header stats, plus a conformance
@@ -107,16 +101,14 @@
 pub mod clock;
 pub mod gate;
 pub mod hist;
-pub mod ledger;
 pub mod model;
 pub mod report;
 pub mod requests;
 pub mod trace;
 
-pub use clock::{hardware_threads, timed, timed_split, SplitTimes};
+pub use clock::{hardware_threads, timed};
 pub use gate::{check_snapshots, diff_snapshots, GateOutcome};
 pub use hist::LogHistogram;
-pub use ledger::{EnvFingerprint, Ledger, LedgerEntry};
 pub use model::{CostModel, ModelVerdict, Workload};
 pub use report::TraceReport;
 pub use requests::{RequestStats, RequestSummary};

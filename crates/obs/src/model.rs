@@ -284,7 +284,7 @@ pub struct ModelVerdict {
 }
 
 impl ModelVerdict {
-    /// The verdict as one JSON object (for BENCH files and the ledger).
+    /// The verdict as one JSON object (for the `BENCH_*.json` snapshots).
     pub fn to_json(&self) -> String {
         let scans = match self.predicted_scans {
             Some(p) => p.to_string(),

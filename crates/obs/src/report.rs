@@ -574,9 +574,9 @@ impl TraceReport {
     }
 
     /// The report as one machine-readable JSON object — what
-    /// `mis trace report --json` prints and what the ledger's callers
-    /// consume instead of re-parsing the rendered text. The output
-    /// round-trips through [`parse_json`].
+    /// `mis trace report --json` prints, for tools that would otherwise
+    /// re-parse the rendered text. The output round-trips through
+    /// [`parse_json`].
     pub fn render_json(&self) -> String {
         fn num(v: f64) -> f64 {
             if v.is_finite() {

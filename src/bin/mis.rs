@@ -34,7 +34,6 @@
 //! mis bench    diff <base> <current>     side-by-side snapshot diff
 //!              check --baseline <file>    noise-aware regression gate
 //!                    [--current <file>]
-//!              history [--last N] [--ledger FILE]   show the perf ledger
 //! ```
 //!
 //! Every subcommand accepts `--block-size BYTES` (default 65536), the `B`
@@ -59,14 +58,8 @@
 //! step and pass breakdowns) or load it into `chrome://tracing` /
 //! Perfetto.
 //!
-//! `run`, `stats` and `bound` also accept `--record`: the command then
-//! appends one checksummed [`mis_obs::ledger::LedgerEntry`] — result
-//! metrics, environment fingerprint (`--rev` or `GITHUB_SHA` pins the
-//! git revision) and, when traced, the per-phase breakdown — to the
-//! append-only `BENCH_history.jsonl` performance ledger (`--ledger`
-//! or `BENCH_HISTORY_OUT` override the path). `mis stats
-//! --check-model` additionally checks the scan's observed I/O against
-//! the paper's cost model (`⌈bytes/B⌉` blocks per scan, see
+//! `mis stats --check-model` checks the scan's observed I/O against the
+//! paper's cost model (`⌈bytes/B⌉` blocks per scan, see
 //! [`mis_obs::model`]) and fails when it does not conform exactly.
 //! `mis bench check` gates a freshly measured
 //! `BENCH_*.json` snapshot against a committed baseline: I/O-count
@@ -112,9 +105,7 @@ use std::time::Instant;
 
 use mis_obs as obs;
 use mis_obs::report::{parse_json, Json};
-use mis_obs::{
-    check_snapshots, diff_snapshots, EnvFingerprint, Ledger, LedgerEntry, TraceReport, Workload,
-};
+use mis_obs::{check_snapshots, diff_snapshots, TraceReport, Workload};
 use semi_mis::extmem::{SortConfig, DEFAULT_BLOCK_SIZE};
 use semi_mis::graph::{
     build_adj_file, compress_adj, degree_sort_adj_file, degree_sort_compressed_adj_file, edgelist,
@@ -129,12 +120,18 @@ fn main() -> ExitCode {
     match dispatch(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
-            eprintln!("error: {msg}");
-            eprintln!();
-            eprintln!("{}", USAGE.trim());
+            write_error(&mut std::io::stderr().lock(), &msg);
             ExitCode::from(2)
         }
     }
+}
+
+/// Writes a failed command's error and the usage to `err`, which `main`
+/// passes as one locked stderr handle. A failed write — a reader that
+/// closed the pipe — is ignored: nothing is left to report it to, and
+/// the exit status still says the command failed.
+fn write_error(err: &mut dyn Write, msg: &str) {
+    let _ = writeln!(err, "error: {msg}\n\n{}", USAGE.trim()).and_then(|()| err.flush());
 }
 
 const USAGE: &str = "
@@ -158,13 +155,10 @@ usage: mis <command> ... [--block-size BYTES]
   trace report <trace.jsonl> [--json]
   bench diff <base.json> <current.json>
         check --baseline <file> [--current <file>]
-        history [--last N] [--ledger FILE]
   (<graph>/<base> may be plain MISADJ01 or gap-compressed MISADJC1 files;
    run/stats/bound/update also take [--trace FILE] to record a Chrome-trace
    JSONL timeline, inspected with `mis trace report` or chrome://tracing;
-   run/stats/bound also take [--record] [--rev SHA] [--ledger FILE] to append
-   a checksummed entry to the BENCH_history.jsonl perf ledger, and stats
-   takes [--check-model] to enforce the I/O cost model exactly)
+   stats takes [--check-model] to enforce the I/O cost model exactly)
 ";
 
 fn dispatch(args: &[String]) -> Result<(), String> {
@@ -190,14 +184,7 @@ fn dispatch(args: &[String]) -> Result<(), String> {
 type Options = Vec<(String, String)>;
 
 /// Flags that take no value; parsed as `(name, "true")`.
-const BOOL_FLAGS: &[&str] = &[
-    "compress",
-    "record",
-    "check-model",
-    "json",
-    "status",
-    "shutdown",
-];
+const BOOL_FLAGS: &[&str] = &["compress", "check-model", "json", "status", "shutdown"];
 
 /// Pulls `--name value` options, valueless `--flag`s and positional
 /// arguments apart. `known` names the options the subcommand reads;
@@ -347,11 +334,10 @@ fn print_io_summary(stats: &IoStats, report: Option<&TraceReport>) {
     }
 }
 
-/// `mis trace report <trace.jsonl>`: render the per-phase breakdown and
-/// per-worker utilization table of a recorded trace (`--json` for the
-/// machine-readable form the ledger ingests). Fails on malformed JSONL
-/// and on traces with no spans at all (both indicate a broken
-/// recording, which CI wants to catch).
+/// `mis trace report <trace.jsonl>`: render the phase, step and pass
+/// breakdowns of a recorded trace (`--json` for the machine-readable
+/// form). Fails on malformed JSONL and on traces with no spans at all
+/// (both indicate a broken recording, which CI wants to catch).
 fn cmd_trace(args: &[String]) -> Result<(), String> {
     let (pos, opts) = parse_opts(args, &["json"])?;
     let [action, path] = pos.as_slice() else {
@@ -376,59 +362,6 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// The git revision to stamp ledger entries with: `--rev` when given,
-/// else CI's `GITHUB_SHA`, else none.
-fn opt_git_rev(opts: &Options) -> Option<String> {
-    opt(opts, "rev")
-        .map(str::to_string)
-        .or_else(|| std::env::var("GITHUB_SHA").ok())
-}
-
-/// What a `--record` append needs to know about the command around it.
-struct RecordCtx<'a> {
-    opts: &'a Options,
-    /// Ledger `source` field (`"mis run"`, `"mis stats"`, …).
-    source: &'a str,
-    /// Ledger `label` field (input path, algorithm, …).
-    label: String,
-    block_size: usize,
-    storage: &'a str,
-}
-
-/// When `--record` was given, appends one checksummed entry — the
-/// caller's metrics plus the shared I/O counters and, when traced, the
-/// per-phase breakdown — to the perf ledger (`--ledger`, then
-/// `BENCH_HISTORY_OUT`, then `BENCH_history.jsonl`).
-fn record_ledger(
-    ctx: RecordCtx<'_>,
-    stats: &IoStats,
-    report: Option<&TraceReport>,
-    fill: impl FnOnce(&mut LedgerEntry),
-) -> Result<(), String> {
-    if opt(ctx.opts, "record").is_none() {
-        return Ok(());
-    }
-    let env = EnvFingerprint::detect(ctx.block_size as u64, ctx.storage, opt_git_rev(ctx.opts));
-    let mut entry = LedgerEntry::new(ctx.source, &ctx.label, env);
-    fill(&mut entry);
-    let snap = stats.snapshot();
-    entry.metric("scans", snap.scans_started as f64);
-    entry.metric("blocks_read", snap.blocks_read as f64);
-    entry.metric("bytes_read", snap.bytes_read as f64);
-    if let Some(report) = report {
-        entry.ingest_report(report);
-    }
-    let ledger = match opt(ctx.opts, "ledger") {
-        Some(path) => Ledger::at(path),
-        None => Ledger::open_default(),
-    };
-    ledger
-        .append(&entry)
-        .map_err(|e| format!("{}: {e}", ledger.path().display()))?;
-    println!("recorded -> {}", ledger.path().display());
-    Ok(())
-}
-
 /// Runs `f` on `out` (one locked stdout handle) and flushes it. A reader
 /// that closes the pipe early (`mis bench diff … | head`) ends the
 /// output; it is not an error.
@@ -448,14 +381,12 @@ fn read_snapshot(path: &str) -> Result<Json, String> {
     parse_json(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-/// `mis bench <diff|check|history>`: the regression-gate and ledger
-/// tooling over `BENCH_*.json` snapshots and `BENCH_history.jsonl`.
+/// `mis bench <diff|check>`: the regression-gate tooling over
+/// `BENCH_*.json` snapshots.
 fn cmd_bench(args: &[String]) -> Result<(), String> {
-    let (pos, opts) = parse_opts(args, &["baseline", "current", "last", "ledger"])?;
+    let (pos, opts) = parse_opts(args, &["baseline", "current"])?;
     let [action, rest @ ..] = pos.as_slice() else {
-        return Err(
-            "bench needs: diff <base> <current> | check --baseline <file> | history".into(),
-        );
+        return Err("bench needs: diff <base> <current> | check --baseline <file>".into());
     };
     match action.as_str() {
         "diff" => {
@@ -524,45 +455,6 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
                     out.violations.len()
                 ))
             }
-        }
-        "history" => {
-            let ledger = match opt(&opts, "ledger") {
-                Some(path) => Ledger::at(path),
-                None => Ledger::open_default(),
-            };
-            let entries = ledger
-                .load()
-                .map_err(|e| format!("{}: {e}", ledger.path().display()))?;
-            let last: usize = opt_parse(&opts, "last", 10)?;
-            println!(
-                "{} verified entries in {}",
-                entries.len(),
-                ledger.path().display()
-            );
-            for e in &entries[entries.len().saturating_sub(last)..] {
-                let rev = e.env.git_rev.as_deref().unwrap_or("-");
-                let verdicts = if e.verdicts.is_empty() {
-                    "".to_string()
-                } else if e.verdicts.iter().all(|(_, pass)| *pass) {
-                    " [verdicts ok]".to_string()
-                } else {
-                    " [verdicts FAIL]".to_string()
-                };
-                let metrics: Vec<String> = e
-                    .metrics
-                    .iter()
-                    .take(4)
-                    .map(|(k, v)| format!("{k}={v}"))
-                    .collect();
-                println!(
-                    "ts={} rev={rev} {} ({}) {}{verdicts}",
-                    e.ts_ms,
-                    e.source,
-                    e.label,
-                    metrics.join(" ")
-                );
-            }
-            Ok(())
         }
         other => Err(format!("unknown bench action `{other}`")),
     }
@@ -748,7 +640,7 @@ fn cmd_compress(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
-    let (pos, opts) = parse_opts(args, &["trace", "check-model", "record", "rev", "ledger"])?;
+    let (pos, opts) = parse_opts(args, &["trace", "check-model"])?;
     let [input] = pos.as_slice() else {
         return Err("stats needs: <graph>".into());
     };
@@ -794,26 +686,6 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     if let Some(report) = &report {
         print_io_summary(&stats, Some(report));
     }
-    record_ledger(
-        RecordCtx {
-            opts: &opts,
-            source: "mis stats",
-            label: input.clone(),
-            block_size,
-            storage: scan.storage(),
-        },
-        &stats,
-        report.as_ref(),
-        |e| {
-            e.metric("vertices", n as f64);
-            e.metric("edges", scan.num_edges() as f64);
-            e.metric("max_degree", degrees.max_degree as f64);
-            e.metric("isolated", degrees.isolated as f64);
-            if let Some(v) = &verdict {
-                e.verdict("model", v.pass);
-            }
-        },
-    )?;
     if let Some(v) = verdict {
         if !v.pass {
             return Err(format!("cost-model conformance failed: {}", v.detail));
@@ -823,7 +695,7 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_bound(args: &[String]) -> Result<(), String> {
-    let (pos, opts) = parse_opts(args, &["trace", "record", "rev", "ledger"])?;
+    let (pos, opts) = parse_opts(args, &["trace"])?;
     let [input] = pos.as_slice() else {
         return Err("bound needs: <graph>".into());
     };
@@ -846,38 +718,13 @@ fn cmd_bound(args: &[String]) -> Result<(), String> {
     if let Some(report) = &report {
         print_io_summary(&stats, Some(report));
     }
-    record_ledger(
-        RecordCtx {
-            opts: &opts,
-            source: "mis bound",
-            label: input.clone(),
-            block_size,
-            storage: scan.storage(),
-        },
-        &stats,
-        report.as_ref(),
-        |e| {
-            e.metric("star_bound", star as f64);
-            e.metric("matching_bound", matching as f64);
-            e.metric("best_bound", star.min(matching) as f64);
-        },
-    )?;
     Ok(())
 }
 
 fn cmd_run(args: &[String]) -> Result<(), String> {
     let (pos, opts) = parse_opts(
         args,
-        &[
-            "algo",
-            "rounds",
-            "cache-mb",
-            "paged-threshold",
-            "trace",
-            "record",
-            "rev",
-            "ledger",
-        ],
+        &["algo", "rounds", "cache-mb", "paged-threshold", "trace"],
     )?;
     let [input] = pos.as_slice() else {
         return Err("run needs: <graph>".into());
@@ -1015,27 +862,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let report = finish_trace(trace_path.as_deref(), &stats)?;
     print_io_summary(&stats, report.as_ref());
     println!("verified: independent = {independent}, maximal = {maximal}");
-    record_ledger(
-        RecordCtx {
-            opts: &opts,
-            source: "mis run",
-            label: format!("{algo} {input}"),
-            block_size,
-            storage: scan.storage(),
-        },
-        &stats,
-        report.as_ref(),
-        |e| {
-            e.metric("is_size", set.len() as f64);
-            e.metric("algo_scans", scans as f64);
-            e.metric("wall_ms", elapsed.as_secs_f64() * 1e3);
-            if let Some(paged) = paged_rounds {
-                e.metric("paged_rounds", paged as f64);
-            }
-            e.verdict("independent", independent);
-            e.verdict("maximal", maximal);
-        },
-    )?;
     if !independent {
         return Err("result failed verification".into());
     }
@@ -1552,11 +1378,21 @@ mod tests {
         ]))
         .unwrap();
         // Removed options, then typos: each fails before doing any work.
-        let cases: [(&[&str], &str); 10] = [
+        let cases: [(&[&str], &str); 20] = [
             (&["sort", &adj, &out, "--shards", "4"], "--shards"),
             (&["run", &adj, "--threads", "2"], "--threads"),
             (&["stats", &adj, "--threads", "2"], "--threads"),
             (&["bound", &adj, "--threads", "2"], "--threads"),
+            (&["run", &adj, "--record"], "--record"),
+            (&["stats", &adj, "--record"], "--record"),
+            (&["bound", &adj, "--record"], "--record"),
+            (&["run", &adj, "--rev", "abc1234"], "--rev"),
+            (&["stats", &adj, "--rev", "abc1234"], "--rev"),
+            (&["bound", &adj, "--rev", "abc1234"], "--rev"),
+            (&["run", &adj, "--ledger", &out], "--ledger"),
+            (&["stats", &adj, "--ledger", &out], "--ledger"),
+            (&["bound", &adj, "--ledger", &out], "--ledger"),
+            (&["bench", "history", "--last", "3"], "--last"),
             (&["gen", "er", "--shards", "4", &out], "--shards"),
             (&["run", &adj, "--policy", "lru"], "--policy"),
             (&["stats", &adj, "--tolerance", "0.5"], "--tolerance"),
@@ -1579,6 +1415,11 @@ mod tests {
             assert_eq!(err, format!("unknown option {flag}"), "{args:?}");
         }
         assert!(!Path::new(&out).exists());
+        // A removed action fails the same way.
+        assert_eq!(
+            dispatch(&strs(&["bench", "history"])).unwrap_err(),
+            "unknown bench action `history`"
+        );
         // Every flag `e2e-bench` starts the server with is read: the
         // invocation gets as far as checking `--batch-ops`.
         let err = dispatch(&strs(&[
@@ -2050,26 +1891,49 @@ mod tests {
     const SNAP: &str = r#"{"experiment":"t","hardware_threads":8,"available_threads":8,
         "sides":[{"label":"seq","blocks_read":273,"scans":13,"wall_ms":64.0}]}"#;
 
+    /// Takes one write, then fails every later one with its error kind:
+    /// a reader that closed the pipe after the first line.
+    struct ClosedAfterOne(std::io::ErrorKind, bool);
+
+    impl Write for ClosedAfterOne {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if std::mem::replace(&mut self.1, true) {
+                return Err(self.0.into());
+            }
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
     #[test]
     fn a_closed_pipe_ends_output_quietly() {
-        /// Takes one write, then fails every later one with `kind`.
-        struct ClosedAfterOne(std::io::ErrorKind, bool);
-        impl Write for ClosedAfterOne {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                if std::mem::replace(&mut self.1, true) {
-                    return Err(self.0.into());
-                }
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
         let lines = |out: &mut dyn Write| (0..3).try_for_each(|i| writeln!(out, "line {i}"));
         let mut closed = ClosedAfterOne(std::io::ErrorKind::BrokenPipe, false);
         assert_eq!(write_output(&mut closed, lines), Ok(()));
         let mut full = ClosedAfterOne(std::io::ErrorKind::StorageFull, false);
         assert!(write_output(&mut full, lines).is_err());
+    }
+
+    /// A failed command writes its error and the usage; a stderr that
+    /// the reader closed midway must not turn the exit status 2 into a
+    /// panic.
+    #[test]
+    fn a_closed_stderr_does_not_panic() {
+        let msg = "unknown command `frob`";
+        write_error(
+            &mut ClosedAfterOne(std::io::ErrorKind::BrokenPipe, false),
+            msg,
+        );
+        let mut err = Vec::new();
+        write_error(&mut err, msg);
+        let text = String::from_utf8(err).unwrap();
+        assert!(
+            text.starts_with("error: unknown command `frob`\n\nusage: mis <command>"),
+            "{text}"
+        );
+        assert!(text.ends_with(")\n"), "{text}");
     }
 
     #[test]
@@ -2141,55 +2005,6 @@ mod tests {
         assert!(dispatch(&strs(&["bench", "frob"])).is_err());
         assert!(dispatch(&strs(&["bench", "diff", &base_s])).is_err());
         assert!(dispatch(&strs(&["bench", "check"])).is_err());
-    }
-
-    #[test]
-    fn record_appends_ledger_entries_and_history_reads_them() {
-        let dir = ScratchDir::new("cli-record").unwrap();
-        let out = dir.file("g.adj").display().to_string();
-        dispatch(&strs(&[
-            "gen",
-            "er",
-            "--vertices",
-            "400",
-            "--edges",
-            "800",
-            &out,
-        ]))
-        .unwrap();
-        let ledger_path = dir.file("history.jsonl");
-        let ledger_s = ledger_path.display().to_string();
-        for cmd in ["run", "stats", "bound"] {
-            dispatch(&strs(&[
-                cmd, &out, "--record", "--ledger", &ledger_s, "--rev", "deadbee",
-            ]))
-            .unwrap();
-        }
-        let entries = mis_obs::Ledger::at(&ledger_path).load().unwrap();
-        assert_eq!(entries.len(), 3);
-        assert_eq!(entries[0].source, "mis run");
-        assert_eq!(entries[1].source, "mis stats");
-        assert_eq!(entries[2].source, "mis bound");
-        for e in &entries {
-            assert_eq!(e.env.git_rev.as_deref(), Some("deadbee"));
-            assert!(e.get_metric("scans").unwrap() >= 1.0, "{:?}", e.metrics);
-            assert!(e.get_metric("blocks_read").unwrap() >= 1.0);
-        }
-        assert!(entries[0].get_metric("is_size").unwrap() > 0.0);
-        assert_eq!(
-            entries[0].verdicts,
-            vec![
-                ("independent".to_string(), true),
-                ("maximal".to_string(), true)
-            ]
-        );
-        assert!(entries[2].get_metric("best_bound").unwrap() > 0.0);
-
-        // `bench history` renders the same file; a tampered line fails it.
-        dispatch(&strs(&["bench", "history", "--ledger", &ledger_s])).unwrap();
-        let text = std::fs::read_to_string(&ledger_path).unwrap();
-        std::fs::write(&ledger_path, text.replacen("mis run", "mis fun", 1)).unwrap();
-        assert!(dispatch(&strs(&["bench", "history", "--ledger", &ledger_s])).is_err());
     }
 
     #[test]

@@ -176,7 +176,7 @@ proptest! {
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;
         let stats = IoStats::shared();
-        let mut pq: ExternalPq<u32> = ExternalPq::with_block_size(16, "prop", stats, 256).unwrap();
+        let mut pq = ExternalPq::with_block_size(16, "prop", stats, 256).unwrap();
         let mut oracle: BinaryHeap<Reverse<u32>> = BinaryHeap::new();
         for (is_pop, value) in ops {
             if is_pop {

@@ -5,6 +5,16 @@
 //! and [`BlockWriter`] wrap any [`Read`]/[`Write`] source, move data in
 //! fixed-size blocks, and report each transfer to a shared [`IoStats`].
 //!
+//! [`BlockReader`] is the one sequential reader. Its buffer holds the
+//! bytes read but not yet consumed, and a record loop frames records in
+//! place: [`BlockReader::available`] is the slice a codec decodes from,
+//! [`BlockReader::consume`] steps past a record, and
+//! [`BlockReader::refill`] appends the next block behind what is left
+//! when a record runs past the end. Every block leaves the source
+//! straight into that buffer, once. The fixed-width readers — the
+//! degree sort's bucket files, the external priority queue's runs — use
+//! its [`Read`] impl instead.
+//!
 //! The default block size follows the common 64 KiB choice for sequential
 //! scans of spinning disks; the paper's formulas are parameterised on `B`
 //! and all experiments print the block size they used.
@@ -17,14 +27,18 @@ use crate::stats::IoStats;
 /// Default transfer block size in bytes (64 KiB).
 pub const DEFAULT_BLOCK_SIZE: usize = 64 * 1024;
 
-/// A buffered reader that fills its buffer one block at a time and counts
-/// each refill as one block transfer.
+/// A sequential reader that reads its source one block at a time and
+/// counts each block as one transfer, exposing the unconsumed bytes as
+/// a slice.
 #[derive(Debug)]
 pub struct BlockReader<R> {
     inner: R,
     buf: Vec<u8>,
-    pos: usize,
-    len: usize,
+    /// `buf[start..end]` is read and not yet consumed.
+    start: usize,
+    end: usize,
+    /// Stream offset of `buf[start]`.
+    position: u64,
     block_size: usize,
     stats: Arc<IoStats>,
 }
@@ -40,33 +54,59 @@ impl<R: Read> BlockReader<R> {
         assert!(block_size > 0, "block size must be non-zero");
         Self {
             inner,
-            buf: vec![0; block_size],
-            pos: 0,
-            len: 0,
+            // Room for the next block behind any record no longer than a
+            // block, so a scan allocates once.
+            buf: vec![0; 2 * block_size],
+            start: 0,
+            end: 0,
+            position: 0,
             block_size,
             stats,
         }
     }
 
-    /// The configured block size in bytes.
-    pub fn block_size(&self) -> usize {
-        self.block_size
+    /// The bytes read and not yet consumed.
+    #[inline]
+    pub fn available(&self) -> &[u8] {
+        &self.buf[self.start..self.end]
     }
 
-    /// Consumes the reader, returning the underlying source.
-    pub fn into_inner(self) -> R {
-        self.inner
+    /// Stream offset of the first available byte.
+    #[inline]
+    pub fn position(&self) -> u64 {
+        self.position
     }
 
-    fn refill(&mut self) -> io::Result<usize> {
-        debug_assert_eq!(self.pos, self.len);
-        self.pos = 0;
-        self.len = 0;
-        // Read up to one block. Loop because the underlying reader may
-        // return short counts; we still account the result as one transfer.
+    /// Marks the first `n` available bytes as consumed.
+    ///
+    /// # Panics
+    /// If `n` exceeds the available bytes.
+    #[inline]
+    pub fn consume(&mut self, n: usize) {
+        assert!(n <= self.end - self.start, "consumed beyond the buffer");
+        self.start += n;
+        self.position += n as u64;
+    }
+
+    /// Reads the next block of the source behind the available bytes and
+    /// counts it as one transfer. The consumed prefix is dropped first;
+    /// the buffer grows only when the available bytes and one block do
+    /// not fit, i.e. when a record is longer than a block. Returns
+    /// `false` when the source is exhausted and nothing was added — a
+    /// record the caller still needs more bytes of is then truncated.
+    pub fn refill(&mut self) -> io::Result<bool> {
+        self.buf.copy_within(self.start..self.end, 0);
+        self.end -= self.start;
+        self.start = 0;
+        let want = self.end + self.block_size;
+        if want > self.buf.len() {
+            self.buf.resize(want.max(2 * self.buf.len()), 0);
+        }
+        // The source may return short counts; the block is still one
+        // transfer.
         let mut filled = 0;
         while filled < self.block_size {
-            match self.inner.read(&mut self.buf[filled..self.block_size]) {
+            match self.inner.read(&mut self.buf[self.end + filled..want]) {
                 Ok(0) => break,
                 Ok(n) => filled += n,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -76,19 +116,19 @@ impl<R: Read> BlockReader<R> {
         if filled > 0 {
             self.stats.record_block_read(filled as u64);
         }
-        self.len = filled;
-        Ok(filled)
+        self.end += filled;
+        Ok(filled > 0)
     }
 }
 
 impl<R: Read> Read for BlockReader<R> {
     fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
-        if self.pos == self.len && self.refill()? == 0 {
+        if self.start == self.end && !self.refill()? {
             return Ok(0);
         }
-        let n = out.len().min(self.len - self.pos);
-        out[..n].copy_from_slice(&self.buf[self.pos..self.pos + n]);
-        self.pos += n;
+        let n = out.len().min(self.end - self.start);
+        out[..n].copy_from_slice(&self.buf[self.start..self.start + n]);
+        self.consume(n);
         Ok(n)
     }
 }
@@ -119,11 +159,6 @@ impl<W: Write> BlockWriter<W> {
             block_size,
             stats,
         }
-    }
-
-    /// The configured block size in bytes.
-    pub fn block_size(&self) -> usize {
-        self.block_size
     }
 
     fn flush_buf(&mut self) -> io::Result<()> {
@@ -180,6 +215,7 @@ impl<W: Write> Drop for BlockWriter<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::io::Cursor;
 
     #[test]
@@ -195,6 +231,130 @@ mod tests {
         // 1000 bytes over 256-byte blocks: 4 transfers (3 full + 1 partial).
         assert_eq!(snap.blocks_read, 4);
         assert_eq!(snap.bytes_read, 1000);
+    }
+
+    #[test]
+    fn windows_slide_and_track_positions() {
+        let data: Vec<u8> = (0..=255u8).collect();
+        let stats = IoStats::shared();
+        let mut r = BlockReader::with_block_size(Cursor::new(&data), Arc::clone(&stats), 64);
+        assert_eq!(r.available().len(), 0);
+        assert!(r.refill().unwrap());
+        assert_eq!(r.position(), 0);
+        assert_eq!(r.available(), &data[..64]);
+        r.consume(10);
+        assert_eq!(r.position(), 10);
+        assert_eq!(r.available()[0], 10);
+        // The next block lands behind the 54 unconsumed bytes.
+        assert!(r.refill().unwrap());
+        assert_eq!(r.position(), 10);
+        assert_eq!(r.available(), &data[10..128]);
+        // Drain everything.
+        let mut total = 10;
+        loop {
+            let n = r.available().len();
+            r.consume(n);
+            total += n;
+            if !r.refill().unwrap() {
+                break;
+            }
+        }
+        assert_eq!(total, 256);
+        assert_eq!(r.position(), 256);
+        assert!(r.available().is_empty());
+        assert!(!r.refill().unwrap());
+        assert_eq!(stats.snapshot().blocks_read, 4);
+        assert_eq!(stats.snapshot().bytes_read, 256);
+    }
+
+    #[test]
+    fn grows_when_a_record_outgrows_the_window() {
+        let data = vec![7u8; 4096];
+        let stats = IoStats::shared();
+        let mut r = BlockReader::with_block_size(Cursor::new(&data), Arc::clone(&stats), 64);
+        // Never consume: each refill must still add one block by growing.
+        while r.refill().unwrap() {}
+        assert_eq!(r.available().len(), 4096);
+        assert_eq!(r.available()[4095], 7);
+        assert_eq!(r.position(), 0);
+        assert_eq!(stats.snapshot().blocks_read, 4096 / 64);
+    }
+
+    #[test]
+    fn end_of_stream_keeps_a_truncated_tail() {
+        let data = [1u8, 2, 3, 4, 5];
+        let stats = IoStats::shared();
+        let mut r = BlockReader::with_block_size(Cursor::new(&data), Arc::clone(&stats), 4);
+        assert!(r.refill().unwrap());
+        r.consume(3);
+        assert!(r.refill().unwrap());
+        assert_eq!(r.available(), &[4, 5]);
+        // A record that needs a third byte finds the stream exhausted;
+        // what was read stays available.
+        assert!(!r.refill().unwrap());
+        assert_eq!(r.available(), &[4, 5]);
+        assert_eq!(r.position(), 3);
+        let snap = stats.snapshot();
+        assert_eq!((snap.blocks_read, snap.bytes_read), (2, 5));
+    }
+
+    #[test]
+    #[should_panic(expected = "consumed beyond the buffer")]
+    fn consuming_past_the_buffer_panics() {
+        let mut r = BlockReader::with_block_size(Cursor::new([1u8; 8]), IoStats::shared(), 4);
+        r.refill().unwrap();
+        r.consume(5);
+    }
+
+    /// Reads `data` through `available`/`consume`/`refill`, taking the
+    /// consume sizes from `steps` in turn, and returns the bytes and the
+    /// transfers counted.
+    fn read_sliced(data: &[u8], block_size: usize, steps: &[usize]) -> (Vec<u8>, u64, u64) {
+        let stats = IoStats::shared();
+        let mut r = BlockReader::with_block_size(Cursor::new(data), Arc::clone(&stats), block_size);
+        let mut out = Vec::new();
+        for &step in steps.iter().cycle() {
+            // A step longer than what is available stands for a record
+            // that runs past the end: refill until it fits or the
+            // stream ends.
+            while r.available().len() < step && r.refill().unwrap() {}
+            let n = step.min(r.available().len());
+            assert_eq!(r.position(), out.len() as u64);
+            out.extend_from_slice(&r.available()[..n]);
+            r.consume(n);
+            if r.available().is_empty() && !r.refill().unwrap() {
+                break;
+            }
+        }
+        let snap = stats.snapshot();
+        (out, snap.blocks_read, snap.bytes_read)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        // Any consume pattern reads the same bytes as `read_to_end`, in
+        // exactly ⌈len/B⌉ blocks of `len` bytes in total.
+        #[test]
+        fn sliced_reads_match_read_to_end(
+            data in proptest::collection::vec(any::<u8>(), 0..3000),
+            block_size in 1usize..301,
+            steps in proptest::collection::vec(1usize..700, 1..8),
+        ) {
+            let stats = IoStats::shared();
+            let mut r =
+                BlockReader::with_block_size(Cursor::new(&data), Arc::clone(&stats), block_size);
+            let mut whole = Vec::new();
+            r.read_to_end(&mut whole).unwrap();
+            let blocks = data.len().div_ceil(block_size) as u64;
+            let snap = stats.snapshot();
+            assert_eq!(whole, data);
+            assert_eq!((snap.blocks_read, snap.bytes_read), (blocks, data.len() as u64));
+
+            let (sliced, blocks_read, bytes_read) = read_sliced(&data, block_size, &steps);
+            assert_eq!(sliced, data);
+            assert_eq!((blocks_read, bytes_read), (blocks, data.len() as u64));
+        }
     }
 
     #[test]

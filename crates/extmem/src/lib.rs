@@ -12,8 +12,13 @@
 //! * [`IoStats`] — shared atomic counters of block/byte transfers and scans,
 //!   so every experiment can report the paper's I/O cost measure exactly,
 //!   independent of the operating system's page cache;
-//! * [`BlockReader`] / [`BlockWriter`] — buffered sequential readers/writers
-//!   that move data in fixed-size blocks and account each block transfer;
+//! * [`BlockReader`] / [`BlockWriter`] — the sequential reader and writer
+//!   that move data in fixed-size blocks and account each block transfer.
+//!   [`BlockReader`] is the one reader of every scan: it exposes its
+//!   unconsumed bytes as a slice, the record codecs parse the header and
+//!   frame records straight off it, and each refill appends one block
+//!   behind them. Its `Read` impl serves the fixed-width readers (the
+//!   degree sort's bucket files, the priority queue's runs);
 //! * [`SortConfig`] — the memory budget of the degree sort
 //!   (`mis_graph::builder`), a semi-external record permutation: buckets
 //!   of at most `mem_records` neighbour entries, at most `fan_in` bucket
@@ -34,7 +39,6 @@
 #![forbid(unsafe_code)]
 
 pub mod block;
-pub mod chunk;
 pub mod codec;
 pub mod pager;
 pub mod pq;
@@ -44,7 +48,6 @@ pub mod stats;
 pub mod varint;
 
 pub use block::{BlockReader, BlockWriter, DEFAULT_BLOCK_SIZE};
-pub use chunk::ChunkBuf;
 pub use pager::{BufferPool, FilePageSource, PageSource, PagerConfig, PolicyKind};
 pub use pq::ExternalPq;
 pub use scratch::ScratchDir;

@@ -27,21 +27,23 @@
 //!
 //! Everything else exists once, generic over the codec: the writer
 //! ([`RecordWriter`]), `open` and the header check every scan repeats
-//! ([`RecordFile`]), and one record loop that [`GraphScan::scan`] and
-//! the record index build ([`crate::RecordIndex`]) both run. Scans go through a
-//! [`mis_extmem::BlockReader`], so every pass is accounted in the shared
-//! [`IoStats`] at block granularity — this is what the paper's
-//! `scan(|V|+|E|)` I/O costs are measured against.
+//! ([`RecordFile`]), and one record loop that [`GraphScan::scan`], the
+//! record index build ([`crate::RecordIndex`]) and the degree sort all
+//! run. A scan reads through one [`mis_extmem::BlockReader`], and the
+//! codec parses the header and frames every record straight off its
+//! buffer, so every pass is accounted in the shared [`IoStats`] at block
+//! granularity — this is what the paper's `scan(|V|+|E|)` I/O costs are
+//! measured against.
 
 use std::fmt::Debug;
 use std::fs::File;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use mis_extmem::varint::SliceError;
-use mis_extmem::{BlockReader, BlockWriter, ChunkBuf, IoStats, DEFAULT_BLOCK_SIZE};
+use mis_extmem::{BlockReader, BlockWriter, IoStats, DEFAULT_BLOCK_SIZE};
 
 use crate::scan::GraphScan;
 use crate::VertexId;
@@ -82,9 +84,9 @@ pub trait RecordCodec: Debug + Clone + Copy + Default + Send + Sync + 'static {
     /// re-encoding the header in place.
     fn encode_header(num_vertices: u64, num_edges: u64, out: &mut Vec<u8>) -> io::Result<()>;
 
-    /// Parses `(|V|, |E|)` from the header fields after the magic;
-    /// `NeedMore` until `fields` holds all of them.
-    fn parse_header(fields: &[u8]) -> Result<(u64, u64), SliceError>;
+    /// Parses `(|V|, |E|, bytes used)` from the front of the bytes after
+    /// the magic; `NeedMore` until `fields` holds the whole header.
+    fn parse_header(fields: &[u8]) -> Result<(u64, u64, usize), SliceError>;
 
     /// Appends one record and returns the neighbour entries it holds
     /// (a codec may normalise the list, e.g. sort and deduplicate it).
@@ -129,10 +131,10 @@ impl RecordCodec for PlainCodec {
         Ok(())
     }
 
-    fn parse_header(fields: &[u8]) -> Result<(u64, u64), SliceError> {
+    fn parse_header(fields: &[u8]) -> Result<(u64, u64, usize), SliceError> {
         let f = fields.get(..16).ok_or(SliceError::NeedMore)?;
         let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8-byte field"));
-        Ok((word(&f[..8]), word(&f[8..])))
+        Ok((word(&f[..8]), word(&f[8..]), 16))
     }
 
     fn encode_record(
@@ -325,13 +327,11 @@ impl<C: RecordCodec> RecordFile<C> {
         stats: Arc<IoStats>,
         block_size: usize,
     ) -> io::Result<Self> {
-        let file = File::open(path)?;
-        let file_bytes = file.metadata()?.len();
-        let mut reader = BlockReader::with_block_size(file, Arc::clone(&stats), block_size);
-        let (num_vertices, num_edges, header_len) = read_header::<C>(&mut reader, path)?;
+        let (reader, num_vertices, num_edges) = read_header::<C>(path, &stats, block_size)?;
+        let file_bytes = std::fs::metadata(path)?.len();
         // Callers size per-vertex arrays by |V|, so a count the record
         // bytes cannot hold is a corrupt header.
-        if num_vertices > file_bytes.saturating_sub(header_len) / C::MIN_RECORD_BYTES {
+        if num_vertices > file_bytes.saturating_sub(reader.position()) / C::MIN_RECORD_BYTES {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!(
@@ -365,14 +365,12 @@ impl<C: RecordCodec> RecordFile<C> {
         Ok(std::fs::metadata(&self.path)?.len())
     }
 
-    /// A chunked reader positioned at the first record, after checking
+    /// A block reader positioned at the first record, after checking
     /// that the header still matches the one seen at open. Its
-    /// [`ChunkBuf::position`] is the true file offset.
-    fn records(&self) -> io::Result<ChunkBuf<BlockReader<File>>> {
-        let file = File::open(&self.path)?;
-        let mut reader =
-            BlockReader::with_block_size(file, Arc::clone(&self.stats), self.block_size);
-        let (num_vertices, num_edges, header_len) = read_header::<C>(&mut reader, &self.path)?;
+    /// [`BlockReader::position`] is the true file offset.
+    fn records(&self) -> io::Result<BlockReader<File>> {
+        let (reader, num_vertices, num_edges) =
+            read_header::<C>(&self.path, &self.stats, self.block_size)?;
         if (num_vertices, num_edges) != (self.num_vertices, self.num_edges) {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -385,7 +383,7 @@ impl<C: RecordCodec> RecordFile<C> {
                 ),
             ));
         }
-        Ok(ChunkBuf::with_consumed(reader, header_len, self.block_size))
+        Ok(reader)
     }
 
     /// The one record loop: charges one scan, then frames every record
@@ -396,17 +394,17 @@ impl<C: RecordCodec> RecordFile<C> {
         mut f: impl FnMut(u64, Frame, &[u8]) -> io::Result<()>,
     ) -> io::Result<()> {
         self.stats.record_scan();
-        let mut chunk = self.records()?;
+        let mut reader = self.records()?;
         for _ in 0..self.num_vertices {
             let frame = loop {
-                match C::frame(chunk.available(), self.num_vertices) {
+                match C::frame(reader.available(), self.num_vertices) {
                     Ok(frame) => break frame,
-                    Err(SliceError::NeedMore) if chunk.refill()? => {}
+                    Err(SliceError::NeedMore) if reader.refill()? => {}
                     Err(e) => return Err(e.into_io_error("adjacency record")),
                 }
             };
-            f(chunk.position(), frame, &chunk.available()[..frame.len])?;
-            chunk.consume(frame.len);
+            f(reader.position(), frame, &reader.available()[..frame.len])?;
+            reader.consume(frame.len);
         }
         Ok(())
     }
@@ -422,31 +420,40 @@ pub(crate) fn decode_record<C: RecordCodec>(
         .map_err(|e| e.into_io_error("adjacency record"))
 }
 
-/// Reads the magic and header fields of a `C` file from the front of
-/// `reader`, consuming exactly the header. Returns `(|V|, |E|, header
-/// bytes)`.
-fn read_header<C: RecordCodec>(reader: &mut impl Read, path: &Path) -> io::Result<(u64, u64, u64)> {
-    // Magic plus the longest header: two 10-byte varints.
-    let mut head = [0u8; 32];
-    reader.read_exact(&mut head[..8])?;
-    if &head[..8] != C::MAGIC {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "{}: not a {} adjacency file",
-                path.display(),
-                String::from_utf8_lossy(C::MAGIC)
-            ),
-        ));
-    }
-    let mut len = 8;
+/// Opens `path` for one sequential read and parses the magic and header
+/// fields of a `C` file off the front of the reader's buffer, refilling
+/// as the record loop does. Returns the reader, positioned at the first
+/// record, and `(|V|, |E|)`.
+fn read_header<C: RecordCodec>(
+    path: &Path,
+    stats: &Arc<IoStats>,
+    block_size: usize,
+) -> io::Result<(BlockReader<File>, u64, u64)> {
+    let file = File::open(path)?;
+    let mut reader = BlockReader::with_block_size(file, Arc::clone(stats), block_size);
+    let magic = C::MAGIC.len();
     loop {
-        match C::parse_header(&head[8..len]) {
-            Ok((num_vertices, num_edges)) => return Ok((num_vertices, num_edges, len as u64)),
-            Err(SliceError::NeedMore) if len < head.len() => {
-                reader.read_exact(&mut head[len..=len])?;
-                len += 1;
+        let head = reader.available();
+        let parsed = match head.get(..magic) {
+            None => Err(SliceError::NeedMore),
+            Some(m) if m == C::MAGIC => C::parse_header(&head[magic..]),
+            Some(_) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "{}: not a {} adjacency file",
+                        path.display(),
+                        String::from_utf8_lossy(C::MAGIC)
+                    ),
+                ))
             }
+        };
+        match parsed {
+            Ok((num_vertices, num_edges, used)) => {
+                reader.consume(magic + used);
+                return Ok((reader, num_vertices, num_edges));
+            }
+            Err(SliceError::NeedMore) if reader.refill()? => {}
             Err(e) => return Err(e.into_io_error("adjacency header")),
         }
     }
@@ -461,8 +468,8 @@ impl<C: RecordCodec> GraphScan for RecordFile<C> {
         self.num_edges
     }
 
-    /// Chunked sequential decode: each record is framed in the buffered
-    /// window and its neighbours decoded straight off the slice.
+    /// Sequential decode: each record is framed in the block reader's
+    /// buffer and its neighbours decoded straight off the slice.
     fn scan(&self, f: &mut dyn FnMut(VertexId, &[VertexId])) -> io::Result<()> {
         let mut neighbors: Vec<VertexId> = Vec::new();
         self.for_each_record(|_, frame, bytes| {
@@ -491,6 +498,45 @@ mod tests {
         w.write_record(2, &[1]).unwrap();
         w.finish().unwrap();
         path
+    }
+
+    /// `parse_header` of every `(|V|, |E|)` returns the exact header
+    /// length, though record bytes follow it, and `NeedMore` for every
+    /// shorter prefix.
+    fn header_parses_to_its_exact_length<C: RecordCodec>(len_of: impl Fn(u64) -> usize) {
+        for (v, e) in [
+            (0, 0),
+            (3, 2),
+            (127, 128),
+            (1 << 20, 1 << 33),
+            (u64::MAX, u64::MAX),
+        ] {
+            let mut bytes = Vec::new();
+            C::encode_header(v, e, &mut bytes).unwrap();
+            let len = bytes.len();
+            assert_eq!(len, len_of(v), "header of |V| = {v}");
+            bytes.extend_from_slice(&[0x81, 0x01, 0x05]);
+            assert_eq!(C::parse_header(&bytes), Ok((v, e, len)));
+            for cut in 0..len {
+                assert_eq!(
+                    C::parse_header(&bytes[..cut]),
+                    Err(SliceError::NeedMore),
+                    "prefix of {cut} of {len} bytes"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn plain_header_parses_to_its_exact_length() {
+        header_parses_to_its_exact_length::<PlainCodec>(|_| 16);
+    }
+
+    #[test]
+    fn gap_header_parses_to_its_exact_length() {
+        // A `|V|` varint, then `|E|` padded to 10 bytes.
+        let varint_len = |v: u64| (64 - v.leading_zeros() as usize).div_ceil(7).max(1);
+        header_parses_to_its_exact_length::<crate::GapCodec>(|v| varint_len(v) + 10);
     }
 
     #[test]

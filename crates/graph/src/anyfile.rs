@@ -5,9 +5,9 @@
 //! [`crate::adjfile::RecordFile`] — are full peers everywhere a graph is
 //! scanned: the CLI, the durable-update store and the experiment harness
 //! all accept either. [`AnyAdjFile`] opens a path by magic bytes and
-//! delegates the whole [`GraphScan`] surface, including the native block
-//! hand-out, and [`AnyAdjFile::open_random_access`] opens the matching
-//! paged access path, so callers stay format-agnostic.
+//! delegates the whole [`GraphScan`] surface, and
+//! [`AnyAdjFile::open_random_access`] opens the matching paged access
+//! path, so callers stay format-agnostic.
 
 use std::convert::Infallible;
 use std::io::{self, Read};

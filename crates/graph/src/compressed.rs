@@ -72,10 +72,10 @@ impl RecordCodec for GapCodec {
         Ok(())
     }
 
-    fn parse_header(fields: &[u8]) -> Result<(u64, u64), SliceError> {
+    fn parse_header(fields: &[u8]) -> Result<(u64, u64, usize), SliceError> {
         let (num_vertices, a) = decode_varint_slice(fields)?;
-        let (num_edges, _) = decode_varint_slice(&fields[a..])?;
-        Ok((num_vertices, num_edges))
+        let (num_edges, b) = decode_varint_slice(&fields[a..])?;
+        Ok((num_vertices, num_edges, a + b))
     }
 
     /// Sorts and deduplicates the list first: gap coding needs strictly

@@ -7,23 +7,21 @@
 //!
 //! * **exact** — anything not matched below: |IS| sizes, rounds,
 //!   `file_scans`/`scans`, `blocks_read`, `bytes_read`, cache
-//!   hit/miss/eviction counts, … These are deterministic functions of
-//!   the seeded graph and the pass structure, so *any* difference
-//!   fails the gate (a legitimate improvement fails too — that is the
-//!   cue to re-commit the baseline deliberately). Strings and
-//!   booleans are compared the same way.
+//!   hit/miss/eviction counts and the hit rates they make, … These are
+//!   deterministic functions of the seeded graph and the pass
+//!   structure, so *any* difference fails the gate (a legitimate
+//!   improvement fails too — that is the cue to re-commit the baseline
+//!   deliberately). Strings and booleans are compared the same way.
 //! * **wall** (higher is worse) — keys ending `_ms`/`_us`/`_ns`. Gated
 //!   by a relative tolerance of 50% plus an absolute floor of 10 in the
 //!   leaf's own unit, so millisecond-scale jitter cannot fail a build.
-//! * **quality** (lower is worse) — keys containing `hit_rate`; same
-//!   tolerance, inverted direction.
 //!
-//! Wall and quality gates are only meaningful when both snapshots
-//! come from comparable environments, so they are **skipped
-//! automatically** when the fingerprints in the snapshot headers
+//! Wall gates are only meaningful when both snapshots come from
+//! comparable environments, so they are **skipped automatically** when
+//! the fingerprints in the snapshot headers
 //! (`hardware_threads`/`available_threads`) differ or are absent.
-//! I/O-count gates are always enforced: blocks and scans do not depend
-//! on the machine.
+//! Exact gates are always enforced: blocks and scans do not depend on
+//! the machine.
 //!
 //! The two thread counts *identify* the environment rather than measure
 //! the run, so they are excluded from gating entirely.
@@ -41,11 +39,7 @@ fn is_wall_key(key: &str) -> bool {
     key.ends_with("_ms") || key.ends_with("_us") || key.ends_with("_ns")
 }
 
-fn is_quality_key(key: &str) -> bool {
-    key.contains("hit_rate")
-}
-
-/// Allowed relative drift of a wall or quality leaf (0.5 = 50%).
+/// Allowed relative drift of a wall leaf (0.5 = 50%).
 const WALL_TOLERANCE: f64 = 0.5;
 
 /// Absolute slack added on top of the relative band, in the leaf's own
@@ -79,12 +73,12 @@ impl MetricDelta {
 pub struct GateOutcome {
     /// Violations, one human-readable line each. Empty = pass.
     pub violations: Vec<String>,
-    /// Whether wall/quality gates were enforced (fingerprints
-    /// comparable) or skipped.
+    /// Whether wall gates were enforced (fingerprints comparable) or
+    /// skipped.
     pub wall_gated: bool,
     /// Leaves compared under the exact gate.
     pub exact_compared: usize,
-    /// Wall/quality leaves gated (0 when skipped).
+    /// Wall leaves gated (0 when skipped).
     pub wall_compared: usize,
 }
 
@@ -212,29 +206,18 @@ pub fn check_snapshots(base: &Json, current: &Json) -> GateOutcome {
         match (bval, cval) {
             (Json::Num(b), Json::Num(c)) => {
                 let (b, c) = (*b, *c);
-                if is_wall_key(key) || is_quality_key(key) {
+                if is_wall_key(key) {
                     if !wall_gated {
                         continue;
                     }
                     outcome.wall_compared += 1;
-                    if is_wall_key(key) {
-                        let limit = b * (1.0 + WALL_TOLERANCE) + WALL_FLOOR;
-                        if c > limit {
-                            outcome.violations.push(format!(
-                                "{path}: {c} exceeds baseline {b} (limit {limit:.2}, \
-                                 +{:.0}% + {WALL_FLOOR})",
-                                WALL_TOLERANCE * 100.0
-                            ));
-                        }
-                    } else {
-                        let limit = b * (1.0 - WALL_TOLERANCE) - WALL_FLOOR.min(b * 0.5);
-                        if c < limit {
-                            outcome.violations.push(format!(
-                                "{path}: {c} below baseline {b} (limit {limit:.3}, \
-                                 −{:.0}%)",
-                                WALL_TOLERANCE * 100.0
-                            ));
-                        }
+                    let limit = b * (1.0 + WALL_TOLERANCE) + WALL_FLOOR;
+                    if c > limit {
+                        outcome.violations.push(format!(
+                            "{path}: {c} exceeds baseline {b} (limit {limit:.2}, \
+                             +{:.0}% + {WALL_FLOOR})",
+                            WALL_TOLERANCE * 100.0
+                        ));
                     }
                 } else {
                     outcome.exact_compared += 1;
@@ -277,7 +260,7 @@ mod tests {
     use crate::report::parse_json;
 
     /// A `BENCH_pager.json`-shaped snapshot: a fingerprint, exact I/O
-    /// counts, wall and hit-rate leaves, and a string and a bool.
+    /// counts and hit rates, wall leaves, and a string and a bool.
     const BASE: &str = r#"{
         "experiment": "pager", "block_size": 65536,
         "hardware_threads": 8, "available_threads": 8,
@@ -303,8 +286,8 @@ mod tests {
         let out = check_snapshots(&base(), &base());
         assert!(out.pass(), "{:?}", out.violations);
         assert!(out.wall_gated);
-        assert_eq!(out.exact_compared, 12);
-        assert_eq!(out.wall_compared, 4);
+        assert_eq!(out.exact_compared, 14);
+        assert_eq!(out.wall_compared, 2);
     }
 
     #[test]
@@ -362,17 +345,18 @@ mod tests {
 
     #[test]
     fn quality_drop_and_missing_metric_fail() {
-        // A quality leaf may fall 50%, and then by the floor capped at
-        // half the baseline: 40 -> 9 is below its limit of 20 - 10.
-        let quality = BASE.replace("\"cache_hit_rate\": 0.9996", "\"cache_hit_rate\": 40.0");
-        let cur = with(
-            &quality,
-            "\"cache_hit_rate\": 40.0",
-            "\"cache_hit_rate\": 9.0",
-        );
-        let out = check_snapshots(&parse_json(&quality).unwrap(), &cur);
-        assert!(!out.pass());
-        assert!(out.violations[0].contains("paged.cache_hit_rate"));
+        // A hit rate is the ratio of exact hit and miss counts, so any
+        // change fails, up or down, on any box.
+        let elsewhere = BASE.replace("\"hardware_threads\": 8", "\"hardware_threads\": 4");
+        for changed in ["0.0", "0.9995", "0.9997"] {
+            let to = format!("\"cache_hit_rate\": {changed}");
+            let cur = with(BASE, "\"cache_hit_rate\": 0.9996", &to);
+            let out = check_snapshots(&base(), &cur);
+            assert_eq!(out.violations.len(), 1, "{:?}", out.violations);
+            assert!(out.violations[0].contains("paged.cache_hit_rate"));
+            let cur = with(&elsewhere, "\"cache_hit_rate\": 0.9996", &to);
+            assert!(!check_snapshots(&base(), &cur).pass());
+        }
 
         let cur = with(BASE, "\"pass\": true", "\"pass\": false");
         assert!(!check_snapshots(&base(), &cur).pass());

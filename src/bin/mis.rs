@@ -62,10 +62,12 @@
 //! paper's cost model (`⌈bytes/B⌉` blocks per scan, see
 //! [`mis_obs::model`]) and fails when it does not conform exactly.
 //! `mis bench check` gates a freshly measured
-//! `BENCH_*.json` snapshot against a committed baseline: I/O-count
-//! metrics must match exactly, wall-clock metrics get a noise band and
-//! are skipped automatically when the two environment fingerprints
-//! differ.
+//! `BENCH_*.json` snapshot against a committed baseline: I/O counts and
+//! the hit rates they make must match exactly, wall-clock metrics get a
+//! noise band and are skipped automatically when the two environment
+//! fingerprints differ. All output goes through one printing path: a
+//! reader that closes stdout early ends the output, not the command,
+//! which still exits with its own status.
 //!
 //! `<graph>` accepts plain (`MISADJ01`) and gap-compressed (`MISADJC1`)
 //! files everywhere it appears, detected by magic bytes — including
@@ -132,6 +134,25 @@ fn main() -> ExitCode {
 /// the exit status still says the command failed.
 fn write_error(err: &mut dyn Write, msg: &str) {
     let _ = writeln!(err, "error: {msg}\n\n{}", USAGE.trim()).and_then(|()| err.flush());
+}
+
+/// Prints one formatted line to stdout through [`emit`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        emit(&mut std::io::stdout().lock(), format_args!($($arg)*))
+    };
+}
+
+/// Writes `line` and a newline to `out` — one locked stdout handle, the
+/// only way this binary prints — and flushes it. A reader that closed
+/// the pipe (`mis stats g.adj | head -1`) ends the output, not the
+/// command: the line is dropped, and the command runs on to its own
+/// exit status. Any other write error is the command's error.
+fn emit(out: &mut dyn Write, line: std::fmt::Arguments) -> Result<(), String> {
+    match writeln!(out, "{line}").and_then(|()| out.flush()) {
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(()),
+        done => done.map_err(|e| e.to_string()),
+    }
 }
 
 const USAGE: &str = "
@@ -269,13 +290,13 @@ fn finish_trace(path: Option<&Path>, stats: &IoStats) -> Result<Option<TraceRepo
         .save(path)
         .map_err(|e| format!("{}: {e}", path.display()))?;
     let report = TraceReport::load(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    println!(
+    outln!(
         "trace: {} events ({} spans) -> {} (inspect: mis trace report {})",
         report.num_events,
         report.num_spans,
         path.display(),
         path.display()
-    );
+    )?;
     Ok(Some(report))
 }
 
@@ -298,40 +319,41 @@ fn peak_rss_line() -> Option<String> {
 /// Prints the shared I/O counter summary every subcommand ends with,
 /// plus the cache hit rate and — when a trace was recorded — the
 /// per-phase wall-time breakdown.
-fn print_io_summary(stats: &IoStats, report: Option<&TraceReport>) {
+fn print_io_summary(stats: &IoStats, report: Option<&TraceReport>) -> Result<(), String> {
     let snap = stats.snapshot();
-    println!("io = {snap}");
+    outln!("io = {snap}")?;
     let requests = snap.cache_hits + snap.cache_misses;
     if requests > 0 {
-        println!(
+        outln!(
             "cache hit rate = {:.1}% ({} of {requests} requests)",
             100.0 * snap.cache_hits as f64 / requests as f64,
             snap.cache_hits
-        );
+        )?;
     }
     if let Some(report) = report {
         for phase in &report.phases {
-            println!(
+            outln!(
                 "phase {} = {:.3}s (x{})",
                 phase.name,
                 phase.total_us / 1e6,
                 phase.count
-            );
+            )?;
         }
-        println!(
+        outln!(
             "phase coverage = {:.1}% of {:.3}s wall",
             100.0 * report.phase_coverage(),
             report.wall_us / 1e6
-        );
+        )?;
         for step in &report.steps {
-            println!(
+            outln!(
                 "step {} = {:.3}s (x{})",
                 step.name,
                 step.total_us / 1e6,
                 step.count
-            );
+            )?;
         }
     }
+    Ok(())
 }
 
 /// `mis trace report <trace.jsonl>`: render the phase, step and pass
@@ -355,24 +377,13 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
         ));
     }
     if opt(&opts, "json").is_some() {
-        println!("{}", report.render_json());
+        outln!("{}", report.render_json())?;
     } else {
-        print!("{}", report.render());
+        for line in report.render().lines() {
+            outln!("{line}")?;
+        }
     }
     Ok(())
-}
-
-/// Runs `f` on `out` (one locked stdout handle) and flushes it. A reader
-/// that closes the pipe early (`mis bench diff … | head`) ends the
-/// output; it is not an error.
-fn write_output(
-    out: &mut dyn Write,
-    f: impl FnOnce(&mut dyn Write) -> std::io::Result<()>,
-) -> Result<(), String> {
-    match f(&mut *out).and_then(|()| out.flush()) {
-        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(()),
-        done => done.map_err(|e| e.to_string()),
-    }
 }
 
 /// Reads and parses one `BENCH_*.json` snapshot.
@@ -396,29 +407,28 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
             let (base, cur) = (read_snapshot(a)?, read_snapshot(b)?);
             let deltas = diff_snapshots(&base, &cur);
             let fmt = |v: Option<f64>| v.map_or_else(|| "-".to_string(), |x| format!("{x}"));
-            write_output(&mut std::io::stdout().lock(), |out| {
-                writeln!(out, "diff: base = {a}, current = {b}")?;
-                writeln!(
-                    out,
+            outln!("diff: base = {a}, current = {b}")?;
+            outln!(
+                "{:<44} {:>14} {:>14} {:>8}",
+                "metric",
+                "base",
+                "current",
+                "delta"
+            )?;
+            for d in &deltas {
+                let rel = d
+                    .rel_change()
+                    .filter(|r| *r != 0.0)
+                    .map_or_else(String::new, |r| format!("{:+.1}%", r * 100.0));
+                outln!(
                     "{:<44} {:>14} {:>14} {:>8}",
-                    "metric", "base", "current", "delta"
+                    d.path,
+                    fmt(d.base),
+                    fmt(d.current),
+                    rel
                 )?;
-                for d in &deltas {
-                    let rel = d
-                        .rel_change()
-                        .filter(|r| *r != 0.0)
-                        .map_or_else(String::new, |r| format!("{:+.1}%", r * 100.0));
-                    writeln!(
-                        out,
-                        "{:<44} {:>14} {:>14} {:>8}",
-                        d.path,
-                        fmt(d.base),
-                        fmt(d.current),
-                        rel
-                    )?;
-                }
-                writeln!(out, "{} numeric leaves compared", deltas.len())
-            })
+            }
+            outln!("{} numeric leaves compared", deltas.len())
         }
         "check" => {
             let baseline = opt(&opts, "baseline").ok_or("bench check needs --baseline <file>")?;
@@ -433,8 +443,8 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
                     .into_owned(),
             };
             let out = check_snapshots(&read_snapshot(baseline)?, &read_snapshot(&current)?);
-            println!(
-                "gate: {} exact leaves, {} wall/quality leaves ({})",
+            outln!(
+                "gate: {} exact leaves, {} wall leaves ({})",
                 out.exact_compared,
                 out.wall_compared,
                 if out.wall_gated {
@@ -442,12 +452,12 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
                 } else {
                     "wall gates skipped: fingerprints differ or missing"
                 }
-            );
+            )?;
             for v in &out.violations {
-                println!("VIOLATION {v}");
+                outln!("VIOLATION {v}")?;
             }
             if out.pass() {
-                println!("gate PASS: {current} vs {baseline}");
+                outln!("gate PASS: {current} vs {baseline}")?;
                 Ok(())
             } else {
                 Err(format!(
@@ -472,13 +482,13 @@ fn write_graph(
     } else {
         build_adj_file(graph, out, stats, block_size).map_err(|e| e.to_string())?;
     }
-    println!(
+    outln!(
         "wrote {}{}: {} vertices, {} edges (block size {block_size} B)",
         out.display(),
         if compress { " (gap-compressed)" } else { "" },
         graph.num_vertices(),
         graph.num_edges()
-    );
+    )?;
     Ok(())
 }
 
@@ -580,7 +590,7 @@ fn cmd_sort(args: &[String]) -> Result<(), String> {
         AnyAdjFile::Sharded(never) => match *never {},
     }
     .map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "degree-sorted {} -> {}{} in {:.1}s, block size {} B ({})",
         input,
         out,
@@ -588,9 +598,9 @@ fn cmd_sort(args: &[String]) -> Result<(), String> {
         start.elapsed().as_secs_f64(),
         block_size,
         stats.snapshot()
-    );
+    )?;
     if let Some(line) = peak_rss_line() {
-        println!("{line}");
+        outln!("{line}")?;
     }
     Ok(())
 }
@@ -632,10 +642,10 @@ fn cmd_compress(args: &[String]) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     let before = std::fs::metadata(input).map_err(|e| e.to_string())?.len();
     let after = compressed.disk_bytes().map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "compressed {input} ({before} B) -> {out} ({after} B), ratio {}",
         format_ratio(before, after)
-    );
+    )?;
     Ok(())
 }
 
@@ -658,13 +668,13 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
         let _scan_span = obs::span("phase", "scan");
         engine::passes::try_degree_stats(scan).map_err(|e| e.to_string())?
     };
-    println!("{input} ({}):", scan.storage());
-    println!("  |V| = {n}");
-    println!("  |E| = {}", scan.num_edges());
-    println!("  avg degree = {:.2}", degrees.avg_degree());
-    println!("  max degree = {}", degrees.max_degree);
-    println!("  isolated vertices = {}", degrees.isolated);
-    println!("  pendant vertices  = {}", degrees.pendant);
+    outln!("{input} ({}):", scan.storage())?;
+    outln!("  |V| = {n}")?;
+    outln!("  |E| = {}", scan.num_edges())?;
+    outln!("  avg degree = {:.2}", degrees.avg_degree())?;
+    outln!("  max degree = {}", degrees.max_degree)?;
+    outln!("  isolated vertices = {}", degrees.isolated)?;
+    outln!("  pendant vertices  = {}", degrees.pendant)?;
     // --check-model: the degree pass is exactly one sequential scan, so
     // its I/O delta (header reads excluded via the pre-scan snapshot)
     // must conform to the paper's `⌈bytes/B⌉` blocks-per-scan model.
@@ -677,14 +687,14 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
             scanned.blocks_read,
             0.0,
         );
-        println!("{v}");
+        outln!("{v}")?;
         Some(v)
     } else {
         None
     };
     let report = finish_trace(trace_path.as_deref(), &stats)?;
     if let Some(report) = &report {
-        print_io_summary(&stats, Some(report));
+        print_io_summary(&stats, Some(report))?;
     }
     if let Some(v) = verdict {
         if !v.pass {
@@ -711,12 +721,12 @@ fn cmd_bound(args: &[String]) -> Result<(), String> {
     let star = semi_mis::algo::try_upper_bound_scan(scan).map_err(|e| e.to_string())?;
     let matching = semi_mis::algo::try_matching_bound(scan).map_err(|e| e.to_string())?;
     drop(bound_span);
-    println!("Algorithm 5 (star partition): {star}");
-    println!("matching bound (|V| - |M|):   {matching}");
-    println!("best: {}", star.min(matching));
+    outln!("Algorithm 5 (star partition): {star}")?;
+    outln!("matching bound (|V| - |M|):   {matching}")?;
+    outln!("best: {}", star.min(matching))?;
     let report = finish_trace(trace_path.as_deref(), &stats)?;
     if let Some(report) = &report {
-        print_io_summary(&stats, Some(report));
+        print_io_summary(&stats, Some(report))?;
     }
     Ok(())
 }
@@ -839,29 +849,29 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         try_prove_maximal(scan, &set).map_err(|e| e.to_string())?
     };
     let (independent, maximal) = (proof.independent, proof.maximal);
-    println!("algorithm = {algo}");
-    println!("|IS| = {}", set.len());
-    println!("time = {:.2}s", elapsed.as_secs_f64());
-    println!("algorithm scans = {scans}");
-    println!("block size = {block_size} B");
+    outln!("algorithm = {algo}")?;
+    outln!("|IS| = {}", set.len())?;
+    outln!("time = {:.2}s", elapsed.as_secs_f64())?;
+    outln!("algorithm scans = {scans}")?;
+    outln!("block size = {block_size} B")?;
     if let Some(pc) = pager_config {
-        println!(
+        outln!(
             "page cache = {} MiB ({} frames of {} B, {} eviction), paged threshold {:.2}",
             cache_mb,
             pc.frames,
             pc.page_size,
             pc.policy.name(),
             paged_threshold,
-        );
-        println!("paged rounds = {}", paged_rounds.unwrap_or(0));
+        )?;
+        outln!("paged rounds = {}", paged_rounds.unwrap_or(0))?;
     }
-    println!("modelled memory = {} B", memory.total());
+    outln!("modelled memory = {} B", memory.total())?;
     if let Some(line) = peak_rss_line() {
-        println!("{line}");
+        outln!("{line}")?;
     }
     let report = finish_trace(trace_path.as_deref(), &stats)?;
-    print_io_summary(&stats, report.as_ref());
-    println!("verified: independent = {independent}, maximal = {maximal}");
+    print_io_summary(&stats, report.as_ref())?;
+    outln!("verified: independent = {independent}, maximal = {maximal}")?;
     if !independent {
         return Err("result failed verification".into());
     }
@@ -964,22 +974,22 @@ fn cmd_update(args: &[String]) -> Result<(), String> {
     // from the base file and checkpoint alone instead of creating one.
     if action == "status" && !wal.exists() {
         let file = open_any(base, Arc::clone(&stats), block_size)?;
-        println!("base: {} ({} B blocks)", base.display(), block_size);
-        println!("  |V| = {}", file.num_vertices());
-        println!(
+        outln!("base: {} ({} B blocks)", base.display(), block_size)?;
+        outln!("  |V| = {}", file.num_vertices())?;
+        outln!(
             "  |E| = {} on disk, {} live",
             file.num_edges(),
             file.num_edges()
-        );
-        println!("wal: {} (not created yet)", wal.display());
+        )?;
+        outln!("wal: {} (not created yet)", wal.display())?;
         match semi_mis::update::Checkpoint::load_if_exists(&ckpt, &stats)
             .map_err(|e| e.to_string())?
         {
-            Some(c) => println!("checkpoint: epoch {}, |IS| = {}", c.epoch, c.set.len()),
-            None => println!("checkpoint: none (run `mis update apply`)"),
+            Some(c) => outln!("checkpoint: epoch {}, |IS| = {}", c.epoch, c.set.len())?,
+            None => outln!("checkpoint: none (run `mis update apply`)")?,
         }
         let report = finish_trace(trace_path.as_deref(), &stats)?;
-        print_io_summary(&stats, report.as_ref());
+        print_io_summary(&stats, report.as_ref())?;
         return Ok(());
     }
 
@@ -989,10 +999,11 @@ fn cmd_update(args: &[String]) -> Result<(), String> {
             .map_err(|e| e.to_string())?;
     drop(open_span);
     if recovery.dropped_bytes > 0 {
-        println!(
+        outln!(
             "wal recovery: dropped {} torn/uncommitted tail bytes, resumed at epoch {}",
-            recovery.dropped_bytes, recovery.last_epoch
-        );
+            recovery.dropped_bytes,
+            recovery.last_epoch
+        )?;
     }
 
     // Span names are `&'static str`; map the validated action to one.
@@ -1008,13 +1019,13 @@ fn cmd_update(args: &[String]) -> Result<(), String> {
             let ops = ops.expect("validated above");
             let inserts = ops.iter().filter(|op| op.is_insert()).count();
             let epoch = store.append_ops(&ops).map_err(|e| e.to_string())?.epoch;
-            println!(
+            outln!(
                 "epoch {epoch}: logged {} ops ({} inserts, {} deletes) to {}",
                 ops.len(),
                 inserts,
                 ops.len() - inserts,
                 wal.display()
-            );
+            )?;
         }
         "apply" => {
             let rounds: u32 = opt_parse(&opts, "rounds", 2)?;
@@ -1026,28 +1037,29 @@ fn cmd_update(args: &[String]) -> Result<(), String> {
                 })
                 .map_err(|e| e.to_string())?;
             if report.up_to_date {
-                println!(
+                outln!(
                     "checkpoint already at epoch {} (|IS| = {}); nothing to do",
                     report.epoch,
                     report.set.len()
-                );
+                )?;
             } else {
                 if report.bootstrapped {
-                    println!("no checkpoint: bootstrapped with greedy");
+                    outln!("no checkpoint: bootstrapped with greedy")?;
                 } else {
-                    println!(
+                    outln!(
                         "resumed from checkpoint at epoch {} -> epoch {}",
-                        report.resumed_from, report.epoch
-                    );
+                        report.resumed_from,
+                        report.epoch
+                    )?;
                 }
-                println!("evicted = {}", report.evicted);
-                println!("|IS| = {}", report.set.len());
-                println!("maintenance scans = {}", report.file_scans);
-                println!("time = {:.2}s", start.elapsed().as_secs_f64());
-                println!(
+                outln!("evicted = {}", report.evicted)?;
+                outln!("|IS| = {}", report.set.len())?;
+                outln!("maintenance scans = {}", report.file_scans)?;
+                outln!("time = {:.2}s", start.elapsed().as_secs_f64())?;
+                outln!(
                     "verified maximal on edited graph: {}",
                     report.maximality_proved
-                );
+                )?;
                 if !report.maximality_proved {
                     return Err("repaired set failed the maximality proof".into());
                 }
@@ -1063,7 +1075,7 @@ fn cmd_update(args: &[String]) -> Result<(), String> {
             let report = store
                 .compact_as(Path::new(out), format)
                 .map_err(|e| e.to_string())?;
-            println!(
+            outln!(
                 "compacted {} ops into {}{}: {} vertices, {} edges, {} B in {:.2}s",
                 report.merged_ops,
                 out,
@@ -1076,33 +1088,35 @@ fn cmd_update(args: &[String]) -> Result<(), String> {
                 report.edges,
                 report.bytes,
                 start.elapsed().as_secs_f64()
-            );
-            println!("wal truncated: {}", wal.display());
+            )?;
+            outln!("wal truncated: {}", wal.display())?;
         }
         "status" => {
             let status = store.status().map_err(|e| e.to_string())?;
             if opt(&opts, "json").is_some() {
-                println!("{}", status.to_json());
+                outln!("{}", status.to_json())?;
             } else {
-                println!("base: {} ({} B blocks)", base.display(), block_size);
-                println!("  |V| = {}", status.vertices);
-                println!(
+                outln!("base: {} ({} B blocks)", base.display(), block_size)?;
+                outln!("  |V| = {}", status.vertices)?;
+                outln!(
                     "  |E| = {} on disk, {} live",
-                    status.base_edges, status.live_edges
-                );
-                println!("wal: {} ({} B)", wal.display(), status.wal_bytes);
-                println!(
+                    status.base_edges,
+                    status.live_edges
+                )?;
+                outln!("wal: {} ({} B)", wal.display(), status.wal_bytes)?;
+                outln!(
                     "  epoch {} committed, {} ops awaiting compaction",
-                    status.last_epoch, status.committed_ops
-                );
-                println!(
+                    status.last_epoch,
+                    status.committed_ops
+                )?;
+                outln!(
                     "segments: {} live ({} B), {} dead awaiting removal",
                     status.segments.len(),
                     status.segment_bytes,
                     status.dead_segments
-                );
+                )?;
                 for meta in &status.segments {
-                    println!(
+                    outln!(
                         "  seg {:06}: epochs {}..={}, {} ops ({} tombstones), \
                          vertices {}..={}, {} B",
                         meta.id,
@@ -1113,14 +1127,14 @@ fn cmd_update(args: &[String]) -> Result<(), String> {
                         meta.min_vertex,
                         meta.max_vertex,
                         meta.bytes
-                    );
+                    )?;
                 }
                 match status.checkpoint {
                     Some((epoch, size)) => {
                         let lag = status.last_epoch.saturating_sub(epoch);
-                        println!("checkpoint: epoch {epoch}, |IS| = {size}, {lag} epochs behind");
+                        outln!("checkpoint: epoch {epoch}, |IS| = {size}, {lag} epochs behind")?;
                     }
-                    None => println!("checkpoint: none (run `mis update apply`)"),
+                    None => outln!("checkpoint: none (run `mis update apply`)")?,
                 }
             }
         }
@@ -1128,7 +1142,7 @@ fn cmd_update(args: &[String]) -> Result<(), String> {
     }
     drop(action_span);
     let report = finish_trace(trace_path.as_deref(), &stats)?;
-    print_io_summary(&stats, report.as_ref());
+    print_io_summary(&stats, report.as_ref())?;
     Ok(())
 }
 
@@ -1205,48 +1219,53 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let (store, recovery) = UpdateStore::open(base, &wal, &ckpt, Arc::clone(&stats), block_size)
         .map_err(|e| e.to_string())?;
     if recovery.dropped_bytes > 0 {
-        println!(
+        outln!(
             "wal recovery: dropped {} torn/uncommitted tail bytes, resumed at epoch {}",
-            recovery.dropped_bytes, recovery.last_epoch
-        );
+            recovery.dropped_bytes,
+            recovery.last_epoch
+        )?;
     }
     let engine = ServeEngine::new(store, config).map_err(|e| e.to_string())?;
     drop(open_span);
 
     let view = engine.view();
-    println!(
+    outln!(
         "serving {} ({} vertices) at epoch {}, |IS| = {}",
         base.display(),
         engine.num_vertices(),
         view.epoch(),
         view.set().len()
-    );
+    )?;
     drop(view);
-    println!(
+    outln!(
         "listening on {} (verbs: ADD u v | DEL u v | FLUSH | MEMBER v | \
          NEIGHBORS v | STATS | STATUS | PING | SHUTDOWN)",
         listener.describe()
-    );
+    )?;
 
     let serve_span = obs::span("phase", "serve");
     serve::run(&engine, &listener).map_err(|e| e.to_string())?;
     drop(serve_span);
     let summary = engine.stats();
-    println!(
+    outln!(
         "shutdown at epoch {}: |IS| = {}, {} flushes, {} rolls, {} compactions",
-        summary.epoch, summary.set_size, summary.flushes, summary.rolls, summary.compactions
-    );
+        summary.epoch,
+        summary.set_size,
+        summary.flushes,
+        summary.rolls,
+        summary.compactions
+    )?;
     for (kind, r) in &summary.requests {
-        println!(
+        outln!(
             "  {kind}: {} requests, p50 {}µs, p99 {}µs, max {}µs",
             r.count,
             r.p50_ns / 1_000,
             r.p99_ns / 1_000,
             r.max_ns / 1_000
-        );
+        )?;
     }
     let report = finish_trace(trace_path.as_deref(), &stats)?;
-    print_io_summary(&stats, report.as_ref());
+    print_io_summary(&stats, report.as_ref())?;
     Ok(())
 }
 
@@ -1313,8 +1332,8 @@ where
             return Err("server closed the connection".into());
         }
         let reply = reply.trim_end();
-        println!("> {verb}");
-        println!("{reply}");
+        outln!("> {verb}")?;
+        outln!("{reply}")?;
         if reply.starts_with("ERR") {
             errors += 1;
         }
@@ -1909,11 +1928,16 @@ mod tests {
 
     #[test]
     fn a_closed_pipe_ends_output_quietly() {
-        let lines = |out: &mut dyn Write| (0..3).try_for_each(|i| writeln!(out, "line {i}"));
+        let lines = |out: &mut dyn Write| {
+            (0..3).try_for_each(|i| emit(&mut *out, format_args!("line {i}")))
+        };
         let mut closed = ClosedAfterOne(std::io::ErrorKind::BrokenPipe, false);
-        assert_eq!(write_output(&mut closed, lines), Ok(()));
+        assert_eq!(lines(&mut closed), Ok(()));
         let mut full = ClosedAfterOne(std::io::ErrorKind::StorageFull, false);
-        assert!(write_output(&mut full, lines).is_err());
+        assert!(lines(&mut full).is_err());
+        let mut out = Vec::new();
+        emit(&mut out, format_args!("|IS| = {}", 7)).unwrap();
+        assert_eq!(out, b"|IS| = 7\n");
     }
 
     /// A failed command writes its error and the usage; a stderr that

@@ -28,11 +28,11 @@ const MODES: [&str; 2] = ["scan", "paged"];
 
 /// Measures one (algorithm, mode) cell on the store at `path` and checks
 /// it against the store's cost model. Swap cells state their full
-/// workload (greedy seed → swap → proof, plus the index-build scan in
-/// paged mode), so the scan count is predicted exactly; greedy-only
-/// cells have no swap pass structure to predict, so their scan count is
-/// asserted directly and the verdict checks the blocks-per-scan
-/// relation alone.
+/// workload (greedy seed → swap → proof; in paged mode greedy's scan
+/// also builds the record index), so the scan count is predicted
+/// exactly; greedy-only cells have no swap pass structure to predict,
+/// so their scan count is asserted directly and the verdict checks the
+/// blocks-per-scan relation alone.
 fn measure(path: &Path, block_size: usize, algo: &str, mode: &str) -> Row {
     // Fresh counters per cell, so configurations cannot bleed into each
     // other.
@@ -89,11 +89,13 @@ fn measure(path: &Path, block_size: usize, algo: &str, mode: &str) -> Row {
     };
 
     let what = format!("{}/{algo}/{mode}", file.storage());
-    let index_scans = u64::from(mode == "paged"); // RecordIndex::build
     let workload = match swap {
         None => {
-            let expected = side.file_scans + index_scans; // greedy + proof (+ index)
-            assert_eq!(side.io.scans_started, expected, "{what}: accounted scans");
+            // Greedy + proof.
+            assert_eq!(
+                side.io.scans_started, side.file_scans,
+                "{what}: accounted scans"
+            );
             None
         }
         Some(stats) => Some(Workload::GreedyThenSwap {
@@ -101,7 +103,7 @@ fn measure(path: &Path, block_size: usize, algo: &str, mode: &str) -> Row {
             rolled_back: stats.rolled_back,
             paged_rounds,
             finish_scanned: stats.finish_scanned,
-            extra_scans: 1 + index_scans, // maximality proof (+ index build)
+            extra_scans: 1, // maximality proof
         }),
     };
     let model = file.cost_model(block_size).expect("metadata");

@@ -205,8 +205,9 @@ pub fn run_serve(n: u64, epochs: usize, ops_per_epoch: usize, block_size: usize)
         replay_matches &= compare(i + 1, served_views[i + 1].set(), &offline_set(&offline));
     }
 
-    // The offline side's bootstrap and index build are accounted scans,
-    // and each local epoch's point reads stay within one scan's blocks.
+    // The offline side's bootstrap scans are accounted (its Greedy scan
+    // also builds the handle's record index), and each local epoch's
+    // point reads stay within one scan's blocks.
     let model = fx.plain.cost_model(block_size).expect("metadata");
     let verdict = harness::check_model(
         "offline replay",

@@ -232,9 +232,14 @@ impl<'a, G: GraphScan + ?Sized> Arena<'a, G> {
         let (at, reads) = (&self.at, self.reads);
         let rank = |v| {
             at.get(&v)
-                .map_or_else(|| reads.map_or(0, |r| r.record_rank(v)), |e| e.0)
+                .map_or_else(|| reads.map_or(Ok(0), |r| r.record_rank(v)), |e| Ok(e.0))
         };
-        let mut keyed: Vec<(u64, VertexId)> = vs.iter().map(|&v| (rank(v), v)).collect();
+        // Sized up front: a collect through `io::Result` would grow the
+        // vector by doubling.
+        let mut keyed = Vec::with_capacity(vs.len());
+        for &v in vs.iter() {
+            keyed.push((rank(v)?, v));
+        }
         keyed.sort_unstable();
         keyed.dedup();
         vs.clear();
@@ -883,8 +888,8 @@ mod tests {
             Err(io::Error::new(io::ErrorKind::UnexpectedEof, "truncated"))
         }
 
-        fn record_rank(&self, v: VertexId) -> u64 {
-            u64::from(v)
+        fn record_rank(&self, v: VertexId) -> io::Result<u64> {
+            Ok(u64::from(v))
         }
     }
 

@@ -95,27 +95,31 @@ pub(crate) fn select_paged_candidates(
     access: Option<&dyn NeighborAccess>,
     threshold: f64,
     state: &[S],
-) -> Option<Vec<u32>> {
-    let access = access?;
+) -> io::Result<Option<Vec<u32>>> {
+    let Some(access) = access else {
+        return Ok(None);
+    };
     if threshold <= 0.0 {
-        return None;
+        return Ok(None);
     }
     let limit = (threshold * state.len() as f64) as usize;
     let mut cands: Vec<u32> = Vec::new();
     for (v, &s) in state.iter().enumerate() {
         if s == S::A {
             if cands.len() >= limit {
-                return None;
+                return Ok(None);
             }
             cands.push(v as u32);
         }
     }
-    let mut keyed: Vec<(u64, u32)> = cands
-        .into_iter()
-        .map(|v| (access.record_rank(v), v))
-        .collect();
+    // Sized up front: a collect through `io::Result` would grow the
+    // vector by doubling.
+    let mut keyed = Vec::with_capacity(cands.len());
+    for v in cands {
+        keyed.push((access.record_rank(v)?, v));
+    }
     keyed.sort_unstable();
-    Some(keyed.into_iter().map(|(_, v)| v).collect())
+    Ok(Some(keyed.into_iter().map(|(_, v)| v).collect()))
 }
 
 /// Vertex states; see the module docs.
@@ -226,7 +230,7 @@ impl OneKSwap {
 
             // ---- Pre-swap pass (lines 7–14): one full scan, or paged
             // candidate verification when few candidates are live. ----
-            let cands = select_paged_candidates(access, self.config.paged_threshold, &state);
+            let cands = select_paged_candidates(access, self.config.paged_threshold, &state)?;
             let mut pre_body = |u: VertexId, ns: &[VertexId]| {
                 if state[u as usize] != S::A {
                     return;
@@ -694,14 +698,12 @@ mod tests {
         let ordered = OrderedCsr::new(&g, vec![4, 3, 2, 1, 0]);
         let access: &dyn mis_graph::NeighborAccess = &ordered;
         // No provider or zero threshold: scan fallback.
-        assert!(select_paged_candidates(None, 1.0, &state).is_none());
-        assert!(select_paged_candidates(Some(access), 0.0, &state).is_none());
+        let select = |access, threshold| select_paged_candidates(access, threshold, &state);
+        assert!(select(None, 1.0).unwrap().is_none());
+        assert!(select(Some(access), 0.0).unwrap().is_none());
         // Three A vertices over a 2-candidate budget (0.5 * 5): fallback.
-        assert!(select_paged_candidates(Some(access), 0.5, &state).is_none());
+        assert!(select(Some(access), 0.5).unwrap().is_none());
         // Budget fits: candidates come back in storage (reverse-id) order.
-        assert_eq!(
-            select_paged_candidates(Some(access), 1.0, &state),
-            Some(vec![4, 2, 0])
-        );
+        assert_eq!(select(Some(access), 1.0).unwrap(), Some(vec![4, 2, 0]));
     }
 }

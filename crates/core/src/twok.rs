@@ -816,7 +816,7 @@ impl TwoKSwap {
             // scan, or paged candidate verification when few candidates
             // are live. ----
             let pre_span = mis_obs::span("twok", "twok.pre");
-            let cands = select_paged_candidates(access, self.config.paged_threshold, &run.state);
+            let cands = select_paged_candidates(access, self.config.paged_threshold, &run.state)?;
             sc.clear();
             run.blocked.clear();
             let (rs, scs) = (&mut run, &mut sc);

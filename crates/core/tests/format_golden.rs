@@ -15,7 +15,10 @@
 //!   blocks;
 //! * 2,000 seeded paged reads per codec through 4 frames of 64-byte
 //!   pages: a hash of the returned lists, plus blocks read, cache hits,
-//!   misses and evictions.
+//!   misses and evictions. They follow one full scan of the file, the
+//!   order every solve uses, and that scan with the paged handle open
+//!   must cost exactly the file's own `scan=` figures: it builds the
+//!   record index on the way.
 //!
 //! The values were recorded while the plain and compressed formats
 //! still had separate implementations. A mismatch prints the actual
@@ -29,7 +32,7 @@ use mis_graph::adjfile::AdjFileWriter;
 use mis_graph::{
     build_adj_file, compress_adj, degree_sort_adj_file, degree_sort_compressed_adj_file,
     AnyAdjFile, CompressedAdjFile, CsrGraph, GraphScan, NeighborAccess, RandomAccessGraph,
-    RecordIndex, VertexId,
+    RecordCodec, RecordFile, RecordIndex, VertexId,
 };
 
 const BLOCK: usize = 256;
@@ -88,6 +91,34 @@ fn offsets_hash(n: usize, offset: impl Fn(VertexId) -> u64) -> String {
         h.bytes(&offset(v).to_le_bytes());
     }
     format!("{:016x}", h.0)
+}
+
+/// Opens the paged path over `file`, then runs one full scan, and
+/// asserts that the two together cost exactly the scans, blocks and
+/// bytes of the file's `scan=` figures in its line of `lines`.
+fn open_then_scan<C: RecordCodec>(
+    lines: &[String],
+    line_prefix: &str,
+    file: &RecordFile<C>,
+    stats: &IoStats,
+) -> RandomAccessGraph<C> {
+    let before = stats.snapshot();
+    let ra = RandomAccessGraph::open(file, pager()).unwrap();
+    file.scan(&mut |_, _| {}).unwrap();
+    let cost = delta(stats, &before);
+    let figures = format!(
+        " scan={}/{}/{} ",
+        cost.scans_started, cost.blocks_read, cost.bytes_read
+    );
+    let line = lines
+        .iter()
+        .find(|l| l.starts_with(line_prefix))
+        .expect("the file's own line");
+    assert!(
+        line.contains(&figures),
+        "opening the paged path and one scan cost{figures}, not the file's own figures: {line}"
+    );
+    ra
 }
 
 /// Seeded reads through `access`: list hash and the pager counters.
@@ -217,7 +248,8 @@ fn actual_lines() -> Vec<String> {
         ));
         drop((sorted, sorted_c));
 
-        // The paged fetch, on both degree-sorted files.
+        // The paged fetch, on both degree-sorted files, after one full
+        // scan that builds the record index on the way.
         let stats = IoStats::shared();
         let file = mis_graph::AdjFile::open_with_block_size(
             &dir.file("sorted.adj"),
@@ -225,7 +257,7 @@ fn actual_lines() -> Vec<String> {
             BLOCK,
         )
         .unwrap();
-        let ra = RandomAccessGraph::open(&file, pager()).unwrap();
+        let ra = open_then_scan(&lines, &format!("{name} sorted.adj:"), &file, &stats);
         lines.push(format!("{name} {}", read_line("paged adj", &ra, n, &stats)));
         let stats = IoStats::shared();
         let file = CompressedAdjFile::open_with_block_size(
@@ -234,7 +266,7 @@ fn actual_lines() -> Vec<String> {
             BLOCK,
         )
         .unwrap();
-        let ra = RandomAccessGraph::open_compressed(&file, pager()).unwrap();
+        let ra = open_then_scan(&lines, &format!("{name} sorted.cadj:"), &file, &stats);
         lines.push(format!(
             "{name} {}",
             read_line("paged cadj", &ra, n, &stats)

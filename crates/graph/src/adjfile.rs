@@ -33,18 +33,22 @@
 //! codec parses the header and frames every record straight off its
 //! buffer, so every pass is accounted in the shared [`IoStats`] at block
 //! granularity — this is what the paper's `scan(|V|+|E|)` I/O costs are
-//! measured against.
+//! measured against. When a paged handle has requested the file's record
+//! index, the next complete full scan of the file, whatever pass runs it,
+//! also records each record's offset and publishes the index after its
+//! last record, so the index costs no scan of its own.
 
 use std::fmt::Debug;
 use std::fs::File;
 use std::io::{self, Write};
 use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use mis_extmem::varint::SliceError;
 use mis_extmem::{BlockReader, BlockWriter, IoStats, DEFAULT_BLOCK_SIZE};
 
+use crate::raccess::RecordIndex;
 use crate::scan::GraphScan;
 use crate::VertexId;
 
@@ -304,7 +308,8 @@ impl<C: RecordCodec> RecordWriter<C> {
 /// header; every [`GraphScan::scan`] re-reads the file front to back
 /// through a fresh block reader, bumps the scan counter, and fails with
 /// `InvalidData` if the header no longer matches the one seen at open
-/// (the file was replaced or corrupted behind the handle).
+/// (the file was replaced or corrupted behind the handle). Clones share
+/// one record index slot (see [`RecordFile::record_index`]).
 #[derive(Debug, Clone)]
 pub struct RecordFile<C> {
     path: PathBuf,
@@ -312,7 +317,34 @@ pub struct RecordFile<C> {
     num_edges: u64,
     block_size: usize,
     stats: Arc<IoStats>,
+    index: Arc<IndexSlot>,
     codec: PhantomData<C>,
+}
+
+/// The record index that a file's clones share. A request allocates an
+/// unfilled index; the next complete full scan takes it out of the slot,
+/// fills it and publishes it after the last record, so no lock is held
+/// while a scan runs.
+#[derive(Default)]
+struct IndexSlot {
+    pending: Mutex<Option<RecordIndex>>,
+    published: OnceLock<RecordIndex>,
+}
+
+impl IndexSlot {
+    /// The requested, unfilled index. Every update under the lock is one
+    /// `Option` write, so a poisoned lock still holds a valid state.
+    fn pending(&self) -> MutexGuard<'_, Option<RecordIndex>> {
+        self.pending.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl Debug for IndexSlot {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("IndexSlot")
+            .field("published", &self.published.get().is_some())
+            .finish_non_exhaustive()
+    }
 }
 
 impl<C: RecordCodec> RecordFile<C> {
@@ -346,6 +378,7 @@ impl<C: RecordCodec> RecordFile<C> {
             num_edges,
             block_size,
             stats,
+            index: Arc::default(),
             codec: PhantomData,
         })
     }
@@ -386,10 +419,88 @@ impl<C: RecordCodec> RecordFile<C> {
         Ok(reader)
     }
 
+    /// Asks the file's next complete full scan to build its record index
+    /// on the way, allocating the `8|V|` offsets now. Clones share the
+    /// request; a no-op once the index is requested or built.
+    pub(crate) fn request_index(&self) {
+        if self.index.published.get().is_none() {
+            let n = self.num_vertices as usize;
+            self.index
+                .pending()
+                .get_or_insert_with(|| RecordIndex::unfilled(n));
+        }
+    }
+
+    /// The record index that this file's clones share: the one a
+    /// complete full scan published, or else one built now by one
+    /// accounted scan (a `pass` span named `index.build`) that frames
+    /// records without decoding them. A record whose vertex is out of
+    /// range or repeated fails the build, and the next call scans again.
+    pub fn record_index(&self) -> io::Result<&RecordIndex> {
+        if let Some(index) = self.index.published.get() {
+            return Ok(index);
+        }
+        let _span = mis_obs::span("pass", "index.build");
+        let index = self
+            .take_request()
+            .unwrap_or_else(|| RecordIndex::unfilled(self.num_vertices as usize));
+        self.fill_index(index, |_, _, _| Ok(()))?;
+        Ok(self
+            .index
+            .published
+            .get()
+            .expect("a complete scan publishes"))
+    }
+
+    /// Every record in storage order, through [`RecordFile::record_loop`].
+    /// When the file's record index is requested, the loop also fills it;
+    /// a file with no request runs no index code.
+    pub(crate) fn for_each_record(
+        &self,
+        f: impl FnMut(u64, Frame, &[u8]) -> io::Result<()>,
+    ) -> io::Result<()> {
+        match self.take_request() {
+            None => self.record_loop(f),
+            Some(index) => self.fill_index(index, f),
+        }
+    }
+
+    /// The requested index, taken out of the slot for one scan to fill;
+    /// `None` if there is no request, or a scan has published the index
+    /// since the request was made.
+    fn take_request(&self) -> Option<RecordIndex> {
+        let index = self.index.pending().take()?;
+        self.index.published.get().is_none().then_some(index)
+    }
+
+    /// [`RecordFile::record_loop`], recording each record's offset in
+    /// `index` before `f` sees it. A complete loop publishes the index
+    /// (a concurrent scan may have published an equal one first); a
+    /// failed one, the index's checks included, publishes nothing,
+    /// requests a fresh index for the next scan and returns its error.
+    fn fill_index(
+        &self,
+        mut index: RecordIndex,
+        mut f: impl FnMut(u64, Frame, &[u8]) -> io::Result<()>,
+    ) -> io::Result<()> {
+        let scanned = self.record_loop(|offset, frame, bytes| {
+            index.record(frame.vertex, offset)?;
+            f(offset, frame, bytes)
+        });
+        match scanned {
+            Ok(()) => drop(self.index.published.set(index)),
+            Err(_) => {
+                drop(index);
+                self.request_index();
+            }
+        }
+        scanned
+    }
+
     /// The one record loop: charges one scan, then frames every record
     /// in storage order and hands `f` its file offset, its frame and its
     /// bytes. Nothing is decoded here.
-    pub(crate) fn for_each_record(
+    pub(crate) fn record_loop(
         &self,
         mut f: impl FnMut(u64, Frame, &[u8]) -> io::Result<()>,
     ) -> io::Result<()> {

@@ -20,7 +20,7 @@ use mis_obs::CostModel;
 
 use crate::adjfile::AdjFile;
 use crate::compressed::CompressedAdjFile;
-use crate::raccess::{NeighborAccess, RandomAccessGraph};
+use crate::raccess::{NeighborAccess, RandomAccessGraph, RecordIndex};
 use crate::scan::GraphScan;
 use crate::VertexId;
 
@@ -107,8 +107,10 @@ impl AnyAdjFile {
         })
     }
 
-    /// Opens the paged access path under `config`; the record index is
-    /// built with one accounted scan.
+    /// Opens the paged access path under `config`. It scans nothing: it
+    /// requests the record index, which the file's next complete full
+    /// scan builds on the way, or else its first point read or rank by
+    /// one scan ([`AnyAdjFile::record_index`]).
     pub fn open_random_access(
         &self,
         config: PagerConfig,
@@ -118,6 +120,17 @@ impl AnyAdjFile {
             AnyAdjFile::Compressed(f) => Box::new(RandomAccessGraph::open(f, config)?),
             AnyAdjFile::Sharded(never) => match *never {},
         })
+    }
+
+    /// The record index that paged handles over this file share, built
+    /// by one accounted scan unless a full scan already published it (see
+    /// [`crate::RecordFile::record_index`]).
+    pub fn record_index(&self) -> io::Result<&RecordIndex> {
+        match self {
+            AnyAdjFile::Plain(f) => f.record_index(),
+            AnyAdjFile::Compressed(f) => f.record_index(),
+            AnyAdjFile::Sharded(never) => match *never {},
+        }
     }
 
     /// The file as a scan trait object.

@@ -572,9 +572,9 @@ impl<G: GraphScan> NeighborAccess for PinnedDelta<G> {
         }
     }
 
-    fn record_rank(&self, v: VertexId) -> u64 {
+    fn record_rank(&self, v: VertexId) -> io::Result<u64> {
         self.lookup(|reads| reads.record_rank(v))
-            .unwrap_or(u64::from(v))
+            .unwrap_or(Ok(u64::from(v)))
     }
 
     fn resident_bytes(&self) -> u64 {
@@ -584,7 +584,8 @@ impl<G: GraphScan> NeighborAccess for PinnedDelta<G> {
 
 impl<G: GraphScan> PinnedDelta<G> {
     /// `f` over the base's point reads, the handle's or else the base's
-    /// own, for an index lookup, which is safe behind a poisoned lock.
+    /// own, for an index lookup, which is safe behind a poisoned lock:
+    /// the index lives in the file, not in the handle's pool.
     fn lookup<T>(&self, f: impl FnOnce(&dyn NeighborAccess) -> T) -> Option<T> {
         match &self.access {
             Some(a) => Some(f(&**a.0.lock().unwrap_or_else(PoisonError::into_inner))),
@@ -965,7 +966,11 @@ mod tests {
                 .with_neighbors(2, &mut |ns| got = ns.to_vec())
                 .unwrap();
             assert_eq!(got, vec![1]);
-            assert_eq!(reads.record_rank(3), 3, "CSR storage order is id order");
+            assert_eq!(
+                reads.record_rank(3).unwrap(),
+                3,
+                "CSR storage order is id order"
+            );
         }
         assert!(!in_memory.overlay().touches(2));
         assert!(in_memory.overlay().touches(0));

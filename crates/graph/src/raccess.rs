@@ -6,11 +6,17 @@
 //! records is exactly the waste a database buffer pool exists to remove.
 //! This module adds the random-access side, once for both record codecs:
 //!
-//! * [`RecordIndex`] — one `u64` file offset per vertex, built by one
-//!   accounted scan that frames records without decoding them
-//!   ([`RecordIndex::build`]). `8|V|` bytes, within the semi-external
-//!   `O(|V|)` memory budget, for plain and gap-compressed files alike:
-//!   framing finds where a record ends, so no length is stored.
+//! * [`RecordIndex`] — one `u64` file offset per vertex. `8|V|` bytes,
+//!   within the semi-external `O(|V|)` memory budget, for plain and
+//!   gap-compressed files alike: framing finds where a record ends, so no
+//!   length is stored. A file's clones share one index slot. Opening a
+//!   [`RandomAccessGraph`] requests the index and allocates its offsets;
+//!   the file's next complete full scan fills them on the way and
+//!   publishes the index after its last record, so a solve that scans
+//!   before its first point read pays no scan for it. A point read or
+//!   rank that finds no published index builds it by one accounted scan
+//!   that frames records without decoding them ([`RecordIndex::build`]
+//!   runs the same loop).
 //! * [`RandomAccessGraph`] — an adjacency file (plain `MISADJ01` or
 //!   gap-compressed `MISADJC1`) behind a [`BufferPool`]:
 //!   [`RandomAccessGraph::neighbors`] resolves a vertex through the
@@ -24,7 +30,6 @@
 
 use std::cell::RefCell;
 use std::io;
-use std::marker::PhantomData;
 use std::sync::Arc;
 
 use mis_extmem::pager::{open_file_source, BufferPool, FilePageSource, PagerConfig};
@@ -48,27 +53,39 @@ impl RecordIndex {
     /// them. A record whose vertex is out of range or already indexed
     /// is corruption.
     pub fn build<C: RecordCodec>(file: &RecordFile<C>) -> io::Result<Self> {
-        let _span = mis_obs::span("graph", "index.build");
-        let n = file.num_vertices();
-        let mut offsets = vec![u64::MAX; n];
-        file.for_each_record(|offset, frame, _| {
-            let vertex = frame.vertex;
-            let slot = offsets.get_mut(vertex as usize).ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("record for vertex {vertex} out of range ({n} vertices)"),
-                )
-            })?;
-            if *slot != u64::MAX {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("duplicate record for vertex {vertex}"),
-                ));
-            }
-            *slot = offset;
-            Ok(())
+        let _span = mis_obs::span("pass", "index.build");
+        let mut index = Self::unfilled(file.num_vertices());
+        file.record_loop(|offset, frame, _| index.record(frame.vertex, offset))?;
+        Ok(index)
+    }
+
+    /// An index of `num_vertices` offsets for one scan to fill.
+    pub(crate) fn unfilled(num_vertices: usize) -> Self {
+        Self {
+            offsets: vec![u64::MAX; num_vertices],
+        }
+    }
+
+    /// Records that `vertex`'s record starts at byte `offset`. A vertex
+    /// out of range or already indexed is corruption, so a scan of all
+    /// `|V|` records that passes fills every offset.
+    #[inline]
+    pub(crate) fn record(&mut self, vertex: VertexId, offset: u64) -> io::Result<()> {
+        let n = self.offsets.len();
+        let slot = self.offsets.get_mut(vertex as usize).ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("record for vertex {vertex} out of range ({n} vertices)"),
+            )
         })?;
-        Ok(Self { offsets })
+        if *slot != u64::MAX {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("duplicate record for vertex {vertex}"),
+            ));
+        }
+        *slot = offset;
+        Ok(())
     }
 
     /// Byte offset of `v`'s record from the start of the file.
@@ -99,8 +116,10 @@ pub trait NeighborAccess {
     /// Fetches `v`'s neighbour list and hands it to `f`.
     fn with_neighbors(&self, v: VertexId, f: &mut dyn FnMut(&[VertexId])) -> io::Result<()>;
 
-    /// A key strictly monotone in `v`'s position in storage order.
-    fn record_rank(&self, v: VertexId) -> u64;
+    /// A key strictly monotone in `v`'s position in storage order. A
+    /// file-backed implementation may first have to build its record
+    /// index, and returns that scan's error.
+    fn record_rank(&self, v: VertexId) -> io::Result<u64>;
 
     /// Resident memory the access path itself holds (pool frames plus
     /// index), for the algorithms' memory model. Zero for in-memory
@@ -127,34 +146,34 @@ struct PoolState {
 /// An adjacency file of codec `C` — plain or gap-compressed — served
 /// through a buffer-pool page cache.
 ///
-/// Create with [`RandomAccessGraph::open`], which builds the record
-/// index with one scan. All reads go through the pool, so hits, misses,
-/// evictions and the block transfers of misses land in the same
-/// [`mis_extmem::IoStats`] as the scan machinery's counters.
+/// Create with [`RandomAccessGraph::open`], which scans nothing: the
+/// file's next complete full scan builds the record index on the way, and
+/// a read that comes first builds it by one scan. All reads go through
+/// the pool, so hits, misses, evictions and the block transfers of misses
+/// land in the same [`mis_extmem::IoStats`] as the scan machinery's
+/// counters.
 pub struct RandomAccessGraph<C> {
     state: RefCell<PoolState>,
-    index: RecordIndex,
-    num_vertices: usize,
-    num_edges: u64,
+    /// A clone of the opened file, sharing its record index slot.
+    file: RecordFile<C>,
     config: PagerConfig,
-    codec: PhantomData<C>,
 }
 
-impl<C> std::fmt::Debug for RandomAccessGraph<C> {
+impl<C: RecordCodec> std::fmt::Debug for RandomAccessGraph<C> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RandomAccessGraph")
-            .field("num_vertices", &self.num_vertices)
-            .field("num_edges", &self.num_edges)
+            .field("file", &self.file)
             .field("config", &self.config)
             .finish_non_exhaustive()
     }
 }
 
 impl<C: RecordCodec> RandomAccessGraph<C> {
-    /// Opens `file` for random access, building the record index with one
-    /// accounted scan.
+    /// Opens `file` for random access. It requests the record index that
+    /// the file's clones share, allocating its `8|V|` offsets, and scans
+    /// nothing.
     pub fn open(file: &RecordFile<C>, config: PagerConfig) -> io::Result<Self> {
-        let index = RecordIndex::build(file)?;
+        file.request_index();
         let pool = BufferPool::new(
             open_file_source(file.path())?,
             config,
@@ -166,22 +185,19 @@ impl<C: RecordCodec> RandomAccessGraph<C> {
                 raw: Vec::new(),
                 nbrs: Vec::new(),
             }),
-            index,
-            num_vertices: file.num_vertices(),
-            num_edges: file.num_edges(),
+            file: file.clone(),
             config,
-            codec: PhantomData,
         })
     }
 
     /// Number of vertices.
     pub fn num_vertices(&self) -> usize {
-        self.num_vertices
+        self.file.num_vertices()
     }
 
     /// Number of undirected edges.
     pub fn num_edges(&self) -> u64 {
-        self.num_edges
+        self.file.num_edges()
     }
 
     /// The pool configuration this graph was opened with.
@@ -283,20 +299,21 @@ fn decode_fetched<C: RecordCodec>(
 
 impl<C: RecordCodec> NeighborAccess for RandomAccessGraph<C> {
     fn with_neighbors(&self, v: VertexId, f: &mut dyn FnMut(&[VertexId])) -> io::Result<()> {
-        if v as usize >= self.num_vertices {
+        let n = self.num_vertices();
+        if v as usize >= n {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
-                format!("vertex {v} out of range ({} vertices)", self.num_vertices),
+                format!("vertex {v} out of range ({n} vertices)"),
             ));
         }
-        let offset = self.index.offset(v);
+        let offset = self.file.record_index()?.offset(v);
         // Fill the reusable neighbour buffer, then release the borrow so
         // the callback may recursively read through this graph.
         let nbrs = {
             let PoolState { pool, raw, nbrs } = &mut *self.state.borrow_mut();
             let mut out = std::mem::take(nbrs);
             out.clear();
-            fetch::<C>(pool, raw, offset, v, self.num_vertices as u64, &mut out)?;
+            fetch::<C>(pool, raw, offset, v, n as u64, &mut out)?;
             out
         };
         f(&nbrs);
@@ -304,15 +321,15 @@ impl<C: RecordCodec> NeighborAccess for RandomAccessGraph<C> {
         Ok(())
     }
 
-    fn record_rank(&self, v: VertexId) -> u64 {
+    fn record_rank(&self, v: VertexId) -> io::Result<u64> {
         // Records are contiguous, so the byte offset is itself strictly
         // monotone in storage order.
-        self.index.offset(v)
+        Ok(self.file.record_index()?.offset(v))
     }
 
     fn resident_bytes(&self) -> u64 {
-        // Pool frames plus 8 bytes of offset per vertex.
-        self.config.capacity_bytes() + 8 * self.index.len() as u64
+        // Pool frames plus 8 bytes of offset per vertex, allocated at open.
+        self.config.capacity_bytes() + 8 * self.num_vertices() as u64
     }
 
     fn access_storage(&self) -> &'static str {
@@ -419,7 +436,7 @@ mod tests {
         }
         // Ranks reflect storage order (id order here).
         let ra = RandomAccessGraph::open_compressed(&file, tiny_config(4)).unwrap();
-        assert!(ra.record_rank(0) < ra.record_rank(1));
+        assert!(ra.record_rank(0).unwrap() < ra.record_rank(1).unwrap());
         assert_eq!(
             ra.resident_bytes(),
             4 * 16 + 8 * g.num_vertices() as u64,

@@ -143,9 +143,9 @@ impl NeighborAccess for CsrGraph {
         Ok(())
     }
 
-    fn record_rank(&self, v: VertexId) -> u64 {
+    fn record_rank(&self, v: VertexId) -> io::Result<u64> {
         // CSR storage order is vertex-id order.
-        u64::from(v)
+        Ok(u64::from(v))
     }
 
     fn access_storage(&self) -> &'static str {
@@ -159,8 +159,8 @@ impl NeighborAccess for OrderedCsr<'_> {
         Ok(())
     }
 
-    fn record_rank(&self, v: VertexId) -> u64 {
-        u64::from(self.rank[v as usize])
+    fn record_rank(&self, v: VertexId) -> io::Result<u64> {
+        Ok(u64::from(self.rank[v as usize]))
     }
 
     fn access_storage(&self) -> &'static str {

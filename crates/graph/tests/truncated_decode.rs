@@ -3,12 +3,13 @@
 //! A file cut mid-varint, mid-record, or mid-header must surface a clean
 //! `io::Error` (`UnexpectedEof` for truncation, `InvalidData` for
 //! corrupt bytes) from **every** access path — whole-file scan, block
-//! scan, the record index, and the paged random-access reads. Never a
-//! panic, and never a silent short read: a scan over a truncated file
-//! that reports `Ok` would quietly drop edges and corrupt every
-//! algorithm above it. The same goes, on both codecs, for a header whose
-//! `|V|` the file cannot hold, a file replaced behind an open handle, and
-//! a file that repeats one vertex's record in place of another's.
+//! scan, the record index, a scan that builds the index on the way, and
+//! the paged random-access reads. Never a panic, and never a silent
+//! short read: a scan over a truncated file that reports `Ok` would
+//! quietly drop edges and corrupt every algorithm above it. The same
+//! goes, on both codecs, for a header whose `|V|` the file cannot hold,
+//! a file replaced behind an open handle, and a file that repeats one
+//! vertex's record in place of another's.
 
 use std::io::ErrorKind;
 use std::sync::Arc;
@@ -65,9 +66,8 @@ fn assert_clean(err: std::io::Error, what: &str) {
 /// the prefix must already fail to open). The scans read exactly `|V|`
 /// records, so a strict prefix can never scan to `Ok` — even a cut on a
 /// record boundary runs out of records.
-fn probe_compressed(path: &std::path::Path) {
-    let stats = IoStats::shared();
-    let file = match CompressedAdjFile::open_with_block_size(path, stats, 128) {
+fn probe_prefix<C: RecordCodec>(path: &std::path::Path) {
+    let file = match open::<C>(path) {
         Ok(f) => f,
         Err(e) => {
             assert_clean(e, "open");
@@ -80,6 +80,25 @@ fn probe_compressed(path: &std::path::Path) {
     match RecordIndex::build(&file) {
         Ok(_) => panic!("index build must not succeed on a truncated file"),
         Err(e) => assert_clean(e, "index build"),
+    }
+    // Opening the paged path scans nothing. The next scan builds the
+    // index on the way, fails, and publishes nothing, so the first read
+    // scans again and fails too.
+    let ra = RandomAccessGraph::open(&file, small_pager()).expect("open scans nothing");
+    let riding = file.scan(&mut |_, _| {});
+    assert_clean(riding.expect_err("a riding scan must error"), "riding scan");
+    let read = ra.with_neighbors(0, &mut |_| {});
+    assert_clean(
+        read.expect_err("a failed scan must not publish an index"),
+        "read after a failed riding scan",
+    );
+}
+
+fn small_pager() -> PagerConfig {
+    PagerConfig {
+        page_size: 64,
+        frames: 4,
+        policy: PolicyKind::Clock,
     }
 }
 
@@ -95,7 +114,7 @@ fn every_strict_prefix_of_a_compressed_file_errors_cleanly() {
     for cut in 0..bytes.len() {
         let path = dir.file("cut.cadj");
         std::fs::write(&path, &bytes[..cut]).unwrap();
-        probe_compressed(&path);
+        probe_prefix::<GapCodec>(&path);
     }
 }
 
@@ -108,23 +127,7 @@ fn every_strict_prefix_of_a_plain_file_errors_cleanly() {
     for cut in 0..bytes.len() {
         let path = dir.file("cut.adj");
         std::fs::write(&path, &bytes[..cut]).unwrap();
-        let stats = IoStats::shared();
-        let file = match AdjFile::open_with_block_size(&path, stats, 128) {
-            Ok(f) => f,
-            Err(e) => {
-                assert_clean(e, "plain open");
-                continue;
-            }
-        };
-        assert_clean(
-            file.scan(&mut |_, _| {})
-                .expect_err("plain scan of truncated file must error"),
-            "plain scan",
-        );
-        match RecordIndex::build(&file) {
-            Ok(_) => panic!("plain index build must not succeed on a truncated file"),
-            Err(e) => assert_clean(e, "plain index build"),
-        }
+        probe_prefix::<PlainCodec>(&path);
     }
 }
 
@@ -161,15 +164,7 @@ fn corrupt_compressed_bytes_error_cleanly_everywhere() {
         match RecordIndex::build(&file) {
             Ok(_) => {
                 // A survivable mutant: paged reads must still behave.
-                let ra = RandomAccessGraph::open_compressed(
-                    &file,
-                    PagerConfig {
-                        page_size: 64,
-                        frames: 4,
-                        policy: PolicyKind::Clock,
-                    },
-                )
-                .unwrap();
+                let ra = RandomAccessGraph::open_compressed(&file, small_pager()).unwrap();
                 for v in 0..file.num_vertices() as u32 {
                     let mut nbrs = Vec::new();
                     if let Err(e) = ra.with_neighbors(v, &mut |ns| nbrs.extend_from_slice(ns)) {
@@ -223,21 +218,13 @@ fn corrupt_plain_bytes_error_cleanly_everywhere() {
         if let Err(e) = file.scan(&mut |_, _| {}) {
             assert_clean(e, "plain mutant scan");
         }
-        let pager = PagerConfig {
-            page_size: 64,
-            frames: 4,
-            policy: PolicyKind::Clock,
-        };
-        match RandomAccessGraph::open(&file, pager) {
-            Ok(ra) => {
-                // A survivable mutant: paged reads must still behave.
-                for v in 0..file.num_vertices() as u32 {
-                    if let Err(e) = ra.with_neighbors(v, &mut |_| {}) {
-                        assert_clean(e, "plain mutant paged read");
-                    }
-                }
+        // Paged reads must fail cleanly or behave; the first one builds
+        // the index.
+        let ra = RandomAccessGraph::open(&file, small_pager()).expect("open scans nothing");
+        for v in 0..file.num_vertices() as u32 {
+            if let Err(e) = ra.with_neighbors(v, &mut |_| {}) {
+                assert_clean(e, "plain mutant paged read");
             }
-            Err(e) => assert_clean(e, "plain mutant index build"),
         }
     }
 }
@@ -304,7 +291,8 @@ fn replaced_file_fails_every_pass_on_both_codecs() {
 
 /// Records for vertices 0, 1, 1, 3: the right count, but vertex 1 twice
 /// and vertex 2 never. An index over it would misdirect reads of 1 and
-/// 2, so building one must fail.
+/// 2, so building one must fail: by [`RecordIndex::build`], at the paged
+/// path's first point read, and in a scan that builds it on the way.
 fn duplicate_record_fails_the_index_build<C: RecordCodec>() {
     let dir = ScratchDir::new("dup-record").unwrap();
     let path = dir.file("g");
@@ -313,20 +301,34 @@ fn duplicate_record_fails_the_index_build<C: RecordCodec>() {
         w.write_record(v, &[]).unwrap();
     }
     w.finish().unwrap();
-    let file = open::<C>(&path).unwrap();
-    let err = RecordIndex::build(&file).expect_err("a duplicate record must fail the index");
-    assert_eq!(err.kind(), ErrorKind::InvalidData);
-    assert!(
-        err.to_string().contains("duplicate record for vertex 1"),
-        "{err}"
-    );
-    let pager = PagerConfig {
-        page_size: 64,
-        frames: 4,
-        policy: PolicyKind::Clock,
+    let duplicate = |err: std::io::Error| {
+        assert_eq!(err.kind(), ErrorKind::InvalidData);
+        assert!(
+            err.to_string().contains("duplicate record for vertex 1"),
+            "{err}"
+        );
     };
-    let err = RandomAccessGraph::open(&file, pager).expect_err("the paged path indexes too");
-    assert_eq!(err.kind(), ErrorKind::InvalidData);
+    let file = open::<C>(&path).unwrap();
+    duplicate(RecordIndex::build(&file).expect_err("a duplicate record must fail the index"));
+    // Opening the paged path scans nothing; its first read builds the
+    // index.
+    let ra = RandomAccessGraph::open(&file, small_pager()).expect("open scans nothing");
+    duplicate(
+        ra.with_neighbors(0, &mut |_| {})
+            .expect_err("the first point read indexes"),
+    );
+    // On a fresh handle the next full scan builds the index on the way,
+    // fails, and publishes nothing.
+    let file = open::<C>(&path).unwrap();
+    let ra = RandomAccessGraph::open(&file, small_pager()).expect("open scans nothing");
+    duplicate(
+        file.scan(&mut |_, _| {})
+            .expect_err("a riding scan indexes"),
+    );
+    duplicate(
+        ra.with_neighbors(3, &mut |_| {})
+            .expect_err("nothing was published"),
+    );
 }
 
 #[test]

@@ -96,7 +96,9 @@ pub enum Workload {
         /// Whether the maximality finish scanned the file.
         finish_scanned: bool,
         /// Additional whole-file scans the experiment accounted
-        /// (warm-up pass, `prove_maximal` pass, index build, …).
+        /// (warm-up pass, `prove_maximal` pass, …). A paged handle's
+        /// record index adds none when it is opened before Greedy, whose
+        /// scan builds it on the way.
         extra_scans: u64,
     },
 }

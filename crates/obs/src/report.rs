@@ -12,6 +12,9 @@
 //! crate root: cat `"phase"` spans form the phase breakdown and the
 //! coverage figure, cat `"pass"` spans (one per accounted scan) the pass
 //! breakdown, and the spans of every other category the step breakdown.
+//! When the trace carries the `io/scans_started` counter that a traced
+//! command emits at its end, the report sets the pass spans against it
+//! ([`TraceReport::pass_spans_and_io_scans`]).
 
 use std::fmt::Write as _;
 use std::io;
@@ -487,6 +490,18 @@ impl TraceReport {
         self.nesting_violations.is_empty()
     }
 
+    /// The number of `"pass"` spans and the last `io/scans_started`
+    /// counter sample, when the trace carries that counter. Every
+    /// accounted scan runs in one pass span, so the two should be equal.
+    pub fn pass_spans_and_io_scans(&self) -> Option<(u64, u64)> {
+        let scans = self
+            .counters
+            .iter()
+            .find(|c| c.cat == "io" && c.name == "scans_started")?;
+        let passes = self.passes.iter().map(|p| p.count).sum();
+        Some((passes, scans.last as u64))
+    }
+
     /// The human-readable report `mis trace report` prints.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -537,6 +552,10 @@ impl TraceReport {
                     agg_line(&mut out, p);
                 }
             }
+        }
+        if let Some((passes, scans)) = self.pass_spans_and_io_scans() {
+            let mark = if passes == scans { "" } else { "  (differ)" };
+            let _ = writeln!(out, "\npass spans = {passes}, io scans = {scans}{mark}");
         }
         if !self.hists.is_empty() {
             let _ = writeln!(out, "\nlatency histograms:");
@@ -647,7 +666,11 @@ impl TraceReport {
                 num(c.max)
             );
         }
-        let _ = write!(out, "],\"nesting_ok\":{},", self.nesting_ok());
+        out.push(']');
+        if let Some((passes, scans)) = self.pass_spans_and_io_scans() {
+            let _ = write!(out, ",\"pass_spans\":{passes},\"io_scans\":{scans}");
+        }
+        let _ = write!(out, ",\"nesting_ok\":{},", self.nesting_ok());
         out.push_str("\"nesting_violations\":[");
         for (i, v) in self.nesting_violations.iter().enumerate() {
             if i > 0 {
@@ -1004,6 +1027,37 @@ mod tests {
             other => panic!("hists not an array: {other:?}"),
         };
         assert_eq!(hists[0].get("count").unwrap().as_f64(), Some(2.0));
+    }
+
+    #[test]
+    fn pass_spans_are_set_against_the_io_scan_counter() {
+        let io_scans = |value| Event {
+            cat: "io",
+            name: "scans_started",
+            tid: 1,
+            ts_ns: 9_000_000,
+            kind: EventKind::Counter { value },
+        };
+        let mut trace = sample_trace();
+        let report = TraceReport::from_trace(&trace);
+        assert_eq!(report.pass_spans_and_io_scans(), None);
+        assert!(!report.render().contains("io scans"));
+        assert!(parse_json(&report.render_json())
+            .unwrap()
+            .get("io_scans")
+            .is_none());
+        for (scans, line) in [
+            (3.0, "pass spans = 3, io scans = 3\n"),
+            (4.0, "pass spans = 3, io scans = 4  (differ)\n"),
+        ] {
+            trace.events.push(io_scans(scans));
+            let report = TraceReport::from_trace(&trace);
+            assert_eq!(report.pass_spans_and_io_scans(), Some((3, scans as u64)));
+            assert!(report.render().contains(line), "{}", report.render());
+            let json = parse_json(&report.render_json()).expect("valid JSON");
+            assert_eq!(json.get("pass_spans").unwrap().as_f64(), Some(3.0));
+            assert_eq!(json.get("io_scans").unwrap().as_f64(), Some(scans));
+        }
     }
 
     #[test]

@@ -66,11 +66,15 @@
 //!
 //! The store owns one paged handle over its base
 //! ([`AnyAdjFile::open_random_access`], under [`UpdateStore::set_pager`]'s
-//! budget). The first [`UpdateStore::apply`] opens it, paying the one
-//! index-build scan; a full compaction reopens it over the new base.
-//! Every snapshot taken after that carries it, so repairs and the serve
-//! engine's neighborhood queries read through it and never read records
-//! by scans. `mis update append` and `status` never open it.
+//! budget). The first [`UpdateStore::apply`] opens it; a full compaction
+//! reopens it over the new base. Opening scans nothing: the handle's
+//! record index is built by the next full scan of the base, which a
+//! bootstrap or a violation scan runs anyway, or else by one scan at
+//! the first point read. [`UpdateStore::apply`] returns with the index
+//! built, so no served request pays for that scan. Every snapshot taken
+//! after that carries the handle, so repairs and the serve engine's
+//! neighborhood queries read through it and never read records by
+//! scans. `mis update append` and `status` never open it.
 //!
 //! ## Crash recovery
 //!
@@ -227,7 +231,9 @@ pub struct ApplyReport {
     pub evicted: u64,
     /// Accounted scans the maintenance performed: a bootstrap's Greedy,
     /// swap and proof scans, or a repair's (0 one epoch behind, else 1,
-    /// the violation scan); not the handle's index build.
+    /// the violation scan). The first of them also builds the handle's
+    /// record index; an apply that scans nothing and finds no index
+    /// builds it by one more scan, which is not counted here.
     pub file_scans: u64,
     /// Whether the proof certified maximality on the edited graph.
     pub maximality_proved: bool,
@@ -489,8 +495,8 @@ impl UpdateStore {
         self.access = OnceLock::new();
     }
 
-    /// The point-access handle over the base, opened on first use with
-    /// one accounted index-build scan.
+    /// The point-access handle over the base, opened on first use. It
+    /// scans nothing (see the module docs).
     fn point_access(&self) -> io::Result<&SharedAccess> {
         if let Some(access) = self.access.get() {
             return Ok(access);
@@ -697,7 +703,10 @@ impl UpdateStore {
 
     /// Brings the maintained independent set up to the last committed
     /// epoch and checkpoints it, opening the point-access handle first
-    /// if it is not open yet.
+    /// if it is not open yet. It returns with the handle's record index
+    /// built: the first scan of the maintenance builds it on the way,
+    /// and an apply that scans nothing builds it by one scan at its
+    /// first point read or at the end.
     ///
     /// The repair ([`try_repair_since`]) reads only what the batches
     /// since the checkpoint could have changed. One epoch behind, the
@@ -715,6 +724,13 @@ impl UpdateStore {
     pub fn apply(&self, config: RepairConfig) -> io::Result<ApplyReport> {
         let _span = mis_obs::span("store", "store.apply");
         self.point_access()?;
+        let report = self.repair_to_last_epoch(config)?;
+        self.base.record_index()?;
+        Ok(report)
+    }
+
+    /// [`UpdateStore::apply`]'s repair and checkpoint.
+    fn repair_to_last_epoch(&self, config: RepairConfig) -> io::Result<ApplyReport> {
         let target = self.wal.last_epoch();
         let delta = self.snapshot().pinned();
         let report = match Checkpoint::load_if_exists(&self.ckpt_path, &self.stats)? {
@@ -997,7 +1013,7 @@ fn write_merged<C: RecordCodec>(
 mod tests {
     use super::*;
     use mis_extmem::ScratchDir;
-    use mis_graph::build_adj_file;
+    use mis_graph::{build_adj_file, NeighborAccess};
 
     fn setup(dir: &ScratchDir, seed: u64) -> (UpdateStore, Arc<IoStats>) {
         let graph = mis_gen::plrg::Plrg::with_vertices(2_000, 2.0)
@@ -1574,7 +1590,7 @@ mod tests {
         // After a reopen the record is rebuilt from the log.
         store.append_ops(&batch(3)).unwrap();
         drop(store);
-        let (mut store, _) = UpdateStore::open(
+        let (store, _) = UpdateStore::open(
             &dir.file("base.adj"),
             &dir.file("edits.wal"),
             &dir.file("is.ckpt"),
@@ -1590,6 +1606,29 @@ mod tests {
             1,
             "the index build only"
         );
+
+        // Up to date after another reopen, the apply repairs nothing but
+        // still returns with the index built: a point read costs no scan.
+        drop(store);
+        let (mut store, _) = UpdateStore::open(
+            &dir.file("base.adj"),
+            &dir.file("edits.wal"),
+            &dir.file("is.ckpt"),
+            Arc::clone(&stats),
+            4096,
+        )
+        .unwrap();
+        let scans = stats.snapshot().scans_started;
+        assert!(store.apply(config).unwrap().up_to_date);
+        assert_eq!(
+            stats.snapshot().scans_started - scans,
+            1,
+            "the index build only"
+        );
+        let scans = stats.snapshot().scans_started;
+        let view = store.snapshot().pinned();
+        view.with_neighbors(0, &mut |_| {}).unwrap();
+        assert_eq!(stats.snapshot().scans_started, scans);
 
         // A full compaction drops the record: the violation scan again.
         store.append_ops(&batch(4)).unwrap();

@@ -43,7 +43,9 @@
 //! adjacency file: rounds with few live candidates then verify them
 //! through the pool instead of re-scanning the whole file
 //! (`--paged-threshold` is the candidate fraction below which a round
-//! goes paged).
+//! goes paged). The pool finds records through a per-vertex index of
+//! byte offsets that Greedy's scan builds on the way, so a paged run
+//! scans exactly as often as its algorithm and proof do.
 //!
 //! Every scan runs sequentially on the calling thread, the paper's
 //! access model. A storage error (a truncated or corrupt file) ends
@@ -71,7 +73,7 @@
 //!
 //! `<graph>` accepts plain (`MISADJ01`) and gap-compressed (`MISADJC1`)
 //! files everywhere it appears, detected by magic bytes — including
-//! `mis run --cache-mb`, which builds the one record index both codecs
+//! `mis run --cache-mb`, whose record index and paged fetch both codecs
 //! share. `<base>` of `mis update` and `mis serve` takes both as well
 //! (the update log overlays whatever backs the store, and `update
 //! compact --format compressed` writes a compressed base). Every run

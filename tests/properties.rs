@@ -5,7 +5,10 @@
 use proptest::prelude::*;
 use semi_mis::extmem::{ExternalPq, IoStats, ScratchDir, SortConfig};
 use semi_mis::graph::adjfile::AdjFileWriter;
-use semi_mis::graph::{degree_sort_adj_file, degree_sort_compressed_adj_file, CsrGraph};
+use semi_mis::graph::{
+    degree_sort_adj_file, degree_sort_compressed_adj_file, CsrGraph, GapCodec, PlainCodec,
+    RecordCodec, RecordFile,
+};
 use semi_mis::prelude::*;
 
 /// Arbitrary small graph: vertex count and an edge list over it.
@@ -22,6 +25,64 @@ fn records(file: &dyn GraphScan) -> Vec<(VertexId, Vec<VertexId>)> {
     file.scan(&mut |v, ns| records.push((v, ns.to_vec())))
         .unwrap();
     records
+}
+
+/// Paged reads of every vertex of the `C` file at `path` agree with
+/// `expected` under several cache capacities (1 frame, a few frames, and
+/// ≥ all pages; the tiny page size makes records straddle pages), in
+/// three orders with exact I/O. Open, one full scan, then every read:
+/// that scan and the pager's misses, nothing more, because the scan
+/// builds the record index on the way. A read first: exactly one scan
+/// more, the index build. A second handle over the same file, or over a
+/// clone: no scan.
+fn check_paged_reads<C: RecordCodec>(path: &std::path::Path, expected: &[Vec<VertexId>]) {
+    use std::sync::Arc;
+    let stats = IoStats::shared();
+    let open = || RecordFile::<C>::open_with_block_size(path, Arc::clone(&stats), 256).unwrap();
+    let scan_blocks = {
+        let file = open();
+        let before = stats.snapshot();
+        file.scan(&mut |_, _| {}).unwrap();
+        stats.snapshot().since(&before).blocks_read
+    };
+    let page_size = 32usize;
+    let all_pages = (open().disk_bytes().unwrap() as usize).div_ceil(page_size);
+    let read_all = |ra: &RandomAccessGraph<C>| {
+        for (v, want) in expected.iter().enumerate() {
+            assert_eq!(&ra.neighbors(v as VertexId).unwrap(), want, "v{v}");
+        }
+    };
+    for frames in [1, 3, all_pages + 1] {
+        let config = PagerConfig {
+            page_size,
+            frames,
+            policy: PolicyKind::Clock,
+        };
+        for scan_first in [true, false] {
+            let file = open();
+            let before = stats.snapshot();
+            let ra = RandomAccessGraph::open(&file, config).unwrap();
+            if scan_first {
+                file.scan(&mut |_, _| {}).unwrap();
+            }
+            read_all(&ra);
+            let io = stats.snapshot().since(&before);
+            let what = format!("{frames} frames, scan first: {scan_first}");
+            assert_eq!(io.scans_started, 1, "{what}");
+            assert_eq!(io.blocks_read, scan_blocks + io.cache_misses, "{what}");
+            if !scan_first {
+                file.scan(&mut |_, _| {}).unwrap();
+                let io = stats.snapshot().since(&before);
+                assert_eq!(io.scans_started, 2, "{what}");
+            }
+            // The index lives in the file's slot, shared with its clones.
+            let before = stats.snapshot();
+            for other in [file.clone(), file] {
+                read_all(&RandomAccessGraph::open(&other, config).unwrap());
+            }
+            assert_eq!(stats.snapshot().since(&before).scans_started, 0, "{what}");
+        }
+    }
 }
 
 /// The degree sort of `g` on both codecs, from a plain file whose lists
@@ -242,28 +303,21 @@ proptest! {
     #[test]
     fn random_access_neighbors_agree_with_scan(g in arb_graph(40, 150)) {
         // The pager satellite property: RandomAccessGraph::neighbors
-        // agrees with a full GraphScan for every vertex, under several
-        // cache capacities (1 frame, a few frames, and ≥ all pages). The
-        // tiny page size forces records to straddle page boundaries.
+        // agrees with a full GraphScan for every vertex, on both codecs,
+        // and the record index costs a scan only when a read comes
+        // before every full scan.
         use std::sync::Arc;
         let scratch = ScratchDir::new("prop-raccess").unwrap();
         let stats = IoStats::shared();
         let file = semi_mis::graph::build_adj_file(&g, &scratch.file("g.adj"), Arc::clone(&stats), 256).unwrap();
+        semi_mis::graph::compress_adj(&g, &scratch.file("g.cadj"), stats, 256).unwrap();
         let mut expected = vec![Vec::new(); g.num_vertices()];
         file.scan(&mut |v, ns| expected[v as usize] = ns.to_vec()).unwrap();
-        let page_size = 32usize;
-        let all_pages = (file.disk_bytes().unwrap() as usize).div_ceil(page_size);
-        for frames in [1, 3, all_pages + 1] {
-            let config = PagerConfig { page_size, frames, policy: PolicyKind::Clock };
-            let ra = RandomAccessGraph::open(&file, config).unwrap();
-            for v in 0..g.num_vertices() as u32 {
-                prop_assert_eq!(
-                    ra.neighbors(v).unwrap(),
-                    expected[v as usize].clone(),
-                    "{} frames, v{}", frames, v
-                );
-            }
+        check_paged_reads::<PlainCodec>(&scratch.file("g.adj"), &expected);
+        for list in &mut expected {
+            list.sort_unstable(); // the compressed codec stores lists by id
         }
+        check_paged_reads::<GapCodec>(&scratch.file("g.cadj"), &expected);
     }
 
     #[test]
@@ -274,6 +328,7 @@ proptest! {
         let scratch = ScratchDir::new("prop-paged").unwrap();
         let stats = IoStats::shared();
         let file = semi_mis::graph::build_adj_file(&g, &scratch.file("g.adj"), Arc::clone(&stats), 256).unwrap();
+        let before = stats.snapshot();
         let ra = RandomAccessGraph::open(
             &file,
             PagerConfig { page_size: 64, frames: 2, policy: PolicyKind::Clock },
@@ -282,9 +337,17 @@ proptest! {
         let config = SwapConfig::default().with_paged_threshold(1.0);
         let one_scan = OneKSwap::new().run(&file, &greedy.set);
         let one_paged = OneKSwap::with_config(config).run_paged(&file, Some(&ra), &greedy.set);
-        prop_assert_eq!(one_paged.result.set, one_scan.result.set);
         let two_scan = TwoKSwap::new().run(&file, &greedy.set);
         let two_paged = TwoKSwap::with_config(config).run_paged(&file, Some(&ra), &greedy.set);
+        // Greedy's scan builds the index on the way: the paged rounds
+        // cost no scan of their own.
+        let file_scans = greedy.file_scans
+            + one_scan.result.file_scans
+            + one_paged.result.file_scans
+            + two_scan.result.file_scans
+            + two_paged.result.file_scans;
+        prop_assert_eq!(stats.snapshot().since(&before).scans_started, file_scans);
+        prop_assert_eq!(one_paged.result.set, one_scan.result.set);
         prop_assert_eq!(&two_paged.result.set, &two_scan.result.set);
         prop_assert!(is_maximal_independent_set(&file, &two_paged.result.set));
     }

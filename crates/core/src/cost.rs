@@ -8,16 +8,18 @@
 //!
 //! * [`Greedy`](crate::Greedy) visits every record once —
 //!   [`GREEDY_SCANS`]` = 1`.
-//! * [`OneKSwap`](crate::OneKSwap) and [`TwoKSwap`](crate::TwoKSwap)
-//!   share one `InitCandidates` pass before round one
-//!   ([`SWAP_INIT_SCANS`]), then per round run the pre-swap candidate
-//!   pass plus the post-swap ordered re-derivation fold
-//!   ([`SWAP_SCANS_PER_ROUND`]` = 2`); a round that verified its
-//!   candidates through the buffer pool skips the pre-swap *scan*
-//!   (accounted as a paged round instead). A round two-k's shrink guard
-//!   undid ([`SwapStats::rolled_back`](crate::SwapStats::rolled_back))
-//!   still ran its passes. The `finalize_maximal` finish replays the
-//!   last post-swap pass's open vertices in memory, and adds
+//! * [`OneKSwap`](crate::OneKSwap) and [`TwoKSwap`](crate::TwoKSwap) run
+//!   through one round driver ([`Swap`](crate::Swap)). Its init pass,
+//!   which derives the `A` states from the initial set, is one scan
+//!   ([`SWAP_INIT_SCANS`]). Each round then runs the pre-swap pass and
+//!   the post-swap pass, which re-derives the next round's `A` states in
+//!   storage order ([`SWAP_SCANS_PER_ROUND`]` = 2`); the swap sweep
+//!   between them reads no file. A round that verified its candidates
+//!   through the buffer pool skips the pre-swap *scan* (accounted as a
+//!   paged round instead). A round the shrink guard undid
+//!   ([`SwapStats::rolled_back`](crate::SwapStats::rolled_back)) still
+//!   ran its passes. The `finalize_maximal` finish replays the last
+//!   post-swap pass's open vertices in memory, and adds
 //!   [`SWAP_FINALIZE_SCANS`] only when it had to scan instead
 //!   ([`SwapStats::finish_scanned`](crate::SwapStats::finish_scanned)).
 //!

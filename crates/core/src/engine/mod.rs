@@ -20,7 +20,7 @@
 use std::io;
 use std::num::NonZeroUsize;
 
-use mis_graph::{GraphScan, NeighborAccess, VertexId};
+use mis_graph::{GraphScan, VertexId};
 
 pub mod passes;
 
@@ -62,34 +62,6 @@ pub(crate) fn pass<G: GraphScan + ?Sized>(
 ) -> io::Result<()> {
     let _span = mis_obs::span("pass", name);
     graph.scan(f)
-}
-
-/// Runs one swap-round candidate pass, shared by the one-k and two-k
-/// algorithms: when a random-access provider exists **and**
-/// `select_paged_candidates` produced a candidate list, visits exactly
-/// those candidates in storage order through the provider; otherwise
-/// runs one full `pass` named `name`. Returns whether the paged path
-/// was taken, so the caller can account a paged round instead of a file
-/// scan, or the first scan or paged-read error.
-pub(crate) fn candidate_pass<G: GraphScan + ?Sized>(
-    graph: &G,
-    access: Option<&dyn NeighborAccess>,
-    cands: Option<Vec<u32>>,
-    name: &'static str,
-    body: &mut dyn FnMut(VertexId, &[VertexId]),
-) -> io::Result<bool> {
-    match (access, cands) {
-        (Some(acc), Some(cands)) => {
-            for &u in &cands {
-                acc.with_neighbors(u, &mut |ns| body(u, ns))?;
-            }
-            Ok(true)
-        }
-        _ => {
-            pass(graph, name, body)?;
-            Ok(false)
-        }
-    }
 }
 
 #[cfg(test)]

@@ -16,9 +16,12 @@
 //! | [`upper_bound_scan`] | Algorithm 5 | one-scan star-partition upper bound on α(G) |
 //! | [`exact::maximum_independent_set`] | — | exact branch-and-bound for small graphs (test oracle) |
 //!
-//! The swap algorithms carry per-round instrumentation ([`SwapStats`]) so
-//! the experiment harness can regenerate the paper's Tables 6–8 and
-//! Figure 10 (round counts, early-stop profile, SC size, memory model).
+//! Both swap algorithms run through one round driver, [`Swap`], which
+//! owns the rounds, the scans and their accounting; each algorithm
+//! supplies only its per-record rules. The swaps carry per-round
+//! instrumentation ([`SwapStats`]) so the experiment harness can
+//! regenerate the paper's Tables 6–8 and Figure 10 (round counts,
+//! early-stop profile, SC size, memory model).
 //!
 //! Every full scan runs through one helper of the [`engine`]: a
 //! sequential pass on the calling thread, the paper's access model,
@@ -39,6 +42,7 @@ pub mod incremental;
 pub mod onek;
 pub mod order;
 pub mod result;
+mod swap;
 pub mod tfp;
 pub mod twok;
 pub mod verify;
@@ -57,6 +61,7 @@ pub use order::degree_order;
 pub use result::{
     MemoryModel, MisResult, RoundStats, SwapConfig, SwapOutcome, SwapStats, DEFAULT_PAGED_THRESHOLD,
 };
+pub use swap::Swap;
 pub use tfp::TfpMaximalIs;
 pub use twok::TwoKSwap;
 pub use verify::{

@@ -59,14 +59,18 @@ pub struct SwapConfig {
     /// (`None` = run to fixpoint, bounded by the `|V|`-round worst case).
     /// Table 8's "early stop" rows use `Some(1..=3)`.
     pub max_rounds: Option<u32>,
-    /// Re-promote plain `N` vertices to `A` in the post-swap phase when
-    /// they have the right number of IS neighbours.
+    /// Re-promote plain `N` vertices to `A` in one-k-swap's post-swap
+    /// phase when they have one IS neighbour.
     ///
     /// Algorithm 2's pseudo-code re-evaluates only `C`/`A` vertices, but
     /// the paper's own Figure 5 cascade requires `N` vertices to become
-    /// swappable in later rounds (and Algorithm 3 does re-evaluate `N`),
-    /// so this defaults to `true`; setting it `false` reproduces the
-    /// pseudo-code verbatim (the `repro ablation` bench compares both).
+    /// swappable in later rounds, so this defaults to `true`; setting it
+    /// `false` reproduces the pseudo-code verbatim (the `repro ablation`
+    /// bench compares both).
+    ///
+    /// Only one-k-swap reads it. Two-k-swap always re-evaluates `N`, as
+    /// Algorithm 3 does, so `repro ablation`'s two-k "no N-re-promotion"
+    /// cell equals its default.
     pub repromote_n: bool,
     /// End with one relaxed 0↔1 pass so the returned set is always
     /// maximal (never removes vertices). It replays the last post-swap

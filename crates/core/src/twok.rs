@@ -33,7 +33,8 @@
 //! ## Per-vertex storage
 //!
 //! Every record's first check and every neighbour check read only the
-//! vertex's one-byte state, so `state` stays an array of its own. The
+//! vertex's one-byte state, so the state stays an array of its own, which
+//! the round driver owns and passes to each step. The
 //! rest of what a vertex carries is one 12-byte record `{isn1, isn2,
 //! link}`, whose slots mean different things by state:
 //!
@@ -93,39 +94,29 @@
 //!
 //! ## Shrink guard
 //!
-//! A round that would shrink the set is undone, and the run stops. The
-//! round keeps an undo list of the vertices whose IS membership flipped:
-//! `P → I` and `R → N` in the swap sweep, nominee joins and 0↔1 joins in
-//! the post-swap pass. Flipping them back restores the round's input set
+//! The round driver ([`Swap`]) undoes a round that would shrink the set
+//! and stops the run; these rules keep what that needs. The round keeps
+//! an undo list of the vertices whose IS membership flipped: `P → I` and
+//! `R → N` in the swap sweep, nominee joins and 0↔1 joins in the
+//! post-swap pass. Flipping them back restores the round's input set
 //! exactly. Membership is all that needs restoring, because after a
 //! rollback the run goes straight to the maximality finish and the set
-//! collection, and both read only "in the set or not". The undone pass's
-//! open vertices (below) no longer describe the set, so the rollback
-//! drops them and the finish scans the file. The stats report the undone
-//! round as `rolled_back`; its passes count in `file_scans`.
+//! collection, and both read only "in the set or not". The stats report
+//! the undone round as `rolled_back`; its passes count in `file_scans`.
 //!
-//! ## Maximality finish
+//! ## Round steps
 //!
-//! With `finalize_maximal` on, the run ends by letting every vertex with
-//! no IS neighbour join, in storage order. The post-swap pass records
-//! its *open* vertices as it goes: the non-members it leaves with no IS
-//! neighbour (the `count == 0` case that does not join), each with its
-//! neighbour list. The finish replays the rule over that record in
-//! memory instead of scanning (`OpenVertices`, shared with one-k). The
-//! result is the scan's exactly. The post-swap pass only adds members,
-//! so a vertex that had an IS neighbour when its record passed can never
-//! join, and the record visits the rest in storage order. The finish
-//! scans instead when no round ran, after a rollback, or when the record
-//! would pass |V| words; `finish_scanned` in the stats says which ran,
-//! and the record's peak counts in `MemoryModel::aux_bytes`.
+//! The driver owns the state array, the scans and the finish, and calls
+//! these rules per record: the pre-swap step above for each `A` vertex,
+//! the sweep's step for every vertex (reset every member's dependant
+//! count, empty every SC list), and the post-swap step (Algorithm 3
+//! lines 15–23) for every non-member, which reports the non-members it
+//! leaves with no IS neighbour so that the finish can replay them.
 
-use std::io;
+use mis_graph::VertexId;
 
-use mis_graph::{GraphScan, NeighborAccess, VertexId};
-
-use crate::engine;
-use crate::onek::{init_candidate, select_paged_candidates, OpenVertices, NONE, S};
-use crate::result::{MemoryModel, MisResult, RoundStats, SwapConfig, SwapOutcome, SwapStats};
+use crate::result::{MemoryModel, SwapConfig};
+use crate::swap::{Post, Rules, Steps, Swap, NONE, S};
 
 /// Cap on stored candidate pairs per key. One valid pair is enough to
 /// fire a skeleton; keeping a few tolerates pairs whose members are
@@ -136,9 +127,12 @@ use crate::result::{MemoryModel, MisResult, RoundStats, SwapConfig, SwapOutcome,
 const PAIR_CAP: u32 = 16;
 
 /// The two-k-swap algorithm (Algorithms 3 and 4).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TwoKSwap {
-    config: SwapConfig,
+pub type TwoKSwap = Swap<TwoK>;
+
+/// Two-k-swap's per-record rules, which [`Swap`] runs as [`TwoKSwap`].
+pub struct TwoK {
+    run: Run,
+    sc: ScSets,
 }
 
 /// A vertex's slots besides its state; what each holds depends on the
@@ -195,41 +189,42 @@ impl Bits {
     }
 }
 
-/// Scratch state for one run.
+/// A run's per-vertex data besides the state.
 struct Run {
-    state: Vec<S>,
     rec: Vec<Rec>,
     /// Nominated to join in this round's post-swap pass.
     nominated: Bits,
     /// Has a neighbour that turned `P` in this round's pre-swap pass.
     blocked: Bits,
+    /// Non-members this round's post-swap pass has already visited; a
+    /// nominee joining mid-pass repairs the ISN state of those neighbours
+    /// (later records re-derive theirs anyway).
+    seen: Bits,
     /// Vertices whose IS membership flipped this round, for the shrink
     /// guard.
     undo: Vec<u32>,
-    /// The post-swap pass's open vertices, for the maximality finish.
-    open: OpenVertices,
 }
 
 impl Run {
-    fn is_singleton_a(&self, v: u32) -> bool {
-        self.state[v as usize] == S::A && self.rec[v as usize].isn2 == NONE
+    fn is_singleton_a(&self, state: &[S], v: u32) -> bool {
+        state[v as usize] == S::A && self.rec[v as usize].isn2 == NONE
     }
 
     /// Takes a singleton off the dependant count of its IS neighbour `w`.
-    fn release(&mut self, w: u32) {
-        if w != NONE && self.state[w as usize] == S::I {
+    fn release(&mut self, state: &[S], w: u32) {
+        if w != NONE && state[w as usize] == S::I {
             let count = &mut self.rec[w as usize].isn1;
             *count = count.saturating_sub(1);
         }
     }
 
     /// Marks `u` conflicted and maintains the singleton dependant count.
-    fn conflict(&mut self, u: u32) {
+    fn conflict(&mut self, state: &mut [S], u: u32) {
         let r = self.rec[u as usize];
         if r.isn2 == NONE {
-            self.release(r.isn1);
+            self.release(state, r.isn1);
         }
-        self.state[u as usize] = S::C;
+        state[u as usize] = S::C;
     }
 
     /// Whether a singleton of IS vertex `w` with neighbours `ns` completes
@@ -237,12 +232,12 @@ impl Run {
     /// dependants of `w` among `ns`, `w` has another of its `y`
     /// dependants, i.e. `y ≥ x + 2`. The count stops as soon as that
     /// fails.
-    fn one_two_skeleton(&self, w: u32, ns: &[VertexId]) -> bool {
+    fn one_two_skeleton(&self, state: &[S], w: u32, ns: &[VertexId]) -> bool {
         let y = self.rec[w as usize].isn1;
         let mut x = 0;
         y >= 2
             && ns.iter().all(|&nb| {
-                if self.state[nb as usize] == S::A {
+                if state[nb as usize] == S::A {
                     let r = self.rec[nb as usize];
                     x += u32::from(r.isn1 == w && r.isn2 == NONE);
                 }
@@ -251,77 +246,73 @@ impl Run {
     }
 
     /// The pre-swap step (Algorithm 4) of `A` vertex `u`.
-    fn pre_swap(&mut self, sc: &mut ScSets, u: u32, ns: &[VertexId]) {
+    fn pre_swap(&mut self, state: &mut [S], sc: &mut ScSets, u: u32, ns: &[VertexId]) {
         // Case (i): conflict with an already-protected vertex.
         if self.blocked.get(u) {
-            self.conflict(u);
+            self.conflict(state, u);
             return;
         }
         let r = self.rec[u as usize];
         let (w1, w2) = (r.isn1, r.isn2);
         if w2 == NONE {
             // Singleton A vertex (one IS neighbour w1).
-            match self.state[w1 as usize] {
+            match state[w1 as usize] {
                 // Case (iv): all IS neighbours retreating.
-                S::R => self.state[u as usize] = S::P,
-                S::I if self.one_two_skeleton(w1, ns) => {
-                    self.state[u as usize] = S::P;
-                    self.state[w1 as usize] = S::R;
+                S::R => state[u as usize] = S::P,
+                S::I if self.one_two_skeleton(state, w1, ns) => {
+                    state[u as usize] = S::P;
+                    state[w1 as usize] = S::R;
                 }
-                S::I => sc.file_half(self, u, w1, ns),
+                S::I => sc.file_half(self, state, u, w1, ns),
                 _ => {}
             }
         } else {
             // Full A vertex: ISN = {w1, w2}.
-            match (self.state[w1 as usize], self.state[w2 as usize]) {
-                (S::R, S::R) => self.state[u as usize] = S::P, // case (iv)
-                (S::I, S::I) => sc.file_full(self, u, w1, w2, ns),
+            match (state[w1 as usize], state[w2 as usize]) {
+                (S::R, S::R) => state[u as usize] = S::P, // case (iv)
+                (S::I, S::I) => sc.file_full(self, state, u, w1, w2, ns),
                 _ => {} // one neighbour stays: u cannot move yet
             }
         }
-        if self.state[u as usize] == S::P {
+        if state[u as usize] == S::P {
             for &nb in ns {
                 self.blocked.set(nb);
             }
         }
     }
 
-    /// The post-swap step (Algorithm 3 lines 15–23) of `u`; `seen` holds
-    /// the non-members this pass has already visited (members stay
-    /// members during the pass, and only `A` vertices' bits are read).
-    /// Returns whether `u` joined the set.
-    fn post_swap(&mut self, u: u32, ns: &[VertexId], seen: &mut Bits) -> bool {
-        if self.state[u as usize] == S::I {
-            return false;
-        }
-        seen.set(u);
+    /// The post-swap step (Algorithm 3 lines 15–23) of non-member `u`.
+    /// Members stay members during the pass, and only `A` vertices'
+    /// `seen` bits are read.
+    fn post_swap(&mut self, state: &mut [S], u: u32, ns: &[VertexId]) -> Post {
+        self.seen.set(u);
         // Nominated vertices complete their 2↔k swap here, with the full
         // neighbour list in memory.
         if self.nominated.get(u) {
             self.nominated.unset(u);
-            if ns.iter().all(|&nb| self.state[nb as usize] != S::I) {
-                self.join(u);
+            if ns.iter().all(|&nb| state[nb as usize] != S::I) {
+                self.join(state, u);
                 // Repair neighbours whose A state was derived before this
                 // join: u is now one of their IS neighbours. Without this,
                 // an earlier-scanned vertex could fire a 1-2 swap next
                 // round while secretly adjacent to u — breaking
                 // independence.
                 for &nb in ns {
-                    if !seen.get(nb) || self.state[nb as usize] != S::A {
+                    if !self.seen.get(nb) || state[nb as usize] != S::A {
                         continue;
                     }
                     let r = self.rec[nb as usize];
                     if r.isn2 == NONE {
                         // Singleton gains a second IS neighbour.
-                        self.release(r.isn1);
+                        self.release(state, r.isn1);
                         self.rec[nb as usize].isn2 = u;
                     } else {
                         // Already two IS neighbours: now three.
-                        self.state[nb as usize] = S::N;
+                        state[nb as usize] = S::N;
                         self.rec[nb as usize] = Rec::EMPTY;
                     }
                 }
-                return true;
+                return Post::Joined;
             }
         }
         // Re-derive A / N / 0↔1 (Algorithm 3 re-evaluates C, A and N
@@ -330,7 +321,7 @@ impl Run {
         let (mut w1, mut w2) = (NONE, NONE);
         let mut all_cn = true;
         for &nb in ns {
-            match self.state[nb as usize] {
+            match state[nb as usize] {
                 S::I => {
                     count += 1;
                     if count == 3 {
@@ -349,7 +340,7 @@ impl Run {
         }
         match count {
             1 | 2 => {
-                self.state[u as usize] = S::A;
+                state[u as usize] = S::A;
                 self.rec[u as usize] = Rec {
                     isn1: w1,
                     isn2: w2,
@@ -358,38 +349,29 @@ impl Run {
                 if count == 1 {
                     self.rec[w1 as usize].isn1 += 1;
                 }
-                false
+                Post::Covered
             }
             0 if all_cn => {
-                self.join(u);
-                true
+                self.join(state, u);
+                Post::Joined
             }
             _ => {
-                self.state[u as usize] = S::N;
+                state[u as usize] = S::N;
                 self.rec[u as usize] = Rec::EMPTY;
                 if count == 0 {
-                    self.open.record(u, ns);
+                    Post::Open
+                } else {
+                    Post::Covered
                 }
-                false
             }
         }
     }
 
     /// `u` joins the set in the post-swap pass.
-    fn join(&mut self, u: u32) {
-        self.state[u as usize] = S::I;
+    fn join(&mut self, state: &mut [S], u: u32) {
+        state[u as usize] = S::I;
         self.rec[u as usize] = Rec::MEMBER;
         self.undo.push(u);
-    }
-
-    /// The shrink guard's rollback: flips back every membership change
-    /// of the round, and drops the round's open vertices.
-    fn roll_back(&mut self) {
-        for &v in &self.undo {
-            let s = &mut self.state[v as usize];
-            *s = if *s == S::I { S::N } else { S::I };
-        }
-        self.open.discard();
     }
 }
 
@@ -543,11 +525,11 @@ impl ScSets {
     }
 
     /// Whether both IS vertices of key `k` are still in the set.
-    fn is_live(&self, run: &Run, k: u32) -> bool {
+    fn is_live(&self, state: &[S], k: u32) -> bool {
         self.keys[k as usize]
             .w
             .iter()
-            .all(|&w| run.state[w as usize] == S::I)
+            .all(|&w| state[w as usize] == S::I)
     }
 
     /// The key of IS pair `w` (smaller id first), if one was filed this
@@ -595,7 +577,7 @@ impl ScSets {
     /// Tries to complete a 2-3 swap skeleton of key `k` with `u` as the
     /// third vertex. On success: `u → P`, the pair is nominated, both IS
     /// vertices of the key `→ R`.
-    fn fire(&self, run: &mut Run, k: u32, u: u32) -> bool {
+    fn fire(&self, run: &mut Run, state: &mut [S], k: u32, u: u32) -> bool {
         let key = &self.keys[k as usize];
         let mut pairs = RingCursor::new(&self.pair_next, key.pairs);
         while let Some(p) = pairs.step(&self.pair_next) {
@@ -603,20 +585,20 @@ impl ScSets {
             if a == u || b == u {
                 continue;
             }
-            if run.state[a as usize] == S::A
-                && run.state[b as usize] == S::A
+            if state[a as usize] == S::A
+                && state[b as usize] == S::A
                 && !self.nbrs.get(a)
                 && !self.nbrs.get(b)
             {
-                run.state[u as usize] = S::P;
+                state[u as usize] = S::P;
                 // Nominate the earlier-scanned pair: conflicted out of this
                 // round's candidacy, joining at post-swap if still safe.
                 for m in [a, b] {
-                    run.conflict(m);
+                    run.conflict(state, m);
                     run.nominated.set(m);
                 }
                 for w in key.w {
-                    run.state[w as usize] = S::R;
+                    state[w as usize] = S::R;
                 }
                 return true;
             }
@@ -626,13 +608,13 @@ impl ScSets {
 
     /// Pairs `u` with the fulls filed under key `k`, oldest first
     /// (mutual non-adjacency checked against `u`'s neighbour bitmap).
-    fn pair_with_fulls(&mut self, run: &Run, k: u32, u: u32) {
+    fn pair_with_fulls(&mut self, run: &Run, state: &[S], k: u32, u: u32) {
         let mut fulls = RingCursor::new(&run.rec, self.keys[k as usize].fulls);
         while let Some(a) = fulls.step(&run.rec) {
             if self.keys[k as usize].num_pairs >= PAIR_CAP {
                 break;
             }
-            if a != u && run.state[a as usize] == S::A && !self.nbrs.get(a) {
+            if a != u && state[a as usize] == S::A && !self.nbrs.get(a) {
                 self.push_pair(k, a, u);
             }
         }
@@ -642,20 +624,20 @@ impl ScSets {
     /// vertex of a 2-3 skeleton of any live key containing `w`, or else
     /// paired with those keys' fulls and filed as a half of `w`. Most IS
     /// vertices have no key, and then `ns` is not loaded at all.
-    fn file_half(&mut self, run: &mut Run, u: u32, w: u32, ns: &[VertexId]) {
+    fn file_half(&mut self, run: &mut Run, state: &mut [S], u: u32, w: u32, ns: &[VertexId]) {
         let keys = run.rec[w as usize].isn2;
         let fired = keys != NONE
             && self.with_neighbors(ns, |sc| {
                 let mut nodes = RingCursor::new(&sc.key_next, keys);
                 while let Some(node) = nodes.step(&sc.key_next) {
-                    if sc.is_live(run, node / 2) && sc.fire(run, node / 2, u) {
+                    if sc.is_live(state, node / 2) && sc.fire(run, state, node / 2, u) {
                         return true;
                     }
                 }
                 let mut nodes = RingCursor::new(&sc.key_next, keys);
                 while let Some(node) = nodes.step(&sc.key_next) {
-                    if sc.is_live(run, node / 2) {
-                        sc.pair_with_fulls(run, node / 2, u);
+                    if sc.is_live(state, node / 2) {
+                        sc.pair_with_fulls(run, state, node / 2, u);
                     }
                 }
                 false
@@ -672,7 +654,15 @@ impl ScSets {
     /// key's compatible halves and fulls and filed under it. A new key
     /// with no halves at either IS vertex has nothing to fire or pair
     /// with, and then `ns` is not loaded at all.
-    fn file_full(&mut self, run: &mut Run, u: u32, w1: u32, w2: u32, ns: &[VertexId]) {
+    fn file_full(
+        &mut self,
+        run: &mut Run,
+        state: &mut [S],
+        u: u32,
+        w1: u32,
+        w2: u32,
+        ns: &[VertexId],
+    ) {
         let w = [w1.min(w2), w1.max(w2)];
         let found = self.find_key(run, w);
         let k = match found {
@@ -682,7 +672,7 @@ impl ScSets {
         let has_work = found.is_some() || w.iter().any(|&wi| run.rec[wi as usize].link != NONE);
         let fired = has_work
             && self.with_neighbors(ns, |sc| {
-                if found.is_some() && sc.fire(run, k, u) {
+                if found.is_some() && sc.fire(run, state, k, u) {
                     return true;
                 }
                 // Halves of w1 and w2 …
@@ -692,13 +682,13 @@ impl ScSets {
                         if sc.keys[k as usize].num_pairs >= PAIR_CAP {
                             break;
                         }
-                        if run.is_singleton_a(h) && !sc.nbrs.get(h) {
+                        if run.is_singleton_a(state, h) && !sc.nbrs.get(h) {
                             sc.push_pair(k, u, h);
                         }
                     }
                 }
                 // … and other fulls of the same key.
-                sc.pair_with_fulls(run, k, u);
+                sc.pair_with_fulls(run, state, k, u);
                 false
             });
         if !fired {
@@ -710,225 +700,88 @@ impl ScSets {
     }
 }
 
-impl TwoKSwap {
-    /// With default configuration.
-    pub fn new() -> Self {
+impl Rules for TwoK {
+    const STEPS: Steps = Steps {
+        cat: "twok",
+        init: "twok.init",
+        pre: "twok.pre",
+        swap: "twok.swap",
+        post: "twok.post",
+        finalize: "twok.finalize",
+    };
+    const SLOTS: u32 = 2;
+
+    fn new(n: usize, _: &SwapConfig) -> Self {
         Self {
-            config: SwapConfig::default(),
-        }
-    }
-
-    /// With an explicit configuration.
-    pub fn with_config(config: SwapConfig) -> Self {
-        Self { config }
-    }
-
-    /// Enlarges `initial` (an independent set of `graph`) by two-k and
-    /// one-k swaps. Panics on a storage error; see
-    /// [`TwoKSwap::try_run_paged`].
-    pub fn run<G: GraphScan + ?Sized>(&self, graph: &G, initial: &[VertexId]) -> SwapOutcome {
-        self.run_paged(graph, None, initial)
-    }
-
-    /// [`TwoKSwap::try_run_paged`], panicking on a storage error.
-    pub fn run_paged<G: GraphScan + ?Sized>(
-        &self,
-        graph: &G,
-        access: Option<&dyn NeighborAccess>,
-        initial: &[VertexId],
-    ) -> SwapOutcome {
-        self.try_run_paged(graph, access, initial)
-            .expect("two-k swap: storage read failed")
-    }
-
-    /// Enlarges `initial` (an independent set of `graph`) by two-k and
-    /// one-k swaps, with a random-access provider for the paged
-    /// candidate-verification path. Returns the first scan or paged-read
-    /// error.
-    ///
-    /// `access` must resolve the same graph in the same storage order as
-    /// `graph`. Rounds with at most
-    /// [`crate::SwapConfig::paged_threshold`]` · |V|` live candidates
-    /// verify them through the buffer pool instead of re-scanning the
-    /// whole file; the result is identical either way.
-    pub fn try_run_paged<G: GraphScan + ?Sized>(
-        &self,
-        graph: &G,
-        access: Option<&dyn NeighborAccess>,
-        initial: &[VertexId],
-    ) -> io::Result<SwapOutcome> {
-        let n = graph.num_vertices();
-        let init_span = mis_obs::span("twok", "twok.init");
-        let mut run = Run {
-            state: vec![S::N; n],
-            rec: vec![Rec::EMPTY; n],
-            nominated: Bits::new(n),
-            blocked: Bits::new(n),
-            undo: Vec::new(),
-            open: OpenVertices::new(if self.config.finalize_maximal { n } else { 0 }),
-        };
-        for &v in initial {
-            run.state[v as usize] = S::I;
-            run.rec[v as usize] = Rec::MEMBER;
-        }
-
-        // Lines 1–3: initial A states (one or two IS neighbours); one
-        // scan against the I membership, which it does not change.
-        let mut file_scans: u64 = 1;
-        engine::pass(graph, "twok.init", &mut |v, ns| {
-            if let Some((w1, w2)) = init_candidate(&run.state, v, ns, 2) {
-                run.state[v as usize] = S::A;
-                run.rec[v as usize].isn1 = w1;
-                if w2 == NONE {
-                    run.rec[w1 as usize].isn1 += 1;
-                } else {
-                    run.rec[v as usize].isn2 = w2;
-                }
-            }
-        })?;
-        drop(init_span);
-
-        let mut stats = SwapStats {
-            initial_size: initial.len() as u64,
-            ..SwapStats::default()
-        };
-        let round_cap = self
-            .config
-            .max_rounds
-            .map(|r| r as usize)
-            .unwrap_or_else(|| n.max(16));
-        let mut stagnant_rounds = 0u32;
-        let mut sc_peak_bytes: u64 = 0;
-        let mut current_size = initial.len() as u64;
-        let mut sc = ScSets::new(n);
-        // Non-members already passed by the post-swap scan; needed so a
-        // nominee joining mid-scan can repair the ISN state of *earlier*
-        // neighbours (later records re-derive their state anyway).
-        let mut seen = Bits::new(n);
-
-        let mut can_swap = true;
-        while can_swap && stats.rounds.len() < round_cap {
-            can_swap = false;
-            let mut round = RoundStats::default();
-            run.undo.clear();
-
-            // ---- Pre-swap pass (Algorithm 4 per A vertex): one full
-            // scan, or paged candidate verification when few candidates
-            // are live. ----
-            let pre_span = mis_obs::span("twok", "twok.pre");
-            let cands = select_paged_candidates(access, self.config.paged_threshold, &run.state)?;
-            sc.clear();
-            run.blocked.clear();
-            let (rs, scs) = (&mut run, &mut sc);
-            let mut pre_body = |u: VertexId, ns: &[VertexId]| {
-                if rs.state[u as usize] == S::A {
-                    rs.pre_swap(scs, u, ns);
-                }
-            };
-            if engine::candidate_pass(graph, access, cands, "twok.pre", &mut pre_body)? {
-                stats.paged_rounds += 1;
-            } else {
-                file_scans += 1;
-            }
-            drop(pre_span);
-
-            round.sc_peak_vertices = sc.num_held;
-            stats.sc_peak_vertices = stats.sc_peak_vertices.max(sc.num_held);
-            sc_peak_bytes = sc_peak_bytes.max(sc.model_bytes());
-
-            // ---- Swap phase (in memory): P → I, R → N, every member's
-            // dependant count reset, and every SC list emptied. ----
-            let swap_span = mis_obs::span("twok", "twok.swap");
-            let states = run.state.iter_mut().zip(run.rec.iter_mut());
-            for (v, (s, rec)) in (0u32..).zip(states) {
-                match *s {
-                    S::P => {
-                        *s = S::I;
-                        *rec = Rec::MEMBER;
-                        run.undo.push(v);
-                        round.swapped_in += 1;
-                    }
-                    S::R => {
-                        *s = S::N;
-                        *rec = Rec::EMPTY;
-                        run.undo.push(v);
-                        round.swapped_out += 1;
-                        can_swap = true;
-                    }
-                    S::I => *rec = Rec::MEMBER,
-                    _ => rec.link = NONE,
-                }
-            }
-            drop(swap_span);
-
-            // ---- Post-swap scan (Algorithm 3 lines 15–23); nominee
-            // joins and 0↔1 promotions are visible to later records. ----
-            let post_span = mis_obs::span("twok", "twok.post");
-            file_scans += 1;
-            seen.clear();
-            run.open.start_pass();
-            let rs = &mut run;
-            let round_ref = &mut round;
-            engine::pass(graph, "twok.post", &mut |u, ns| {
-                if rs.post_swap(u, ns, &mut seen) {
-                    round_ref.swapped_in += 1;
-                }
-            })?;
-            drop(post_span);
-
-            // Shrink guard: a blocked nominee can make a round lose
-            // vertices; roll back and stop rather than return a smaller
-            // set.
-            let new_size = (current_size as i64 + round.net_gain()) as u64;
-            if new_size < current_size {
-                run.roll_back();
-                stats.rolled_back = true;
-                break;
-            }
-            current_size = new_size;
-
-            if round.net_gain() <= 0 {
-                stagnant_rounds += 1;
-            } else {
-                stagnant_rounds = 0;
-            }
-            stats.rounds.push(round);
-            if stagnant_rounds >= 3 {
-                break;
-            }
-        }
-
-        if self.config.finalize_maximal {
-            let _span = mis_obs::span("twok", "twok.finalize");
-            stats.finish_scanned = run.open.finish(graph, &mut run.state, "twok.finalize")?;
-            file_scans += u64::from(stats.finish_scanned);
-        }
-
-        let set: Vec<VertexId> = (0..n as VertexId)
-            .filter(|&v| run.state[v as usize] == S::I)
-            .collect();
-        stats.final_size = set.len() as u64;
-        Ok(SwapOutcome {
-            result: MisResult {
-                set,
-                file_scans,
-                memory: MemoryModel {
-                    state_bytes: n as u64,
-                    isn_bytes: 8 * n as u64,
-                    sc_peak_bytes,
-                    // The records' shared `link` slot, five bitmaps
-                    // (nominated, blocked, seen, held and neighbours) and
-                    // the finish's record of open vertices at its peak.
-                    aux_bytes: 4 * n as u64 + 5 * Bits::bytes(n) + run.open.peak_bytes(),
-                    pager_bytes: if stats.paged_rounds > 0 {
-                        access.map_or(0, |a| a.resident_bytes())
-                    } else {
-                        0
-                    },
-                },
+            run: Run {
+                rec: vec![Rec::EMPTY; n],
+                nominated: Bits::new(n),
+                blocked: Bits::new(n),
+                seen: Bits::new(n),
+                undo: Vec::new(),
             },
-            stats,
-        })
+            sc: ScSets::new(n),
+        }
+    }
+
+    fn init(&mut self, v: VertexId, w1: u32, w2: u32) {
+        let rec = &mut self.run.rec;
+        rec[v as usize].isn1 = w1;
+        if w2 == NONE {
+            rec[w1 as usize].isn1 += 1;
+        } else {
+            rec[v as usize].isn2 = w2;
+        }
+    }
+
+    fn start_round(&mut self) {
+        self.run.undo.clear();
+        self.run.blocked.clear();
+        self.run.seen.clear();
+        self.sc.clear();
+    }
+
+    fn pre_swap(&mut self, state: &mut [S], u: VertexId, ns: &[VertexId]) {
+        self.run.pre_swap(state, &mut self.sc, u, ns);
+    }
+
+    fn sc_held(&self) -> (u64, u64) {
+        (self.sc.num_held, self.sc.model_bytes())
+    }
+
+    /// Every member's dependant count resets and every SC list empties;
+    /// the membership flips go on the undo list.
+    fn settle(&mut self, v: VertexId, was: S) {
+        let rec = &mut self.run.rec[v as usize];
+        match was {
+            S::P | S::I => *rec = Rec::MEMBER,
+            S::R => *rec = Rec::EMPTY,
+            _ => rec.link = NONE,
+        }
+        if matches!(was, S::P | S::R) {
+            self.run.undo.push(v);
+        }
+    }
+
+    fn post_swap(&mut self, state: &mut [S], u: VertexId, ns: &[VertexId]) -> Post {
+        self.run.post_swap(state, u, ns)
+    }
+
+    fn roll_back(&mut self, state: &mut [S]) {
+        for &v in &self.run.undo {
+            let s = &mut state[v as usize];
+            *s = if *s == S::I { S::N } else { S::I };
+        }
+    }
+
+    fn memory(&self, n: usize) -> MemoryModel {
+        MemoryModel {
+            isn_bytes: 8 * n as u64,
+            // The records' shared `link` slot and five bitmaps
+            // (nominated, blocked, seen, held and neighbours).
+            aux_bytes: 4 * n as u64 + 5 * Bits::bytes(n),
+            ..MemoryModel::default()
+        }
     }
 }
 
@@ -937,6 +790,7 @@ mod tests {
     use super::*;
     use crate::greedy::Greedy;
     use crate::onek::OneKSwap;
+    use crate::result::SwapOutcome;
     use crate::verify::{is_independent_set, is_maximal_independent_set};
     use mis_gen::figures;
     use mis_graph::{CsrGraph, OrderedCsr};

@@ -1,8 +1,9 @@
 //! Independence and maximality checks.
 //!
-//! Both checks are themselves semi-external: one bit per vertex in memory,
-//! one sequential scan of the graph (engine pass `proof`), in which every
-//! record is judged against the fixed membership bitmap.
+//! Both checks are themselves semi-external: one byte per vertex in
+//! memory (a `Vec<bool>` membership array), one sequential scan of the
+//! graph (engine pass `proof`), in which every record is judged against
+//! the fixed membership array.
 
 use std::io;
 
@@ -10,7 +11,7 @@ use mis_graph::{GraphScan, VertexId};
 
 use crate::engine::{self, Executor};
 
-/// Builds a membership bitmap from a vertex list.
+/// Builds a membership array from a vertex list.
 fn membership(n: usize, set: &[VertexId]) -> Vec<bool> {
     let mut member = vec![false; n];
     for &v in set {

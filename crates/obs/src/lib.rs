@@ -85,13 +85,15 @@
 //!   and the frontier refill), `repair.recover` (the 1↔k moves),
 //!   `repair.certify` (the local maximality certificate) and
 //!   `repair.collect` (the set collect).
-//! * cat `"twok"` — the passes of one two-k swap run, nested in the
-//!   caller's `solve`: `twok.init` (the initial candidate scan), then per
-//!   round `twok.pre` (the pre-swap pass, scanned or paged), `twok.swap`
-//!   (the in-memory swap sweep) and `twok.post` (the post-swap scan), and
-//!   `twok.finalize` (the maximality finish: an in-memory replay of the
-//!   last post-swap pass's open vertices, or a scan after a rollback,
-//!   with no round, or past the replay's cap).
+//! * cat `"onek"` and cat `"twok"` — the steps of one one-k or two-k
+//!   swap run, nested in the caller's `solve` and named after the
+//!   algorithm. Both run the same round driver, so both have the same
+//!   steps: `onek.init` or `twok.init` (the initial candidate scan), then
+//!   per round `.pre` (the pre-swap pass, scanned or paged), `.swap` (the
+//!   in-memory swap sweep) and `.post` (the post-swap scan), and
+//!   `.finalize` (the maximality finish: an in-memory replay of the last
+//!   post-swap pass's open vertices, or a scan after a rollback, with no
+//!   round, or past the replay's cap).
 //! * The report totals the spans of every other category besides
 //!   `"phase"` and `"pass"` by name, as its step breakdown.
 

@@ -1,8 +1,9 @@
 //! End-to-end trace pipeline test: run a real two-k workload on an
 //! on-disk file with the observability sink armed, write the
 //! Chrome-trace JSONL file, parse it back and check the recorded
-//! timeline is coherent. Then trace a paged two-k solve of a compressed
-//! copy and check that every accounted scan is still one pass span.
+//! timeline is coherent. Then trace a paged one-k and a paged two-k solve
+//! of a compressed copy and check that every accounted scan is still one
+//! pass span, and that each swap's round steps are spans of their own.
 //!
 //! This is deliberately the ONLY test in this binary: the `mis_obs` sink
 //! is process-global, so a concurrently running test would bleed events
@@ -10,7 +11,8 @@
 
 use std::sync::Arc;
 
-use semi_mis::graph::{build_adj_file, compress_adj};
+use semi_mis::algo::SwapOutcome;
+use semi_mis::graph::{build_adj_file, compress_adj, CompressedAdjFile};
 use semi_mis::obs::{self, TraceReport};
 use semi_mis::prelude::*;
 
@@ -91,35 +93,56 @@ fn traced_run_has_one_pass_span_per_scan() {
         "io counters missing from trace"
     );
 
-    // A paged two-k solve of a compressed copy, with the handle opened
-    // before greedy, as every paged solve opens it: greedy's scan builds
-    // the record index on the way, so no `index.build` pass runs and the
-    // pass spans still match the accounted scans.
+    // A paged one-k and a paged two-k solve of a compressed copy, each
+    // with its handle opened before greedy, as every paged solve opens
+    // it: greedy's scan builds the record index on the way, so no
+    // `index.build` pass runs and the pass spans still match the
+    // accounted scans. Paged pre-swap rounds read no file, so only the
+    // step spans show them.
+    type Swap =
+        fn(SwapConfig, &CompressedAdjFile, Option<&dyn NeighborAccess>, &[u32]) -> SwapOutcome;
+    let swaps: [(&str, Swap); 2] = [
+        ("onek", |c, g, a, s| {
+            OneKSwap::with_config(c).run_paged(g, a, s)
+        }),
+        ("twok", |c, g, a, s| {
+            TwoKSwap::with_config(c).run_paged(g, a, s)
+        }),
+    ];
     let comp = compress_adj(&graph, &scratch.file("g.cadj"), Arc::clone(&stats), 4096).unwrap();
-    obs::set_enabled(true);
-    let before = stats.snapshot();
-    let pager = PagerConfig::with_capacity_bytes(64 << 10, 4096, PolicyKind::default());
-    let access = RandomAccessGraph::open(&comp, pager).unwrap();
-    let greedy = Greedy::new().run(&comp);
-    let config = SwapConfig::early_stop(3).with_paged_threshold(1.0);
-    let outcome = TwoKSwap::with_config(config).run_paged(&comp, Some(&access), &greedy.set);
-    assert!(outcome.stats.paged_rounds > 0, "no paged round ran");
-    assert!(try_prove_maximal(&comp, &outcome.result.set)
-        .unwrap()
-        .is_maximal_independent());
-    let io = stats.snapshot().since(&before);
-    io.emit_trace("io");
-    let report = TraceReport::from_trace(&obs::drain());
-    obs::set_enabled(false);
-    assert_eq!(
-        report.pass_spans_and_io_scans(),
-        Some((io.scans_started, io.scans_started)),
-        "pass spans {:?}",
-        report.passes
-    );
-    assert!(
-        report.passes.iter().all(|p| p.name != "index.build"),
-        "{:?}",
-        report.passes
-    );
+    for (algo, swap) in swaps {
+        obs::set_enabled(true);
+        let before = stats.snapshot();
+        let pager = PagerConfig::with_capacity_bytes(64 << 10, 4096, PolicyKind::default());
+        let access = RandomAccessGraph::open(&comp, pager).unwrap();
+        let greedy = Greedy::new().run(&comp);
+        let config = SwapConfig::early_stop(3).with_paged_threshold(1.0);
+        let outcome = swap(config, &comp, Some(&access), &greedy.set);
+        assert!(outcome.stats.paged_rounds > 0, "{algo}: no paged round ran");
+        assert!(try_prove_maximal(&comp, &outcome.result.set)
+            .unwrap()
+            .is_maximal_independent());
+        let io = stats.snapshot().since(&before);
+        io.emit_trace("io");
+        let report = TraceReport::from_trace(&obs::drain());
+        obs::set_enabled(false);
+        assert_eq!(
+            report.pass_spans_and_io_scans(),
+            Some((io.scans_started, io.scans_started)),
+            "{algo}: pass spans {:?}",
+            report.passes
+        );
+        assert!(
+            report.passes.iter().all(|p| p.name != "index.build"),
+            "{algo}: {:?}",
+            report.passes
+        );
+        for step in ["pre", "swap"].map(|s| format!("{algo}.{s}")) {
+            assert!(
+                report.steps.iter().any(|p| p.name == step),
+                "missing step `{step}` in {:?}",
+                report.steps
+            );
+        }
+    }
 }

@@ -49,9 +49,12 @@ impl Rules for OneK {
     };
     const SLOTS: u32 = 1;
 
-    fn new(n: usize, config: &SwapConfig) -> Self {
+    fn new(state: &[S], config: &SwapConfig) -> Self {
         Self {
-            isn: vec![NONE; n],
+            isn: state
+                .iter()
+                .map(|&s| if s == S::I { 0 } else { NONE })
+                .collect(),
             repromote_n: config.repromote_n,
         }
     }
@@ -96,11 +99,13 @@ impl Rules for OneK {
 
     /// Lines 15–19: members' dependant counts restart from zero before
     /// the post-swap pass re-derives the `A` states.
-    fn settle(&mut self, v: VertexId, was: S) {
-        match was {
-            S::P | S::I => self.isn[v as usize] = 0,
-            S::R => self.isn[v as usize] = NONE,
-            _ => {}
+    fn sweep(&mut self, state: &[S]) {
+        for (isn, &s) in self.isn.iter_mut().zip(state) {
+            match s {
+                S::P | S::I => *isn = 0,
+                S::R => *isn = NONE,
+                _ => {}
+            }
         }
     }
 

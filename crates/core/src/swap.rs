@@ -38,6 +38,10 @@
 //! run goes straight to the finish. Each step is one span of the
 //! algorithm's category, `<algo>.init|pre|swap|post|finalize`, and every
 //! scan one `pass` span of the same name.
+//!
+//! [`Rules`] and the types its methods name are `pub` only so that the
+//! public [`Swap`] may be bound by them; this module is private, so no
+//! caller outside the crate can implement or call them.
 
 use std::fmt;
 use std::io;
@@ -105,15 +109,13 @@ pub trait Rules {
     /// Most IS neighbours a candidate may have (1 for one-k, 2 for two-k).
     const SLOTS: u32;
 
-    /// The rules' data for `n` vertices, none of them in the set.
-    fn new(n: usize, config: &SwapConfig) -> Self;
+    /// The rules' data for the initial states: `I` for the members, `N`
+    /// for the rest.
+    fn new(state: &[S], config: &SwapConfig) -> Self;
 
     /// The init verdict: `v` became a candidate with IS neighbours `w1`
     /// and `w2` (`NONE` for a singleton).
     fn init(&mut self, v: VertexId, w1: u32, w2: u32);
-
-    /// Resets what a round rebuilds, before its pre-swap pass.
-    fn start_round(&mut self) {}
 
     /// The pre-swap step of `u`, a candidate when its record arrives.
     fn pre_swap(&mut self, state: &mut [S], u: VertexId, ns: &[VertexId]);
@@ -124,10 +126,9 @@ pub trait Rules {
         (0, 0)
     }
 
-    /// The sweep's step for `v`, whose state was `was` before it: a `P`
-    /// joined, an `R` left. Also seeds the initial members, with
-    /// `was == I`.
-    fn settle(&mut self, v: VertexId, was: S);
+    /// The swap sweep, given the states before it: every `P` joins and
+    /// every `R` leaves.
+    fn sweep(&mut self, state: &[S]);
 
     /// The post-swap step of `u`, which is outside the set.
     fn post_swap(&mut self, state: &mut [S], u: VertexId, ns: &[VertexId]) -> Post;
@@ -225,11 +226,10 @@ impl<R: Rules> Swap<R> {
         let n = graph.num_vertices();
         let init_span = step(steps.init);
         let mut state = vec![S::N; n];
-        let mut rules = R::new(n, config);
         for &v in initial {
             state[v as usize] = S::I;
-            rules.settle(v, S::I);
         }
+        let mut rules = R::new(&state, config);
         // The init pass turns only `N` vertices into `A`, so applying
         // each verdict as its record passes gives the states of applying
         // them all after the scan.
@@ -253,7 +253,6 @@ impl<R: Rules> Swap<R> {
         let mut open = OpenVertices::new(if config.finalize_maximal { n } else { 0 });
         while stats.rounds.len() < round_cap {
             let mut round = RoundStats::default();
-            rules.start_round();
 
             let pre_span = step(steps.pre);
             let cands = select_paged_candidates(access, config.paged_threshold, &state)?;
@@ -281,9 +280,9 @@ impl<R: Rules> Swap<R> {
             sc_peak_bytes = sc_peak_bytes.max(sc_bytes);
 
             let swap_span = step(steps.swap);
-            for (v, s) in (0u32..).zip(state.iter_mut()) {
-                let was = *s;
-                match was {
+            rules.sweep(&state);
+            for s in &mut state {
+                match *s {
                     S::P => {
                         *s = S::I;
                         round.swapped_in += 1;
@@ -294,7 +293,6 @@ impl<R: Rules> Swap<R> {
                     }
                     _ => {}
                 }
-                rules.settle(v, was);
             }
             drop(swap_span);
 

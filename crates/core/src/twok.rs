@@ -487,8 +487,8 @@ impl ScSets {
     }
 
     /// Empties every set for the next round, keeping the allocations.
-    /// The lists threaded through the records were emptied by the swap
-    /// sweep.
+    /// The swap sweep calls it, and empties the lists threaded through
+    /// the records itself.
     fn clear(&mut self) {
         self.key_next.clear();
         self.keys.clear();
@@ -711,10 +711,14 @@ impl Rules for TwoK {
     };
     const SLOTS: u32 = 2;
 
-    fn new(n: usize, _: &SwapConfig) -> Self {
+    fn new(state: &[S], _: &SwapConfig) -> Self {
+        let n = state.len();
         Self {
             run: Run {
-                rec: vec![Rec::EMPTY; n],
+                rec: state
+                    .iter()
+                    .map(|&s| if s == S::I { Rec::MEMBER } else { Rec::EMPTY })
+                    .collect(),
                 nominated: Bits::new(n),
                 blocked: Bits::new(n),
                 seen: Bits::new(n),
@@ -734,13 +738,6 @@ impl Rules for TwoK {
         }
     }
 
-    fn start_round(&mut self) {
-        self.run.undo.clear();
-        self.run.blocked.clear();
-        self.run.seen.clear();
-        self.sc.clear();
-    }
-
     fn pre_swap(&mut self, state: &mut [S], u: VertexId, ns: &[VertexId]) {
         self.run.pre_swap(state, &mut self.sc, u, ns);
     }
@@ -749,17 +746,29 @@ impl Rules for TwoK {
         (self.sc.num_held, self.sc.model_bytes())
     }
 
-    /// Every member's dependant count resets and every SC list empties;
-    /// the membership flips go on the undo list.
-    fn settle(&mut self, v: VertexId, was: S) {
-        let rec = &mut self.run.rec[v as usize];
-        match was {
-            S::P | S::I => *rec = Rec::MEMBER,
-            S::R => *rec = Rec::EMPTY,
-            _ => rec.link = NONE,
-        }
-        if matches!(was, S::P | S::R) {
-            self.run.undo.push(v);
+    /// Every member's dependant count resets and every SC set empties,
+    /// so the next pre-swap pass starts from empty sets and no blocked
+    /// bits. The round's membership flips start here, on an empty undo
+    /// list.
+    fn sweep(&mut self, state: &[S]) {
+        let run = &mut self.run;
+        run.undo.clear();
+        run.blocked.clear();
+        run.seen.clear();
+        self.sc.clear();
+        for (v, (rec, &s)) in (0u32..).zip(run.rec.iter_mut().zip(state)) {
+            match s {
+                S::P => {
+                    *rec = Rec::MEMBER;
+                    run.undo.push(v);
+                }
+                S::R => {
+                    *rec = Rec::EMPTY;
+                    run.undo.push(v);
+                }
+                S::I => *rec = Rec::MEMBER,
+                _ => rec.link = NONE,
+            }
         }
     }
 
